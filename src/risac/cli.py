@@ -154,29 +154,22 @@ def _run_isac_tradeoff(cfg: RunConfig, threads: int):
 def _run_ris_isac_tradeoff(cfg: RunConfig, threads: int):
     scene = scene_from_config(cfg)
     scenario = ri.RisIsacScenario.from_scene(scene)
-    solver = SolverConfig(restarts=cfg.restarts, seed=cfg.seed)
+    shaped = ri._apply_coupling(scenario, cfg.coupling)
+    # "with" and "reference" share one profile, solved once per run.
+    profile = None
+    if set(cfg.ris_modes) & {"with", "reference"}:
+        solver = SolverConfig(restarts=cfg.restarts, seed=cfg.seed)
+        profile = ri.optimize_ris_profile(shaped, cfg=solver).phi
     csv_rows = []
     diag = {}
-
-    def grid_for(scn, phi):
-        p_t = scene.transmit_power
-        h_c = scn.h_c(phi)
-        max_rate = math.log2(
-            1.0 + p_t * float(np.real(np.vdot(h_c, h_c))) / scene.noise_power_comms
-        )
-        return np.linspace(0.0, 0.97 * max_rate, cfg.r0_points), max_rate
-
     for mode in cfg.ris_modes:
-        shaped = ri._apply_coupling(scenario, cfg.coupling)
-        if mode == "with":
-            prof = ri.optimize_ris_profile(shaped, cfg=solver)
-            grid, max_rate = grid_for(shaped, prof.phi.phases)
-        elif mode == "without":
-            grid, max_rate = grid_for(ri._zero_ris(shaped), np.zeros(0))
-        else:
-            prof = ri.optimize_ris_profile(shaped, cfg=solver)
-            grid, max_rate = grid_for(shaped, prof.phi.phases)
-        rows = ri.ris_isac_tradeoff(scenario, cfg.coupling, mode, grid, solver)
+        h_c = shaped.h_bu if mode == "without" else shaped.h_c(profile)
+        max_rate = math.log2(
+            1.0 + scene.transmit_power * float(np.real(np.vdot(h_c, h_c)))
+            / scene.noise_power_comms
+        )
+        grid = np.linspace(0.0, 0.97 * max_rate, cfg.r0_points)
+        rows = ri.ris_isac_tradeoff(scenario, cfg.coupling, mode, grid, profile, cfg.seed)
         diag[f"max_rate_{mode}"] = max_rate
         csv_rows.extend(
             (r.mode, r.coupling, r.rate_threshold, r.rate, r.crb) for r in rows

@@ -5,6 +5,9 @@ a_t^T w, so the power-maximizing directions are the conjugated channel
 vectors. The two-branch solution below is derived for that convention: it
 keeps the budget, meets the rate constraint with equality on the boundary
 branch, and reduces to the printed special cases for real steering vectors.
+a_t may be any transmit channel vector, not only a unit-modulus steering
+vector: the solution maximizes the illumination |a_t^T w|^2, whatever the
+norm of a_t.
 """
 
 from __future__ import annotations
@@ -32,7 +35,8 @@ __all__ = [
 
 @dataclasses.dataclass(eq=False)
 class IsacScenario:
-    """Steering vectors, comms channel, and noise/budget parameters."""
+    """Transmit channel (any vector), receive steering pieces, comms channel,
+    and noise/budget parameters."""
 
     a_t: np.ndarray
     a_r: np.ndarray
@@ -167,10 +171,11 @@ def crb_min_beamformer(scenario: IsacScenario, rate_threshold: float) -> IsacSol
     if snr_floor > p_t * hc_norm_sq * (1.0 + 1e-12):
         raise InfeasibleRateError(rate_threshold, scenario.max_rate)
 
-    l_t = a_t.shape[0]
-    # |h_c^T conj(a_t)| = |h_c^H a_t|: rate delivered by the matched filter.
+    # The matched filter sqrt(p_t) conj(a_t) / ||a_t|| delivers the SNR
+    # p_t |h_c^H a_t|^2 / ||a_t||^2; it is optimal when that meets the floor.
+    a_norm_sq = float(np.real(np.vdot(a_t, a_t)))
     corr = complex(np.vdot(h_c, a_t))
-    if p_t * abs(corr) ** 2 >= l_t * snr_floor:
+    if p_t * abs(corr) ** 2 >= a_norm_sq * snr_floor:
         w_vec = math.sqrt(p_t) * a_t.conj() / np.linalg.norm(a_t)
         branch = "unconstrained"
         lam1, lam2 = 0.0 + 0.0j, complex(math.sqrt(p_t))

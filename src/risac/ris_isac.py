@@ -2,10 +2,12 @@
 
 The RIS profile is tuned first to expand and rotate the sensing/comms
 subspaces (projected gradient on the unit-modulus torus), then the transmit
-beamformer minimizes the FIM-based angle CRB under a rate floor. The cited
-semidefinite relaxation is replaced by a multi-start projected-gradient
-solver with an exact penalty; acceptance is property based (feasibility plus
-oracle dominance at small array sizes).
+beamformer minimizes the FIM-based angle CRB under a rate floor in closed
+form. The nuisance gain beta contributes the FIM columns h_r s and i h_r s
+(s = h_t^T w), so eliminating it projects h_r out of the angle columns; the
+transmit-derivative terms lie along h_r and drop out. What remains is
+CRB(theta1) = kappa(phi) / |h_t(phi)^T w|^2, with kappa set by the receive
+side alone, so minimizing the CRB maximizes the illumination |h_t^T w|^2.
 """
 
 from __future__ import annotations
@@ -26,9 +28,9 @@ from .channels import (
     ris_side_angle,
 )
 from .errors import DegenerateChannelError, InfeasibleRateError
-from .isac import IsacScenario, achievable_rate, crb_min_beamformer
+from .isac import IsacScenario, crb_min_beamformer
 from .optim import SolverConfig, projected_gradient
-from .sensing import Beamformer, matched_filter_beamformer
+from .sensing import Beamformer
 
 __all__ = [
     "RisIsacScenario",
@@ -314,7 +316,9 @@ def fim_theta(scenario: RisIsacScenario, phi, w) -> FimResult:
     Deterministic-signal Gaussian model with T unit-power samples:
     FIM = (2T / sigma_s^2) Re(D^H D). Identically-zero parameter directions
     (for example theta2 without an RIS) are pruned before inversion; a
-    genuinely singular information matrix yields an infinite CRB.
+    genuinely singular information matrix yields an infinite CRB. The
+    condition number is that of the unit-diagonal (Jacobi-scaled) matrix,
+    since the beta entries carry 1/|beta|^2 and dwarf the angle entries.
     """
     w_vec = w.weights if isinstance(w, Beamformer) else np.asarray(w, dtype=complex).reshape(-1)
     maps = _fim_maps(scenario, phi)
@@ -330,10 +334,12 @@ def fim_theta(scenario: RisIsacScenario, phi, w) -> FimResult:
     keep = diag > 1e-14 * scale_ref
     keep[0] = True
     sub = fim[np.ix_(keep, keep)]
-    cond = float(np.linalg.cond(sub))
+    root = np.sqrt(np.diag(sub))
+    unit = sub / np.outer(root, root)
+    cond = float(np.linalg.cond(unit))
     if not np.isfinite(cond) or cond > 1e14:
         return FimResult(fim, math.inf, cond, True)
-    crb = float(np.linalg.inv(sub)[0, 0])
+    crb = float(np.linalg.inv(unit)[0, 0]) / float(sub[0, 0])
     return FimResult(fim, crb, cond, False)
 
 
@@ -342,156 +348,44 @@ class CrbBeamformerResult:
     w: Beamformer
     crb: float
     rate: float
-    converged: bool
-    starts_evaluated: int
-
-
-def _crb_and_gradient(w_vec, maps, scale):
-    d = np.column_stack([m @ w_vec for m in maps])
-    fim = scale * np.real(d.conj().T @ d)
-    fim = 0.5 * (fim + fim.T)
-    diag = np.diag(fim)
-    ref = float(np.max(diag)) if np.max(diag) > 0 else 0.0
-    if ref == 0.0 or diag[0] <= 0.0:
-        return math.inf, None
-    keep = diag > 1e-14 * ref
-    keep[0] = True
-    sub = fim[np.ix_(keep, keep)]
-    try:
-        inv = np.linalg.inv(sub)
-    except np.linalg.LinAlgError:
-        return math.inf, None
-    if inv[0, 0] <= 0 or not np.isfinite(inv[0, 0]):
-        return math.inf, None
-    g_full = np.zeros(len(maps))
-    g_full[keep] = inv[:, 0] if inv.ndim == 2 else inv
-    # d crb / d w* = -(2T/sigma^2) K^H K w with K = sum_i g_i C_i.
-    k_mat = sum(g * m for g, m in zip(g_full, maps))
-    grad = -scale * (k_mat.conj().T @ (k_mat @ w_vec))
-    return float(inv[0, 0]), grad
 
 
 def rate_constrained_crb_beamformer(
     scenario: RisIsacScenario,
     phi,
     rate_threshold: float,
-    cfg: SolverConfig = SolverConfig(restarts=4),
-    penalty: float = None,  # type: ignore[assignment]
 ) -> CrbBeamformerResult:
     """Minimize the FIM-based CRB(theta1) under a rate floor and power budget.
 
-    Projected gradient on the budget ball with an exact penalty on the rate
-    constraint, multi-started from (a) the matched filter to the sensing
-    channel, (b) the closed-form single-angle solution, and (c) seeded random
-    points. The returned precoder is feasible and no worse than the feasible
-    warm starts.
+    CRB(theta1) = kappa(phi) / |h_t(phi)^T w|^2 with kappa independent of w
+    (see the module docstring), so the optimum is the closed-form
+    max-illumination beamformer of ``crb_min_beamformer`` for a_t = h_t(phi),
+    which also raises ``InfeasibleRateError`` above the maximum rate. The
+    reported CRB comes from ``fim_theta``.
     """
+    if scenario.beta == 0:
+        raise DegenerateChannelError(
+            "the angle FIM is normalized by the direct gains; beta must be nonzero"
+        )
     phi_vec = _phi(phi)
     scene = scenario.scene
-    p_t = scene.transmit_power
-    sigma_c = scene.noise_power_comms
-    h_c = scenario.h_c(phi_vec)
-    h_t = scenario.h_t(phi_vec)
-    hc_norm_sq = float(np.real(np.vdot(h_c, h_c)))
-    max_rate = math.log2(1.0 + p_t * hc_norm_sq / sigma_c)
-    if rate_threshold > max_rate:
-        raise InfeasibleRateError(rate_threshold, max_rate)
-    snr_floor = (2.0**rate_threshold - 1.0) * sigma_c
-
-    maps = _fim_maps(scenario, phi_vec)
-    scale = 2.0 * scene.samples / scene.noise_power_sensing
-
-    # Warm starts: matched filter to the sensing channel (conjugated: the
-    # model uses h_t^T w) and the closed-form rate-constrained solution.
     angles = angles_from_geometry(scene)
     closed = crb_min_beamformer(
         IsacScenario(
-            a_t=h_t,
+            a_t=scenario.h_t(phi_vec),
             a_r=steering_vector(scene.rx, angles.theta1).entries,
             a_r_dot=steering_derivative(scene.rx, angles.theta1),
-            h_c=h_c,
-            noise_comms=sigma_c,
+            h_c=scenario.h_c(phi_vec),
+            noise_comms=scene.noise_power_comms,
             noise_sensing=scene.noise_power_sensing,
             target_gain_var=scene.target_gain_var,
             samples=scene.samples,
-            budget=p_t,
+            budget=scene.transmit_power,
         ),
         rate_threshold,
     )
-    starts = [matched_filter_beamformer(h_t.conj(), p_t).weights, closed.w.weights]
-    rng = np.random.default_rng(cfg.seed)
-    l_t = scene.tx.num_elements
-    for _ in range(cfg.restarts):
-        z = rng.standard_normal(l_t) + 1j * rng.standard_normal(l_t)
-        starts.append(math.sqrt(p_t) * z / np.linalg.norm(z))
-
-    crb_scale_probe, _ = _crb_and_gradient(starts[1], maps, scale)
-    ref = crb_scale_probe if math.isfinite(crb_scale_probe) and crb_scale_probe > 0 else 1.0
-    if penalty is None:
-        # Exact-penalty weight: large relative to the CRB scale per unit of
-        # squared SNR violation.
-        penalty = 1e4 * ref / max(snr_floor, sigma_c) ** 2
-
-    hc_conj = h_c.conj()
-
-    def rate_gap(w_vec) -> float:
-        return snr_floor - float(np.abs(h_c @ w_vec) ** 2)
-
-    # Work with the objective normalized by the warm-start CRB so gradient
-    # steps have O(1) effect regardless of the physical noise scale.
-    def objective(w_vec) -> float:
-        crb, _ = _crb_and_gradient(w_vec, maps, scale)
-        gap = max(0.0, rate_gap(w_vec))
-        if not np.isfinite(crb):
-            return 1e30 + penalty * gap**2 / ref
-        return (crb + penalty * gap**2) / ref
-
-    def gradient(w_vec) -> np.ndarray:
-        crb, grad = _crb_and_gradient(w_vec, maps, scale)
-        if grad is None:
-            grad = np.zeros_like(w_vec)
-        gap = max(0.0, rate_gap(w_vec))
-        if gap > 0.0:
-            grad = grad - 2.0 * penalty * gap * hc_conj * (h_c @ w_vec)
-        return grad / ref
-
-    def project(w_vec) -> np.ndarray:
-        norm = np.linalg.norm(w_vec)
-        if norm > math.sqrt(p_t):
-            return w_vec * (math.sqrt(p_t) / norm)
-        return w_vec
-
-    tol_rate = 1e-6
-    best_w = None
-    best_crb = math.inf
-    converged = False
-    for start in starts:
-        res = projected_gradient(objective, gradient, project, start, cfg)
-        w_vec = res.x
-        rate = achievable_rate(h_c, w_vec, sigma_c)
-        if rate < rate_threshold - tol_rate:
-            continue
-        crb, _ = _crb_and_gradient(w_vec, maps, scale)
-        if crb < best_crb:
-            best_w, best_crb, converged = w_vec, crb, res.converged
-    # The closed-form start is always feasible, so keep it as the fallback.
-    for fallback in (closed.w.weights,):
-        rate = achievable_rate(h_c, fallback, sigma_c)
-        crb, _ = _crb_and_gradient(fallback, maps, scale)
-        if rate >= rate_threshold - tol_rate and crb < best_crb:
-            best_w, best_crb = fallback, crb
-    if best_w is None:
-        raise RuntimeError(
-            "no feasible iterate found despite a feasible closed-form start"
-        )
-    w = Beamformer(best_w, p_t)
-    return CrbBeamformerResult(
-        w=w,
-        crb=best_crb,
-        rate=achievable_rate(h_c, w, sigma_c),
-        converged=converged,
-        starts_evaluated=len(starts),
-    )
+    crb = fim_theta(scenario, phi_vec, closed.w).crb_theta1
+    return CrbBeamformerResult(w=closed.w, crb=crb, rate=closed.rate)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -541,26 +435,32 @@ def ris_isac_tradeoff(
     coupling_mode: str,
     ris_mode: str,
     rate_grid: Sequence[float],
-    cfg: SolverConfig = SolverConfig(restarts=2),
+    profile: Optional[RisProfile] = None,
+    seed: int = 0,
 ) -> list:
     """Rate/CRB trade-off rows for one RIS mode under a coupling regime.
 
-    Modes: "with" tunes the RIS profile before the beamformer sweep;
+    Modes: "with" sweeps the beamformer at the tuned RIS ``profile``;
     "without" zeroes the RIS paths; "reference" is the gain-matched
     zero-coupling baseline whose max rate and min CRB equal the with-RIS
-    run's, isolating the subspace-rotation part of the gain.
+    run's, isolating the subspace-rotation part of the gain. ``profile`` is
+    the ``optimize_ris_profile`` result on the coupling-shaped template and
+    is required by "with" and "reference". ``seed`` draws the reference comms
+    direction when the sensing channel leaves no orthogonal residual.
     """
     if ris_mode not in ("with", "without", "reference"):
         raise ValueError("ris_mode must be 'with', 'without', or 'reference'")
     if len(rate_grid) == 0:
         raise ValueError("rate_grid must be non-empty")
+    if profile is None and ris_mode != "without":
+        raise ValueError(f"ris_mode {ris_mode!r} needs the optimized RIS profile")
     shaped = _apply_coupling(scenario_template, coupling_mode)
 
     def sweep(scn, phi, grid):
         rows = []
         for r0 in grid:
             try:
-                res = rate_constrained_crb_beamformer(scn, phi, r0, cfg)
+                res = rate_constrained_crb_beamformer(scn, phi, r0)
             except InfeasibleRateError:
                 rows.append(
                     RisIsacRow(ris_mode, coupling_mode, r0, math.nan, math.inf)
@@ -573,22 +473,21 @@ def ris_isac_tradeoff(
         scn = _zero_ris(shaped)
         return sweep(scn, np.zeros(0), rate_grid)
 
-    profile = optimize_ris_profile(shaped, cfg=cfg)
+    phi_star = _phi(profile)
     if ris_mode == "with":
-        return sweep(shaped, profile.phi, rate_grid)
+        return sweep(shaped, phi_star, rate_grid)
 
     # Gain-matched zero-coupling reference, calibrated on the with-RIS run.
-    phi_star = profile.phi.phases
     h_c_star = shaped.h_c(phi_star)
     p_t = shaped.scene.transmit_power
     sigma_c = shaped.scene.noise_power_comms
     max_rate_with = math.log2(
         1.0 + p_t * float(np.real(np.vdot(h_c_star, h_c_star))) / sigma_c
     )
-    min_crb_with = rate_constrained_crb_beamformer(shaped, phi_star, 0.0, cfg).crb
+    min_crb_with = rate_constrained_crb_beamformer(shaped, phi_star, 0.0).crb
 
     base = _zero_ris(shaped)
-    min_crb_base = rate_constrained_crb_beamformer(base, np.zeros(0), 0.0, cfg).crb
+    min_crb_base = rate_constrained_crb_beamformer(base, np.zeros(0), 0.0).crb
     # Scaling both direct gains by amp scales beta * dH/dtheta1 by amp^2, so
     # the angle CRB scales as 1/amp^4.
     amp = (min_crb_base / min_crb_with) ** 0.25
@@ -604,7 +503,7 @@ def ris_isac_tradeoff(
     h_t_hat = h_t_ref / np.linalg.norm(h_t_ref)
     resid = h_c_star - np.vdot(h_t_hat, h_c_star) * h_t_hat
     if np.linalg.norm(resid) < 1e-12 * np.linalg.norm(h_c_star):
-        rng = np.random.default_rng(cfg.seed)
+        rng = np.random.default_rng(seed)
         z = rng.standard_normal(h_t_ref.size) + 1j * rng.standard_normal(h_t_ref.size)
         resid = z - np.vdot(h_t_hat, z) * h_t_hat
     direction = resid / np.linalg.norm(resid)

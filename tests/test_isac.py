@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -180,6 +181,21 @@ class TestClosedForm:
         assert sol.branch == "unconstrained"
         matched = sc.a_t.conj() / np.linalg.norm(sc.a_t)
         assert np.allclose(sol.w.weights, matched)
+
+    def test_matched_filter_branch_uses_channel_norm(self):
+        # A channel vector a_t with ||a_t||^2 != L_T: the matched filter
+        # meets half its own SNR, so it is optimal.
+        a = steering_vector(UlaGeometry(15), 0.0).entries
+        sc = dataclasses.replace(
+            table1_scenario(h_c=make_coupled_channel(a, 0.6, seed=4)), a_t=0.1 * a
+        )
+        mf_snr = sc.budget * abs(np.vdot(sc.h_c, sc.a_t)) ** 2 / np.linalg.norm(sc.a_t) ** 2
+        r0 = math.log2(1.0 + 0.5 * mf_snr / sc.noise_comms)
+        sol = crb_min_beamformer(sc, r0)
+        assert sol.branch == "unconstrained"
+        illum = float(np.abs(sc.a_t @ sol.w.weights) ** 2)
+        expected = sc.budget * np.linalg.norm(sc.a_t) ** 2
+        assert abs(illum - expected) <= 1e-12 * expected
 
     def test_infeasible_rate_raises_with_max_rate(self):
         sc = table1_scenario()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from risac import (
+    DegenerateChannelError,
     InfeasibleRateError,
     RisIsacScenario,
     Scene,
@@ -225,6 +226,36 @@ class TestFim:
         assert math.isinf(fr.crb_theta1)
         assert fr.singular
 
+    @pytest.mark.parametrize("strip_ris", [False, True])
+    @pytest.mark.parametrize("direct_gain", [None, 1e-3])
+    def test_crb_is_kappa_over_illumination(self, strip_ris, direct_gain):
+        # Eliminating beta projects h_r out of the receive-side derivatives,
+        # so CRB(theta1) = kappa(phi) / |h_t(phi)^T w|^2 for every w. A small
+        # direct gain leaves the FIM well posed but badly scaled.
+        scenario = RisIsacScenario.from_scene(desk_scene(direct_gain_override=direct_gain))
+        if strip_ris:
+            scenario = _zero_ris(scenario)
+        scale = 2.0 * 64 / 1e-8
+        rng = np.random.default_rng(21)
+        for _ in range(100):
+            phi = np.exp(1j * rng.uniform(0, 2 * np.pi, scenario.n_ris))
+            z = rng.standard_normal(15) + 1j * rng.standard_normal(15)
+            w = math.sqrt(3.0) * z / np.linalg.norm(z)
+            h_r = scenario.h_r(phi)
+
+            def perp(x):
+                return x - (np.vdot(h_r, x) / np.vdot(h_r, h_r)) * h_r
+
+            d1 = perp(scenario.a_r_dot_term)
+            info = np.real(np.vdot(d1, d1))
+            if scenario.n_ris:  # theta2 is pruned without an RIS
+                d2 = perp(scenario.f_r_dot @ phi)
+                info -= np.real(np.vdot(d1, d2)) ** 2 / np.real(np.vdot(d2, d2))
+            kappa = 1.0 / (scale * info)
+            expected = kappa / abs(scenario.h_t(phi) @ w) ** 2
+            crb = fim_theta(scenario, phi, w).crb_theta1
+            assert abs(crb - expected) <= 1e-10 * expected
+
     def test_no_ris_reduces_to_single_angle_oracle(self):
         scene = desk_scene(ris=UlaGeometry(4), ris_gain_override=0.0)
         scenario = RisIsacScenario.from_scene(scene)
@@ -252,8 +283,7 @@ class TestRateConstrainedBeamformer:
     def test_unconstrained_no_worse_than_matched_filter(self):
         scenario = RisIsacScenario.from_scene(desk_scene())
         phi = np.exp(1j * np.linspace(0, 2, 16))
-        res = rate_constrained_crb_beamformer(scenario, phi, 0.0,
-                                              SolverConfig(restarts=2, seed=0))
+        res = rate_constrained_crb_beamformer(scenario, phi, 0.0)
         w_mf = matched_filter_beamformer(scenario.h_t(phi).conj(), 3.0)
         assert res.crb <= fim_theta(scenario, phi, w_mf).crb_theta1 * (1.0 + 1e-9)
 
@@ -264,8 +294,7 @@ class TestRateConstrainedBeamformer:
         max_rate = math.log2(1.0 + 3.0 * np.linalg.norm(h_c) ** 2 / 1e-8)
         for frac in [0.2, 0.6, 0.9]:
             r0 = frac * max_rate
-            res = rate_constrained_crb_beamformer(scenario, phi, r0,
-                                                  SolverConfig(restarts=2, seed=1))
+            res = rate_constrained_crb_beamformer(scenario, phi, r0)
             assert res.rate >= r0 - 1e-6
             assert np.real(np.vdot(res.w.weights, res.w.weights)) <= 3.0 + 1e-9
 
@@ -274,6 +303,16 @@ class TestRateConstrainedBeamformer:
         phi = np.ones(16, dtype=complex)
         with pytest.raises(InfeasibleRateError):
             rate_constrained_crb_beamformer(scenario, phi, 60.0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("strip_ris", [False, True])
+    def test_zero_direct_gain_raises_degenerate(self, strip_ris):
+        scenario = RisIsacScenario.from_scene(desk_scene(direct_gain_override=0.0))
+        phi = np.ones(16, dtype=complex)
+        if strip_ris:
+            scenario, phi = _zero_ris(scenario), np.zeros(0)
+        with pytest.raises(DegenerateChannelError):
+            rate_constrained_crb_beamformer(scenario, phi, 0.0)
 
     def test_small_array_grid_oracle(self):
         # L_T = 2: random search over the feasible ball must not beat the
@@ -287,8 +326,7 @@ class TestRateConstrainedBeamformer:
             h_c = scenario.h_c(phi)
             max_rate = math.log2(1.0 + 3.0 * np.linalg.norm(h_c) ** 2 / 1e-8)
             r0 = 0.5 * max_rate
-            res = rate_constrained_crb_beamformer(scenario, phi, r0,
-                                                  SolverConfig(restarts=3, seed=seed))
+            res = rate_constrained_crb_beamformer(scenario, phi, r0)
             snr_floor = (2.0**r0 - 1.0) * 1e-8
             best = math.inf
             samples = rng.standard_normal((20000, 4))
@@ -328,9 +366,8 @@ class TestTradeoffStructure:
 
     def test_rows_shape_and_feasibility_markers(self):
         scenario = RisIsacScenario.from_scene(desk_scene(ris=UlaGeometry(8)))
-        solver = SolverConfig(restarts=1, seed=0)
         grid = [1.0, 5.0, 100.0]  # the last threshold is infeasible
-        rows = ris_isac_tradeoff(scenario, "weak", "without", grid, solver)
+        rows = ris_isac_tradeoff(scenario, "weak", "without", grid)
         assert len(rows) == 3
         assert math.isinf(rows[-1].crb) and math.isnan(rows[-1].rate)
         assert rows[0].crb <= rows[1].crb * (1.0 + 1e-9)
