@@ -190,12 +190,10 @@ def _run_beampattern(cfg: RunConfig, threads: int):
 
     r_comm = np.outer(design.comm_precoder, design.comm_precoder.conj())
     r_sense = design.sensing_precoder @ design.sensing_precoder.conj().T
-    steer = np.column_stack(
-        [steering_vector(scene.tx, a).entries for a in spec.grid]
-    )
-    j_total = np.real(np.einsum("id,ij,jd->d", steer.conj(), design.covariance, steer))
-    j_comm = np.real(np.einsum("id,ij,jd->d", steer.conj(), r_comm, steer))
-    j_sense = np.real(np.einsum("id,ij,jd->d", steer.conj(), r_sense, steer))
+    steer = dw._steering_matrix(scene.tx, spec.grid)
+    j_total = dw._pattern(design.covariance, steer)
+    j_comm = dw._pattern(r_comm, steer)
+    j_sense = dw._pattern(r_sense, steer)
     csv_rows = [
         (math.degrees(a), jt, jc, js)
         for a, jt, jc, js in zip(spec.grid, j_total, j_comm, j_sense)

@@ -5,6 +5,11 @@ a weighted beampattern mismatch plus the average squared cross-correlation
 between target returns, under a user-SINR floor served through the RIS. The
 cited relaxation-based solver is replaced by penalized block-coordinate
 projected gradient with exact row normalization for the diagonal constraint.
+
+The design builds the grid and target steering matrices, their conjugate
+transposes, the cross-term index set and the autoscale denominator once. Its
+line search evaluates loss values only; the gradient is taken once per step,
+at the point where the step starts.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import numpy as np
 from .arrays import UlaGeometry, steering_vector
 from .channels import RisProfile, Scene
 from .errors import InfeasibleSinrError
-from .ris_isac import RisIsacScenario
+from .ris_isac import RisIsacScenario, _unit_modulus
 
 __all__ = [
     "BeampatternSpec",
@@ -94,6 +99,28 @@ def _steering_matrix(geom: UlaGeometry, angles: np.ndarray) -> np.ndarray:
     return np.column_stack([steering_vector(geom, a).entries for a in angles])
 
 
+@dataclasses.dataclass(frozen=True, eq=False)
+class _Steering:
+    """Steering matrices and constants of one (spec, array) pair, built once per design."""
+
+    grid: np.ndarray       # L x D
+    grid_h: np.ndarray     # D x L, conjugate transpose of grid
+    targets: np.ndarray    # L x K
+    targets_h: np.ndarray  # K x L
+    triu: tuple            # upper-triangle index pair of the K x K cross term
+    denom: float           # autoscale denominator sum(desired^2)
+
+    @classmethod
+    def build(cls, spec: BeampatternSpec, geom: UlaGeometry) -> "_Steering":
+        grid = _steering_matrix(geom, spec.grid)
+        targets = _steering_matrix(geom, spec.target_angles)
+        return cls(
+            grid, grid.conj().T, targets, targets.conj().T,
+            np.triu_indices(spec.target_angles.size, 1),
+            _autoscale_denominator(spec.desired),
+        )
+
+
 def radiated_power(r_cov: np.ndarray, geom: UlaGeometry, angle: float) -> float:
     """Power a^H(angle) R a(angle) radiated toward one direction."""
     a = steering_vector(geom, angle).entries
@@ -123,14 +150,22 @@ def beampattern_loss(r_cov: np.ndarray, tau: float, spec: BeampatternSpec, geom:
     return loss
 
 
-def autoscale_tau(r_cov: np.ndarray, spec: BeampatternSpec, geom: UlaGeometry) -> float:
-    """Least-squares scale between the realized and desired patterns, clamped >= 0."""
-    denom = float(np.sum(spec.desired**2))
+def _autoscale_denominator(desired: np.ndarray) -> float:
+    denom = float(np.sum(desired**2))
     if not denom > 0:
         raise ValueError("desired pattern must not be identically zero")
-    steer = _steering_matrix(geom, spec.grid)
+    return denom
+
+
+def _autoscale_tau(r_cov: np.ndarray, desired: np.ndarray, steer: np.ndarray, denom: float) -> float:
     pattern = _pattern(r_cov, steer)
-    return max(0.0, float(np.sum(spec.desired * pattern)) / denom)
+    return max(0.0, float(np.sum(desired * pattern)) / denom)
+
+
+def autoscale_tau(r_cov: np.ndarray, spec: BeampatternSpec, geom: UlaGeometry) -> float:
+    """Least-squares scale between the realized and desired patterns, clamped >= 0."""
+    denom = _autoscale_denominator(spec.desired)
+    return _autoscale_tau(r_cov, spec.desired, _steering_matrix(geom, spec.grid), denom)
 
 
 def sinr_given_channel(h_c: np.ndarray, comm: np.ndarray, r_cov: np.ndarray, noise_comms: float) -> float:
@@ -156,26 +191,42 @@ def _row_normalize(x: np.ndarray) -> np.ndarray:
     return x / norms
 
 
-def _loss_gradient(x: np.ndarray, tau, spec, steer_grid, steer_targets):
+def _loss_only(x: np.ndarray, tau, spec, st: _Steering) -> float:
+    """The loss of ``_loss_gradient``, by the same operations, without the gradient."""
+    proj = st.grid_h @ x
+    pattern = np.real(np.sum(np.abs(proj) ** 2, axis=1))
+    err = pattern - tau * spec.desired
+    loss = spec.alpha_mismatch * float(np.mean(err**2))
+    k = spec.target_angles.size
+    if k >= 2 and spec.alpha_crosscorr > 0:
+        proj_t = st.targets_h @ x
+        cross = proj_t @ proj_t.conj().T
+        weight = spec.alpha_crosscorr * 2.0 / (k * k - k)
+        vals = cross[st.triu]
+        loss += weight * float(np.sum(np.abs(vals) ** 2))
+    return loss
+
+
+def _loss_gradient(x: np.ndarray, tau, spec, st: _Steering):
     """Loss pieces and d(loss)/dX* for X = [c | W]."""
-    proj = steer_grid.conj().T @ x  # D x (1+K)
+    proj = st.grid_h @ x  # D x (1+K)
     pattern = np.real(np.sum(np.abs(proj) ** 2, axis=1))
     err = pattern - tau * spec.desired
     d = spec.grid.size
     loss = spec.alpha_mismatch * float(np.mean(err**2))
-    grad = (2.0 * spec.alpha_mismatch / d) * (steer_grid @ (err[:, None] * proj))
+    grad = (2.0 * spec.alpha_mismatch / d) * (st.grid @ (err[:, None] * proj))
     k = spec.target_angles.size
     if k >= 2 and spec.alpha_crosscorr > 0:
-        proj_t = steer_targets.conj().T @ x  # K x (1+K)
+        proj_t = st.targets_h @ x  # K x (1+K)
         cross = proj_t @ proj_t.conj().T     # K x K, equals A^H R A
         weight = spec.alpha_crosscorr * 2.0 / (k * k - k)
-        idx_i, idx_j = np.triu_indices(k, 1)
+        idx_i, idx_j = st.triu
         vals = cross[idx_i, idx_j]
         loss += weight * float(np.sum(np.abs(vals) ** 2))
         coef = np.zeros((k, k), dtype=complex)
         coef[idx_i, idx_j] = np.conj(vals)
         coef[idx_j, idx_i] = vals
-        grad += weight * (steer_targets @ (coef.T @ proj_t))
+        grad += weight * (st.targets @ (coef.T @ proj_t))
     return loss, grad
 
 
@@ -196,6 +247,11 @@ def design_dual_waveform(
     stacked precoders with exact row normalization, and SINR ascent over the
     RIS phases. Keeps and returns the best feasible iterate; penalty weights
     grow fivefold whenever a residual fails to halve.
+
+    The steering matrices are built once per design. The backtracking line
+    search evaluates penalized values only, the gradient is taken once per
+    step at its start point, and an accepted candidate's value is carried
+    into the next step rather than evaluated again.
     """
     if not sinr_threshold > 0:
         raise ValueError("sinr_threshold must be positive")
@@ -219,8 +275,7 @@ def design_dual_waveform(
     if max_sinr < sinr_threshold:
         raise InfeasibleSinrError(sinr_threshold, max_sinr)
 
-    steer_grid = _steering_matrix(geom, spec.grid)
-    steer_targets = _steering_matrix(geom, spec.target_angles)
+    st = _Steering.build(spec, geom)
 
     # Feasible start: matched unit-modulus comms column, small sensing leak.
     comm = np.exp(1j * np.angle(np.where(np.abs(h_c) > 0, h_c, 1.0)))
@@ -239,21 +294,21 @@ def design_dual_waveform(
         return num / (interf + sigma_c)
 
     def penalized(x_mat, tau_val, h_vec, mu_s, mu_d):
-        loss, _ = _loss_gradient(x_mat, tau_val, spec, steer_grid, steer_targets)
+        loss = _loss_only(x_mat, tau_val, spec, st)
         gap = max(0.0, sinr_threshold - sinr_of(x_mat, h_vec))
         diag_res = float(np.max(np.abs(np.sum(np.abs(x_mat) ** 2, axis=1) - 1.0)))
         return loss + mu_s * gap**2 + mu_d * diag_res**2, loss, gap, diag_res
 
-    tau = autoscale_tau(x @ x.conj().T, spec, geom)
+    tau = _autoscale_tau(x @ x.conj().T, spec.desired, st.grid, st.denom)
     mu_s, mu_d = penalty_sinr, penalty_diag
     obj, loss, gap, diag_res = penalized(x, tau, h_c, mu_s, mu_d)
     trace = [obj]
     best = None
     tol_feas = 1e-6
 
-    def consider(x_mat, tau_val, phi_vec, h_vec):
+    def consider(x_mat, tau_val, phi_vec, h_vec, loss_val, diag_val):
+        # loss_val and diag_val: penalized(x_mat, tau_val, h_vec, ...) pieces.
         nonlocal best
-        val, loss_val, gap_val, diag_val = penalized(x_mat, tau_val, h_vec, mu_s, mu_d)
         sinr_val = sinr_of(x_mat, h_vec)
         feasible = (
             diag_val < tol_feas and sinr_val >= sinr_threshold * (1.0 - tol_feas)
@@ -264,19 +319,19 @@ def design_dual_waveform(
                 sinr=sinr_val, loss=loss_val,
             )
 
-    consider(x, tau, phi, h_c)
+    consider(x, tau, phi, h_c, loss, diag_res)
     converged = False
     for _ in range(max_outer):
         prev_obj, prev_gap, prev_diag = obj, gap, diag_res
 
         # (1) autoscale.
-        tau = autoscale_tau(x @ x.conj().T, spec, geom)
+        tau = _autoscale_tau(x @ x.conj().T, spec.desired, st.grid, st.denom)
 
         # (2) precoders: projected gradient with row normalization.
         step = 0.1
+        cur, *_ = penalized(x, tau, h_c, mu_s, mu_d)
         for _ in range(inner_steps):
-            cur, *_ = penalized(x, tau, h_c, mu_s, mu_d)
-            _, grad = _loss_gradient(x, tau, spec, steer_grid, steer_targets)
+            _, grad = _loss_gradient(x, tau, spec, st)
             c_vec, w_mat = split(x)
             hw = w_mat.conj().T @ h_c
             num = float(np.abs(np.vdot(h_c, c_vec)) ** 2)
@@ -293,7 +348,7 @@ def design_dual_waveform(
                 cand = _row_normalize(x - step * grad)
                 val, *_ = penalized(cand, tau, h_c, mu_s, mu_d)
                 if val < cur:
-                    x = cand
+                    x, cur = cand, val
                     accepted = True
                     step *= 1.5
                     break
@@ -320,7 +375,7 @@ def design_dual_waveform(
                 g_phi = (den * g_num - num * g_den) / den**2
                 improved = False
                 while step_phi > 1e-14:
-                    cand = _unit_modulus_vec(phi + step_phi * g_phi)
+                    cand = _unit_modulus(phi + step_phi * g_phi)
                     if sinr_of(x, scenario.h_c(cand)) > sinr_now:
                         phi = cand
                         improved = True
@@ -334,7 +389,7 @@ def design_dual_waveform(
         obj, loss, gap, diag_res = penalized(x, tau, h_c, mu_s, mu_d)
         if obj <= trace[-1]:
             trace.append(obj)
-        consider(x, tau, phi, h_c)
+        consider(x, tau, phi, h_c, loss, diag_res)
 
         rel = (prev_obj - obj) / max(abs(prev_obj), 1e-300)
         if 0.0 <= rel < tol_rel:
@@ -363,9 +418,3 @@ def design_dual_waveform(
         objective_trace=np.asarray(trace),
         converged=converged,
     )
-
-
-def _unit_modulus_vec(phi: np.ndarray) -> np.ndarray:
-    mags = np.abs(phi)
-    mags = np.where(mags < 1e-300, 1.0, mags)
-    return phi / mags

@@ -57,3 +57,19 @@ def test_ris_isac_tradeoff_large_strong_coupling_is_finite(tmp_path):
     for row in rows:
         assert math.isfinite(float(row["crb"])), row
         assert float(row["rate_bits"]) >= float(row["R0"]) - 1e-12, row
+
+
+def test_beampattern_csv_splits_the_pattern_and_is_deterministic(tmp_path):
+    cfg = RunConfig(experiment="beampattern", l_t=4, n_ris=4, grid_points=31,
+                    sinr_threshold_db=3.0)
+    first = cli.run_experiment(cfg, tmp_path / "a")
+    cli.run_experiment(cfg, tmp_path / "b")
+    for name in ("beampattern.csv", "beampattern_phases.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    rows = list(csv.DictReader((tmp_path / "a" / "beampattern.csv").open()))
+    assert len(rows) == 31
+    for row in rows:
+        total, comm, sense = (float(row[k]) for k in ("j_total", "j_comm", "j_sense"))
+        assert min(comm, sense) >= -1e-12
+        assert abs(total - (comm + sense)) <= 1e-12 * max(1.0, total)
+    assert first["diagnostics"]["sinr"] >= first["diagnostics"]["sinr_threshold"] * (1 - 1e-6)

@@ -1,0 +1,101 @@
+import dataclasses
+import json
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from risac import cli
+from risac.config import EXPERIMENTS, RunConfig, parse_config, render_config
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+count = st.integers(min_value=1, max_value=10**6)
+position = st.tuples(finite, finite)
+
+# One strategy per RunConfig field, each drawing only values that validate.
+FIELD_STRATEGIES = {
+    "experiment": st.sampled_from(EXPERIMENTS),
+    "seed": st.integers(min_value=-(2**63), max_value=2**63),
+    "transmit_power": positive,
+    "l_t": count,
+    "l_s": count,
+    "n_ris": st.integers(min_value=0, max_value=10**6),
+    "bs_position": position,
+    "target_position": position,
+    "ris_position": position,
+    "user_position": position,
+    "rate_threshold": st.floats(min_value=0.0, allow_infinity=False),
+    "samples_t": count,
+    "road_start": position,
+    "road_end": position,
+    "num_waypoints": count,
+    "blocked_from_index": st.integers(),
+    "snr_db_list": st.lists(finite, max_size=4).map(tuple),
+    "pf_list": st.lists(
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), max_size=4
+    ).map(tuple),
+    "trials": count,
+    "rho_list": st.lists(st.floats(0.0, 1.0), max_size=4).map(tuple),
+    "r0_points": count,
+    "coupling": st.sampled_from(("strong", "weak")),
+    "ris_modes": st.lists(
+        st.sampled_from(("with", "without", "reference")), max_size=4
+    ).map(tuple),
+    "restarts": st.integers(),
+    "target_angles_deg": st.lists(finite, max_size=4).map(tuple),
+    "grid_points": count,
+    "blocked_user_path": st.booleans(),
+}
+for _field in dataclasses.fields(RunConfig):
+    if _field.type == "float":
+        FIELD_STRATEGIES.setdefault(_field.name, finite)
+
+valid_configs = st.fixed_dictionaries(FIELD_STRATEGIES).map(lambda kw: RunConfig(**kw))
+
+
+def test_every_field_has_a_strategy():
+    assert set(FIELD_STRATEGIES) == {f.name for f in dataclasses.fields(RunConfig)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(valid_configs)
+def test_render_then_parse_round_trips(cfg):
+    assert parse_config(render_config(cfg)) == cfg
+
+
+def _error_of(capsys, argv):
+    code = cli.main(argv)
+    err = json.loads(capsys.readouterr().err)
+    return code, err
+
+
+def test_unknown_key_is_a_json_config_error(tmp_path, capsys):
+    config = tmp_path / "bad.cfg"
+    config.write_text("l_t = 4\nnot_a_key = 3\n")
+    code, err = _error_of(capsys, ["sense-sweep", "--config", str(config),
+                                   "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert set(err) == {"error", "detail"}
+    assert err["error"] == "ConfigError" and "not_a_key" in err["detail"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_experiment_mismatch_is_a_json_config_error(tmp_path, capsys):
+    config = tmp_path / "detect.cfg"
+    config.write_text("experiment = detect\n")
+    code, err = _error_of(capsys, ["beampattern", "--config", str(config),
+                                   "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert set(err) == {"error", "detail"}
+    assert err["error"] == "ConfigError"
+    assert "'detect'" in err["detail"] and "'beampattern'" in err["detail"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_zero_threads_is_a_json_config_error(tmp_path, capsys):
+    code, err = _error_of(capsys, ["isac-tradeoff", "--threads", "0",
+                                   "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert set(err) == {"error", "detail"}
+    assert err["error"] == "ConfigError" and "--threads" in err["detail"]
+    assert not (tmp_path / "out").exists()

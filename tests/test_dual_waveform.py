@@ -12,8 +12,12 @@ from risac import (
     make_beampattern_spec,
     steering_vector,
 )
+from risac import dual_waveform as dw
 from risac.channels import angles_from_geometry, build_comms_channel
 from risac.dual_waveform import (
+    _loss_gradient,
+    _loss_only,
+    _Steering,
     autoscale_tau,
     beampattern_loss,
     radiated_power,
@@ -140,6 +144,51 @@ class TestBeampatternLoss:
         fast = beampattern_loss(r_cov, 0.7, spec, scene.tx)
         slow = naive_loss(r_cov, 0.7, spec, scene.tx)
         assert abs(fast - slow) < 1e-12 * max(1.0, abs(slow))
+
+
+def loss_case(k_targets, seed):
+    """Random X = [c | W] on 5 elements with k targets and both weights nonzero."""
+    geom = UlaGeometry(5)
+    targets = [-0.9, 0.2, 0.7][:k_targets]
+    spec = make_beampattern_spec(
+        [(t, 0.3, 1.0) for t in targets], targets, grid_points=31,
+        alpha_mismatch=0.8, alpha_crosscorr=1.7,
+    )
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((5, 1 + k_targets)) + 1j * rng.standard_normal((5, 1 + k_targets))
+    return geom, spec, _Steering.build(spec, geom), x
+
+
+class TestLossGradient:
+    @pytest.mark.parametrize("k_targets", [2, 3])
+    def test_matches_wirtinger_finite_differences(self, k_targets):
+        geom, spec, st, x = loss_case(k_targets, seed=10 + k_targets)
+        tau = 1.3
+        _, grad = _loss_gradient(x, tau, spec, st)
+        # d(loss)/dX* = (d/dRe + i d/dIm) / 2, by central differences per entry.
+        h = 1e-6
+        fd = np.zeros_like(x)
+        for idx in np.ndindex(x.shape):
+            for unit in (1.0, 1j):
+                e = np.zeros_like(x)
+                e[idx] = unit * h
+                up = _loss_only(x + e, tau, spec, st)
+                down = _loss_only(x - e, tau, spec, st)
+                fd[idx] += unit * (up - down) / (2.0 * h) / 2.0
+        assert np.linalg.norm(fd - grad) <= 1e-6 * np.linalg.norm(grad)
+
+    @pytest.mark.parametrize("k_targets", [1, 2, 3])
+    def test_value_only_loss_is_bitwise_equal(self, k_targets):
+        _, spec, st, x = loss_case(k_targets, seed=k_targets)
+        for tau in (0.0, 0.4, 2.5):
+            assert _loss_only(x, tau, spec, st) == _loss_gradient(x, tau, spec, st)[0]
+
+    @pytest.mark.parametrize("k_targets", [2, 3])
+    def test_agrees_with_public_loss(self, k_targets):
+        geom, spec, st, x = loss_case(k_targets, seed=20 + k_targets)
+        public = beampattern_loss(x @ x.conj().T, 0.9, spec, geom)
+        assert abs(_loss_only(x, 0.9, spec, st) - public) <= 1e-12 * public
+        assert abs(_loss_gradient(x, 0.9, spec, st)[0] - public) <= 1e-12 * public
 
 
 class TestAutoscale:
@@ -271,3 +320,17 @@ class TestDesign:
         d2 = design_dual_waveform(scene, spec, 50.0, seed=4)
         assert np.array_equal(d1.covariance, d2.covariance)
         assert np.array_equal(d1.objective_trace, d2.objective_trace)
+
+    def test_steering_matrices_built_once_per_design(self, monkeypatch):
+        scene = dual_scene(tx=UlaGeometry(6), ris=UlaGeometry(4))
+        spec = default_spec(scene, grid_points=21)
+        calls = []
+
+        def counted(geom, angle):
+            calls.append(angle)
+            return steering_vector(geom, angle)
+
+        monkeypatch.setattr(dw, "steering_vector", counted)
+        design = design_dual_waveform(scene, spec, 5.0, seed=2, max_outer=5)
+        assert len(design.objective_trace) > 1
+        assert len(calls) == spec.grid.size + spec.target_angles.size

@@ -49,14 +49,34 @@ def span_search_best_illumination(scenario, rate_floor, samples, rng):
     if np.linalg.norm(resid) > 1e-12:
         resid /= np.linalg.norm(resid)
     snr_floor = (2.0**rate_floor - 1.0) * scenario.noise_comms
-    best = -1.0
     coeffs = rng.standard_normal((samples, 4))
-    for x1, y1, x2, y2 in coeffs:
+    z1 = coeffs[:, 0] + 1j * coeffs[:, 1]
+    z2 = coeffs[:, 2] + 1j * coeffs[:, 3]
+    w = z1[:, None] * q_hat + z2[:, None] * resid  # one sample per row
+    norms = np.linalg.norm(w, axis=1)
+    keep = norms != 0.0
+    w = w[keep] * (math.sqrt(scenario.budget) / norms[keep])[:, None]  # budget sphere
+    feasible = np.abs(w @ h_c) ** 2 >= snr_floor
+    if not np.any(feasible):
+        return -1.0
+    return float(np.max(np.abs(w[feasible] @ a_t) ** 2))
+
+
+def span_search_loop_reference(scenario, rate_floor, samples, rng):
+    """Sample-by-sample form of ``span_search_best_illumination``."""
+    a_t, h_c = scenario.a_t, scenario.h_c
+    q_hat = h_c.conj() / np.linalg.norm(h_c)
+    resid = a_t.conj() - np.vdot(q_hat, a_t.conj()) * q_hat
+    if np.linalg.norm(resid) > 1e-12:
+        resid /= np.linalg.norm(resid)
+    snr_floor = (2.0**rate_floor - 1.0) * scenario.noise_comms
+    best = -1.0
+    for x1, y1, x2, y2 in rng.standard_normal((samples, 4)):
         w = (x1 + 1j * y1) * q_hat + (x2 + 1j * y2) * resid
         norm = np.linalg.norm(w)
         if norm == 0.0:
             continue
-        w *= math.sqrt(scenario.budget) / norm  # search on the budget sphere
+        w *= math.sqrt(scenario.budget) / norm
         if np.abs(h_c @ w) ** 2 < snr_floor:
             continue
         best = max(best, float(np.abs(a_t @ w) ** 2))
@@ -228,6 +248,16 @@ class TestClosedForm:
             closed_illum = float(np.abs(sc.a_t @ sol.w.weights) ** 2)
             oracle = span_search_best_illumination(sc, r0, 10000, rng)
             assert oracle <= closed_illum * (1.0 + 1e-6)
+
+    def test_span_search_matches_loop_reference(self):
+        a_t = steering_vector(UlaGeometry(15), 0.0).entries
+        for trial, rho in enumerate((0.0, 0.4, 0.95)):
+            sc = table1_scenario(h_c=make_coupled_channel(a_t, rho, seed=trial))
+            for frac in (0.2, 0.9, 1.2):  # 1.2: no sample meets the rate
+                r0 = frac * sc.max_rate
+                fast = span_search_best_illumination(sc, r0, 500, np.random.default_rng(trial))
+                slow = span_search_loop_reference(sc, r0, 500, np.random.default_rng(trial))
+                assert abs(fast - slow) <= 1e-12 * abs(slow)
 
     def test_branch_boundary_continuity(self):
         # Build an instance sitting exactly on the branch condition.

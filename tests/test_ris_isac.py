@@ -19,7 +19,7 @@ from risac import (
     ris_isac_tradeoff,
 )
 from risac.optim import SolverConfig, finite_difference_gradient
-from risac.ris_isac import _apply_coupling, _zero_ris
+from risac.ris_isac import _apply_coupling, _unit_modulus, _zero_ris
 
 
 def scalar_loop_objective(phi, a_t, f_t, a_r, f_r, h_bu, f_c):
@@ -174,6 +174,15 @@ class TestOptimizeProfile:
         res = optimize_ris_profile(scenario, cfg=SolverConfig(restarts=1, seed=1))
         assert np.all(np.diff(res.objective_trace) <= 0.0)
         assert np.max(np.abs(np.abs(res.phi.phases) - 1.0)) < 1e-15
+
+    def test_unit_modulus_projection(self):
+        # Nonzero entries map to z/|z| exactly; an exact zero has no phase and
+        # maps to 1 (the dual-waveform RIS update relies on this too).
+        rng = np.random.default_rng(4)
+        z = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+        assert np.array_equal(_unit_modulus(z), z / np.abs(z))
+        out = _unit_modulus(np.array([0.0, -2.0, 3j, 0j]))
+        assert np.array_equal(out, np.array([1.0, -1.0, 1j, 1.0]))
 
 
 class TestFim:
