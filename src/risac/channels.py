@@ -82,10 +82,10 @@ class Scene:
             (self.noise_power_comms, "noise_power_comms"),
             (self.transmit_power, "transmit_power"),
         ]:
-            if not power > 0:
-                raise ValueError(f"{name} must be positive")
-        if self.target_gain_var < 0:
-            raise ValueError("target_gain_var must be nonnegative")
+            if not (math.isfinite(power) and power > 0):
+                raise ValueError(f"{name} must be finite and positive")
+        if not (math.isfinite(self.target_gain_var) and self.target_gain_var >= 0):
+            raise ValueError("target_gain_var must be finite and nonnegative")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
         if self.ris_incidence not in ("literal", "geometric"):

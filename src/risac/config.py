@@ -102,6 +102,8 @@ class RunConfig:
             raise ConfigError(f"unknown ris_modes: {sorted(bad_modes)}")
         if self.rate_threshold < 0:
             raise ConfigError("rate_threshold must be nonnegative")
+        if self.experiment == "beampattern" and not self.target_angles_deg:
+            raise ConfigError("target_angles_deg must hold at least one angle for beampattern")
         return self
 
 

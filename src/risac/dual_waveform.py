@@ -255,6 +255,8 @@ def design_dual_waveform(
     """
     if not sinr_threshold > 0:
         raise ValueError("sinr_threshold must be positive")
+    if spec.target_angles.size == 0:
+        raise ValueError("spec.target_angles is empty; the design needs at least one target")
     geom = scene.tx
     l_t = geom.num_elements
     k_targets = spec.target_angles.size

@@ -6,6 +6,13 @@ power trace never decreases. Detection follows an energy test on the matched
 filtered echo; the receive steering vector is normalized so the noise-only
 statistic is unit-mean exponential and the false-alarm rate exp(-gamma) is
 exact.
+
+The GLRT Monte Carlo simulates the matched-filter output, not the L_S-antenna
+snapshot. With filter v = conj(a_r_hat), echo y = eta c a_r + n and white
+noise n ~ CN(0, sigma_s^2 I), the output is v^T y = eta c (a_r^T v) + v^T n,
+and v^T n ~ CN(0, sigma_s^2 ||v||^2) exactly. The output is a sufficient
+statistic for the energy test, so one complex draw per trial and hypothesis
+gives the same Pf and Pd as a full snapshot.
 """
 
 from __future__ import annotations
@@ -293,12 +300,16 @@ def glrt_monte_carlo(
     cfg: DetectionConfig,
     seed: int = 0,
 ) -> GlrtResult:
-    """Monte Carlo energy test on the simulated echo under H0 and H1.
+    """Monte Carlo energy test on the matched-filter output under H0 and H1.
 
-    Simulates one received snapshot per trial, applies the matched filter to
-    the normalized receive steering vector, and thresholds the energy. The
-    target gain is complex Gaussian when the scene is fluctuating, otherwise a
-    fixed amplitude sqrt(sigma_eta^2) with a random phase.
+    Each trial draws the filter output v^T y directly, with v = conj(a_r_hat)
+    the normalized receive steering vector: noise v^T n ~ CN(0, sigma_s^2
+    ||v||^2) and, under H1, the echo eta c (a_r^T v), where c = h_t^H w. The
+    energy |v^T y|^2 / sigma_s^2 is thresholded at cfg.threshold. ||v||^2 and
+    a_r^T v are computed from v, so a misnormalized filter shows up in Pf.
+    The target gain eta is complex Gaussian when the scene is fluctuating,
+    otherwise a fixed amplitude sqrt(sigma_eta^2) with a random phase. Draw
+    order: H0 noise, eta, H1 noise.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -307,17 +318,17 @@ def glrt_monte_carlo(
     h_t, _ = build_sensing_channels(scene, phi)
     c = np.vdot(h_t, _weights(w))  # h_t^H w, per-snapshot deterministic part
     a_r = steering_vector(scene.rx, angles.theta1).entries
-    a_r_hat = a_r / np.linalg.norm(a_r)
-    l_s = scene.rx.num_elements
-    sigma_s = math.sqrt(scene.noise_power_sensing)
+    v = (a_r / np.linalg.norm(a_r)).conj()  # receive matched filter
+    echo_gain = c * (a_r @ v)  # a_r^T v scales the echo at the filter output
+    sigma_out = math.sqrt(scene.noise_power_sensing * float(np.real(np.vdot(v, v))))
     sigma_eta = math.sqrt(scene.target_gain_var)
 
-    def noise(n_rows):
-        z = rng.standard_normal((n_rows, l_s)) + 1j * rng.standard_normal((n_rows, l_s))
-        return (sigma_s / math.sqrt(2.0)) * z
+    def noise():
+        z = rng.standard_normal(trials) + 1j * rng.standard_normal(trials)
+        return (sigma_out / math.sqrt(2.0)) * z
 
     # H0: noise only.
-    stat_h0 = np.abs(noise(trials) @ a_r_hat.conj()) ** 2 / scene.noise_power_sensing
+    stat_h0 = np.abs(noise()) ** 2 / scene.noise_power_sensing
     # H1: target echo plus noise.
     if scene.fluctuating_target:
         eta = (sigma_eta / math.sqrt(2.0)) * (
@@ -325,8 +336,7 @@ def glrt_monte_carlo(
         )
     else:
         eta = sigma_eta * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=trials))
-    y1 = np.outer(eta * c, a_r) + noise(trials)
-    stat_h1 = np.abs(y1 @ a_r_hat.conj()) ** 2 / scene.noise_power_sensing
+    stat_h1 = np.abs(eta * echo_gain + noise()) ** 2 / scene.noise_power_sensing
 
     gamma = cfg.threshold
     return GlrtResult(

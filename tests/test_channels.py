@@ -44,6 +44,17 @@ def test_target_at_ris_broadside():
     assert np.isclose(angles_from_geometry(scene).theta2, 0.0)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "field",
+    ["noise_power_sensing", "noise_power_comms", "transmit_power", "target_gain_var"],
+)
+def test_non_finite_powers_rejected(field, bad):
+    with pytest.raises(ValueError, match=field):
+        simple_scene(**{field: bad})
+
+
 def test_coincident_positions_rejected():
     scene = simple_scene(target_position=(0.0, 0.0))
     with pytest.raises(DegenerateGeometryError):

@@ -6,19 +6,30 @@ from risac import cli
 from risac import ris_isac as ri
 from risac.config import RunConfig
 
-TINY_RIS_ISAC = "n_ris = 4\nl_t = 4\nl_s = 4\nr0_points = 5\n"
+TINY = "n_ris = 4\nl_t = 4\nl_s = 4\n"
+TINY_RIS_ISAC = TINY + "r0_points = 5\n"
 
 
-def _run(tmp_path, out_name, *extra):
-    config = tmp_path / "tiny.cfg"
-    config.write_text(TINY_RIS_ISAC)
+def _run_cli(tmp_path, experiment, config_text, out_name, *extra):
+    """Run one experiment; returns (exit code, CSV bytes, summary minus run-specific keys)."""
+    config = tmp_path / f"{experiment}.cfg"
+    config.write_text(config_text)
     out = tmp_path / out_name
-    code = cli.main(["ris-isac-tradeoff", "--config", str(config), "--out", str(out), *extra])
-    csv_bytes = (out / "ris-isac-tradeoff.csv").read_bytes()
-    summary = json.loads((out / "ris-isac-tradeoff_summary.json").read_text())
+    code = cli.main([experiment, "--config", str(config), "--out", str(out), *extra])
+    csv_bytes = (out / f"{experiment}.csv").read_bytes()
+    summary = json.loads((out / f"{experiment}_summary.json").read_text())
     summary.pop("wall_clock_seconds")
     summary.pop("outputs")
     return code, csv_bytes, summary
+
+
+def _run(tmp_path, out_name, *extra):
+    return _run_cli(tmp_path, "ris-isac-tradeoff", TINY_RIS_ISAC, out_name, *extra)
+
+
+def _rows(csv_bytes):
+    text = csv_bytes.decode()
+    return text.splitlines()[0], list(csv.DictReader(text.splitlines()))
 
 
 def test_ris_isac_tradeoff_is_deterministic_and_feasible(tmp_path):
@@ -73,3 +84,49 @@ def test_beampattern_csv_splits_the_pattern_and_is_deterministic(tmp_path):
         assert min(comm, sense) >= -1e-12
         assert abs(total - (comm + sense)) <= 1e-12 * max(1.0, total)
     assert first["diagnostics"]["sinr"] >= first["diagnostics"]["sinr_threshold"] * (1 - 1e-6)
+
+
+def test_detect_is_deterministic_across_runs_and_threads(tmp_path):
+    tiny = TINY + "trials = 2000\n"
+    first = _run_cli(tmp_path, "detect", tiny, "a")
+    assert first[0] == 0
+    assert _run_cli(tmp_path, "detect", tiny, "b") == first
+    assert _run_cli(tmp_path, "detect", tiny, "c", "--threads", "1") == first
+    assert _run_cli(tmp_path, "detect", tiny, "d", "--threads", "4") == first
+
+    header, rows = _rows(first[1])
+    assert header == cli.CSV_HEADERS["detect"]
+    cfg = RunConfig()
+    assert len(rows) == len(cfg.snr_db_list) * len(cfg.pf_list)
+    for row in rows:
+        assert 0.0 <= float(row["pd_mc"]) <= 1.0
+        assert float(row["pf"]) < float(row["pd_formula"]) <= 1.0
+    assert len(first[2]["diagnostics"]["empirical_pf"]) == len(rows)
+
+
+def test_sense_sweep_smoke(tmp_path):
+    tiny = TINY + "num_waypoints = 4\nblocked_from_index = 2\n"
+    code, csv_bytes, _ = _run_cli(tmp_path, "sense-sweep", tiny, "out")
+    assert code == 0
+    header, rows = _rows(csv_bytes)
+    assert header == cli.CSV_HEADERS["sense-sweep"]
+    assert len(rows) == 4 * 3
+    for row in rows:
+        crb = float(row["crb"])
+        if row["mode"] == "without_ris" and int(row["waypoint"]) >= 2:
+            assert crb == math.inf, row  # the direct path is blocked
+        else:
+            assert math.isfinite(crb) and crb > 0, row
+
+
+def test_isac_tradeoff_smoke(tmp_path):
+    tiny = TINY + "r0_points = 3\nrho_list = 0.0, 0.5, 1.0\n"
+    code, csv_bytes, _ = _run_cli(tmp_path, "isac-tradeoff", tiny, "out")
+    assert code == 0
+    header, rows = _rows(csv_bytes)
+    assert header == cli.CSV_HEADERS["isac-tradeoff"]
+    assert len(rows) == 3 * 3
+    for row in rows:
+        crb = float(row["crb"])
+        assert math.isfinite(crb) and crb > 0, row
+        assert float(row["rate_bits"]) >= float(row["R0"]) - 1e-12, row

@@ -1,11 +1,13 @@
 import dataclasses
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from risac import cli
 from risac.config import EXPERIMENTS, RunConfig, parse_config, render_config
+from risac.errors import ConfigError
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
@@ -50,7 +52,12 @@ for _field in dataclasses.fields(RunConfig):
     if _field.type == "float":
         FIELD_STRATEGIES.setdefault(_field.name, finite)
 
-valid_configs = st.fixed_dictionaries(FIELD_STRATEGIES).map(lambda kw: RunConfig(**kw))
+valid_configs = (
+    st.fixed_dictionaries(FIELD_STRATEGIES)
+    .map(lambda kw: RunConfig(**kw))
+    # beampattern designs one sensing column per target, so it needs one.
+    .filter(lambda cfg: cfg.experiment != "beampattern" or cfg.target_angles_deg)
+)
 
 
 def test_every_field_has_a_strategy():
@@ -99,3 +106,31 @@ def test_zero_threads_is_a_json_config_error(tmp_path, capsys):
     assert set(err) == {"error", "detail"}
     assert err["error"] == "ConfigError" and "--threads" in err["detail"]
     assert not (tmp_path / "out").exists()
+
+
+def test_beampattern_without_targets_is_a_config_error():
+    with pytest.raises(ConfigError, match="target_angles_deg"):
+        RunConfig(experiment="beampattern", target_angles_deg=()).validate()
+    RunConfig(experiment="detect", target_angles_deg=()).validate()
+
+
+def test_beampattern_without_targets_is_a_json_config_error(tmp_path, capsys):
+    config = tmp_path / "no_targets.cfg"
+    config.write_text("l_t = 4\nn_ris = 4\ntarget_angles_deg =\n")
+    code, err = _error_of(capsys, ["beampattern", "--config", str(config),
+                                   "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert set(err) == {"error", "detail"}
+    assert err["error"] == "ConfigError" and "target_angles_deg" in err["detail"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_infeasible_sinr_is_a_json_error_and_writes_no_csv(tmp_path, capsys):
+    config = tmp_path / "loud.cfg"
+    config.write_text("l_t = 4\nn_ris = 4\ngrid_points = 31\nsinr_threshold_db = 80\n")
+    out = tmp_path / "out"
+    code, err = _error_of(capsys, ["beampattern", "--config", str(config), "--out", str(out)])
+    assert code == 2
+    assert set(err) == {"error", "detail"}
+    assert err["error"] == "InfeasibleSinrError" and "SINR threshold" in err["detail"]
+    assert not list(out.glob("*.csv"))

@@ -313,6 +313,13 @@ class TestDesign:
             design_dual_waveform(scene, spec, 1e12)
         assert err.value.max_sinr < 1e12
 
+    def test_empty_target_set_raises_before_any_steering(self, monkeypatch):
+        scene = dual_scene()
+        spec = default_spec(scene, targets_deg=())
+        monkeypatch.setattr(dw, "steering_vector", None)  # any call would fail
+        with pytest.raises(ValueError, match="target_angles"):
+            design_dual_waveform(scene, spec, 5.0)
+
     def test_deterministic_given_seed(self):
         scene = dual_scene()
         spec = default_spec(scene)

@@ -24,7 +24,8 @@ from risac import (
     steering_vector,
     trajectory_sweep,
 )
-from risac.channels import path_gains
+from risac.channels import angles_from_geometry, build_sensing_channels, path_gains
+from risac.config import RunConfig, scene_from_config
 
 
 def marcum_quadrature(a, b):
@@ -46,6 +47,49 @@ def marcum_quadrature(a, b):
         val, err = integrate.quad(integrand, b, upper, limit=200)
     assert err < 1e-7
     return val
+
+
+def glrt_snapshot_reference(scene, w, phi, trials, cfg, seed=0):
+    """Full-snapshot GLRT simulator, the form glrt_monte_carlo replaced.
+
+    Draws an L_S-antenna noise snapshot per trial and hypothesis and projects
+    it onto the normalized receive steering vector. Returns (Pf, Pd).
+    """
+    rng = np.random.default_rng(seed)
+    angles = angles_from_geometry(scene)
+    h_t, _ = build_sensing_channels(scene, phi)
+    c = np.vdot(h_t, w.weights)
+    a_r = steering_vector(scene.rx, angles.theta1).entries
+    a_r_hat = a_r / np.linalg.norm(a_r)
+    l_s = scene.rx.num_elements
+    sigma_s = math.sqrt(scene.noise_power_sensing)
+    sigma_eta = math.sqrt(scene.target_gain_var)
+
+    def noise(n_rows):
+        z = rng.standard_normal((n_rows, l_s)) + 1j * rng.standard_normal((n_rows, l_s))
+        return (sigma_s / math.sqrt(2.0)) * z
+
+    stat_h0 = np.abs(noise(trials) @ a_r_hat.conj()) ** 2 / scene.noise_power_sensing
+    if scene.fluctuating_target:
+        eta = (sigma_eta / math.sqrt(2.0)) * (
+            rng.standard_normal(trials) + 1j * rng.standard_normal(trials)
+        )
+    else:
+        eta = sigma_eta * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=trials))
+    y1 = np.outer(eta * c, a_r) + noise(trials)
+    stat_h1 = np.abs(y1 @ a_r_hat.conj()) ** 2 / scene.noise_power_sensing
+    gamma = cfg.threshold
+    return float(np.mean(stat_h0 > gamma)), float(np.mean(stat_h1 > gamma))
+
+
+def at_snr(scene, design, snr):
+    """Scene whose target gain puts the matched-filter SNR at ``snr``."""
+    gain_var = snr * scene.noise_power_sensing / (scene.rx.num_elements * design.power)
+    return scene.replace(target_gain_var=gain_var)
+
+
+def binomial_z(p_mc, p, trials):
+    return abs(p_mc - p) / math.sqrt(p * (1.0 - p) / trials)
 
 
 def ris_scene(**overrides):
@@ -294,6 +338,62 @@ class TestGlrt:
         pd = detection_probability(snr, cfg)
         sigma = math.sqrt(pd * (1.0 - pd) / 100000)
         assert abs(res.empirical_pd - pd) <= 3.0 * sigma
+
+
+    @pytest.mark.parametrize("pf", [0.1, 0.01])
+    @pytest.mark.parametrize("snr_db", [0.0, 5.0, 10.0])
+    def test_fluctuating_target_matches_exponential_law(self, calibrated, snr_db, pf):
+        # A Rayleigh target makes the H1 statistic exponential with mean
+        # 1 + SNR, so Pd = exp(-gamma / (1 + SNR)).
+        scene, design = calibrated
+        snr = 10.0 ** (snr_db / 10.0)
+        rayleigh = at_snr(scene, design, snr).replace(fluctuating_target=True)
+        cfg = DetectionConfig(pf)
+        trials = 100000
+        res = glrt_monte_carlo(rayleigh, design.w, design.phi, trials, cfg, seed=17)
+        pd = math.exp(-cfg.threshold / (1.0 + snr))
+        assert binomial_z(res.empirical_pd, pd, trials) <= 4.0
+        assert binomial_z(res.empirical_pf, pf, trials) <= 4.0
+
+
+class TestGlrtSnapshotReference:
+    """The matched-filter-output draw against the full L_S-antenna snapshot."""
+
+    @pytest.fixture(scope="class")
+    def default_design(self):
+        scene = scene_from_config(RunConfig(experiment="detect"))
+        return scene, maximize_illumination(scene)
+
+    @pytest.mark.parametrize("fluctuating", [False, True])
+    @pytest.mark.parametrize("snr_db", [0.0, 5.0, 10.0])
+    def test_two_sample_agreement(self, default_design, fluctuating, snr_db):
+        scene, design = default_design
+        assert scene.rx.num_elements == 15
+        tuned = at_snr(scene, design, 10.0 ** (snr_db / 10.0)).replace(
+            fluctuating_target=fluctuating
+        )
+        cfg = DetectionConfig(0.01)
+        trials = 40000
+        res = glrt_monte_carlo(tuned, design.w, design.phi, trials, cfg, seed=41)
+        ref_pf, ref_pd = glrt_snapshot_reference(
+            tuned, design.w, design.phi, trials, cfg, seed=42
+        )
+        for ours, theirs in [(res.empirical_pf, ref_pf), (res.empirical_pd, ref_pd)]:
+            pooled = 0.5 * (ours + theirs)
+            sigma = math.sqrt(2.0 * pooled * (1.0 - pooled) / trials)
+            assert abs(ours - theirs) <= 5.0 * sigma
+
+    def test_reference_matches_marcum_formula(self, default_design):
+        # The reference itself is held to the closed form, so agreement with
+        # it means agreement with Marcum-Q.
+        scene, design = default_design
+        cfg = DetectionConfig(0.1)
+        tuned = at_snr(scene, design, 10.0 ** 0.5).replace(fluctuating_target=False)
+        ref_pf, ref_pd = glrt_snapshot_reference(
+            tuned, design.w, design.phi, 40000, cfg, seed=43
+        )
+        assert binomial_z(ref_pf, 0.1, 40000) <= 4.0
+        assert binomial_z(ref_pd, detection_probability(10.0 ** 0.5, cfg), 40000) <= 4.0
 
 
 class TestCrbAngle:
