@@ -33,10 +33,12 @@ __all__ = [
 ]
 
 
-def _position(p) -> np.ndarray:
+def _position(p, name: str) -> np.ndarray:
     arr = np.asarray(p, dtype=float)
     if arr.shape != (2,):
         raise ValueError(f"positions are 2-D, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} coordinates must be finite, got {arr.tolist()}")
     return arr
 
 
@@ -73,10 +75,10 @@ class Scene:
     ris_gain_override: Optional[complex] = None
 
     def __post_init__(self):
-        self.bs_position = _position(self.bs_position)
-        self.ris_position = _position(self.ris_position)
-        self.target_position = _position(self.target_position)
-        self.user_position = _position(self.user_position)
+        self.bs_position = _position(self.bs_position, "bs_position")
+        self.ris_position = _position(self.ris_position, "ris_position")
+        self.target_position = _position(self.target_position, "target_position")
+        self.user_position = _position(self.user_position, "user_position")
         for power, name in [
             (self.noise_power_sensing, "noise_power_sensing"),
             (self.noise_power_comms, "noise_power_comms"),

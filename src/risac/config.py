@@ -87,6 +87,8 @@ class RunConfig:
                 raise ConfigError(f"{name} must be >= 1")
         if self.n_ris < 0:
             raise ConfigError("n_ris must be >= 0")
+        if self.restarts < 0:
+            raise ConfigError("restarts must be >= 0")
         if not self.transmit_power > 0:
             raise ConfigError("transmit_power must be positive watts")
         for pf in self.pf_list:

@@ -13,6 +13,10 @@ noise n ~ CN(0, sigma_s^2 I), the output is v^T y = eta c (a_r^T v) + v^T n,
 and v^T n ~ CN(0, sigma_s^2 ||v||^2) exactly. The output is a sufficient
 statistic for the energy test, so one complex draw per trial and hypothesis
 gives the same Pf and Pd as a full snapshot.
+
+scipy is imported inside ``marcum_q1``, on the first Marcum-Q evaluation, not
+at module level: importing ``risac`` or running an experiment that never
+evaluates Marcum-Q loads no scipy module.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ import math
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import special
 
 from .arrays import steering_derivative, steering_vector
 from .channels import (
@@ -247,8 +250,11 @@ def marcum_q1(a: float, b: float, tol: float = 1e-10) -> float:
     Series sum_k (a/b)^k e^{-(a^2+b^2)/2} I_k(ab), accumulated with
     exponentially scaled Bessel terms for stability; the symmetry relation
     Q1(a,b) + Q1(b,a) = 1 + e^{-(a^2+b^2)/2} I_0(ab) handles a > b, where the
-    direct series converges slowly.
+    direct series converges slowly. scipy (for ``special.ive``) is imported
+    here, so it loads on the first Marcum-Q evaluation of the process.
     """
+    from scipy import special
+
     a, b = float(a), float(b)
     if not (math.isfinite(a) and math.isfinite(b)) or a < 0 or b < 0:
         raise ValueError("arguments must be finite and nonnegative")

@@ -55,6 +55,19 @@ def test_non_finite_powers_rejected(field, bad):
         simple_scene(**{field: bad})
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "field", ["bs_position", "ris_position", "target_position", "user_position"]
+)
+@pytest.mark.parametrize("axis", [0, 1])
+def test_non_finite_positions_rejected(field, bad, axis):
+    point = [10.0, -10.0]
+    point[axis] = bad
+    with pytest.raises(ValueError, match=field):
+        simple_scene(**{field: tuple(point)})
+
+
 def test_coincident_positions_rejected():
     scene = simple_scene(target_position=(0.0, 0.0))
     with pytest.raises(DegenerateGeometryError):

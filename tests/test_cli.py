@@ -1,13 +1,25 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-from risac import cli
+from risac import cli, marcum_q1
 from risac import ris_isac as ri
 from risac.config import RunConfig
 
 TINY = "n_ris = 4\nl_t = 4\nl_s = 4\n"
 TINY_RIS_ISAC = TINY + "r0_points = 5\n"
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _fresh_python(*args):
+    """Run ``python *args`` in a new interpreter with this checkout's src first on the path."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, check=True, timeout=120)
 
 
 def _run_cli(tmp_path, experiment, config_text, out_name, *extra):
@@ -130,3 +142,35 @@ def test_isac_tradeoff_smoke(tmp_path):
         crb = float(row["crb"])
         assert math.isfinite(crb) and crb > 0, row
         assert float(row["rate_bits"]) >= float(row["R0"]) - 1e-12, row
+
+
+def test_import_loads_no_scipy_until_marcum_q():
+    # The test process has imported scipy already, so this needs a fresh one.
+    probe = (
+        "import sys, risac, risac.cli\n"
+        "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])\n"
+        "print(risac.marcum_q1(1.0, 2.0).hex())\n"
+        "print('scipy.special' in sys.modules)\n"
+    )
+    loaded, value, special_after = _fresh_python("-c", probe).stdout.splitlines()
+    assert loaded == "[]"
+    assert float.fromhex(value) == marcum_q1(1.0, 2.0)
+    assert special_after == "True"
+
+
+def test_detect_cold_process_threads_match(tmp_path):
+    # In a fresh process the first Marcum-Q calls, and so the scipy import,
+    # happen inside the worker threads.
+    config = tmp_path / "detect.cfg"
+    config.write_text(TINY + "trials = 2000\n")
+    outputs = {}
+    for threads in ("1", "4"):
+        out = tmp_path / f"threads{threads}"
+        _fresh_python("-m", "risac.cli", "detect", "--config", str(config),
+                      "--out", str(out), "--threads", threads)
+        outputs[threads] = (out / "detect.csv").read_bytes()
+    assert outputs["4"] == outputs["1"]
+    assert _run_cli(tmp_path, "detect", config.read_text(), "warm")[1] == outputs["1"]
+    header, rows = _rows(outputs["1"])
+    assert header == cli.CSV_HEADERS["detect"]
+    assert len(rows) == len(RunConfig().snr_db_list) * len(RunConfig().pf_list)

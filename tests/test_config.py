@@ -43,7 +43,7 @@ FIELD_STRATEGIES = {
     "ris_modes": st.lists(
         st.sampled_from(("with", "without", "reference")), max_size=4
     ).map(tuple),
-    "restarts": st.integers(),
+    "restarts": st.integers(min_value=0),
     "target_angles_deg": st.lists(finite, max_size=4).map(tuple),
     "grid_points": count,
     "blocked_user_path": st.booleans(),
@@ -122,6 +122,23 @@ def test_beampattern_without_targets_is_a_json_config_error(tmp_path, capsys):
     assert code == 2
     assert set(err) == {"error", "detail"}
     assert err["error"] == "ConfigError" and "target_angles_deg" in err["detail"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_negative_restarts_is_a_config_error():
+    with pytest.raises(ConfigError, match="restarts"):
+        RunConfig(experiment="ris-isac-tradeoff", restarts=-3).validate()
+    RunConfig(experiment="ris-isac-tradeoff", restarts=0).validate()
+
+
+def test_negative_restarts_is_a_json_config_error(tmp_path, capsys):
+    config = tmp_path / "negative.cfg"
+    config.write_text("l_t = 4\nl_s = 4\nn_ris = 4\nrestarts = -3\n")
+    code, err = _error_of(capsys, ["ris-isac-tradeoff", "--config", str(config),
+                                   "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert set(err) == {"error", "detail"}
+    assert err["error"] == "ConfigError" and "restarts" in err["detail"]
     assert not (tmp_path / "out").exists()
 
 

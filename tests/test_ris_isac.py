@@ -19,7 +19,7 @@ from risac import (
     ris_isac_tradeoff,
 )
 from risac.optim import SolverConfig, finite_difference_gradient
-from risac.ris_isac import _apply_coupling, _unit_modulus, _zero_ris
+from risac.ris_isac import _apply_coupling, _fim_maps, _unit_modulus, _zero_ris
 
 
 def scalar_loop_objective(phi, a_t, f_t, a_r, f_r, h_bu, f_c):
@@ -43,6 +43,56 @@ def random_instance(rng, l_t, l_s, n):
     f_r = rng.standard_normal((l_s, n)) + 1j * rng.standard_normal((l_s, n))
     f_c = rng.standard_normal((l_t, n)) + 1j * rng.standard_normal((l_t, n))
     return a_t, f_t, a_r, f_r, h_bu, f_c
+
+
+def grid_oracle_loop_reference(scenario, phi, samples, snr_floor):
+    """CRB(theta1) of each sphere-scaled L_T = 2 beam, one fim_theta call each.
+
+    Beams below the rate floor get inf. This is the loop form that
+    ``grid_oracle_crbs`` must reproduce.
+    """
+    h_c = scenario.h_c(phi)
+    crbs = np.full(len(samples), math.inf)
+    for i, (x1, y1, x2, y2) in enumerate(samples):
+        w = np.array([x1 + 1j * y1, x2 + 1j * y2])
+        w *= math.sqrt(3.0) / np.linalg.norm(w)
+        if np.abs(h_c @ w) ** 2 < snr_floor:
+            continue
+        crbs[i] = fim_theta(scenario, phi, w).crb_theta1
+    return crbs
+
+
+def grid_oracle_crbs(scenario, phi, samples, snr_floor):
+    """Batched ``grid_oracle_loop_reference``: every FIM built at once.
+
+    fim_theta's pruning and Jacobi-scaled condition test are applied per
+    beam; a beam that prunes a parameter or fails the condition test goes
+    through fim_theta itself, so only the all-kept case is batched.
+    """
+    w = samples[:, 0::2] + 1j * samples[:, 1::2]
+    # np.linalg.norm's 1-D complex form (real and imaginary dot products), so
+    # each scaled beam equals the loop form's bit for bit.
+    re, im = w.real[:, None, :], w.imag[:, None, :]
+    norm = np.sqrt((re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1))[:, 0, 0])
+    w = w * (math.sqrt(3.0) / norm)[:, None]
+    crbs = np.full(len(samples), math.inf)
+    rows = np.flatnonzero(np.abs(w @ scenario.h_c(phi)) ** 2 >= snr_floor)
+    w = w[rows]
+    # D[n] = column_stack([C_p @ w_n for p]), one batched product per beam.
+    d = (np.stack(_fim_maps(scenario, phi))[None] @ w[:, None, :, None])[..., 0].transpose(0, 2, 1)
+    scale = 2.0 * scenario.scene.samples / scenario.scene.noise_power_sensing
+    fim = scale * np.real(np.conj(d).transpose(0, 2, 1) @ d)
+    fim = 0.5 * (fim + fim.transpose(0, 2, 1))
+    diag = np.diagonal(fim, axis1=1, axis2=2)
+    kept = (diag[:, 0] > 0) & np.all(diag > 1e-14 * diag.max(axis=1, keepdims=True), axis=1)
+    root = np.sqrt(np.where(kept[:, None], diag, 1.0))
+    unit = fim / (root[:, :, None] * root[:, None, :])
+    cond = np.linalg.cond(np.where(kept[:, None, None], unit, np.eye(4)))
+    batched = kept & np.isfinite(cond) & (cond <= 1e14)
+    crbs[rows[batched]] = np.linalg.inv(unit[batched])[:, 0, 0] / fim[batched, 0, 0]
+    for i in np.flatnonzero(~batched):
+        crbs[rows[i]] = fim_theta(scenario, phi, w[i]).crb_theta1
+    return crbs
 
 
 def desk_scene(**overrides):
@@ -337,16 +387,30 @@ class TestRateConstrainedBeamformer:
             r0 = 0.5 * max_rate
             res = rate_constrained_crb_beamformer(scenario, phi, r0)
             snr_floor = (2.0**r0 - 1.0) * 1e-8
-            best = math.inf
             samples = rng.standard_normal((20000, 4))
-            for x1, y1, x2, y2 in samples:
-                w = np.array([x1 + 1j * y1, x2 + 1j * y2])
-                w *= math.sqrt(3.0) / np.linalg.norm(w)
-                if np.abs(h_c @ w) ** 2 < snr_floor:
-                    continue
-                crb = fim_theta(scenario, phi, w).crb_theta1
-                best = min(best, crb)
+            best = float(np.min(grid_oracle_crbs(scenario, phi, samples, snr_floor)))
             assert best >= res.crb * (1.0 - 1e-4)
+
+    @pytest.mark.parametrize("seed, strip_ris", [(0, False), (3, False), (7, True)])
+    def test_grid_oracle_matches_loop_reference(self, seed, strip_ris):
+        # Same per-beam CRBs as the loop form, including beams skipped by the
+        # rate floor and, without an RIS, the pruned theta2 routed to fim_theta.
+        rng = np.random.default_rng(100 + seed)
+        scene = desk_scene(tx=UlaGeometry(2), rx=UlaGeometry(4),
+                           ris=UlaGeometry(4), seed=seed)
+        scenario = RisIsacScenario.from_scene(scene)
+        phi = np.exp(1j * rng.uniform(0, 2 * np.pi, 4))
+        if strip_ris:
+            scenario, phi = _zero_ris(scenario), np.zeros(0)
+        # Half the largest |h_c^T w|^2 on the sphere, so some beams are skipped.
+        snr_floor = 1.5 * np.linalg.norm(scenario.h_c(phi)) ** 2
+        samples = rng.standard_normal((300, 4))
+        batched = grid_oracle_crbs(scenario, phi, samples, snr_floor)
+        loop = grid_oracle_loop_reference(scenario, phi, samples, snr_floor)
+        assert np.array_equal(np.isinf(batched), np.isinf(loop))
+        assert 0 < np.count_nonzero(np.isinf(loop)) < len(samples)
+        finite = np.isfinite(loop)
+        np.testing.assert_allclose(batched[finite], loop[finite], rtol=1e-12, atol=0)
 
 
 class TestTradeoffStructure:
