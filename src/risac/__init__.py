@@ -35,7 +35,7 @@ from .isac import (
     make_coupled_channel,
     tradeoff_curve,
 )
-from .optim import SolverConfig, alternating_minimize, finite_difference_gradient, projected_gradient
+from .optim import SolverConfig, finite_difference_gradient, riemannian_descent
 from .ris_isac import (
     FimResult,
     RisIsacScenario,

@@ -26,7 +26,6 @@ from .arrays import steering_vector
 from .channels import angles_from_geometry, pathloss_amplitude
 from .config import EXPERIMENTS, RunConfig, parse_config, render_config, scene_from_config
 from .errors import ConfigError
-from .optim import SolverConfig
 from .sensing import (
     DetectionConfig,
     detection_probability,
@@ -157,11 +156,13 @@ def _run_ris_isac_tradeoff(cfg: RunConfig, threads: int):
     shaped = ri._apply_coupling(scenario, cfg.coupling)
     # "with" and "reference" share one profile, solved once per run.
     profile = None
-    if set(cfg.ris_modes) & {"with", "reference"}:
-        solver = SolverConfig(restarts=cfg.restarts, seed=cfg.seed)
-        profile = ri.optimize_ris_profile(shaped, cfg=solver).phi
-    csv_rows = []
     diag = {}
+    if set(cfg.ris_modes) & {"with", "reference"}:
+        solved = ri.optimize_ris_profile(shaped, restarts=cfg.restarts, seed=cfg.seed)
+        profile = solved.phi
+        diag["profile_converged"] = solved.converged
+        diag["profile_iterations"] = solved.iterations
+    csv_rows = []
     for mode in cfg.ris_modes:
         h_c = shaped.h_bu if mode == "without" else shaped.h_c(profile)
         max_rate = math.log2(
@@ -205,6 +206,9 @@ def _run_beampattern(cfg: RunConfig, threads: int):
         "loss": design.loss,
         "tau": design.tau,
         "converged": design.converged,
+        "iterations": design.iterations,
+        "grad_norm": design.grad_norm,
+        "stop": design.stop,
         "ris_angle_deg": math.degrees(angles.omega_t),
     }
     return {

@@ -85,6 +85,8 @@ class RunConfig:
                      "r0_points", "grid_points"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.n_ris < 0:
             raise ConfigError("n_ris must be >= 0")
         if self.restarts < 0:

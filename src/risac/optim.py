@@ -1,42 +1,50 @@
-"""Shared solver plumbing: projected gradient, alternating driver, FD oracle.
+"""One Riemannian descent for the package's unit-modulus problems, plus an FD oracle.
 
-The projected-gradient routine runs Armijo backtracking on the ambient
-(pre-projection) objective and accepts a step only if the projected point
-does not increase the objective, which keeps the accepted trace monotone on
-nonconvex feasible sets such as the unit-modulus torus.
+Both feasible sets are products of unit spheres. The oblique manifold holds
+the complex matrices with unit-norm rows (a transmit covariance R = X X^H
+with unit diagonal); the complex circle manifold holds the vectors with
+unit-modulus entries (an RIS profile), which is the oblique manifold of one
+column. ``riemannian_descent`` projects the gradient onto the tangent space,
+retracts by normalization, and takes Barzilai-Borwein (BB) steps with
+monotone Armijo backtracking, so its trace never increases (Absil, Mahony &
+Sepulchre 2008; Boumal 2023).
+
+It stops when the tangent-gradient norm falls to ``tol * |f|``. The
+tolerance is relative because the line search cannot resolve a decrease
+below the rounding of f, about 1e-16 |f|; every step rule is invariant to
+the scale of f too. An objective whose minimum is 0 therefore ends on
+``no_descent`` or ``max_iter``, and the result says so.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Sequence
+from typing import Callable, Tuple
 
 import numpy as np
 
 __all__ = [
     "SolverConfig",
     "SolverResult",
-    "projected_gradient",
-    "alternating_minimize",
+    "riemannian_descent",
     "finite_difference_gradient",
 ]
+
+MANIFOLDS = ("oblique", "circle")
 
 
 @dataclasses.dataclass(frozen=True)
 class SolverConfig:
-    tol_rel: float = 1e-8
+    tol: float = 1e-7        # stop once the tangent-gradient norm is <= tol * |f|
     max_iter: int = 2000
     armijo_c: float = 1e-4
     backtrack: float = 0.5
-    initial_step: float = 1.0
-    restarts: int = 8
-    seed: int = 0
 
     def __post_init__(self):
         if not 0.0 < self.backtrack < 1.0:
             raise ValueError("backtrack must lie in (0, 1)")
-        if not self.tol_rel > 0:
-            raise ValueError("tol_rel must be positive")
+        if not self.tol >= 0:
+            raise ValueError("tol must be nonnegative")
         if self.max_iter < 0:
             raise ValueError("max_iter must be nonnegative")
 
@@ -45,95 +53,105 @@ class SolverConfig:
 class SolverResult:
     x: np.ndarray
     objective: float
-    trace: np.ndarray
-    converged: bool
+    trace: np.ndarray   # objective at the accepted iterates, non-increasing
+    converged: bool     # stopped on the tolerance
     iterations: int
+    grad_norm: float    # tangent-gradient norm at x
+    stop: str           # "tol", "max_iter" or "no_descent"
 
 
-def _relative_drop(prev: float, new: float) -> float:
-    return (prev - new) / max(abs(prev), 1e-300)
+def _unit_modulus(z: np.ndarray) -> np.ndarray:
+    """z / |z| entrywise; an exact zero has no phase and maps to 1."""
+    out = np.asarray(z, dtype=complex).copy()
+    mags = np.abs(out)
+    zero = mags < 1e-300
+    out[zero] = 1.0
+    mags[zero] = 1.0
+    return out / mags
 
 
-def projected_gradient(
-    objective: Callable[[np.ndarray], float],
-    gradient: Callable[[np.ndarray], np.ndarray],
-    projection: Callable[[np.ndarray], np.ndarray],
-    init: np.ndarray,
+def _normalize(x: np.ndarray) -> np.ndarray:
+    """Retraction: rows to unit norm; an all-zero row maps to e_1."""
+    if x.shape[1] == 1:
+        return _unit_modulus(x)
+    norms = np.linalg.norm(x, axis=1, keepdims=True)
+    zero = norms[:, 0] < 1e-300
+    x = np.where(zero[:, None], np.eye(1, x.shape[1]), x)
+    return x / np.where(zero[:, None], 1.0, norms)
+
+
+def _tangent(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    # Remove the radial component of each row.
+    return g - np.real(np.sum(np.conj(x) * g, axis=1, keepdims=True)) * x
+
+
+def _inner(a: np.ndarray, b: np.ndarray) -> float:
+    return float(np.real(np.vdot(a, b)))
+
+
+def riemannian_descent(
+    fun: Callable[[np.ndarray], Tuple[float, np.ndarray]],
+    manifold: str,
+    x0: np.ndarray,
     cfg: SolverConfig = SolverConfig(),
 ) -> SolverResult:
-    """Minimize ``objective`` over the set fixed by ``projection``.
+    """Minimize ``fun`` over the unit-norm rows of a matrix or unit-modulus entries of a vector.
 
-    ``gradient`` is the conjugate (Wirtinger) gradient for complex variables,
-    the ordinary gradient for real ones. The trace holds the objective at the
-    accepted iterates and is non-increasing.
+    ``fun(x)`` returns the objective and its conjugate (Wirtinger) gradient
+    d f / d conj(x) in one call. ``manifold`` is "oblique" for a 2-D ``x0``
+    (unit-norm rows) or "circle" for a 1-D ``x0`` (unit-modulus entries);
+    ``x0`` is normalized first. Each trial point costs one call; the BB step
+    is tried first, so most iterations cost exactly one.
     """
-    x = projection(np.asarray(init))
-    f = float(objective(x))
+    if manifold not in MANIFOLDS:
+        raise ValueError(f"manifold must be one of {MANIFOLDS}")
+    x0 = np.asarray(x0)
+    ndim = 2 if manifold == "oblique" else 1
+    if x0.ndim != ndim:
+        raise ValueError(f"the {manifold} manifold needs a {ndim}-D start")
+    shape = x0.shape
+    rows = x0.reshape(shape[0], -1)
+
+    def evaluate(x):
+        f, g = fun(x.reshape(shape))
+        return float(f), _tangent(x, np.asarray(g).reshape(x.shape))
+
+    x = _normalize(rows)
+    f, rg = evaluate(x)
+    gnorm = np.sqrt(_inner(rg, rg))
     trace = [f]
-    converged = False
-    it = 0
-    for it in range(1, cfg.max_iter + 1):
-        g = np.asarray(gradient(x))
-        gnorm_sq = float(np.real(np.vdot(g, g)))
-        if gnorm_sq == 0.0:
-            converged = True
+    step = 1.0 / max(gnorm, 1e-300)  # the first trial moves x by unit length
+    stop, it = "max_iter", 0
+    while gnorm > cfg.tol * abs(f):
+        if it == cfg.max_iter:
             break
-        step = cfg.initial_step
-        accepted = False
-        while step > 1e-20:
-            y = x - step * g
-            # Armijo sufficient decrease on the ambient point, acceptance on
-            # the projected one.
-            if float(objective(y)) <= f - cfg.armijo_c * step * gnorm_sq:
-                y_proj = projection(y)
-                f_proj = float(objective(y_proj))
-                if f_proj <= f:
-                    x, f_new = y_proj, f_proj
-                    accepted = True
-                    break
+        # Armijo backtracking from the BB step; give up once the trial move
+        # is below rounding.
+        while step * gnorm >= 1e-15:
+            cand = _normalize(x - step * rg)
+            f_new, rg_new = evaluate(cand)
+            if f_new <= f - cfg.armijo_c * step * gnorm**2:
+                break
             step *= cfg.backtrack
-        if not accepted:
-            converged = True
+        else:
+            stop = "no_descent"
             break
-        trace.append(f_new)
-        if _relative_drop(f, f_new) < cfg.tol_rel:
-            f = f_new
-            converged = True
-            break
-        f = f_new
-    return SolverResult(x, f, np.asarray(trace), converged, it)
-
-
-def alternating_minimize(
-    blocks: Sequence[Callable[[], float]],
-    cfg: SolverConfig = SolverConfig(),
-) -> SolverResult:
-    """Cycle through block updates until the shared objective stalls.
-
-    Each block closure updates its own variables in place and returns the
-    objective value after the update; blocks must not increase the objective.
-    """
-    if not blocks:
-        raise ValueError("need at least one block")
-    trace = []
-    prev = np.inf
-    converged = False
-    it = 0
-    for it in range(1, cfg.max_iter + 1):
-        for block in blocks:
-            prev_block = trace[-1] if trace else np.inf
-            val = float(block())
-            if trace and val > prev_block + 1e-12 * max(1.0, abs(prev_block)):
-                raise RuntimeError("block update increased the objective")
-            trace.append(val)
-        current = trace[-1]
-        if np.isfinite(prev) and _relative_drop(prev, current) < cfg.tol_rel:
-            converged = True
-            break
-        prev = current
-    x = np.asarray([])  # blocks own the variables
-    obj = trace[-1] if trace else np.inf
-    return SolverResult(x, obj, np.asarray(trace), converged, it)
+        it += 1
+        s, y = cand - x, rg_new - rg
+        sy = abs(_inner(s, y))
+        # Alternate the long and short BB steps.
+        if sy > 0:
+            step = _inner(s, s) / sy if it % 2 else sy / _inner(y, y)
+        x, f, rg = cand, f_new, rg_new
+        gnorm = np.sqrt(_inner(rg, rg))
+        trace.append(f)
+        # No row moves more than half a turn per step.
+        step = min(step, np.pi / max(gnorm, 1e-300))
+    else:
+        stop = "tol"
+    return SolverResult(
+        x.reshape(shape), f, np.asarray(trace), stop == "tol", it, float(gnorm), stop,
+    )
 
 
 def finite_difference_gradient(

@@ -1,13 +1,14 @@
 """RIS-aided ISAC: coupling maximization, FIM-based CRB, beamformer design.
 
 The RIS profile is tuned first to expand and rotate the sensing/comms
-subspaces (projected gradient on the unit-modulus torus), then the transmit
-beamformer minimizes the FIM-based angle CRB under a rate floor in closed
-form. The nuisance gain beta contributes the FIM columns h_r s and i h_r s
-(s = h_t^T w), so eliminating it projects h_r out of the angle columns; the
-transmit-derivative terms lie along h_r and drop out. What remains is
-CRB(theta1) = kappa(phi) / |h_t(phi)^T w|^2, with kappa set by the receive
-side alone, so minimizing the CRB maximizes the illumination |h_t^T w|^2.
+subspaces (Riemannian descent on the circle manifold |phi_i| = 1), then the
+transmit beamformer minimizes the FIM-based angle CRB under a rate floor in
+closed form. The nuisance gain beta contributes the FIM columns h_r s and
+i h_r s (s = h_t^T w), so eliminating it projects h_r out of the angle
+columns; the transmit-derivative terms lie along h_r and drop out. What
+remains is CRB(theta1) = kappa(phi) / |h_t(phi)^T w|^2, with kappa set by
+the receive side alone, so minimizing the CRB maximizes the illumination
+|h_t^T w|^2.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .channels import (
 )
 from .errors import DegenerateChannelError, InfeasibleRateError
 from .isac import IsacScenario, crb_min_beamformer
-from .optim import SolverConfig, projected_gradient
+from .optim import SolverConfig, riemannian_descent
 from .sensing import Beamformer
 
 __all__ = [
@@ -189,15 +190,6 @@ def coupling_gradient(
     return -grad
 
 
-def _unit_modulus(phi: np.ndarray) -> np.ndarray:
-    out = np.asarray(phi, dtype=complex).copy()
-    mags = np.abs(out)
-    zero = mags < 1e-300
-    out[zero] = 1.0
-    mags[zero] = 1.0
-    return out / mags
-
-
 @dataclasses.dataclass(eq=False)
 class RisProfileResult:
     phi: RisProfile
@@ -205,18 +197,22 @@ class RisProfileResult:
     objective_trace: np.ndarray
     converged: bool
     restarts_used: int
+    iterations: int  # of the winning run
 
 
 def optimize_ris_profile(
     scenario: RisIsacScenario,
     init: Optional[RisProfile] = None,
     cfg: SolverConfig = SolverConfig(),
+    restarts: int = 8,
+    seed: int = 0,
 ) -> RisProfileResult:
-    """Projected-gradient descent of the coupling objective on |phi_i| = 1.
+    """Riemannian descent of the coupling objective on the circle manifold |phi_i| = 1.
 
-    Runs ``cfg.restarts`` seeded random restarts plus the supplied (or
-    all-ones) initialization and keeps the best final objective. The reported
-    trace belongs to the winning run and is non-increasing.
+    Runs from the supplied (or all-ones) initialization and from ``restarts``
+    seeded random profiles, and keeps the best final objective. The reported
+    trace, convergence flag and iteration count belong to the winning run;
+    the trace is non-increasing.
     """
     n = scenario.n_ris
     args = (
@@ -230,56 +226,28 @@ def optimize_ris_profile(
     if n == 0:
         val = coupling_objective(np.zeros(0), *args)
         return RisProfileResult(
-            RisProfile(np.zeros(0)), val, np.asarray([val]), True, 0
+            RisProfile(np.zeros(0)), val, np.asarray([val]), True, 0, 0
         )
 
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     inits = [init.phases if init is not None else np.ones(n, dtype=complex)]
-    for _ in range(cfg.restarts):
+    for _ in range(restarts):
         inits.append(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=n)))
 
-    # Path gains make the raw objective minuscule; normalize it to O(1) so
-    # unit gradient steps are meaningful.
-    scale = max(max(abs(coupling_objective(p, *args)) for p in inits), 1e-300)
+    def fun(p):
+        return coupling_objective(p, *args), coupling_gradient(p, *args)
 
-    best = None
-    for start in inits:
-        res = projected_gradient(
-            objective=lambda p: coupling_objective(p, *args) / scale,
-            gradient=lambda p: coupling_gradient(p, *args) / scale,
-            projection=_unit_modulus,
-            init=start,
-            cfg=cfg,
-        )
-        if best is None or res.objective < best.objective:
-            best = res
-
-    # Polish in phase coordinates: the unconstrained parameterization removes
-    # the radial gradient component, so the line search keeps making progress
-    # down to tangent stationarity.
-    def phase_objective(theta):
-        return coupling_objective(np.exp(1j * theta), *args) / scale
-
-    def phase_gradient(theta):
-        phi_v = np.exp(1j * theta)
-        g = coupling_gradient(phi_v, *args) / scale
-        return -2.0 * np.imag(np.conj(g) * phi_v)
-
-    polish = projected_gradient(
-        objective=phase_objective,
-        gradient=phase_gradient,
-        projection=lambda t: t,
-        init=np.angle(_unit_modulus(best.x)),
-        cfg=cfg,
+    best = min(
+        (riemannian_descent(fun, "circle", start, cfg) for start in inits),
+        key=lambda res: res.objective,
     )
-    phi_star = np.exp(1j * polish.x)
-    trace = np.concatenate([best.trace, polish.trace[1:]]) * scale
     return RisProfileResult(
-        phi=RisProfile(phi_star),
-        objective=polish.objective * scale,
-        objective_trace=trace,
-        converged=best.converged and polish.converged,
+        phi=RisProfile(best.x),
+        objective=best.objective,
+        objective_trace=best.trace,
+        converged=best.converged,
         restarts_used=len(inits),
+        iterations=best.iterations,
     )
 
 

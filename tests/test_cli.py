@@ -52,6 +52,8 @@ def test_ris_isac_tradeoff_is_deterministic_and_feasible(tmp_path):
 
     rows = list(csv.DictReader((tmp_path / "a" / "ris-isac-tradeoff.csv").open()))
     assert len(rows) == 3 * 5
+    diag = first[2]["diagnostics"]
+    assert diag["profile_converged"] is True and diag["profile_iterations"] > 0
     for row in rows:
         assert float(row["rate_bits"]) >= float(row["R0"]) - 1e-12, row
 
@@ -95,7 +97,11 @@ def test_beampattern_csv_splits_the_pattern_and_is_deterministic(tmp_path):
         total, comm, sense = (float(row[k]) for k in ("j_total", "j_comm", "j_sense"))
         assert min(comm, sense) >= -1e-12
         assert abs(total - (comm + sense)) <= 1e-12 * max(1.0, total)
-    assert first["diagnostics"]["sinr"] >= first["diagnostics"]["sinr_threshold"] * (1 - 1e-6)
+    diag = first["diagnostics"]
+    assert diag["sinr"] >= diag["sinr_threshold"] * (1 - 1e-6)
+    # No silent stops: the solver's status is in the summary.
+    assert diag["converged"] and diag["stop"] == "tol"
+    assert diag["iterations"] > 0 and math.isfinite(diag["grad_norm"])
 
 
 def test_detect_is_deterministic_across_runs_and_threads(tmp_path):

@@ -17,7 +17,7 @@ position = st.tuples(finite, finite)
 # One strategy per RunConfig field, each drawing only values that validate.
 FIELD_STRATEGIES = {
     "experiment": st.sampled_from(EXPERIMENTS),
-    "seed": st.integers(min_value=-(2**63), max_value=2**63),
+    "seed": st.integers(min_value=0, max_value=2**63),
     "transmit_power": positive,
     "l_t": count,
     "l_s": count,
@@ -139,6 +139,32 @@ def test_negative_restarts_is_a_json_config_error(tmp_path, capsys):
     assert code == 2
     assert set(err) == {"error", "detail"}
     assert err["error"] == "ConfigError" and "restarts" in err["detail"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_negative_seed_is_a_config_error():
+    with pytest.raises(ConfigError, match="seed"):
+        RunConfig(seed=-3).validate()
+    RunConfig(seed=0).validate()
+
+
+def test_negative_seed_in_config_is_a_json_config_error(tmp_path, capsys):
+    config = tmp_path / "negative_seed.cfg"
+    config.write_text("l_t = 4\nseed = -3\n")
+    code, err = _error_of(capsys, ["detect", "--config", str(config),
+                                   "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert set(err) == {"error", "detail"}
+    assert err["error"] == "ConfigError" and "seed" in err["detail"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_negative_seed_flag_is_a_json_config_error(tmp_path, capsys):
+    code, err = _error_of(capsys, ["detect", "--seed", "-3",
+                                   "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert set(err) == {"error", "detail"}
+    assert err["error"] == "ConfigError" and "seed" in err["detail"]
     assert not (tmp_path / "out").exists()
 
 

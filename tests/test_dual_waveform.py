@@ -14,9 +14,10 @@ from risac import (
 )
 from risac import dual_waveform as dw
 from risac.channels import angles_from_geometry, build_comms_channel
+from risac.config import RunConfig, scene_from_config
+from risac.optim import SolverConfig, riemannian_descent
 from risac.dual_waveform import (
     _loss_gradient,
-    _loss_only,
     _Steering,
     autoscale_tau,
     beampattern_loss,
@@ -144,6 +145,21 @@ class TestBeampatternLoss:
         fast = beampattern_loss(r_cov, 0.7, spec, scene.tx)
         slow = naive_loss(r_cov, 0.7, spec, scene.tx)
         assert abs(fast - slow) < 1e-12 * max(1.0, abs(slow))
+
+
+def _loss_only(x, tau, spec, st):
+    """Value-only reference for ``_loss_gradient``, by the same operations."""
+    proj = st.grid_h @ x
+    pattern = np.real(np.sum(np.abs(proj) ** 2, axis=1))
+    err = pattern - tau * spec.desired
+    loss = spec.alpha_mismatch * float(np.mean(err**2))
+    k = spec.target_angles.size
+    if k >= 2 and spec.alpha_crosscorr > 0:
+        proj_t = st.targets_h @ x
+        cross = proj_t @ proj_t.conj().T
+        weight = spec.alpha_crosscorr * 2.0 / (k * k - k)
+        loss += weight * float(np.sum(np.abs(cross[st.triu]) ** 2))
+    return loss
 
 
 def loss_case(k_targets, seed):
@@ -338,6 +354,128 @@ class TestDesign:
             return steering_vector(geom, angle)
 
         monkeypatch.setattr(dw, "steering_vector", counted)
-        design = design_dual_waveform(scene, spec, 5.0, seed=2, max_outer=5)
+        design = design_dual_waveform(scene, spec, 5.0, seed=2)
         assert len(design.objective_trace) > 1
         assert len(calls) == spec.grid.size + spec.target_angles.size
+
+
+def config_scene_and_spec(**overrides):
+    """The scene and spec of the ``beampattern`` experiment, as the CLI builds them."""
+    cfg = RunConfig(experiment="beampattern", **overrides)
+    scene = scene_from_config(cfg)
+    spec = default_spec(scene, width_deg=cfg.beam_width_deg,
+                        targets_deg=cfg.target_angles_deg, grid_points=cfg.grid_points)
+    return cfg, scene, spec
+
+
+def certified_lower_bound(spec, geom, x):
+    """Lower bound on the loss over every unit-diagonal R >= 0, certified at R = X X^H.
+
+    The reduced loss f(R) = min_tau loss(R, tau) is convex in R. Take
+    G = grad f(R), lambda_i = Re (G R)_ii and S = G - diag(lambda). For any
+    feasible R', convexity and diag(R') = diag(R) = 1 give
+    f(R') >= f(R) + <S, R' - R> >= f(R) - <S, R> + L min(0, lambda_min(S)),
+    since tr R' = L. The bound holds without the SINR floor, so it also
+    bounds every design that meets the floor.
+    """
+    st = _Steering.build(spec, geom)
+    r_cov = x @ x.conj().T
+    proj = st.grid_h @ x
+    pattern = np.real(np.sum(np.abs(proj) ** 2, axis=1))
+    tau = max(0.0, float(spec.desired @ pattern) / st.denom)
+    f_val, grad_x = _loss_gradient(x, tau, spec, st)
+    err = pattern - tau * spec.desired
+    grad = (2.0 * spec.alpha_mismatch / spec.grid.size) * (st.grid * err) @ st.grid_h
+    k = spec.target_angles.size
+    if k >= 2 and spec.alpha_crosscorr > 0:
+        cross = st.targets_h @ r_cov @ st.targets
+        np.fill_diagonal(cross, 0.0)
+        grad = grad + spec.alpha_crosscorr * 2.0 / (k * k - k) * (st.targets @ cross @ st.targets_h)
+    # d(loss)/dX* = G X ties this G to the solver's gradient.
+    assert np.allclose(grad @ x, grad_x, rtol=1e-10, atol=1e-10 * np.abs(grad_x).max())
+    slack = grad - np.diag(np.real(np.diag(grad @ r_cov)))
+    lam_min = float(np.linalg.eigvalsh(0.5 * (slack + slack.conj().T))[0])
+    return f_val - float(np.real(np.vdot(slack, r_cov))) + geom.num_elements * min(0.0, lam_min)
+
+
+def reference_factor(spec, geom, x0):
+    """The floor-free optimum from ``x0``, by the solver at a tight tolerance."""
+    st = _Steering.build(spec, geom)
+    res = riemannian_descent(lambda x: _loss_gradient(x, None, spec, st), "oblique", x0,
+                             SolverConfig(tol=1e-6, max_iter=20000))
+    return res.x
+
+
+class TestCertifiedOptimality:
+    # The design's loss may exceed the certified bound by this relative gap.
+    # Measured: 2.5e-5 at the default scene and under 1e-6 on the small
+    # ones. At the default scene a design solved to a ten times looser
+    # tolerance stays below it (5e-5 to 9e-5 over seeds 0-2); the design of
+    # the earlier penalty-schedule solver, 5.5e-4 above the bound, does not.
+    EPS = 1e-4
+
+    @pytest.mark.parametrize("case", ["default", "small", "three_targets"])
+    def test_loss_within_certified_gap(self, case):
+        if case == "default":
+            cfg, scene, spec = config_scene_and_spec()
+            gamma = 10.0 ** (cfg.sinr_threshold_db / 10.0)
+            seed = cfg.seed
+        else:
+            scene = dual_scene(tx=UlaGeometry(6 if case == "small" else 8))
+            targets = (-40.0, 20.0) if case == "small" else (-50.0, 0.0, 30.0)
+            spec = default_spec(scene, targets_deg=targets, grid_points=61)
+            gamma, seed = 10.0, 1
+        design = design_dual_waveform(scene, spec, gamma, seed=seed)
+        assert design.converged and design.sinr > gamma  # the floor is slack here
+        x0 = np.column_stack([design.comm_precoder, design.sensing_precoder])
+        bound = certified_lower_bound(spec, scene.tx, reference_factor(spec, scene.tx, x0))
+        assert bound <= design.loss <= (1.0 + self.EPS) * bound
+
+    def test_bound_is_below_random_feasible_covariances(self):
+        scene = dual_scene(tx=UlaGeometry(6))
+        spec = default_spec(scene, grid_points=61)
+        rng = np.random.default_rng(9)
+        x = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        bound = certified_lower_bound(spec, scene.tx, x)  # valid, if loose, anywhere
+        for _ in range(20):
+            y = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+            y /= np.linalg.norm(y, axis=1, keepdims=True)
+            r_cov = y @ y.conj().T
+            assert bound <= beampattern_loss(r_cov, autoscale_tau(r_cov, spec, scene.tx),
+                                             spec, scene.tx)
+
+
+class TestSinrFloor:
+    @pytest.fixture(scope="class")
+    def max_sinr(self):
+        scene = dual_scene()
+        with pytest.raises(InfeasibleSinrError) as err:
+            design_dual_waveform(scene, default_spec(scene), 1e12)
+        return err.value.max_sinr
+
+    # The loss of the penalty-schedule design this one replaced, per fraction.
+    @pytest.mark.parametrize("fraction,loss_before", [
+        (0.3, 34.8342), (0.6, 118.6798), (0.9, 325.3965),
+    ])
+    def test_binding_floor_is_met(self, max_sinr, fraction, loss_before):
+        assert math.isclose(max_sinr, 661.38, rel_tol=1e-5)
+        scene = dual_scene()
+        gamma = fraction * max_sinr
+        design = design_dual_waveform(scene, default_spec(scene), gamma, seed=1)
+        assert design.sinr >= gamma * (1.0 - 1e-6)
+        assert np.max(np.abs(np.diag(design.covariance).real - 1.0)) < 1e-12
+        assert design.loss <= loss_before
+        assert design.converged
+
+    def test_split_nulls_interference_and_attains_the_covariance_sinr(self):
+        _, scene, spec = config_scene_and_spec()
+        design = design_dual_waveform(scene, spec, 10.0)
+        h = build_comms_channel(scene, design.phi)
+        c, w = design.comm_precoder, design.sensing_precoder
+        assert np.linalg.norm(w.conj().T @ h) <= 1e-12 * abs(np.vdot(h, c))
+        power = float(np.real(np.vdot(h, design.covariance @ h)))  # ||X^H h||^2
+        sigma = scene.noise_power_comms
+        assert math.isclose(design.sinr, power / sigma, rel_tol=1e-12)
+        assert math.isclose(sinr_given_channel(h, c, design.covariance, sigma), design.sinr,
+                            rel_tol=1e-9)

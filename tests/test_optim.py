@@ -3,102 +3,92 @@ import pytest
 
 from risac.optim import (
     SolverConfig,
-    alternating_minimize,
     finite_difference_gradient,
-    projected_gradient,
+    riemannian_descent,
 )
 
 
-def identity(x):
-    return x
+def bowl(target):
+    """||X - target||^2 and its Wirtinger gradient X - target."""
+    return lambda x: (float(np.sum(np.abs(x - target) ** 2)), x - target)
 
 
 def test_quadratic_bowl():
-    target = np.array([1.0, -2.0, 3.0])
-    res = projected_gradient(
-        objective=lambda x: float(np.sum((x - target) ** 2)),
-        gradient=lambda x: 2.0 * (x - target),
-        projection=identity,
-        init=np.zeros(3),
-        cfg=SolverConfig(tol_rel=1e-14, max_iter=5000),
-    )
-    assert np.linalg.norm(res.x - target) < 1e-6
+    # On the oblique manifold the minimizer of ||X - T||^2 is T with its rows
+    # normalized.
+    target = np.array([[1.0, -2.0j], [3.0, 0.5 + 1j], [-0.2j, 0.1]])
+    res = riemannian_descent(bowl(target), "oblique", np.ones((3, 2), dtype=complex),
+                             SolverConfig(tol=1e-8, max_iter=5000))
+    nearest = target / np.linalg.norm(target, axis=1, keepdims=True)
+    assert np.linalg.norm(res.x - nearest) < 1e-6
     assert np.all(np.diff(res.trace) <= 0.0)
+    assert res.converged and res.stop == "tol" and res.grad_norm <= 1e-8 * res.objective
 
 
 def test_circle_projection_moves_to_nearest_point():
     # minimize |x - 2|^2 over the unit circle -> x = 1
-    res = projected_gradient(
-        objective=lambda x: float(np.abs(x[0] - 2.0) ** 2),
-        gradient=lambda x: x - 2.0,
-        projection=lambda x: x / np.abs(x),
-        init=np.array([np.exp(1j * 2.0)]),
-        cfg=SolverConfig(tol_rel=1e-14, max_iter=5000),
+    res = riemannian_descent(
+        lambda x: (float(np.abs(x[0] - 2.0) ** 2), x - 2.0),
+        "circle",
+        np.array([np.exp(1j * 2.0)]),
+        SolverConfig(tol=1e-12, max_iter=5000),
     )
     assert abs(res.x[0] - 1.0) < 1e-6
+    assert res.converged
 
 
 def test_constant_objective_returns_init():
-    res = projected_gradient(
-        objective=lambda x: 1.0,
-        gradient=lambda x: np.zeros_like(x),
-        projection=identity,
-        init=np.array([4.0, 5.0]),
+    init = np.exp(1j * np.array([4.0, 5.0]))
+    res = riemannian_descent(lambda x: (1.0, np.zeros_like(x)), "circle", init)
+    assert res.iterations == 0
+    assert np.allclose(res.x, init)
+    assert res.converged and res.stop == "tol"
+
+
+def test_radial_gradient_is_stationary():
+    # 2.5 ||x||^2 is constant on the manifold: its gradient 2.5 x is radial,
+    # with no tangent part, so the start is already optimal.
+    init = np.exp(1j * np.array([0.3, -1.2, 2.0]))
+    res = riemannian_descent(
+        lambda x: (2.5 * float(np.sum(np.abs(x) ** 2)), 2.5 * x), "circle", init
     )
-    assert res.iterations == 1
-    assert np.allclose(res.x, [4.0, 5.0])
-    assert res.converged
+    assert res.iterations == 0 and res.stop == "tol"
 
 
-def test_alternating_bilinear_toy():
-    state = {"x": 2.0, "y": 2.0}
-
-    def objective():
-        return abs(1.0 - state["x"] * state["y"]) ** 2
-
-    def update_x():
-        # exact minimizer of |1 - x y|^2 in x
-        state["x"] = 1.0 / state["y"]
-        return objective()
-
-    def update_y():
-        state["y"] = 1.0 / state["x"]
-        return objective()
-
-    res = alternating_minimize([update_x, update_y], SolverConfig(tol_rel=1e-12))
-    assert res.objective < 1e-10
-    assert np.all(np.diff(res.trace) <= 1e-12)
+def test_max_iter_stop_is_reported():
+    target = np.array([[1.0, 2.0], [0.5j, -1.0]])
+    res = riemannian_descent(bowl(target), "oblique", np.ones((2, 2), dtype=complex),
+                             SolverConfig(tol=0.0, max_iter=3))
+    assert res.iterations == 3 and len(res.trace) == 4
+    assert not res.converged and res.stop == "max_iter"
+    assert res.grad_norm > 0.0
 
 
-def test_alternating_single_block():
-    state = {"x": 4.0}
+def test_no_descent_stop_is_reported():
+    # A gradient that points uphill: no step decreases the objective.
+    def uphill(x):
+        return float(np.real(x[0])), -0.5 * np.ones_like(x)
 
-    def update():
-        # exact block minimizer of (x - 2)^2
-        state["x"] = 2.0
-        return (state["x"] - 2.0) ** 2
-
-    res = alternating_minimize([update], SolverConfig(tol_rel=1e-6, max_iter=100))
-    assert res.converged
-    assert res.objective == 0.0
-    assert state["x"] == 2.0
+    res = riemannian_descent(uphill, "circle", np.array([1j]))
+    assert not res.converged and res.stop == "no_descent"
+    assert res.iterations == 0 and np.allclose(res.x, [1j])
 
 
-def test_alternating_zero_budget_returns_empty_trace():
-    res = alternating_minimize([lambda: 1.0], SolverConfig(max_iter=0))
-    assert res.trace.size == 0
-    assert not res.converged
+def test_iterates_stay_on_the_manifold():
+    rng = np.random.default_rng(2)
+    target = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+    res = riemannian_descent(bowl(target), "oblique",
+                             rng.standard_normal((4, 3)) + 0j, SolverConfig(max_iter=7))
+    assert np.allclose(np.linalg.norm(res.x, axis=1), 1.0, atol=1e-15)
 
 
-def test_alternating_rejects_increase():
-    calls = {"n": 0}
-
-    def bad_block():
-        calls["n"] += 1
-        return float(calls["n"])  # strictly increasing objective
-
-    with pytest.raises(RuntimeError):
-        alternating_minimize([bad_block], SolverConfig(max_iter=10))
+def test_rejects_unknown_manifold_and_wrong_rank():
+    with pytest.raises(ValueError, match="manifold"):
+        riemannian_descent(bowl(np.ones(2)), "sphere", np.ones(2))
+    with pytest.raises(ValueError, match="circle"):
+        riemannian_descent(bowl(np.ones((2, 2))), "circle", np.ones((2, 2)))
+    with pytest.raises(ValueError, match="oblique"):
+        riemannian_descent(bowl(np.ones(2)), "oblique", np.ones(2))
 
 
 def test_fd_gradient_linear_exact():
@@ -121,14 +111,10 @@ def test_fd_gradient_complex_convention():
     assert np.allclose(grad, z, atol=1e-7)
 
 
-def test_projected_gradient_deterministic():
+def test_riemannian_descent_deterministic():
     def run():
-        return projected_gradient(
-            objective=lambda x: float(np.sum((x - 1.5) ** 2)),
-            gradient=lambda x: 2.0 * (x - 1.5),
-            projection=identity,
-            init=np.zeros(4),
-            cfg=SolverConfig(seed=123),
+        return riemannian_descent(
+            bowl(np.full((4, 2), 1.5 - 0.5j)), "oblique", np.eye(4, 2, dtype=complex)
         )
 
     r1, r2 = run(), run()

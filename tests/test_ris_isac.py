@@ -18,8 +18,8 @@ from risac import (
     rate_constrained_crb_beamformer,
     ris_isac_tradeoff,
 )
-from risac.optim import SolverConfig, finite_difference_gradient
-from risac.ris_isac import _apply_coupling, _fim_maps, _unit_modulus, _zero_ris
+from risac.optim import _unit_modulus, finite_difference_gradient
+from risac.ris_isac import _apply_coupling, _fim_maps, _zero_ris
 
 
 def scalar_loop_objective(phi, a_t, f_t, a_r, f_r, h_bu, f_c):
@@ -171,9 +171,7 @@ class TestCouplingGradient:
         scenario = RisIsacScenario.from_scene(scene)
         args = (scenario.a_t_term, scenario.f_t, scenario.a_r_term,
                 scenario.f_r, scenario.h_bu, scenario.f_c)
-        res = optimize_ris_profile(
-            scenario, cfg=SolverConfig(tol_rel=1e-15, max_iter=50000, restarts=2)
-        )
+        res = optimize_ris_profile(scenario, restarts=2)
         phi = res.phi.phases
         g = coupling_gradient(phi, *args)
         tangent = g - np.real(g * np.conj(phi)) * phi
@@ -185,7 +183,7 @@ class TestOptimizeProfile:
     def test_single_element_matches_circle_sweep(self):
         scene = desk_scene(ris=UlaGeometry(1))
         scenario = RisIsacScenario.from_scene(scene)
-        res = optimize_ris_profile(scenario, cfg=SolverConfig(restarts=4, seed=0))
+        res = optimize_ris_profile(scenario, restarts=4, seed=0)
         grid = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False))
         vals = [
             coupling_objective(
@@ -201,7 +199,7 @@ class TestOptimizeProfile:
         rng = np.random.default_rng(55)
         for seed in range(20):
             scenario = RisIsacScenario.from_scene(desk_scene(seed=seed, ris=UlaGeometry(8)))
-            res = optimize_ris_profile(scenario, cfg=SolverConfig(restarts=2, seed=seed))
+            res = optimize_ris_profile(scenario, restarts=2, seed=seed)
             args = (scenario.a_t_term, scenario.f_t, scenario.a_r_term,
                     scenario.f_r, scenario.h_bu, scenario.f_c)
             for _ in range(100):
@@ -215,19 +213,18 @@ class TestOptimizeProfile:
         init = np.exp(1j * np.linspace(0.3, 2.0, 6))
         from risac.channels import RisProfile
 
-        res = optimize_ris_profile(scenario, init=RisProfile(init),
-                                   cfg=SolverConfig(restarts=0))
+        res = optimize_ris_profile(scenario, init=RisProfile(init), restarts=0)
         assert np.allclose(res.phi.phases, init)
 
     def test_trace_non_increasing_and_unit_modulus(self):
         scenario = RisIsacScenario.from_scene(desk_scene())
-        res = optimize_ris_profile(scenario, cfg=SolverConfig(restarts=1, seed=1))
+        res = optimize_ris_profile(scenario, restarts=1, seed=1)
         assert np.all(np.diff(res.objective_trace) <= 0.0)
         assert np.max(np.abs(np.abs(res.phi.phases) - 1.0)) < 1e-15
 
     def test_unit_modulus_projection(self):
-        # Nonzero entries map to z/|z| exactly; an exact zero has no phase and
-        # maps to 1 (the dual-waveform RIS update relies on this too).
+        # The solver's circle retraction: nonzero entries map to z/|z| exactly;
+        # an exact zero has no phase and maps to 1.
         rng = np.random.default_rng(4)
         z = rng.standard_normal(6) + 1j * rng.standard_normal(6)
         assert np.array_equal(_unit_modulus(z), z / np.abs(z))
