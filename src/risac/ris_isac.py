@@ -135,6 +135,35 @@ def _phi(phi) -> np.ndarray:
     return np.asarray(phi, dtype=complex).reshape(-1)
 
 
+def _coupling(phi_vec, a_t, f_t, a_r, f_r, h_bu, f_c, adjoints=None, gradient=True):
+    """Value and conjugate gradient of the coupling metric from one channel evaluation.
+
+    ``adjoints`` holds (F_t^H, F_r^H, F_c^H) when the caller evaluates many
+    profiles of one scenario; otherwise they are formed here. With
+    ``gradient=False`` the gradient slot is None.
+    """
+    if len(a_r) != len(h_bu):
+        raise ValueError(
+            "the coupling metric pairs the receive channel with the user "
+            f"channel, so L_S must equal L_T (got {len(a_r)} vs {len(h_bu)})"
+        )
+    u = a_t + f_t @ phi_vec
+    v = a_r + f_r @ phi_vec
+    c = h_bu + f_c @ phi_vec
+    s = np.vdot(v, c)
+    norm_u_sq = float(np.real(np.vdot(u, u)))
+    abs_s_sq = float(np.abs(s) ** 2)
+    value = -norm_u_sq * abs_s_sq
+    if not gradient:
+        return value, None
+    if adjoints is None:
+        adjoints = (f_t.conj().T, f_r.conj().T, f_c.conj().T)
+    f_t_h, f_r_h, f_c_h = adjoints
+    grad = abs_s_sq * (f_t_h @ u)
+    grad += norm_u_sq * (np.conj(s) * (f_r_h @ c) + s * (f_c_h @ v))
+    return value, -grad
+
+
 def coupling_objective(
     phi,
     a_t: np.ndarray,
@@ -151,17 +180,7 @@ def coupling_objective(
     product between the receive and user channels requires equal transmit and
     receive array sizes, as in the source model.
     """
-    phi_vec = _phi(phi)
-    if len(a_r) != len(h_bu):
-        raise ValueError(
-            "the coupling metric pairs the receive channel with the user "
-            f"channel, so L_S must equal L_T (got {len(a_r)} vs {len(h_bu)})"
-        )
-    u = a_t + f_t @ phi_vec
-    v = a_r + f_r @ phi_vec
-    c = h_bu + f_c @ phi_vec
-    s = np.vdot(v, c)
-    return -float(np.real(np.vdot(u, u))) * float(np.abs(s) ** 2)
+    return _coupling(_phi(phi), a_t, f_t, a_r, f_r, h_bu, f_c, gradient=False)[0]
 
 
 def coupling_gradient(
@@ -178,16 +197,7 @@ def coupling_gradient(
     Product rule over the two factors: d||u||^2/dphi* = F_t^H u and
     d|s|^2/dphi* = conj(s) F_r^H c + s F_c^H v for s = v^H c.
     """
-    phi_vec = _phi(phi)
-    u = a_t + f_t @ phi_vec
-    v = a_r + f_r @ phi_vec
-    c = h_bu + f_c @ phi_vec
-    s = np.vdot(v, c)
-    norm_u_sq = float(np.real(np.vdot(u, u)))
-    abs_s_sq = float(np.abs(s) ** 2)
-    grad = abs_s_sq * (f_t.conj().T @ u)
-    grad += norm_u_sq * (np.conj(s) * (f_r.conj().T @ c) + s * (f_c.conj().T @ v))
-    return -grad
+    return _coupling(_phi(phi), a_t, f_t, a_r, f_r, h_bu, f_c)[1]
 
 
 @dataclasses.dataclass(eq=False)
@@ -234,8 +244,10 @@ def optimize_ris_profile(
     for _ in range(restarts):
         inits.append(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=n)))
 
+    adjoints = (scenario.f_t.conj().T, scenario.f_r.conj().T, scenario.f_c.conj().T)
+
     def fun(p):
-        return coupling_objective(p, *args), coupling_gradient(p, *args)
+        return _coupling(p, *args, adjoints=adjoints)
 
     best = min(
         (riemannian_descent(fun, "circle", start, cfg) for start in inits),

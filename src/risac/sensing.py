@@ -9,10 +9,20 @@ exact.
 
 The GLRT Monte Carlo simulates the matched-filter output, not the L_S-antenna
 snapshot. With filter v = conj(a_r_hat), echo y = eta c a_r + n and white
-noise n ~ CN(0, sigma_s^2 I), the output is v^T y = eta c (a_r^T v) + v^T n,
-and v^T n ~ CN(0, sigma_s^2 ||v||^2) exactly. The output is a sufficient
-statistic for the energy test, so one complex draw per trial and hypothesis
-gives the same Pf and Pd as a full snapshot.
+noise n ~ CN(0, sigma_s^2 I), the output is v^T y = eta g + v^T n with echo
+gain g = c (a_r^T v), and v^T n ~ CN(0, sigma_out^2), sigma_out^2 =
+sigma_s^2 ||v||^2, exactly. The output is a sufficient statistic for the
+energy test, and two identities in law reduce each trial to the draws the
+statistic depends on:
+
+- H0: |v^T n|^2 / sigma_s^2 = (sigma_out^2 / sigma_s^2) E with E ~ Exp(1),
+  one exponential draw per trial.
+- H1: the noise is circular, so the phase of eta g does not change the law of
+  |eta g + v^T n|^2. A fixed-amplitude target gives ((A + s x)^2 + (s y)^2)
+  / sigma_s^2 with A = sigma_eta |g|, s = sigma_out / sqrt(2) and x, y
+  standard normal: no echo-phase draw. A fluctuating (circular Gaussian) eta
+  is still drawn, and eta g has the law of eta |g|, so the statistic stays
+  in real arithmetic.
 
 scipy is imported inside ``marcum_q1``, on the first Marcum-Q evaluation, not
 at module level: importing ``risac`` or running an experiment that never
@@ -163,7 +173,9 @@ def maximize_illumination(
     Both block updates are exact maximizers, so the recorded power trace is
     non-decreasing. When ``init_w`` is given the first phi-block runs against
     it before any matched-filter update, which guarantees the result is at
-    least as good as the supplied precoder alone.
+    least as good as the supplied precoder alone. The steering vectors and
+    dyads are built once per call; each iteration forms h_t = alpha_t a_t +
+    G_t (phi * b_target) from them.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -193,11 +205,12 @@ def maximize_illumination(
     if init_w is not None:
         phi = phi_block(init_w.weights)
 
+    direct = gains.alpha_t * a_t
     trace = []
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
-        h_t, _ = build_sensing_channels(scene, phi, gains)
+        h_t = direct + g_t @ (phi * b_target)  # as build_sensing_channels forms it
         norm = float(np.linalg.norm(h_t))
         if norm == 0.0:
             raise DegenerateChannelError(
@@ -244,6 +257,10 @@ def matched_filter_snr(power: float, scene: Scene) -> float:
     return scene.rx.num_elements * scene.target_gain_var * power / scene.noise_power_sensing
 
 
+# Near a = b the series needs about sqrt(60 ab) terms: 7.7e4 at ab = 1e8.
+_MARCUM_MAX_TERMS = 1_000_000
+
+
 def marcum_q1(a: float, b: float, tol: float = 1e-10) -> float:
     """First-order Marcum Q function via the modified-Bessel term series.
 
@@ -252,6 +269,18 @@ def marcum_q1(a: float, b: float, tol: float = 1e-10) -> float:
     Q1(a,b) + Q1(b,a) = 1 + e^{-(a^2+b^2)/2} I_0(ab) handles a > b, where the
     direct series converges slowly. scipy (for ``special.ive``) is imported
     here, so it loads on the first Marcum-Q evaluation of the process.
+
+    For a <= b and x = ab the terms t_k do not increase, and t_{k+1}/t_k =
+    (a/b) I_{k+1}(x)/I_k(x) < rho_k = (a/b) x / (k + sqrt(x^2 + (k+2)^2)).
+    The Bessel-ratio bound follows from the recurrence I_k = I_{k+2} +
+    (2(k+1)/x) I_{k+1} and Amos' lower bound I_{k+2}/I_{k+1} >= x / (k+2 +
+    sqrt(x^2 + (k+2)^2)). rho_k falls with k, so everything after t_k sums
+    to at most t_k rho_k / (1 - rho_k).
+    The series stops at the first k where t_k and that bound are both below
+    tol / 10. Terms are evaluated in blocks, accumulated in order. When the
+    envelope e^{-(b-a)^2/2} underflows, every term is zero and so is Q1. A
+    series that needs more than ``_MARCUM_MAX_TERMS`` terms (ab above about
+    1.7e10 with a close to b) raises RuntimeError.
     """
     from scipy import special
 
@@ -265,23 +294,34 @@ def marcum_q1(a: float, b: float, tol: float = 1e-10) -> float:
         return min(1.0, max(0.0, 1.0 + sym - marcum_q1(b, a, tol)))
     # a <= b: each term is (a/b)^k ive(k, ab) e^{-(b-a)^2/2}.
     envelope = math.exp(-0.5 * (b - a) ** 2)
-    if a == 0.0:
-        return envelope  # reduces to exp(-b^2/2)
+    if a == 0.0 or envelope == 0.0:
+        return envelope  # a = 0 reduces to exp(-b^2/2)
     ratio = a / b
     x = a * b
+    floor = 0.1 * tol
     total = 0.0
-    term_scale = 1.0
-    k = 0
+    scale = 1.0  # ratio^k at the block's first k
+    k0, size = 0, 32
     while True:
-        term = term_scale * float(special.ive(k, x)) * envelope
-        total += term
-        if term < 0.1 * tol and k > x:
-            break
-        if k > 100000:
-            raise RuntimeError("Marcum series failed to converge")
-        term_scale *= ratio
-        k += 1
-    return min(1.0, max(0.0, total))
+        k = np.arange(k0, k0 + size, dtype=float)
+        steps = np.full(size, ratio)
+        steps[0] = scale
+        scales = np.cumprod(steps)  # ratio^k by repeated multiplication
+        terms = scales * special.ive(k, x) * envelope
+        rho = ratio * x / (k + np.sqrt(x * x + (k + 2.0) ** 2))
+        # t_k rho_k / (1 - rho_k) < floor, without dividing by 1 - rho_k
+        done = np.flatnonzero((terms < floor) & (terms * rho < floor * (1.0 - rho)))
+        sums = np.cumsum(np.concatenate(([total], terms)))  # sums[i+1] ends at term i
+        if done.size:
+            return min(1.0, max(0.0, float(sums[done[0] + 1])))
+        total = float(sums[-1])
+        scale = float(scales[-1]) * ratio
+        k0 += size
+        if k0 >= _MARCUM_MAX_TERMS:
+            raise RuntimeError(
+                f"Marcum series needs more than {_MARCUM_MAX_TERMS} terms at ab = {x:.3g}"
+            )
+        size = min(2 * size, 4096)
 
 
 def detection_probability(snr: float, cfg: DetectionConfig) -> float:
@@ -308,14 +348,21 @@ def glrt_monte_carlo(
 ) -> GlrtResult:
     """Monte Carlo energy test on the matched-filter output under H0 and H1.
 
-    Each trial draws the filter output v^T y directly, with v = conj(a_r_hat)
-    the normalized receive steering vector: noise v^T n ~ CN(0, sigma_s^2
-    ||v||^2) and, under H1, the echo eta c (a_r^T v), where c = h_t^H w. The
-    energy |v^T y|^2 / sigma_s^2 is thresholded at cfg.threshold. ||v||^2 and
-    a_r^T v are computed from v, so a misnormalized filter shows up in Pf.
-    The target gain eta is complex Gaussian when the scene is fluctuating,
-    otherwise a fixed amplitude sqrt(sigma_eta^2) with a random phase. Draw
-    order: H0 noise, eta, H1 noise.
+    The filter is v = conj(a_r_hat), the normalized receive steering vector;
+    the echo gain at its output is g = c (a_r^T v) with c = h_t^H w, and the
+    output noise variance is sigma_out^2 = sigma_s^2 ||v||^2. Both are
+    computed from v, so a misnormalized filter shows up in Pf. The energy
+    |v^T y|^2 / sigma_s^2 is thresholded at cfg.threshold, drawn through the
+    identities in law of the module docstring:
+
+    - H0: (sigma_out^2 / sigma_s^2) E with E ~ Exp(1).
+    - H1: ((m_x + s x)^2 + (m_y + s y)^2) / sigma_s^2, s = sigma_out /
+      sqrt(2), x and y standard normal. A fixed-amplitude target has
+      (m_x, m_y) = (sigma_eta |g|, 0); a fluctuating one has m_x, m_y =
+      sigma_eta |g| / sqrt(2) times two standard normals.
+
+    Draw order: E; then, for a fluctuating target, the in-phase and the
+    quadrature part of eta; then x, y.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -325,31 +372,38 @@ def glrt_monte_carlo(
     c = np.vdot(h_t, _weights(w))  # h_t^H w, per-snapshot deterministic part
     a_r = steering_vector(scene.rx, angles.theta1).entries
     v = (a_r / np.linalg.norm(a_r)).conj()  # receive matched filter
-    echo_gain = c * (a_r @ v)  # a_r^T v scales the echo at the filter output
-    sigma_out = math.sqrt(scene.noise_power_sensing * float(np.real(np.vdot(v, v))))
+    echo_amp = abs(c * (a_r @ v))  # |g|: a_r^T v scales the echo at the filter output
+    noise_var = scene.noise_power_sensing
+    out_var = noise_var * float(np.real(np.vdot(v, v)))  # sigma_out^2
+    s = math.sqrt(0.5 * out_var)
     sigma_eta = math.sqrt(scene.target_gain_var)
+    gamma = cfg.threshold
+    buf = np.empty(trials)
 
-    def noise():
-        z = rng.standard_normal(trials) + 1j * rng.standard_normal(trials)
-        return (sigma_out / math.sqrt(2.0)) * z
+    def energy(mean, out):
+        """(mean + s z)^2 with z standard normal, written into ``out``."""
+        rng.standard_normal(out=out)
+        out *= s
+        out += mean
+        return np.square(out, out=out)
 
     # H0: noise only.
-    stat_h0 = np.abs(noise()) ** 2 / scene.noise_power_sensing
+    rng.standard_exponential(out=buf)
+    buf *= out_var / noise_var
+    pf = np.count_nonzero(buf > gamma) / trials
     # H1: target echo plus noise.
     if scene.fluctuating_target:
-        eta = (sigma_eta / math.sqrt(2.0)) * (
-            rng.standard_normal(trials) + 1j * rng.standard_normal(trials)
-        )
+        amp = sigma_eta * echo_amp / math.sqrt(2.0)
+        m_x = amp * rng.standard_normal(trials)
+        m_y = amp * rng.standard_normal(trials)
     else:
-        eta = sigma_eta * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=trials))
-    stat_h1 = np.abs(eta * echo_gain + noise()) ** 2 / scene.noise_power_sensing
+        m_x, m_y = sigma_eta * echo_amp, 0.0
+    stat_h1 = energy(m_x, np.empty(trials))
+    stat_h1 += energy(m_y, buf)
+    stat_h1 /= noise_var
+    pd = np.count_nonzero(stat_h1 > gamma) / trials
 
-    gamma = cfg.threshold
-    return GlrtResult(
-        empirical_pf=float(np.mean(stat_h0 > gamma)),
-        empirical_pd=float(np.mean(stat_h1 > gamma)),
-        trials=trials,
-    )
+    return GlrtResult(empirical_pf=pf, empirical_pd=pd, trials=trials)
 
 
 def crb_angle(snr: float, samples: int, adot_norm_sq: float, l_s: int) -> float:

@@ -122,6 +122,17 @@ def test_detect_is_deterministic_across_runs_and_threads(tmp_path):
     assert len(first[2]["diagnostics"]["empirical_pf"]) == len(rows)
 
 
+def test_detect_at_very_high_snr(tmp_path):
+    # The Marcum-Q envelope underflows here, so Pd is exactly 1.
+    tiny = TINY + "trials = 2000\nsnr_db_list = 80.0, 90.0, 100.0\n"
+    code, csv_bytes, _ = _run_cli(tmp_path, "detect", tiny, "out")
+    assert code == 0
+    _, rows = _rows(csv_bytes)
+    assert len(rows) == 3 * len(RunConfig().pf_list)
+    for row in rows:
+        assert float(row["pd_formula"]) == 1.0, row
+
+
 def test_sense_sweep_smoke(tmp_path):
     tiny = TINY + "num_waypoints = 4\nblocked_from_index = 2\n"
     code, csv_bytes, _ = _run_cli(tmp_path, "sense-sweep", tiny, "out")

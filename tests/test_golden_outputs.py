@@ -1,0 +1,57 @@
+"""Default-config outputs of the deterministic experiments against committed copies.
+
+``tests/data`` holds ``sense-sweep.csv`` and ``isac-tradeoff.csv`` as the CLI
+writes them at the default config, and the ``snr_db,pf,pd_formula`` columns of
+``detect.csv`` (``pd_mc`` is Monte Carlo and moves whenever the draws do).
+Numeric cells must agree to a relative 1e-9, loose enough for another BLAS,
+tight enough that any change to the numerics shows; text cells, ``inf`` cells
+and the headers must match exactly. Regenerate a file only for a change that
+is meant to move these numbers, and say so with the change.
+"""
+
+import math
+from pathlib import Path
+
+import pytest
+
+from risac.cli import run_experiment
+from risac.config import RunConfig
+
+DATA = Path(__file__).resolve().parent / "data"
+REL_TOL = 1e-9
+
+
+def _table(text, columns=None):
+    lines = text.splitlines()
+    header = lines[0].split(",")
+    keep = range(len(header)) if columns is None else range(columns)
+    rows = [[line.split(",")[i] for i in keep] for line in lines[1:]]
+    return [header[i] for i in keep], rows
+
+
+def _cells_agree(ours, golden):
+    try:
+        x, y = float(ours), float(golden)
+    except ValueError:
+        return ours == golden
+    if math.isinf(y) or y == 0.0:
+        return x == y
+    return math.isclose(x, y, rel_tol=REL_TOL, abs_tol=0.0)
+
+
+@pytest.mark.parametrize(
+    "experiment, golden_name, columns",
+    [
+        ("sense-sweep", "sense-sweep.csv", None),
+        ("isac-tradeoff", "isac-tradeoff.csv", None),
+        ("detect", "detect-formula.csv", 3),
+    ],
+)
+def test_default_outputs_match_golden(tmp_path, experiment, golden_name, columns):
+    run_experiment(RunConfig(experiment=experiment), tmp_path)
+    ours = _table((tmp_path / f"{experiment}.csv").read_text(), columns)
+    golden = _table((DATA / golden_name).read_text(), columns)
+    assert ours[0] == golden[0]
+    assert len(ours[1]) == len(golden[1])
+    for row, ref in zip(ours[1], golden[1]):
+        assert all(_cells_agree(a, b) for a, b in zip(row, ref)), (row, ref)

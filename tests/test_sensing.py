@@ -1,8 +1,9 @@
 import math
+import time
 
 import numpy as np
 import pytest
-from scipy import integrate, special
+from scipy import integrate, special, stats
 
 from risac import (
     Beamformer,
@@ -24,6 +25,7 @@ from risac import (
     steering_vector,
     trajectory_sweep,
 )
+from risac import channels, sensing
 from risac.channels import angles_from_geometry, build_sensing_channels, path_gains
 from risac.config import RunConfig, scene_from_config
 
@@ -212,6 +214,46 @@ class TestMaximizeIllumination:
         res = maximize_illumination(ris_scene())
         assert np.allclose(np.abs(res.phi.phases), 1.0, atol=1e-12)
 
+    def test_channel_built_once_per_solve(self, monkeypatch):
+        # h_t is formed from arrays built at the start of the solve: the
+        # steering-vector count does not grow with the iteration count, and
+        # build_sensing_channels is never called.
+        calls = []
+
+        def counted(geom, angle):
+            calls.append(angle)
+            return steering_vector(geom, angle)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("maximize_illumination rebuilt the sensing channel")
+
+        monkeypatch.setattr(sensing, "steering_vector", counted)
+        monkeypatch.setattr(channels, "steering_vector", counted)
+        monkeypatch.setattr(sensing, "build_sensing_channels", forbidden)
+        counts = {}
+        for scene in (
+            ris_scene(seed=12),
+            ris_scene(tx=UlaGeometry(8), rx=UlaGeometry(8), ris=UlaGeometry(16), seed=2),
+        ):
+            calls.clear()
+            res = maximize_illumination(scene)
+            counts[res.iterations] = len(calls)
+        assert len(counts) == 2  # the two scenes need different iteration counts
+        assert set(counts.values()) == {5}  # a_t, b_target and the three dyad vectors
+
+    def test_power_trace_unchanged_by_the_cached_channel(self):
+        # Recorded with the loop that rebuilt h_t through build_sensing_channels
+        # on every iteration: the cached form is the same expression on the
+        # same arrays, so the trace matches bit for bit.
+        recorded = [
+            "0x1.92b7174810b6cp-12", "0x1.013e15628a837p-11", "0x1.01677ab67c0d7p-11",
+            "0x1.016fca7172bb3p-11", "0x1.0171750d0c6cap-11", "0x1.0171ca8fb7f66p-11",
+            "0x1.0171dbb34c0cep-11", "0x1.0171df22b2209p-11", "0x1.0171dfd2f3dc2p-11",
+            "0x1.0171dff6478bfp-11",
+        ]
+        res = maximize_illumination(ris_scene(seed=12))
+        assert [float(p).hex() for p in res.power_trace] == recorded
+
 
 class TestIsotropic:
     def test_no_ris_term(self):
@@ -269,6 +311,44 @@ class TestMarcum:
         points += [tuple(rng.uniform(0.0, 5.0, 2)) for _ in range(19)]
         for a, b in points:
             assert abs(marcum_q1(a, b) - marcum_quadrature(a, b)) < 1e-8
+
+    def test_noncentral_chi2_oracle_with_large_arguments(self):
+        # Q1(a, b) = P(X > b^2) for X noncentral chi-square with 2 degrees of
+        # freedom and noncentrality a^2. The grid has a = b, ab up to 1e8, and
+        # detection points up to 100 dB, where the series used to run until
+        # k > ab and give up. Each call is timed as the best of three runs.
+        points = [(a, a) for a in (0.5, 3.0, 30.0, 300.0, 3000.0, 1e4)]
+        points += [(1e4, 1e4 + d) for d in (-3.0, -0.5, 0.5, 3.0)]
+        points += [
+            (math.sqrt(2.0 * 10.0 ** (snr_db / 10.0)), math.sqrt(-2.0 * math.log(pf)))
+            for snr_db in (30.0, 80.0, 90.0, 100.0)
+            for pf in (1e-6, 0.1)
+        ]
+        rng = np.random.default_rng(7)
+        points += [tuple(rng.uniform(0.0, 50.0, 2)) for _ in range(20)]
+        for a, b in points:
+            seconds = []
+            for _ in range(3):
+                start = time.perf_counter()
+                value = marcum_q1(a, b)
+                seconds.append(time.perf_counter() - start)
+            assert abs(value - stats.ncx2.sf(b * b, 2, a * a)) < 1e-8, (a, b)
+            assert min(seconds) < 0.05, (a, b, seconds)
+
+    def test_bessel_ratio_bound_behind_the_stop(self):
+        # The series stops on I_{k+1}(x) / I_k(x) < x / (k + sqrt(x^2 + (k+2)^2)).
+        k = np.concatenate([np.arange(0.0, 200.0), np.logspace(2.4, 7.0, 60)])
+        for x in np.logspace(-4.0, 8.0, 49):
+            lo, hi = special.ive(k, x), special.ive(k + 1.0, x)
+            ok = hi > 0.0  # skip orders where the scaled Bessel value underflows
+            ratio = hi[ok] / lo[ok]
+            bound = x / (k[ok] + np.sqrt(x * x + (k[ok] + 2.0) ** 2))
+            assert np.all(ratio <= bound * (1.0 + 1e-12)), x
+
+    def test_series_too_long_raises(self):
+        # ab = 2e10 with a = b needs about 1.1e6 terms: stop and say so.
+        with pytest.raises(RuntimeError, match="terms"):
+            marcum_q1(math.sqrt(2e10), math.sqrt(2e10))
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
@@ -354,6 +434,21 @@ class TestGlrt:
         pd = math.exp(-cfg.threshold / (1.0 + snr))
         assert binomial_z(res.empirical_pd, pd, trials) <= 4.0
         assert binomial_z(res.empirical_pf, pf, trials) <= 4.0
+
+    @pytest.mark.parametrize("fluctuating", [False, True])
+    @pytest.mark.parametrize("theta", [0.7, 2.1])
+    def test_invariant_to_a_common_precoder_phase(self, calibrated, theta, fluctuating):
+        # e^{j theta} w rotates the echo gain g; the statistic depends on |g|
+        # only, so the same seed gives the same Pd and Pf.
+        scene, design = calibrated
+        tuned = at_snr(scene, design, 10.0 ** 0.5).replace(fluctuating_target=fluctuating)
+        rotated = Beamformer(np.exp(1j * theta) * design.w.weights, design.w.budget)
+        cfg = DetectionConfig(0.05)
+        ref = glrt_monte_carlo(tuned, design.w, design.phi, 20000, cfg, seed=8)
+        res = glrt_monte_carlo(tuned, rotated, design.phi, 20000, cfg, seed=8)
+        assert 0.05 < ref.empirical_pd < 0.95
+        assert res.empirical_pd == ref.empirical_pd
+        assert res.empirical_pf == ref.empirical_pf
 
 
 class TestGlrtSnapshotReference:
