@@ -2,13 +2,10 @@
 
 from .arrays import SteeringVector, UlaGeometry, steering_derivative, steering_vector
 from .channels import (
-    ChannelSet,
+    RisIsacScenario,
     RisProfile,
     Scene,
     angles_from_geometry,
-    build_channel_set,
-    build_comms_channel,
-    build_ris_dyads,
     build_sensing_channels,
     pathloss_amplitude,
 )
@@ -29,16 +26,14 @@ from .isac import (
     IsacScenario,
     IsacSolution,
     achievable_rate,
-    coupling_coefficient,
     crb_min_beamformer,
     isac_crb,
     make_coupled_channel,
     tradeoff_curve,
 )
-from .optim import SolverConfig, finite_difference_gradient, riemannian_descent
+from .optim import SolverConfig, riemannian_descent
 from .ris_isac import (
     FimResult,
-    RisIsacScenario,
     coupling_gradient,
     coupling_objective,
     fim_theta,
@@ -54,7 +49,6 @@ from .sensing import (
     detection_probability,
     glrt_monte_carlo,
     illumination_power,
-    isotropic_illumination,
     marcum_q1,
     matched_filter_beamformer,
     matched_filter_snr,

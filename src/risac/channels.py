@@ -1,10 +1,18 @@
-"""Scene geometry and deterministic channel construction.
+"""Scene geometry and the one channel model h(phi) = a + F phi.
 
 Every channel is line of sight. Path-gain magnitudes follow a power-law
 amplitude d^(-exponent/2) with unit gain at 1 m (the reference constant is a
 declared convention, so absolute dB levels are qualitative). Gain phases are
 drawn once per scene from a seeded generator, so rebuilding channels for the
 same scene is bit-for-bit reproducible.
+
+``RisIsacScenario.from_scene`` is the one place a channel is composed. Each
+channel is affine in the RIS profile phi: a direct term a (path gain times a
+steering vector) plus F phi, where F = G diag(b) folds the rank-one BS-RIS
+dyad G = beta a(omega_t) b(omega_t)^H into the RIS response b toward the
+target (sensing) or the user (comms). Angles, gains and dyads are computed
+once per scene; each h_t, h_r or h_c is then one matrix-vector product.
+Sensing, ISAC and dual-waveform code all read their channels from it.
 """
 
 from __future__ import annotations
@@ -15,21 +23,18 @@ from typing import Optional
 
 import numpy as np
 
-from .arrays import UlaGeometry, steering_vector
-from .errors import DegenerateGeometryError
+from .arrays import UlaGeometry, steering_derivative, steering_vector
+from .errors import DegenerateChannelError, DegenerateGeometryError
 
 __all__ = [
     "Scene",
     "SceneAngles",
     "RisProfile",
-    "ChannelSet",
+    "RisIsacScenario",
     "angles_from_geometry",
     "pathloss_amplitude",
     "path_gains",
-    "build_ris_dyads",
     "build_sensing_channels",
-    "build_comms_channel",
-    "build_channel_set",
 ]
 
 
@@ -60,7 +65,6 @@ class Scene:
     ris: Optional[UlaGeometry]
     pathloss_exp_direct: float = 2.5
     pathloss_exp_ris: float = 2.2
-    carrier_frequency: float = 3e9
     noise_power_sensing: float = 1e-9
     noise_power_comms: float = 1e-9
     target_gain_var: float = 1.0
@@ -70,7 +74,6 @@ class Scene:
     blocked_direct: bool = False
     blocked_user_path: bool = False
     fluctuating_target: bool = True
-    ris_incidence: str = "literal"  # "literal": RIS-side angle of the dyads is omega_t
     direct_gain_override: Optional[complex] = None
     ris_gain_override: Optional[complex] = None
 
@@ -90,8 +93,6 @@ class Scene:
             raise ValueError("target_gain_var must be finite and nonnegative")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
-        if self.ris_incidence not in ("literal", "geometric"):
-            raise ValueError("ris_incidence must be 'literal' or 'geometric'")
 
     @property
     def n_ris(self) -> int:
@@ -132,24 +133,6 @@ class RisProfile:
     @property
     def n(self) -> int:
         return self.phases.size
-
-
-@dataclasses.dataclass(eq=False)
-class ChannelSet:
-    """All channels realized for one scene and one RIS profile."""
-
-    h_t: np.ndarray
-    h_r: np.ndarray
-    h_c: np.ndarray
-    g_t: np.ndarray
-    g_r: np.ndarray
-    h_bu: np.ndarray
-    h_ru: np.ndarray
-    b_target: np.ndarray
-    alpha_t: complex
-    alpha_r: complex
-    beta_t: complex
-    beta_r: complex
 
 
 def _bearing(origin: np.ndarray, point: np.ndarray) -> float:
@@ -242,98 +225,98 @@ def _phi_vector(phi) -> np.ndarray:
     return np.asarray(phi, dtype=complex).reshape(-1)
 
 
-def ris_side_angle(scene: Scene, angles: SceneAngles) -> float:
-    if scene.ris_incidence == "literal":
-        # The dyads reuse omega_t on the RIS side exactly as printed.
-        return angles.omega_t
-    return _bearing(scene.ris_position, scene.bs_position)
+@dataclasses.dataclass(eq=False)
+class RisIsacScenario:
+    """Channel pieces of one scene: every channel is h(phi) = a + F phi.
 
+    The direct terms carry their complex gains, so the coupling objective of
+    ``ris_isac`` is a positive multiple of ||H^H h_c||^2 and minimizing it
+    maximizes the gain-weighted channel correlation.
+    """
 
-def build_ris_dyads(scene: Scene, gains: Optional[PathGains] = None):
-    """Rank-one Tx-RIS and Rx-RIS channel matrices (L x N)."""
-    angles = angles_from_geometry(scene)
-    gains = gains or path_gains(scene)
-    n = scene.n_ris
-    if n == 0:
-        return (
-            np.zeros((scene.tx.num_elements, 0), dtype=complex),
-            np.zeros((scene.rx.num_elements, 0), dtype=complex),
+    scene: Scene
+    a_t_term: np.ndarray      # alpha_t * a_t(theta1)
+    a_r_term: np.ndarray      # alpha_r * a_r(theta1)
+    h_bu: np.ndarray
+    f_t: np.ndarray           # G_t diag(b(theta2))
+    f_r: np.ndarray           # G_r diag(b(theta2))
+    f_c: np.ndarray           # G_t diag(h_RU)
+    a_t_dot_term: np.ndarray  # alpha_t * adot_t(theta1)
+    a_r_dot_term: np.ndarray  # alpha_r * adot_r(theta1)
+    f_t_dot: np.ndarray       # G_t diag(bdot(theta2))
+    f_r_dot: np.ndarray       # G_r diag(bdot(theta2))
+    beta: complex             # alpha_r * alpha_t
+
+    @classmethod
+    def from_scene(cls, scene: Scene) -> "RisIsacScenario":
+        angles = angles_from_geometry(scene)
+        gains = path_gains(scene)
+        a_t = steering_vector(scene.tx, angles.theta1).entries
+        a_r = steering_vector(scene.rx, angles.theta1).entries
+        adot_t = steering_derivative(scene.tx, angles.theta1)
+        adot_r = steering_derivative(scene.rx, angles.theta1)
+        h_bu = gains.gain_bu * steering_vector(scene.tx, angles.theta_user_bs).entries
+        if scene.n_ris:
+            # Rank-one dyads G = beta a(omega_t) b(omega_t)^H. The RIS side
+            # reuses omega_t, the bearing of the RIS at the BS, as the source
+            # model prints it.
+            a_t_ris = steering_vector(scene.tx, angles.omega_t).entries
+            a_r_ris = steering_vector(scene.rx, angles.omega_t).entries
+            b_in = steering_vector(scene.ris, angles.omega_t).entries
+            g_t = gains.beta_t * np.outer(a_t_ris, b_in.conj())
+            g_r = gains.beta_r * np.outer(a_r_ris, b_in.conj())
+            b = steering_vector(scene.ris, angles.theta2).entries
+            bdot = steering_derivative(scene.ris, angles.theta2)
+            h_ru = gains.gain_ru * steering_vector(scene.ris, angles.theta_user_ris).entries
+            f_t = g_t * b[np.newaxis, :]
+            f_r = g_r * b[np.newaxis, :]
+            f_c = g_t * h_ru[np.newaxis, :]
+            f_t_dot = g_t * bdot[np.newaxis, :]
+            f_r_dot = g_r * bdot[np.newaxis, :]
+        else:
+            f_t = np.zeros((scene.tx.num_elements, 0), dtype=complex)
+            f_r = np.zeros((scene.rx.num_elements, 0), dtype=complex)
+            f_c = f_t.copy()
+            f_t_dot = f_t.copy()
+            f_r_dot = f_r.copy()
+        return cls(
+            scene=scene,
+            a_t_term=gains.alpha_t * a_t,
+            a_r_term=gains.alpha_r * a_r,
+            h_bu=h_bu,
+            f_t=f_t,
+            f_r=f_r,
+            f_c=f_c,
+            a_t_dot_term=gains.alpha_t * adot_t,
+            a_r_dot_term=gains.alpha_r * adot_r,
+            f_t_dot=f_t_dot,
+            f_r_dot=f_r_dot,
+            beta=gains.alpha_r * gains.alpha_t,
         )
-    ris_angle = ris_side_angle(scene, angles)
-    a_t = steering_vector(scene.tx, angles.omega_t).entries
-    a_r = steering_vector(scene.rx, angles.omega_t).entries
-    b = steering_vector(scene.ris, ris_angle).entries
-    g_t = gains.beta_t * np.outer(a_t, b.conj())
-    g_r = gains.beta_r * np.outer(a_r, b.conj())
-    return g_t, g_r
+
+    @property
+    def n_ris(self) -> int:
+        return self.f_t.shape[1]
+
+    def h_t(self, phi) -> np.ndarray:
+        return self.a_t_term + self.f_t @ _phi_vector(phi)
+
+    def h_r(self, phi) -> np.ndarray:
+        return self.a_r_term + self.f_r @ _phi_vector(phi)
+
+    def h_c(self, phi) -> np.ndarray:
+        return self.h_bu + self.f_c @ _phi_vector(phi)
+
+    def sensing_matrix(self, phi) -> np.ndarray:
+        """H = h_r h_t^T / beta evaluated at the scene's true angles."""
+        if self.beta == 0:
+            raise DegenerateChannelError(
+                "H(theta) is normalized by the direct gains; beta must be nonzero"
+            )
+        return np.outer(self.h_r(phi), self.h_t(phi)) / self.beta
 
 
-def build_sensing_channels(scene: Scene, phi, gains: Optional[PathGains] = None):
-    """Composed Tx-target and Rx-target channels for an RIS profile."""
-    angles = angles_from_geometry(scene)
-    gains = gains or path_gains(scene)
-    phi_vec = _phi_vector(phi)
-    if phi_vec.size != scene.n_ris:
-        raise ValueError(
-            f"profile length {phi_vec.size} does not match N={scene.n_ris}"
-        )
-    g_t, g_r = build_ris_dyads(scene, gains)
-    a_t = steering_vector(scene.tx, angles.theta1).entries
-    a_r = steering_vector(scene.rx, angles.theta1).entries
-    if scene.n_ris:
-        b_target = steering_vector(scene.ris, angles.theta2).entries
-        ris_t = g_t @ (phi_vec * b_target)
-        ris_r = g_r @ (phi_vec * b_target)
-    else:
-        ris_t = np.zeros(scene.tx.num_elements, dtype=complex)
-        ris_r = np.zeros(scene.rx.num_elements, dtype=complex)
-    h_t = gains.alpha_t * a_t + ris_t
-    h_r = gains.alpha_r * a_r + ris_r
-    return h_t, h_r
-
-
-def build_comms_channel(scene: Scene, phi, gains: Optional[PathGains] = None) -> np.ndarray:
-    """BS-user channel: direct LoS plus the RIS-reflected path."""
-    angles = angles_from_geometry(scene)
-    gains = gains or path_gains(scene)
-    phi_vec = _phi_vector(phi)
-    if phi_vec.size != scene.n_ris:
-        raise ValueError(
-            f"profile length {phi_vec.size} does not match N={scene.n_ris}"
-        )
-    h_bu = gains.gain_bu * steering_vector(scene.tx, angles.theta_user_bs).entries
-    if scene.n_ris:
-        g_t, _ = build_ris_dyads(scene, gains)
-        h_ru = gains.gain_ru * steering_vector(scene.ris, angles.theta_user_ris).entries
-        return h_bu + g_t @ (phi_vec * h_ru)
-    return h_bu
-
-
-def build_channel_set(scene: Scene, phi) -> ChannelSet:
-    """All channels for one scene/profile pair in a single immutable bundle."""
-    angles = angles_from_geometry(scene)
-    gains = path_gains(scene)
-    g_t, g_r = build_ris_dyads(scene, gains)
-    h_t, h_r = build_sensing_channels(scene, phi, gains)
-    h_c = build_comms_channel(scene, phi, gains)
-    h_bu = gains.gain_bu * steering_vector(scene.tx, angles.theta_user_bs).entries
-    if scene.n_ris:
-        h_ru = gains.gain_ru * steering_vector(scene.ris, angles.theta_user_ris).entries
-        b_target = steering_vector(scene.ris, angles.theta2).entries
-    else:
-        h_ru = np.zeros(0, dtype=complex)
-        b_target = np.zeros(0, dtype=complex)
-    return ChannelSet(
-        h_t=h_t,
-        h_r=h_r,
-        h_c=h_c,
-        g_t=g_t,
-        g_r=g_r,
-        h_bu=h_bu,
-        h_ru=h_ru,
-        b_target=b_target,
-        alpha_t=gains.alpha_t,
-        alpha_r=gains.alpha_r,
-        beta_t=gains.beta_t,
-        beta_r=gains.beta_r,
-    )
+def build_sensing_channels(scene: Scene, phi):
+    """Tx-target and Rx-target channels h_t(phi) and h_r(phi) of a scene."""
+    channel = RisIsacScenario.from_scene(scene)
+    return channel.h_t(phi), channel.h_r(phi)

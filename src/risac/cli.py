@@ -22,9 +22,9 @@ import numpy as np
 from . import dual_waveform as dw
 from . import isac as isac_mod
 from . import ris_isac as ri
-from .arrays import steering_vector
+from .arrays import steering_derivative, steering_vector
 from .channels import angles_from_geometry, pathloss_amplitude
-from .config import EXPERIMENTS, RunConfig, parse_config, render_config, scene_from_config
+from .config import EXPERIMENTS, RunConfig, parse_config, scene_from_config
 from .errors import ConfigError
 from .sensing import (
     DetectionConfig,
@@ -121,8 +121,6 @@ def _run_detect(cfg: RunConfig, threads: int):
 def _run_isac_tradeoff(cfg: RunConfig, threads: int):
     scene = scene_from_config(cfg)
     angles = angles_from_geometry(scene)
-    from .arrays import steering_derivative
-
     a_t = steering_vector(scene.tx, angles.theta1).entries
     scenario = isac_mod.IsacScenario(
         a_t=a_t,

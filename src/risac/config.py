@@ -1,7 +1,8 @@
 """Flat key=value experiment configuration with engineering units.
 
-Powers arrive in dBm or watts, the carrier in GHz, positions in meters, and
-angles in degrees; everything is converted at this boundary and nowhere else.
+Noise powers arrive in dBm and the transmit power in watts, positions in
+meters, and angles in degrees; everything is converted at this boundary and
+nowhere else. A key that names no field is a ``ConfigError``.
 ``parse_config(render_config(cfg))`` round-trips exactly.
 """
 
@@ -24,10 +25,6 @@ def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
 
 
-def watts_to_dbm(watts: float) -> float:
-    return 10.0 * math.log10(watts) + 30.0
-
-
 @dataclasses.dataclass
 class RunConfig:
     """One experiment run; field units match the config file."""
@@ -38,7 +35,6 @@ class RunConfig:
     transmit_power: float = 1.0           # watts
     noise_sensing_dbm: float = -60.0
     noise_comms_dbm: float = -60.0
-    center_frequency_ghz: float = 3.0
     l_t: int = 15
     l_s: int = 15
     n_ris: int = 64
@@ -48,7 +44,6 @@ class RunConfig:
     user_position: Tuple[float, float] = (20.0, -20.0)
     pathloss_exp_direct: float = 2.5
     pathloss_exp_ris: float = 2.2
-    rate_threshold: float = 1.0           # bits per use
     sinr_threshold_db: float = 10.0
     samples_t: int = 64
     target_gain_var: float = 1.0
@@ -104,8 +99,6 @@ class RunConfig:
         bad_modes = set(self.ris_modes) - {"with", "without", "reference"}
         if bad_modes:
             raise ConfigError(f"unknown ris_modes: {sorted(bad_modes)}")
-        if self.rate_threshold < 0:
-            raise ConfigError("rate_threshold must be nonnegative")
         if self.experiment == "beampattern" and not self.target_angles_deg:
             raise ConfigError("target_angles_deg must hold at least one angle for beampattern")
         return self
@@ -214,7 +207,6 @@ def scene_from_config(cfg: RunConfig) -> Scene:
         ris=UlaGeometry(cfg.n_ris, cfg.spacing_wavelengths) if cfg.n_ris else None,
         pathloss_exp_direct=cfg.pathloss_exp_direct,
         pathloss_exp_ris=cfg.pathloss_exp_ris,
-        carrier_frequency=cfg.center_frequency_ghz * 1e9,
         noise_power_sensing=dbm_to_watts(cfg.noise_sensing_dbm),
         noise_power_comms=dbm_to_watts(cfg.noise_comms_dbm),
         target_gain_var=cfg.target_gain_var,

@@ -27,20 +27,15 @@ from typing import Sequence
 import numpy as np
 
 from .arrays import UlaGeometry, steering_vector
-from .channels import RisProfile, Scene
+from .channels import RisIsacScenario, RisProfile, Scene
 from .errors import InfeasibleSinrError
 from .optim import SolverConfig, riemannian_descent
-from .ris_isac import RisIsacScenario
 
 __all__ = [
     "BeampatternSpec",
     "DualDesign",
     "make_beampattern_spec",
-    "radiated_power",
-    "beampattern_loss",
     "autoscale_tau",
-    "sinr_given_channel",
-    "user_sinr",
     "design_dual_waveform",
 ]
 
@@ -132,33 +127,9 @@ class _Steering:
         )
 
 
-def radiated_power(r_cov: np.ndarray, geom: UlaGeometry, angle: float) -> float:
-    """Power a^H(angle) R a(angle) radiated toward one direction."""
-    a = steering_vector(geom, angle).entries
-    val = np.real(np.vdot(a, r_cov @ a))
-    return float(val)
-
-
 def _pattern(r_cov: np.ndarray, steer: np.ndarray) -> np.ndarray:
     # Real diagonal of A^H R A without forming the off-diagonal part.
     return np.real(np.einsum("id,ij,jd->d", steer.conj(), r_cov, steer))
-
-
-def beampattern_loss(r_cov: np.ndarray, tau: float, spec: BeampatternSpec, geom: UlaGeometry) -> float:
-    """Weighted mismatch plus average squared cross-correlation loss."""
-    steer = _steering_matrix(geom, spec.grid)
-    pattern = _pattern(r_cov, steer)
-    d = spec.grid.size
-    loss = spec.alpha_mismatch * float(np.mean((pattern - tau * spec.desired) ** 2))
-    k = spec.target_angles.size
-    if k >= 2 and spec.alpha_crosscorr > 0:
-        steer_t = _steering_matrix(geom, spec.target_angles)
-        cross = steer_t.conj().T @ r_cov @ steer_t
-        idx = np.triu_indices(k, 1)
-        loss += spec.alpha_crosscorr * 2.0 / (k * k - k) * float(
-            np.sum(np.abs(cross[idx]) ** 2)
-        )
-    return loss
 
 
 def _autoscale_denominator(desired: np.ndarray) -> float:
@@ -176,23 +147,6 @@ def autoscale_tau(r_cov: np.ndarray, spec: BeampatternSpec, geom: UlaGeometry) -
     """Least-squares scale between the realized and desired patterns, clamped >= 0."""
     denom = _autoscale_denominator(spec.desired)
     return _best_tau(_pattern(r_cov, _steering_matrix(geom, spec.grid)), spec.desired, denom)
-
-
-def sinr_given_channel(h_c: np.ndarray, comm: np.ndarray, r_cov: np.ndarray, noise_comms: float) -> float:
-    """User SINR h^H c c^H h / (h^H (R - c c^H) h + sigma_c^2)."""
-    h_c = np.asarray(h_c, dtype=complex).reshape(-1)
-    num = float(np.abs(np.vdot(h_c, comm)) ** 2)
-    total = float(np.real(np.vdot(h_c, r_cov @ h_c)))
-    interference = max(total - num, 0.0)
-    return num / (interference + noise_comms)
-
-
-def user_sinr(scene: Scene, phi, comm: np.ndarray, r_cov: np.ndarray) -> float:
-    """User SINR for a scene; the channel is rebuilt from the RIS profile."""
-    from .channels import build_comms_channel
-
-    h_c = build_comms_channel(scene, phi)
-    return sinr_given_channel(h_c, comm, r_cov, scene.noise_power_comms)
 
 
 def _received_power(x: np.ndarray, h: np.ndarray) -> float:

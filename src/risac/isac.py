@@ -26,7 +26,6 @@ __all__ = [
     "IsacSolution",
     "achievable_rate",
     "isac_crb",
-    "coupling_coefficient",
     "make_coupled_channel",
     "crb_min_beamformer",
     "tradeoff_curve",
@@ -109,16 +108,6 @@ def isac_crb(w, scenario: IsacScenario) -> float:
         * scenario.adot_norm_sq
         * illum
     )
-
-
-def coupling_coefficient(h_c: np.ndarray, a_t: np.ndarray) -> float:
-    """Normalized correlation |h_c^H a_t| / (||h_c|| ||a_t||) in [0, 1]."""
-    h_c = np.asarray(h_c, dtype=complex).reshape(-1)
-    a_t = np.asarray(a_t, dtype=complex).reshape(-1)
-    nh, na = np.linalg.norm(h_c), np.linalg.norm(a_t)
-    if nh == 0.0 or na == 0.0:
-        raise DegenerateChannelError("coupling undefined for zero vectors")
-    return float(np.abs(np.vdot(h_c, a_t)) / (nh * na))
 
 
 def make_coupled_channel(

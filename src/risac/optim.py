@@ -1,4 +1,4 @@
-"""One Riemannian descent for the package's unit-modulus problems, plus an FD oracle.
+"""One Riemannian descent for the package's unit-modulus problems.
 
 Both feasible sets are products of unit spheres. The oblique manifold holds
 the complex matrices with unit-norm rows (a transmit covariance R = X X^H
@@ -27,7 +27,6 @@ __all__ = [
     "SolverConfig",
     "SolverResult",
     "riemannian_descent",
-    "finite_difference_gradient",
 ]
 
 MANIFOLDS = ("oblique", "circle")
@@ -152,39 +151,3 @@ def riemannian_descent(
     return SolverResult(
         x.reshape(shape), f, np.asarray(trace), stop == "tol", it, float(gnorm), stop,
     )
-
-
-def finite_difference_gradient(
-    objective: Callable[[np.ndarray], float],
-    x: np.ndarray,
-    step: float = 1e-6,
-) -> np.ndarray:
-    """Central-difference gradient; complex inputs get the Wirtinger d/dconj(x).
-
-    For real x this is the plain central difference. For complex x the real
-    and imaginary parts are perturbed independently and combined as
-    (df/dRe + j df/dIm) / 2, matching the conjugate-gradient convention used
-    by the analytic gradients in this package.
-    """
-    if not step > 0:
-        raise ValueError("step must be positive")
-    x = np.asarray(x)
-    flat = x.ravel()
-    is_complex = np.iscomplexobj(x)
-    out = np.zeros(flat.shape, dtype=complex if is_complex else float)
-
-    def df(delta):
-        return (objective((flat + delta).reshape(x.shape))
-                - objective((flat - delta).reshape(x.shape))) / (2.0 * step)
-
-    for k in range(flat.size):
-        delta = np.zeros(flat.shape, dtype=flat.dtype)
-        delta[k] = step
-        d_re = df(delta)
-        if is_complex:
-            delta[k] = 1j * step
-            d_im = df(delta)
-            out[k] = 0.5 * (d_re + 1j * d_im)
-        else:
-            out[k] = d_re
-    return out.reshape(x.shape)

@@ -1,5 +1,6 @@
 """RIS-aided ISAC: coupling maximization, FIM-based CRB, beamformer design.
 
+Every channel comes from ``channels.RisIsacScenario``, h(phi) = a + F phi.
 The RIS profile is tuned first to expand and rotate the sensing/comms
 subspaces (Riemannian descent on the circle manifold |phi_i| = 1), then the
 transmit beamformer minimizes the FIM-based angle CRB under a rate floor in
@@ -19,22 +20,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .arrays import steering_derivative, steering_vector
-from .channels import (
-    RisProfile,
-    Scene,
-    angles_from_geometry,
-    build_ris_dyads,
-    path_gains,
-    ris_side_angle,
-)
+from .channels import RisIsacScenario, RisProfile, _phi_vector
 from .errors import DegenerateChannelError, InfeasibleRateError
 from .isac import IsacScenario, crb_min_beamformer
 from .optim import SolverConfig, riemannian_descent
 from .sensing import Beamformer
 
 __all__ = [
-    "RisIsacScenario",
     "FimResult",
     "coupling_objective",
     "coupling_gradient",
@@ -43,96 +35,6 @@ __all__ = [
     "rate_constrained_crb_beamformer",
     "ris_isac_tradeoff",
 ]
-
-
-@dataclasses.dataclass(eq=False)
-class RisIsacScenario:
-    """Channel pieces of the RIS-aided ISAC model, fixed per scene.
-
-    The direct-path terms carry their complex gains, so the coupling
-    objective below is a positive multiple of ||H^H h_c||^2 and minimizing it
-    maximizes the gain-weighted channel correlation.
-    """
-
-    scene: Scene
-    a_t_term: np.ndarray      # alpha_t * a_t(theta1)
-    a_r_term: np.ndarray      # alpha_r * a_r(theta1)
-    h_bu: np.ndarray
-    f_t: np.ndarray           # G_t diag(b(theta2))
-    f_r: np.ndarray           # G_r diag(b(theta2))
-    f_c: np.ndarray           # G_t diag(h_RU)
-    a_t_dot_term: np.ndarray  # alpha_t * adot_t(theta1)
-    a_r_dot_term: np.ndarray  # alpha_r * adot_r(theta1)
-    f_t_dot: np.ndarray       # G_t diag(bdot(theta2))
-    f_r_dot: np.ndarray       # G_r diag(bdot(theta2))
-    beta: complex             # alpha_r * alpha_t
-
-    @classmethod
-    def from_scene(cls, scene: Scene) -> "RisIsacScenario":
-        angles = angles_from_geometry(scene)
-        gains = path_gains(scene)
-        g_t, g_r = build_ris_dyads(scene, gains)
-        a_t = steering_vector(scene.tx, angles.theta1).entries
-        a_r = steering_vector(scene.rx, angles.theta1).entries
-        adot_t = steering_derivative(scene.tx, angles.theta1)
-        adot_r = steering_derivative(scene.rx, angles.theta1)
-        h_bu = gains.gain_bu * steering_vector(scene.tx, angles.theta_user_bs).entries
-        if scene.n_ris:
-            b = steering_vector(scene.ris, angles.theta2).entries
-            bdot = steering_derivative(scene.ris, angles.theta2)
-            h_ru = gains.gain_ru * steering_vector(scene.ris, angles.theta_user_ris).entries
-            f_t = g_t * b[np.newaxis, :]
-            f_r = g_r * b[np.newaxis, :]
-            f_c = g_t * h_ru[np.newaxis, :]
-            f_t_dot = g_t * bdot[np.newaxis, :]
-            f_r_dot = g_r * bdot[np.newaxis, :]
-        else:
-            f_t = np.zeros((scene.tx.num_elements, 0), dtype=complex)
-            f_r = np.zeros((scene.rx.num_elements, 0), dtype=complex)
-            f_c = f_t.copy()
-            f_t_dot = f_t.copy()
-            f_r_dot = f_r.copy()
-        return cls(
-            scene=scene,
-            a_t_term=gains.alpha_t * a_t,
-            a_r_term=gains.alpha_r * a_r,
-            h_bu=h_bu,
-            f_t=f_t,
-            f_r=f_r,
-            f_c=f_c,
-            a_t_dot_term=gains.alpha_t * adot_t,
-            a_r_dot_term=gains.alpha_r * adot_r,
-            f_t_dot=f_t_dot,
-            f_r_dot=f_r_dot,
-            beta=gains.alpha_r * gains.alpha_t,
-        )
-
-    @property
-    def n_ris(self) -> int:
-        return self.f_t.shape[1]
-
-    def h_t(self, phi) -> np.ndarray:
-        return self.a_t_term + self.f_t @ _phi(phi)
-
-    def h_r(self, phi) -> np.ndarray:
-        return self.a_r_term + self.f_r @ _phi(phi)
-
-    def h_c(self, phi) -> np.ndarray:
-        return self.h_bu + self.f_c @ _phi(phi)
-
-    def sensing_matrix(self, phi) -> np.ndarray:
-        """H = h_r h_t^T / beta evaluated at the scene's true angles."""
-        if self.beta == 0:
-            raise DegenerateChannelError(
-                "H(theta) is normalized by the direct gains; beta must be nonzero"
-            )
-        return np.outer(self.h_r(phi), self.h_t(phi)) / self.beta
-
-
-def _phi(phi) -> np.ndarray:
-    if isinstance(phi, RisProfile):
-        return phi.phases
-    return np.asarray(phi, dtype=complex).reshape(-1)
 
 
 def _coupling(phi_vec, a_t, f_t, a_r, f_r, h_bu, f_c, adjoints=None, gradient=True):
@@ -180,7 +82,7 @@ def coupling_objective(
     product between the receive and user channels requires equal transmit and
     receive array sizes, as in the source model.
     """
-    return _coupling(_phi(phi), a_t, f_t, a_r, f_r, h_bu, f_c, gradient=False)[0]
+    return _coupling(_phi_vector(phi), a_t, f_t, a_r, f_r, h_bu, f_c, gradient=False)[0]
 
 
 def coupling_gradient(
@@ -197,7 +99,7 @@ def coupling_gradient(
     Product rule over the two factors: d||u||^2/dphi* = F_t^H u and
     d|s|^2/dphi* = conj(s) F_r^H c + s F_c^H v for s = v^H c.
     """
-    return _coupling(_phi(phi), a_t, f_t, a_r, f_r, h_bu, f_c)[1]
+    return _coupling(_phi_vector(phi), a_t, f_t, a_r, f_r, h_bu, f_c)[1]
 
 
 @dataclasses.dataclass(eq=False)
@@ -277,7 +179,7 @@ def _fim_maps(scenario: RisIsacScenario, phi) -> list:
     Parameters are (theta1, theta2, Re beta, Im beta); the theta columns use
     beta * dH/dtheta, which the direct gains cancel.
     """
-    phi_vec = _phi(phi)
+    phi_vec = _phi_vector(phi)
     h_t = scenario.h_t(phi_vec)
     h_r = scenario.h_r(phi_vec)
     dh_t_1 = scenario.a_t_dot_term
@@ -347,14 +249,15 @@ def rate_constrained_crb_beamformer(
         raise DegenerateChannelError(
             "the angle FIM is normalized by the direct gains; beta must be nonzero"
         )
-    phi_vec = _phi(phi)
+    phi_vec = _phi_vector(phi)
     scene = scenario.scene
-    angles = angles_from_geometry(scene)
     closed = crb_min_beamformer(
         IsacScenario(
             a_t=scenario.h_t(phi_vec),
-            a_r=steering_vector(scene.rx, angles.theta1).entries,
-            a_r_dot=steering_derivative(scene.rx, angles.theta1),
+            # The beamformer depends on a_t and h_c alone. The receive pieces
+            # only feed the single-path CRB, which fim_theta's replaces below.
+            a_r=scenario.a_r_term,
+            a_r_dot=scenario.a_r_dot_term,
             h_c=scenario.h_c(phi_vec),
             noise_comms=scene.noise_power_comms,
             noise_sensing=scene.noise_power_sensing,
@@ -453,7 +356,7 @@ def ris_isac_tradeoff(
         scn = _zero_ris(shaped)
         return sweep(scn, np.zeros(0), rate_grid)
 
-    phi_star = _phi(profile)
+    phi_star = _phi_vector(profile)
     if ris_mode == "with":
         return sweep(shaped, phi_star, rate_grid)
 

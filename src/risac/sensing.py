@@ -40,13 +40,12 @@ import numpy as np
 from .arrays import steering_derivative, steering_vector
 from .channels import (
     PathGains,
+    RisIsacScenario,
     RisProfile,
     Scene,
     angles_from_geometry,
-    build_ris_dyads,
     build_sensing_channels,
     path_gains,
-    ris_side_angle,
 )
 from .errors import DegenerateChannelError
 
@@ -58,7 +57,6 @@ __all__ = [
     "matched_filter_beamformer",
     "align_ris_phases",
     "maximize_illumination",
-    "isotropic_illumination",
     "matched_filter_snr",
     "marcum_q1",
     "detection_probability",
@@ -173,23 +171,16 @@ def maximize_illumination(
     Both block updates are exact maximizers, so the recorded power trace is
     non-decreasing. When ``init_w`` is given the first phi-block runs against
     it before any matched-filter update, which guarantees the result is at
-    least as good as the supplied precoder alone. The steering vectors and
-    dyads are built once per call; each iteration forms h_t = alpha_t a_t +
-    G_t (phi * b_target) from them.
+    least as good as the supplied precoder alone. The scene's channel is
+    built once per call: each iteration forms h_t = a + F_t phi, and the
+    phi-block aligns the RIS terms F_t^H w onto the direct term a^H w.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    angles = angles_from_geometry(scene)
-    gains = path_gains(scene)
-    n = scene.n_ris
+    channel = RisIsacScenario.from_scene(scene)
+    n = channel.n_ris
     p_t = scene.transmit_power
-    g_t, _ = build_ris_dyads(scene, gains)
-    a_t = steering_vector(scene.tx, angles.theta1).entries
-    b_target = (
-        steering_vector(scene.ris, angles.theta2).entries
-        if n
-        else np.zeros(0, dtype=complex)
-    )
+    f_t_h = channel.f_t.conj().T
 
     phi = init_phi.phases.copy() if init_phi is not None else np.ones(n, dtype=complex)
     if phi.size != n:
@@ -198,19 +189,16 @@ def maximize_illumination(
     def phi_block(w_vec: np.ndarray) -> np.ndarray:
         if n == 0:
             return phi
-        c0 = np.conj(gains.alpha_t) * np.vdot(a_t, w_vec)
-        coeffs = b_target.conj() * (g_t.conj().T @ w_vec)
-        return _phase_align_block(c0, coeffs)
+        return _phase_align_block(np.vdot(channel.a_t_term, w_vec), f_t_h @ w_vec)
 
     if init_w is not None:
         phi = phi_block(init_w.weights)
 
-    direct = gains.alpha_t * a_t
     trace = []
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
-        h_t = direct + g_t @ (phi * b_target)  # as build_sensing_channels forms it
+        h_t = channel.h_t(phi)
         norm = float(np.linalg.norm(h_t))
         if norm == 0.0:
             raise DegenerateChannelError(
@@ -234,20 +222,6 @@ def maximize_illumination(
         converged=converged,
         iterations=it,
     )
-
-
-def isotropic_illumination(scene: Scene) -> float:
-    """Expected illumination power under isotropic transmission.
-
-    Closed form sigma_alpha^2 * L_T + sigma_beta^2 * L_T * N^2 with the scene's
-    gain statistics and the phase-aligned RIS profile.
-    """
-    gains = path_gains(scene)
-    l_t = scene.tx.num_elements
-    n = scene.n_ris
-    sigma_alpha_sq = abs(gains.alpha_t) ** 2
-    sigma_beta_sq = abs(gains.beta_t) ** 2
-    return sigma_alpha_sq * l_t + sigma_beta_sq * l_t * n**2
 
 
 def matched_filter_snr(power: float, scene: Scene) -> float:
@@ -441,7 +415,7 @@ def _ris_only_design(scene: Scene, gains: PathGains):
     n = scene.n_ris
     if n == 0:
         return None
-    b_in = steering_vector(scene.ris, ris_side_angle(scene, angles)).entries
+    b_in = steering_vector(scene.ris, angles.omega_t).entries  # as the dyads use it
     b_tgt = steering_vector(scene.ris, angles.theta2).entries
     phi = align_ris_phases(b_tgt, b_in)
     a_om = steering_vector(scene.tx, angles.omega_t).entries

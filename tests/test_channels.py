@@ -3,13 +3,11 @@ import pytest
 
 from risac import (
     DegenerateGeometryError,
+    RisIsacScenario,
     RisProfile,
     Scene,
     UlaGeometry,
     angles_from_geometry,
-    build_channel_set,
-    build_comms_channel,
-    build_ris_dyads,
     build_sensing_channels,
     pathloss_amplitude,
     steering_vector,
@@ -92,16 +90,18 @@ def test_dyad_scalar_case_unit_gain():
         tx=UlaGeometry(1), rx=UlaGeometry(1), ris=UlaGeometry(1),
         ris_gain_override=1.0,
     )
-    g_t, g_r = build_ris_dyads(scene)
-    assert g_t.shape == (1, 1) and g_r.shape == (1, 1)
-    assert np.allclose(g_t, [[1.0]])
+    channel = RisIsacScenario.from_scene(scene)
+    # 1x1 arrays have steering 1, so F = G diag(b) is the RIS gain itself.
+    assert channel.f_t.shape == (1, 1) and channel.f_r.shape == (1, 1)
+    assert np.allclose(channel.f_t, [[1.0]])
 
 
 def test_dyads_are_rank_one():
     scene = simple_scene(tx=UlaGeometry(6), rx=UlaGeometry(5), ris=UlaGeometry(7))
-    g_t, g_r = build_ris_dyads(scene)
-    assert np.linalg.matrix_rank(g_t) == 1
-    assert np.linalg.matrix_rank(g_r) == 1
+    channel = RisIsacScenario.from_scene(scene)
+    assert channel.f_t.shape == (6, 7) and channel.f_r.shape == (5, 7)
+    assert np.linalg.matrix_rank(channel.f_t) == 1
+    assert np.linalg.matrix_rank(channel.f_r) == 1
 
 
 def test_beta_amplitude_from_table_distances():
@@ -114,24 +114,28 @@ def test_beta_amplitude_from_table_distances():
 
 
 def test_blocked_direct_removes_only_alpha_terms():
-    scene = simple_scene(blocked_direct=True)
     phi = RisProfile.ones(3)
-    h_t, h_r = build_sensing_channels(scene, phi)
-    g_t, g_r = build_ris_dyads(scene)
-    angles = angles_from_geometry(scene)
-    b = steering_vector(scene.ris, angles.theta2).entries
-    assert np.allclose(h_t, g_t @ (phi.phases * b))
-    assert np.allclose(h_r, g_r @ (phi.phases * b))
+    open_path = RisIsacScenario.from_scene(simple_scene())
+    blocked = RisIsacScenario.from_scene(simple_scene(blocked_direct=True))
+    assert np.all(blocked.a_t_term == 0) and np.all(blocked.a_r_term == 0)
+    assert np.array_equal(blocked.f_t, open_path.f_t)
+    assert np.array_equal(blocked.f_r, open_path.f_r)
+    assert np.array_equal(blocked.h_c(phi), open_path.h_c(phi))
+    assert np.allclose(blocked.h_t(phi), open_path.f_t @ phi.phases)
+    assert np.allclose(blocked.h_r(phi), open_path.f_r @ phi.phases)
 
 
 def test_no_ris_reduces_to_direct_path():
     scene = simple_scene(ris=None)
-    h_t, _ = build_sensing_channels(scene, np.zeros(0))
+    channel = RisIsacScenario.from_scene(scene)
+    assert channel.n_ris == 0
     gains = path_gains(scene)
     angles = angles_from_geometry(scene)
     a_t = steering_vector(scene.tx, angles.theta1).entries
-    assert np.allclose(h_t, gains.alpha_t * a_t)
-    assert np.allclose(build_comms_channel(scene, np.zeros(0)),
+    a_r = steering_vector(scene.rx, angles.theta1).entries
+    assert np.allclose(channel.h_t(np.zeros(0)), gains.alpha_t * a_t)
+    assert np.allclose(channel.h_r(np.zeros(0)), gains.alpha_r * a_r)
+    assert np.allclose(channel.h_c(np.zeros(0)),
                        gains.gain_bu * steering_vector(scene.tx, angles.theta_user_bs).entries)
 
 
@@ -140,38 +144,40 @@ def test_scalar_case_hand_expansion():
         tx=UlaGeometry(1), rx=UlaGeometry(1), ris=UlaGeometry(1),
         direct_gain_override=1.0, ris_gain_override=1.0,
     )
-    h_t, _ = build_sensing_channels(scene, RisProfile.ones(1))
+    channel = RisIsacScenario.from_scene(scene)
+    h_t = channel.h_t(RisProfile.ones(1))
     angles = angles_from_geometry(scene)
     # 1x1 arrays have scalar steering 1, so the channel is alpha + beta * conj(b_in) * b_tgt
     b_in = np.exp(1j * 2 * np.pi * 0.5 * 0 * np.sin(angles.omega_t))
     b_tgt = np.exp(1j * 2 * np.pi * 0.5 * 0 * np.sin(angles.theta2))
     assert np.allclose(h_t, [1.0 + np.conj(b_in) * b_tgt])
 
-    h_c = build_comms_channel(scene, RisProfile.ones(1))
+    h_c = channel.h_c(RisProfile.ones(1))
     gains = path_gains(scene)
     assert np.allclose(h_c, [gains.gain_bu + gains.gain_ru])
 
 
 def test_ris_term_linear_in_profile():
-    scene = simple_scene(blocked_direct=True)
+    channel = RisIsacScenario.from_scene(simple_scene(blocked_direct=True))
     rng = np.random.default_rng(0)
     phi1 = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     phi2 = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    h1, _ = build_sensing_channels(scene, phi1)
-    h2, _ = build_sensing_channels(scene, phi2)
-    h12, _ = build_sensing_channels(scene, phi1 + phi2)
-    assert np.allclose(h12, h1 + h2, atol=1e-15)
+    for h in (channel.h_t, channel.h_r):
+        assert np.allclose(h(phi1 + phi2), h(phi1) + h(phi2), atol=1e-15)
 
 
-def test_channel_set_composition_bit_for_bit():
+def test_channel_composition_bit_for_bit():
+    # Every channel is its direct term plus F phi, and the sensing builder
+    # returns exactly the object's h_t and h_r.
     scene = simple_scene()
     phi = RisProfile.from_angles(np.array([0.3, -1.0, 2.2]))
-    cs = build_channel_set(scene, phi)
-    angles = angles_from_geometry(scene)
-    a_t = steering_vector(scene.tx, angles.theta1).entries
-    recomposed = cs.alpha_t * a_t + cs.g_t @ (phi.phases * cs.b_target)
-    assert np.array_equal(cs.h_t, recomposed)
-    assert np.array_equal(cs.h_c, cs.h_bu + cs.g_t @ (phi.phases * cs.h_ru))
+    channel = RisIsacScenario.from_scene(scene)
+    assert np.array_equal(channel.h_t(phi), channel.a_t_term + channel.f_t @ phi.phases)
+    assert np.array_equal(channel.h_r(phi), channel.a_r_term + channel.f_r @ phi.phases)
+    assert np.array_equal(channel.h_c(phi), channel.h_bu + channel.f_c @ phi.phases)
+    h_t, h_r = build_sensing_channels(scene, phi)
+    assert np.array_equal(h_t, channel.h_t(phi))
+    assert np.array_equal(h_r, channel.h_r(phi))
 
 
 def test_gains_deterministic_per_seed():
@@ -190,6 +196,7 @@ def test_profile_validation():
 
 
 def test_profile_length_mismatch():
-    scene = simple_scene()
-    with pytest.raises(ValueError):
-        build_sensing_channels(scene, RisProfile.ones(5))
+    channel = RisIsacScenario.from_scene(simple_scene())
+    for h in (channel.h_t, channel.h_r, channel.h_c):
+        with pytest.raises(ValueError):
+            h(RisProfile.ones(5))

@@ -26,7 +26,6 @@ FIELD_STRATEGIES = {
     "target_position": position,
     "ris_position": position,
     "user_position": position,
-    "rate_threshold": st.floats(min_value=0.0, allow_infinity=False),
     "samples_t": count,
     "road_start": position,
     "road_end": position,
@@ -84,6 +83,19 @@ def test_unknown_key_is_a_json_config_error(tmp_path, capsys):
     assert code == 2
     assert set(err) == {"error", "detail"}
     assert err["error"] == "ConfigError" and "not_a_key" in err["detail"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key", ["center_frequency_ghz", "rate_threshold"])
+def test_removed_key_is_a_json_config_error(tmp_path, capsys, key):
+    # Both keys were accepted once and never read; naming one now fails loudly.
+    config = tmp_path / "removed.cfg"
+    config.write_text(f"l_t = 4\n{key} = 3.0\n")
+    code, err = _error_of(capsys, ["sense-sweep", "--config", str(config),
+                                   "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert set(err) == {"error", "detail"}
+    assert err["error"] == "ConfigError" and key in err["detail"]
     assert not (tmp_path / "out").exists()
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from risac import (
     InfeasibleSinrError,
-    RisProfile,
+    RisIsacScenario,
     Scene,
     UlaGeometry,
     design_dual_waveform,
@@ -13,18 +13,12 @@ from risac import (
     steering_vector,
 )
 from risac import dual_waveform as dw
-from risac.channels import angles_from_geometry, build_comms_channel
+from risac.channels import angles_from_geometry
 from risac.config import RunConfig, scene_from_config
 from risac.optim import SolverConfig, riemannian_descent
-from risac.dual_waveform import (
-    _loss_gradient,
-    _Steering,
-    autoscale_tau,
-    beampattern_loss,
-    radiated_power,
-    sinr_given_channel,
-    user_sinr,
-)
+from risac.dual_waveform import _loss_gradient, _Steering, autoscale_tau
+
+from oracles import beampattern_loss, radiated_power, sinr_given_channel
 
 
 def dual_scene(**overrides):
@@ -252,19 +246,6 @@ class TestUserSinr:
         # num = |2*0.5|^2 = 1; interference = |2*0.25|^2 = 0.25
         assert np.isclose(sinr_given_channel(h, c, r_cov, 0.75), 1.0 / (0.25 + 0.75))
 
-    def test_scene_wrapper_uses_profile_channel(self):
-        scene = dual_scene(tx=UlaGeometry(4), ris=UlaGeometry(3))
-        phi = RisProfile.from_angles([0.2, -0.4, 1.0])
-        h = build_comms_channel(scene, phi)
-        rng = np.random.default_rng(8)
-        c = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        x = np.column_stack([c, 0.3 * (rng.standard_normal(4) + 1j * rng.standard_normal(4))])
-        r_cov = x @ x.conj().T
-        assert np.isclose(
-            user_sinr(scene, phi, c, r_cov),
-            sinr_given_channel(h, c, r_cov, scene.noise_power_comms),
-        )
-
 
 class TestDesign:
     @pytest.fixture(scope="class")
@@ -471,7 +452,7 @@ class TestSinrFloor:
     def test_split_nulls_interference_and_attains_the_covariance_sinr(self):
         _, scene, spec = config_scene_and_spec()
         design = design_dual_waveform(scene, spec, 10.0)
-        h = build_comms_channel(scene, design.phi)
+        h = RisIsacScenario.from_scene(scene).h_c(design.phi)
         c, w = design.comm_precoder, design.sensing_precoder
         assert np.linalg.norm(w.conj().T @ h) <= 1e-12 * abs(np.vdot(h, c))
         power = float(np.real(np.vdot(h, design.covariance @ h)))  # ||X^H h||^2

@@ -1,8 +1,10 @@
 """Default-config outputs of the deterministic experiments against committed copies.
 
-``tests/data`` holds ``sense-sweep.csv`` and ``isac-tradeoff.csv`` as the CLI
-writes them at the default config, and the ``snr_db,pf,pd_formula`` columns of
-``detect.csv`` (``pd_mc`` is Monte Carlo and moves whenever the draws do).
+``tests/data`` holds ``sense-sweep.csv``, ``isac-tradeoff.csv``,
+``ris-isac-tradeoff.csv``, ``beampattern.csv`` and ``beampattern_phases.csv``
+as the CLI writes them at the default config, and the
+``snr_db,pf,pd_formula`` columns of ``detect.csv`` (``pd_mc`` is Monte Carlo
+and moves whenever the draws do).
 Numeric cells must agree to a relative 1e-9, loose enough for another BLAS,
 tight enough that any change to the numerics shows; text cells, ``inf`` cells
 and the headers must match exactly. Regenerate a file only for a change that
@@ -39,17 +41,27 @@ def _cells_agree(ours, golden):
     return math.isclose(x, y, rel_tol=REL_TOL, abs_tol=0.0)
 
 
+def _output_name(experiment, golden_name):
+    """The CLI file a golden copy stands for: a suffixed table such as
+    ``beampattern_phases.csv`` keeps its name, every other copy is the
+    experiment's main CSV."""
+    return golden_name if golden_name.startswith(f"{experiment}_") else f"{experiment}.csv"
+
+
 @pytest.mark.parametrize(
     "experiment, golden_name, columns",
     [
         ("sense-sweep", "sense-sweep.csv", None),
         ("isac-tradeoff", "isac-tradeoff.csv", None),
         ("detect", "detect-formula.csv", 3),
+        ("ris-isac-tradeoff", "ris-isac-tradeoff.csv", None),
+        ("beampattern", "beampattern.csv", None),
+        ("beampattern", "beampattern_phases.csv", None),
     ],
 )
 def test_default_outputs_match_golden(tmp_path, experiment, golden_name, columns):
     run_experiment(RunConfig(experiment=experiment), tmp_path)
-    ours = _table((tmp_path / f"{experiment}.csv").read_text(), columns)
+    ours = _table((tmp_path / _output_name(experiment, golden_name)).read_text(), columns)
     golden = _table((DATA / golden_name).read_text(), columns)
     assert ours[0] == golden[0]
     assert len(ours[1]) == len(golden[1])

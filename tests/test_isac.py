@@ -5,12 +5,10 @@ import numpy as np
 import pytest
 
 from risac import (
-    Beamformer,
     InfeasibleRateError,
     IsacScenario,
     UlaGeometry,
     achievable_rate,
-    coupling_coefficient,
     crb_min_beamformer,
     isac_crb,
     make_coupled_channel,
@@ -18,6 +16,8 @@ from risac import (
     tradeoff_curve,
 )
 from risac.arrays import steering_derivative
+
+from oracles import coupling_coefficient
 
 
 def table1_scenario(h_c=None, theta=0.0):

@@ -1,11 +1,9 @@
 import numpy as np
 import pytest
 
-from risac.optim import (
-    SolverConfig,
-    finite_difference_gradient,
-    riemannian_descent,
-)
+from risac.optim import SolverConfig, riemannian_descent
+
+from oracles import finite_difference_gradient
 
 
 def bowl(target):

@@ -9,7 +9,6 @@ from risac import (
     RisIsacScenario,
     Scene,
     UlaGeometry,
-    coupling_coefficient,
     coupling_gradient,
     coupling_objective,
     fim_theta,
@@ -18,8 +17,10 @@ from risac import (
     rate_constrained_crb_beamformer,
     ris_isac_tradeoff,
 )
-from risac.optim import _unit_modulus, finite_difference_gradient
+from risac.optim import _unit_modulus
 from risac.ris_isac import _apply_coupling, _fim_maps, _zero_ris
+
+from oracles import coupling_coefficient, finite_difference_gradient
 
 
 def scalar_loop_objective(phi, a_t, f_t, a_r, f_r, h_bu, f_c):

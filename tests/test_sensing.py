@@ -9,7 +9,6 @@ from risac import (
     Beamformer,
     DegenerateChannelError,
     DetectionConfig,
-    RisProfile,
     Scene,
     UlaGeometry,
     align_ris_phases,
@@ -17,7 +16,6 @@ from risac import (
     detection_probability,
     glrt_monte_carlo,
     illumination_power,
-    isotropic_illumination,
     marcum_q1,
     matched_filter_beamformer,
     matched_filter_snr,
@@ -215,9 +213,9 @@ class TestMaximizeIllumination:
         assert np.allclose(np.abs(res.phi.phases), 1.0, atol=1e-12)
 
     def test_channel_built_once_per_solve(self, monkeypatch):
-        # h_t is formed from arrays built at the start of the solve: the
-        # steering-vector count does not grow with the iteration count, and
-        # build_sensing_channels is never called.
+        # h_t is formed from the channel object built at the start of the
+        # solve: the steering-vector count does not grow with the iteration
+        # count, and build_sensing_channels is never called.
         calls = []
 
         def counted(geom, angle):
@@ -239,12 +237,15 @@ class TestMaximizeIllumination:
             res = maximize_illumination(scene)
             counts[res.iterations] = len(calls)
         assert len(counts) == 2  # the two scenes need different iteration counts
-        assert set(counts.values()) == {5}  # a_t, b_target and the three dyad vectors
+        # from_scene: a_t, a_r, the user's a_t, b_target, the user's b and
+        # the three dyad vectors.
+        assert set(counts.values()) == {8}
 
     def test_power_trace_unchanged_by_the_cached_channel(self):
         # Recorded with the loop that rebuilt h_t through build_sensing_channels
-        # on every iteration: the cached form is the same expression on the
-        # same arrays, so the trace matches bit for bit.
+        # on every iteration. The channel object forms h_t = a + F_t phi with
+        # F_t = G_t diag(b_target) folded in, a reassociation that may move
+        # the last bit; on this scene the trace still matches bit for bit.
         recorded = [
             "0x1.92b7174810b6cp-12", "0x1.013e15628a837p-11", "0x1.01677ab67c0d7p-11",
             "0x1.016fca7172bb3p-11", "0x1.0171750d0c6cap-11", "0x1.0171ca8fb7f66p-11",
@@ -253,29 +254,6 @@ class TestMaximizeIllumination:
         ]
         res = maximize_illumination(ris_scene(seed=12))
         assert [float(p).hex() for p in res.power_trace] == recorded
-
-
-class TestIsotropic:
-    def test_no_ris_term(self):
-        scene = ris_scene(ris_gain_override=0.0, direct_gain_override=2.0)
-        assert np.isclose(isotropic_illumination(scene), 4.0 * 4)
-
-    def test_no_direct_term(self):
-        scene = ris_scene(direct_gain_override=0.0, ris_gain_override=1.0)
-        assert np.isclose(isotropic_illumination(scene), 4 * 8**2)
-
-    def test_ris_term_dominates_when_n_large(self):
-        # sigma_beta^2 = rho sigma_alpha^2 with N > 1/sqrt(rho)
-        rho = 0.01
-        scene = ris_scene(
-            direct_gain_override=1.0,
-            ris_gain_override=math.sqrt(rho),
-            ris=UlaGeometry(11),  # 11 > 1/sqrt(0.01) = 10
-        )
-        l_t, n = 4, 11
-        total = isotropic_illumination(scene)
-        assert np.isclose(total, l_t + rho * l_t * n**2)
-        assert rho * l_t * n**2 > l_t
 
 
 class TestSnr:
