@@ -97,6 +97,7 @@ class DualDesign:
     objective_trace: np.ndarray  # solver objective at accepted iterates, solve after solve
     converged: bool
     iterations: int             # over all precoder and RIS-phase solves
+    evaluations: int            # loss/gradient calls over the same solves
     grad_norm: float            # tangent-gradient norm at the end of the last precoder solve
     stop: str                   # stop reason of the last precoder solve
 
@@ -152,7 +153,7 @@ def autoscale_tau(r_cov: np.ndarray, spec: BeampatternSpec, geom: UlaGeometry) -
 def _received_power(x: np.ndarray, h: np.ndarray) -> float:
     """h^H R h = ||X^H h||^2 for R = X X^H."""
     v = x.conj().T @ h
-    return float(np.real(np.vdot(v, v)))
+    return float(np.vdot(v, v).real)
 
 
 def _loss_gradient(x: np.ndarray, tau, spec, st: _Steering):
@@ -163,12 +164,14 @@ def _loss_gradient(x: np.ndarray, tau, spec, st: _Steering):
     reduced loss min_tau loss(X, tau).
     """
     proj = st.grid_h @ x  # D x (1+K)
-    pattern = np.real(np.sum(np.abs(proj) ** 2, axis=1))
+    # sum(|proj|^2, axis=1) and mean(err^2) below, op for op, minus call overhead.
+    mag = np.abs(proj)
+    pattern = np.add.reduce(mag * mag, axis=1)
     if tau is None:
         tau = _best_tau(pattern, spec.desired, st.denom)
     err = pattern - tau * spec.desired
     d = spec.grid.size
-    loss = spec.alpha_mismatch * float(np.mean(err**2))
+    loss = spec.alpha_mismatch * float(np.add.reduce(err * err) / d)
     grad = (2.0 * spec.alpha_mismatch / d) * (st.grid @ (err[:, None] * proj))
     k = spec.target_angles.size
     if k >= 2 and spec.alpha_crosscorr > 0:
@@ -177,7 +180,8 @@ def _loss_gradient(x: np.ndarray, tau, spec, st: _Steering):
         weight = spec.alpha_crosscorr * 2.0 / (k * k - k)
         idx_i, idx_j = st.triu
         vals = cross[idx_i, idx_j]
-        loss += weight * float(np.sum(np.abs(vals) ** 2))
+        mag = np.abs(vals)
+        loss += weight * float(np.add.reduce(mag * mag))
         coef = np.zeros((k, k), dtype=complex)
         coef[idx_i, idx_j] = np.conj(vals)
         coef[idx_j, idx_i] = vals
@@ -255,13 +259,15 @@ def design_dual_waveform(
         # Augmented Lagrangian of the loss, in units of the matched start's loss.
         loss, grad = _loss_gradient(x_mat, None, spec, st)
         v = x_mat.conj().T @ h_c
-        mult = max(0.0, lam + rho * (1.0 - float(np.real(np.vdot(v, v))) / floor))
+        mult = max(0.0, lam + rho * (1.0 - float(np.vdot(v, v).real) / floor))
         value = loss / scale + (mult * mult - lam * lam) / (2.0 * rho)
+        if mult == 0.0:  # the floor is slack
+            return value, grad / scale
         return value, grad / scale - (mult / floor) * np.outer(h_c, v.conj())
 
     def neg_power(phi_vec):
         v = x.conj().T @ scenario.h_c(phi_vec)
-        return -float(np.real(np.vdot(v, v))) / floor, -(scenario.f_c.conj().T @ (x @ v)) / floor
+        return -float(np.vdot(v, v).real) / floor, -(scenario.f_c.conj().T @ (x @ v)) / floor
 
     consider(matched, phi, h_c)
     cfg = SolverConfig(tol=_TOL)
@@ -269,11 +275,12 @@ def design_dual_waveform(
     x = np.column_stack([comm, 0.05 * (
         rng.standard_normal((l_t, k_targets)) + 1j * rng.standard_normal((l_t, k_targets))
     )])
-    trace, iterations, converged, prev_viol = [], 0, False, math.inf
+    trace, iterations, evaluations, converged, prev_viol = [], 0, 0, False, math.inf
     for _ in range(_MAX_OUTER):
         res = riemannian_descent(lagrangian, "oblique", x, cfg)
         x = res.x
         iterations += res.iterations
+        evaluations += res.evaluations
         trace.extend(scale * res.trace)
         viol = 1.0 - _received_power(x, h_c) / floor
         if n and lam + rho * viol > 0:
@@ -281,6 +288,7 @@ def design_dual_waveform(
             res_phi = riemannian_descent(neg_power, "circle", phi, cfg)
             phi, h_c = res_phi.x, scenario.h_c(res_phi.x)
             iterations += res_phi.iterations
+            evaluations += res_phi.evaluations
             viol = 1.0 - _received_power(x, h_c) / floor
         consider(x, phi, h_c)
         lam_next = max(0.0, lam + rho * viol)
@@ -313,6 +321,7 @@ def design_dual_waveform(
         objective_trace=np.asarray(trace),
         converged=converged,
         iterations=iterations,
+        evaluations=evaluations,
         grad_norm=scale * res.grad_norm,
         stop=res.stop,
     )

@@ -13,12 +13,15 @@ It stops when the tangent-gradient norm falls to ``tol * |f|``. The
 tolerance is relative because the line search cannot resolve a decrease
 below the rounding of f, about 1e-16 |f|; every step rule is invariant to
 the scale of f too. An objective whose minimum is 0 therefore ends on
-``no_descent`` or ``max_iter``, and the result says so.
+``no_descent`` or ``max_iter``, and the result says so. The helpers are
+written for per-call overhead; a rewrite must stay bit-identical, since the
+solver path is chaotic at rounding level.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Callable, Tuple
 
 import numpy as np
@@ -55,37 +58,41 @@ class SolverResult:
     trace: np.ndarray   # objective at the accepted iterates, non-increasing
     converged: bool     # stopped on the tolerance
     iterations: int
+    evaluations: int    # calls of ``fun``
     grad_norm: float    # tangent-gradient norm at x
     stop: str           # "tol", "max_iter" or "no_descent"
 
 
 def _unit_modulus(z: np.ndarray) -> np.ndarray:
     """z / |z| entrywise; an exact zero has no phase and maps to 1."""
-    out = np.asarray(z, dtype=complex).copy()
-    mags = np.abs(out)
+    z = np.asarray(z, dtype=complex)
+    mags = np.abs(z)
     zero = mags < 1e-300
-    out[zero] = 1.0
-    mags[zero] = 1.0
-    return out / mags
+    if zero.any():
+        z, mags = np.where(zero, 1.0, z), np.where(zero, 1.0, mags)
+    return z / mags
 
 
 def _normalize(x: np.ndarray) -> np.ndarray:
     """Retraction: rows to unit norm; an all-zero row maps to e_1."""
     if x.shape[1] == 1:
         return _unit_modulus(x)
-    norms = np.linalg.norm(x, axis=1, keepdims=True)
+    # numpy's own body of np.linalg.norm(x, axis=1, keepdims=True).
+    norms = np.sqrt(np.add.reduce((x.conj() * x).real, axis=1, keepdims=True))
     zero = norms[:, 0] < 1e-300
-    x = np.where(zero[:, None], np.eye(1, x.shape[1]), x)
-    return x / np.where(zero[:, None], 1.0, norms)
+    if zero.any():
+        x = np.where(zero[:, None], np.eye(1, x.shape[1]), x)
+        norms = np.where(zero[:, None], 1.0, norms)
+    return x / norms
 
 
 def _tangent(x: np.ndarray, g: np.ndarray) -> np.ndarray:
     # Remove the radial component of each row.
-    return g - np.real(np.sum(np.conj(x) * g, axis=1, keepdims=True)) * x
+    return g - np.add.reduce(x.conj() * g, axis=1, keepdims=True).real * x
 
 
 def _inner(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.real(np.vdot(a, b)))
+    return float(np.vdot(a, b).real)
 
 
 def riemannian_descent(
@@ -117,10 +124,10 @@ def riemannian_descent(
 
     x = _normalize(rows)
     f, rg = evaluate(x)
-    gnorm = np.sqrt(_inner(rg, rg))
+    gnorm = math.sqrt(_inner(rg, rg))
     trace = [f]
     step = 1.0 / max(gnorm, 1e-300)  # the first trial moves x by unit length
-    stop, it = "max_iter", 0
+    stop, it, evaluations = "max_iter", 0, 1
     while gnorm > cfg.tol * abs(f):
         if it == cfg.max_iter:
             break
@@ -129,6 +136,7 @@ def riemannian_descent(
         while step * gnorm >= 1e-15:
             cand = _normalize(x - step * rg)
             f_new, rg_new = evaluate(cand)
+            evaluations += 1
             if f_new <= f - cfg.armijo_c * step * gnorm**2:
                 break
             step *= cfg.backtrack
@@ -142,12 +150,13 @@ def riemannian_descent(
         if sy > 0:
             step = _inner(s, s) / sy if it % 2 else sy / _inner(y, y)
         x, f, rg = cand, f_new, rg_new
-        gnorm = np.sqrt(_inner(rg, rg))
+        gnorm = math.sqrt(_inner(rg, rg))
         trace.append(f)
         # No row moves more than half a turn per step.
         step = min(step, np.pi / max(gnorm, 1e-300))
     else:
         stop = "tol"
     return SolverResult(
-        x.reshape(shape), f, np.asarray(trace), stop == "tol", it, float(gnorm), stop,
+        x.reshape(shape), f, np.asarray(trace), stop == "tol", it, evaluations,
+        float(gnorm), stop,
     )

@@ -53,7 +53,7 @@ def _coupling(phi_vec, a_t, f_t, a_r, f_r, h_bu, f_c, adjoints=None, gradient=Tr
     v = a_r + f_r @ phi_vec
     c = h_bu + f_c @ phi_vec
     s = np.vdot(v, c)
-    norm_u_sq = float(np.real(np.vdot(u, u)))
+    norm_u_sq = float(np.vdot(u, u).real)
     abs_s_sq = float(np.abs(s) ** 2)
     value = -norm_u_sq * abs_s_sq
     if not gradient:
@@ -62,7 +62,7 @@ def _coupling(phi_vec, a_t, f_t, a_r, f_r, h_bu, f_c, adjoints=None, gradient=Tr
         adjoints = (f_t.conj().T, f_r.conj().T, f_c.conj().T)
     f_t_h, f_r_h, f_c_h = adjoints
     grad = abs_s_sq * (f_t_h @ u)
-    grad += norm_u_sq * (np.conj(s) * (f_r_h @ c) + s * (f_c_h @ v))
+    grad += norm_u_sq * (s.conjugate() * (f_r_h @ c) + s * (f_c_h @ v))
     return value, -grad
 
 
@@ -110,6 +110,7 @@ class RisProfileResult:
     converged: bool
     restarts_used: int
     iterations: int  # of the winning run
+    evaluations: int  # objective/gradient calls of the winning run
 
 
 def optimize_ris_profile(
@@ -127,19 +128,11 @@ def optimize_ris_profile(
     the trace is non-increasing.
     """
     n = scenario.n_ris
-    args = (
-        scenario.a_t_term,
-        scenario.f_t,
-        scenario.a_r_term,
-        scenario.f_r,
-        scenario.h_bu,
-        scenario.f_c,
-    )
+    args = (scenario.a_t_term, scenario.f_t, scenario.a_r_term, scenario.f_r,
+            scenario.h_bu, scenario.f_c)
     if n == 0:
         val = coupling_objective(np.zeros(0), *args)
-        return RisProfileResult(
-            RisProfile(np.zeros(0)), val, np.asarray([val]), True, 0, 0
-        )
+        return RisProfileResult(RisProfile(np.zeros(0)), val, np.asarray([val]), True, 0, 0, 1)
 
     rng = np.random.default_rng(seed)
     inits = [init.phases if init is not None else np.ones(n, dtype=complex)]
@@ -162,6 +155,7 @@ def optimize_ris_profile(
         converged=best.converged,
         restarts_used=len(inits),
         iterations=best.iterations,
+        evaluations=best.evaluations,
     )
 
 
@@ -203,7 +197,10 @@ def fim_theta(scenario: RisIsacScenario, phi, w) -> FimResult:
     since the beta entries carry 1/|beta|^2 and dwarf the angle entries.
     """
     w_vec = w.weights if isinstance(w, Beamformer) else np.asarray(w, dtype=complex).reshape(-1)
-    maps = _fim_maps(scenario, phi)
+    return _fim_from_maps(scenario, _fim_maps(scenario, phi), w_vec)
+
+
+def _fim_from_maps(scenario: RisIsacScenario, maps: list, w_vec: np.ndarray) -> FimResult:
     d = np.column_stack([m @ w_vec for m in maps])
     scale = 2.0 * scenario.scene.samples / scenario.scene.noise_power_sensing
     fim = scale * np.real(d.conj().T @ d)
@@ -245,30 +242,37 @@ def rate_constrained_crb_beamformer(
     which also raises ``InfeasibleRateError`` above the maximum rate. The
     reported CRB comes from ``fim_theta``.
     """
+    return _crb_beamformer_at(scenario, phi)(rate_threshold)
+
+
+def _crb_beamformer_at(scenario: RisIsacScenario, phi):
+    """``rate_constrained_crb_beamformer`` of the rate floor, with the phi-only terms built once."""
     if scenario.beta == 0:
         raise DegenerateChannelError(
             "the angle FIM is normalized by the direct gains; beta must be nonzero"
         )
     phi_vec = _phi_vector(phi)
     scene = scenario.scene
-    closed = crb_min_beamformer(
-        IsacScenario(
-            a_t=scenario.h_t(phi_vec),
-            # The beamformer depends on a_t and h_c alone. The receive pieces
-            # only feed the single-path CRB, which fim_theta's replaces below.
-            a_r=scenario.a_r_term,
-            a_r_dot=scenario.a_r_dot_term,
-            h_c=scenario.h_c(phi_vec),
-            noise_comms=scene.noise_power_comms,
-            noise_sensing=scene.noise_power_sensing,
-            target_gain_var=scene.target_gain_var,
-            samples=scene.samples,
-            budget=scene.transmit_power,
-        ),
-        rate_threshold,
+    closed_form = IsacScenario(
+        a_t=scenario.h_t(phi_vec),
+        # The beamformer reads a_t and h_c alone; the receive terms feed a CRB that goes unused.
+        a_r=scenario.a_r_term,
+        a_r_dot=scenario.a_r_dot_term,
+        h_c=scenario.h_c(phi_vec),
+        noise_comms=scene.noise_power_comms,
+        noise_sensing=scene.noise_power_sensing,
+        target_gain_var=scene.target_gain_var,
+        samples=scene.samples,
+        budget=scene.transmit_power,
     )
-    crb = fim_theta(scenario, phi_vec, closed.w).crb_theta1
-    return CrbBeamformerResult(w=closed.w, crb=crb, rate=closed.rate)
+    maps = _fim_maps(scenario, phi_vec)
+
+    def solve(rate_threshold: float) -> CrbBeamformerResult:
+        closed = crb_min_beamformer(closed_form, rate_threshold)
+        crb = _fim_from_maps(scenario, maps, closed.w.weights).crb_theta1
+        return CrbBeamformerResult(w=closed.w, crb=crb, rate=closed.rate)
+
+    return solve
 
 
 @dataclasses.dataclass(frozen=True)
@@ -340,14 +344,13 @@ def ris_isac_tradeoff(
     shaped = _apply_coupling(scenario_template, coupling_mode)
 
     def sweep(scn, phi, grid):
+        solve = _crb_beamformer_at(scn, phi)
         rows = []
         for r0 in grid:
             try:
-                res = rate_constrained_crb_beamformer(scn, phi, r0)
+                res = solve(r0)
             except InfeasibleRateError:
-                rows.append(
-                    RisIsacRow(ris_mode, coupling_mode, r0, math.nan, math.inf)
-                )
+                rows.append(RisIsacRow(ris_mode, coupling_mode, r0, math.nan, math.inf))
                 continue
             rows.append(RisIsacRow(ris_mode, coupling_mode, r0, res.rate, res.crb))
         return rows

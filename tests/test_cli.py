@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 from risac import cli, marcum_q1
+from risac import dual_waveform as dw
 from risac import ris_isac as ri
 from risac.config import RunConfig
 
@@ -122,6 +123,26 @@ def test_detect_is_deterministic_across_runs_and_threads(tmp_path):
     assert len(first[2]["diagnostics"]["empirical_pf"]) == len(rows)
 
 
+def test_summaries_report_solver_evaluations(tmp_path, monkeypatch):
+    # Evaluation counts sit next to the iteration counts: the design's sum
+    # over every solve, and the winning profile run's.
+    evaluations = []
+    original = dw.design_dual_waveform
+
+    def recorded(*args, **kwargs):
+        design = original(*args, **kwargs)
+        evaluations.append(design.evaluations)
+        return design
+
+    monkeypatch.setattr(dw, "design_dual_waveform", recorded)
+    cfg = RunConfig(experiment="beampattern", l_t=4, n_ris=4, grid_points=31,
+                    sinr_threshold_db=3.0)
+    diag = cli.run_experiment(cfg, tmp_path / "bp")["diagnostics"]
+    assert diag["evaluations"] == evaluations[0] > diag["iterations"]
+    diag = _run(tmp_path, "ri")[2]["diagnostics"]
+    assert diag["profile_evaluations"] > diag["profile_iterations"]
+
+
 def test_detect_at_very_high_snr(tmp_path):
     # The Marcum-Q envelope underflows here, so Pd is exactly 1.
     tiny = TINY + "trials = 2000\nsnr_db_list = 80.0, 90.0, 100.0\n"
@@ -173,6 +194,16 @@ def test_import_loads_no_scipy_until_marcum_q():
     assert loaded == "[]"
     assert float.fromhex(value) == marcum_q1(1.0, 2.0)
     assert special_after == "True"
+
+
+def test_import_loads_no_thread_pool():
+    # The pool is imported only when --threads > 1; it would load logging too.
+    probe = (
+        "import sys, risac, risac.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+        "('concurrent', 'logging')))\n"
+    )
+    assert _fresh_python("-c", probe).stdout.strip() == "[]"
 
 
 def test_detect_cold_process_threads_match(tmp_path):

@@ -156,6 +156,31 @@ def _loss_only(x, tau, spec, st):
     return loss
 
 
+def _loss_gradient_reference(x, tau, spec, st):
+    """``_loss_gradient`` by the plain numpy expressions it was trimmed from."""
+    proj = st.grid_h @ x
+    pattern = np.real(np.sum(np.abs(proj) ** 2, axis=1))
+    if tau is None:
+        tau = dw._best_tau(pattern, spec.desired, st.denom)
+    err = pattern - tau * spec.desired
+    d = spec.grid.size
+    loss = spec.alpha_mismatch * float(np.mean(err**2))
+    grad = (2.0 * spec.alpha_mismatch / d) * (st.grid @ (err[:, None] * proj))
+    k = spec.target_angles.size
+    if k >= 2 and spec.alpha_crosscorr > 0:
+        proj_t = st.targets_h @ x
+        cross = proj_t @ proj_t.conj().T
+        weight = spec.alpha_crosscorr * 2.0 / (k * k - k)
+        idx_i, idx_j = st.triu
+        vals = cross[idx_i, idx_j]
+        loss += weight * float(np.sum(np.abs(vals) ** 2))
+        coef = np.zeros((k, k), dtype=complex)
+        coef[idx_i, idx_j] = np.conj(vals)
+        coef[idx_j, idx_i] = vals
+        grad += weight * (st.targets @ (coef.T @ proj_t))
+    return loss, grad
+
+
 def loss_case(k_targets, seed):
     """Random X = [c | W] on 5 elements with k targets and both weights nonzero."""
     geom = UlaGeometry(5)
@@ -192,6 +217,29 @@ class TestLossGradient:
         _, spec, st, x = loss_case(k_targets, seed=k_targets)
         for tau in (0.0, 0.4, 2.5):
             assert _loss_only(x, tau, spec, st) == _loss_gradient(x, tau, spec, st)[0]
+
+    @pytest.mark.parametrize("k_targets", [1, 2, 3])
+    def test_gradient_is_bitwise_equal_to_reference(self, k_targets):
+        _, spec, st, x = loss_case(k_targets, seed=k_targets)
+        for tau in (None, 0.0, 0.4, 2.5):
+            loss, grad = _loss_gradient(x, tau, spec, st)
+            ref_loss, ref_grad = _loss_gradient_reference(x, tau, spec, st)
+            assert loss == ref_loss
+            assert grad.dtype == ref_grad.dtype and grad.shape == ref_grad.shape
+            assert np.all(grad == ref_grad) and grad.tobytes() == ref_grad.tobytes()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_default_scene_loss_is_bitwise_equal_to_reference(self, seed):
+        # The benchmarked shape: 181 grid angles, 15 antennas, 2 targets,
+        # at random points of the oblique manifold.
+        _, scene, spec = config_scene_and_spec()
+        st = _Steering.build(spec, scene.tx)
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((15, 3)) + 1j * rng.standard_normal((15, 3))
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        loss, grad = _loss_gradient(x, None, spec, st)
+        ref_loss, ref_grad = _loss_gradient_reference(x, None, spec, st)
+        assert loss == ref_loss and grad.tobytes() == ref_grad.tobytes()
 
     @pytest.mark.parametrize("k_targets", [2, 3])
     def test_agrees_with_public_loss(self, k_targets):
@@ -425,6 +473,43 @@ class TestCertifiedOptimality:
             r_cov = y @ y.conj().T
             assert bound <= beampattern_loss(r_cov, autoscale_tau(r_cov, spec, scene.tx),
                                              spec, scene.tx)
+
+
+class TestEvaluations:
+    def test_evaluations_count_every_solver_call(self, monkeypatch):
+        # A binding floor, so both the precoder and the RIS-phase solves run.
+        calls = []
+
+        def counted(fun, *args):
+            def wrapped(x):
+                calls.append(fun)
+                return fun(x)
+            return riemannian_descent(wrapped, *args)
+
+        monkeypatch.setattr(dw, "riemannian_descent", counted)
+        scene = dual_scene(tx=UlaGeometry(6), ris=UlaGeometry(4))
+        with pytest.raises(InfeasibleSinrError) as err:
+            design_dual_waveform(scene, default_spec(scene, grid_points=31), 1e12)
+        design = design_dual_waveform(scene, default_spec(scene, grid_points=31),
+                                      0.6 * err.value.max_sinr, seed=1)
+        assert len(set(calls)) == 2  # lagrangian and neg_power
+        assert design.evaluations == len(calls) > design.iterations
+
+    def test_slack_floor_drops_a_zero_term_only(self):
+        # Where the floor is slack the Lagrangian gradient is grad / scale; the
+        # term it omits, (0 / floor) h v^H, changes no bit of a gradient with
+        # nonzero entries.
+        _, scene, spec = config_scene_and_spec()
+        st = _Steering.build(spec, scene.tx)
+        h_c = RisIsacScenario.from_scene(scene).h_c(np.ones(scene.n_ris))
+        rng = np.random.default_rng(3)
+        for _ in range(5):
+            x = rng.standard_normal((15, 3)) + 1j * rng.standard_normal((15, 3))
+            x /= np.linalg.norm(x, axis=1, keepdims=True)
+            loss, grad = _loss_gradient(x, None, spec, st)
+            v = x.conj().T @ h_c
+            full = grad / loss - (0.0 / 3.7) * np.outer(h_c, v.conj())
+            assert (grad / loss).tobytes() == full.tobytes()
 
 
 class TestSinrFloor:

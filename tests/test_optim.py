@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from risac.optim import SolverConfig, riemannian_descent
+from risac.optim import (
+    SolverConfig,
+    _inner,
+    _normalize,
+    _tangent,
+    _unit_modulus,
+    riemannian_descent,
+)
 
 from oracles import finite_difference_gradient
 
@@ -118,3 +125,122 @@ def test_riemannian_descent_deterministic():
     r1, r2 = run(), run()
     assert np.array_equal(r1.trace, r2.trace)
     assert np.array_equal(r1.x, r2.x)
+
+
+# The plain numpy expressions the solver helpers were trimmed from. The
+# helpers must equal them bit for bit: the descent path is chaotic at
+# rounding level, so one changed rounding moves every design downstream.
+def unit_modulus_reference(z):
+    out = np.asarray(z, dtype=complex).copy()
+    mags = np.abs(out)
+    zero = mags < 1e-300
+    out[zero] = 1.0
+    mags[zero] = 1.0
+    return out / mags
+
+
+def normalize_reference(x):
+    if x.shape[1] == 1:
+        return unit_modulus_reference(x)
+    norms = np.linalg.norm(x, axis=1, keepdims=True)
+    zero = norms[:, 0] < 1e-300
+    x = np.where(zero[:, None], np.eye(1, x.shape[1]), x)
+    return x / np.where(zero[:, None], 1.0, norms)
+
+
+def tangent_reference(x, g):
+    return g - np.real(np.sum(np.conj(x) * g, axis=1, keepdims=True)) * x
+
+
+def inner_reference(a, b):
+    return float(np.real(np.vdot(a, b)))
+
+
+def assert_same_bits(ours, ref):
+    ours, ref = np.asarray(ours), np.asarray(ref)
+    assert ours.dtype == ref.dtype and ours.shape == ref.shape
+    assert ours.tobytes() == ref.tobytes()
+
+
+def random_rows(rng, shape):
+    """Complex rows whose norms span six decades, so rounding differs row to row."""
+    z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return z * 10.0 ** rng.uniform(-3.0, 3.0, (shape[0], 1))
+
+
+SHAPES = [(15, 3), (4, 1), (7, 5), (3, 12), (20, 1), (1, 9)]
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("shape", SHAPES)
+def test_helpers_bitwise_equal_their_reference_forms(seed, shape):
+    rng = np.random.default_rng(seed)
+    x, g = random_rows(rng, shape), random_rows(rng, shape)
+    assert_same_bits(_normalize(x), normalize_reference(x))
+    assert_same_bits(_unit_modulus(x), unit_modulus_reference(x))
+    assert_same_bits(_unit_modulus(x[:, 0]), unit_modulus_reference(x[:, 0]))
+    u = normalize_reference(x)
+    assert_same_bits(_tangent(u, g), tangent_reference(u, g))
+    assert_same_bits(_inner(x, g), inner_reference(x, g))
+    assert _inner(g, g) == inner_reference(g, g) and isinstance(_inner(g, g), float)
+
+
+def test_zero_row_and_zero_entry_match_reference():
+    # An all-zero row retracts to e_1, an exact zero entry to 1, and every
+    # other row or entry is untouched by the fix-up.
+    rng = np.random.default_rng(9)
+    x = random_rows(rng, (5, 3))
+    x[2] = 0.0
+    out = _normalize(x)
+    assert_same_bits(out, normalize_reference(x))
+    assert np.array_equal(out[2], [1.0, 0.0, 0.0])
+    assert_same_bits(out[[0, 1, 3, 4]], normalize_reference(x[[0, 1, 3, 4]]))
+
+    z = random_rows(rng, (6, 1))
+    z[[1, 4]] = 0.0
+    out = _normalize(z)
+    assert_same_bits(out, normalize_reference(z))
+    assert np.array_equal(out[[1, 4], 0], [1.0, 1.0])
+    assert_same_bits(_unit_modulus(z[:, 0]), unit_modulus_reference(z[:, 0]))
+    # A real input is promoted to complex in both forms.
+    real = np.array([0.0, -2.0, 3.0])
+    assert_same_bits(_unit_modulus(real), unit_modulus_reference(real))
+
+
+def test_retraction_does_not_write_to_its_input():
+    z = np.array([[0.0 + 0j], [2.0 - 1j]])
+    before = z.copy()
+    _normalize(z)
+    _unit_modulus(z)
+    assert_same_bits(z, before)
+
+
+def counted(fun):
+    calls = []
+
+    def wrapped(x):
+        calls.append(x.copy())
+        return fun(x)
+
+    return wrapped, calls
+
+
+@pytest.mark.parametrize("manifold, start, fun, cfg", [
+    ("oblique", np.ones((3, 2), dtype=complex),
+     bowl(np.array([[1.0, -2.0j], [3.0, 0.5 + 1j], [-0.2j, 0.1]])), SolverConfig(tol=1e-8)),
+    ("oblique", np.ones((2, 2), dtype=complex),
+     bowl(np.array([[1.0, 2.0], [0.5j, -1.0]])), SolverConfig(tol=0.0, max_iter=3)),
+    ("circle", np.array([1j]),
+     lambda x: (float(np.real(x[0])), -0.5 * np.ones_like(x)), SolverConfig()),
+    ("circle", np.exp(1j * np.array([4.0, 5.0])),
+     lambda x: (1.0, np.zeros_like(x)), SolverConfig()),
+])
+def test_evaluations_count_every_call(manifold, start, fun, cfg):
+    wrapped, calls = counted(fun)
+    res = riemannian_descent(wrapped, manifold, start, cfg)
+    assert res.evaluations == len(calls)
+    # One call at the start, at least one per accepted step; the uphill case
+    # backtracks until the move is below rounding.
+    assert res.evaluations >= res.iterations + 1
+    if res.stop == "no_descent":
+        assert res.evaluations > 40

@@ -17,6 +17,8 @@ from risac import (
     rate_constrained_crb_beamformer,
     ris_isac_tradeoff,
 )
+from risac import ris_isac as ri
+from risac.isac import IsacScenario, crb_min_beamformer
 from risac.optim import _unit_modulus
 from risac.ris_isac import _apply_coupling, _fim_maps, _zero_ris
 
@@ -233,6 +235,38 @@ class TestOptimizeProfile:
         assert np.array_equal(out, np.array([1.0, -1.0, 1j, 1.0]))
 
 
+    def test_fused_evaluation_is_bitwise_equal_to_reference(self):
+        # The plain numpy expressions the fused evaluation was trimmed from.
+        rng = np.random.default_rng(12)
+        scenario = RisIsacScenario.from_scene(desk_scene(ris=UlaGeometry(8)))
+        args = (scenario.a_t_term, scenario.f_t, scenario.a_r_term,
+                scenario.f_r, scenario.h_bu, scenario.f_c)
+        a_t, f_t, a_r, f_r, h_bu, f_c = args
+        for _ in range(5):
+            phi = np.exp(1j * rng.uniform(0, 2 * np.pi, 8))
+            u, v, c = a_t + f_t @ phi, a_r + f_r @ phi, h_bu + f_c @ phi
+            s = np.vdot(v, c)
+            norm_u_sq = float(np.real(np.vdot(u, u)))
+            abs_s_sq = float(np.abs(s) ** 2)
+            grad = abs_s_sq * (f_t.conj().T @ u)
+            grad += norm_u_sq * (np.conj(s) * (f_r.conj().T @ c) + s * (f_c.conj().T @ v))
+            value, ours = ri._coupling(phi, *args)
+            assert value == -norm_u_sq * abs_s_sq
+            assert ours.tobytes() == (-grad).tobytes()
+
+    def test_profile_evaluations_count_the_objective_calls(self, monkeypatch):
+        calls = []
+        coupling = ri._coupling
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return coupling(*args, **kwargs)
+
+        monkeypatch.setattr(ri, "_coupling", counted)
+        res = optimize_ris_profile(RisIsacScenario.from_scene(desk_scene()), restarts=0)
+        assert res.evaluations == len(calls) > res.iterations
+
+
 class TestFim:
     def test_symmetry_and_psd_on_random_instances(self):
         rng = np.random.default_rng(8)
@@ -434,6 +468,37 @@ class TestTradeoffStructure:
         bare = _zero_ris(scenario)
         assert bare.f_t.shape == (15, 0)
         assert np.allclose(bare.h_t(np.zeros(0)), scenario.a_t_term)
+
+    @pytest.mark.parametrize("coupling", ["weak", "strong"])
+    def test_sweep_equals_per_row_solves(self, coupling):
+        # Each sweep computes h_t(phi), h_c(phi) and the FIM maps once; every
+        # row must equal a solve that rebuilds them, bit for bit.
+        scenario = RisIsacScenario.from_scene(desk_scene(ris=UlaGeometry(8)))
+        shaped = _apply_coupling(scenario, coupling)
+        profile = optimize_ris_profile(shaped, restarts=0).phi
+        phi = profile.phases
+        h_c = shaped.h_c(phi)
+        max_rate = math.log2(1.0 + 3.0 * float(np.real(np.vdot(h_c, h_c))) / 1e-8)
+        grid = list(np.linspace(0.0, 0.97 * max_rate, 6)) + [1.5 * max_rate]
+        rows = ris_isac_tradeoff(scenario, coupling, "with", grid, profile)
+        scene = shaped.scene
+        for row, r0 in zip(rows, grid):
+            closed_form = IsacScenario(
+                a_t=shaped.h_t(phi), a_r=shaped.a_r_term, a_r_dot=shaped.a_r_dot_term,
+                h_c=shaped.h_c(phi), noise_comms=scene.noise_power_comms,
+                noise_sensing=scene.noise_power_sensing,
+                target_gain_var=scene.target_gain_var, samples=scene.samples,
+                budget=scene.transmit_power,
+            )
+            try:
+                closed = crb_min_beamformer(closed_form, r0)
+            except InfeasibleRateError:
+                assert math.isnan(row.rate) and row.crb == math.inf
+                continue
+            assert row.rate == closed.rate
+            assert row.crb == fim_theta(shaped, phi, closed.w).crb_theta1
+            assert row.crb == rate_constrained_crb_beamformer(shaped, profile, r0).crb
+        assert math.isinf(rows[-1].crb)
 
     def test_rows_shape_and_feasibility_markers(self):
         scenario = RisIsacScenario.from_scene(desk_scene(ris=UlaGeometry(8)))
