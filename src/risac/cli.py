@@ -87,33 +87,28 @@ def _run_sense_sweep(cfg: RunConfig, threads: int):
 def _run_detect(cfg: RunConfig, threads: int):
     scene = scene_from_config(cfg)
     design = maximize_illumination(scene)
-    seeds = np.random.SeedSequence(cfg.seed).spawn(
-        len(cfg.snr_db_list) * len(cfg.pf_list)
-    )
-    tasks = []
-    for snr_db in cfg.snr_db_list:
-        for pf in cfg.pf_list:
-            tasks.append((snr_db, pf, seeds[len(tasks)]))
+    dets = [DetectionConfig(false_alarm_rate=pf) for pf in cfg.pf_list]
+    seeds = np.random.SeedSequence(cfg.seed).spawn(len(cfg.snr_db_list))
 
     def one(task):
-        snr_db, pf, seed_seq = task
+        snr_db, seed_seq = task
         snr = 10.0 ** (snr_db / 10.0)
-        det = DetectionConfig(false_alarm_rate=pf)
         # Calibrate the target gain so the matched-filter SNR hits the grid value.
-        gain_var = snr * scene.noise_power_sensing / (
-            scene.rx.num_elements * design.power
-        )
+        gain_var = snr * scene.noise_power_sensing / (scene.rx.num_elements * design.power)
         mc_scene = scene.replace(target_gain_var=gain_var, fluctuating_target=False)
-        mc = glrt_monte_carlo(
-            mc_scene, design.w, design.phi, cfg.trials, det,
-            seed=int(seed_seq.generate_state(1)[0]),
-        )
-        return (snr_db, pf, detection_probability(snr, det), mc.empirical_pd, mc.empirical_pf)
+        seed = int(seed_seq.generate_state(1)[0])
+        mcs = glrt_monte_carlo(mc_scene, design.w, design.phi, cfg.trials, dets, seed)
+        return [(snr_db, det.false_alarm_rate, detection_probability(snr, det),
+                 mc.empirical_pd, mc.empirical_pf) for det, mc in zip(dets, mcs)]
 
-    results = _ordered_map(one, tasks, threads)
+    # One task per SNR point; its rows cover every Pf (an empty pf_list has none).
+    points = _ordered_map(one, zip(cfg.snr_db_list, seeds), threads) if dets else []
+    results = [row for rows in points for row in rows]
     csv_rows = [r[:4] for r in results]
     diag = {
         "illumination_power": design.power,
+        "illumination_converged": design.converged,
+        "illumination_iterations": design.iterations,
         "empirical_pf": {f"{r[0]}dB/pf={r[1]}": r[4] for r in results},
     }
     return {"": (CSV_HEADERS["detect"], csv_rows)}, diag
@@ -296,7 +291,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=Path, default=None, help="key = value config file")
         p.add_argument("--out", type=Path, default=Path("."), help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--threads", type=int, default=1, help="worker threads for grid points")
+        p.add_argument("--threads", type=int, default=1, help="worker threads for "
+                       "detect's SNR points; other experiments run serially")
         p.add_argument("--emit-plot-script", action="store_true",
                        help="write a matplotlib quick-look script next to the CSV")
     return parser

@@ -91,6 +91,9 @@ class RunConfig:
         for pf in self.pf_list:
             if not 0.0 < pf < 1.0:
                 raise ConfigError("pf_list entries must lie in (0, 1)")
+        for name in ("snr_db_list", "pf_list"):
+            if len(set(getattr(self, name))) != len(getattr(self, name)):
+                raise ConfigError(f"{name} entries must not repeat")
         for rho in self.rho_list:
             if not 0.0 <= rho <= 1.0:
                 raise ConfigError("rho_list entries must lie in [0, 1]")
@@ -152,7 +155,8 @@ def _coerce(name: str, raw: str):
             raise ValueError(f"unhandled config type {hint!r}")
     except ValueError as exc:
         raise ConfigError(f"bad value for {name!r}: {exc}") from None
-    if isinstance(value, float) and not math.isfinite(value):
+    entries = value if isinstance(value, tuple) else (value,)
+    if any(isinstance(v, float) and not math.isfinite(v) for v in entries):
         raise ConfigError(f"bad value for {name!r}: must be finite")
     return value
 

@@ -24,6 +24,9 @@ statistic depends on:
   is still drawn, and eta g has the law of eta |g|, so the statistic stays
   in real arithmetic.
 
+One call draws each statistic once and thresholds it at every requested
+false-alarm rate, so its Pf and Pd estimates are monotone in the threshold.
+
 scipy is imported inside ``marcum_q1``, on the first Marcum-Q evaluation, not
 at module level: importing ``risac`` or running an experiment that never
 evaluates Marcum-Q loads no scipy module.
@@ -312,22 +315,30 @@ class GlrtResult:
     trials: int
 
 
+class GlrtResults(list):
+    """One ``GlrtResult`` per detection config, in order, from one set of ``trials`` draws."""
+
+    def __init__(self, results, trials: int):
+        super().__init__(results)
+        self.trials = trials
+
+
 def glrt_monte_carlo(
     scene: Scene,
     w,
     phi,
     trials: int,
-    cfg: DetectionConfig,
+    cfgs: Sequence[DetectionConfig],
     seed: int = 0,
-) -> GlrtResult:
+) -> GlrtResults:
     """Monte Carlo energy test on the matched-filter output under H0 and H1.
 
     The filter is v = conj(a_r_hat), the normalized receive steering vector;
     the echo gain at its output is g = c (a_r^T v) with c = h_t^H w, and the
     output noise variance is sigma_out^2 = sigma_s^2 ||v||^2. Both are
     computed from v, so a misnormalized filter shows up in Pf. The energy
-    |v^T y|^2 / sigma_s^2 is thresholded at cfg.threshold, drawn through the
-    identities in law of the module docstring:
+    |v^T y|^2 / sigma_s^2 is drawn through the identities in law of the
+    module docstring:
 
     - H0: (sigma_out^2 / sigma_s^2) E with E ~ Exp(1).
     - H1: ((m_x + s x)^2 + (m_y + s y)^2) / sigma_s^2, s = sigma_out /
@@ -336,10 +347,15 @@ def glrt_monte_carlo(
       sigma_eta |g| / sqrt(2) times two standard normals.
 
     Draw order: E; then, for a fluctuating target, the in-phase and the
-    quadrature part of eta; then x, y.
+    quadrature part of eta; then x, y. Every ``cfg.threshold`` of ``cfgs`` (a
+    lone config reads as ``[cfg]``) is applied to these same draws.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    cfgs = [cfgs] if isinstance(cfgs, DetectionConfig) else cfgs
+    gammas = [cfg.threshold for cfg in cfgs]
+    if not gammas:
+        raise ValueError("cfgs must hold at least one DetectionConfig")
     rng = np.random.default_rng(seed)
     angles = angles_from_geometry(scene)
     h_t, _ = build_sensing_channels(scene, phi)
@@ -351,7 +367,6 @@ def glrt_monte_carlo(
     out_var = noise_var * float(np.real(np.vdot(v, v)))  # sigma_out^2
     s = math.sqrt(0.5 * out_var)
     sigma_eta = math.sqrt(scene.target_gain_var)
-    gamma = cfg.threshold
     buf = np.empty(trials)
 
     def energy(mean, out):
@@ -364,7 +379,7 @@ def glrt_monte_carlo(
     # H0: noise only.
     rng.standard_exponential(out=buf)
     buf *= out_var / noise_var
-    pf = np.count_nonzero(buf > gamma) / trials
+    pfs = [np.count_nonzero(buf > gamma) / trials for gamma in gammas]
     # H1: target echo plus noise.
     if scene.fluctuating_target:
         amp = sigma_eta * echo_amp / math.sqrt(2.0)
@@ -375,9 +390,8 @@ def glrt_monte_carlo(
     stat_h1 = energy(m_x, np.empty(trials))
     stat_h1 += energy(m_y, buf)
     stat_h1 /= noise_var
-    pd = np.count_nonzero(stat_h1 > gamma) / trials
-
-    return GlrtResult(empirical_pf=pf, empirical_pd=pd, trials=trials)
+    pds = [np.count_nonzero(stat_h1 > gamma) / trials for gamma in gammas]
+    return GlrtResults((GlrtResult(pf, pd, trials) for pf, pd in zip(pfs, pds)), trials)
 
 
 def crb_angle(snr: float, samples: int, adot_norm_sq: float, l_s: int) -> float:

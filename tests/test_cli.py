@@ -9,7 +9,8 @@ from pathlib import Path
 from risac import cli, marcum_q1
 from risac import dual_waveform as dw
 from risac import ris_isac as ri
-from risac.config import RunConfig
+from risac import sensing
+from risac.config import RunConfig, scene_from_config
 
 TINY = "n_ris = 4\nl_t = 4\nl_s = 4\n"
 TINY_RIS_ISAC = TINY + "r0_points = 5\n"
@@ -121,6 +122,41 @@ def test_detect_is_deterministic_across_runs_and_threads(tmp_path):
         assert 0.0 <= float(row["pd_mc"]) <= 1.0
         assert float(row["pf"]) < float(row["pd_formula"]) <= 1.0
     assert len(first[2]["diagnostics"]["empirical_pf"]) == len(rows)
+
+
+def test_detect_rows_are_monotone_in_the_false_alarm_rate(tmp_path):
+    # Both Pf values of an SNR point threshold one draw, so the stricter
+    # threshold never detects more, at any seed.
+    for seed in range(10):
+        cfg = RunConfig(experiment="detect", seed=seed, trials=2000, pf_list=(0.1, 0.099))
+        diag = cli.run_experiment(cfg, tmp_path / str(seed))["diagnostics"]
+        _, rows = _rows((tmp_path / str(seed) / "detect.csv").read_bytes())
+        pfs = list(diag["empirical_pf"].values())
+        assert len(rows) == len(pfs) == 6
+        for i in range(0, 6, 2):
+            loose, strict = rows[i], rows[i + 1]
+            assert loose["snr_db"] == strict["snr_db"]
+            assert (float(loose["pf"]), float(strict["pf"])) == (0.1, 0.099)
+            assert float(loose["pd_mc"]) >= float(strict["pd_mc"]), (seed, loose, strict)
+            assert pfs[i] >= pfs[i + 1], (seed, loose["snr_db"])
+
+
+def test_detect_with_an_empty_grid_writes_only_the_header(tmp_path):
+    for grid in ("pf_list =\n", "snr_db_list =\n"):
+        code, csv_bytes, summary = _run_cli(tmp_path, "detect", TINY + grid, grid[:3])
+        assert code == 0
+        assert csv_bytes.decode() == cli.CSV_HEADERS["detect"] + "\r\n"
+        assert summary["diagnostics"]["empirical_pf"] == {}
+
+
+def test_detect_summary_reports_the_illumination_solve(tmp_path):
+    code, _, summary = _run_cli(tmp_path, "detect", TINY + "trials = 2000\n", "out")
+    assert code == 0
+    diag = summary["diagnostics"]
+    design = sensing.maximize_illumination(scene_from_config(RunConfig(n_ris=4, l_t=4, l_s=4)))
+    assert diag["illumination_converged"] is design.converged is True
+    assert diag["illumination_iterations"] == design.iterations > 0
+    assert diag["illumination_power"] == design.power
 
 
 def test_summaries_report_solver_evaluations(tmp_path, monkeypatch):

@@ -31,9 +31,9 @@ FIELD_STRATEGIES = {
     "road_end": position,
     "num_waypoints": count,
     "blocked_from_index": st.integers(),
-    "snr_db_list": st.lists(finite, max_size=4).map(tuple),
+    "snr_db_list": st.lists(finite, max_size=4, unique=True).map(tuple),
     "pf_list": st.lists(
-        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), max_size=4
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), max_size=4, unique=True
     ).map(tuple),
     "trials": count,
     "rho_list": st.lists(st.floats(0.0, 1.0), max_size=4).map(tuple),
@@ -97,6 +97,44 @@ def test_removed_key_is_a_json_config_error(tmp_path, capsys, key):
     assert set(err) == {"error", "detail"}
     assert err["error"] == "ConfigError" and key in err["detail"]
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["snr_db_list = nan", "snr_db_list = 0.0, inf", "pf_list = 0.1, nan",
+     "target_angles_deg = -inf", "bs_position = nan, 0", "road_end = 1.0, inf"],
+)
+def test_nonfinite_tuple_entry_is_a_json_config_error(tmp_path, capsys, line):
+    # Every float of a tuple or position is checked, not only scalar floats.
+    config = tmp_path / "nonfinite.cfg"
+    config.write_text(f"l_t = 4\n{line}\n")
+    code, err = _error_of(capsys, ["detect", "--config", str(config),
+                                   "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert set(err) == {"error", "detail"}
+    assert err["error"] == "ConfigError" and line.split(" = ")[0] in err["detail"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("line", ["pf_list = 0.1, 0.1", "snr_db_list = 0.0, 5.0, 0.0"])
+def test_repeated_grid_entry_is_a_json_config_error(tmp_path, capsys, line):
+    # A repeated entry would write two detect rows under one empirical_pf key.
+    config = tmp_path / "repeated.cfg"
+    config.write_text(f"l_t = 4\n{line}\n")
+    code, err = _error_of(capsys, ["detect", "--config", str(config),
+                                   "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert set(err) == {"error", "detail"}
+    assert err["error"] == "ConfigError" and line.split(" = ")[0] in err["detail"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_repeated_grid_entry_is_a_config_error():
+    with pytest.raises(ConfigError, match="pf_list"):
+        RunConfig(pf_list=(0.1, 0.01, 0.1)).validate()
+    with pytest.raises(ConfigError, match="snr_db_list"):
+        RunConfig(snr_db_list=(5.0, 5.0)).validate()
+    RunConfig(snr_db_list=(0.0, 5.0), pf_list=(0.1, 0.099)).validate()
 
 
 def test_experiment_mismatch_is_a_json_config_error(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 
@@ -362,7 +363,7 @@ class TestGlrt:
     def test_false_alarm_calibration(self, calibrated):
         scene, design = calibrated
         cfg = DetectionConfig(0.05)
-        res = glrt_monte_carlo(scene, design.w, design.phi, 100000, cfg, seed=21)
+        res = glrt_monte_carlo(scene, design.w, design.phi, 100000, [cfg], seed=21)[0]
         sigma = math.sqrt(0.05 * 0.95 / 100000)
         assert abs(res.empirical_pf - 0.05) <= 3.0 * sigma
 
@@ -370,7 +371,7 @@ class TestGlrt:
         scene, design = calibrated
         dead = scene.replace(target_gain_var=0.0)
         cfg = DetectionConfig(0.1)
-        res = glrt_monte_carlo(dead, design.w, design.phi, 50000, cfg, seed=5)
+        res = glrt_monte_carlo(dead, design.w, design.phi, 50000, [cfg], seed=5)[0]
         sigma = math.sqrt(0.1 * 0.9 / 50000)
         assert abs(res.empirical_pd - 0.1) <= 4.0 * sigma
 
@@ -381,7 +382,9 @@ class TestGlrt:
             scene.rx.num_elements * design.power
         )
         hot = scene.replace(target_gain_var=gain_var)
-        res = glrt_monte_carlo(hot, design.w, design.phi, 20000, DetectionConfig(0.01), seed=6)
+        res = glrt_monte_carlo(
+            hot, design.w, design.phi, 20000, [DetectionConfig(0.01)], seed=6
+        )[0]
         assert res.empirical_pd > 0.99
 
     def test_matches_marcum_formula(self, calibrated):
@@ -392,7 +395,7 @@ class TestGlrt:
         )
         tuned = scene.replace(target_gain_var=gain_var)
         cfg = DetectionConfig(0.01)
-        res = glrt_monte_carlo(tuned, design.w, design.phi, 100000, cfg, seed=31)
+        res = glrt_monte_carlo(tuned, design.w, design.phi, 100000, [cfg], seed=31)[0]
         pd = detection_probability(snr, cfg)
         sigma = math.sqrt(pd * (1.0 - pd) / 100000)
         assert abs(res.empirical_pd - pd) <= 3.0 * sigma
@@ -408,7 +411,7 @@ class TestGlrt:
         rayleigh = at_snr(scene, design, snr).replace(fluctuating_target=True)
         cfg = DetectionConfig(pf)
         trials = 100000
-        res = glrt_monte_carlo(rayleigh, design.w, design.phi, trials, cfg, seed=17)
+        res = glrt_monte_carlo(rayleigh, design.w, design.phi, trials, [cfg], seed=17)[0]
         pd = math.exp(-cfg.threshold / (1.0 + snr))
         assert binomial_z(res.empirical_pd, pd, trials) <= 4.0
         assert binomial_z(res.empirical_pf, pf, trials) <= 4.0
@@ -422,11 +425,52 @@ class TestGlrt:
         tuned = at_snr(scene, design, 10.0 ** 0.5).replace(fluctuating_target=fluctuating)
         rotated = Beamformer(np.exp(1j * theta) * design.w.weights, design.w.budget)
         cfg = DetectionConfig(0.05)
-        ref = glrt_monte_carlo(tuned, design.w, design.phi, 20000, cfg, seed=8)
-        res = glrt_monte_carlo(tuned, rotated, design.phi, 20000, cfg, seed=8)
+        ref = glrt_monte_carlo(tuned, design.w, design.phi, 20000, [cfg], seed=8)[0]
+        res = glrt_monte_carlo(tuned, rotated, design.phi, 20000, [cfg], seed=8)[0]
         assert 0.05 < ref.empirical_pd < 0.95
         assert res.empirical_pd == ref.empirical_pd
         assert res.empirical_pf == ref.empirical_pf
+
+    @pytest.mark.parametrize("fluctuating", [False, True])
+    def test_several_thresholds_read_one_draw(self, calibrated, fluctuating):
+        # Every threshold reads the same draws, so each result equals the
+        # call with its config alone and the same seed.
+        scene, design = calibrated
+        tuned = at_snr(scene, design, 10.0 ** 0.5).replace(fluctuating_target=fluctuating)
+        cfgs = [DetectionConfig(0.05), DetectionConfig(0.01)]
+        both = glrt_monte_carlo(tuned, design.w, design.phi, 20000, cfgs, seed=8)
+        alone = [glrt_monte_carlo(tuned, design.w, design.phi, 20000, [c], seed=8)[0]
+                 for c in cfgs]
+        assert len(both) == 2 and both.trials == 20000
+        for res, ref in zip(both, alone):
+            assert res == ref
+            assert dataclasses.astuple(res) == dataclasses.astuple(ref)
+        assert both[0].empirical_pf >= both[1].empirical_pf
+        assert both[0].empirical_pd >= both[1].empirical_pd
+        # A lone config is read as a one-element sequence.
+        lone = glrt_monte_carlo(tuned, design.w, design.phi, 20000, cfgs[1], seed=8)
+        assert lone == [both[1]]
+
+    @pytest.mark.parametrize(
+        "fluctuating,counts",
+        [(False, [(1000, 12197), (172, 7380)]), (True, [(1000, 9717), (172, 6599)])],
+    )
+    def test_single_threshold_counts_are_pinned(self, calibrated, fluctuating, counts):
+        # Detection counts of the one-threshold-per-call simulator at this
+        # seed: the shared draw keeps the draw order, so they do not move.
+        scene, design = calibrated
+        tuned = at_snr(scene, design, 10.0 ** 0.5).replace(fluctuating_target=fluctuating)
+        for pf, (false_alarms, detections) in zip([0.05, 0.01], counts):
+            res = glrt_monte_carlo(
+                tuned, design.w, design.phi, 20000, [DetectionConfig(pf)], seed=8
+            )[0]
+            assert res.empirical_pf == false_alarms / 20000
+            assert res.empirical_pd == detections / 20000
+
+    def test_empty_configs_rejected(self, calibrated):
+        scene, design = calibrated
+        with pytest.raises(ValueError, match="at least one"):
+            glrt_monte_carlo(scene, design.w, design.phi, 1000, [], seed=0)
 
 
 class TestGlrtSnapshotReference:
@@ -447,7 +491,7 @@ class TestGlrtSnapshotReference:
         )
         cfg = DetectionConfig(0.01)
         trials = 40000
-        res = glrt_monte_carlo(tuned, design.w, design.phi, trials, cfg, seed=41)
+        res = glrt_monte_carlo(tuned, design.w, design.phi, trials, [cfg], seed=41)[0]
         ref_pf, ref_pd = glrt_snapshot_reference(
             tuned, design.w, design.phi, trials, cfg, seed=42
         )
