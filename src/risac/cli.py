@@ -80,7 +80,9 @@ def _run_sense_sweep(cfg: RunConfig, threads: int):
     blocked = [i >= cfg.blocked_from_index for i in range(cfg.num_waypoints)]
     rows = trajectory_sweep(scene, waypoints, blocked=blocked)
     csv_rows = [(r.waypoint, r.mode, r.power_db, r.crb) for r in rows]
-    diag = {"waypoints": [list(map(float, w)) for w in waypoints], "blocked": blocked}
+    diag = {"waypoints": [list(map(float, w)) for w in waypoints], "blocked": blocked,
+            "illumination_converged": all(r.converged for r in rows),
+            "illumination_iterations": max(r.iterations for r in rows)}
     return {"": (CSV_HEADERS["sense-sweep"], csv_rows)}, diag
 
 
@@ -152,11 +154,10 @@ def _run_ris_isac_tradeoff(cfg: RunConfig, threads: int):
     profile = None
     diag = {}
     if set(cfg.ris_modes) & {"with", "reference"}:
-        solved = ri.optimize_ris_profile(shaped, restarts=cfg.restarts, seed=cfg.seed)
+        solved = ri.optimize_ris_profile(shaped)
         profile = solved.phi
-        diag["profile_converged"] = solved.converged
-        diag["profile_iterations"] = solved.iterations
-        diag["profile_evaluations"] = solved.evaluations
+        for key in ("converged", "stop", "objective", "iterations", "evaluations"):
+            diag[f"profile_{key}"] = getattr(solved, key)
     csv_rows = []
     for mode in cfg.ris_modes:
         h_c = shaped.h_bu if mode == "without" else shaped.h_c(profile)
@@ -184,15 +185,10 @@ def _run_beampattern(cfg: RunConfig, threads: int):
     gamma = 10.0 ** (cfg.sinr_threshold_db / 10.0)
     design = dw.design_dual_waveform(scene, spec, gamma, seed=cfg.seed)
 
-    r_comm = np.outer(design.comm_precoder, design.comm_precoder.conj())
-    r_sense = design.sensing_precoder @ design.sensing_precoder.conj().T
-    steer = dw._steering_matrix(scene.tx, spec.grid)
-    j_total = dw._pattern(design.covariance, steer)
-    j_comm = dw._pattern(r_comm, steer)
-    j_sense = dw._pattern(r_sense, steer)
     csv_rows = [
         (math.degrees(a), jt, jc, js)
-        for a, jt, jc, js in zip(spec.grid, j_total, j_comm, j_sense)
+        for a, jt, jc, js in zip(spec.grid, design.pattern, design.comm_pattern,
+                                 design.sense_pattern)
     ]
     phase_rows = list(enumerate(np.angle(design.phi.phases)))
     diag = {

@@ -64,7 +64,6 @@ class RunConfig:
     # ris-isac-tradeoff extras.
     coupling: str = "weak"
     ris_modes: Tuple[str, ...] = ("with", "without", "reference")
-    restarts: int = 2
     # beampattern extras.
     target_angles_deg: Tuple[float, ...] = (-40.0, 20.0)
     beam_width_deg: float = 10.0
@@ -84,8 +83,6 @@ class RunConfig:
             raise ConfigError("seed must be >= 0")
         if self.n_ris < 0:
             raise ConfigError("n_ris must be >= 0")
-        if self.restarts < 0:
-            raise ConfigError("restarts must be >= 0")
         if not self.transmit_power > 0:
             raise ConfigError("transmit_power must be positive watts")
         for pf in self.pf_list:

@@ -15,7 +15,8 @@ h^H R h >= gamma sigma_c^2. When it binds, one augmented-Lagrangian
 multiplier enforces it (Liu & Boumal 2019), and the RIS phases maximize
 h(phi)^H R h(phi) on the circle manifold. Both blocks run
 ``optim.riemannian_descent``; the steering matrices are built once per
-design.
+design, and the design carries its total, comm and sensing patterns on the
+spec's grid.
 """
 
 from __future__ import annotations
@@ -92,6 +93,9 @@ class DualDesign:
     tau: float
     phi: RisProfile
     covariance: np.ndarray      # R = c c^H + W W^H
+    pattern: np.ndarray         # a(theta)^H R a(theta) on spec.grid
+    comm_pattern: np.ndarray    # the same for c c^H
+    sense_pattern: np.ndarray   # the same for W W^H
     sinr: float
     loss: float
     objective_trace: np.ndarray  # solver objective at accepted iterates, solve after solve
@@ -310,12 +314,17 @@ def design_dual_waveform(
     w[0] += np.exp(1j * np.angle(u[0]))
     q = np.eye(k_targets + 1, k_targets, -1) - np.outer(w, w[1:].conj()) / (1.0 + abs(u[0]))
     r_cov = x @ x.conj().T
+    comm_precoder, sensing_precoder = x @ u, x @ q
+    pattern = _pattern(r_cov, st.grid)
     return DualDesign(
-        comm_precoder=x @ u,
-        sensing_precoder=x @ q,
-        tau=_best_tau(_pattern(r_cov, st.grid), spec.desired, st.denom),
+        comm_precoder=comm_precoder,
+        sensing_precoder=sensing_precoder,
+        tau=_best_tau(pattern, spec.desired, st.denom),
         phi=RisProfile(best["phi"]) if n else RisProfile(np.zeros(0)),
         covariance=r_cov,
+        pattern=pattern,
+        comm_pattern=_pattern(np.outer(comm_precoder, comm_precoder.conj()), st.grid),
+        sense_pattern=_pattern(sensing_precoder @ sensing_precoder.conj().T, st.grid),
         sinr=float(np.real(np.vdot(v, v))) / sigma_c,
         loss=best["loss"],
         objective_trace=np.asarray(trace),

@@ -116,7 +116,7 @@ def riemannian_descent(
     if x0.ndim != ndim:
         raise ValueError(f"the {manifold} manifold needs a {ndim}-D start")
     shape = x0.shape
-    rows = x0.reshape(shape[0], -1)
+    rows = x0 if ndim == 2 else x0.reshape(-1, 1)  # a circle point is a column
 
     def evaluate(x):
         f, g = fun(x.reshape(shape))

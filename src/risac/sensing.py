@@ -417,6 +417,9 @@ class SweepRow:
     power: float
     power_db: float
     crb: float
+    # Of the row's maximize_illumination solves (none for the closed forms).
+    converged: bool = True  # every solve converged
+    iterations: int = 0     # the largest iteration count
 
 
 def _power_db(power: float) -> float:
@@ -473,6 +476,7 @@ def trajectory_sweep(
             angles = angles_from_geometry(base)
             adot = steering_derivative(base.rx, angles.theta1)
             adot_sq = float(np.real(np.vdot(adot, adot)))
+            solves = []
             if mode == "without_ris":
                 scene = base.replace(ris_gain_override=0.0)
                 gains = path_gains(scene)
@@ -502,13 +506,12 @@ def trajectory_sweep(
                     starts.append(dict(init_phi=ris_start[1]))
                 if not starts:
                     starts.append(dict())
-                best = None
-                for kw in starts:
-                    res = maximize_illumination(scene, tol=tol, max_iter=max_iter, **kw)
-                    if best is None or res.power > best.power:
-                        best = res
-                power = best.power
+                solves = [maximize_illumination(scene, tol=tol, max_iter=max_iter, **kw)
+                          for kw in starts]
+                power = max(res.power for res in solves)
             snr = matched_filter_snr(power, base)
             crb = crb_angle(snr, base.samples, adot_sq, base.rx.num_elements)
-            rows.append(SweepRow(idx, mode, power, _power_db(power), crb))
+            rows.append(SweepRow(idx, mode, power, _power_db(power), crb,
+                                 all(res.converged for res in solves),
+                                 max((res.iterations for res in solves), default=0)))
     return rows

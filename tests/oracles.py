@@ -91,3 +91,28 @@ def sinr_given_channel(h_c: np.ndarray, comm: np.ndarray, r_cov: np.ndarray,
     total = float(np.real(np.vdot(h_c, r_cov @ h_c)))
     interference = max(total - num, 0.0)
     return num / (interference + noise_comms)
+
+
+def rank_one_coupling_grid(a_t, f_t, a_r, f_r, h_bu, f_c, radii=201, angles=720):
+    """Coupling objective on a polar grid of s = r^T phi, for a rank-one [F_t; F_r; F_c].
+
+    When the stacked RIS maps are sigma_1 g r^T, each F phi is a multiple of
+    s = r^T phi and the objective -||a_t + g_t s||^2 |(a_r + g_r s)^H (h_bu +
+    g_c s)|^2 is a closed form in s. Unit-modulus phi reach only |s| <=
+    ||r||_1, so the grid covers that disk, rim included. Returns (grid
+    minimum, ||r||_1, sigma_2 / sigma_1 of the stack).
+    """
+    stack = np.vstack([f_t, f_r, f_c])
+    u, sig, vh = np.linalg.svd(stack, full_matrices=False)
+    ratio = sig[1] / sig[0] if sig.size > 1 else 0.0
+    g = sig[0] * u[:, 0]
+    l_t, l_s = len(a_t), len(a_r)
+    g_t, g_r, g_c = g[:l_t], g[l_t:l_t + l_s], g[l_t + l_s:]
+    r_norm1 = float(np.sum(np.abs(vh[0])))
+    s = np.outer(np.linspace(0.0, r_norm1, radii),
+                 np.exp(1j * np.linspace(0.0, 2.0 * np.pi, angles, endpoint=False)))
+    norm_u_sq = (np.vdot(a_t, a_t).real + 2.0 * np.real(np.conj(s) * np.vdot(g_t, a_t))
+                 + np.abs(s) ** 2 * np.vdot(g_t, g_t).real)
+    inner = (np.vdot(a_r, h_bu) + s * np.vdot(a_r, g_c) + np.conj(s) * np.vdot(g_r, h_bu)
+             + np.abs(s) ** 2 * np.vdot(g_r, g_c))
+    return float(np.min(-norm_u_sq * np.abs(inner) ** 2)), r_norm1, float(ratio)

@@ -52,7 +52,7 @@ def test_ris_isac_tradeoff_is_deterministic_and_feasible(tmp_path):
     assert _run(tmp_path, "b") == first
     assert _run(tmp_path, "c", "--threads", "4") == first
 
-    rows = list(csv.DictReader((tmp_path / "a" / "ris-isac-tradeoff.csv").open()))
+    rows = list(csv.DictReader((tmp_path / "a" / "ris-isac-tradeoff.csv").read_text().splitlines()))
     assert len(rows) == 3 * 5
     diag = first[2]["diagnostics"]
     assert diag["profile_converged"] is True and diag["profile_iterations"] > 0
@@ -73,13 +73,23 @@ def test_ris_isac_tradeoff_solves_the_profile_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_ris_isac_tradeoff_summary_reports_the_profile_stop(tmp_path):
+    diag = _run(tmp_path, "a")[2]["diagnostics"]
+    scene = scene_from_config(RunConfig(experiment="ris-isac-tradeoff", n_ris=4, l_t=4, l_s=4))
+    solved = ri.optimize_ris_profile(ri._apply_coupling(ri.RisIsacScenario.from_scene(scene),
+                                                        "weak"))
+    assert diag["profile_stop"] == solved.stop == "tol"
+    assert diag["profile_objective"] == solved.objective < 0.0
+    assert diag["profile_iterations"] == solved.iterations
+
+
 def test_ris_isac_tradeoff_large_strong_coupling_is_finite(tmp_path):
     # The optimized profile leaves the angle FIM badly scaled (raw condition
     # number ~4e17) but well posed, so every CRB must stay finite.
     cfg = RunConfig(experiment="ris-isac-tradeoff", coupling="strong", seed=1,
                     n_ris=256, l_t=32, l_s=32, r0_points=3)
     cli.run_experiment(cfg, tmp_path)
-    rows = list(csv.DictReader((tmp_path / "ris-isac-tradeoff.csv").open()))
+    rows = list(csv.DictReader((tmp_path / "ris-isac-tradeoff.csv").read_text().splitlines()))
     assert len(rows) == 3 * 3
     for row in rows:
         assert math.isfinite(float(row["crb"])), row
@@ -93,7 +103,7 @@ def test_beampattern_csv_splits_the_pattern_and_is_deterministic(tmp_path):
     cli.run_experiment(cfg, tmp_path / "b")
     for name in ("beampattern.csv", "beampattern_phases.csv"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
-    rows = list(csv.DictReader((tmp_path / "a" / "beampattern.csv").open()))
+    rows = list(csv.DictReader((tmp_path / "a" / "beampattern.csv").read_text().splitlines()))
     assert len(rows) == 31
     for row in rows:
         total, comm, sense = (float(row[k]) for k in ("j_total", "j_comm", "j_sense"))
@@ -203,6 +213,36 @@ def test_sense_sweep_smoke(tmp_path):
             assert crb == math.inf, row  # the direct path is blocked
         else:
             assert math.isfinite(crb) and crb > 0, row
+
+
+def test_sense_sweep_summary_reports_the_illumination_solves(tmp_path, monkeypatch):
+    results = []
+    original = sensing.maximize_illumination
+
+    def recorded(*args, **kwargs):
+        results.append(original(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(sensing, "maximize_illumination", recorded)
+    for seed in range(4):
+        results.clear()
+        diag = cli.run_experiment(RunConfig(seed=seed), tmp_path / str(seed))["diagnostics"]
+        # Two starts at each of the 6 unblocked waypoints, one at each of the 4 blocked.
+        assert len(results) == 16
+        assert diag["illumination_converged"] is all(r.converged for r in results) is True
+        assert diag["illumination_iterations"] == max(r.iterations for r in results) > 0
+
+
+def test_sense_sweep_summary_reports_an_unconverged_illumination_solve(tmp_path, monkeypatch):
+    original = sensing.maximize_illumination
+
+    def capped(scene, **kwargs):
+        return original(scene, **{**kwargs, "max_iter": 1})
+
+    monkeypatch.setattr(sensing, "maximize_illumination", capped)
+    diag = cli.run_experiment(RunConfig(), tmp_path)["diagnostics"]
+    assert diag["illumination_converged"] is False
+    assert diag["illumination_iterations"] == 1
 
 
 def test_isac_tradeoff_smoke(tmp_path):

@@ -42,7 +42,6 @@ FIELD_STRATEGIES = {
     "ris_modes": st.lists(
         st.sampled_from(("with", "without", "reference")), max_size=4
     ).map(tuple),
-    "restarts": st.integers(min_value=0),
     "target_angles_deg": st.lists(finite, max_size=4).map(tuple),
     "grid_points": count,
     "blocked_user_path": st.booleans(),
@@ -86,9 +85,11 @@ def test_unknown_key_is_a_json_config_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("key", ["center_frequency_ghz", "rate_threshold"])
+@pytest.mark.parametrize("key", ["center_frequency_ghz", "rate_threshold", "restarts"])
 def test_removed_key_is_a_json_config_error(tmp_path, capsys, key):
-    # Both keys were accepted once and never read; naming one now fails loudly.
+    # Each key was accepted once: the first two were never read, and restarts
+    # set the random starts of the RIS profile solve, which now has one
+    # deterministic start. Naming one now fails loudly.
     config = tmp_path / "removed.cfg"
     config.write_text(f"l_t = 4\n{key} = 3.0\n")
     code, err = _error_of(capsys, ["sense-sweep", "--config", str(config),
@@ -172,23 +173,6 @@ def test_beampattern_without_targets_is_a_json_config_error(tmp_path, capsys):
     assert code == 2
     assert set(err) == {"error", "detail"}
     assert err["error"] == "ConfigError" and "target_angles_deg" in err["detail"]
-    assert not (tmp_path / "out").exists()
-
-
-def test_negative_restarts_is_a_config_error():
-    with pytest.raises(ConfigError, match="restarts"):
-        RunConfig(experiment="ris-isac-tradeoff", restarts=-3).validate()
-    RunConfig(experiment="ris-isac-tradeoff", restarts=0).validate()
-
-
-def test_negative_restarts_is_a_json_config_error(tmp_path, capsys):
-    config = tmp_path / "negative.cfg"
-    config.write_text("l_t = 4\nl_s = 4\nn_ris = 4\nrestarts = -3\n")
-    code, err = _error_of(capsys, ["ris-isac-tradeoff", "--config", str(config),
-                                   "--out", str(tmp_path / "out")])
-    assert code == 2
-    assert set(err) == {"error", "detail"}
-    assert err["error"] == "ConfigError" and "restarts" in err["detail"]
     assert not (tmp_path / "out").exists()
 
 

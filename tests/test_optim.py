@@ -50,6 +50,13 @@ def test_constant_objective_returns_init():
     assert res.converged and res.stop == "tol"
 
 
+def test_empty_circle_start_returns_at_once():
+    # An RIS of no elements: the empty profile is its only point.
+    res = riemannian_descent(lambda x: (-3.0, np.zeros_like(x)), "circle", np.zeros(0))
+    assert res.x.shape == (0,) and res.objective == -3.0
+    assert res.iterations == 0 and res.evaluations == 1 and res.stop == "tol"
+
+
 def test_radial_gradient_is_stationary():
     # 2.5 ||x||^2 is constant on the manifold: its gradient 2.5 x is radial,
     # with no tangent part, so the start is already optimal.

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -18,11 +19,13 @@ from risac import (
     ris_isac_tradeoff,
 )
 from risac import ris_isac as ri
+from risac.cli import run_experiment
+from risac.config import RunConfig, scene_from_config
 from risac.isac import IsacScenario, crb_min_beamformer
 from risac.optim import _unit_modulus
 from risac.ris_isac import _apply_coupling, _fim_maps, _zero_ris
 
-from oracles import coupling_coefficient, finite_difference_gradient
+from oracles import coupling_coefficient, finite_difference_gradient, rank_one_coupling_grid
 
 
 def scalar_loop_objective(phi, a_t, f_t, a_r, f_r, h_bu, f_c):
@@ -174,7 +177,7 @@ class TestCouplingGradient:
         scenario = RisIsacScenario.from_scene(scene)
         args = (scenario.a_t_term, scenario.f_t, scenario.a_r_term,
                 scenario.f_r, scenario.h_bu, scenario.f_c)
-        res = optimize_ris_profile(scenario, restarts=2)
+        res = optimize_ris_profile(scenario)
         phi = res.phi.phases
         g = coupling_gradient(phi, *args)
         tangent = g - np.real(g * np.conj(phi)) * phi
@@ -186,7 +189,7 @@ class TestOptimizeProfile:
     def test_single_element_matches_circle_sweep(self):
         scene = desk_scene(ris=UlaGeometry(1))
         scenario = RisIsacScenario.from_scene(scene)
-        res = optimize_ris_profile(scenario, restarts=4, seed=0)
+        res = optimize_ris_profile(scenario)
         grid = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False))
         vals = [
             coupling_objective(
@@ -202,26 +205,54 @@ class TestOptimizeProfile:
         rng = np.random.default_rng(55)
         for seed in range(20):
             scenario = RisIsacScenario.from_scene(desk_scene(seed=seed, ris=UlaGeometry(8)))
-            res = optimize_ris_profile(scenario, restarts=2, seed=seed)
+            res = optimize_ris_profile(scenario)
             args = (scenario.a_t_term, scenario.f_t, scenario.a_r_term,
                     scenario.f_r, scenario.h_bu, scenario.f_c)
             for _ in range(100):
                 phi = np.exp(1j * rng.uniform(0, 2 * np.pi, 8))
                 assert res.objective <= coupling_objective(phi, *args) + 1e-12
 
+    @pytest.mark.parametrize("coupling", ["weak", "strong"])
+    def test_tuned_ris_pays_off(self, tmp_path, coupling):
+        # The tuned RIS must cut the best CRB at least fivefold against the
+        # RIS-free channel at every config seed, strong coupling included.
+        for seed in range(10):
+            cfg = RunConfig(experiment="ris-isac-tradeoff", coupling=coupling, seed=seed,
+                            r0_points=3, ris_modes=("with", "without"))
+            run_experiment(cfg, tmp_path / str(seed))
+            text = (tmp_path / str(seed) / "ris-isac-tradeoff.csv").read_text()
+            best = {}
+            for row in csv.DictReader(text.splitlines()):
+                best[row["mode"]] = min(best.get(row["mode"], math.inf), float(row["crb"]))
+            assert best["with"] <= best["without"] / 5.0, (seed, best)
+
+    def test_strong_coupling_reaches_the_rank_one_optimum(self):
+        # At strong coupling [F_t; F_r; F_c] has rank one, so the objective is
+        # a function of s = r^T phi on the disk |s| <= ||r||_1; the descent
+        # must match or beat its minimum over a fine polar grid of that disk.
+        for seed in range(10):
+            scene = scene_from_config(RunConfig(experiment="ris-isac-tradeoff", seed=seed))
+            shaped = _apply_coupling(RisIsacScenario.from_scene(scene), "strong")
+            args = (shaped.a_t_term, shaped.f_t, shaped.a_r_term, shaped.f_r,
+                    shaped.h_bu, shaped.f_c)
+            grid_min, _, ratio = rank_one_coupling_grid(*args)
+            assert ratio <= 1e-12, (seed, ratio)
+            res = optimize_ris_profile(shaped)
+            assert res.objective <= grid_min + 1e-12 * abs(grid_min), (seed, res.objective)
+
     def test_zero_ris_gain_returns_init(self):
+        # F_t^H a_t is exactly zero, so the start is all ones, and the
+        # objective does not depend on phi: the solver stops at once.
         scene = desk_scene(ris=UlaGeometry(6), ris_gain_override=0.0,
                            blocked_user_path=False)
         scenario = RisIsacScenario.from_scene(scene)
-        init = np.exp(1j * np.linspace(0.3, 2.0, 6))
-        from risac.channels import RisProfile
-
-        res = optimize_ris_profile(scenario, init=RisProfile(init), restarts=0)
-        assert np.allclose(res.phi.phases, init)
+        res = optimize_ris_profile(scenario)
+        assert np.array_equal(res.phi.phases, np.ones(6, dtype=complex))
+        assert res.iterations == 0 and res.converged and res.stop == "tol"
 
     def test_trace_non_increasing_and_unit_modulus(self):
         scenario = RisIsacScenario.from_scene(desk_scene())
-        res = optimize_ris_profile(scenario, restarts=1, seed=1)
+        res = optimize_ris_profile(scenario)
         assert np.all(np.diff(res.objective_trace) <= 0.0)
         assert np.max(np.abs(np.abs(res.phi.phases) - 1.0)) < 1e-15
 
@@ -263,7 +294,7 @@ class TestOptimizeProfile:
             return coupling(*args, **kwargs)
 
         monkeypatch.setattr(ri, "_coupling", counted)
-        res = optimize_ris_profile(RisIsacScenario.from_scene(desk_scene()), restarts=0)
+        res = optimize_ris_profile(RisIsacScenario.from_scene(desk_scene()))
         assert res.evaluations == len(calls) > res.iterations
 
 
@@ -475,7 +506,7 @@ class TestTradeoffStructure:
         # row must equal a solve that rebuilds them, bit for bit.
         scenario = RisIsacScenario.from_scene(desk_scene(ris=UlaGeometry(8)))
         shaped = _apply_coupling(scenario, coupling)
-        profile = optimize_ris_profile(shaped, restarts=0).phi
+        profile = optimize_ris_profile(shaped).phi
         phi = profile.phases
         h_c = shaped.h_c(phi)
         max_rate = math.log2(1.0 + 3.0 * float(np.real(np.vdot(h_c, h_c))) / 1e-8)
