@@ -88,7 +88,7 @@ class RunConfig:
         for pf in self.pf_list:
             if not 0.0 < pf < 1.0:
                 raise ConfigError("pf_list entries must lie in (0, 1)")
-        for name in ("snr_db_list", "pf_list"):
+        for name in ("snr_db_list", "pf_list", "rho_list", "ris_modes", "target_angles_deg"):
             if len(set(getattr(self, name))) != len(getattr(self, name)):
                 raise ConfigError(f"{name} entries must not repeat")
         for rho in self.rho_list:
@@ -99,6 +99,13 @@ class RunConfig:
         bad_modes = set(self.ris_modes) - {"with", "without", "reference"}
         if bad_modes:
             raise ConfigError(f"unknown ris_modes: {sorted(bad_modes)}")
+        if (self.experiment == "ris-isac-tradeoff" and self.l_s != self.l_t
+                and set(self.ris_modes) & {"with", "reference"}):
+            # The RIS profile's coupling metric is the inner product of the
+            # receive and user channels, so the arrays must match.
+            raise ConfigError(
+                f"ris_modes with or reference need l_s == l_t (got {self.l_s} vs {self.l_t})"
+            )
         if self.experiment == "beampattern" and not self.target_angles_deg:
             raise ConfigError("target_angles_deg must hold at least one angle for beampattern")
         return self

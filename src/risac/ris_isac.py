@@ -1,15 +1,19 @@
-"""RIS-aided ISAC: coupling maximization, FIM-based CRB, beamformer design.
+"""RIS-aided ISAC: coupling maximization, angle CRB, beamformer design.
 
 Every channel comes from ``channels.RisIsacScenario``, h(phi) = a + F phi.
 The RIS profile is tuned first to expand and rotate the sensing/comms
 subspaces (Riemannian descent on the circle manifold |phi_i| = 1), then the
-transmit beamformer minimizes the FIM-based angle CRB under a rate floor in
-closed form. The nuisance gain beta contributes the FIM columns h_r s and
-i h_r s (s = h_t^T w), so eliminating it projects h_r out of the angle
-columns; the transmit-derivative terms lie along h_r and drop out. What
-remains is CRB(theta1) = kappa(phi) / |h_t(phi)^T w|^2, with kappa set by
-the receive side alone, so minimizing the CRB maximizes the illumination
-|h_t^T w|^2.
+transmit beamformer minimizes the angle CRB under a rate floor in closed
+form. The nuisance gain beta contributes the FIM columns h_r s and i h_r s
+(s = h_t^T w), so eliminating it projects h_r out of the angle columns; the
+transmit-derivative terms lie along h_r and drop out. What remains is
+CRB(theta1) = kappa(phi) / |h_t(phi)^T w|^2, with kappa set by the receive
+side alone, so minimizing the CRB maximizes the illumination |h_t^T w|^2.
+With R = [adot_r-term, F_rdot phi] and R_perp its part orthogonal to h_r,
+kappa = [G^-1]_11 / (2T / sigma_s^2) for G = Re(R_perp^H R_perp); a sweep
+computes kappa once per profile, and each row costs one inner product.
+``fim_theta`` builds the full 4 x 4 FIM instead and is the independent
+reference the kappa form is tested against.
 
 The profile descent runs once, from phi_0 = F_t^H a_t / |F_t^H a_t|
 entrywise. Each RIS map is a rank-one dyad F_t = g r^T, so phi_0 puts r^T phi
@@ -180,36 +184,56 @@ def fim_theta(scenario: RisIsacScenario, phi, w) -> FimResult:
     """Fisher information over (theta1, theta2, Re beta, Im beta) and CRB(theta1).
 
     Deterministic-signal Gaussian model with T unit-power samples:
-    FIM = (2T / sigma_s^2) Re(D^H D). Identically-zero parameter directions
-    (for example theta2 without an RIS) are pruned before inversion; a
-    genuinely singular information matrix yields an infinite CRB. The
-    condition number is that of the unit-diagonal (Jacobi-scaled) matrix,
-    since the beta entries carry 1/|beta|^2 and dwarf the angle entries.
+    FIM = (2T / sigma_s^2) Re(D^H D). A parameter whose FIM diagonal is
+    exactly zero (for example theta2 without an RIS) is dropped before
+    inversion; any other parameter is kept however weak it is, since
+    treating it as known would make the CRB optimistic. A genuinely singular
+    information matrix yields an infinite CRB (see ``_angle_crb``).
     """
     w_vec = w.weights if isinstance(w, Beamformer) else np.asarray(w, dtype=complex).reshape(-1)
-    return _fim_from_maps(scenario, _fim_maps(scenario, phi), w_vec)
-
-
-def _fim_from_maps(scenario: RisIsacScenario, maps: list, w_vec: np.ndarray) -> FimResult:
-    d = np.column_stack([m @ w_vec for m in maps])
+    d = np.column_stack([m @ w_vec for m in _fim_maps(scenario, phi)])
     scale = 2.0 * scenario.scene.samples / scenario.scene.noise_power_sensing
     fim = scale * np.real(d.conj().T @ d)
     fim = 0.5 * (fim + fim.T)
-
-    diag = np.diag(fim)
-    scale_ref = float(np.max(diag)) if np.max(diag) > 0 else 0.0
-    if scale_ref == 0.0 or diag[0] <= 0.0:
-        return FimResult(fim, math.inf, math.inf, True)
-    keep = diag > 1e-14 * scale_ref
+    keep = np.diag(fim) > 0.0
     keep[0] = True
-    sub = fim[np.ix_(keep, keep)]
-    root = np.sqrt(np.diag(sub))
-    unit = sub / np.outer(root, root)
+    crb, cond, singular = _angle_crb(fim[np.ix_(keep, keep)])
+    return FimResult(fim, crb, cond, singular)
+
+
+def _angle_crb(info: np.ndarray):
+    """[info^-1]_11 of a symmetric information matrix: (crb, condition number, singular).
+
+    The condition number is that of the unit-diagonal (Jacobi-scaled)
+    matrix, since parameters in different units (the beta entries carry
+    1/|beta|^2) make the raw one meaningless. A nonpositive diagonal or a
+    scaled condition number above 1e14 gives an infinite CRB.
+    """
+    diag = np.diag(info)
+    if not np.all(diag > 0.0):
+        return math.inf, math.inf, True
+    root = np.sqrt(diag)
+    unit = info / np.outer(root, root)
     cond = float(np.linalg.cond(unit))
     if not np.isfinite(cond) or cond > 1e14:
-        return FimResult(fim, math.inf, cond, True)
-    crb = float(np.linalg.inv(unit)[0, 0]) / float(sub[0, 0])
-    return FimResult(fim, crb, cond, False)
+        return math.inf, cond, True
+    return float(np.linalg.inv(unit)[0, 0]) / float(info[0, 0]), cond, False
+
+
+def _kappa(scenario: RisIsacScenario, phi_vec: np.ndarray) -> float:
+    """kappa(phi) of CRB(theta1) = kappa / |h_t^T w|^2 (module docstring); inf if singular.
+
+    theta2 enters only when F_rdot phi is not identically zero, so a missing
+    or zero-gain RIS leaves the single-angle 1 x 1 case.
+    """
+    h_r = scenario.h_r(phi_vec)
+    dh_r_2 = scenario.f_r_dot @ phi_vec
+    cols = [scenario.a_r_dot_term, dh_r_2] if np.any(dh_r_2) else [scenario.a_r_dot_term]
+    r = np.column_stack(cols)
+    r_perp = r - np.outer(h_r, (h_r.conj() @ r) / np.vdot(h_r, h_r))
+    info = np.real(r_perp.conj().T @ r_perp)
+    scale = 2.0 * scenario.scene.samples / scenario.scene.noise_power_sensing
+    return _angle_crb(0.5 * (info + info.T))[0] / scale
 
 
 @dataclasses.dataclass(eq=False)
@@ -224,27 +248,29 @@ def rate_constrained_crb_beamformer(
     phi,
     rate_threshold: float,
 ) -> CrbBeamformerResult:
-    """Minimize the FIM-based CRB(theta1) under a rate floor and power budget.
+    """Minimize CRB(theta1) under a rate floor and power budget.
 
     CRB(theta1) = kappa(phi) / |h_t(phi)^T w|^2 with kappa independent of w
     (see the module docstring), so the optimum is the closed-form
     max-illumination beamformer of ``crb_min_beamformer`` for a_t = h_t(phi),
     which also raises ``InfeasibleRateError`` above the maximum rate. The
-    reported CRB comes from ``fim_theta``.
+    reported CRB is kappa over the beamformer's illumination; it is infinite
+    when the illumination is zero or the angle information is singular.
     """
     return _crb_beamformer_at(scenario, phi)(rate_threshold)
 
 
 def _crb_beamformer_at(scenario: RisIsacScenario, phi):
-    """``rate_constrained_crb_beamformer`` of the rate floor, with the phi-only terms built once."""
+    """``rate_constrained_crb_beamformer`` of the rate floor, with kappa and the channels built once."""
     if scenario.beta == 0:
         raise DegenerateChannelError(
             "the angle FIM is normalized by the direct gains; beta must be nonzero"
         )
     phi_vec = _phi_vector(phi)
     scene = scenario.scene
+    h_t = scenario.h_t(phi_vec)
     closed_form = IsacScenario(
-        a_t=scenario.h_t(phi_vec),
+        a_t=h_t,
         # The beamformer reads a_t and h_c alone; the receive terms feed a CRB that goes unused.
         a_r=scenario.a_r_term,
         a_r_dot=scenario.a_r_dot_term,
@@ -255,11 +281,12 @@ def _crb_beamformer_at(scenario: RisIsacScenario, phi):
         samples=scene.samples,
         budget=scene.transmit_power,
     )
-    maps = _fim_maps(scenario, phi_vec)
+    kappa = _kappa(scenario, phi_vec)
 
     def solve(rate_threshold: float) -> CrbBeamformerResult:
         closed = crb_min_beamformer(closed_form, rate_threshold)
-        crb = _fim_from_maps(scenario, maps, closed.w.weights).crb_theta1
+        illum = float(np.abs(h_t @ closed.w.weights) ** 2)
+        crb = kappa / illum if illum > 0.0 else math.inf
         return CrbBeamformerResult(w=closed.w, crb=crb, rate=closed.rate)
 
     return solve

@@ -36,13 +36,13 @@ FIELD_STRATEGIES = {
         st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), max_size=4, unique=True
     ).map(tuple),
     "trials": count,
-    "rho_list": st.lists(st.floats(0.0, 1.0), max_size=4).map(tuple),
+    "rho_list": st.lists(st.floats(0.0, 1.0), max_size=4, unique=True).map(tuple),
     "r0_points": count,
     "coupling": st.sampled_from(("strong", "weak")),
     "ris_modes": st.lists(
-        st.sampled_from(("with", "without", "reference")), max_size=4
+        st.sampled_from(("with", "without", "reference")), max_size=3, unique=True
     ).map(tuple),
-    "target_angles_deg": st.lists(finite, max_size=4).map(tuple),
+    "target_angles_deg": st.lists(finite, max_size=4, unique=True).map(tuple),
     "grid_points": count,
     "blocked_user_path": st.booleans(),
 }
@@ -55,6 +55,9 @@ valid_configs = (
     .map(lambda kw: RunConfig(**kw))
     # beampattern designs one sensing column per target, so it needs one.
     .filter(lambda cfg: cfg.experiment != "beampattern" or cfg.target_angles_deg)
+    # The RIS profile solve pairs the receive and transmit arrays.
+    .filter(lambda cfg: cfg.experiment != "ris-isac-tradeoff" or cfg.l_s == cfg.l_t
+            or not set(cfg.ris_modes) & {"with", "reference"})
 )
 
 
@@ -117,9 +120,15 @@ def test_nonfinite_tuple_entry_is_a_json_config_error(tmp_path, capsys, line):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("line", ["pf_list = 0.1, 0.1", "snr_db_list = 0.0, 5.0, 0.0"])
+@pytest.mark.parametrize(
+    "line",
+    ["pf_list = 0.1, 0.1", "snr_db_list = 0.0, 5.0, 0.0", "ris_modes = with, with",
+     "rho_list = 0.0, 0.5, 0.0", "target_angles_deg = -40.0, -40.0"],
+)
 def test_repeated_grid_entry_is_a_json_config_error(tmp_path, capsys, line):
-    # A repeated entry would write two detect rows under one empirical_pf key.
+    # A repeated entry would write two detect rows under one empirical_pf key,
+    # or a ris-isac-tradeoff mode's rows twice under one max_rate_<mode> key;
+    # a repeated rho or target angle duplicates a curve or a beam.
     config = tmp_path / "repeated.cfg"
     config.write_text(f"l_t = 4\n{line}\n")
     code, err = _error_of(capsys, ["detect", "--config", str(config),
@@ -135,7 +144,34 @@ def test_repeated_grid_entry_is_a_config_error():
         RunConfig(pf_list=(0.1, 0.01, 0.1)).validate()
     with pytest.raises(ConfigError, match="snr_db_list"):
         RunConfig(snr_db_list=(5.0, 5.0)).validate()
-    RunConfig(snr_db_list=(0.0, 5.0), pf_list=(0.1, 0.099)).validate()
+    with pytest.raises(ConfigError, match="ris_modes"):
+        RunConfig(ris_modes=("with", "without", "with")).validate()
+    with pytest.raises(ConfigError, match="rho_list"):
+        RunConfig(rho_list=(0.3, 0.3)).validate()
+    with pytest.raises(ConfigError, match="target_angles_deg"):
+        RunConfig(target_angles_deg=(20.0, -40.0, 20.0)).validate()
+    RunConfig(snr_db_list=(0.0, 5.0), pf_list=(0.1, 0.099), rho_list=(0.3, 0.31),
+              ris_modes=("reference", "with"), target_angles_deg=(20.0, 20.5)).validate()
+
+
+def test_unequal_arrays_with_a_tuned_ris_is_a_config_error():
+    for modes in (("with",), ("without", "reference")):
+        with pytest.raises(ConfigError, match="l_s == l_t"):
+            RunConfig(experiment="ris-isac-tradeoff", l_s=8, ris_modes=modes).validate()
+    # The RIS-free sweep solves no profile, and the other experiments pair no arrays.
+    RunConfig(experiment="ris-isac-tradeoff", l_s=8, ris_modes=("without",)).validate()
+    RunConfig(experiment="sense-sweep", l_s=8).validate()
+
+
+def test_unequal_arrays_with_a_tuned_ris_is_a_json_config_error(tmp_path, capsys):
+    config = tmp_path / "unequal.cfg"
+    config.write_text("l_s = 8\n")
+    code, err = _error_of(capsys, ["ris-isac-tradeoff", "--config", str(config),
+                                   "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert set(err) == {"error", "detail"}
+    assert err["error"] == "ConfigError" and "l_s" in err["detail"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_experiment_mismatch_is_a_json_config_error(tmp_path, capsys):

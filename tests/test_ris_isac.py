@@ -71,8 +71,9 @@ def grid_oracle_loop_reference(scenario, phi, samples, snr_floor):
 def grid_oracle_crbs(scenario, phi, samples, snr_floor):
     """Batched ``grid_oracle_loop_reference``: every FIM built at once.
 
-    fim_theta's pruning and Jacobi-scaled condition test are applied per
-    beam; a beam that prunes a parameter or fails the condition test goes
+    fim_theta's pruning (a parameter goes only when its FIM diagonal is
+    exactly zero) and Jacobi-scaled condition test are applied per beam; a
+    beam with a zero diagonal or one that fails the condition test goes
     through fim_theta itself, so only the all-kept case is batched.
     """
     w = samples[:, 0::2] + 1j * samples[:, 1::2]
@@ -90,7 +91,7 @@ def grid_oracle_crbs(scenario, phi, samples, snr_floor):
     fim = scale * np.real(np.conj(d).transpose(0, 2, 1) @ d)
     fim = 0.5 * (fim + fim.transpose(0, 2, 1))
     diag = np.diagonal(fim, axis1=1, axis2=2)
-    kept = (diag[:, 0] > 0) & np.all(diag > 1e-14 * diag.max(axis=1, keepdims=True), axis=1)
+    kept = np.all(diag > 0.0, axis=1)
     root = np.sqrt(np.where(kept[:, None], diag, 1.0))
     unit = fim / (root[:, :, None] * root[:, None, :])
     cond = np.linalg.cond(np.where(kept[:, None, None], unit, np.eye(4)))
@@ -436,6 +437,18 @@ class TestRateConstrainedBeamformer:
         with pytest.raises(DegenerateChannelError):
             rate_constrained_crb_beamformer(scenario, phi, 0.0)
 
+    def test_zero_gain_ris_leaves_theta2_out(self):
+        # F_rdot phi is identically zero, so kappa is the single-angle 1 x 1
+        # case; a 2 x 2 with theta2 would divide by its zero information.
+        scenario = RisIsacScenario.from_scene(
+            desk_scene(ris=UlaGeometry(4), ris_gain_override=0.0)
+        )
+        phi = np.ones(4, dtype=complex)
+        res = rate_constrained_crb_beamformer(scenario, phi, 0.0)
+        oracle = fim_theta(scenario, phi, res.w)
+        assert oracle.fim[1, 1] == 0.0 and math.isfinite(res.crb)
+        np.testing.assert_allclose(res.crb, oracle.crb_theta1, rtol=1e-12, atol=0)
+
     def test_small_array_grid_oracle(self):
         # L_T = 2: random search over the feasible ball must not beat the
         # solver by more than 1e-4 relative.
@@ -502,8 +515,9 @@ class TestTradeoffStructure:
 
     @pytest.mark.parametrize("coupling", ["weak", "strong"])
     def test_sweep_equals_per_row_solves(self, coupling):
-        # Each sweep computes h_t(phi), h_c(phi) and the FIM maps once; every
-        # row must equal a solve that rebuilds them, bit for bit.
+        # Each sweep computes h_t(phi), h_c(phi) and kappa(phi) once; every
+        # row must equal a solve that rebuilds them, bit for bit, and the
+        # 4 x 4 FIM at the row's beamformer to rounding.
         scenario = RisIsacScenario.from_scene(desk_scene(ris=UlaGeometry(8)))
         shaped = _apply_coupling(scenario, coupling)
         profile = optimize_ris_profile(shaped).phi
@@ -527,9 +541,66 @@ class TestTradeoffStructure:
                 assert math.isnan(row.rate) and row.crb == math.inf
                 continue
             assert row.rate == closed.rate
-            assert row.crb == fim_theta(shaped, phi, closed.w).crb_theta1
+            np.testing.assert_allclose(
+                row.crb, fim_theta(shaped, phi, closed.w).crb_theta1, rtol=1e-12, atol=0
+            )
             assert row.crb == rate_constrained_crb_beamformer(shaped, profile, r0).crb
         assert math.isinf(rows[-1].crb)
+
+    @pytest.mark.parametrize("coupling", ["weak", "strong"])
+    def test_every_row_matches_the_fim_oracle(self, tmp_path, monkeypatch, coupling):
+        # Every solve of a default run (the three modes' rows and the two
+        # calibration solves of "reference") must give the CRB of the full
+        # 4 x 4 FIM at its beamformer. At strong coupling theta2 carries
+        # 1e-22 to 1e-28 of the largest FIM diagonal and must still count.
+        checked = []
+        build = ri._crb_beamformer_at
+
+        def spy(scenario, phi):
+            solve = build(scenario, phi)
+
+            def recorded(rate_threshold):
+                res = solve(rate_threshold)
+                checked.append((res.crb, fim_theta(scenario, phi, res.w).crb_theta1))
+                return res
+
+            return recorded
+
+        monkeypatch.setattr(ri, "_crb_beamformer_at", spy)
+        for seed in range(10):
+            cfg = RunConfig(experiment="ris-isac-tradeoff", coupling=coupling, seed=seed)
+            run_experiment(cfg, tmp_path / str(seed))
+        crb, oracle = np.array(checked).T
+        assert len(checked) == 10 * (3 * 25 + 2)
+        assert np.all(np.isfinite(oracle))
+        np.testing.assert_allclose(crb, oracle, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("mode, kappas", [("with", 1), ("without", 1), ("reference", 3)])
+    def test_sweep_builds_no_fim(self, monkeypatch, mode, kappas):
+        # kappa is formed once per profile ("reference" also calibrates at
+        # the tuned and the RIS-free channels); a row adds no FIM, no
+        # inversion and no condition number, whatever the grid length.
+        calls = []
+        cond = np.linalg.cond
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return cond(*args, **kwargs)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the sweep built a 4 x 4 FIM")
+
+        monkeypatch.setattr(np.linalg, "cond", counted)
+        monkeypatch.setattr(ri, "_fim_maps", forbidden)
+        monkeypatch.setattr(ri, "fim_theta", forbidden)
+        scenario = RisIsacScenario.from_scene(desk_scene(ris=UlaGeometry(8)))
+        profile = optimize_ris_profile(_apply_coupling(scenario, "weak")).phi
+        for points in (2, 40):
+            calls.clear()
+            grid = np.linspace(0.0, 20.0, points)
+            rows = ris_isac_tradeoff(scenario, "weak", mode, grid, profile)
+            assert len(rows) == points and math.isfinite(rows[0].crb)
+            assert len(calls) == kappas
 
     def test_rows_shape_and_feasibility_markers(self):
         scenario = RisIsacScenario.from_scene(desk_scene(ris=UlaGeometry(8)))
