@@ -29,6 +29,7 @@ from .isac import (
     crb_min_beamformer,
     isac_crb,
     make_coupled_channel,
+    max_illumination_beamformer,
     tradeoff_curve,
 )
 from .optim import SolverConfig, riemannian_descent
@@ -38,7 +39,6 @@ from .ris_isac import (
     coupling_objective,
     fim_theta,
     optimize_ris_profile,
-    rate_constrained_crb_beamformer,
     ris_isac_tradeoff,
 )
 from .sensing import (

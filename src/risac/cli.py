@@ -1,9 +1,9 @@
 """Command-line experiment runner with CSV and JSON outputs.
 
 One experiment per invocation; identical (config, seed) pairs produce
-byte-identical CSV files. Infeasible design points become per-row "inf" or
-empty markers rather than process failures; hard errors exit nonzero with a
-machine-readable JSON object on stderr.
+byte-identical CSV files. An infinite value (such as the CRB of an unlit
+target) is written as "inf" and a NaN as an empty cell; hard errors exit
+nonzero with a machine-readable JSON object on stderr.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from . import dual_waveform as dw
 from . import isac as isac_mod
 from . import ris_isac as ri
 from .arrays import steering_derivative, steering_vector
-from .channels import angles_from_geometry, pathloss_amplitude
+from .channels import RisIsacScenario, angles_from_geometry, pathloss_amplitude
 from .config import EXPERIMENTS, RunConfig, parse_config, scene_from_config
 from .errors import ConfigError
 from .sensing import (
@@ -147,30 +147,14 @@ def _run_isac_tradeoff(cfg: RunConfig, threads: int):
 
 
 def _run_ris_isac_tradeoff(cfg: RunConfig, threads: int):
-    scene = scene_from_config(cfg)
-    scenario = ri.RisIsacScenario.from_scene(scene)
-    shaped = ri._apply_coupling(scenario, cfg.coupling)
-    # "with" and "reference" share one profile, solved once per run.
-    profile = None
+    scenario = RisIsacScenario.from_scene(scene_from_config(cfg))
+    result = ri.ris_isac_tradeoff(scenario, cfg.coupling, cfg.ris_modes, cfg.r0_points, cfg.seed)
     diag = {}
-    if set(cfg.ris_modes) & {"with", "reference"}:
-        solved = ri.optimize_ris_profile(shaped)
-        profile = solved.phi
+    if result.profile is not None:
         for key in ("converged", "stop", "objective", "iterations", "evaluations"):
-            diag[f"profile_{key}"] = getattr(solved, key)
-    csv_rows = []
-    for mode in cfg.ris_modes:
-        h_c = shaped.h_bu if mode == "without" else shaped.h_c(profile)
-        max_rate = math.log2(
-            1.0 + scene.transmit_power * float(np.real(np.vdot(h_c, h_c)))
-            / scene.noise_power_comms
-        )
-        grid = np.linspace(0.0, 0.97 * max_rate, cfg.r0_points)
-        rows = ri.ris_isac_tradeoff(scenario, cfg.coupling, mode, grid, profile, cfg.seed)
-        diag[f"max_rate_{mode}"] = max_rate
-        csv_rows.extend(
-            (r.mode, r.coupling, r.rate_threshold, r.rate, r.crb) for r in rows
-        )
+            diag[f"profile_{key}"] = getattr(result.profile, key)
+    diag.update((f"max_rate_{mode}", rate) for mode, rate in result.max_rate.items())
+    csv_rows = [(r.mode, r.coupling, r.rate_threshold, r.rate, r.crb) for r in result.rows]
     return {"": (CSV_HEADERS["ris-isac-tradeoff"], csv_rows)}, diag
 
 
@@ -225,19 +209,27 @@ from pathlib import Path
 
 import matplotlib.pyplot as plt
 
-rows = list(csv.DictReader(Path("{csv_name}").open()))
-cols = list(rows[0].keys())
-x = [float(r[cols[0]]) if r[cols[0]] not in ("", "inf", "-inf") else float("nan")
-     for r in rows]
-fig, ax = plt.subplots()
-for col in cols[1:]:
+
+def number(text):
+    return float("nan") if text in ("", "inf", "-inf") else float(text)
+
+
+reader = csv.DictReader(Path("{csv_name}").read_text().splitlines())
+rows = list(reader)
+columns = {{}}  # the numeric ones; text columns such as mode label the lines
+for col in reader.fieldnames:
     try:
-        y = [float(r[col]) if r[col] not in ("", "inf", "-inf") else float("nan")
-             for r in rows]
+        columns[col] = [number(r[col]) for r in rows]
     except ValueError:
-        continue
-    ax.plot(x, y, label=col)
-ax.set_xlabel(cols[0])
+        pass
+labels = [c for c in reader.fieldnames if c not in columns]
+(x_col, x), *ys = columns.items()
+fig, ax = plt.subplots()
+for key in dict.fromkeys(tuple(r[c] for c in labels) for r in rows):
+    idx = [i for i, r in enumerate(rows) if tuple(r[c] for c in labels) == key]
+    for col, y in ys:
+        ax.plot([x[i] for i in idx], [y[i] for i in idx], label=" ".join((*key, col)))
+ax.set_xlabel(x_col)
 ax.legend()
 fig.savefig("{experiment}.png", dpi=150)
 print("wrote {experiment}.png")

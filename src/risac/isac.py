@@ -27,6 +27,7 @@ __all__ = [
     "achievable_rate",
     "isac_crb",
     "make_coupled_channel",
+    "max_illumination_beamformer",
     "crb_min_beamformer",
     "tradeoff_curve",
 ]
@@ -140,17 +141,16 @@ def make_coupled_channel(
     return gain * np.linalg.norm(a_t) * direction
 
 
-def crb_min_beamformer(scenario: IsacScenario, rate_threshold: float) -> IsacSolution:
-    """Minimize the angle CRB subject to a rate floor and a power budget.
+def max_illumination_beamformer(
+    a_t: np.ndarray, h_c: np.ndarray, p_t: float, sigma_c: float, rate_threshold: float
+):
+    """Maximize the illumination |a_t^T w|^2 subject to a rate floor and the budget p_t.
 
-    Two branches: if the matched filter (toward conj(a_t)) already meets the
+    Returns (w, lambda1, lambda2, branch, rate). Two branches: if the matched filter (toward conj(a_t)) already meets the
     rate, it is optimal; otherwise the optimum splits between the conjugated
     comms direction and the conjugated residual of a_t, with the rate
     constraint tight.
     """
-    a_t, h_c = scenario.a_t, scenario.h_c
-    p_t = scenario.budget
-    sigma_c = scenario.noise_comms
     if rate_threshold < 0:
         raise ValueError("rate_threshold must be nonnegative")
     snr_floor = (2.0**rate_threshold - 1.0) * sigma_c
@@ -158,7 +158,7 @@ def crb_min_beamformer(scenario: IsacScenario, rate_threshold: float) -> IsacSol
     if hc_norm_sq == 0.0:
         raise DegenerateChannelError("comms channel is zero")
     if snr_floor > p_t * hc_norm_sq * (1.0 + 1e-12):
-        raise InfeasibleRateError(rate_threshold, scenario.max_rate)
+        raise InfeasibleRateError(rate_threshold, math.log2(1.0 + p_t * hc_norm_sq / sigma_c))
 
     # The matched filter sqrt(p_t) conj(a_t) / ||a_t|| delivers the SNR
     # p_t |h_c^H a_t|^2 / ||a_t||^2; it is optimal when that meets the floor.
@@ -185,14 +185,18 @@ def crb_min_beamformer(scenario: IsacScenario, rate_threshold: float) -> IsacSol
             w_vec = lam1 * q_hat + lam2 * (p_perp / perp_norm)
         branch = "boundary"
     w = Beamformer(w_vec, p_t)
-    return IsacSolution(
-        w=w,
-        lambda1=lam1,
-        lambda2=lam2,
-        branch=branch,
-        rate=achievable_rate(h_c, w, sigma_c),
-        crb=isac_crb(w, scenario),
-    )
+    return w, lam1, lam2, branch, achievable_rate(h_c, w, sigma_c)
+
+
+def crb_min_beamformer(scenario: IsacScenario, rate_threshold: float) -> IsacSolution:
+    """Minimize the angle CRB subject to a rate floor and a power budget.
+
+    The CRB is inversely proportional to the illumination, so the optimum is
+    ``max_illumination_beamformer``; this adds the CRB of that beam.
+    """
+    beam = max_illumination_beamformer(scenario.a_t, scenario.h_c, scenario.budget,
+                                       scenario.noise_comms, rate_threshold)
+    return IsacSolution(*beam, crb=isac_crb(beam[0], scenario))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -209,13 +213,12 @@ def tradeoff_curve(
     rate_grid: Sequence[float],
     channel_gain: float = 1.0,
     seed: int = 0,
-    skip_infeasible: bool = True,
 ) -> list:
     """Rate/CRB trade-off rows over a coupling-by-rate grid.
 
     Every rho reuses the same seeded residual direction, so the curves vary
-    smoothly in rho; infeasible grid points are skipped (or raised when
-    ``skip_infeasible`` is off).
+    smoothly in rho. A grid point above a curve's maximum rate has no
+    feasible beamformer and gives no row.
     """
     if len(rho_list) == 0 or len(rate_grid) == 0:
         raise ValueError("rho_list and rate_grid must be non-empty")
@@ -227,8 +230,6 @@ def tradeoff_curve(
             try:
                 sol = crb_min_beamformer(scenario, r0)
             except InfeasibleRateError:
-                if skip_infeasible:
-                    continue
-                raise
+                continue
             rows.append(TradeoffRow(rho, r0, sol.rate, sol.crb))
     return rows

@@ -10,8 +10,9 @@ transmit-derivative terms lie along h_r and drop out. What remains is
 CRB(theta1) = kappa(phi) / |h_t(phi)^T w|^2, with kappa set by the receive
 side alone, so minimizing the CRB maximizes the illumination |h_t^T w|^2.
 With R = [adot_r-term, F_rdot phi] and R_perp its part orthogonal to h_r,
-kappa = [G^-1]_11 / (2T / sigma_s^2) for G = Re(R_perp^H R_perp); a sweep
-computes kappa once per profile, and each row costs one inner product.
+kappa = [G^-1]_11 / (2T / sigma_s^2) for G = Re(R_perp^H R_perp).
+``ris_isac_tradeoff`` runs the whole experiment: one coupling shaping, one
+profile solve, kappa once per channel and one inner product per row.
 ``fim_theta`` builds the full 4 x 4 FIM instead and is the independent
 reference the kappa form is tested against.
 
@@ -33,8 +34,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .channels import RisIsacScenario, RisProfile, _phi_vector
-from .errors import DegenerateChannelError, InfeasibleRateError
-from .isac import IsacScenario, crb_min_beamformer
+from .errors import DegenerateChannelError
+from .isac import max_illumination_beamformer
 from .optim import _unit_modulus, riemannian_descent
 from .sensing import Beamformer
 
@@ -44,7 +45,6 @@ __all__ = [
     "coupling_gradient",
     "optimize_ris_profile",
     "fim_theta",
-    "rate_constrained_crb_beamformer",
     "ris_isac_tradeoff",
 ]
 
@@ -243,25 +243,15 @@ class CrbBeamformerResult:
     rate: float
 
 
-def rate_constrained_crb_beamformer(
-    scenario: RisIsacScenario,
-    phi,
-    rate_threshold: float,
-) -> CrbBeamformerResult:
-    """Minimize CRB(theta1) under a rate floor and power budget.
-
-    CRB(theta1) = kappa(phi) / |h_t(phi)^T w|^2 with kappa independent of w
-    (see the module docstring), so the optimum is the closed-form
-    max-illumination beamformer of ``crb_min_beamformer`` for a_t = h_t(phi),
-    which also raises ``InfeasibleRateError`` above the maximum rate. The
-    reported CRB is kappa over the beamformer's illumination; it is infinite
-    when the illumination is zero or the angle information is singular.
-    """
-    return _crb_beamformer_at(scenario, phi)(rate_threshold)
-
-
 def _crb_beamformer_at(scenario: RisIsacScenario, phi):
-    """``rate_constrained_crb_beamformer`` of the rate floor, with kappa and the channels built once."""
+    """Minimizer of CRB(theta1) under a rate floor and the power budget, as a function of the floor.
+
+    CRB(theta1) = kappa(phi) / |h_t(phi)^T w|^2 with kappa independent of w,
+    so the optimum is ``max_illumination_beamformer`` for a_t = h_t(phi); it
+    raises ``InfeasibleRateError`` above the max rate. kappa and the channels
+    are built once; the CRB is infinite at zero illumination or singular
+    angle information.
+    """
     if scenario.beta == 0:
         raise DegenerateChannelError(
             "the angle FIM is normalized by the direct gains; beta must be nonzero"
@@ -269,25 +259,15 @@ def _crb_beamformer_at(scenario: RisIsacScenario, phi):
     phi_vec = _phi_vector(phi)
     scene = scenario.scene
     h_t = scenario.h_t(phi_vec)
-    closed_form = IsacScenario(
-        a_t=h_t,
-        # The beamformer reads a_t and h_c alone; the receive terms feed a CRB that goes unused.
-        a_r=scenario.a_r_term,
-        a_r_dot=scenario.a_r_dot_term,
-        h_c=scenario.h_c(phi_vec),
-        noise_comms=scene.noise_power_comms,
-        noise_sensing=scene.noise_power_sensing,
-        target_gain_var=scene.target_gain_var,
-        samples=scene.samples,
-        budget=scene.transmit_power,
-    )
+    h_c = scenario.h_c(phi_vec)
     kappa = _kappa(scenario, phi_vec)
 
     def solve(rate_threshold: float) -> CrbBeamformerResult:
-        closed = crb_min_beamformer(closed_form, rate_threshold)
-        illum = float(np.abs(h_t @ closed.w.weights) ** 2)
+        w, _, _, _, rate = max_illumination_beamformer(
+            h_t, h_c, scene.transmit_power, scene.noise_power_comms, rate_threshold)
+        illum = float(np.abs(h_t @ w.weights) ** 2)
         crb = kappa / illum if illum > 0.0 else math.inf
-        return CrbBeamformerResult(w=closed.w, crb=crb, rate=closed.rate)
+        return CrbBeamformerResult(w=w, crb=crb, rate=rate)
 
     return solve
 
@@ -299,6 +279,13 @@ class RisIsacRow:
     rate_threshold: float
     rate: float
     crb: float
+
+
+@dataclasses.dataclass(eq=False)
+class RisIsacTradeoff:
+    rows: list  # RisIsacRow, mode by mode in the requested order
+    max_rate: dict  # bits per use, by mode
+    profile: Optional[RisProfileResult]  # None when no mode needs the tuned RIS
 
 
 def _apply_coupling(scenario: RisIsacScenario, coupling: str) -> RisIsacScenario:
@@ -334,82 +321,70 @@ def _zero_ris(scenario: RisIsacScenario) -> RisIsacScenario:
     return out
 
 
+def _max_rate(scene, h_c: np.ndarray) -> float:
+    gain = float(np.real(np.vdot(h_c, h_c)))
+    return math.log2(1.0 + scene.transmit_power * gain / scene.noise_power_comms)
+
+
 def ris_isac_tradeoff(
-    scenario_template: RisIsacScenario,
-    coupling_mode: str,
-    ris_mode: str,
-    rate_grid: Sequence[float],
-    profile: Optional[RisProfile] = None,
+    scenario: RisIsacScenario,
+    coupling: str,
+    ris_modes: Sequence[str] = ("with", "without", "reference"),
+    r0_points: int = 25,
     seed: int = 0,
-) -> list:
-    """Rate/CRB trade-off rows for one RIS mode under a coupling regime.
+) -> RisIsacTradeoff:
+    """Rate/CRB trade-off rows of each RIS mode under a coupling regime.
 
-    Modes: "with" sweeps the beamformer at the tuned RIS ``profile``;
-    "without" zeroes the RIS paths; "reference" is the gain-matched
-    zero-coupling baseline whose max rate and min CRB equal the with-RIS
-    run's, isolating the subspace-rotation part of the gain. ``profile`` is
-    the ``optimize_ris_profile`` result on the coupling-shaped template and
-    is required by "with" and "reference". ``seed`` draws the reference comms
-    direction when the sensing channel leaves no orthogonal residual.
+    Modes: "with" sweeps the beamformer at the RIS profile that
+    ``optimize_ris_profile`` tunes on the coupling-shaped scenario (solved
+    only when a mode needs it); "without" zeroes the RIS paths; "reference"
+    is the gain-matched zero-coupling baseline whose max rate and min CRB
+    (at R0 = 0) equal the with-RIS run's, isolating the subspace-rotation
+    part of the gain. Each mode's rate floors run from 0 to 97% of its max
+    rate in ``r0_points`` steps, so every floor is feasible. ``seed`` draws
+    the reference comms direction when the sensing channel leaves no
+    orthogonal residual.
     """
-    if ris_mode not in ("with", "without", "reference"):
-        raise ValueError("ris_mode must be 'with', 'without', or 'reference'")
-    if len(rate_grid) == 0:
-        raise ValueError("rate_grid must be non-empty")
-    if profile is None and ris_mode != "without":
-        raise ValueError(f"ris_mode {ris_mode!r} needs the optimized RIS profile")
-    shaped = _apply_coupling(scenario_template, coupling_mode)
-
-    def sweep(scn, phi, grid):
-        solve = _crb_beamformer_at(scn, phi)
-        rows = []
-        for r0 in grid:
-            try:
-                res = solve(r0)
-            except InfeasibleRateError:
-                rows.append(RisIsacRow(ris_mode, coupling_mode, r0, math.nan, math.inf))
-                continue
-            rows.append(RisIsacRow(ris_mode, coupling_mode, r0, res.rate, res.crb))
-        return rows
-
-    if ris_mode == "without":
-        scn = _zero_ris(shaped)
-        return sweep(scn, np.zeros(0), rate_grid)
-
-    phi_star = _phi_vector(profile)
-    if ris_mode == "with":
-        return sweep(shaped, phi_star, rate_grid)
-
-    # Gain-matched zero-coupling reference, calibrated on the with-RIS run.
-    h_c_star = shaped.h_c(phi_star)
-    p_t = shaped.scene.transmit_power
-    sigma_c = shaped.scene.noise_power_comms
-    max_rate_with = math.log2(
-        1.0 + p_t * float(np.real(np.vdot(h_c_star, h_c_star))) / sigma_c
-    )
-    min_crb_with = rate_constrained_crb_beamformer(shaped, phi_star, 0.0).crb
-
-    base = _zero_ris(shaped)
-    min_crb_base = rate_constrained_crb_beamformer(base, np.zeros(0), 0.0).crb
-    # Scaling both direct gains by amp scales beta * dH/dtheta1 by amp^2, so
-    # the angle CRB scales as 1/amp^4.
-    amp = (min_crb_base / min_crb_with) ** 0.25
-    ref = dataclasses.replace(base)
-    ref.a_t_term = amp * base.a_t_term
-    ref.a_r_term = amp * base.a_r_term
-    ref.a_t_dot_term = amp * base.a_t_dot_term
-    ref.a_r_dot_term = amp * base.a_r_dot_term
-    ref.beta = amp * amp * base.beta
-    # Comms direction orthogonal to the sensing channel, norm matched to the
-    # with-RIS maximum rate.
-    h_t_ref = ref.h_t(np.zeros(0))
-    h_t_hat = h_t_ref / np.linalg.norm(h_t_ref)
-    resid = h_c_star - np.vdot(h_t_hat, h_c_star) * h_t_hat
-    if np.linalg.norm(resid) < 1e-12 * np.linalg.norm(h_c_star):
-        rng = np.random.default_rng(seed)
-        z = rng.standard_normal(h_t_ref.size) + 1j * rng.standard_normal(h_t_ref.size)
-        resid = z - np.vdot(h_t_hat, z) * h_t_hat
-    direction = resid / np.linalg.norm(resid)
-    hc_norm = math.sqrt((2.0**max_rate_with - 1.0) * sigma_c / p_t)
-    ref.h_bu = hc_norm * direction
-    return sweep(ref, np.zeros(0), rate_grid)
+    unknown = set(ris_modes) - {"with", "without", "reference"}
+    if unknown:
+        raise ValueError(f"unknown ris_modes: {sorted(unknown)}")
+    shaped = _apply_coupling(scenario, coupling)
+    scene = shaped.scene
+    solves, max_rate, profile = {}, {}, None
+    if {"with", "reference"} & set(ris_modes):
+        profile = optimize_ris_profile(shaped)
+        h_c_star = shaped.h_c(profile.phi)
+        solves["with"] = _crb_beamformer_at(shaped, profile.phi)
+        max_rate["with"] = _max_rate(scene, h_c_star)
+    if {"without", "reference"} & set(ris_modes):
+        bare = _zero_ris(shaped)
+        solves["without"] = _crb_beamformer_at(bare, np.zeros(0))
+        max_rate["without"] = _max_rate(scene, shaped.h_bu)
+    if "reference" in ris_modes:
+        # Scaling both direct gains by amp scales beta * dH/dtheta1 by amp^2,
+        # so the angle CRB scales as 1/amp^4.
+        amp = (solves["without"](0.0).crb / solves["with"](0.0).crb) ** 0.25
+        ref = dataclasses.replace(
+            bare, a_t_term=amp * bare.a_t_term, a_r_term=amp * bare.a_r_term,
+            a_t_dot_term=amp * bare.a_t_dot_term, a_r_dot_term=amp * bare.a_r_dot_term,
+            beta=amp * amp * bare.beta)
+        # Comms direction orthogonal to the sensing channel, norm matched to
+        # the with-RIS maximum rate.
+        h_t_ref = ref.h_t(np.zeros(0))
+        h_t_hat = h_t_ref / np.linalg.norm(h_t_ref)
+        resid = h_c_star - np.vdot(h_t_hat, h_c_star) * h_t_hat
+        if np.linalg.norm(resid) < 1e-12 * np.linalg.norm(h_c_star):
+            rng = np.random.default_rng(seed)
+            z = rng.standard_normal(h_t_ref.size) + 1j * rng.standard_normal(h_t_ref.size)
+            resid = z - np.vdot(h_t_hat, z) * h_t_hat
+        hc_norm = math.sqrt((2.0 ** max_rate["with"] - 1.0) * scene.noise_power_comms
+                            / scene.transmit_power)
+        ref.h_bu = hc_norm * (resid / np.linalg.norm(resid))
+        solves["reference"] = _crb_beamformer_at(ref, np.zeros(0))
+        max_rate["reference"] = max_rate["with"]
+    rows = []
+    for mode in ris_modes:
+        for r0 in np.linspace(0.0, 0.97 * max_rate[mode], r0_points):
+            res = solves[mode](r0)
+            rows.append(RisIsacRow(mode, coupling, r0, res.rate, res.crb))
+    return RisIsacTradeoff(rows, {mode: max_rate[mode] for mode in ris_modes}, profile)

@@ -468,14 +468,14 @@ def trajectory_sweep(
 
     rows = []
     for idx, (pos, blk) in enumerate(zip(waypoints, blocked)):
+        base = scene_template.replace(
+            target_position=np.asarray(pos, dtype=float),
+            blocked_direct=bool(blk) or scene_template.blocked_direct,
+        )
+        angles = angles_from_geometry(base)
+        adot = steering_derivative(base.rx, angles.theta1)
+        adot_sq = float(np.real(np.vdot(adot, adot)))
         for mode in modes:
-            base = scene_template.replace(
-                target_position=np.asarray(pos, dtype=float),
-                blocked_direct=bool(blk) or scene_template.blocked_direct,
-            )
-            angles = angles_from_geometry(base)
-            adot = steering_derivative(base.rx, angles.theta1)
-            adot_sq = float(np.real(np.vdot(adot, adot)))
             solves = []
             if mode == "without_ris":
                 scene = base.replace(ris_gain_override=0.0)

@@ -2,9 +2,13 @@ import csv
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
+import types
 from pathlib import Path
+
+import pytest
 
 from risac import cli, marcum_q1
 from risac import dual_waveform as dw
@@ -298,3 +302,69 @@ def test_detect_cold_process_threads_match(tmp_path):
     header, rows = _rows(outputs["1"])
     assert header == cli.CSV_HEADERS["detect"]
     assert len(rows) == len(RunConfig().snr_db_list) * len(RunConfig().pf_list)
+
+
+class _StubAxes:
+    def __init__(self):
+        self.lines, self.xlabel = [], None
+
+    def plot(self, x, y, label=None):
+        self.lines.append((list(x), list(y), label))
+
+    def set_xlabel(self, label):
+        self.xlabel = label
+
+    def legend(self):
+        pass
+
+
+class _StubFigure:
+    def __init__(self):
+        self.saved = []
+
+    def savefig(self, path, **kwargs):
+        self.saved.append(path)
+
+
+PLOT_CASES = [
+    ("sense-sweep", TINY + "num_waypoints = 3\n", "waypoint",
+     {f"{m} {c}" for m in ("ris_aided", "ris_only", "without_ris") for c in ("power_db", "crb")}),
+    ("detect", TINY + "trials = 200\n", "snr_db", {"pf", "pd_formula", "pd_mc"}),
+    ("isac-tradeoff", TINY + "r0_points = 4\n", "rho", {"R0", "rate_bits", "crb"}),
+    ("ris-isac-tradeoff", TINY_RIS_ISAC, "R0",
+     {f"{m} weak {c}" for m in ("with", "without", "reference") for c in ("rate_bits", "crb")}),
+    ("beampattern", "l_t = 4\nn_ris = 4\ngrid_points = 31\nsinr_threshold_db = 3.0\n",
+     "angle_deg", {"j_total", "j_comm", "j_sense"}),
+]
+
+
+@pytest.mark.parametrize("experiment, config_text, x_col, labels", PLOT_CASES,
+                         ids=[case[0] for case in PLOT_CASES])
+def test_emitted_plot_script_runs(tmp_path, monkeypatch, experiment, config_text, x_col,
+                                  labels):
+    # matplotlib is not a dependency: the script runs against a stub pyplot.
+    config = tmp_path / "run.cfg"
+    config.write_text(config_text)
+    out = tmp_path / "out"
+    assert cli.main([experiment, "--config", str(config), "--out", str(out),
+                     "--emit-plot-script"]) == 0
+    figures = []
+
+    def subplots():
+        figures.append((_StubFigure(), _StubAxes()))
+        return figures[-1]
+
+    pyplot = types.ModuleType("matplotlib.pyplot")
+    pyplot.subplots = subplots
+    matplotlib = types.ModuleType("matplotlib")
+    matplotlib.pyplot = pyplot
+    monkeypatch.setitem(sys.modules, "matplotlib", matplotlib)
+    monkeypatch.setitem(sys.modules, "matplotlib.pyplot", pyplot)
+    monkeypatch.chdir(out)
+    runpy.run_path(str(out / f"{experiment}_plot.py"), run_name="__main__")
+    (fig, ax), = figures
+    assert fig.saved == [f"{experiment}.png"]
+    assert ax.xlabel == x_col
+    assert {label for _, _, label in ax.lines} == labels
+    for x, y, label in ax.lines:
+        assert len(x) == len(y) > 0 and all(math.isfinite(v) for v in x), label

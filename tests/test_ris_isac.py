@@ -15,15 +15,15 @@ from risac import (
     fim_theta,
     matched_filter_beamformer,
     optimize_ris_profile,
-    rate_constrained_crb_beamformer,
     ris_isac_tradeoff,
 )
+from risac import isac
 from risac import ris_isac as ri
 from risac.cli import run_experiment
 from risac.config import RunConfig, scene_from_config
-from risac.isac import IsacScenario, crb_min_beamformer
+from risac.isac import max_illumination_beamformer
 from risac.optim import _unit_modulus
-from risac.ris_isac import _apply_coupling, _fim_maps, _zero_ris
+from risac.ris_isac import _apply_coupling, _crb_beamformer_at, _fim_maps, _zero_ris
 
 from oracles import coupling_coefficient, finite_difference_gradient, rank_one_coupling_grid
 
@@ -406,7 +406,7 @@ class TestRateConstrainedBeamformer:
     def test_unconstrained_no_worse_than_matched_filter(self):
         scenario = RisIsacScenario.from_scene(desk_scene())
         phi = np.exp(1j * np.linspace(0, 2, 16))
-        res = rate_constrained_crb_beamformer(scenario, phi, 0.0)
+        res = _crb_beamformer_at(scenario, phi)(0.0)
         w_mf = matched_filter_beamformer(scenario.h_t(phi).conj(), 3.0)
         assert res.crb <= fim_theta(scenario, phi, w_mf).crb_theta1 * (1.0 + 1e-9)
 
@@ -417,7 +417,7 @@ class TestRateConstrainedBeamformer:
         max_rate = math.log2(1.0 + 3.0 * np.linalg.norm(h_c) ** 2 / 1e-8)
         for frac in [0.2, 0.6, 0.9]:
             r0 = frac * max_rate
-            res = rate_constrained_crb_beamformer(scenario, phi, r0)
+            res = _crb_beamformer_at(scenario, phi)(r0)
             assert res.rate >= r0 - 1e-6
             assert np.real(np.vdot(res.w.weights, res.w.weights)) <= 3.0 + 1e-9
 
@@ -425,7 +425,7 @@ class TestRateConstrainedBeamformer:
         scenario = RisIsacScenario.from_scene(desk_scene())
         phi = np.ones(16, dtype=complex)
         with pytest.raises(InfeasibleRateError):
-            rate_constrained_crb_beamformer(scenario, phi, 60.0)
+            _crb_beamformer_at(scenario, phi)(60.0)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("strip_ris", [False, True])
@@ -435,7 +435,7 @@ class TestRateConstrainedBeamformer:
         if strip_ris:
             scenario, phi = _zero_ris(scenario), np.zeros(0)
         with pytest.raises(DegenerateChannelError):
-            rate_constrained_crb_beamformer(scenario, phi, 0.0)
+            _crb_beamformer_at(scenario, phi)(0.0)
 
     def test_zero_gain_ris_leaves_theta2_out(self):
         # F_rdot phi is identically zero, so kappa is the single-angle 1 x 1
@@ -444,7 +444,7 @@ class TestRateConstrainedBeamformer:
             desk_scene(ris=UlaGeometry(4), ris_gain_override=0.0)
         )
         phi = np.ones(4, dtype=complex)
-        res = rate_constrained_crb_beamformer(scenario, phi, 0.0)
+        res = _crb_beamformer_at(scenario, phi)(0.0)
         oracle = fim_theta(scenario, phi, res.w)
         assert oracle.fim[1, 1] == 0.0 and math.isfinite(res.crb)
         np.testing.assert_allclose(res.crb, oracle.crb_theta1, rtol=1e-12, atol=0)
@@ -461,7 +461,7 @@ class TestRateConstrainedBeamformer:
             h_c = scenario.h_c(phi)
             max_rate = math.log2(1.0 + 3.0 * np.linalg.norm(h_c) ** 2 / 1e-8)
             r0 = 0.5 * max_rate
-            res = rate_constrained_crb_beamformer(scenario, phi, r0)
+            res = _crb_beamformer_at(scenario, phi)(r0)
             snr_floor = (2.0**r0 - 1.0) * 1e-8
             samples = rng.standard_normal((20000, 4))
             best = float(np.min(grid_oracle_crbs(scenario, phi, samples, snr_floor)))
@@ -517,35 +517,30 @@ class TestTradeoffStructure:
     def test_sweep_equals_per_row_solves(self, coupling):
         # Each sweep computes h_t(phi), h_c(phi) and kappa(phi) once; every
         # row must equal a solve that rebuilds them, bit for bit, and the
-        # 4 x 4 FIM at the row's beamformer to rounding.
+        # 4 x 4 FIM at the row's beamformer to rounding. The rate floors run
+        # from 0 to 97% of the max rate, so every one is feasible.
         scenario = RisIsacScenario.from_scene(desk_scene(ris=UlaGeometry(8)))
         shaped = _apply_coupling(scenario, coupling)
         profile = optimize_ris_profile(shaped).phi
         phi = profile.phases
-        h_c = shaped.h_c(phi)
+        h_t, h_c = shaped.h_t(phi), shaped.h_c(phi)
         max_rate = math.log2(1.0 + 3.0 * float(np.real(np.vdot(h_c, h_c))) / 1e-8)
-        grid = list(np.linspace(0.0, 0.97 * max_rate, 6)) + [1.5 * max_rate]
-        rows = ris_isac_tradeoff(scenario, coupling, "with", grid, profile)
+        result = ris_isac_tradeoff(scenario, coupling, ["with"], 6)
+        assert result.max_rate == {"with": max_rate}
+        assert np.array_equal(result.profile.phi.phases, phi)
+        grid = np.linspace(0.0, 0.97 * max_rate, 6)
+        assert [row.rate_threshold for row in result.rows] == list(grid)
         scene = shaped.scene
-        for row, r0 in zip(rows, grid):
-            closed_form = IsacScenario(
-                a_t=shaped.h_t(phi), a_r=shaped.a_r_term, a_r_dot=shaped.a_r_dot_term,
-                h_c=shaped.h_c(phi), noise_comms=scene.noise_power_comms,
-                noise_sensing=scene.noise_power_sensing,
-                target_gain_var=scene.target_gain_var, samples=scene.samples,
-                budget=scene.transmit_power,
-            )
-            try:
-                closed = crb_min_beamformer(closed_form, r0)
-            except InfeasibleRateError:
-                assert math.isnan(row.rate) and row.crb == math.inf
-                continue
-            assert row.rate == closed.rate
+        for row, r0 in zip(result.rows, grid):
+            w, _, _, _, rate = max_illumination_beamformer(
+                h_t, h_c, scene.transmit_power, scene.noise_power_comms, r0)
+            assert row.rate == rate
             np.testing.assert_allclose(
-                row.crb, fim_theta(shaped, phi, closed.w).crb_theta1, rtol=1e-12, atol=0
+                row.crb, fim_theta(shaped, phi, w).crb_theta1, rtol=1e-12, atol=0
             )
-            assert row.crb == rate_constrained_crb_beamformer(shaped, profile, r0).crb
-        assert math.isinf(rows[-1].crb)
+            assert row.crb == _crb_beamformer_at(shaped, profile)(r0).crb
+        with pytest.raises(InfeasibleRateError):
+            _crb_beamformer_at(shaped, profile)(1.5 * max_rate)
 
     @pytest.mark.parametrize("coupling", ["weak", "strong"])
     def test_every_row_matches_the_fim_oracle(self, tmp_path, monkeypatch, coupling):
@@ -575,11 +570,13 @@ class TestTradeoffStructure:
         assert np.all(np.isfinite(oracle))
         np.testing.assert_allclose(crb, oracle, rtol=1e-12, atol=0)
 
-    @pytest.mark.parametrize("mode, kappas", [("with", 1), ("without", 1), ("reference", 3)])
+    @pytest.mark.parametrize("mode, kappas", [("with", 1), ("without", 1), ("reference", 3),
+                                              ("with,without,reference", 3)])
     def test_sweep_builds_no_fim(self, monkeypatch, mode, kappas):
-        # kappa is formed once per profile ("reference" also calibrates at
-        # the tuned and the RIS-free channels); a row adds no FIM, no
-        # inversion and no condition number, whatever the grid length.
+        # kappa is formed once per channel: "with" and "without" share theirs
+        # with the calibration of "reference", which adds its own. A row adds
+        # no FIM, no inversion and no condition number, whatever the grid
+        # length.
         calls = []
         cond = np.linalg.cond
 
@@ -594,18 +591,44 @@ class TestTradeoffStructure:
         monkeypatch.setattr(ri, "_fim_maps", forbidden)
         monkeypatch.setattr(ri, "fim_theta", forbidden)
         scenario = RisIsacScenario.from_scene(desk_scene(ris=UlaGeometry(8)))
-        profile = optimize_ris_profile(_apply_coupling(scenario, "weak")).phi
+        modes = mode.split(",")
         for points in (2, 40):
             calls.clear()
-            grid = np.linspace(0.0, 20.0, points)
-            rows = ris_isac_tradeoff(scenario, "weak", mode, grid, profile)
-            assert len(rows) == points and math.isfinite(rows[0].crb)
+            rows = ris_isac_tradeoff(scenario, "weak", modes, points).rows
+            assert len(rows) == len(modes) * points and math.isfinite(rows[0].crb)
             assert len(calls) == kappas
 
-    def test_rows_shape_and_feasibility_markers(self):
+    def test_default_run_shapes_once_and_builds_one_kappa_per_channel(
+            self, tmp_path, monkeypatch):
+        # One coupling shaping and one profile solve serve every mode; kappa
+        # is built for the tuned, the RIS-free and the reference channel, and
+        # no row goes through the single-angle IsacScenario CRB.
+        calls = {"_apply_coupling": 0, "optimize_ris_profile": 0, "_kappa": 0}
+        for name in calls:
+            original = getattr(ri, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(ri, name, counted)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a row called isac_crb")
+
+        monkeypatch.setattr(isac, "isac_crb", forbidden)
+        run_experiment(RunConfig(experiment="ris-isac-tradeoff"), tmp_path)
+        assert calls == {"_apply_coupling": 1, "optimize_ris_profile": 1, "_kappa": 3}
+
+    def test_rows_shape_and_feasibility(self):
         scenario = RisIsacScenario.from_scene(desk_scene(ris=UlaGeometry(8)))
-        grid = [1.0, 5.0, 100.0]  # the last threshold is infeasible
-        rows = ris_isac_tradeoff(scenario, "weak", "without", grid)
-        assert len(rows) == 3
-        assert math.isinf(rows[-1].crb) and math.isnan(rows[-1].rate)
-        assert rows[0].crb <= rows[1].crb * (1.0 + 1e-9)
+        result = ris_isac_tradeoff(scenario, "weak", ["without", "with"], 3)
+        assert [row.mode for row in result.rows] == ["without"] * 3 + ["with"] * 3
+        assert list(result.max_rate) == ["without", "with"]
+        for mode, rows in (("without", result.rows[:3]), ("with", result.rows[3:])):
+            assert rows[0].rate_threshold == 0.0
+            assert rows[-1].rate_threshold == 0.97 * result.max_rate[mode]
+            for row in rows:
+                assert row.rate >= row.rate_threshold - 1e-12 and math.isfinite(row.crb)
+            assert rows[0].crb <= rows[1].crb * (1.0 + 1e-9)
+        assert ris_isac_tradeoff(scenario, "weak", ["without"], 3).profile is None
