@@ -44,13 +44,10 @@ from .ris_isac import (
 from .sensing import (
     Beamformer,
     DetectionConfig,
-    align_ris_phases,
     crb_angle,
     detection_probability,
     glrt_monte_carlo,
-    illumination_power,
     marcum_q1,
-    matched_filter_beamformer,
     matched_filter_snr,
     maximize_illumination,
     trajectory_sweep,

@@ -80,9 +80,7 @@ def _run_sense_sweep(cfg: RunConfig, threads: int):
     blocked = [i >= cfg.blocked_from_index for i in range(cfg.num_waypoints)]
     rows = trajectory_sweep(scene, waypoints, blocked=blocked)
     csv_rows = [(r.waypoint, r.mode, r.power_db, r.crb) for r in rows]
-    diag = {"waypoints": [list(map(float, w)) for w in waypoints], "blocked": blocked,
-            "illumination_converged": all(r.converged for r in rows),
-            "illumination_iterations": max(r.iterations for r in rows)}
+    diag = {"waypoints": [list(map(float, w)) for w in waypoints], "blocked": blocked}
     return {"": (CSV_HEADERS["sense-sweep"], csv_rows)}, diag
 
 
@@ -109,8 +107,6 @@ def _run_detect(cfg: RunConfig, threads: int):
     csv_rows = [r[:4] for r in results]
     diag = {
         "illumination_power": design.power,
-        "illumination_converged": design.converged,
-        "illumination_iterations": design.iterations,
         "empirical_pf": {f"{r[0]}dB/pf={r[1]}": r[4] for r in results},
     }
     return {"": (CSV_HEADERS["detect"], csv_rows)}, diag
@@ -135,12 +131,8 @@ def _run_isac_tradeoff(cfg: RunConfig, threads: int):
         float(np.linalg.norm(np.asarray(cfg.target_position) - np.asarray(cfg.bs_position))),
         cfg.pathloss_exp_direct,
     )
-    max_rate = math.log2(
-        1.0 + scene.transmit_power * (gain**2) * scene.tx.num_elements / scene.noise_power_comms
-    )
-    grid = np.linspace(0.0, 0.98 * max_rate, cfg.r0_points)
-    rows = isac_mod.tradeoff_curve(
-        scenario, cfg.rho_list, grid, channel_gain=gain, seed=cfg.seed
+    rows, max_rate = isac_mod.tradeoff_curve(
+        scenario, cfg.rho_list, cfg.r0_points, channel_gain=gain, seed=cfg.seed
     )
     csv_rows = [(r.rho, r.rate_threshold, r.rate, r.crb) for r in rows]
     return {"": (CSV_HEADERS["isac-tradeoff"], csv_rows)}, {"max_rate_bits": max_rate}

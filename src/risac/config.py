@@ -85,6 +85,10 @@ class RunConfig:
             raise ConfigError("n_ris must be >= 0")
         if not self.transmit_power > 0:
             raise ConfigError("transmit_power must be positive watts")
+        if not self.target_gain_var >= 0:
+            raise ConfigError("target_gain_var must be >= 0")
+        if not self.spacing_wavelengths > 0:
+            raise ConfigError("spacing_wavelengths must be positive")
         for pf in self.pf_list:
             if not 0.0 < pf < 1.0:
                 raise ConfigError("pf_list entries must lie in (0, 1)")

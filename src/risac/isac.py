@@ -210,26 +210,31 @@ class TradeoffRow:
 def tradeoff_curve(
     scenario_template: IsacScenario,
     rho_list: Sequence[float],
-    rate_grid: Sequence[float],
+    r0_points: int,
     channel_gain: float = 1.0,
     seed: int = 0,
-) -> list:
-    """Rate/CRB trade-off rows over a coupling-by-rate grid.
+):
+    """Rate/CRB trade-off rows over a coupling-by-rate grid, and the max rate.
 
-    Every rho reuses the same seeded residual direction, so the curves vary
-    smoothly in rho. A grid point above a curve's maximum rate has no
-    feasible beamformer and gives no row.
+    Every comms channel has norm channel_gain * ||a_t||, so each rho shares
+    the max rate log2(1 + P g^2 L_T / sigma_c^2), taking ||a_t||^2 = L_T as
+    for a steering vector. The rate floors are ``r0_points`` evenly spaced
+    values from 0 to 98% of that rate, so every floor is feasible. Every rho
+    reuses the same seeded residual direction, so the curves vary smoothly
+    in rho. Returns (rows, max rate in bits).
     """
-    if len(rho_list) == 0 or len(rate_grid) == 0:
-        raise ValueError("rho_list and rate_grid must be non-empty")
+    if len(rho_list) == 0 or r0_points < 1:
+        raise ValueError("rho_list must be non-empty and r0_points >= 1")
+    max_rate = math.log2(
+        1.0 + scenario_template.budget * (channel_gain**2) * scenario_template.a_t.size
+        / scenario_template.noise_comms
+    )
+    grid = np.linspace(0.0, 0.98 * max_rate, r0_points)
     rows = []
     for rho in rho_list:
         h_c = make_coupled_channel(scenario_template.a_t, rho, seed=seed, gain=channel_gain)
         scenario = dataclasses.replace(scenario_template, h_c=h_c)
-        for r0 in rate_grid:
-            try:
-                sol = crb_min_beamformer(scenario, r0)
-            except InfeasibleRateError:
-                continue
+        for r0 in grid:
+            sol = crb_min_beamformer(scenario, r0)
             rows.append(TradeoffRow(rho, r0, sol.rate, sol.crb))
-    return rows
+    return rows, max_rate

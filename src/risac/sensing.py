@@ -1,11 +1,14 @@
 """Target illumination, beamforming, detection, and angle-CRB metrics.
 
-The alternating illumination solver uses two closed-form blocks: a matched
-filter for the precoder and per-element phase alignment for the RIS, so the
-power trace never decreases. Detection follows an energy test on the matched
-filtered echo; the receive steering vector is normalized so the noise-only
-statistic is unit-mean exponential and the false-alarm rate exp(-gamma) is
-exact.
+Illumination is maximized in closed form. Every scene has one RIS with
+line-of-sight paths, so the RIS map F_t = g r^T is rank one and F_t phi = g s
+with s = r^T phi, |s| <= ||r||_1. The best profile puts |s| at ||r||_1 in
+phase with g^H a (the single-reflector passive beamformer of Wu & Zhang, IEEE
+TWC 2019), and the best precoder is the matched filter of h_t = a + F_t phi.
+
+Detection follows an energy test on the matched filtered echo; the receive
+steering vector is normalized so the noise-only statistic is unit-mean
+exponential and the false-alarm rate exp(-gamma) is exact.
 
 The GLRT Monte Carlo simulates the matched-filter output, not the L_S-antenna
 snapshot. With filter v = conj(a_r_hat), echo y = eta c a_r + n and white
@@ -42,13 +45,11 @@ import numpy as np
 
 from .arrays import steering_derivative, steering_vector
 from .channels import (
-    PathGains,
     RisIsacScenario,
     RisProfile,
     Scene,
     angles_from_geometry,
     build_sensing_channels,
-    path_gains,
 )
 from .errors import DegenerateChannelError
 
@@ -56,9 +57,6 @@ __all__ = [
     "Beamformer",
     "DetectionConfig",
     "IlluminationResult",
-    "illumination_power",
-    "matched_filter_beamformer",
-    "align_ris_phases",
     "maximize_illumination",
     "matched_filter_snr",
     "marcum_q1",
@@ -110,121 +108,46 @@ def _weights(w) -> np.ndarray:
     return np.asarray(w, dtype=complex).reshape(-1)
 
 
-def illumination_power(h_t: np.ndarray, w) -> float:
-    """Power delivered to the target: |h_t^H w|^2."""
-    h_t = np.asarray(h_t, dtype=complex).reshape(-1)
-    w_vec = _weights(w)
-    if h_t.shape != w_vec.shape:
-        raise ValueError(f"dimension mismatch: {h_t.shape} vs {w_vec.shape}")
-    return float(np.abs(np.vdot(h_t, w_vec)) ** 2)
-
-
-def matched_filter_beamformer(h: np.ndarray, budget: float = 1.0) -> Beamformer:
-    """Precoder sqrt(budget) * h / ||h||, the illumination-power maximizer."""
-    h = np.asarray(h, dtype=complex).reshape(-1)
-    norm = float(np.linalg.norm(h))
-    if norm == 0.0:
-        raise DegenerateChannelError("cannot match-filter a zero channel")
-    return Beamformer(math.sqrt(budget) * h / norm, budget)
-
-
-def align_ris_phases(b_target: np.ndarray, b_incident: np.ndarray) -> RisProfile:
-    """Per-element phases that make every term of b_target^H diag(phi) b_incident add in phase."""
-    b_target = np.asarray(b_target, dtype=complex).reshape(-1)
-    b_incident = np.asarray(b_incident, dtype=complex).reshape(-1)
-    if b_target.shape != b_incident.shape:
-        raise ValueError(
-            f"length mismatch: {b_target.shape[0]} vs {b_incident.shape[0]}"
-        )
-    terms = b_target.conj() * b_incident
-    return RisProfile(np.exp(-1j * np.angle(terms)))
-
-
 @dataclasses.dataclass(eq=False)
 class IlluminationResult:
     w: Beamformer
     phi: RisProfile
     power: float
-    power_trace: np.ndarray
-    converged: bool
-    iterations: int
+    iterations: int = 0  # always 0: the closed form runs no iterations
 
 
-def _phase_align_block(
-    c0: complex, coeffs: np.ndarray
-) -> np.ndarray:
-    """Closed-form phi-block: rotate each RIS term onto the direct term.
+def maximize_illumination(scene: Scene) -> IlluminationResult:
+    """Closed-form maximum of the illumination power |h_t^H w|^2 over (w, phi).
 
-    Maximizes |c0 + sum_i conj(phi_i) coeffs_i| over unit-modulus phi; when the
-    direct term vanishes the common reference phase is zero.
+    The RIS map is rank one, F_t = g r^T, so ||a + F_t phi||^2 = ||a + g s||^2
+    with s = r^T phi and |s| <= ||r||_1. The maximum sits at |s| = ||r||_1
+    with s in phase with g^H a, and is P (||a||^2 + 2 ||F_t^H a||_1 +
+    (sum_i ||F_t e_i||)^2). Phase-aligning the RIS terms F_t^H g' onto the
+    direct term a^H g', for the largest column g' of F_t (parallel to g),
+    reaches it; a blocked direct path leaves the reference phase at 0, and a
+    zero F_t leaves phi = ones. The precoder is w = sqrt(P) h_t / ||h_t||.
+    The scene's channel is built once per call. A channel that is
+    identically zero raises ``DegenerateChannelError``.
     """
-    ref = np.angle(c0) if abs(c0) > 0 else 0.0
-    return np.exp(1j * (np.angle(coeffs) - ref))
-
-
-def maximize_illumination(
-    scene: Scene,
-    init_phi: Optional[RisProfile] = None,
-    init_w: Optional[Beamformer] = None,
-    tol: float = 1e-8,
-    max_iter: int = 200,
-) -> IlluminationResult:
-    """Alternating (precoder, RIS-profile) maximization of illumination power.
-
-    Both block updates are exact maximizers, so the recorded power trace is
-    non-decreasing. When ``init_w`` is given the first phi-block runs against
-    it before any matched-filter update, which guarantees the result is at
-    least as good as the supplied precoder alone. The scene's channel is
-    built once per call: each iteration forms h_t = a + F_t phi, and the
-    phi-block aligns the RIS terms F_t^H w onto the direct term a^H w.
-    """
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
     channel = RisIsacScenario.from_scene(scene)
-    n = channel.n_ris
     p_t = scene.transmit_power
-    f_t_h = channel.f_t.conj().T
-
-    phi = init_phi.phases.copy() if init_phi is not None else np.ones(n, dtype=complex)
-    if phi.size != n:
-        raise ValueError(f"init profile length {phi.size} does not match N={n}")
-
-    def phi_block(w_vec: np.ndarray) -> np.ndarray:
-        if n == 0:
-            return phi
-        return _phase_align_block(np.vdot(channel.a_t_term, w_vec), f_t_h @ w_vec)
-
-    if init_w is not None:
-        phi = phi_block(init_w.weights)
-
-    trace = []
-    converged = False
-    it = 0
-    for it in range(1, max_iter + 1):
-        h_t = channel.h_t(phi)
-        norm = float(np.linalg.norm(h_t))
-        if norm == 0.0:
-            raise DegenerateChannelError(
-                "sensing channel is identically zero; nothing to illuminate"
-            )
-        w_vec = math.sqrt(p_t) * h_t / norm
-        power = p_t * norm**2
-        trace.append(power)
-        if len(trace) > 1:
-            gain = (trace[-1] - trace[-2]) / max(trace[-2], 1e-300)
-            if gain < tol:
-                converged = True
-                break
-        phi = phi_block(w_vec)
-
-    return IlluminationResult(
-        w=Beamformer(w_vec, p_t),
-        phi=RisProfile(phi),
-        power=trace[-1],
-        power_trace=np.asarray(trace),
-        converged=converged,
-        iterations=it,
-    )
+    f_t = channel.f_t
+    phi = np.ones(channel.n_ris, dtype=complex)
+    if channel.n_ris:
+        g = f_t[:, np.argmax(np.linalg.norm(f_t, axis=0))]
+        if np.any(g):
+            c0 = np.vdot(channel.a_t_term, g)
+            ref = np.angle(c0) if abs(c0) > 0 else 0.0
+            phi = np.exp(1j * (np.angle(f_t.conj().T @ g) - ref))
+    h_t = channel.h_t(phi)
+    norm = float(np.linalg.norm(h_t))
+    if norm == 0.0:
+        raise DegenerateChannelError(
+            "sensing channel is identically zero; nothing to illuminate"
+        )
+    w_vec = math.sqrt(p_t) * h_t / norm
+    return IlluminationResult(w=Beamformer(w_vec, p_t), phi=RisProfile(phi),
+                              power=p_t * norm**2)
 
 
 def matched_filter_snr(power: float, scene: Scene) -> float:
@@ -417,50 +340,27 @@ class SweepRow:
     power: float
     power_db: float
     crb: float
-    # Of the row's maximize_illumination solves (none for the closed forms).
-    converged: bool = True  # every solve converged
-    iterations: int = 0     # the largest iteration count
 
 
 def _power_db(power: float) -> float:
     return 10.0 * math.log10(power) if power > 0 else -math.inf
 
 
-def _ris_only_design(scene: Scene, gains: PathGains):
-    """Closed-form RIS-path-only design: beam at the RIS, aligned phases."""
-    angles = angles_from_geometry(scene)
-    n = scene.n_ris
-    if n == 0:
-        return None
-    b_in = steering_vector(scene.ris, angles.omega_t).entries  # as the dyads use it
-    b_tgt = steering_vector(scene.ris, angles.theta2).entries
-    phi = align_ris_phases(b_tgt, b_in)
-    a_om = steering_vector(scene.tx, angles.omega_t).entries
-    w = matched_filter_beamformer(a_om, scene.transmit_power)
-    power = scene.transmit_power * abs(gains.beta_t) ** 2 * scene.tx.num_elements * n**2
-    return w, phi, power
-
-
 def trajectory_sweep(
     scene_template: Scene,
     waypoints: Sequence,
-    modes: Sequence[str] = ("ris_aided", "ris_only", "without_ris"),
     blocked: Optional[Sequence[bool]] = None,
-    tol: float = 1e-8,
-    max_iter: int = 200,
 ):
     """Illumination power and CRB along a target trajectory for each mode.
 
-    Modes: joint alternating optimization ("ris_aided"), the RIS-path-only
-    closed form ("ris_only"), and the direct-only matched filter
-    ("without_ris"). Blocked waypoints zero the direct path where applicable.
+    Each mode is one variant of the waypoint's scene, illuminated by
+    ``maximize_illumination``: "ris_aided" is the scene itself, "ris_only"
+    blocks the direct path, and "without_ris" zeroes the RIS gain. Blocked
+    waypoints zero the direct path. A mode with no path to the target has
+    power 0 and an infinite CRB.
     """
     if len(waypoints) == 0:
         raise ValueError("need at least one waypoint")
-    known = {"ris_aided", "ris_only", "without_ris"}
-    bad = set(modes) - known
-    if bad:
-        raise ValueError(f"unknown modes: {sorted(bad)}")
     if blocked is None:
         blocked = [False] * len(waypoints)
     if len(blocked) != len(waypoints):
@@ -475,43 +375,17 @@ def trajectory_sweep(
         angles = angles_from_geometry(base)
         adot = steering_derivative(base.rx, angles.theta1)
         adot_sq = float(np.real(np.vdot(adot, adot)))
-        for mode in modes:
-            solves = []
-            if mode == "without_ris":
-                scene = base.replace(ris_gain_override=0.0)
-                gains = path_gains(scene)
-                if abs(gains.alpha_t) == 0.0:
-                    power = 0.0
-                else:
-                    a_t = steering_vector(scene.tx, angles.theta1).entries
-                    w = matched_filter_beamformer(a_t, scene.transmit_power)
-                    h_t, _ = build_sensing_channels(scene, RisProfile.ones(scene.n_ris))
-                    power = illumination_power(h_t, w)
-            elif mode == "ris_only":
-                scene = base.replace(blocked_direct=True)
-                gains = path_gains(scene)
-                design = _ris_only_design(scene, gains)
-                power = design[2] if design is not None else 0.0
-            else:  # ris_aided
-                scene = base
-                gains = path_gains(scene)
-                starts = []
-                if abs(gains.alpha_t) > 0:
-                    a_t = steering_vector(scene.tx, angles.theta1).entries
-                    starts.append(
-                        dict(init_w=matched_filter_beamformer(a_t, scene.transmit_power))
-                    )
-                ris_start = _ris_only_design(scene, gains)
-                if ris_start is not None:
-                    starts.append(dict(init_phi=ris_start[1]))
-                if not starts:
-                    starts.append(dict())
-                solves = [maximize_illumination(scene, tol=tol, max_iter=max_iter, **kw)
-                          for kw in starts]
-                power = max(res.power for res in solves)
+        variants = (
+            ("ris_aided", base),
+            ("ris_only", base.replace(blocked_direct=True)),
+            ("without_ris", base.replace(ris_gain_override=0.0)),
+        )
+        for mode, scene in variants:
+            try:
+                power = maximize_illumination(scene).power
+            except DegenerateChannelError:  # no path reaches the target
+                power = 0.0
             snr = matched_filter_snr(power, base)
             crb = crb_angle(snr, base.samples, adot_sq, base.rx.num_elements)
-            rows.append(SweepRow(idx, mode, power, _power_db(power), crb,
-                                 all(res.converged for res in solves),
-                                 max((res.iterations for res in solves), default=0)))
+            rows.append(SweepRow(idx, mode, power, _power_db(power), crb))
     return rows

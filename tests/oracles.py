@@ -4,11 +4,56 @@ Each is a direct transcription of its formula, independent of the fused
 kernels in ``risac`` that the tests check against it.
 """
 
+import math
 from typing import Callable
 
 import numpy as np
 
-from risac import DegenerateChannelError, steering_vector
+from risac import Beamformer, DegenerateChannelError, RisProfile, steering_vector
+
+
+def illumination_power(h_t: np.ndarray, w) -> float:
+    """Power delivered to the target: |h_t^H w|^2."""
+    h_t = np.asarray(h_t, dtype=complex).reshape(-1)
+    w_vec = w.weights if isinstance(w, Beamformer) else np.asarray(w, dtype=complex).reshape(-1)
+    if h_t.shape != w_vec.shape:
+        raise ValueError(f"dimension mismatch: {h_t.shape} vs {w_vec.shape}")
+    return float(np.abs(np.vdot(h_t, w_vec)) ** 2)
+
+
+def matched_filter_beamformer(h: np.ndarray, budget: float = 1.0) -> Beamformer:
+    """Precoder sqrt(budget) * h / ||h||, the illumination-power maximizer."""
+    h = np.asarray(h, dtype=complex).reshape(-1)
+    norm = float(np.linalg.norm(h))
+    if norm == 0.0:
+        raise DegenerateChannelError("cannot match-filter a zero channel")
+    return Beamformer(math.sqrt(budget) * h / norm, budget)
+
+
+def align_ris_phases(b_target: np.ndarray, b_incident: np.ndarray) -> RisProfile:
+    """Per-element phases that make every term of b_target^H diag(phi) b_incident add in phase."""
+    b_target = np.asarray(b_target, dtype=complex).reshape(-1)
+    b_incident = np.asarray(b_incident, dtype=complex).reshape(-1)
+    if b_target.shape != b_incident.shape:
+        raise ValueError(
+            f"length mismatch: {b_target.shape[0]} vs {b_incident.shape[0]}"
+        )
+    terms = b_target.conj() * b_incident
+    return RisProfile(np.exp(-1j * np.angle(terms)))
+
+
+def rank_one_illumination_bound(a_t: np.ndarray, f_t: np.ndarray, power: float) -> float:
+    """P (||a||^2 + 2 ||F^H a||_1 + (sum_i ||F e_i||)^2) over unit-modulus phi.
+
+    The triangle inequality bounds P ||a + F phi||^2 by this value for any F.
+    A rank-one F = g r^T attains it: F phi = g s with s = r^T phi, and
+    s = ||r||_1 e^{j arg(g^H a)} is reachable.
+    """
+    return power * (
+        float(np.real(np.vdot(a_t, a_t)))
+        + 2.0 * float(np.sum(np.abs(f_t.conj().T @ a_t)))
+        + float(np.sum(np.linalg.norm(f_t, axis=0))) ** 2
+    )
 
 
 def coupling_coefficient(h_c: np.ndarray, a_t: np.ndarray) -> float:

@@ -168,9 +168,9 @@ def test_detect_summary_reports_the_illumination_solve(tmp_path):
     assert code == 0
     diag = summary["diagnostics"]
     design = sensing.maximize_illumination(scene_from_config(RunConfig(n_ris=4, l_t=4, l_s=4)))
-    assert diag["illumination_converged"] is design.converged is True
-    assert diag["illumination_iterations"] == design.iterations > 0
     assert diag["illumination_power"] == design.power
+    # The closed form runs no solver, so there is no convergence to report.
+    assert set(diag) == {"illumination_power", "empirical_pf"}
 
 
 def test_summaries_report_solver_evaluations(tmp_path, monkeypatch):
@@ -206,8 +206,9 @@ def test_detect_at_very_high_snr(tmp_path):
 
 def test_sense_sweep_smoke(tmp_path):
     tiny = TINY + "num_waypoints = 4\nblocked_from_index = 2\n"
-    code, csv_bytes, _ = _run_cli(tmp_path, "sense-sweep", tiny, "out")
+    code, csv_bytes, summary = _run_cli(tmp_path, "sense-sweep", tiny, "out")
     assert code == 0
+    assert set(summary["diagnostics"]) == {"waypoints", "blocked"}
     header, rows = _rows(csv_bytes)
     assert header == cli.CSV_HEADERS["sense-sweep"]
     assert len(rows) == 4 * 3
@@ -217,36 +218,6 @@ def test_sense_sweep_smoke(tmp_path):
             assert crb == math.inf, row  # the direct path is blocked
         else:
             assert math.isfinite(crb) and crb > 0, row
-
-
-def test_sense_sweep_summary_reports_the_illumination_solves(tmp_path, monkeypatch):
-    results = []
-    original = sensing.maximize_illumination
-
-    def recorded(*args, **kwargs):
-        results.append(original(*args, **kwargs))
-        return results[-1]
-
-    monkeypatch.setattr(sensing, "maximize_illumination", recorded)
-    for seed in range(4):
-        results.clear()
-        diag = cli.run_experiment(RunConfig(seed=seed), tmp_path / str(seed))["diagnostics"]
-        # Two starts at each of the 6 unblocked waypoints, one at each of the 4 blocked.
-        assert len(results) == 16
-        assert diag["illumination_converged"] is all(r.converged for r in results) is True
-        assert diag["illumination_iterations"] == max(r.iterations for r in results) > 0
-
-
-def test_sense_sweep_summary_reports_an_unconverged_illumination_solve(tmp_path, monkeypatch):
-    original = sensing.maximize_illumination
-
-    def capped(scene, **kwargs):
-        return original(scene, **{**kwargs, "max_iter": 1})
-
-    monkeypatch.setattr(sensing, "maximize_illumination", capped)
-    diag = cli.run_experiment(RunConfig(), tmp_path)["diagnostics"]
-    assert diag["illumination_converged"] is False
-    assert diag["illumination_iterations"] == 1
 
 
 def test_isac_tradeoff_smoke(tmp_path):

@@ -45,6 +45,8 @@ FIELD_STRATEGIES = {
     "target_angles_deg": st.lists(finite, max_size=4, unique=True).map(tuple),
     "grid_points": count,
     "blocked_user_path": st.booleans(),
+    "target_gain_var": st.floats(min_value=0.0, allow_infinity=False),
+    "spacing_wavelengths": positive,
 }
 for _field in dataclasses.fields(RunConfig):
     if _field.type == "float":
@@ -106,10 +108,14 @@ def test_removed_key_is_a_json_config_error(tmp_path, capsys, key):
 @pytest.mark.parametrize(
     "line",
     ["snr_db_list = nan", "snr_db_list = 0.0, inf", "pf_list = 0.1, nan",
-     "target_angles_deg = -inf", "bs_position = nan, 0", "road_end = 1.0, inf"],
+     "target_angles_deg = -inf", "bs_position = nan, 0", "road_end = 1.0, inf",
+     "target_gain_var = -1.0", "spacing_wavelengths = 0.0"],
 )
 def test_nonfinite_tuple_entry_is_a_json_config_error(tmp_path, capsys, line):
     # Every float of a tuple or position is checked, not only scalar floats.
+    # A scalar outside its range fails the same way, before the output
+    # directory is made: a negative target gain variance or a nonpositive
+    # element spacing used to exit with a bare ValueError from the scene.
     config = tmp_path / "nonfinite.cfg"
     config.write_text(f"l_t = 4\n{line}\n")
     code, err = _error_of(capsys, ["detect", "--config", str(config),

@@ -277,8 +277,10 @@ class TestTradeoffCurve:
     def test_monotone_structure(self):
         sc = table1_scenario()
         rhos = [0.0, 0.3, 0.6, 0.9, 1.0]
-        grid = np.linspace(0.0, 0.95 * sc.max_rate, 12)
-        rows = tradeoff_curve(sc, rhos, grid, channel_gain=1.0, seed=6)
+        rows, max_rate = tradeoff_curve(sc, rhos, 12, channel_gain=1.0, seed=6)
+        assert math.isclose(max_rate, sc.max_rate, rel_tol=1e-14)  # h_c = a_t, unit gain
+        grid = np.linspace(0.0, 0.98 * max_rate, 12)
+        assert [row.rate_threshold for row in rows] == list(grid) * len(rhos)
         by_rho = {}
         for row in rows:
             by_rho.setdefault(row.rho, []).append(row)
@@ -297,6 +299,6 @@ class TestTradeoffCurve:
     def test_rejects_empty_grids(self):
         sc = table1_scenario()
         with pytest.raises(ValueError):
-            tradeoff_curve(sc, [], [1.0])
+            tradeoff_curve(sc, [], 1)
         with pytest.raises(ValueError):
-            tradeoff_curve(sc, [0.5], [])
+            tradeoff_curve(sc, [0.5], 0)

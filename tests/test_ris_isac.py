@@ -13,7 +13,6 @@ from risac import (
     coupling_gradient,
     coupling_objective,
     fim_theta,
-    matched_filter_beamformer,
     optimize_ris_profile,
     ris_isac_tradeoff,
 )
@@ -25,7 +24,12 @@ from risac.isac import max_illumination_beamformer
 from risac.optim import _unit_modulus
 from risac.ris_isac import _apply_coupling, _crb_beamformer_at, _fim_maps, _zero_ris
 
-from oracles import coupling_coefficient, finite_difference_gradient, rank_one_coupling_grid
+from oracles import (
+    coupling_coefficient,
+    finite_difference_gradient,
+    matched_filter_beamformer,
+    rank_one_coupling_grid,
+)
 
 
 def scalar_loop_objective(phi, a_t, f_t, a_r, f_r, h_bu, f_c):
