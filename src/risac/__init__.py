@@ -1,10 +1,11 @@
 """RIS-aided sensing and ISAC beamforming simulator."""
 
-from .arrays import SteeringVector, UlaGeometry, steering_derivative, steering_vector
+from .arrays import UlaGeometry, steering_derivative, steering_vector
 from .channels import (
     RisIsacScenario,
     RisProfile,
     Scene,
+    align_profile,
     angles_from_geometry,
     build_sensing_channels,
     pathloss_amplitude,

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-__all__ = ["UlaGeometry", "SteeringVector", "steering_vector", "steering_derivative"]
+__all__ = ["UlaGeometry", "steering_vector", "steering_derivative"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -35,21 +35,6 @@ class UlaGeometry:
         return np.arange(self.num_elements) - (self.num_elements - 1) / 2.0
 
 
-@dataclasses.dataclass(eq=False)
-class SteeringVector:
-    """Array response toward ``angle``; entries are unit modulus, norm^2 = L."""
-
-    entries: np.ndarray
-    angle: float
-    geometry: UlaGeometry
-
-    def __array__(self, dtype=None):
-        return np.asarray(self.entries, dtype=dtype)
-
-    def __len__(self):
-        return self.entries.shape[0]
-
-
 def _check_angle(angle: float) -> float:
     angle = float(angle)
     if not math.isfinite(angle):
@@ -57,11 +42,11 @@ def _check_angle(angle: float) -> float:
     return angle
 
 
-def steering_vector(geom: UlaGeometry, angle: float) -> SteeringVector:
-    """Steering vector with entries exp(j*2*pi*spacing*m_k*sin(angle))."""
+def steering_vector(geom: UlaGeometry, angle: float) -> np.ndarray:
+    """Steering vector exp(j*2*pi*spacing*m_k*sin(angle)); unit-modulus entries, norm^2 = L."""
     angle = _check_angle(angle)
     phase = 2.0 * np.pi * geom.spacing_wavelengths * geom.element_offsets * np.sin(angle)
-    return SteeringVector(np.exp(1j * phase), angle, geom)
+    return np.exp(1j * phase)
 
 
 def steering_derivative(geom: UlaGeometry, angle: float) -> np.ndarray:

@@ -12,7 +12,9 @@ steering vector) plus F phi, where F = G diag(b) folds the rank-one BS-RIS
 dyad G = beta a(omega_t) b(omega_t)^H into the RIS response b toward the
 target (sensing) or the user (comms). Angles, gains and dyads are computed
 once per scene; each h_t, h_r or h_c is then one matrix-vector product.
-Sensing, ISAC and dual-waveform code all read their channels from it.
+Sensing, ISAC and dual-waveform code all read their channels from it, and
+take every RIS profile from ``align_profile``, the closed-form maximizer of
+||a + F phi|| for a rank-one F.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import numpy as np
 
 from .arrays import UlaGeometry, steering_derivative, steering_vector
 from .errors import DegenerateChannelError, DegenerateGeometryError
+from .optim import _unit_modulus
 
 __all__ = [
     "Scene",
@@ -35,6 +38,7 @@ __all__ = [
     "pathloss_amplitude",
     "path_gains",
     "build_sensing_channels",
+    "align_profile",
 ]
 
 
@@ -251,23 +255,23 @@ class RisIsacScenario:
     def from_scene(cls, scene: Scene) -> "RisIsacScenario":
         angles = angles_from_geometry(scene)
         gains = path_gains(scene)
-        a_t = steering_vector(scene.tx, angles.theta1).entries
-        a_r = steering_vector(scene.rx, angles.theta1).entries
+        a_t = steering_vector(scene.tx, angles.theta1)
+        a_r = steering_vector(scene.rx, angles.theta1)
         adot_t = steering_derivative(scene.tx, angles.theta1)
         adot_r = steering_derivative(scene.rx, angles.theta1)
-        h_bu = gains.gain_bu * steering_vector(scene.tx, angles.theta_user_bs).entries
+        h_bu = gains.gain_bu * steering_vector(scene.tx, angles.theta_user_bs)
         if scene.n_ris:
             # Rank-one dyads G = beta a(omega_t) b(omega_t)^H. The RIS side
             # reuses omega_t, the bearing of the RIS at the BS, as the source
             # model prints it.
-            a_t_ris = steering_vector(scene.tx, angles.omega_t).entries
-            a_r_ris = steering_vector(scene.rx, angles.omega_t).entries
-            b_in = steering_vector(scene.ris, angles.omega_t).entries
+            a_t_ris = steering_vector(scene.tx, angles.omega_t)
+            a_r_ris = steering_vector(scene.rx, angles.omega_t)
+            b_in = steering_vector(scene.ris, angles.omega_t)
             g_t = gains.beta_t * np.outer(a_t_ris, b_in.conj())
             g_r = gains.beta_r * np.outer(a_r_ris, b_in.conj())
-            b = steering_vector(scene.ris, angles.theta2).entries
+            b = steering_vector(scene.ris, angles.theta2)
             bdot = steering_derivative(scene.ris, angles.theta2)
-            h_ru = gains.gain_ru * steering_vector(scene.ris, angles.theta_user_ris).entries
+            h_ru = gains.gain_ru * steering_vector(scene.ris, angles.theta_user_ris)
             f_t = g_t * b[np.newaxis, :]
             f_r = g_r * b[np.newaxis, :]
             f_c = g_t * h_ru[np.newaxis, :]
@@ -320,3 +324,21 @@ def build_sensing_channels(scene: Scene, phi):
     """Tx-target and Rx-target channels h_t(phi) and h_r(phi) of a scene."""
     channel = RisIsacScenario.from_scene(scene)
     return channel.h_t(phi), channel.h_r(phi)
+
+
+def align_profile(a: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Unit-modulus phi maximizing ||a + f phi|| for a rank-one f = g r^T.
+
+    It puts s = r^T phi at |s| = ||r||_1 in phase with g^H a (Wu & Zhang, IEEE
+    TWC 2019): phi = f^H a / |f^H a| entrywise, since f^H a = conj(r) g^H a.
+    If f^H a = 0 every phase of s is optimal, and phi aligns the column sums
+    (sum_k g_k) r of f instead, or its largest row g_k r where sum_k g_k
+    cancels; f = 0 gives ones.
+    """
+    z = f.conj().T @ a
+    if np.any(z):
+        return _unit_modulus(z)
+    chain = f.sum(axis=0)
+    if np.sum(np.abs(chain)) < 1e-8 * np.sum(np.abs(f)):  # |sum_k g_k| < 1e-8 ||g||_1
+        chain = f[np.argmax(np.sum(np.abs(f), axis=1))]
+    return np.exp(-1j * np.angle(np.where(np.abs(chain) > 0, chain, 1.0)))

@@ -115,10 +115,10 @@ def _run_detect(cfg: RunConfig, threads: int):
 def _run_isac_tradeoff(cfg: RunConfig, threads: int):
     scene = scene_from_config(cfg)
     angles = angles_from_geometry(scene)
-    a_t = steering_vector(scene.tx, angles.theta1).entries
+    a_t = steering_vector(scene.tx, angles.theta1)
     scenario = isac_mod.IsacScenario(
         a_t=a_t,
-        a_r=steering_vector(scene.rx, angles.theta1).entries,
+        a_r=steering_vector(scene.rx, angles.theta1),
         a_r_dot=steering_derivative(scene.rx, angles.theta1),
         h_c=a_t,  # placeholder; the sweep substitutes coupled channels
         noise_comms=scene.noise_power_comms,

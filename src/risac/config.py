@@ -79,6 +79,9 @@ class RunConfig:
                      "r0_points", "grid_points"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        if self.l_s < 2 and self.experiment in ("sense-sweep", "isac-tradeoff", "ris-isac-tradeoff"):
+            # One centred element has adot = 0: its echo holds no angle information.
+            raise ConfigError(f"l_s must be >= 2 for {self.experiment} (got {self.l_s})")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         if self.n_ris < 0:

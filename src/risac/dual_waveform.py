@@ -12,11 +12,11 @@ orthonormal complement of u, the parts c = X u and W = X Q keep R, null the
 interference h^H W, and give the largest SINR any split of R can,
 h^H R h / sigma_c^2. The user-SINR floor is then the linear constraint
 h^H R h >= gamma sigma_c^2. When it binds, one augmented-Lagrangian
-multiplier enforces it (Liu & Boumal 2019), and the RIS phases maximize
-h(phi)^H R h(phi) on the circle manifold. Both blocks run
-``optim.riemannian_descent``; the steering matrices are built once per
-design, and the design carries its total, comm and sensing patterns on the
-spec's grid.
+multiplier enforces it (Liu & Boumal 2019) over ``optim.riemannian_descent``
+precoder solves. The RIS phases maximize h(phi)^H R h(phi) = ||X^H h_bu +
+(X^H F_c) phi||^2 exactly by ``channels.align_profile``, since X^H F_c is
+rank one. The steering matrices are built once per design, and the design
+carries its total, comm and sensing patterns on the spec's grid.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .arrays import UlaGeometry, steering_vector
-from .channels import RisIsacScenario, RisProfile, Scene
+from .channels import RisIsacScenario, RisProfile, Scene, align_profile
 from .errors import InfeasibleSinrError
 from .optim import SolverConfig, riemannian_descent
 
@@ -100,14 +100,14 @@ class DualDesign:
     loss: float
     objective_trace: np.ndarray  # solver objective at accepted iterates, solve after solve
     converged: bool
-    iterations: int             # over all precoder and RIS-phase solves
-    evaluations: int            # loss/gradient calls over the same solves
+    iterations: int             # over all precoder solves
+    evaluations: int            # Lagrangian/gradient calls over the same solves
     grad_norm: float            # tangent-gradient norm at the end of the last precoder solve
     stop: str                   # stop reason of the last precoder solve
 
 
 def _steering_matrix(geom: UlaGeometry, angles: np.ndarray) -> np.ndarray:
-    return np.column_stack([steering_vector(geom, a).entries for a in angles])
+    return np.column_stack([steering_vector(geom, a) for a in angles])
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -211,9 +211,9 @@ def design_dual_waveform(
 
     One Riemannian solve over X = [c | W] minimizes the loss with tau
     minimized out. If h^H R h then falls short of gamma sigma_c^2, an
-    augmented-Lagrangian loop alternates precoder solves, RIS-phase solves
-    and multiplier updates. The best feasible iterate is split in closed
-    form and returned. The matched comm-only start [c | 0] attains the
+    augmented-Lagrangian loop alternates precoder solves, closed-form RIS
+    phases and multiplier updates. The best feasible iterate is split in
+    closed form and returned. The matched comm-only start [c | 0] attains the
     largest SINR and is the first feasible iterate, so a design exists
     whenever the threshold check passes. ``converged`` means the last
     precoder solve reached its tolerance with the floor met and, if the
@@ -228,16 +228,11 @@ def design_dual_waveform(
     k_targets = spec.target_angles.size
     rng = np.random.default_rng(seed)
     scenario = RisIsacScenario.from_scene(scene)
-    n = scenario.n_ris
     sigma_c = scene.noise_power_comms
 
     # Phase-align the RIS for the user, then check the SINR is reachable with
     # a matched unit-modulus precoder and no sensing interference.
-    if n:
-        chain = scenario.f_c.sum(axis=0)  # proportional to per-element cascade
-        phi = np.exp(-1j * np.angle(np.where(np.abs(chain) > 0, chain, 1.0)))
-    else:
-        phi = np.zeros(0, dtype=complex)
+    phi = align_profile(scenario.h_bu, scenario.f_c)
     h_c = scenario.h_c(phi)
     max_sinr = float(np.sum(np.abs(h_c))) ** 2 / sigma_c
     if max_sinr < sinr_threshold:
@@ -269,10 +264,6 @@ def design_dual_waveform(
             return value, grad / scale
         return value, grad / scale - (mult / floor) * np.outer(h_c, v.conj())
 
-    def neg_power(phi_vec):
-        v = x.conj().T @ scenario.h_c(phi_vec)
-        return -float(np.vdot(v, v).real) / floor, -(scenario.f_c.conj().T @ (x @ v)) / floor
-
     consider(matched, phi, h_c)
     cfg = SolverConfig(tol=_TOL)
     # Start: the matched comm column plus a small seeded sensing part.
@@ -287,12 +278,10 @@ def design_dual_waveform(
         evaluations += res.evaluations
         trace.extend(scale * res.trace)
         viol = 1.0 - _received_power(x, h_c) / floor
-        if n and lam + rho * viol > 0:
-            # The floor is active: raise h^H R h over the RIS phases.
-            res_phi = riemannian_descent(neg_power, "circle", phi, cfg)
-            phi, h_c = res_phi.x, scenario.h_c(res_phi.x)
-            iterations += res_phi.iterations
-            evaluations += res_phi.evaluations
+        if lam + rho * viol > 0:
+            # The floor is active: maximize h^H R h over the RIS phases.
+            phi = align_profile(x.conj().T @ scenario.h_bu, x.conj().T @ scenario.f_c)
+            h_c = scenario.h_c(phi)
             viol = 1.0 - _received_power(x, h_c) / floor
         consider(x, phi, h_c)
         lam_next = max(0.0, lam + rho * viol)
@@ -320,7 +309,7 @@ def design_dual_waveform(
         comm_precoder=comm_precoder,
         sensing_precoder=sensing_precoder,
         tau=_best_tau(pattern, spec.desired, st.denom),
-        phi=RisProfile(best["phi"]) if n else RisProfile(np.zeros(0)),
+        phi=RisProfile(best["phi"]),
         covariance=r_cov,
         pattern=pattern,
         comm_pattern=_pattern(np.outer(comm_precoder, comm_precoder.conj()), st.grid),

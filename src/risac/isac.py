@@ -78,8 +78,6 @@ class IsacScenario:
 @dataclasses.dataclass(eq=False)
 class IsacSolution:
     w: Beamformer
-    lambda1: complex
-    lambda2: complex
     branch: str  # "unconstrained" or "boundary"
     rate: float
     crb: float
@@ -146,10 +144,10 @@ def max_illumination_beamformer(
 ):
     """Maximize the illumination |a_t^T w|^2 subject to a rate floor and the budget p_t.
 
-    Returns (w, lambda1, lambda2, branch, rate). Two branches: if the matched filter (toward conj(a_t)) already meets the
-    rate, it is optimal; otherwise the optimum splits between the conjugated
-    comms direction and the conjugated residual of a_t, with the rate
-    constraint tight.
+    Returns (w, branch, rate). Two branches: if the matched filter (toward
+    conj(a_t)) already meets the rate, it is optimal; otherwise the optimum
+    splits between the conjugated comms direction and the conjugated residual
+    of a_t, with the rate constraint tight.
     """
     if rate_threshold < 0:
         raise ValueError("rate_threshold must be nonnegative")
@@ -167,7 +165,6 @@ def max_illumination_beamformer(
     if p_t * abs(corr) ** 2 >= a_norm_sq * snr_floor:
         w_vec = math.sqrt(p_t) * a_t.conj() / np.linalg.norm(a_t)
         branch = "unconstrained"
-        lam1, lam2 = 0.0 + 0.0j, complex(math.sqrt(p_t))
     else:
         # Boundary branch in the conjugated basis {q_hat, p_perp_hat}.
         q_hat = h_c.conj() / math.sqrt(hc_norm_sq)
@@ -175,17 +172,16 @@ def max_illumination_beamformer(
         p_perp = a_t.conj() - kappa * q_hat
         perp_norm = float(np.linalg.norm(p_perp))
         lam1_mag = math.sqrt(snr_floor / hc_norm_sq)
-        lam2 = complex(math.sqrt(max(p_t - snr_floor / hc_norm_sq, 0.0)))
         lam1 = lam1_mag * (kappa / abs(kappa) if abs(kappa) > 0 else 1.0)
         if perp_norm < 1e-14 * np.linalg.norm(a_t):
             # Channels fully aligned; all budget goes along q_hat.
             w_vec = lam1 * q_hat
-            lam2 = 0.0 + 0.0j
         else:
+            lam2 = complex(math.sqrt(max(p_t - snr_floor / hc_norm_sq, 0.0)))
             w_vec = lam1 * q_hat + lam2 * (p_perp / perp_norm)
         branch = "boundary"
     w = Beamformer(w_vec, p_t)
-    return w, lam1, lam2, branch, achievable_rate(h_c, w, sigma_c)
+    return w, branch, achievable_rate(h_c, w, sigma_c)
 
 
 def crb_min_beamformer(scenario: IsacScenario, rate_threshold: float) -> IsacSolution:

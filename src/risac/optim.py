@@ -33,18 +33,16 @@ __all__ = [
 ]
 
 MANIFOLDS = ("oblique", "circle")
+ARMIJO_C = 1e-4   # sufficient-decrease constant of the backtracking line search
+BACKTRACK = 0.5   # step shrink factor per rejected trial
 
 
 @dataclasses.dataclass(frozen=True)
 class SolverConfig:
     tol: float = 1e-7        # stop once the tangent-gradient norm is <= tol * |f|
     max_iter: int = 2000
-    armijo_c: float = 1e-4
-    backtrack: float = 0.5
 
     def __post_init__(self):
-        if not 0.0 < self.backtrack < 1.0:
-            raise ValueError("backtrack must lie in (0, 1)")
         if not self.tol >= 0:
             raise ValueError("tol must be nonnegative")
         if self.max_iter < 0:
@@ -137,9 +135,9 @@ def riemannian_descent(
             cand = _normalize(x - step * rg)
             f_new, rg_new = evaluate(cand)
             evaluations += 1
-            if f_new <= f - cfg.armijo_c * step * gnorm**2:
+            if f_new <= f - ARMIJO_C * step * gnorm**2:
                 break
-            step *= cfg.backtrack
+            step *= BACKTRACK
         else:
             stop = "no_descent"
             break

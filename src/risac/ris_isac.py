@@ -16,13 +16,13 @@ profile solve, kappa once per channel and one inner product per row.
 ``fim_theta`` builds the full 4 x 4 FIM instead and is the independent
 reference the kappa form is tested against.
 
-The profile descent runs once, from phi_0 = F_t^H a_t / |F_t^H a_t|
-entrywise. Each RIS map is a rank-one dyad F_t = g r^T, so phi_0 puts r^T phi
-at its largest modulus ||r||_1, phase-aligned with the direct path: the
-optimal passive beamformer for one reflected path (Wu & Zhang, IEEE TWC
-2019). Random starts reach about 1/sqrt(N) of that modulus, and at strong
-coupling they stop in an interior basin. The profile does not depend on the
-config seed.
+The profile descent runs once, from phi_0 = ``channels.align_profile(a_t,
+F_t)``, F_t^H a_t / |F_t^H a_t| entrywise. Each RIS map is a rank-one dyad
+F_t = g r^T, so phi_0 puts r^T phi at its largest modulus ||r||_1,
+phase-aligned with the direct path: the optimal passive beamformer for one
+reflected path (Wu & Zhang, IEEE TWC 2019). Random starts reach about
+1/sqrt(N) of that modulus, and at strong coupling they stop in an interior
+basin. The profile does not depend on the config seed.
 """
 
 from __future__ import annotations
@@ -33,10 +33,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .channels import RisIsacScenario, RisProfile, _phi_vector
+from .channels import RisIsacScenario, RisProfile, _phi_vector, align_profile
 from .errors import DegenerateChannelError
 from .isac import max_illumination_beamformer
-from .optim import _unit_modulus, riemannian_descent
+from .optim import riemannian_descent
 from .sensing import Beamformer
 
 __all__ = [
@@ -128,10 +128,9 @@ class RisProfileResult:
 def optimize_ris_profile(scenario: RisIsacScenario) -> RisProfileResult:
     """Riemannian descent of the coupling objective on the circle manifold |phi_i| = 1.
 
-    One run from the phase-aligned start of the module docstring (an exact
-    zero of F_t^H a_t maps to 1, so with zero RIS gain the start is all ones
-    and is returned after 0 iterations). The trace is non-increasing;
-    ``stop`` says why the solver ended.
+    One run from the phase-aligned start of the module docstring (with zero
+    RIS gain the start is all ones and is returned after 0 iterations). The
+    trace is non-increasing; ``stop`` says why the solver ended.
     """
     args = (scenario.a_t_term, scenario.f_t, scenario.a_r_term, scenario.f_r,
             scenario.h_bu, scenario.f_c)
@@ -140,7 +139,7 @@ def optimize_ris_profile(scenario: RisIsacScenario) -> RisProfileResult:
     def fun(p):
         return _coupling(p, *args, adjoints=adjoints)
 
-    start = _unit_modulus(adjoints[0] @ scenario.a_t_term)
+    start = align_profile(scenario.a_t_term, scenario.f_t)
     res = riemannian_descent(fun, "circle", start)
     return RisProfileResult(
         phi=RisProfile(res.x),
@@ -263,7 +262,7 @@ def _crb_beamformer_at(scenario: RisIsacScenario, phi):
     kappa = _kappa(scenario, phi_vec)
 
     def solve(rate_threshold: float) -> CrbBeamformerResult:
-        w, _, _, _, rate = max_illumination_beamformer(
+        w, _, rate = max_illumination_beamformer(
             h_t, h_c, scene.transmit_power, scene.noise_power_comms, rate_threshold)
         illum = float(np.abs(h_t @ w.weights) ** 2)
         crb = kappa / illum if illum > 0.0 else math.inf
@@ -340,10 +339,11 @@ def ris_isac_tradeoff(
     only when a mode needs it); "without" zeroes the RIS paths; "reference"
     is the gain-matched zero-coupling baseline whose max rate and min CRB
     (at R0 = 0) equal the with-RIS run's, isolating the subspace-rotation
-    part of the gain. Each mode's rate floors run from 0 to 97% of its max
-    rate in ``r0_points`` steps, so every floor is feasible. ``seed`` draws
-    the reference comms direction when the sensing channel leaves no
-    orthogonal residual.
+    part of the gain; an infinite CRB to match (one receive element has no
+    angle information) raises ``DegenerateChannelError``. Each mode's rate
+    floors run from 0 to 97% of its max rate in ``r0_points`` steps, so
+    every floor is feasible. ``seed`` draws the reference comms direction
+    when the sensing channel leaves no orthogonal residual.
     """
     unknown = set(ris_modes) - {"with", "without", "reference"}
     if unknown:
@@ -363,7 +363,10 @@ def ris_isac_tradeoff(
     if "reference" in ris_modes:
         # Scaling both direct gains by amp scales beta * dH/dtheta1 by amp^2,
         # so the angle CRB scales as 1/amp^4.
-        amp = (solves["without"](0.0).crb / solves["with"](0.0).crb) ** 0.25
+        crbs = solves["without"](0.0).crb, solves["with"](0.0).crb
+        if not all(map(math.isfinite, crbs)):
+            raise DegenerateChannelError(f"the reference mode needs finite CRBs, got {crbs}")
+        amp = (crbs[0] / crbs[1]) ** 0.25
         ref = dataclasses.replace(
             bare, a_t_term=amp * bare.a_t_term, a_r_term=amp * bare.a_r_term,
             a_t_dot_term=amp * bare.a_t_dot_term, a_r_dot_term=amp * bare.a_r_dot_term,

@@ -3,8 +3,8 @@
 Illumination is maximized in closed form. Every scene has one RIS with
 line-of-sight paths, so the RIS map F_t = g r^T is rank one and F_t phi = g s
 with s = r^T phi, |s| <= ||r||_1. The best profile puts |s| at ||r||_1 in
-phase with g^H a (the single-reflector passive beamformer of Wu & Zhang, IEEE
-TWC 2019), and the best precoder is the matched filter of h_t = a + F_t phi.
+phase with g^H a (``channels.align_profile``, after Wu & Zhang, IEEE TWC
+2019), and the best precoder is the matched filter of h_t = a + F_t phi.
 
 Detection follows an energy test on the matched filtered echo; the receive
 steering vector is normalized so the noise-only statistic is unit-mean
@@ -48,6 +48,7 @@ from .channels import (
     RisIsacScenario,
     RisProfile,
     Scene,
+    align_profile,
     angles_from_geometry,
     build_sensing_channels,
 )
@@ -122,23 +123,15 @@ def maximize_illumination(scene: Scene) -> IlluminationResult:
     The RIS map is rank one, F_t = g r^T, so ||a + F_t phi||^2 = ||a + g s||^2
     with s = r^T phi and |s| <= ||r||_1. The maximum sits at |s| = ||r||_1
     with s in phase with g^H a, and is P (||a||^2 + 2 ||F_t^H a||_1 +
-    (sum_i ||F_t e_i||)^2). Phase-aligning the RIS terms F_t^H g' onto the
-    direct term a^H g', for the largest column g' of F_t (parallel to g),
-    reaches it; a blocked direct path leaves the reference phase at 0, and a
-    zero F_t leaves phi = ones. The precoder is w = sqrt(P) h_t / ||h_t||.
-    The scene's channel is built once per call. A channel that is
-    identically zero raises ``DegenerateChannelError``.
+    (sum_i ||F_t e_i||)^2). ``channels.align_profile(a, F_t)`` reaches it; a
+    blocked direct path leaves every phase of s optimal, and a zero F_t
+    leaves phi = ones. The precoder is w = sqrt(P) h_t / ||h_t||. The
+    scene's channel is built once per call. A channel that is identically
+    zero raises ``DegenerateChannelError``.
     """
     channel = RisIsacScenario.from_scene(scene)
     p_t = scene.transmit_power
-    f_t = channel.f_t
-    phi = np.ones(channel.n_ris, dtype=complex)
-    if channel.n_ris:
-        g = f_t[:, np.argmax(np.linalg.norm(f_t, axis=0))]
-        if np.any(g):
-            c0 = np.vdot(channel.a_t_term, g)
-            ref = np.angle(c0) if abs(c0) > 0 else 0.0
-            phi = np.exp(1j * (np.angle(f_t.conj().T @ g) - ref))
+    phi = align_profile(channel.a_t_term, channel.f_t)
     h_t = channel.h_t(phi)
     norm = float(np.linalg.norm(h_t))
     if norm == 0.0:
@@ -283,7 +276,7 @@ def glrt_monte_carlo(
     angles = angles_from_geometry(scene)
     h_t, _ = build_sensing_channels(scene, phi)
     c = np.vdot(h_t, _weights(w))  # h_t^H w, per-snapshot deterministic part
-    a_r = steering_vector(scene.rx, angles.theta1).entries
+    a_r = steering_vector(scene.rx, angles.theta1)
     v = (a_r / np.linalg.norm(a_r)).conj()  # receive matched filter
     echo_amp = abs(c * (a_r @ v))  # |g|: a_r^T v scales the echo at the filter output
     noise_var = scene.noise_power_sensing
@@ -353,11 +346,11 @@ def trajectory_sweep(
 ):
     """Illumination power and CRB along a target trajectory for each mode.
 
-    Each mode is one variant of the waypoint's scene, illuminated by
-    ``maximize_illumination``: "ris_aided" is the scene itself, "ris_only"
-    blocks the direct path, and "without_ris" zeroes the RIS gain. Blocked
-    waypoints zero the direct path. A mode with no path to the target has
-    power 0 and an infinite CRB.
+    Each waypoint's channel a_t + F_t phi is built once, and each mode is lit
+    as in ``maximize_illumination``, with power P ||h_t||^2: "ris_aided" keeps
+    (a_t, F_t), "ris_only" drops a_t, and "without_ris" drops the columns of
+    F_t. Blocked waypoints zero the direct path. A mode with no path to the
+    target has power 0 and an infinite CRB.
     """
     if len(waypoints) == 0:
         raise ValueError("need at least one waypoint")
@@ -368,24 +361,19 @@ def trajectory_sweep(
 
     rows = []
     for idx, (pos, blk) in enumerate(zip(waypoints, blocked)):
-        base = scene_template.replace(
+        scene = scene_template.replace(
             target_position=np.asarray(pos, dtype=float),
             blocked_direct=bool(blk) or scene_template.blocked_direct,
         )
-        angles = angles_from_geometry(base)
-        adot = steering_derivative(base.rx, angles.theta1)
+        channel = RisIsacScenario.from_scene(scene)
+        a_t, f_t = channel.a_t_term, channel.f_t
+        adot = steering_derivative(scene.rx, angles_from_geometry(scene).theta1)
         adot_sq = float(np.real(np.vdot(adot, adot)))
-        variants = (
-            ("ris_aided", base),
-            ("ris_only", base.replace(blocked_direct=True)),
-            ("without_ris", base.replace(ris_gain_override=0.0)),
-        )
-        for mode, scene in variants:
-            try:
-                power = maximize_illumination(scene).power
-            except DegenerateChannelError:  # no path reaches the target
-                power = 0.0
-            snr = matched_filter_snr(power, base)
-            crb = crb_angle(snr, base.samples, adot_sq, base.rx.num_elements)
+        for mode, a, f in (("ris_aided", a_t, f_t), ("ris_only", np.zeros_like(a_t), f_t),
+                           ("without_ris", a_t, f_t[:, :0])):
+            h_t = a + f @ align_profile(a, f)
+            power = scene.transmit_power * float(np.linalg.norm(h_t)) ** 2
+            snr = matched_filter_snr(power, scene)
+            crb = crb_angle(snr, scene.samples, adot_sq, scene.rx.num_elements)
             rows.append(SweepRow(idx, mode, power, _power_db(power), crb))
     return rows

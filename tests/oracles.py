@@ -103,12 +103,12 @@ def finite_difference_gradient(
 
 
 def _steering_matrix(geom, angles) -> np.ndarray:
-    return np.column_stack([steering_vector(geom, a).entries for a in angles])
+    return np.column_stack([steering_vector(geom, a) for a in angles])
 
 
 def radiated_power(r_cov: np.ndarray, geom, angle: float) -> float:
     """Power a^H(angle) R a(angle) radiated toward one direction."""
-    a = steering_vector(geom, angle).entries
+    a = steering_vector(geom, angle)
     return float(np.real(np.vdot(a, r_cov @ a)))
 
 

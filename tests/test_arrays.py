@@ -15,20 +15,20 @@ def scalar_loop_steering(length, angle, spacing=0.5):
 
 def test_single_element_is_one():
     sv = steering_vector(UlaGeometry(1), 0.3)
-    assert np.allclose(sv.entries, [1.0])
+    assert np.allclose(sv, [1.0])
 
 
 def test_broadside_two_elements():
     sv = steering_vector(UlaGeometry(2), 0.0)
-    assert np.allclose(sv.entries, [1.0, 1.0])
+    assert np.allclose(sv, [1.0, 1.0])
 
 
 def test_four_element_phases_match_scalar_loop():
     sv = steering_vector(UlaGeometry(4), np.pi / 6)
-    assert np.allclose(sv.entries, scalar_loop_steering(4, np.pi / 6), atol=1e-15)
+    assert np.allclose(sv, scalar_loop_steering(4, np.pi / 6), atol=1e-15)
     # phases are pi * sin(pi/6) * {-1.5, -0.5, 0.5, 1.5}
     expected = np.pi * 0.5 * np.array([-1.5, -0.5, 0.5, 1.5])
-    assert np.allclose(np.angle(sv.entries), expected)
+    assert np.allclose(np.angle(sv), expected)
 
 
 def test_nonfinite_angle_rejected():
@@ -57,7 +57,7 @@ def test_derivative_three_element_broadside():
 
 def test_derivative_orthogonal_to_steering():
     geom = UlaGeometry(5)
-    a = steering_vector(geom, 0.4).entries
+    a = steering_vector(geom, 0.4)
     d = steering_derivative(geom, 0.4)
     assert abs(np.vdot(d, a)) < 1e-12
 
@@ -66,7 +66,7 @@ def test_derivative_orthogonal_to_steering():
 @pytest.mark.parametrize("angle", [-1.2, -0.3, 0.0, 0.5, 1.4])
 def test_steering_invariants(length, angle):
     geom = UlaGeometry(length)
-    a = steering_vector(geom, angle).entries
+    a = steering_vector(geom, angle)
     d = steering_derivative(geom, angle)
     assert np.allclose(np.abs(a), 1.0)
     assert np.isclose(np.real(np.vdot(a, a)), length)
@@ -79,8 +79,8 @@ def test_derivative_matches_finite_differences(length, angle):
     geom = UlaGeometry(length)
     step = 1e-6
     fd = (
-        steering_vector(geom, angle + step).entries
-        - steering_vector(geom, angle - step).entries
+        steering_vector(geom, angle + step)
+        - steering_vector(geom, angle - step)
     ) / (2.0 * step)
     d = steering_derivative(geom, angle)
     assert np.linalg.norm(d - fd) < 1e-6 * max(np.linalg.norm(fd), 1.0)

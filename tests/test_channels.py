@@ -7,12 +7,15 @@ from risac import (
     RisProfile,
     Scene,
     UlaGeometry,
+    align_profile,
     angles_from_geometry,
     build_sensing_channels,
     pathloss_amplitude,
     steering_vector,
 )
 from risac.channels import path_gains
+
+from oracles import rank_one_illumination_bound
 
 
 def simple_scene(**overrides):
@@ -131,12 +134,12 @@ def test_no_ris_reduces_to_direct_path():
     assert channel.n_ris == 0
     gains = path_gains(scene)
     angles = angles_from_geometry(scene)
-    a_t = steering_vector(scene.tx, angles.theta1).entries
-    a_r = steering_vector(scene.rx, angles.theta1).entries
+    a_t = steering_vector(scene.tx, angles.theta1)
+    a_r = steering_vector(scene.rx, angles.theta1)
     assert np.allclose(channel.h_t(np.zeros(0)), gains.alpha_t * a_t)
     assert np.allclose(channel.h_r(np.zeros(0)), gains.alpha_r * a_r)
     assert np.allclose(channel.h_c(np.zeros(0)),
-                       gains.gain_bu * steering_vector(scene.tx, angles.theta_user_bs).entries)
+                       gains.gain_bu * steering_vector(scene.tx, angles.theta_user_bs))
 
 
 def test_scalar_case_hand_expansion():
@@ -200,3 +203,35 @@ def test_profile_length_mismatch():
     for h in (channel.h_t, channel.h_r, channel.h_c):
         with pytest.raises(ValueError):
             h(RisProfile.ones(5))
+
+
+@pytest.mark.parametrize(
+    "case", ["direct", "no-direct", "zero-ris", "sparse-r", "no-columns", "cancelling-sum"])
+def test_align_profile_attains_the_rank_one_bound(case):
+    # For f = g r^T no unit-modulus profile beats the closed form, and it
+    # attains ||a||^2 + 2 ||f^H a||_1 + (sum_i ||f e_i||)^2. With a = 0 and
+    # sum_k g_k = 0 up to rounding, the phases of the column sums of f are
+    # noise, so the profile must come from a row of f.
+    rng = np.random.default_rng(11)
+    l_t, n = 6, 0 if case == "no-columns" else 5
+    for _ in range(5):
+        a, g, r = (rng.standard_normal(m) + 1j * rng.standard_normal(m) for m in (l_t, l_t, n))
+        if case in ("no-direct", "cancelling-sum"):
+            a = np.zeros(l_t, dtype=complex)
+        if case == "cancelling-sum":
+            g -= g.mean()
+        if case == "zero-ris":
+            g = np.zeros(l_t, dtype=complex)
+        if case == "sparse-r":
+            r[[1, 3]] = 0.0
+        f = np.outer(g, r)
+        phi = align_profile(a, f)
+        assert phi.shape == (n,) and np.allclose(np.abs(phi), 1.0, atol=1e-15)
+        if case == "zero-ris":
+            assert np.array_equal(phi, np.ones(n))
+        h = a + f @ phi
+        value = float(np.vdot(h, h).real)
+        assert np.isclose(value, rank_one_illumination_bound(a, f, 1.0), rtol=1e-12, atol=0.0)
+        phis = np.exp(2j * np.pi * rng.uniform(size=(n, 1000)))
+        values = np.sum(np.abs(a[:, None] + f @ phis) ** 2, axis=0)
+        assert np.max(values) <= value * (1.0 + 1e-12)

@@ -60,6 +60,9 @@ valid_configs = (
     # The RIS profile solve pairs the receive and transmit arrays.
     .filter(lambda cfg: cfg.experiment != "ris-isac-tradeoff" or cfg.l_s == cfg.l_t
             or not set(cfg.ris_modes) & {"with", "reference"})
+    # An angle CRB needs a receive array of two or more elements.
+    .filter(lambda cfg: cfg.l_s >= 2 or cfg.experiment not in
+            ("sense-sweep", "isac-tradeoff", "ris-isac-tradeoff"))
 )
 
 
@@ -173,6 +176,38 @@ def test_unequal_arrays_with_a_tuned_ris_is_a_json_config_error(tmp_path, capsys
     config = tmp_path / "unequal.cfg"
     config.write_text("l_s = 8\n")
     code, err = _error_of(capsys, ["ris-isac-tradeoff", "--config", str(config),
+                                   "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert set(err) == {"error", "detail"}
+    assert err["error"] == "ConfigError" and "l_s" in err["detail"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_single_element_receive_array_is_a_config_error():
+    # With centred offsets one receive element has adot = 0: no angle information.
+    for experiment in ("sense-sweep", "isac-tradeoff", "ris-isac-tradeoff"):
+        with pytest.raises(ConfigError, match="l_s must be >= 2"):
+            RunConfig(experiment=experiment, l_s=1, l_t=1).validate()
+        RunConfig(experiment=experiment, l_s=2, l_t=2).validate()
+    # Detection and the beampattern report no angle CRB.
+    RunConfig(experiment="detect", l_s=1).validate()
+    RunConfig(experiment="beampattern", l_s=1).validate()
+
+
+@pytest.mark.parametrize("experiment,text", [
+    ("sense-sweep", "l_s = 1\n"),
+    ("isac-tradeoff", "l_s = 1\nl_t = 4\n"),
+    ("ris-isac-tradeoff", "l_s = 1\nl_t = 1\n"),
+])
+def test_single_element_receive_array_is_a_json_config_error(tmp_path, capsys, experiment,
+                                                             text):
+    # Each run used to fail late or quietly: sense-sweep with a bare
+    # ValueError and isac-tradeoff with a ZeroDivisionError, both after
+    # making the output directory, and ris-isac-tradeoff by writing NaN
+    # rates for every reference row.
+    config = tmp_path / "one_element.cfg"
+    config.write_text(text)
+    code, err = _error_of(capsys, [experiment, "--config", str(config),
                                    "--out", str(tmp_path / "out")])
     assert code == 2
     assert set(err) == {"error", "detail"}

@@ -23,10 +23,10 @@ from oracles import coupling_coefficient
 def table1_scenario(h_c=None, theta=0.0):
     """L_T = L_S = 15, P_T = 1 W, sigma^2 = -60 dBm, target at broadside."""
     geom = UlaGeometry(15)
-    a_t = steering_vector(geom, theta).entries
+    a_t = steering_vector(geom, theta)
     return IsacScenario(
         a_t=a_t,
-        a_r=steering_vector(geom, theta).entries,
+        a_r=steering_vector(geom, theta),
         a_r_dot=steering_derivative(geom, theta),
         h_c=a_t if h_c is None else h_c,
         noise_comms=1e-9,
@@ -126,7 +126,7 @@ class TestCrb:
 
 class TestCoupling:
     def test_collinear(self):
-        a = steering_vector(UlaGeometry(8), 0.4).entries
+        a = steering_vector(UlaGeometry(8), 0.4)
         assert np.isclose(coupling_coefficient(2.0j * a, a), 1.0)
 
     def test_orthogonal(self):
@@ -136,7 +136,7 @@ class TestCoupling:
 
     def test_constructed_angle(self):
         rng = np.random.default_rng(9)
-        a = steering_vector(UlaGeometry(10), -0.3).entries
+        a = steering_vector(UlaGeometry(10), -0.3)
         a_hat = a / np.linalg.norm(a)
         z = rng.standard_normal(10) + 1j * rng.standard_normal(10)
         u = z - np.vdot(a_hat, z) * a_hat
@@ -149,19 +149,19 @@ class TestCoupling:
 class TestMakeCoupledChannel:
     @pytest.mark.parametrize("rho", [0.0, 0.3, 0.6, 0.9, 1.0])
     def test_exact_coupling(self, rho):
-        a = steering_vector(UlaGeometry(15), 0.0).entries
+        a = steering_vector(UlaGeometry(15), 0.0)
         h = make_coupled_channel(a, rho, seed=4)
         assert abs(coupling_coefficient(h, a) - rho) < 1e-10
 
     def test_extremes(self):
-        a = steering_vector(UlaGeometry(6), 0.5).entries
+        a = steering_vector(UlaGeometry(6), 0.5)
         h1 = make_coupled_channel(a, 1.0, seed=0)
         assert np.linalg.matrix_rank(np.column_stack([h1, a]), tol=1e-10) == 1
         h0 = make_coupled_channel(a, 0.0, seed=0)
         assert abs(np.vdot(h0, a)) < 1e-10
 
     def test_gain_controls_norm(self):
-        a = steering_vector(UlaGeometry(6), 0.5).entries
+        a = steering_vector(UlaGeometry(6), 0.5)
         h = make_coupled_channel(a, 0.5, seed=1, gain=0.25)
         assert np.isclose(np.linalg.norm(h), 0.25 * np.linalg.norm(a))
 
@@ -169,7 +169,7 @@ class TestMakeCoupledChannel:
 class TestClosedForm:
     def test_full_alignment_reproduces_strong_coupling_formulas(self):
         sc = table1_scenario(h_c=make_coupled_channel(
-            steering_vector(UlaGeometry(15), 0.0).entries, 1.0, seed=8))
+            steering_vector(UlaGeometry(15), 0.0), 1.0, seed=8))
         for r0 in [0.0, 2.0, 10.0, 0.9 * sc.max_rate]:
             sol = crb_min_beamformer(sc, r0)
             assert sol.branch == "unconstrained"
@@ -181,7 +181,7 @@ class TestClosedForm:
             assert abs(sol.rate - rate_expected) < 1e-9
 
     def test_zero_coupling_reproduces_formula(self):
-        a_t = steering_vector(UlaGeometry(15), 0.0).entries
+        a_t = steering_vector(UlaGeometry(15), 0.0)
         sc = table1_scenario(h_c=make_coupled_channel(a_t, 0.0, seed=8))
         r0 = 10.0
         sol = crb_min_beamformer(sc, r0)
@@ -196,7 +196,7 @@ class TestClosedForm:
 
     def test_zero_threshold_is_matched_filter(self):
         sc = table1_scenario(h_c=make_coupled_channel(
-            steering_vector(UlaGeometry(15), 0.0).entries, 0.4, seed=2))
+            steering_vector(UlaGeometry(15), 0.0), 0.4, seed=2))
         sol = crb_min_beamformer(sc, 0.0)
         assert sol.branch == "unconstrained"
         matched = sc.a_t.conj() / np.linalg.norm(sc.a_t)
@@ -205,7 +205,7 @@ class TestClosedForm:
     def test_matched_filter_branch_uses_channel_norm(self):
         # A channel vector a_t with ||a_t||^2 != L_T: the matched filter
         # meets half its own SNR, so it is optimal.
-        a = steering_vector(UlaGeometry(15), 0.0).entries
+        a = steering_vector(UlaGeometry(15), 0.0)
         sc = dataclasses.replace(
             table1_scenario(h_c=make_coupled_channel(a, 0.6, seed=4)), a_t=0.1 * a
         )
@@ -224,7 +224,7 @@ class TestClosedForm:
         assert np.isclose(err.value.max_rate, sc.max_rate)
 
     def test_feasibility_on_random_instances(self):
-        a_t = steering_vector(UlaGeometry(15), 0.0).entries
+        a_t = steering_vector(UlaGeometry(15), 0.0)
         rng = np.random.default_rng(77)
         for trial in range(1000):
             rho = rng.uniform(0.0, 1.0)
@@ -238,7 +238,7 @@ class TestClosedForm:
                 assert abs(sol.rate - r0) < 1e-9
 
     def test_span_search_never_beats_closed_form(self):
-        a_t = steering_vector(UlaGeometry(15), 0.0).entries
+        a_t = steering_vector(UlaGeometry(15), 0.0)
         rng = np.random.default_rng(5)
         for trial in range(100):
             rho = rng.uniform(0.0, 0.999)
@@ -250,7 +250,7 @@ class TestClosedForm:
             assert oracle <= closed_illum * (1.0 + 1e-6)
 
     def test_span_search_matches_loop_reference(self):
-        a_t = steering_vector(UlaGeometry(15), 0.0).entries
+        a_t = steering_vector(UlaGeometry(15), 0.0)
         for trial, rho in enumerate((0.0, 0.4, 0.95)):
             sc = table1_scenario(h_c=make_coupled_channel(a_t, rho, seed=trial))
             for frac in (0.2, 0.9, 1.2):  # 1.2: no sample meets the rate
@@ -261,7 +261,7 @@ class TestClosedForm:
 
     def test_branch_boundary_continuity(self):
         # Build an instance sitting exactly on the branch condition.
-        a_t = steering_vector(UlaGeometry(15), 0.0).entries
+        a_t = steering_vector(UlaGeometry(15), 0.0)
         r0 = 8.0
         snr_floor = (2.0**r0 - 1.0) * 1e-9
         gain = 1.0

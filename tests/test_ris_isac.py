@@ -536,7 +536,7 @@ class TestTradeoffStructure:
         assert [row.rate_threshold for row in result.rows] == list(grid)
         scene = shaped.scene
         for row, r0 in zip(result.rows, grid):
-            w, _, _, _, rate = max_illumination_beamformer(
+            w, _, rate = max_illumination_beamformer(
                 h_t, h_c, scene.transmit_power, scene.noise_power_comms, r0)
             assert row.rate == rate
             np.testing.assert_allclose(
@@ -623,6 +623,18 @@ class TestTradeoffStructure:
         monkeypatch.setattr(isac, "isac_crb", forbidden)
         run_experiment(RunConfig(experiment="ris-isac-tradeoff"), tmp_path)
         assert calls == {"_apply_coupling": 1, "optimize_ris_profile": 1, "_kappa": 3}
+
+    @pytest.mark.parametrize("coupling", ["weak", "strong"])
+    def test_reference_without_angle_information_raises(self, coupling):
+        # A one-element receive array has adot = 0, so both calibration CRBs
+        # are infinite and the reference gain (inf / inf)^(1/4) is undefined;
+        # it used to fill every reference row's rate with NaN.
+        scenario = RisIsacScenario.from_scene(desk_scene(tx=UlaGeometry(1), rx=UlaGeometry(1)))
+        with pytest.raises(DegenerateChannelError, match="reference"):
+            ris_isac_tradeoff(scenario, coupling)
+        # The modes that need no calibration report the infinite CRB.
+        result = ris_isac_tradeoff(scenario, coupling, ["with", "without"], 3)
+        assert all(math.isinf(row.crb) for row in result.rows)
 
     def test_rows_shape_and_feasibility(self):
         scenario = RisIsacScenario.from_scene(desk_scene(ris=UlaGeometry(8)))

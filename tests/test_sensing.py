@@ -69,7 +69,7 @@ def glrt_snapshot_reference(scene, w, phi, trials, cfg, seed=0):
     angles = angles_from_geometry(scene)
     h_t, _ = build_sensing_channels(scene, phi)
     c = np.vdot(h_t, w.weights)
-    a_r = steering_vector(scene.rx, angles.theta1).entries
+    a_r = steering_vector(scene.rx, angles.theta1)
     a_r_hat = a_r / np.linalg.norm(a_r)
     l_s = scene.rx.num_elements
     sigma_s = math.sqrt(scene.noise_power_sensing)
@@ -150,7 +150,7 @@ class TestIlluminationPower:
 
 class TestMatchedFilter:
     def test_steering_vector_case(self):
-        a = steering_vector(UlaGeometry(4), 0.5).entries
+        a = steering_vector(UlaGeometry(4), 0.5)
         w = matched_filter_beamformer(a, 1.0)
         assert np.allclose(w.weights, a / 2.0)
 
@@ -174,14 +174,14 @@ class TestMatchedFilter:
 class TestAlignRisPhases:
     def test_broadside_pair_gives_ones(self):
         geom = UlaGeometry(5)
-        b = steering_vector(geom, 0.0).entries
+        b = steering_vector(geom, 0.0)
         prof = align_ris_phases(b, b)
         assert np.allclose(prof.phases, np.ones(5))
 
     def test_coherent_sum_equals_n(self):
         geom = UlaGeometry(8)
-        b_t = steering_vector(geom, 0.9).entries
-        b_i = steering_vector(geom, -0.4).entries
+        b_t = steering_vector(geom, 0.9)
+        b_i = steering_vector(geom, -0.4)
         prof = align_ris_phases(b_t, b_i)
         total = np.vdot(b_t, prof.phases * b_i)
         assert abs(abs(total) - 8.0) < 1e-12
@@ -260,7 +260,7 @@ class TestMaximizeIllumination:
         calls.clear()
         waypoints = [(40.0, 0.0), (45.0, 5.0)]
         trajectory_sweep(scene, waypoints, blocked=[False, True])
-        assert len(calls) == 3 * len(waypoints)  # one per mode and waypoint
+        assert len(calls) == len(waypoints)  # one per waypoint, shared by its modes
 
     def test_brute_force_discrete_grid(self):
         # An exhaustive 16-level phase grid on N = 3, with the direct path on,
@@ -294,8 +294,10 @@ class TestMaximizeIllumination:
          dict(tx=UlaGeometry(8), rx=UlaGeometry(8), ris=UlaGeometry(16), seed=2),
          dict(ris=UlaGeometry(5), direct_gain_override=0.01, ris_gain_override=0.002j,
               transmit_power=3.0),
-         dict(target_position=(10.0, 25.0), seed=7)],
-        ids=["seed-12", "blocked", "8x16", "pinned-gains", "near-ris"],
+         dict(target_position=(10.0, 25.0), seed=7),
+         # The RIS at 30 deg: the four-element a_t(omega_t) sums to zero.
+         dict(ris_position=(30.0 * math.cos(math.pi / 6), 15.0), blocked_direct=True)],
+        ids=["seed-12", "blocked", "8x16", "pinned-gains", "near-ris", "blocked-cancelling"],
     )
     def test_attains_the_rank_one_bound_and_beats_random_profiles(self, overrides):
         # P (||a||^2 + 2 ||F^H a||_1 + (sum_i ||F e_i||)^2) bounds the power of
