@@ -30,9 +30,8 @@ statistic depends on:
 One call draws each statistic once and thresholds it at every requested
 false-alarm rate, so its Pf and Pd estimates are monotone in the threshold.
 
-scipy is imported inside ``marcum_q1``, on the first Marcum-Q evaluation, not
-at module level: importing ``risac`` or running an experiment that never
-evaluates Marcum-Q loads no scipy module.
+The analytic detection probability Q1(sqrt(2 SNR), sqrt(2 gamma)) is a
+Poisson mixture evaluated with numpy and ``math`` only (``marcum_q1``).
 """
 
 from __future__ import annotations
@@ -150,78 +149,164 @@ def matched_filter_snr(power: float, scene: Scene) -> float:
     return scene.rx.num_elements * scene.target_gain_var * power / scene.noise_power_sensing
 
 
-# Near a = b the series needs about sqrt(60 ab) terms: 7.7e4 at ab = 1e8.
+# Loader's stirlerr(k) = log(k!) - log(sqrt(2 pi k) (k/e)^k) at k = 0..15 (the
+# integer entries of R's dpois table); larger k use the Stirling series below.
+_STIRLERR = np.array([
+    0.0, 0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
+    0.020790672103765093, 0.016644691189821193, 0.013876128823070748,
+    0.01189670994589177, 0.010411265261972096, 0.009255462182712733,
+    0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
+    0.006408994188004207, 0.0059513701127588475, 0.005554733551962801,
+])
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188)
+# a = b = 1e4 (ab = 1e8) needs about 2.1e5 terms at the default tol.
 _MARCUM_MAX_TERMS = 1_000_000
 
 
-def marcum_q1(a: float, b: float, tol: float = 1e-10) -> float:
-    """First-order Marcum Q function via the modified-Bessel term series.
+def _bd0_near(k, d, v):
+    """d v + 2k (atanh(v) - v), Loader's bd0 for |v| < 0.1; d is overwritten."""
+    v2 = v * v
+    # The atanh series sum_j v^(2j+1) / (2j+1), to the term below 1e-16 of the first.
+    terms = max(1, math.ceil(-37.0 / math.log(max(float(v2.max()), 1e-300))))
+    acc = np.full_like(v, 1.0 / (2 * terms + 1))
+    for j in range(terms - 1, 0, -1):
+        acc *= v2
+        acc += 1.0 / (2 * j + 1)
+    acc *= v2
+    acc *= v
+    acc *= k
+    acc *= 2.0
+    d *= v
+    acc += d
+    return acc
 
-    Series sum_k (a/b)^k e^{-(a^2+b^2)/2} I_k(ab), accumulated with
-    exponentially scaled Bessel terms for stability; the symmetry relation
-    Q1(a,b) + Q1(b,a) = 1 + e^{-(a^2+b^2)/2} I_0(ab) handles a > b, where the
-    direct series converges slowly. scipy (for ``special.ive``) is imported
-    here, so it loads on the first Marcum-Q evaluation of the process.
 
-    For a <= b and x = ab the terms t_k do not increase, and t_{k+1}/t_k =
-    (a/b) I_{k+1}(x)/I_k(x) < rho_k = (a/b) x / (k + sqrt(x^2 + (k+2)^2)).
-    The Bessel-ratio bound follows from the recurrence I_k = I_{k+2} +
-    (2(k+1)/x) I_{k+1} and Amos' lower bound I_{k+2}/I_{k+1} >= x / (k+2 +
-    sqrt(x^2 + (k+2)^2)). rho_k falls with k, so everything after t_k sums
-    to at most t_k rho_k / (1 - rho_k).
-    The series stops at the first k where t_k and that bound are both below
-    tol / 10. Terms are evaluated in blocks, accumulated in order. When the
-    envelope e^{-(b-a)^2/2} underflows, every term is zero and so is Q1. A
-    series that needs more than ``_MARCUM_MAX_TERMS`` terms (ab above about
-    1.7e10 with a close to b) raises RuntimeError.
+def _poisson_pmf(k, lam):
+    """Poisson(lam) pmf at integers k >= 0 (float arrays of one shape), lam > 0.
+
+    Loader's saddle-point form exp(-stirlerr(k) - bd0(k, lam)) / sqrt(2 pi k),
+    with bd0(k, lam) = k log(k / lam) + lam - k from its atanh series where
+    k is near lam, so no term cancels (Loader 2000, as in R's ``dpois``).
     """
-    from scipy import special
+    zero = k == 0.0
+    k = np.where(zero, 1.0, k)  # the k = 0 entries are e^-lam, set at the end
+    d = k - lam
+    v = k + lam
+    np.divide(d, v, out=v)  # v = (k - lam) / (k + lam)
+    if max(float(v.max()), -float(v.min())) < 0.1:
+        expo = _bd0_near(k, d, v)
+    else:
+        expo = k / lam
+        np.log(expo, out=expo)
+        expo *= k
+        expo -= d
+        near = np.abs(v) < 0.1
+        if near.any():
+            expo[near] = _bd0_near(k[near], d[near], v[near])
+    kmin = float(k.min())
+    terms = 2 if kmin > 500 else 3 if kmin > 80 else 4 if kmin > 35 else 5  # Loader's cut-offs
+    inv_sq = np.square(k, out=d)
+    np.reciprocal(inv_sq, out=inv_sq)
+    stirlerr = np.full_like(k, _STIRLING[terms - 1])
+    for c in _STIRLING[terms - 2::-1]:
+        stirlerr *= inv_sq
+        stirlerr += c
+    stirlerr /= k
+    if kmin < 16.0:
+        small = k < 16.0
+        stirlerr[small] = _STIRLERR[k[small].astype(np.intp)]
+    expo += stirlerr
+    np.negative(expo, out=expo)
+    np.exp(expo, out=expo)
+    np.multiply(k, 2.0 * math.pi, out=stirlerr)
+    expo /= np.sqrt(stirlerr, out=stirlerr)
+    if zero.any():
+        expo[zero] = np.exp(-lam[zero])
+    return expo
 
+
+def _poisson_window(lam: float, log_eps: float):
+    """Integers [lo, hi] with P(N < lo) and P(N > hi) each at most e^-log_eps, N ~ Poisson(lam).
+
+    Chernoff bounds: P(N <= lam - t) <= exp(-t^2 / (2 lam)) and
+    P(N >= lam + t) <= exp(-t^2 / (2 (lam + t/3))).
+    """
+    lo = lam - math.sqrt(2.0 * log_eps * lam)
+    hi = lam + log_eps / 3.0 + math.sqrt(log_eps * log_eps / 9.0 + 2.0 * log_eps * lam)
+    return max(0, math.floor(lo)), math.ceil(hi)
+
+
+def marcum_q1(a: float, b: float, tol: float = 1e-10) -> float:
+    """First-order Marcum Q function as a Poisson mixture, to within tol / 10.
+
+    A noncentral chi-square variable with 2 degrees of freedom and
+    noncentrality a^2 is a central one with 2 + 2K degrees of freedom, K ~
+    Poisson(a^2/2). So Q1(a, b) = sum_k Pois(k; lam) P(Pois(mu) <= k) with
+    lam = a^2/2 and mu = b^2/2, i.e. Q1 = P(N_mu <= N_lam) for independent
+    Poisson variables. Each pmf is Loader's saddle-point form
+    exp(-stirlerr(k) - bd0(k, .)) / sqrt(2 pi k), not exp(-lam + k log lam -
+    lgamma(k + 1)), which cancels catastrophically at large k.
+
+    Window rule, with eps = tol / 40: each Poisson is summed over
+    ``_poisson_window``, which drops at most eps of its mass on either side,
+    so the sum loses at most 4 eps = tol / 10. Only the overlap is evaluated:
+    k from max(k_lo, j_lo) and the cdf up to min(j_hi, k_hi). Before that, the
+    answer is 0 or 1 whenever (b - a)^2 / 2 >= log(1 / eps), which covers every
+    pair of disjoint windows: with Z standard complex Gaussian (E|Z|^2 = 2),
+    Q1 = P(|a + Z| > b) <= P(|Z| > b - a) = exp(-(b - a)^2 / 2) for b > a, and
+    1 - Q1 <= P(a + Re Z <= b) <= exp(-(a - b)^2 / 2) / 2 for a > b. Also
+    within tol / 10: mu <= tol / 10 gives 1 (b = 0 gives exactly 1), and
+    lam <= tol / 10 gives exp(-mu) (exact at a = 0).
+
+    The windows hold at most 2 sqrt(log(1/eps)) (a + b) + O(log(1/eps))
+    terms; past ``_MARCUM_MAX_TERMS`` (a close to b, ab above about 2e9 at
+    the default tol) this raises RuntimeError. Negative or non-finite
+    arguments, or tol outside (0, 1), raise ValueError.
+    """
     a, b = float(a), float(b)
     if not (math.isfinite(a) and math.isfinite(b)) or a < 0 or b < 0:
         raise ValueError("arguments must be finite and nonnegative")
-    if b == 0.0:
+    if not 0.0 < tol < 1.0:
+        raise ValueError("tol must lie in (0, 1)")
+    log_eps = math.log(40.0 / tol)
+    if 0.5 * (b - a) ** 2 >= log_eps:
+        return 0.0 if b > a else 1.0
+    lam, mu = 0.5 * a * a, 0.5 * b * b
+    if mu <= 0.1 * tol:
         return 1.0
-    if a > b:
-        sym = math.exp(-0.5 * (a - b) ** 2) * float(special.ive(0, a * b))
-        return min(1.0, max(0.0, 1.0 + sym - marcum_q1(b, a, tol)))
-    # a <= b: each term is (a/b)^k ive(k, ab) e^{-(b-a)^2/2}.
-    envelope = math.exp(-0.5 * (b - a) ** 2)
-    if a == 0.0 or envelope == 0.0:
-        return envelope  # a = 0 reduces to exp(-b^2/2)
-    ratio = a / b
-    x = a * b
-    floor = 0.1 * tol
-    total = 0.0
-    scale = 1.0  # ratio^k at the block's first k
-    k0, size = 0, 32
-    while True:
-        k = np.arange(k0, k0 + size, dtype=float)
-        steps = np.full(size, ratio)
-        steps[0] = scale
-        scales = np.cumprod(steps)  # ratio^k by repeated multiplication
-        terms = scales * special.ive(k, x) * envelope
-        rho = ratio * x / (k + np.sqrt(x * x + (k + 2.0) ** 2))
-        # t_k rho_k / (1 - rho_k) < floor, without dividing by 1 - rho_k
-        done = np.flatnonzero((terms < floor) & (terms * rho < floor * (1.0 - rho)))
-        sums = np.cumsum(np.concatenate(([total], terms)))  # sums[i+1] ends at term i
-        if done.size:
-            return min(1.0, max(0.0, float(sums[done[0] + 1])))
-        total = float(sums[-1])
-        scale = float(scales[-1]) * ratio
-        k0 += size
-        if k0 >= _MARCUM_MAX_TERMS:
-            raise RuntimeError(
-                f"Marcum series needs more than {_MARCUM_MAX_TERMS} terms at ab = {x:.3g}"
-            )
-        size = min(2 * size, 4096)
+    if lam <= 0.1 * tol:
+        return math.exp(-mu)
+    size = 2.0 * math.sqrt(log_eps) * (a + b)
+    if size > _MARCUM_MAX_TERMS:
+        raise RuntimeError(
+            f"Marcum Q needs about {size:.3g} terms at ab = {a * b:.3g}, "
+            f"more than {_MARCUM_MAX_TERMS}"
+        )
+    k_lo, k_hi = _poisson_window(lam, log_eps)
+    j_lo, j_hi = _poisson_window(mu, log_eps)
+    # The envelope test above leaves overlapping windows: j_lo <= k_hi, k_lo <= j_hi.
+    k_lo, j_hi = max(k_lo, j_lo), min(j_hi, k_hi)
+    n_k = k_hi - k_lo + 1
+    k = np.concatenate((np.arange(k_lo, k_hi + 1.0), np.arange(j_lo, j_hi + 1.0)))
+    rates = np.full_like(k, mu)
+    rates[:n_k] = lam
+    pmf = _poisson_pmf(k, rates)
+    cdf = np.cumsum(pmf[n_k:])  # P(N_mu <= j) for j = j_lo..j_hi, tails dropped
+    at_k = np.minimum(np.arange(k_lo - j_lo, k_hi - j_lo + 1), j_hi - j_lo)
+    return min(1.0, float(pmf[:n_k] @ cdf[at_k]))  # every term is >= 0
 
 
 def detection_probability(snr: float, cfg: DetectionConfig) -> float:
-    """Detection probability Q1(sqrt(2 SNR), sqrt(2 gamma)) for a fixed target gain."""
+    """Detection probability Q1(sqrt(2 SNR), sqrt(2 gamma)) for a fixed target gain.
+
+    Pd >= Pf, so ``marcum_q1`` runs at tol = min(1e-10, 1e-6 Pf): a tiny Pf
+    still gets Pd to within 1e-7 of itself, never the 0 that the absolute
+    default would allow. Pf >= 1e-4 keeps the default.
+    """
     if snr < 0:
         raise ValueError("snr must be nonnegative")
-    return marcum_q1(math.sqrt(2.0 * snr), math.sqrt(2.0 * cfg.threshold))
+    tol = max(min(1e-10, 1e-6 * cfg.false_alarm_rate), 1e-300)
+    return marcum_q1(math.sqrt(2.0 * snr), math.sqrt(2.0 * cfg.threshold), tol)
 
 
 @dataclasses.dataclass(frozen=True)

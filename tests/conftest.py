@@ -1,7 +1,19 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from risac import Scene, UlaGeometry
+
+pytest_plugins = ["pytester"]
+
+# Hypothesis imports its patch writer when a test fails, and the writer's
+# libcst import raises a DeprecationWarning. With warnings as errors that
+# would end the whole run in INTERNALERROR, so import it here, once, with
+# that warning ignored; every other warning still fails its test.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 
 @pytest.fixture

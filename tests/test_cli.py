@@ -233,18 +233,33 @@ def test_isac_tradeoff_smoke(tmp_path):
         assert float(row["rate_bits"]) >= float(row["R0"]) - 1e-12, row
 
 
-def test_import_loads_no_scipy_until_marcum_q():
+def test_import_and_marcum_q_load_no_scipy():
     # The test process has imported scipy already, so this needs a fresh one.
     probe = (
         "import sys, risac, risac.cli\n"
-        "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])\n"
+        "scipy = lambda: [m for m in sys.modules if m.startswith('scipy')]\n"
+        "print(scipy())\n"
         "print(risac.marcum_q1(1.0, 2.0).hex())\n"
-        "print('scipy.special' in sys.modules)\n"
+        "print(scipy())\n"
     )
-    loaded, value, special_after = _fresh_python("-c", probe).stdout.splitlines()
+    loaded, value, loaded_after = _fresh_python("-c", probe).stdout.splitlines()
     assert loaded == "[]"
     assert float.fromhex(value) == marcum_q1(1.0, 2.0)
-    assert special_after == "True"
+    assert loaded_after == "[]"
+
+
+def test_detect_process_loads_no_scipy(tmp_path):
+    config = tmp_path / "detect.cfg"
+    config.write_text(TINY + "trials = 200\n")
+    probe = (
+        "import sys, risac.cli\n"
+        f"code = risac.cli.main(['detect', '--config', {str(config)!r}, "
+        f"'--out', {str(tmp_path / 'out')!r}])\n"
+        "print(code, sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+    )
+    assert _fresh_python("-c", probe).stdout.strip() == "0 []"
+    rows = len(RunConfig().snr_db_list) * len(RunConfig().pf_list)
+    assert (tmp_path / "out" / "detect.csv").read_text().count("\n") == 1 + rows
 
 
 def test_import_loads_no_thread_pool():
@@ -258,8 +273,8 @@ def test_import_loads_no_thread_pool():
 
 
 def test_detect_cold_process_threads_match(tmp_path):
-    # In a fresh process the first Marcum-Q calls, and so the scipy import,
-    # happen inside the worker threads.
+    # In a fresh process the first Marcum-Q calls happen inside the worker
+    # threads; the CSV must not depend on the thread count.
     config = tmp_path / "detect.cfg"
     config.write_text(TINY + "trials = 2000\n")
     outputs = {}

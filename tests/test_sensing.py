@@ -350,10 +350,16 @@ class TestMarcum:
             assert np.isclose(marcum_q1(0.0, b), math.exp(-0.5 * b**2), atol=1e-12)
 
     def test_quadrature_oracle_grid(self):
-        # 20-point grid over [0, 5]^2 plus the (1, 1) spec point.
+        # 20-point grid over [0, 5]^2, the (1, 1) spec point, and detection
+        # points at SNR 0, 10 and 30 dB with Pf = 1e-6 and 0.01.
         points = [(1.0, 1.0)]
         rng = np.random.default_rng(2024)
         points += [tuple(rng.uniform(0.0, 5.0, 2)) for _ in range(19)]
+        points += [
+            (math.sqrt(2.0 * 10.0 ** (snr_db / 10.0)), math.sqrt(-2.0 * math.log(pf)))
+            for snr_db in (0.0, 10.0, 30.0)
+            for pf in (1e-6, 0.01)
+        ]
         for a, b in points:
             assert abs(marcum_q1(a, b) - marcum_quadrature(a, b)) < 1e-8
 
@@ -380,18 +386,90 @@ class TestMarcum:
             assert abs(value - stats.ncx2.sf(b * b, 2, a * a)) < 1e-8, (a, b)
             assert min(seconds) < 0.05, (a, b, seconds)
 
-    def test_bessel_ratio_bound_behind_the_stop(self):
-        # The series stops on I_{k+1}(x) / I_k(x) < x / (k + sqrt(x^2 + (k+2)^2)).
-        k = np.concatenate([np.arange(0.0, 200.0), np.logspace(2.4, 7.0, 60)])
-        for x in np.logspace(-4.0, 8.0, 49):
-            lo, hi = special.ive(k, x), special.ive(k + 1.0, x)
-            ok = hi > 0.0  # skip orders where the scaled Bessel value underflows
-            ratio = hi[ok] / lo[ok]
-            bound = x / (k[ok] + np.sqrt(x * x + (k[ok] + 2.0) ** 2))
-            assert np.all(ratio <= bound * (1.0 + 1e-12)), x
+    @staticmethod
+    def _first_separating_b(a, log_eps, rising):
+        """Smallest (rising) or largest b at which the Poisson windows of a and b are disjoint."""
+        k_lo, k_hi = sensing._poisson_window(0.5 * a * a, log_eps)
+
+        def disjoint(b):
+            j_lo, j_hi = sensing._poisson_window(0.5 * b * b, log_eps)
+            return j_lo > k_hi if rising else j_hi < k_lo
+
+        lo, hi = (a, a + 40.0) if rising else (0.0, a)  # disjoint(hi) if rising, disjoint(lo) if not
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            if disjoint(mid) == rising:
+                hi = mid
+            else:
+                lo = mid
+        return hi if rising else lo
+
+    def test_window_and_envelope_edges_match_noncentral_chi2(self):
+        # Either side of the places the evaluation changes form: the Poisson
+        # windows of lam = a^2/2 and mu = b^2/2 just overlapping or just
+        # separating, and the envelope test (b - a)^2 / 2 = log(40 / tol)
+        # that answers 0 or 1 without a sum.
+        log_eps = math.log(40.0 / 1e-10)
+        points = []
+        for a in (0.3, 2.0, 8.0, 30.0, 300.0):
+            for rising in (True, False):
+                if not rising and a < 20.0:
+                    continue  # the lower window of mu reaches 0 before it separates
+                edge = self._first_separating_b(a, log_eps, rising)
+                points += [(a, edge * (1.0 + d)) for d in (-1e-9, 1e-9)]
+            for sign in (1.0, -1.0):
+                edge = a + sign * math.sqrt(2.0 * log_eps)
+                if edge > 0.0:
+                    points += [(a, edge * (1.0 + d)) for d in (-1e-9, 1e-9)]
+        assert len(points) == 30
+        # Small a or b, up to and past the shortcuts lam or mu <= tol / 10.
+        tiny = [math.sqrt(2e-11) * (1.0 + d) for d in (-1e-9, 1e-9)]
+        tiny += np.geomspace(1e-6, 0.3, 12).tolist()
+        points += [(t, x) for t in tiny for x in (0.5, 3.0)]
+        points += [(x, t) for t in tiny for x in (0.5, 3.0)]
+        for a, b in points:
+            assert abs(marcum_q1(a, b) - stats.ncx2.sf(b * b, 2, a * a)) < 1e-10, (a, b)
+
+    def test_rises_in_a_falls_in_b_and_stays_in_unit_interval(self):
+        axis = np.concatenate(([0.0], np.geomspace(1e-3, 60.0, 70)))
+        q = np.array([[marcum_q1(a, b) for b in axis] for a in axis])
+        assert np.all((q >= 0.0) & (q <= 1.0))
+        # Non-increasing in b, non-decreasing in a, up to rounding of values near 1.
+        assert np.all(np.diff(q, axis=0) >= -1e-15)
+        assert np.all(np.diff(q, axis=1) <= 1e-15)
+        assert q[:, 0].tolist() == [1.0] * axis.size  # b = 0
+
+    def test_symmetry_relation(self):
+        # Q1(a, b) + Q1(b, a) = 1 + e^{-(a^2+b^2)/2} I_0(ab), with scipy's
+        # exponentially scaled Bessel function as the oracle.
+        rng = np.random.default_rng(11)
+        points = [tuple(rng.uniform(0.0, 20.0, 2)) for _ in range(200)]
+        points += [(a, a + d) for a in (50.0, 500.0, 5000.0) for d in (0.0, 0.3, 2.0)]
+        for a, b in points:
+            rhs = 1.0 + math.exp(-0.5 * (a - b) ** 2) * special.ive(0, a * b)
+            assert abs(marcum_q1(a, b) + marcum_q1(b, a) - rhs) < 1e-10, (a, b)
+
+    def test_poisson_pmf_in_loader_form(self):
+        # Small rates: scipy's pmf is exact to rounding there, where its log is small.
+        for lam in (1e-3, 0.5, 7.0, 30.0):
+            k = np.arange(0.0, 120.0)
+            ours = sensing._poisson_pmf(k, np.full_like(k, lam))
+            ref = stats.poisson.pmf(k, lam)
+            keep = ref > 1e-30
+            np.testing.assert_allclose(ours[keep], ref[keep], rtol=1e-13, atol=0.0)
+        # Large rates, where exp(-lam + k log lam - lgamma(k + 1)) is 1e-7 off:
+        # the exact ratio p(k+1) / p(k) = lam / (k+1), and the window's mass.
+        for lam in (5e3, 5e7):
+            lo, hi = sensing._poisson_window(lam, math.log(40.0 / 1e-10))
+            k = np.arange(lo, hi + 1.0)
+            pmf = sensing._poisson_pmf(k, np.full_like(k, lam))
+            keep = pmf[:-1] > 1e-250
+            np.testing.assert_allclose((pmf[1:] / pmf[:-1])[keep], lam / k[1:][keep],
+                                       rtol=1e-13, atol=0.0)
+            assert abs(math.fsum(pmf) - 1.0) < 1e-12
 
     def test_series_too_long_raises(self):
-        # ab = 2e10 with a = b needs about 1.1e6 terms: stop and say so.
+        # ab = 2e10 with a = b needs about 2.9e6 terms: stop and say so.
         with pytest.raises(RuntimeError, match="terms"):
             marcum_q1(math.sqrt(2e10), math.sqrt(2e10))
 
@@ -401,11 +479,28 @@ class TestMarcum:
         with pytest.raises(ValueError):
             marcum_q1(1.0, math.nan)
 
+    def test_invalid_tolerance(self):
+        for tol in (0.0, -1e-10, 1.0, math.nan):
+            with pytest.raises(ValueError, match="tol"):
+                marcum_q1(1.0, 2.0, tol)
+
 
 class TestDetectionProbability:
     def test_zero_snr_equals_false_alarm(self):
         cfg = DetectionConfig(0.01)
         assert np.isclose(detection_probability(0.0, cfg), 0.01, atol=1e-12)
+
+    def test_tiny_false_alarm_rates_keep_relative_accuracy(self):
+        # Pd >= Pf: at Pf = 1e-20 and 0 dB the absolute default tolerance of
+        # marcum_q1 would read 0.
+        for pf in (1e-6, 1e-12, 1e-20, 1e-50, 1e-200):
+            cfg = DetectionConfig(pf)
+            b = math.sqrt(2.0 * cfg.threshold)
+            for snr in (0.0, 0.1, 1.0, 10.0):
+                value = detection_probability(snr, cfg)
+                ref = stats.ncx2.sf(b * b, 2, 2.0 * snr)
+                assert value >= pf * (1.0 - 1e-7), (pf, snr, value)
+                assert abs(value - ref) <= 1e-7 * ref, (pf, snr, value, ref)
 
     def test_monotone_in_snr(self):
         cfg = DetectionConfig(0.05)
