@@ -265,16 +265,14 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="risac",
         description="RIS-aided sensing and ISAC experiment runner",
     )
-    sub = parser.add_subparsers(dest="experiment", required=True)
-    for name in EXPERIMENTS:
-        p = sub.add_parser(name, help=f"run the {name} experiment")
-        p.add_argument("--config", type=Path, default=None, help="key = value config file")
-        p.add_argument("--out", type=Path, default=Path("."), help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--threads", type=int, default=1, help="worker threads for "
-                       "detect's SNR points; other experiments run serially")
-        p.add_argument("--emit-plot-script", action="store_true",
-                       help="write a matplotlib quick-look script next to the CSV")
+    parser.add_argument("experiment", choices=EXPERIMENTS, help="experiment to run")
+    parser.add_argument("--config", type=Path, default=None, help="key = value config file")
+    parser.add_argument("--out", type=Path, default=Path("."), help="output directory")
+    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
+    parser.add_argument("--threads", type=int, default=1, help="worker threads for "
+                        "detect's SNR points; other experiments run serially")
+    parser.add_argument("--emit-plot-script", action="store_true",
+                        help="write a matplotlib quick-look script next to the CSV")
     return parser
 
 
@@ -295,7 +293,7 @@ def main(argv=None) -> int:
             if _explicit_experiment(text) and cfg.experiment != args.experiment:
                 raise ConfigError(
                     f"config file requests {cfg.experiment!r} but the "
-                    f"subcommand is {args.experiment!r}"
+                    f"command line asks for {args.experiment!r}"
                 )
         else:
             cfg = RunConfig()

@@ -7,7 +7,8 @@ keeps the budget, meets the rate constraint with equality on the boundary
 branch, and reduces to the printed special cases for real steering vectors.
 a_t may be any transmit channel vector, not only a unit-modulus steering
 vector: the solution maximizes the illumination |a_t^T w|^2, whatever the
-norm of a_t.
+norm of a_t. Each solve takes a whole curve's rate floors and computes the
+channel terms once per curve; only the two branch coefficients vary.
 """
 
 from __future__ import annotations
@@ -77,10 +78,12 @@ class IsacScenario:
 
 @dataclasses.dataclass(eq=False)
 class IsacSolution:
-    w: Beamformer
-    branch: str  # "unconstrained" or "boundary"
-    rate: float
-    crb: float
+    """One row per rate floor: (R, L_T) weights, boundary-branch mask, rates, CRBs."""
+
+    weights: np.ndarray
+    boundary: np.ndarray
+    rates: np.ndarray
+    crbs: np.ndarray
 
 
 def achievable_rate(h_c: np.ndarray, w, noise_comms: float) -> float:
@@ -140,59 +143,67 @@ def make_coupled_channel(
 
 
 def max_illumination_beamformer(
-    a_t: np.ndarray, h_c: np.ndarray, p_t: float, sigma_c: float, rate_threshold: float
+    a_t: np.ndarray, h_c: np.ndarray, p_t: float, sigma_c: float, rate_thresholds
 ):
-    """Maximize the illumination |a_t^T w|^2 subject to a rate floor and the budget p_t.
+    """Maximize the illumination |a_t^T w|^2 under the budget p_t, for each rate floor.
 
-    Returns (w, branch, rate). Two branches: if the matched filter (toward
-    conj(a_t)) already meets the rate, it is optimal; otherwise the optimum
-    splits between the conjugated comms direction and the conjugated residual
-    of a_t, with the rate constraint tight.
+    Returns (weights, boundary, rates): one (R, L_T) row per floor, the mask
+    of rows on the boundary branch, and their rates. If the matched filter
+    (toward conj(a_t)) meets a floor, it is optimal; otherwise the optimum
+    splits between the conjugated comms direction and the conjugated
+    residual of a_t, with the rate constraint tight.
     """
-    if rate_threshold < 0:
+    floors = np.asarray(rate_thresholds, dtype=float).reshape(-1)
+    if np.any(floors < 0):
         raise ValueError("rate_threshold must be nonnegative")
-    snr_floor = (2.0**rate_threshold - 1.0) * sigma_c
+    # Python's pow per floor: numpy's vectorized power rounds a few floors differently.
+    snr_floor = np.array([(2.0**r - 1.0) * sigma_c for r in floors.tolist()])
     hc_norm_sq = float(np.real(np.vdot(h_c, h_c)))
     if hc_norm_sq == 0.0:
         raise DegenerateChannelError("comms channel is zero")
-    if snr_floor > p_t * hc_norm_sq * (1.0 + 1e-12):
-        raise InfeasibleRateError(rate_threshold, math.log2(1.0 + p_t * hc_norm_sq / sigma_c))
+    over = snr_floor > p_t * hc_norm_sq * (1.0 + 1e-12)
+    if over.any():
+        raise InfeasibleRateError(floors[over][0], math.log2(1.0 + p_t * hc_norm_sq / sigma_c))
 
     # The matched filter sqrt(p_t) conj(a_t) / ||a_t|| delivers the SNR
-    # p_t |h_c^H a_t|^2 / ||a_t||^2; it is optimal when that meets the floor.
+    # p_t |h_c^H a_t|^2 / ||a_t||^2; it is optimal where that meets the floor.
     a_norm_sq = float(np.real(np.vdot(a_t, a_t)))
     corr = complex(np.vdot(h_c, a_t))
-    if p_t * abs(corr) ** 2 >= a_norm_sq * snr_floor:
-        w_vec = math.sqrt(p_t) * a_t.conj() / np.linalg.norm(a_t)
-        branch = "unconstrained"
-    else:
+    boundary = p_t * abs(corr) ** 2 < a_norm_sq * snr_floor
+    weights = np.empty((floors.size, a_t.size), dtype=complex)
+    if not boundary.all():
+        weights[~boundary] = math.sqrt(p_t) * a_t.conj() / np.linalg.norm(a_t)
+    if boundary.any():
         # Boundary branch in the conjugated basis {q_hat, p_perp_hat}.
         q_hat = h_c.conj() / math.sqrt(hc_norm_sq)
         kappa = complex(np.vdot(q_hat, a_t.conj()))  # equals conj(h_c^H a_t)/||h_c||
         p_perp = a_t.conj() - kappa * q_hat
         perp_norm = float(np.linalg.norm(p_perp))
-        lam1_mag = math.sqrt(snr_floor / hc_norm_sq)
-        lam1 = lam1_mag * (kappa / abs(kappa) if abs(kappa) > 0 else 1.0)
-        if perp_norm < 1e-14 * np.linalg.norm(a_t):
-            # Channels fully aligned; all budget goes along q_hat.
-            w_vec = lam1 * q_hat
-        else:
-            lam2 = complex(math.sqrt(max(p_t - snr_floor / hc_norm_sq, 0.0)))
-            w_vec = lam1 * q_hat + lam2 * (p_perp / perp_norm)
-        branch = "boundary"
-    w = Beamformer(w_vec, p_t)
-    return w, branch, achievable_rate(h_c, w, sigma_c)
+        snr = snr_floor[boundary]
+        lam1 = np.sqrt(snr / hc_norm_sq) * (kappa / abs(kappa) if abs(kappa) > 0 else 1.0)
+        rows = lam1[:, None] * q_hat
+        # Fully aligned channels leave no residual: all budget goes along q_hat.
+        if perp_norm >= 1e-14 * np.linalg.norm(a_t):
+            lam2 = np.sqrt(np.maximum(p_t - snr / hc_norm_sq, 0.0))
+            rows += lam2[:, None] * (p_perp / perp_norm)
+        weights[boundary] = rows
+    norm_sq = np.linalg.norm(weights, axis=1) ** 2
+    if np.any(norm_sq > p_t + 1e-9 * p_t):
+        raise ValueError(f"weights exceed the power budget: ||w||^2 = {norm_sq.max():.6g} "
+                         f"> {p_t:.6g}")
+    return weights, boundary, np.array([achievable_rate(h_c, w, sigma_c) for w in weights])
 
 
-def crb_min_beamformer(scenario: IsacScenario, rate_threshold: float) -> IsacSolution:
-    """Minimize the angle CRB subject to a rate floor and a power budget.
+def crb_min_beamformer(scenario: IsacScenario, rate_thresholds) -> IsacSolution:
+    """Minimize the angle CRB subject to each rate floor and a power budget.
 
     The CRB is inversely proportional to the illumination, so the optimum is
-    ``max_illumination_beamformer``; this adds the CRB of that beam.
+    ``max_illumination_beamformer`` over the floors; this adds each row's CRB.
     """
-    beam = max_illumination_beamformer(scenario.a_t, scenario.h_c, scenario.budget,
-                                       scenario.noise_comms, rate_threshold)
-    return IsacSolution(*beam, crb=isac_crb(beam[0], scenario))
+    weights, boundary, rates = max_illumination_beamformer(
+        scenario.a_t, scenario.h_c, scenario.budget, scenario.noise_comms, rate_thresholds)
+    crbs = np.array([isac_crb(w, scenario) for w in weights])
+    return IsacSolution(weights, boundary, rates, crbs)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -215,9 +226,10 @@ def tradeoff_curve(
     Every comms channel has norm channel_gain * ||a_t||, so each rho shares
     the max rate log2(1 + P g^2 L_T / sigma_c^2), taking ||a_t||^2 = L_T as
     for a steering vector. The rate floors are ``r0_points`` evenly spaced
-    values from 0 to 98% of that rate, so every floor is feasible. Every rho
-    reuses the same seeded residual direction, so the curves vary smoothly
-    in rho. Returns (rows, max rate in bits).
+    values from 0 to 98% of that rate, so every floor is feasible; each rho
+    solves them in one ``crb_min_beamformer`` call, with its channel terms
+    computed once. Every rho reuses the same seeded residual direction, so
+    the curves vary smoothly in rho. Returns (rows, max rate in bits).
     """
     if len(rho_list) == 0 or r0_points < 1:
         raise ValueError("rho_list must be non-empty and r0_points >= 1")
@@ -229,8 +241,6 @@ def tradeoff_curve(
     rows = []
     for rho in rho_list:
         h_c = make_coupled_channel(scenario_template.a_t, rho, seed=seed, gain=channel_gain)
-        scenario = dataclasses.replace(scenario_template, h_c=h_c)
-        for r0 in grid:
-            sol = crb_min_beamformer(scenario, r0)
-            rows.append(TradeoffRow(rho, r0, sol.rate, sol.crb))
+        sol = crb_min_beamformer(dataclasses.replace(scenario_template, h_c=h_c), grid)
+        rows.extend(TradeoffRow(rho, *row) for row in zip(grid, sol.rates, sol.crbs))
     return rows, max_rate

@@ -12,7 +12,7 @@ side alone, so minimizing the CRB maximizes the illumination |h_t^T w|^2.
 With R = [adot_r-term, F_rdot phi] and R_perp its part orthogonal to h_r,
 kappa = [G^-1]_11 / (2T / sigma_s^2) for G = Re(R_perp^H R_perp).
 ``ris_isac_tradeoff`` runs the whole experiment: one coupling shaping, one
-profile solve, kappa once per channel and one inner product per row.
+profile solve, and kappa and one closed-form sweep per channel.
 ``fim_theta`` builds the full 4 x 4 FIM instead and is the independent
 reference the kappa form is tested against.
 
@@ -235,21 +235,15 @@ def _kappa(scenario: RisIsacScenario, phi_vec: np.ndarray) -> float:
     return _angle_crb(0.5 * (info + info.T))[0] / scale
 
 
-@dataclasses.dataclass(eq=False)
-class CrbBeamformerResult:
-    w: Beamformer
-    crb: float
-    rate: float
-
-
 def _crb_beamformer_at(scenario: RisIsacScenario, phi):
-    """Minimizer of CRB(theta1) under a rate floor and the power budget, as a function of the floor.
+    """Minimizer of CRB(theta1) under the power budget, as a sweep over rate floors.
 
     CRB(theta1) = kappa(phi) / |h_t(phi)^T w|^2 with kappa independent of w,
-    so the optimum is ``max_illumination_beamformer`` for a_t = h_t(phi); it
-    raises ``InfeasibleRateError`` above the max rate. kappa and the channels
-    are built once; the CRB is infinite at zero illumination or singular
-    angle information.
+    so the optimum is ``max_illumination_beamformer`` for a_t = h_t(phi);
+    ``solve(floors)`` returns (rates, crbs), one per floor, and raises
+    ``InfeasibleRateError`` if any floor is above the max rate. kappa and the
+    channels are built once; the CRB is infinite at zero illumination or
+    singular angle information.
     """
     if scenario.beta == 0:
         raise DegenerateChannelError(
@@ -261,12 +255,11 @@ def _crb_beamformer_at(scenario: RisIsacScenario, phi):
     h_c = scenario.h_c(phi_vec)
     kappa = _kappa(scenario, phi_vec)
 
-    def solve(rate_threshold: float) -> CrbBeamformerResult:
-        w, _, rate = max_illumination_beamformer(
-            h_t, h_c, scene.transmit_power, scene.noise_power_comms, rate_threshold)
-        illum = float(np.abs(h_t @ w.weights) ** 2)
-        crb = kappa / illum if illum > 0.0 else math.inf
-        return CrbBeamformerResult(w=w, crb=crb, rate=rate)
+    def solve(rate_thresholds):
+        weights, _, rates = max_illumination_beamformer(
+            h_t, h_c, scene.transmit_power, scene.noise_power_comms, rate_thresholds)
+        illums = [float(np.abs(h_t @ w) ** 2) for w in weights]
+        return rates, [kappa / illum if illum > 0.0 else math.inf for illum in illums]
 
     return solve
 
@@ -363,7 +356,7 @@ def ris_isac_tradeoff(
     if "reference" in ris_modes:
         # Scaling both direct gains by amp scales beta * dH/dtheta1 by amp^2,
         # so the angle CRB scales as 1/amp^4.
-        crbs = solves["without"](0.0).crb, solves["with"](0.0).crb
+        crbs = solves["without"]([0.0])[1][0], solves["with"]([0.0])[1][0]
         if not all(map(math.isfinite, crbs)):
             raise DegenerateChannelError(f"the reference mode needs finite CRBs, got {crbs}")
         amp = (crbs[0] / crbs[1]) ** 0.25
@@ -387,7 +380,6 @@ def ris_isac_tradeoff(
         max_rate["reference"] = max_rate["with"]
     rows = []
     for mode in ris_modes:
-        for r0 in np.linspace(0.0, 0.97 * max_rate[mode], r0_points):
-            res = solves[mode](r0)
-            rows.append(RisIsacRow(mode, coupling, r0, res.rate, res.crb))
+        grid = np.linspace(0.0, 0.97 * max_rate[mode], r0_points)
+        rows.extend(RisIsacRow(mode, coupling, *row) for row in zip(grid, *solves[mode](grid)))
     return RisIsacTradeoff(rows, {mode: max_rate[mode] for mode in ris_modes}, profile)

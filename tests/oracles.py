@@ -9,7 +9,14 @@ from typing import Callable
 
 import numpy as np
 
-from risac import Beamformer, DegenerateChannelError, RisProfile, steering_vector
+from risac import (
+    Beamformer,
+    DegenerateChannelError,
+    InfeasibleRateError,
+    RisProfile,
+    achievable_rate,
+    steering_vector,
+)
 
 
 def illumination_power(h_t: np.ndarray, w) -> float:
@@ -54,6 +61,43 @@ def rank_one_illumination_bound(a_t: np.ndarray, f_t: np.ndarray, power: float) 
         + 2.0 * float(np.sum(np.abs(f_t.conj().T @ a_t)))
         + float(np.sum(np.linalg.norm(f_t, axis=0))) ** 2
     )
+
+
+def max_illumination_reference(a_t, h_c, p_t, sigma_c, rate_threshold):
+    """One rate floor of ``risac.isac.max_illumination_beamformer``, solved on its own.
+
+    The per-floor form the sweep replaced, kept as its bit-for-bit reference:
+    every channel term is rebuilt for the floor. Returns (w, branch, rate)
+    with branch "unconstrained" or "boundary".
+    """
+    if rate_threshold < 0:
+        raise ValueError("rate_threshold must be nonnegative")
+    snr_floor = (2.0**rate_threshold - 1.0) * sigma_c
+    hc_norm_sq = float(np.real(np.vdot(h_c, h_c)))
+    if hc_norm_sq == 0.0:
+        raise DegenerateChannelError("comms channel is zero")
+    if snr_floor > p_t * hc_norm_sq * (1.0 + 1e-12):
+        raise InfeasibleRateError(rate_threshold, math.log2(1.0 + p_t * hc_norm_sq / sigma_c))
+    a_norm_sq = float(np.real(np.vdot(a_t, a_t)))
+    corr = complex(np.vdot(h_c, a_t))
+    if p_t * abs(corr) ** 2 >= a_norm_sq * snr_floor:
+        w_vec = math.sqrt(p_t) * a_t.conj() / np.linalg.norm(a_t)
+        branch = "unconstrained"
+    else:
+        q_hat = h_c.conj() / math.sqrt(hc_norm_sq)
+        kappa = complex(np.vdot(q_hat, a_t.conj()))
+        p_perp = a_t.conj() - kappa * q_hat
+        perp_norm = float(np.linalg.norm(p_perp))
+        lam1_mag = math.sqrt(snr_floor / hc_norm_sq)
+        lam1 = lam1_mag * (kappa / abs(kappa) if abs(kappa) > 0 else 1.0)
+        if perp_norm < 1e-14 * np.linalg.norm(a_t):
+            w_vec = lam1 * q_hat
+        else:
+            lam2 = complex(math.sqrt(max(p_t - snr_floor / hc_norm_sq, 0.0)))
+            w_vec = lam1 * q_hat + lam2 * (p_perp / perp_norm)
+        branch = "boundary"
+    w = Beamformer(w_vec, p_t)
+    return w, branch, achievable_rate(h_c, w, sigma_c)
 
 
 def coupling_coefficient(h_c: np.ndarray, a_t: np.ndarray) -> float:

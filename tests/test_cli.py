@@ -14,7 +14,7 @@ from risac import cli, marcum_q1
 from risac import dual_waveform as dw
 from risac import ris_isac as ri
 from risac import sensing
-from risac.config import RunConfig, scene_from_config
+from risac.config import EXPERIMENTS, RunConfig, scene_from_config
 
 TINY = "n_ris = 4\nl_t = 4\nl_s = 4\n"
 TINY_RIS_ISAC = TINY + "r0_points = 5\n"
@@ -231,6 +231,43 @@ def test_isac_tradeoff_smoke(tmp_path):
         crb = float(row["crb"])
         assert math.isfinite(crb) and crb > 0, row
         assert float(row["rate_bits"]) >= float(row["R0"]) - 1e-12, row
+
+
+def test_help_lists_every_experiment(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["--help"])
+    assert exit_.value.code == 0
+    out = capsys.readouterr().out
+    assert all(name in out for name in EXPERIMENTS)
+
+
+@pytest.mark.parametrize("argv", [[], ["nope"]], ids=["none", "unknown"])
+def test_missing_or_unknown_experiment_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(argv)
+    assert exit_.value.code == 2
+    assert "experiment" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_every_experiment_takes_the_same_options(experiment):
+    args = cli._build_parser().parse_args([
+        experiment, "--config", "run.cfg", "--out", "out", "--seed", "3", "--threads", "2",
+        "--emit-plot-script"])
+    assert (args.experiment, args.config, args.out) == (experiment, Path("run.cfg"), Path("out"))
+    assert (args.seed, args.threads, args.emit_plot_script) == (3, 2, True)
+
+
+def test_config_naming_another_experiment_is_a_json_error(tmp_path, capsys):
+    # Options may come before the experiment; the config's own experiment
+    # key must still agree with it.
+    config = tmp_path / "run.cfg"
+    config.write_text("experiment = detect\n")
+    code = cli.main(["--config", str(config), "--out", str(tmp_path / "out"), "sense-sweep"])
+    err = json.loads(capsys.readouterr().err)
+    assert code == 2 and err["error"] == "ConfigError"
+    assert "'detect'" in err["detail"] and "'sense-sweep'" in err["detail"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_import_and_marcum_q_load_no_scipy():

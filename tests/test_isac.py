@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from risac import (
+    DegenerateChannelError,
     InfeasibleRateError,
     IsacScenario,
     UlaGeometry,
@@ -12,12 +13,16 @@ from risac import (
     crb_min_beamformer,
     isac_crb,
     make_coupled_channel,
+    max_illumination_beamformer,
     steering_vector,
     tradeoff_curve,
 )
+from risac import isac
 from risac.arrays import steering_derivative
+from risac.cli import run_experiment
+from risac.config import RunConfig
 
-from oracles import coupling_coefficient
+from oracles import coupling_coefficient, max_illumination_reference
 
 
 def table1_scenario(h_c=None, theta=0.0):
@@ -81,6 +86,29 @@ def span_search_loop_reference(scenario, rate_floor, samples, rng):
             continue
         best = max(best, float(np.abs(a_t @ w) ** 2))
     return best
+
+
+def edge_floor(sc):
+    """A floor within the 1e-12 feasibility slack above the max rate: its SNR
+    floor exceeds P ||h_c||^2, so the residual coefficient clips to zero."""
+    gain = float(np.real(np.vdot(sc.h_c, sc.h_c)))
+    return math.log2(1.0 + sc.budget * gain / sc.noise_comms * (1.0 + 5e-13))
+
+
+def assert_sweep_matches_reference(sc, floors, sol=None):
+    """Every row of ``sol``, by default ``crb_min_beamformer(sc, floors)``, equals
+    the per-floor reference bit for bit."""
+    sol = crb_min_beamformer(sc, floors) if sol is None else sol
+    assert sol.weights.shape == (len(floors), sc.a_t.size)
+    rows = zip(floors, sol.weights, sol.boundary, sol.rates, sol.crbs)
+    for r0, w, boundary, rate, crb in rows:
+        ref_w, branch, ref_rate = max_illumination_reference(
+            sc.a_t, sc.h_c, sc.budget, sc.noise_comms, r0)
+        assert np.array_equal(w, ref_w.weights)
+        assert boundary == (branch == "boundary")
+        assert rate == ref_rate
+        assert crb == isac_crb(ref_w, sc)
+    return sol
 
 
 class TestRate:
@@ -171,36 +199,36 @@ class TestClosedForm:
         sc = table1_scenario(h_c=make_coupled_channel(
             steering_vector(UlaGeometry(15), 0.0), 1.0, seed=8))
         for r0 in [0.0, 2.0, 10.0, 0.9 * sc.max_rate]:
-            sol = crb_min_beamformer(sc, r0)
-            assert sol.branch == "unconstrained"
+            sol = crb_min_beamformer(sc, [r0])
+            assert not sol.boundary[0]
             crb_expected = sc.noise_sensing * 15 / (
                 2.0 * sc.target_gain_var * sc.samples * sc.adot_norm_sq * 15
             )
             rate_expected = math.log2(1.0 + np.linalg.norm(sc.h_c) ** 2 / sc.noise_comms)
-            assert abs(sol.crb - crb_expected) < 1e-9 * crb_expected
-            assert abs(sol.rate - rate_expected) < 1e-9
+            assert abs(sol.crbs[0] - crb_expected) < 1e-9 * crb_expected
+            assert abs(sol.rates[0] - rate_expected) < 1e-9
 
     def test_zero_coupling_reproduces_formula(self):
         a_t = steering_vector(UlaGeometry(15), 0.0)
         sc = table1_scenario(h_c=make_coupled_channel(a_t, 0.0, seed=8))
         r0 = 10.0
-        sol = crb_min_beamformer(sc, r0)
+        sol = crb_min_beamformer(sc, [r0])
         snr_floor = (2.0**r0 - 1.0) * sc.noise_comms
         crb_expected = sc.noise_sensing * 15 / (
             2.0 * sc.target_gain_var * sc.samples
             * (1.0 - snr_floor / np.linalg.norm(sc.h_c) ** 2)
             * sc.adot_norm_sq * 15
         )
-        assert abs(sol.crb - crb_expected) < 1e-9 * crb_expected
-        assert abs(sol.rate - r0) < 1e-9
+        assert abs(sol.crbs[0] - crb_expected) < 1e-9 * crb_expected
+        assert abs(sol.rates[0] - r0) < 1e-9
 
     def test_zero_threshold_is_matched_filter(self):
         sc = table1_scenario(h_c=make_coupled_channel(
             steering_vector(UlaGeometry(15), 0.0), 0.4, seed=2))
-        sol = crb_min_beamformer(sc, 0.0)
-        assert sol.branch == "unconstrained"
+        sol = crb_min_beamformer(sc, [0.0])
+        assert not sol.boundary[0]
         matched = sc.a_t.conj() / np.linalg.norm(sc.a_t)
-        assert np.allclose(sol.w.weights, matched)
+        assert np.allclose(sol.weights[0], matched)
 
     def test_matched_filter_branch_uses_channel_norm(self):
         # A channel vector a_t with ||a_t||^2 != L_T: the matched filter
@@ -211,16 +239,16 @@ class TestClosedForm:
         )
         mf_snr = sc.budget * abs(np.vdot(sc.h_c, sc.a_t)) ** 2 / np.linalg.norm(sc.a_t) ** 2
         r0 = math.log2(1.0 + 0.5 * mf_snr / sc.noise_comms)
-        sol = crb_min_beamformer(sc, r0)
-        assert sol.branch == "unconstrained"
-        illum = float(np.abs(sc.a_t @ sol.w.weights) ** 2)
+        sol = crb_min_beamformer(sc, [r0])
+        assert not sol.boundary[0]
+        illum = float(np.abs(sc.a_t @ sol.weights[0]) ** 2)
         expected = sc.budget * np.linalg.norm(sc.a_t) ** 2
         assert abs(illum - expected) <= 1e-12 * expected
 
     def test_infeasible_rate_raises_with_max_rate(self):
         sc = table1_scenario()
         with pytest.raises(InfeasibleRateError) as err:
-            crb_min_beamformer(sc, sc.max_rate + 1.0)
+            crb_min_beamformer(sc, [sc.max_rate + 1.0])
         assert np.isclose(err.value.max_rate, sc.max_rate)
 
     def test_feasibility_on_random_instances(self):
@@ -231,11 +259,11 @@ class TestClosedForm:
             gain = rng.uniform(0.25, 2.0)
             sc = table1_scenario(h_c=make_coupled_channel(a_t, rho, seed=trial, gain=gain))
             r0 = rng.uniform(0.0, sc.max_rate)
-            sol = crb_min_beamformer(sc, r0)
-            assert np.real(np.vdot(sol.w.weights, sol.w.weights)) <= 1.0 + 1e-12
-            assert sol.rate >= r0 - 1e-9
-            if sol.branch == "boundary":
-                assert abs(sol.rate - r0) < 1e-9
+            sol = crb_min_beamformer(sc, [r0])
+            assert np.real(np.vdot(sol.weights[0], sol.weights[0])) <= 1.0 + 1e-12
+            assert sol.rates[0] >= r0 - 1e-9
+            if sol.boundary[0]:
+                assert abs(sol.rates[0] - r0) < 1e-9
 
     def test_span_search_never_beats_closed_form(self):
         a_t = steering_vector(UlaGeometry(15), 0.0)
@@ -244,8 +272,8 @@ class TestClosedForm:
             rho = rng.uniform(0.0, 0.999)
             sc = table1_scenario(h_c=make_coupled_channel(a_t, rho, seed=trial))
             r0 = rng.uniform(0.1, 0.9) * sc.max_rate
-            sol = crb_min_beamformer(sc, r0)
-            closed_illum = float(np.abs(sc.a_t @ sol.w.weights) ** 2)
+            sol = crb_min_beamformer(sc, [r0])
+            closed_illum = float(np.abs(sc.a_t @ sol.weights[0]) ** 2)
             oracle = span_search_best_illumination(sc, r0, 10000, rng)
             assert oracle <= closed_illum * (1.0 + 1e-6)
 
@@ -268,9 +296,9 @@ class TestClosedForm:
         hc_norm_sq = gain**2 * 15.0
         rho_star = math.sqrt(snr_floor / hc_norm_sq)  # P_T = 1
         sc = table1_scenario(h_c=make_coupled_channel(a_t, rho_star, seed=3, gain=gain))
-        below = crb_min_beamformer(sc, r0 * (1.0 - 1e-9))
-        above = crb_min_beamformer(sc, r0 * (1.0 + 1e-9))
-        assert abs(below.crb - above.crb) < 1e-8 * below.crb
+        below = crb_min_beamformer(sc, [r0 * (1.0 - 1e-9)]).crbs[0]
+        above = crb_min_beamformer(sc, [r0 * (1.0 + 1e-9)]).crbs[0]
+        assert abs(below - above) < 1e-8 * below
 
 
 class TestTradeoffCurve:
@@ -302,3 +330,75 @@ class TestTradeoffCurve:
             tradeoff_curve(sc, [], 1)
         with pytest.raises(ValueError):
             tradeoff_curve(sc, [0.5], 0)
+
+
+class TestSweep:
+    def test_both_branches_match_the_reference(self):
+        sc = table1_scenario(h_c=make_coupled_channel(
+            steering_vector(UlaGeometry(15), 0.0), 0.5, seed=1))
+        sol = assert_sweep_matches_reference(sc, np.linspace(0.0, 0.98 * sc.max_rate, 25))
+        assert sol.boundary.any() and not sol.boundary.all()
+
+    def test_aligned_channels_match_the_reference(self):
+        # h_c = a_t leaves a residual below 1e-14 ||a_t||, so the boundary
+        # row puts all of its power along q_hat.
+        sc = table1_scenario()
+        q_hat = sc.h_c.conj() / np.linalg.norm(sc.h_c)
+        p_perp = sc.a_t.conj() - np.vdot(q_hat, sc.a_t.conj()) * q_hat
+        assert np.linalg.norm(p_perp) < 1e-14 * np.linalg.norm(sc.a_t)
+        sol = assert_sweep_matches_reference(sc, [0.0, 0.5 * sc.max_rate, edge_floor(sc)])
+        assert sol.boundary.tolist() == [False, False, True]
+
+    def test_unlit_row_has_infinite_crb(self):
+        # Exactly orthogonal channels: at the edge floor the whole budget
+        # serves the user and a_t^T w is exactly zero.
+        sc = IsacScenario(a_t=[1.0, 0.0], a_r=[1.0, 1.0], a_r_dot=[0.0, 1j], h_c=[0.0, 1.0],
+                          noise_comms=1e-9, noise_sensing=1e-9)
+        sol = assert_sweep_matches_reference(sc, [0.0, edge_floor(sc)])
+        assert sol.boundary.tolist() == [False, True]
+        assert math.isfinite(sol.crbs[0]) and math.isinf(sol.crbs[1])
+
+    def test_negative_floor_raises(self):
+        sc = table1_scenario()
+        with pytest.raises(ValueError, match="nonnegative"):
+            crb_min_beamformer(sc, [0.0, 1.0, -1e-12, 2.0])
+
+    def test_floor_above_max_rate_raises_with_max_rate(self):
+        sc = table1_scenario(h_c=make_coupled_channel(
+            steering_vector(UlaGeometry(15), 0.0), 0.3, seed=2))
+        floors = [0.0, 0.5 * sc.max_rate, sc.max_rate + 0.5, 0.9 * sc.max_rate]
+        with pytest.raises(InfeasibleRateError) as err:
+            max_illumination_beamformer(sc.a_t, sc.h_c, sc.budget, sc.noise_comms, floors)
+        assert err.value.max_rate == pytest.approx(sc.max_rate, rel=1e-14)
+        assert err.value.requested == floors[2]
+
+    def test_zero_comms_channel_raises(self):
+        a_t = steering_vector(UlaGeometry(4), 0.2)
+        with pytest.raises(DegenerateChannelError):
+            max_illumination_beamformer(a_t, np.zeros(4, dtype=complex), 1.0, 1e-9, [0.0, 1.0])
+
+    def test_empty_grid_returns_no_rows(self):
+        sc = table1_scenario()
+        weights, boundary, rates = max_illumination_beamformer(
+            sc.a_t, sc.h_c, sc.budget, sc.noise_comms, np.array([]))
+        assert weights.shape == (0, 15) and boundary.shape == (0,) and rates.shape == (0,)
+        assert crb_min_beamformer(sc, []).crbs.shape == (0,)
+
+    def test_isac_tradeoff_sweeps_once_per_rho_and_matches_the_reference(
+            self, tmp_path, monkeypatch):
+        # One crb_min_beamformer call per rho (5, not 5 x 25), and every row
+        # of a default run at config seeds 0-9 equals the per-floor solve.
+        calls = []
+        sweep = isac.crb_min_beamformer
+
+        def recorded(scenario, rate_thresholds):
+            calls.append((scenario, rate_thresholds, sweep(scenario, rate_thresholds)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(isac, "crb_min_beamformer", recorded)
+        for seed in range(10):
+            calls.clear()
+            run_experiment(RunConfig(experiment="isac-tradeoff", seed=seed), tmp_path / str(seed))
+            assert [len(floors) for _, floors, _ in calls] == [25] * 5
+            for call in calls:
+                assert_sweep_matches_reference(*call)

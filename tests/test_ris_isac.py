@@ -18,6 +18,7 @@ from risac import (
 )
 from risac import isac
 from risac import ris_isac as ri
+from risac.channels import _phi_vector
 from risac.cli import run_experiment
 from risac.config import RunConfig, scene_from_config
 from risac.isac import max_illumination_beamformer
@@ -28,6 +29,7 @@ from oracles import (
     coupling_coefficient,
     finite_difference_gradient,
     matched_filter_beamformer,
+    max_illumination_reference,
     rank_one_coupling_grid,
 )
 
@@ -406,13 +408,20 @@ class TestFim:
         assert np.isclose(crb, oracle, rtol=1e-10)
 
 
+def sweep_weights(scenario, phi, rate_thresholds):
+    """The (R, L_T) beamformer rows behind ``_crb_beamformer_at(scenario, phi)``'s sweep."""
+    scene = scenario.scene
+    return max_illumination_beamformer(scenario.h_t(phi), scenario.h_c(phi), scene.transmit_power,
+                                       scene.noise_power_comms, rate_thresholds)[0]
+
+
 class TestRateConstrainedBeamformer:
     def test_unconstrained_no_worse_than_matched_filter(self):
         scenario = RisIsacScenario.from_scene(desk_scene())
         phi = np.exp(1j * np.linspace(0, 2, 16))
-        res = _crb_beamformer_at(scenario, phi)(0.0)
+        crb = _crb_beamformer_at(scenario, phi)([0.0])[1][0]
         w_mf = matched_filter_beamformer(scenario.h_t(phi).conj(), 3.0)
-        assert res.crb <= fim_theta(scenario, phi, w_mf).crb_theta1 * (1.0 + 1e-9)
+        assert crb <= fim_theta(scenario, phi, w_mf).crb_theta1 * (1.0 + 1e-9)
 
     def test_feasibility_and_budget(self):
         scenario = RisIsacScenario.from_scene(desk_scene())
@@ -421,15 +430,16 @@ class TestRateConstrainedBeamformer:
         max_rate = math.log2(1.0 + 3.0 * np.linalg.norm(h_c) ** 2 / 1e-8)
         for frac in [0.2, 0.6, 0.9]:
             r0 = frac * max_rate
-            res = _crb_beamformer_at(scenario, phi)(r0)
-            assert res.rate >= r0 - 1e-6
-            assert np.real(np.vdot(res.w.weights, res.w.weights)) <= 3.0 + 1e-9
+            rate = _crb_beamformer_at(scenario, phi)([r0])[0][0]
+            w = sweep_weights(scenario, phi, [r0])[0]
+            assert rate >= r0 - 1e-6
+            assert np.real(np.vdot(w, w)) <= 3.0 + 1e-9
 
     def test_infeasible_rate_raises(self):
         scenario = RisIsacScenario.from_scene(desk_scene())
         phi = np.ones(16, dtype=complex)
         with pytest.raises(InfeasibleRateError):
-            _crb_beamformer_at(scenario, phi)(60.0)
+            _crb_beamformer_at(scenario, phi)([60.0])
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("strip_ris", [False, True])
@@ -439,7 +449,7 @@ class TestRateConstrainedBeamformer:
         if strip_ris:
             scenario, phi = _zero_ris(scenario), np.zeros(0)
         with pytest.raises(DegenerateChannelError):
-            _crb_beamformer_at(scenario, phi)(0.0)
+            _crb_beamformer_at(scenario, phi)([0.0])
 
     def test_zero_gain_ris_leaves_theta2_out(self):
         # F_rdot phi is identically zero, so kappa is the single-angle 1 x 1
@@ -448,10 +458,10 @@ class TestRateConstrainedBeamformer:
             desk_scene(ris=UlaGeometry(4), ris_gain_override=0.0)
         )
         phi = np.ones(4, dtype=complex)
-        res = _crb_beamformer_at(scenario, phi)(0.0)
-        oracle = fim_theta(scenario, phi, res.w)
-        assert oracle.fim[1, 1] == 0.0 and math.isfinite(res.crb)
-        np.testing.assert_allclose(res.crb, oracle.crb_theta1, rtol=1e-12, atol=0)
+        crb = _crb_beamformer_at(scenario, phi)([0.0])[1][0]
+        oracle = fim_theta(scenario, phi, sweep_weights(scenario, phi, [0.0])[0])
+        assert oracle.fim[1, 1] == 0.0 and math.isfinite(crb)
+        np.testing.assert_allclose(crb, oracle.crb_theta1, rtol=1e-12, atol=0)
 
     def test_small_array_grid_oracle(self):
         # L_T = 2: random search over the feasible ball must not beat the
@@ -465,11 +475,11 @@ class TestRateConstrainedBeamformer:
             h_c = scenario.h_c(phi)
             max_rate = math.log2(1.0 + 3.0 * np.linalg.norm(h_c) ** 2 / 1e-8)
             r0 = 0.5 * max_rate
-            res = _crb_beamformer_at(scenario, phi)(r0)
+            crb = _crb_beamformer_at(scenario, phi)([r0])[1][0]
             snr_floor = (2.0**r0 - 1.0) * 1e-8
             samples = rng.standard_normal((20000, 4))
             best = float(np.min(grid_oracle_crbs(scenario, phi, samples, snr_floor)))
-            assert best >= res.crb * (1.0 - 1e-4)
+            assert best >= crb * (1.0 - 1e-4)
 
     @pytest.mark.parametrize("seed, strip_ris", [(0, False), (3, False), (7, True)])
     def test_grid_oracle_matches_loop_reference(self, seed, strip_ris):
@@ -520,9 +530,10 @@ class TestTradeoffStructure:
     @pytest.mark.parametrize("coupling", ["weak", "strong"])
     def test_sweep_equals_per_row_solves(self, coupling):
         # Each sweep computes h_t(phi), h_c(phi) and kappa(phi) once; every
-        # row must equal a solve that rebuilds them, bit for bit, and the
-        # 4 x 4 FIM at the row's beamformer to rounding. The rate floors run
-        # from 0 to 97% of the max rate, so every one is feasible.
+        # row must equal a one-floor solve and the per-floor reference, bit
+        # for bit, and the 4 x 4 FIM at the row's beamformer to rounding.
+        # The rate floors run from 0 to 97% of the max rate, so every one is
+        # feasible.
         scenario = RisIsacScenario.from_scene(desk_scene(ris=UlaGeometry(8)))
         shaped = _apply_coupling(scenario, coupling)
         profile = optimize_ris_profile(shaped).phi
@@ -536,15 +547,15 @@ class TestTradeoffStructure:
         assert [row.rate_threshold for row in result.rows] == list(grid)
         scene = shaped.scene
         for row, r0 in zip(result.rows, grid):
-            w, _, rate = max_illumination_beamformer(
+            w, _, rate = max_illumination_reference(
                 h_t, h_c, scene.transmit_power, scene.noise_power_comms, r0)
             assert row.rate == rate
             np.testing.assert_allclose(
                 row.crb, fim_theta(shaped, phi, w).crb_theta1, rtol=1e-12, atol=0
             )
-            assert row.crb == _crb_beamformer_at(shaped, profile)(r0).crb
+            assert row.crb == _crb_beamformer_at(shaped, profile)([r0])[1][0]
         with pytest.raises(InfeasibleRateError):
-            _crb_beamformer_at(shaped, profile)(1.5 * max_rate)
+            _crb_beamformer_at(shaped, profile)([1.5 * max_rate])
 
     @pytest.mark.parametrize("coupling", ["weak", "strong"])
     def test_every_row_matches_the_fim_oracle(self, tmp_path, monkeypatch, coupling):
@@ -558,10 +569,12 @@ class TestTradeoffStructure:
         def spy(scenario, phi):
             solve = build(scenario, phi)
 
-            def recorded(rate_threshold):
-                res = solve(rate_threshold)
-                checked.append((res.crb, fim_theta(scenario, phi, res.w).crb_theta1))
-                return res
+            def recorded(rate_thresholds):
+                rates, crbs = solve(rate_thresholds)
+                weights = sweep_weights(scenario, phi, rate_thresholds)
+                checked.extend((crb, fim_theta(scenario, phi, w).crb_theta1)
+                               for w, crb in zip(weights, crbs))
+                return rates, crbs
 
             return recorded
 
@@ -573,6 +586,48 @@ class TestTradeoffStructure:
         assert len(checked) == 10 * (3 * 25 + 2)
         assert np.all(np.isfinite(oracle))
         np.testing.assert_allclose(crb, oracle, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("coupling", ["weak", "strong"])
+    def test_sweeps_equal_the_per_floor_reference(self, tmp_path, monkeypatch, coupling):
+        # A default run makes five sweeps: one per mode and the two one-floor
+        # calibrations of "reference". At config seeds 0-9 every row's
+        # weights and rate equal the per-floor reference and its CRB is
+        # kappa / |h_t^T w|^2 at the reference weights, bit for bit.
+        beams, solves = [], []
+        sweep, build = ri.max_illumination_beamformer, ri._crb_beamformer_at
+
+        def recorded_sweep(*args):
+            beams.append((args, sweep(*args)))
+            return beams[-1][1]
+
+        def recorded_build(scenario, phi):
+            solve = build(scenario, phi)
+            kappa = ri._kappa(scenario, _phi_vector(phi))
+
+            def recorded(rate_thresholds):
+                solves.append((kappa, solve(rate_thresholds)))
+                return solves[-1][1]
+
+            return recorded
+
+        monkeypatch.setattr(ri, "max_illumination_beamformer", recorded_sweep)
+        monkeypatch.setattr(ri, "_crb_beamformer_at", recorded_build)
+        for seed in range(10):
+            beams.clear()
+            solves.clear()
+            cfg = RunConfig(experiment="ris-isac-tradeoff", coupling=coupling, seed=seed)
+            run_experiment(cfg, tmp_path / str(seed))
+            assert [len(args[4]) for args, _ in beams] == [1, 1, 25, 25, 25]
+            for ((h_t, h_c, p_t, sigma_c, floors), beam), (kappa, (rates, crbs)) in zip(
+                    beams, solves):
+                assert np.array_equal(beam[2], rates)
+                for r0, w, boundary, rate, crb in zip(floors, *beam, crbs):
+                    ref_w, branch, ref_rate = max_illumination_reference(
+                        h_t, h_c, p_t, sigma_c, r0)
+                    illum = float(np.abs(h_t @ ref_w.weights) ** 2)
+                    assert np.array_equal(w, ref_w.weights)
+                    assert boundary == (branch == "boundary") and rate == ref_rate
+                    assert crb == (kappa / illum if illum > 0.0 else math.inf)
 
     @pytest.mark.parametrize("mode, kappas", [("with", 1), ("without", 1), ("reference", 3),
                                               ("with,without,reference", 3)])
@@ -606,8 +661,11 @@ class TestTradeoffStructure:
             self, tmp_path, monkeypatch):
         # One coupling shaping and one profile solve serve every mode; kappa
         # is built for the tuned, the RIS-free and the reference channel, and
-        # no row goes through the single-angle IsacScenario CRB.
-        calls = {"_apply_coupling": 0, "optimize_ris_profile": 0, "_kappa": 0}
+        # no row goes through the single-angle IsacScenario CRB. The closed
+        # form runs five times: one sweep per mode and the two one-floor
+        # calibrations of "reference", not once per row (77).
+        calls = {"_apply_coupling": 0, "optimize_ris_profile": 0, "_kappa": 0,
+                 "max_illumination_beamformer": 0}
         for name in calls:
             original = getattr(ri, name)
 
@@ -622,7 +680,8 @@ class TestTradeoffStructure:
 
         monkeypatch.setattr(isac, "isac_crb", forbidden)
         run_experiment(RunConfig(experiment="ris-isac-tradeoff"), tmp_path)
-        assert calls == {"_apply_coupling": 1, "optimize_ris_profile": 1, "_kappa": 3}
+        assert calls == {"_apply_coupling": 1, "optimize_ris_profile": 1, "_kappa": 3,
+                         "max_illumination_beamformer": 5}
 
     @pytest.mark.parametrize("coupling", ["weak", "strong"])
     def test_reference_without_angle_information_raises(self, coupling):
