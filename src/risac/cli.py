@@ -62,16 +62,7 @@ def _write_csv(path: Path, header: str, rows) -> None:
     path.write_text("\r\n".join(lines) + "\r\n", encoding="utf-8", newline="")
 
 
-def _ordered_map(fn, items, threads: int):
-    if threads > 1:
-        # Imported on use: it loads logging, about 8 ms of a cold start.
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
-def _run_sense_sweep(cfg: RunConfig, threads: int):
+def _run_sense_sweep(cfg: RunConfig):
     scene = scene_from_config(cfg)
     start = np.asarray(cfg.road_start)
     end = np.asarray(cfg.road_end)
@@ -84,26 +75,22 @@ def _run_sense_sweep(cfg: RunConfig, threads: int):
     return {"": (CSV_HEADERS["sense-sweep"], csv_rows)}, diag
 
 
-def _run_detect(cfg: RunConfig, threads: int):
-    scene = scene_from_config(cfg)
+def _run_detect(cfg: RunConfig):
+    scene = scene_from_config(cfg).replace(fluctuating_target=False)
     design = maximize_illumination(scene)
     dets = [DetectionConfig(false_alarm_rate=pf) for pf in cfg.pf_list]
-    seeds = np.random.SeedSequence(cfg.seed).spawn(len(cfg.snr_db_list))
-
-    def one(task):
-        snr_db, seed_seq = task
-        snr = 10.0 ** (snr_db / 10.0)
-        # Calibrate the target gain so the matched-filter SNR hits the grid value.
-        gain_var = snr * scene.noise_power_sensing / (scene.rx.num_elements * design.power)
-        mc_scene = scene.replace(target_gain_var=gain_var, fluctuating_target=False)
-        seed = int(seed_seq.generate_state(1)[0])
-        mcs = glrt_monte_carlo(mc_scene, design.w, design.phi, cfg.trials, dets, seed)
-        return [(snr_db, det.false_alarm_rate, detection_probability(snr, det),
-                 mc.empirical_pd, mc.empirical_pf) for det, mc in zip(dets, mcs)]
-
-    # One task per SNR point; its rows cover every Pf (an empty pf_list has none).
-    points = _ordered_map(one, zip(cfg.snr_db_list, seeds), threads) if dets else []
-    results = [row for rows in points for row in rows]
+    snrs = [10.0 ** (snr_db / 10.0) for snr_db in cfg.snr_db_list]
+    # Calibrate the target gain so the matched-filter SNR hits each grid value.
+    gain_vars = [snr * scene.noise_power_sensing / (scene.rx.num_elements * design.power)
+                 for snr in snrs]
+    # One draw serves every SNR point; its seed is the first child of the config seed.
+    seed = int(np.random.SeedSequence(cfg.seed).spawn(1)[0].generate_state(1)[0])
+    points = [(snr_db, snr, det) for snr_db, snr in zip(cfg.snr_db_list, snrs) for det in dets]
+    mcs = (glrt_monte_carlo(scene, design.w, design.phi, cfg.trials, dets, seed, gain_vars)
+           if points else [])  # an empty grid has no rows
+    results = [(snr_db, det.false_alarm_rate, detection_probability(snr, det),
+                mc.empirical_pd, mc.empirical_pf)
+               for (snr_db, snr, det), mc in zip(points, mcs)]
     csv_rows = [r[:4] for r in results]
     diag = {
         "illumination_power": design.power,
@@ -112,7 +99,7 @@ def _run_detect(cfg: RunConfig, threads: int):
     return {"": (CSV_HEADERS["detect"], csv_rows)}, diag
 
 
-def _run_isac_tradeoff(cfg: RunConfig, threads: int):
+def _run_isac_tradeoff(cfg: RunConfig):
     scene = scene_from_config(cfg)
     angles = angles_from_geometry(scene)
     a_t = steering_vector(scene.tx, angles.theta1)
@@ -138,7 +125,7 @@ def _run_isac_tradeoff(cfg: RunConfig, threads: int):
     return {"": (CSV_HEADERS["isac-tradeoff"], csv_rows)}, {"max_rate_bits": max_rate}
 
 
-def _run_ris_isac_tradeoff(cfg: RunConfig, threads: int):
+def _run_ris_isac_tradeoff(cfg: RunConfig):
     scenario = RisIsacScenario.from_scene(scene_from_config(cfg))
     result = ri.ris_isac_tradeoff(scenario, cfg.coupling, cfg.ris_modes, cfg.r0_points, cfg.seed)
     diag = {}
@@ -150,7 +137,7 @@ def _run_ris_isac_tradeoff(cfg: RunConfig, threads: int):
     return {"": (CSV_HEADERS["ris-isac-tradeoff"], csv_rows)}, diag
 
 
-def _run_beampattern(cfg: RunConfig, threads: int):
+def _run_beampattern(cfg: RunConfig):
     scene = scene_from_config(cfg)
     angles = angles_from_geometry(scene)
     width = math.radians(cfg.beam_width_deg)
@@ -228,14 +215,13 @@ print("wrote {experiment}.png")
 """
 
 
-def run_experiment(cfg: RunConfig, out_dir: Path, threads: int = 1,
-                   emit_plot_script: bool = False) -> dict:
+def run_experiment(cfg: RunConfig, out_dir: Path, emit_plot_script: bool = False) -> dict:
     """Run one experiment; writes CSV file(s) plus a JSON summary."""
     cfg.validate()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
-    tables, diagnostics = _RUNNERS[cfg.experiment](cfg, threads)
+    tables, diagnostics = _RUNNERS[cfg.experiment](cfg)
     elapsed = time.perf_counter() - started
 
     written = []
@@ -269,8 +255,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", type=Path, default=None, help="key = value config file")
     parser.add_argument("--out", type=Path, default=Path("."), help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads for "
-                        "detect's SNR points; other experiments run serially")
+    parser.add_argument("--threads", type=int, default=1, help="accepted for compatibility "
+                        "(must be >= 1); has no effect, every experiment runs serially")
     parser.add_argument("--emit-plot-script", action="store_true",
                         help="write a matplotlib quick-look script next to the CSV")
     return parser
@@ -302,8 +288,7 @@ def main(argv=None) -> int:
             cfg.seed = args.seed
         if args.threads < 1:
             raise ConfigError("--threads must be >= 1")
-        run_experiment(cfg, args.out, threads=args.threads,
-                       emit_plot_script=args.emit_plot_script)
+        run_experiment(cfg, args.out, emit_plot_script=args.emit_plot_script)
         return 0
     except Exception as exc:  # error contract: machine-readable JSON, nonzero exit
         error = {"error": type(exc).__name__, "detail": str(exc)}

@@ -14,6 +14,7 @@ channel terms once per curve; only the two branch coefficients vary.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import Sequence
 
@@ -66,8 +67,9 @@ class IsacScenario:
             if not val > 0:
                 raise ValueError(f"{name} must be positive")
 
-    @property
+    @functools.cached_property
     def adot_norm_sq(self) -> float:
+        """||adot_r||^2, cached on first read: a_r_dot must not be reassigned after it."""
         return float(np.real(np.vdot(self.a_r_dot, self.a_r_dot)))
 
     @property

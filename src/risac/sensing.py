@@ -27,8 +27,12 @@ statistic depends on:
   is still drawn, and eta g has the law of eta |g|, so the statistic stays
   in real arithmetic.
 
-One call draws each statistic once and thresholds it at every requested
-false-alarm rate, so its Pf and Pd estimates are monotone in the threshold.
+One call builds the channel once, draws each statistic once and thresholds
+it at every requested false-alarm rate and every target gain variance, in
+the draw order E, (eta,) x, y: common random numbers. So its Pf and Pd
+estimates are monotone in the threshold, and each row is exact in law, but
+the rows of different gains are correlated, and for a given draw Pd is not
+guaranteed monotone in SNR.
 
 The analytic detection probability Q1(sqrt(2 SNR), sqrt(2 gamma)) is a
 Poisson mixture evaluated with numpy and ``math`` only (``marcum_q1``).
@@ -317,11 +321,22 @@ class GlrtResult:
 
 
 class GlrtResults(list):
-    """One ``GlrtResult`` per detection config, in order, from one set of ``trials`` draws."""
+    """``GlrtResult`` rows of one ``glrt_monte_carlo`` call, from one set of ``trials`` draws.
+
+    Gain-major: the rows of the first target gain variance, one per detection
+    config in order, then those of the next. Every row shares the H0 draw, so
+    ``empirical_pf`` repeats across gains, and rows of different gains share
+    the H1 draw, so they are correlated.
+    """
 
     def __init__(self, results, trials: int):
         super().__init__(results)
         self.trials = trials
+
+
+# Trials per slice of the per-gain H1 work: its scratch stays in cache and
+# peak memory does not grow with the number of gains.
+_GLRT_SLICE = 1 << 14
 
 
 def glrt_monte_carlo(
@@ -331,6 +346,7 @@ def glrt_monte_carlo(
     trials: int,
     cfgs: Sequence[DetectionConfig],
     seed: int = 0,
+    target_gain_vars: Optional[Sequence[float]] = None,
 ) -> GlrtResults:
     """Monte Carlo energy test on the matched-filter output under H0 and H1.
 
@@ -348,8 +364,17 @@ def glrt_monte_carlo(
       sigma_eta |g| / sqrt(2) times two standard normals.
 
     Draw order: E; then, for a fluctuating target, the in-phase and the
-    quadrature part of eta; then x, y. Every ``cfg.threshold`` of ``cfgs`` (a
-    lone config reads as ``[cfg]``) is applied to these same draws.
+    quadrature part of eta; then x, y. The channel is built once, and these
+    same draws serve every target gain variance sigma_eta^2 of
+    ``target_gain_vars`` (None reads as ``(scene.target_gain_var,)``) and
+    every ``cfg.threshold`` of ``cfgs`` (a lone config reads as ``[cfg]``).
+    The result is gain-major, ``len(target_gain_vars) * len(cfgs)`` rows.
+
+    Common random numbers: each row is exact in law, and equals the call
+    with that gain alone and the same seed, but rows are correlated across
+    gains. Pd is monotone in the threshold for one draw. It is not
+    guaranteed monotone in sigma_eta^2: (m_x + s x)^2 falls as m_x grows
+    wherever s x < -m_x.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -357,6 +382,11 @@ def glrt_monte_carlo(
     gammas = [cfg.threshold for cfg in cfgs]
     if not gammas:
         raise ValueError("cfgs must hold at least one DetectionConfig")
+    gains = (scene.target_gain_var,) if target_gain_vars is None else tuple(target_gain_vars)
+    if not gains:
+        raise ValueError("target_gain_vars must hold at least one variance")
+    if not all(math.isfinite(g) and g >= 0.0 for g in gains):
+        raise ValueError("target gain variances must be finite and nonnegative")
     rng = np.random.default_rng(seed)
     angles = angles_from_geometry(scene)
     h_t, _ = build_sensing_channels(scene, phi)
@@ -367,32 +397,48 @@ def glrt_monte_carlo(
     noise_var = scene.noise_power_sensing
     out_var = noise_var * float(np.real(np.vdot(v, v)))  # sigma_out^2
     s = math.sqrt(0.5 * out_var)
-    sigma_eta = math.sqrt(scene.target_gain_var)
     buf = np.empty(trials)
-
-    def energy(mean, out):
-        """(mean + s z)^2 with z standard normal, written into ``out``."""
-        rng.standard_normal(out=out)
-        out *= s
-        out += mean
-        return np.square(out, out=out)
 
     # H0: noise only.
     rng.standard_exponential(out=buf)
     buf *= out_var / noise_var
     pfs = [np.count_nonzero(buf > gamma) / trials for gamma in gammas]
-    # H1: target echo plus noise.
-    if scene.fluctuating_target:
-        amp = sigma_eta * echo_amp / math.sqrt(2.0)
-        m_x = amp * rng.standard_normal(trials)
-        m_y = amp * rng.standard_normal(trials)
-    else:
-        m_x, m_y = sigma_eta * echo_amp, 0.0
-    stat_h1 = energy(m_x, np.empty(trials))
-    stat_h1 += energy(m_y, buf)
-    stat_h1 /= noise_var
-    pds = [np.count_nonzero(stat_h1 > gamma) / trials for gamma in gammas]
-    return GlrtResults((GlrtResult(pf, pd, trials) for pf, pd in zip(pfs, pds)), trials)
+    # H1: one draw of the target and the noise serves every gain.
+    fluctuating = scene.fluctuating_target
+    if fluctuating:
+        eta_x = rng.standard_normal(trials)
+        eta_y = rng.standard_normal(trials)
+    sx = rng.standard_normal(trials)
+    sx *= s
+    rng.standard_normal(out=buf)
+    buf *= s  # s y; for a fixed target only (s y)^2 is read
+    if not fluctuating:
+        np.square(buf, out=buf)
+    work = np.empty((2, min(trials, _GLRT_SLICE)))
+    rows = []
+    for gain in gains:
+        sigma_eta = math.sqrt(gain)
+        amp = sigma_eta * echo_amp / math.sqrt(2.0) if fluctuating else sigma_eta * echo_amp
+        hits = [0] * len(gammas)
+        for lo in range(0, trials, _GLRT_SLICE):
+            hi = min(lo + _GLRT_SLICE, trials)
+            stat, tmp = work[:, :hi - lo]
+            if fluctuating:  # (amp eta_x + s x)^2 + (amp eta_y + s y)^2
+                np.multiply(eta_x[lo:hi], amp, out=stat)
+                stat += sx[lo:hi]
+                np.square(stat, out=stat)
+                np.multiply(eta_y[lo:hi], amp, out=tmp)
+                tmp += buf[lo:hi]
+                stat += np.square(tmp, out=tmp)
+            else:  # (amp + s x)^2 + (s y)^2
+                np.add(sx[lo:hi], amp, out=stat)
+                np.square(stat, out=stat)
+                stat += buf[lo:hi]
+            stat /= noise_var
+            for j, gamma in enumerate(gammas):
+                hits[j] += np.count_nonzero(stat > gamma)
+        rows.extend(GlrtResult(pf, n / trials, trials) for pf, n in zip(pfs, hits))
+    return GlrtResults(rows, trials)
 
 
 def crb_angle(snr: float, samples: int, adot_norm_sq: float, l_s: int) -> float:

@@ -155,6 +155,34 @@ def test_detect_rows_are_monotone_in_the_false_alarm_rate(tmp_path):
             assert pfs[i] >= pfs[i + 1], (seed, loose["snr_db"])
 
 
+def test_default_detect_agrees_with_marcum_q_at_seeds_0_to_9(tmp_path):
+    # The benchmark's detect check: each row's Monte Carlo Pd and Pf lie
+    # within 5 binomial standard errors (variance floored at 1/trials) of
+    # the formula, although one draw serves every SNR point.
+    def z(empirical, p, trials):
+        return abs(empirical - p) / math.sqrt(max(p * (1.0 - p), 1.0 / trials) / trials)
+
+    for seed in range(10):
+        cfg = RunConfig(experiment="detect", seed=seed)
+        diag = cli.run_experiment(cfg, tmp_path / str(seed))["diagnostics"]
+        _, rows = _rows((tmp_path / str(seed) / "detect.csv").read_bytes())
+        pfs = list(diag["empirical_pf"].values())
+        assert len(rows) == len(pfs) == len(cfg.snr_db_list) * len(cfg.pf_list)
+        for row, pf_mc in zip(rows, pfs):
+            assert z(float(row["pd_mc"]), float(row["pd_formula"]), cfg.trials) <= 5.0, (seed, row)
+            assert z(pf_mc, float(row["pf"]), cfg.trials) <= 5.0, (seed, row, pf_mc)
+
+
+def test_detect_first_snr_point_keeps_its_draw(tmp_path):
+    # The shared draw is seeded with the first child of the config seed, the
+    # seed the first SNR point had when each point drew its own; its cells
+    # are pinned at the default config.
+    cli.run_experiment(RunConfig(experiment="detect"), tmp_path)
+    _, rows = _rows((tmp_path / "detect.csv").read_bytes())
+    assert [(r["snr_db"], r["pf"], r["pd_mc"]) for r in rows[:2]] == [
+        ("0.0", "0.1", "0.33632"), ("0.0", "0.01", "0.08434")]
+
+
 def test_detect_with_an_empty_grid_writes_only_the_header(tmp_path):
     for grid in ("pf_list =\n", "snr_db_list =\n"):
         code, csv_bytes, summary = _run_cli(tmp_path, "detect", TINY + grid, grid[:3])
@@ -299,19 +327,26 @@ def test_detect_process_loads_no_scipy(tmp_path):
     assert (tmp_path / "out" / "detect.csv").read_text().count("\n") == 1 + rows
 
 
-def test_import_loads_no_thread_pool():
-    # The pool is imported only when --threads > 1; it would load logging too.
+def test_import_loads_no_thread_pool(tmp_path):
+    # Every experiment runs serially; --threads is accepted and ignored. A
+    # thread pool would load logging too, about 8 ms of a cold start.
+    config = tmp_path / "detect.cfg"
+    config.write_text(TINY + "trials = 200\n")
     probe = (
         "import sys, risac, risac.cli\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] in "
-        "('concurrent', 'logging')))\n"
+        "pools = lambda: sorted(m for m in sys.modules if m.split('.')[0] in "
+        "('concurrent', 'logging'))\n"
+        "print(pools())\n"
+        f"code = risac.cli.main(['detect', '--config', {str(config)!r}, "
+        f"'--out', {str(tmp_path / 'out')!r}, '--threads', '4'])\n"
+        "print(code, pools())\n"
     )
-    assert _fresh_python("-c", probe).stdout.strip() == "[]"
+    assert _fresh_python("-c", probe).stdout.splitlines() == ["[]", "0 []"]
 
 
 def test_detect_cold_process_threads_match(tmp_path):
-    # In a fresh process the first Marcum-Q calls happen inside the worker
-    # threads; the CSV must not depend on the thread count.
+    # In a fresh process the first Marcum-Q calls happen during the run;
+    # the CSV must not depend on the --threads value it is given.
     config = tmp_path / "detect.cfg"
     config.write_text(TINY + "trials = 2000\n")
     outputs = {}

@@ -612,6 +612,33 @@ class TestGlrt:
         lone = glrt_monte_carlo(tuned, design.w, design.phi, 20000, cfgs[1], seed=8)
         assert lone == [both[1]]
 
+    @pytest.mark.parametrize("fluctuating", [False, True])
+    def test_several_gains_read_one_draw(self, calibrated, fluctuating):
+        # Common random numbers: the rows of each gain equal the call with
+        # that gain alone and the same seed, exactly. 40000 trials span two
+        # full slices of the per-gain work and a partial one.
+        scene, design = calibrated
+        scene = scene.replace(fluctuating_target=fluctuating)
+        gains = [0.0] + [at_snr(scene, design, 10.0 ** (db / 10.0)).target_gain_var
+                         for db in (0.0, 5.0, 10.0)]
+        cfgs = [DetectionConfig(0.1), DetectionConfig(0.01)]
+        rows = glrt_monte_carlo(scene, design.w, design.phi, 40000, cfgs, seed=8,
+                                target_gain_vars=gains)
+        assert len(rows) == len(gains) * len(cfgs) and rows.trials == 40000
+        for k, gain in enumerate(gains):
+            alone = glrt_monte_carlo(scene.replace(target_gain_var=gain), design.w,
+                                     design.phi, 40000, cfgs, seed=8)
+            assert rows[k * len(cfgs):(k + 1) * len(cfgs)] == alone, gain
+        # The H0 draw is shared too: Pf repeats across gains.
+        assert [r.empirical_pf for r in rows] == [r.empirical_pf for r in rows[:2]] * len(gains)
+
+    @pytest.mark.parametrize("gains", [[], [1.0, -1e-3], [math.nan], [math.inf]])
+    def test_bad_gain_variances_rejected(self, calibrated, gains):
+        scene, design = calibrated
+        with pytest.raises(ValueError, match="target"):
+            glrt_monte_carlo(scene, design.w, design.phi, 1000, [DetectionConfig(0.1)],
+                             seed=0, target_gain_vars=gains)
+
     @pytest.mark.parametrize(
         "fluctuating,counts",
         [(False, [(1000, 12197), (172, 7380)]), (True, [(1000, 9717), (172, 6599)])],
