@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from risac import optim
 from risac.optim import (
+    MEMORY,
     SolverConfig,
     _inner,
     _normalize,
@@ -135,8 +137,10 @@ def test_riemannian_descent_deterministic():
 
 
 # The plain numpy expressions the solver helpers were trimmed from. The
-# helpers must equal them bit for bit: the descent path is chaotic at
-# rounding level, so one changed rounding moves every design downstream.
+# helpers equal them bit for bit, so trimming them moved no output. One
+# changed rounding keeps the default design's solver path but moves its
+# pattern cells by up to 6.9e-7 relative, past the goldens' 1e-9 (see
+# tests/test_golden_outputs.py).
 def unit_modulus_reference(z):
     out = np.asarray(z, dtype=complex).copy()
     mags = np.abs(out)
@@ -251,3 +255,90 @@ def test_evaluations_count_every_call(manifold, start, fun, cfg):
     assert res.evaluations >= res.iterations + 1
     if res.stop == "no_descent":
         assert res.evaluations > 40
+
+
+def recorded_pushes(monkeypatch):
+    """Record (s^T y, pairs before, pairs after) for every pair the solver offers."""
+    log = []
+    push = optim._InverseHessian.push
+
+    def recorded(memory, s, y):
+        before = memory.count
+        push(memory, s, y)
+        log.append((float(s @ y), before, memory.count))
+
+    monkeypatch.setattr(optim._InverseHessian, "push", recorded)
+    return log
+
+
+def test_negative_curvature_pairs_are_not_stored(monkeypatch):
+    # -x^H Q x with Q > 0 is concave, so some steps meet s^T y <= 0.
+    log = recorded_pushes(monkeypatch)
+    rng = np.random.default_rng(0)
+    b = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    q = b.conj().T @ b
+
+    def concave(x):
+        qx = q @ x
+        return -float(np.vdot(x, qx).real), -qx
+
+    res = riemannian_descent(concave, "circle", np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 8)),
+                             SolverConfig(tol=1e-10))
+    assert any(sy <= 0.0 for sy, _, _ in log)
+    assert all(after == before + 1 for sy, before, after in log if sy > 0.0)
+    assert all(after == before for sy, before, after in log if sy <= 0.0)
+    assert np.all(np.diff(res.trace) <= 0.0)
+    assert res.stop in ("tol", "max_iter", "no_descent")
+    assert res.converged == (res.stop == "tol")
+
+
+def test_ill_conditioned_quadratic_runs_past_the_memory(monkeypatch):
+    # Weights from 1 to 1e4 on ||X - T||^2: the ambient Hessian has condition
+    # number 1e4, and the solve takes more than three memories of steps.
+    log = recorded_pushes(monkeypatch)
+    rng = np.random.default_rng(1)
+    shape = (100, 4)
+    w = np.logspace(0.0, 4.0, 400)
+    rng.shuffle(w)
+    w = w.reshape(shape)
+    target = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    def weighted_bowl(x):
+        return float(np.sum(w * np.abs(x - target) ** 2)), w * (x - target)
+
+    cfg = SolverConfig(tol=1e-7)
+    res = riemannian_descent(weighted_bowl, "oblique", np.ones(shape, dtype=complex), cfg)
+    assert res.iterations > 3 * MEMORY
+    assert res.converged and res.grad_norm <= cfg.tol * res.objective
+    assert max(after for _, _, after in log) == MEMORY
+    assert np.all(np.diff(res.trace) <= 0.0)
+
+
+def test_an_uphill_direction_clears_the_memory(monkeypatch):
+    # In exact arithmetic the stored pairs keep H positive definite; here H g
+    # is flipped once, after three pairs, to reach the restart that rounding
+    # could otherwise call for.
+    apply = optim._InverseHessian.apply
+    flipped, cleared = [], []
+
+    def flip_once(memory, g):
+        hg = apply(memory, g)
+        if memory.count == 3 and not flipped:
+            flipped.append(memory.count)
+            return -hg
+        return hg
+
+    clear = optim._InverseHessian.clear
+
+    def recorded_clear(memory):
+        cleared.append(memory.count)
+        clear(memory)
+
+    monkeypatch.setattr(optim._InverseHessian, "apply", flip_once)
+    monkeypatch.setattr(optim._InverseHessian, "clear", recorded_clear)
+    target = np.array([[1.0, -2.0j], [3.0, 0.5 + 1j], [-0.2j, 0.1]])
+    res = riemannian_descent(bowl(target), "oblique", np.ones((3, 2), dtype=complex),
+                             SolverConfig(tol=1e-8))
+    assert flipped == [3] and cleared == [3]
+    assert np.all(np.diff(res.trace) <= 0.0)
+    assert res.converged and res.stop == "tol"

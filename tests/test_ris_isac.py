@@ -247,6 +247,16 @@ class TestOptimizeProfile:
             res = optimize_ris_profile(shaped)
             assert res.objective <= grid_min + 1e-12 * abs(grid_min), (seed, res.objective)
 
+    @pytest.mark.parametrize("overrides, most", [
+        ({}, 25),                                  # measured: 13
+        (dict(n_ris=256, l_t=32, l_s=32), 60),     # measured: 34
+    ])
+    def test_weak_coupling_profile_work(self, overrides, most):
+        cfg = RunConfig(experiment="ris-isac-tradeoff", **overrides)
+        scenario = RisIsacScenario.from_scene(scene_from_config(cfg))
+        res = optimize_ris_profile(_apply_coupling(scenario, cfg.coupling))
+        assert res.converged and res.evaluations <= most
+
     def test_zero_ris_gain_returns_init(self):
         # F_t^H a_t is exactly zero, so the start is all ones, and the
         # objective does not depend on phi: the solver stops at once.
