@@ -245,18 +245,19 @@ def design_dual_waveform(
     scale = _loss_gradient(matched, None, spec, st)[0]
     best = {}
 
-    def consider(x_mat, phi_vec, h_vec):
+    def consider(x_mat, phi_vec, h_vec, loss):
         if _received_power(x_mat, h_vec) >= floor * (1.0 - _FEAS_TOL):
-            loss = _loss_gradient(x_mat, None, spec, st)[0]
             if not best or loss < best["loss"]:
                 best.update(x=x_mat, phi=phi_vec, h=h_vec, loss=loss)
 
     # Multiplier and penalty weight of the floor constraint 1 - h^H R h / floor <= 0.
     lam, rho = 0.0, 1.0
+    last = {}  # the latest Lagrangian point and its loss
 
     def lagrangian(x_mat):
         # Augmented Lagrangian of the loss, in units of the matched start's loss.
         loss, grad = _loss_gradient(x_mat, None, spec, st)
+        last.update(x=x_mat, loss=loss)
         v = x_mat.conj().T @ h_c
         mult = max(0.0, lam + rho * (1.0 - float(np.vdot(v, v).real) / floor))
         value = loss / scale + (mult * mult - lam * lam) / (2.0 * rho)
@@ -264,7 +265,7 @@ def design_dual_waveform(
             return value, grad / scale
         return value, grad / scale - (mult / floor) * np.outer(h_c, v.conj())
 
-    consider(matched, phi, h_c)
+    consider(matched, phi, h_c, scale)
     cfg = SolverConfig(tol=_TOL)
     # Start: the matched comm column plus a small seeded sensing part.
     x = np.column_stack([comm, 0.05 * (
@@ -283,7 +284,10 @@ def design_dual_waveform(
             phi = align_profile(x.conj().T @ scenario.h_bu, x.conj().T @ scenario.f_c)
             h_c = scenario.h_c(phi)
             viol = 1.0 - _received_power(x, h_c) / floor
-        consider(x, phi, h_c)
+        # The solver's last evaluation is at its end point unless a line search failed.
+        loss = (last["loss"] if np.array_equal(last["x"], x)
+                else _loss_gradient(x, None, spec, st)[0])
+        consider(x, phi, h_c, loss)
         lam_next = max(0.0, lam + rho * viol)
         if res.converged and viol <= _FEAS_TOL and (lam_next == 0.0 or viol >= -_FEAS_TOL):
             converged = True
