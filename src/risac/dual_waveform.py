@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .arrays import UlaGeometry, steering_vector
+from .arrays import UlaGeometry
 from .channels import RisIsacScenario, RisProfile, Scene, align_profile
 from .errors import InfeasibleSinrError
 from .optim import SolverConfig, riemannian_descent
@@ -107,7 +107,12 @@ class DualDesign:
 
 
 def _steering_matrix(geom: UlaGeometry, angles: np.ndarray) -> np.ndarray:
-    return np.column_stack([steering_vector(geom, a) for a in angles])
+    """Columns steering_vector(geom, angle) for each angle, by the same float operations."""
+    angles = np.asarray(angles, dtype=float).reshape(-1)
+    if not np.all(np.isfinite(angles)):
+        raise ValueError(f"angles must be finite, got {angles.tolist()!r}")
+    phase = (2.0 * np.pi * geom.spacing_wavelengths * geom.element_offsets)[:, None]
+    return np.exp(1j * (phase * np.sin(angles)))
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
