@@ -369,6 +369,24 @@ class TestDesign:
         with pytest.raises(ValueError, match="target_angles"):
             design_dual_waveform(scene, spec, 5.0)
 
+    def test_loss_is_computed_once_per_evaluation(self, monkeypatch):
+        # The matched start's loss is the Lagrangian scale and each end point's
+        # loss is that of the solver's last evaluation, so the design makes one
+        # loss-gradient product per solver evaluation plus the scale.
+        cfg, scene, spec = config_scene_and_spec()
+        calls = [0]
+        original = dw._loss_gradient
+
+        def counted(*args):
+            calls[0] += 1
+            return original(*args)
+
+        monkeypatch.setattr(dw, "_loss_gradient", counted)
+        design = design_dual_waveform(scene, spec, 10.0 ** (cfg.sinr_threshold_db / 10.0),
+                                      seed=cfg.seed)
+        assert design.stop != "no_descent"
+        assert calls[0] == design.evaluations + 1
+
     def test_deterministic_given_seed(self):
         scene = dual_scene()
         spec = default_spec(scene)
