@@ -334,13 +334,16 @@ def ris_isac_tradeoff(
     (at R0 = 0) equal the with-RIS run's, isolating the subspace-rotation
     part of the gain; an infinite CRB to match (one receive element has no
     angle information) raises ``DegenerateChannelError``. Each mode's rate
-    floors run from 0 to 97% of its max rate in ``r0_points`` steps, so
-    every floor is feasible. ``seed`` draws the reference comms direction
+    floors run from 0 to 97% of its max rate in ``r0_points >= 1`` steps,
+    so every floor is feasible, and "reference" calibrates from the R0 = 0
+    rows of the other two. ``seed`` draws the reference comms direction
     when the sensing channel leaves no orthogonal residual.
     """
     unknown = set(ris_modes) - {"with", "without", "reference"}
     if unknown:
         raise ValueError(f"unknown ris_modes: {sorted(unknown)}")
+    if r0_points < 1:
+        raise ValueError("r0_points must be >= 1")
     shaped = _apply_coupling(scenario, coupling)
     scene = shaped.scene
     solves, max_rate, profile = {}, {}, None
@@ -353,10 +356,17 @@ def ris_isac_tradeoff(
         bare = _zero_ris(shaped)
         solves["without"] = _crb_beamformer_at(bare, np.zeros(0))
         max_rate["without"] = _max_rate(scene, shaped.h_bu)
+    curves = {}  # mode -> (floors, rates, crbs)
+    for mode, solve in solves.items():
+        # Every grid starts at R0 = 0, where "reference" calibrates; a mode
+        # solved only for that calibration sweeps R0 = 0 alone.
+        floors = (np.linspace(0.0, 0.97 * max_rate[mode], r0_points) if mode in ris_modes
+                  else np.zeros(1))
+        curves[mode] = (floors, *solve(floors))
     if "reference" in ris_modes:
         # Scaling both direct gains by amp scales beta * dH/dtheta1 by amp^2,
         # so the angle CRB scales as 1/amp^4.
-        crbs = solves["without"]([0.0])[1][0], solves["with"]([0.0])[1][0]
+        crbs = curves["without"][2][0], curves["with"][2][0]
         if not all(map(math.isfinite, crbs)):
             raise DegenerateChannelError(f"the reference mode needs finite CRBs, got {crbs}")
         amp = (crbs[0] / crbs[1]) ** 0.25
@@ -376,10 +386,8 @@ def ris_isac_tradeoff(
         hc_norm = math.sqrt((2.0 ** max_rate["with"] - 1.0) * scene.noise_power_comms
                             / scene.transmit_power)
         ref.h_bu = hc_norm * (resid / np.linalg.norm(resid))
-        solves["reference"] = _crb_beamformer_at(ref, np.zeros(0))
         max_rate["reference"] = max_rate["with"]
-    rows = []
-    for mode in ris_modes:
-        grid = np.linspace(0.0, 0.97 * max_rate[mode], r0_points)
-        rows.extend(RisIsacRow(mode, coupling, *row) for row in zip(grid, *solves[mode](grid)))
+        floors = np.linspace(0.0, 0.97 * max_rate["reference"], r0_points)
+        curves["reference"] = (floors, *_crb_beamformer_at(ref, np.zeros(0))(floors))
+    rows = [RisIsacRow(mode, coupling, *row) for mode in ris_modes for row in zip(*curves[mode])]
     return RisIsacTradeoff(rows, {mode: max_rate[mode] for mode in ris_modes}, profile)

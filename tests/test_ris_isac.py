@@ -569,9 +569,9 @@ class TestTradeoffStructure:
 
     @pytest.mark.parametrize("coupling", ["weak", "strong"])
     def test_every_row_matches_the_fim_oracle(self, tmp_path, monkeypatch, coupling):
-        # Every solve of a default run (the three modes' rows and the two
-        # calibration solves of "reference") must give the CRB of the full
-        # 4 x 4 FIM at its beamformer. At strong coupling theta2 carries
+        # Every row of a default run (the three modes' sweeps; "reference"
+        # calibrates from the first rows of the other two) must give the CRB
+        # of the full 4 x 4 FIM at its beamformer. At strong coupling theta2 carries
         # 1e-22 to 1e-28 of the largest FIM diagonal and must still count.
         checked = []
         build = ri._crb_beamformer_at
@@ -593,14 +593,14 @@ class TestTradeoffStructure:
             cfg = RunConfig(experiment="ris-isac-tradeoff", coupling=coupling, seed=seed)
             run_experiment(cfg, tmp_path / str(seed))
         crb, oracle = np.array(checked).T
-        assert len(checked) == 10 * (3 * 25 + 2)
+        assert len(checked) == 10 * 3 * 25
         assert np.all(np.isfinite(oracle))
         np.testing.assert_allclose(crb, oracle, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("coupling", ["weak", "strong"])
     def test_sweeps_equal_the_per_floor_reference(self, tmp_path, monkeypatch, coupling):
-        # A default run makes five sweeps: one per mode and the two one-floor
-        # calibrations of "reference". At config seeds 0-9 every row's
+        # A default run makes three sweeps, one per mode: "reference"
+        # calibrates from the R0 = 0 rows of the other two. At config seeds 0-9 every row's
         # weights and rate equal the per-floor reference and its CRB is
         # kappa / |h_t^T w|^2 at the reference weights, bit for bit.
         beams, solves = [], []
@@ -627,7 +627,7 @@ class TestTradeoffStructure:
             solves.clear()
             cfg = RunConfig(experiment="ris-isac-tradeoff", coupling=coupling, seed=seed)
             run_experiment(cfg, tmp_path / str(seed))
-            assert [len(args[4]) for args, _ in beams] == [1, 1, 25, 25, 25]
+            assert [len(args[4]) for args, _ in beams] == [25, 25, 25]
             for ((h_t, h_c, p_t, sigma_c, floors), beam), (kappa, (rates, crbs)) in zip(
                     beams, solves):
                 assert np.array_equal(beam[2], rates)
@@ -672,8 +672,8 @@ class TestTradeoffStructure:
         # One coupling shaping and one profile solve serve every mode; kappa
         # is built for the tuned, the RIS-free and the reference channel, and
         # no row goes through the single-angle IsacScenario CRB. The closed
-        # form runs five times: one sweep per mode and the two one-floor
-        # calibrations of "reference", not once per row (77).
+        # form runs three times, one sweep per mode, not once per row (77);
+        # "reference" calibrates from the R0 = 0 rows of the other two.
         calls = {"_apply_coupling": 0, "optimize_ris_profile": 0, "_kappa": 0,
                  "max_illumination_beamformer": 0}
         for name in calls:
@@ -691,7 +691,7 @@ class TestTradeoffStructure:
         monkeypatch.setattr(isac, "isac_crb", forbidden)
         run_experiment(RunConfig(experiment="ris-isac-tradeoff"), tmp_path)
         assert calls == {"_apply_coupling": 1, "optimize_ris_profile": 1, "_kappa": 3,
-                         "max_illumination_beamformer": 5}
+                         "max_illumination_beamformer": 3}
 
     @pytest.mark.parametrize("coupling", ["weak", "strong"])
     def test_reference_without_angle_information_raises(self, coupling):
@@ -717,3 +717,26 @@ class TestTradeoffStructure:
                 assert row.rate >= row.rate_threshold - 1e-12 and math.isfinite(row.crb)
             assert rows[0].crb <= rows[1].crb * (1.0 + 1e-9)
         assert ris_isac_tradeoff(scenario, "weak", ["without"], 3).profile is None
+
+    @pytest.mark.parametrize("coupling", ["weak", "strong"])
+    def test_reference_alone_calibrates_from_one_floor_solves(self, monkeypatch, coupling):
+        # Without "with" and "without" rows to read R0 = 0 from, "reference"
+        # solves that floor alone for each, and its rows equal the full run's.
+        scenario = RisIsacScenario.from_scene(desk_scene(ris=UlaGeometry(8)))
+        full = ris_isac_tradeoff(scenario, coupling, r0_points=4)
+        lengths = []
+        sweep = ri.max_illumination_beamformer
+
+        def recorded(*args):
+            lengths.append(len(args[4]))
+            return sweep(*args)
+
+        monkeypatch.setattr(ri, "max_illumination_beamformer", recorded)
+        alone = ris_isac_tradeoff(scenario, coupling, ["reference"], 4)
+        assert lengths == [1, 1, 4]
+        assert alone.rows == [row for row in full.rows if row.mode == "reference"]
+
+    def test_rejects_an_empty_floor_grid(self):
+        scenario = RisIsacScenario.from_scene(desk_scene(ris=UlaGeometry(8)))
+        with pytest.raises(ValueError, match="r0_points"):
+            ris_isac_tradeoff(scenario, "weak", ["with"], 0)
