@@ -26,9 +26,7 @@ from .errors import (
 from .isac import (
     IsacScenario,
     IsacSolution,
-    achievable_rate,
     crb_min_beamformer,
-    isac_crb,
     make_coupled_channel,
     max_illumination_beamformer,
     tradeoff_curve,

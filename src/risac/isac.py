@@ -21,13 +21,10 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateChannelError, InfeasibleRateError
-from .sensing import Beamformer
 
 __all__ = [
     "IsacScenario",
     "IsacSolution",
-    "achievable_rate",
-    "isac_crb",
     "make_coupled_channel",
     "max_illumination_beamformer",
     "crb_min_beamformer",
@@ -86,32 +83,6 @@ class IsacSolution:
     boundary: np.ndarray
     rates: np.ndarray
     crbs: np.ndarray
-
-
-def achievable_rate(h_c: np.ndarray, w, noise_comms: float) -> float:
-    """Downlink rate log2(1 + |h_c^T w|^2 / sigma_c^2) in bits per use."""
-    h_c = np.asarray(h_c, dtype=complex).reshape(-1)
-    w_vec = w.weights if isinstance(w, Beamformer) else np.asarray(w, dtype=complex).reshape(-1)
-    if h_c.shape != w_vec.shape:
-        raise ValueError(f"dimension mismatch: {h_c.shape} vs {w_vec.shape}")
-    snr = float(np.abs(h_c @ w_vec) ** 2) / noise_comms
-    return math.log2(1.0 + snr)
-
-
-def isac_crb(w, scenario: IsacScenario) -> float:
-    """Angle CRB sigma_s^2 L_S / (2 T sigma_eta^2 ||adot_r||^2 |a_t^T w|^2)."""
-    w_vec = w.weights if isinstance(w, Beamformer) else np.asarray(w, dtype=complex).reshape(-1)
-    illum = float(np.abs(scenario.a_t @ w_vec) ** 2)
-    if illum == 0.0:
-        return math.inf
-    l_s = scenario.a_r.shape[0]
-    return scenario.noise_sensing * l_s / (
-        2.0
-        * scenario.samples
-        * scenario.target_gain_var
-        * scenario.adot_norm_sq
-        * illum
-    )
 
 
 def make_coupled_channel(
@@ -193,18 +164,25 @@ def max_illumination_beamformer(
     if np.any(norm_sq > p_t + 1e-9 * p_t):
         raise ValueError(f"weights exceed the power budget: ||w||^2 = {norm_sq.max():.6g} "
                          f"> {p_t:.6g}")
-    return weights, boundary, np.array([achievable_rate(h_c, w, sigma_c) for w in weights])
+    # Rate log2(1 + |h_c^T w|^2 / sigma_c^2) per row.
+    rates = [math.log2(1.0 + float(np.abs(h_c @ w) ** 2) / sigma_c) for w in weights]
+    return weights, boundary, np.array(rates)
 
 
 def crb_min_beamformer(scenario: IsacScenario, rate_thresholds) -> IsacSolution:
     """Minimize the angle CRB subject to each rate floor and a power budget.
 
     The CRB is inversely proportional to the illumination, so the optimum is
-    ``max_illumination_beamformer`` over the floors; this adds each row's CRB.
+    ``max_illumination_beamformer`` over the floors; this adds each row's CRB
+    sigma_s^2 L_S / (2 T sigma_eta^2 ||adot_r||^2 |a_t^T w|^2), infinite at
+    zero illumination.
     """
     weights, boundary, rates = max_illumination_beamformer(
         scenario.a_t, scenario.h_c, scenario.budget, scenario.noise_comms, rate_thresholds)
-    crbs = np.array([isac_crb(w, scenario) for w in weights])
+    num = scenario.noise_sensing * scenario.a_r.shape[0]
+    den = 2.0 * scenario.samples * scenario.target_gain_var * scenario.adot_norm_sq
+    illums = [float(np.abs(scenario.a_t @ w) ** 2) for w in weights]
+    crbs = np.array([num / (den * illum) if illum != 0.0 else math.inf for illum in illums])
     return IsacSolution(weights, boundary, rates, crbs)
 
 

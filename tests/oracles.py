@@ -13,8 +13,8 @@ from risac import (
     Beamformer,
     DegenerateChannelError,
     InfeasibleRateError,
+    IsacScenario,
     RisProfile,
-    achievable_rate,
     steering_vector,
 )
 
@@ -60,6 +60,36 @@ def rank_one_illumination_bound(a_t: np.ndarray, f_t: np.ndarray, power: float) 
         float(np.real(np.vdot(a_t, a_t)))
         + 2.0 * float(np.sum(np.abs(f_t.conj().T @ a_t)))
         + float(np.sum(np.linalg.norm(f_t, axis=0))) ** 2
+    )
+
+
+def achievable_rate(h_c: np.ndarray, w, noise_comms: float) -> float:
+    """Downlink rate log2(1 + |h_c^T w|^2 / sigma_c^2) in bits per use."""
+    h_c = np.asarray(h_c, dtype=complex).reshape(-1)
+    w_vec = w.weights if isinstance(w, Beamformer) else np.asarray(w, dtype=complex).reshape(-1)
+    if h_c.shape != w_vec.shape:
+        raise ValueError(f"dimension mismatch: {h_c.shape} vs {w_vec.shape}")
+    snr = float(np.abs(h_c @ w_vec) ** 2) / noise_comms
+    return math.log2(1.0 + snr)
+
+
+def isac_crb(w, scenario: IsacScenario) -> float:
+    """Angle CRB sigma_s^2 L_S / (2 T sigma_eta^2 ||adot_r||^2 |a_t^T w|^2) of one beam.
+
+    The per-row form that ``risac.isac.crb_min_beamformer`` inlines, kept as
+    its bit-for-bit reference.
+    """
+    w_vec = w.weights if isinstance(w, Beamformer) else np.asarray(w, dtype=complex).reshape(-1)
+    illum = float(np.abs(scenario.a_t @ w_vec) ** 2)
+    if illum == 0.0:
+        return math.inf
+    l_s = scenario.a_r.shape[0]
+    return scenario.noise_sensing * l_s / (
+        2.0
+        * scenario.samples
+        * scenario.target_gain_var
+        * scenario.adot_norm_sq
+        * illum
     )
 
 

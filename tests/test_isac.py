@@ -9,9 +9,7 @@ from risac import (
     InfeasibleRateError,
     IsacScenario,
     UlaGeometry,
-    achievable_rate,
     crb_min_beamformer,
-    isac_crb,
     make_coupled_channel,
     max_illumination_beamformer,
     steering_vector,
@@ -22,7 +20,7 @@ from risac.arrays import steering_derivative
 from risac.cli import run_experiment
 from risac.config import RunConfig
 
-from oracles import coupling_coefficient, max_illumination_reference
+from oracles import achievable_rate, coupling_coefficient, isac_crb, max_illumination_reference
 
 
 def table1_scenario(h_c=None, theta=0.0):

@@ -16,7 +16,6 @@ from risac import (
     optimize_ris_profile,
     ris_isac_tradeoff,
 )
-from risac import isac
 from risac import ris_isac as ri
 from risac.channels import _phi_vector
 from risac.cli import run_experiment
@@ -670,10 +669,9 @@ class TestTradeoffStructure:
     def test_default_run_shapes_once_and_builds_one_kappa_per_channel(
             self, tmp_path, monkeypatch):
         # One coupling shaping and one profile solve serve every mode; kappa
-        # is built for the tuned, the RIS-free and the reference channel, and
-        # no row goes through the single-angle IsacScenario CRB. The closed
-        # form runs three times, one sweep per mode, not once per row (77);
-        # "reference" calibrates from the R0 = 0 rows of the other two.
+        # is built for the tuned, the RIS-free and the reference channel. The
+        # closed form runs three times, one sweep per mode, not once per row
+        # (77); "reference" calibrates from the R0 = 0 rows of the other two.
         calls = {"_apply_coupling": 0, "optimize_ris_profile": 0, "_kappa": 0,
                  "max_illumination_beamformer": 0}
         for name in calls:
@@ -684,11 +682,6 @@ class TestTradeoffStructure:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(ri, name, counted)
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("a row called isac_crb")
-
-        monkeypatch.setattr(isac, "isac_crb", forbidden)
         run_experiment(RunConfig(experiment="ris-isac-tradeoff"), tmp_path)
         assert calls == {"_apply_coupling": 1, "optimize_ris_profile": 1, "_kappa": 3,
                          "max_illumination_beamformer": 3}
