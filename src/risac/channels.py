@@ -1,4 +1,4 @@
-"""Scene geometry and the one channel model h(phi) = a + F phi.
+"""Scene geometry and the one channel model h(phi) = a + g (r^T phi).
 
 Every channel is line of sight. Path-gain magnitudes follow a power-law
 amplitude d^(-exponent/2) with unit gain at 1 m (the reference constant is a
@@ -8,18 +8,23 @@ same scene is bit-for-bit reproducible.
 
 ``RisIsacScenario.from_scene`` is the one place a channel is composed. Each
 channel is affine in the RIS profile phi: a direct term a (path gain times a
-steering vector) plus F phi, where F = G diag(b) folds the rank-one BS-RIS
-dyad G = beta a(omega_t) b(omega_t)^H into the RIS response b toward the
-target (sensing) or the user (comms). Angles, gains and dyads are computed
-once per scene; each h_t, h_r or h_c is then one matrix-vector product.
-Sensing, ISAC and dual-waveform code all read their channels from it, and
-take every RIS profile from ``align_profile``, the closed-form maximizer of
-||a + F phi|| for a rank-one F.
+steering vector) plus F phi, where the RIS map F = g r^T is the rank-one dyad
+of the one reflected path. The array-side vector g = beta a(omega_t) carries
+the BS-RIS gain and steering; the RIS-side vector r = conj(b(omega_t)) * b
+folds the incident steering into the RIS response b toward the target
+(sensing) or the user (comms). The scenario stores the dyads (g, r), not F,
+so each h_t, h_r or h_c costs O(L + N): one dot product r^T phi and one
+scaled vector. The matrices F are derived on first read; only the coupling
+metric of ``ris_isac`` (``_coupling`` and its public matrix-argument
+wrappers) and the tests read them. Sensing, ISAC and dual-waveform code all
+read their channels from the scenario, and take every RIS profile from
+``align_profile(a, g, r)``, the closed-form maximizer of ||a + g (r^T phi)||.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import Optional
 
@@ -229,9 +234,19 @@ def _phi_vector(phi) -> np.ndarray:
     return np.asarray(phi, dtype=complex).reshape(-1)
 
 
+def _outer(g: str, r: str) -> functools.cached_property:
+    return functools.cached_property(lambda self: np.outer(getattr(self, g), getattr(self, r)))
+
+
 @dataclasses.dataclass(eq=False)
 class RisIsacScenario:
-    """Channel pieces of one scene: every channel is h(phi) = a + F phi.
+    """Channel pieces of one scene: every channel is h(phi) = a + g (r^T phi).
+
+    Each RIS map is the rank-one dyad F = g r^T of one reflected path: g is
+    array-side, the BS-RIS gain times the array's steering toward the RIS,
+    and r is RIS-side, conj(b(omega_t)) times the RIS response toward the
+    target or the user. The F matrices are derived on first read and must
+    not be assigned; replace g or r instead (``dataclasses.replace``).
 
     The direct terms carry their complex gains, so the coupling objective of
     ``ris_isac`` is a positive multiple of ||H^H h_c||^2 and minimizing it
@@ -242,13 +257,14 @@ class RisIsacScenario:
     a_t_term: np.ndarray      # alpha_t * a_t(theta1)
     a_r_term: np.ndarray      # alpha_r * a_r(theta1)
     h_bu: np.ndarray
-    f_t: np.ndarray           # G_t diag(b(theta2))
-    f_r: np.ndarray           # G_r diag(b(theta2))
-    f_c: np.ndarray           # G_t diag(h_RU)
+    g_t: np.ndarray           # beta_t * a_t(omega_t)
+    g_r: np.ndarray           # beta_r * a_r(omega_t)
+    g_c: np.ndarray           # g_t, until strong coupling rescales it
+    r_t: np.ndarray           # conj(b(omega_t)) * b(theta2)
+    r_c: np.ndarray           # conj(b(omega_t)) * h_RU
+    r_t_dot: np.ndarray       # conj(b(omega_t)) * bdot(theta2)
     a_t_dot_term: np.ndarray  # alpha_t * adot_t(theta1)
     a_r_dot_term: np.ndarray  # alpha_r * adot_r(theta1)
-    f_t_dot: np.ndarray       # G_t diag(bdot(theta2))
-    f_r_dot: np.ndarray       # G_r diag(bdot(theta2))
     beta: complex             # alpha_r * alpha_t
 
     @classmethod
@@ -261,55 +277,55 @@ class RisIsacScenario:
         adot_r = steering_derivative(scene.rx, angles.theta1)
         h_bu = gains.gain_bu * steering_vector(scene.tx, angles.theta_user_bs)
         if scene.n_ris:
-            # Rank-one dyads G = beta a(omega_t) b(omega_t)^H. The RIS side
+            # The BS-RIS leg is beta a(omega_t) b(omega_t)^H. The RIS side
             # reuses omega_t, the bearing of the RIS at the BS, as the source
             # model prints it.
-            a_t_ris = steering_vector(scene.tx, angles.omega_t)
-            a_r_ris = steering_vector(scene.rx, angles.omega_t)
-            b_in = steering_vector(scene.ris, angles.omega_t)
-            g_t = gains.beta_t * np.outer(a_t_ris, b_in.conj())
-            g_r = gains.beta_r * np.outer(a_r_ris, b_in.conj())
-            b = steering_vector(scene.ris, angles.theta2)
-            bdot = steering_derivative(scene.ris, angles.theta2)
+            g_t = gains.beta_t * steering_vector(scene.tx, angles.omega_t)
+            g_r = gains.beta_r * steering_vector(scene.rx, angles.omega_t)
+            b_in_conj = steering_vector(scene.ris, angles.omega_t).conj()
             h_ru = gains.gain_ru * steering_vector(scene.ris, angles.theta_user_ris)
-            f_t = g_t * b[np.newaxis, :]
-            f_r = g_r * b[np.newaxis, :]
-            f_c = g_t * h_ru[np.newaxis, :]
-            f_t_dot = g_t * bdot[np.newaxis, :]
-            f_r_dot = g_r * bdot[np.newaxis, :]
+            r_t = b_in_conj * steering_vector(scene.ris, angles.theta2)
+            r_c = b_in_conj * h_ru
+            r_t_dot = b_in_conj * steering_derivative(scene.ris, angles.theta2)
         else:
-            f_t = np.zeros((scene.tx.num_elements, 0), dtype=complex)
-            f_r = np.zeros((scene.rx.num_elements, 0), dtype=complex)
-            f_c = f_t.copy()
-            f_t_dot = f_t.copy()
-            f_r_dot = f_r.copy()
+            g_t = np.zeros(scene.tx.num_elements, dtype=complex)
+            g_r = np.zeros(scene.rx.num_elements, dtype=complex)
+            r_t = r_c = r_t_dot = np.zeros(0, dtype=complex)
         return cls(
             scene=scene,
             a_t_term=gains.alpha_t * a_t,
             a_r_term=gains.alpha_r * a_r,
             h_bu=h_bu,
-            f_t=f_t,
-            f_r=f_r,
-            f_c=f_c,
+            g_t=g_t,
+            g_r=g_r,
+            g_c=g_t,
+            r_t=r_t,
+            r_c=r_c,
+            r_t_dot=r_t_dot,
             a_t_dot_term=gains.alpha_t * adot_t,
             a_r_dot_term=gains.alpha_r * adot_r,
-            f_t_dot=f_t_dot,
-            f_r_dot=f_r_dot,
             beta=gains.alpha_r * gains.alpha_t,
         )
 
     @property
     def n_ris(self) -> int:
-        return self.f_t.shape[1]
+        return self.r_t.size
 
     def h_t(self, phi) -> np.ndarray:
-        return self.a_t_term + self.f_t @ _phi_vector(phi)
+        return self.a_t_term + self.g_t * (self.r_t @ _phi_vector(phi))
 
     def h_r(self, phi) -> np.ndarray:
-        return self.a_r_term + self.f_r @ _phi_vector(phi)
+        return self.a_r_term + self.g_r * (self.r_t @ _phi_vector(phi))
 
     def h_c(self, phi) -> np.ndarray:
-        return self.h_bu + self.f_c @ _phi_vector(phi)
+        return self.h_bu + self.g_c * (self.r_c @ _phi_vector(phi))
+
+    # The L x N RIS maps g r^T, derived on first read.
+    f_t = _outer("g_t", "r_t")
+    f_r = _outer("g_r", "r_t")
+    f_c = _outer("g_c", "r_c")
+    f_t_dot = _outer("g_t", "r_t_dot")
+    f_r_dot = _outer("g_r", "r_t_dot")
 
     def sensing_matrix(self, phi) -> np.ndarray:
         """H = h_r h_t^T / beta evaluated at the scene's true angles."""
@@ -326,19 +342,18 @@ def build_sensing_channels(scene: Scene, phi):
     return channel.h_t(phi), channel.h_r(phi)
 
 
-def align_profile(a: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Unit-modulus phi maximizing ||a + f phi|| for a rank-one f = g r^T.
+def align_profile(a: np.ndarray, g: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Unit-modulus phi maximizing ||a + g (r^T phi)||.
 
-    It puts s = r^T phi at |s| = ||r||_1 in phase with g^H a (Wu & Zhang, IEEE
-    TWC 2019): phi = f^H a / |f^H a| entrywise, since f^H a = conj(r) g^H a.
-    If f^H a = 0 every phase of s is optimal, and phi aligns the column sums
-    (sum_k g_k) r of f instead, or its largest row g_k r where sum_k g_k
-    cancels; f = 0 gives ones.
+    It puts s = r^T phi at |s| = ||r||_1 in phase with c = g^H a (Wu & Zhang,
+    IEEE TWC 2019): phi = conj(r) c / |conj(r) c| entrywise. If g^H a = 0
+    every phase of s is optimal, and c = conj(1^T g) picks one, or c = 1
+    where the sum of g is zero; g = 0 makes every phi optimal and gives
+    ones, as do the entries where r is zero.
     """
-    z = f.conj().T @ a
-    if np.any(z):
-        return _unit_modulus(z)
-    chain = f.sum(axis=0)
-    if np.sum(np.abs(chain)) < 1e-8 * np.sum(np.abs(f)):  # |sum_k g_k| < 1e-8 ||g||_1
-        chain = f[np.argmax(np.sum(np.abs(f), axis=1))]
-    return np.exp(-1j * np.angle(np.where(np.abs(chain) > 0, chain, 1.0)))
+    c = np.vdot(g, a)
+    if c == 0:
+        c = np.conj(np.sum(g))
+        if c == 0 and np.any(g):
+            c = 1.0
+    return _unit_modulus(r.conj() * c)

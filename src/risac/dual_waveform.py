@@ -14,9 +14,10 @@ h^H R h / sigma_c^2. The user-SINR floor is then the linear constraint
 h^H R h >= gamma sigma_c^2. When it binds, one augmented-Lagrangian
 multiplier enforces it (Liu & Boumal 2019) over ``optim.riemannian_descent``
 precoder solves. The RIS phases maximize h(phi)^H R h(phi) = ||X^H h_bu +
-(X^H F_c) phi||^2 exactly by ``channels.align_profile``, since X^H F_c is
-rank one. The steering matrices are built once per design, and the design
-carries its total, comm and sensing patterns on the spec's grid.
+(X^H g_c)(r_c^T phi)||^2 exactly by ``channels.align_profile``, since the
+RIS map F_c = g_c r_c^T is rank one. The steering matrices are built once
+per design, and the design carries its total, comm and sensing patterns on
+the spec's grid.
 """
 
 from __future__ import annotations
@@ -237,7 +238,7 @@ def design_dual_waveform(
 
     # Phase-align the RIS for the user, then check the SINR is reachable with
     # a matched unit-modulus precoder and no sensing interference.
-    phi = align_profile(scenario.h_bu, scenario.f_c)
+    phi = align_profile(scenario.h_bu, scenario.g_c, scenario.r_c)
     h_c = scenario.h_c(phi)
     max_sinr = float(np.sum(np.abs(h_c))) ** 2 / sigma_c
     if max_sinr < sinr_threshold:
@@ -286,7 +287,8 @@ def design_dual_waveform(
         viol = 1.0 - _received_power(x, h_c) / floor
         if lam + rho * viol > 0:
             # The floor is active: maximize h^H R h over the RIS phases.
-            phi = align_profile(x.conj().T @ scenario.h_bu, x.conj().T @ scenario.f_c)
+            phi = align_profile(x.conj().T @ scenario.h_bu, x.conj().T @ scenario.g_c,
+                                scenario.r_c)
             h_c = scenario.h_c(phi)
             viol = 1.0 - _received_power(x, h_c) / floor
         # The solver's last evaluation is at its end point unless a line search failed.

@@ -1,28 +1,30 @@
 """RIS-aided ISAC: coupling maximization, angle CRB, beamformer design.
 
-Every channel comes from ``channels.RisIsacScenario``, h(phi) = a + F phi.
-The RIS profile is tuned first to expand and rotate the sensing/comms
-subspaces (Riemannian descent on the circle manifold |phi_i| = 1), then the
-transmit beamformer minimizes the angle CRB under a rate floor in closed
-form. The nuisance gain beta contributes the FIM columns h_r s and i h_r s
-(s = h_t^T w), so eliminating it projects h_r out of the angle columns; the
-transmit-derivative terms lie along h_r and drop out. What remains is
-CRB(theta1) = kappa(phi) / |h_t(phi)^T w|^2, with kappa set by the receive
-side alone, so minimizing the CRB maximizes the illumination |h_t^T w|^2.
-With R = [adot_r-term, F_rdot phi] and R_perp its part orthogonal to h_r,
-kappa = [G^-1]_11 / (2T / sigma_s^2) for G = Re(R_perp^H R_perp).
+Every channel comes from ``channels.RisIsacScenario``, h(phi) = a + g (r^T phi)
+for the rank-one RIS map F = g r^T; the coupling metric (``_coupling``) is
+the one reader of the F matrices in ``risac``. The RIS profile is tuned
+first to expand and rotate the sensing/comms subspaces (Riemannian descent
+on the circle manifold |phi_i| = 1), then the transmit beamformer minimizes
+the angle CRB under a rate floor in closed form. The nuisance gain beta
+contributes the FIM columns h_r s and i h_r s (s = h_t^T w), so eliminating
+it projects h_r out of the angle columns; the transmit-derivative terms lie
+along h_r and drop out. What remains is CRB(theta1) = kappa(phi) /
+|h_t(phi)^T w|^2, with kappa set by the receive side alone, so minimizing
+the CRB maximizes the illumination |h_t^T w|^2. With R = [adot_r-term,
+g_r (rdot_t^T phi)] and R_perp its part orthogonal to h_r, kappa =
+[G^-1]_11 / (2T / sigma_s^2) for G = Re(R_perp^H R_perp).
 ``ris_isac_tradeoff`` runs the whole experiment: one coupling shaping, one
 profile solve, and kappa and one closed-form sweep per channel.
 ``fim_theta`` builds the full 4 x 4 FIM instead and is the independent
 reference the kappa form is tested against.
 
 The profile descent runs once, from phi_0 = ``channels.align_profile(a_t,
-F_t)``, F_t^H a_t / |F_t^H a_t| entrywise. Each RIS map is a rank-one dyad
-F_t = g r^T, so phi_0 puts r^T phi at its largest modulus ||r||_1,
-phase-aligned with the direct path: the optimal passive beamformer for one
-reflected path (Wu & Zhang, IEEE TWC 2019). Random starts reach about
-1/sqrt(N) of that modulus, and at strong coupling they stop in an interior
-basin. The profile does not depend on the config seed.
+g_t, r_t)``, conj(r_t) g_t^H a_t / |conj(r_t) g_t^H a_t| entrywise, which
+puts r_t^T phi at its largest modulus ||r_t||_1, phase-aligned with the
+direct path: the optimal passive beamformer for one reflected path (Wu &
+Zhang, IEEE TWC 2019). Random starts reach about 1/sqrt(N) of that modulus,
+and at strong coupling they stop in an interior basin. The profile does not
+depend on the config seed.
 """
 
 from __future__ import annotations
@@ -139,7 +141,7 @@ def optimize_ris_profile(scenario: RisIsacScenario) -> RisProfileResult:
     def fun(p):
         return _coupling(p, *args, adjoints=adjoints)
 
-    start = align_profile(scenario.a_t_term, scenario.f_t)
+    start = align_profile(scenario.a_t_term, scenario.g_t, scenario.r_t)
     res = riemannian_descent(fun, "circle", start)
     return RisProfileResult(
         phi=RisProfile(res.x),
@@ -171,8 +173,9 @@ def _fim_maps(scenario: RisIsacScenario, phi) -> list:
     h_r = scenario.h_r(phi_vec)
     dh_t_1 = scenario.a_t_dot_term
     dh_r_1 = scenario.a_r_dot_term
-    dh_t_2 = scenario.f_t_dot @ phi_vec
-    dh_r_2 = scenario.f_r_dot @ phi_vec
+    s_dot = scenario.r_t_dot @ phi_vec
+    dh_t_2 = scenario.g_t * s_dot
+    dh_r_2 = scenario.g_r * s_dot
     h_mat = scenario.sensing_matrix(phi_vec)
     c1 = np.outer(dh_r_1, h_t) + np.outer(h_r, dh_t_1)
     c2 = np.outer(dh_r_2, h_t) + np.outer(h_r, dh_t_2)
@@ -222,11 +225,12 @@ def _angle_crb(info: np.ndarray):
 def _kappa(scenario: RisIsacScenario, phi_vec: np.ndarray) -> float:
     """kappa(phi) of CRB(theta1) = kappa / |h_t^T w|^2 (module docstring); inf if singular.
 
-    theta2 enters only when F_rdot phi is not identically zero, so a missing
-    or zero-gain RIS leaves the single-angle 1 x 1 case.
+    theta2 enters only when F_rdot phi = g_r (rdot_t^T phi) is not
+    identically zero, so a missing or zero-gain RIS leaves the single-angle
+    1 x 1 case.
     """
     h_r = scenario.h_r(phi_vec)
-    dh_r_2 = scenario.f_r_dot @ phi_vec
+    dh_r_2 = scenario.g_r * (scenario.r_t_dot @ phi_vec)
     cols = [scenario.a_r_dot_term, dh_r_2] if np.any(dh_r_2) else [scenario.a_r_dot_term]
     r = np.column_stack(cols)
     r_perp = r - np.outer(h_r, (h_r.conj() @ r) / np.vdot(h_r, h_r))
@@ -292,25 +296,18 @@ def _apply_coupling(scenario: RisIsacScenario, coupling: str) -> RisIsacScenario
         raise ValueError("coupling must be 'strong' or 'weak'")
     phi0 = np.ones(scenario.n_ris, dtype=complex)
     h_t = scenario.h_t(phi0)
-    h_c_nat = scenario.h_c(phi0)
-    out = dataclasses.replace(scenario)
     if coupling == "strong":
-        scale = np.linalg.norm(h_c_nat) / np.linalg.norm(h_t)
-        out.h_bu = scale * scenario.a_t_term
-        out.f_c = scale * scenario.f_t
-    else:
-        h_t_hat = h_t / np.linalg.norm(h_t)
-        h_bu = scenario.h_bu
-        out.h_bu = h_bu - np.vdot(h_t_hat, h_bu) * h_t_hat
-    return out
+        scale = np.linalg.norm(scenario.h_c(phi0)) / np.linalg.norm(h_t)
+        return dataclasses.replace(scenario, h_bu=scale * scenario.a_t_term,
+                                   g_c=scale * scenario.g_t, r_c=scenario.r_t)
+    h_t_hat = h_t / np.linalg.norm(h_t)
+    h_bu = scenario.h_bu
+    return dataclasses.replace(scenario, h_bu=h_bu - np.vdot(h_t_hat, h_bu) * h_t_hat)
 
 
 def _zero_ris(scenario: RisIsacScenario) -> RisIsacScenario:
-    out = dataclasses.replace(scenario)
-    for name in ("f_t", "f_r", "f_c", "f_t_dot", "f_r_dot"):
-        mat = getattr(scenario, name)
-        setattr(out, name, np.zeros((mat.shape[0], 0), dtype=complex))
-    return out
+    none = np.zeros(0, dtype=complex)
+    return dataclasses.replace(scenario, r_t=none, r_c=none, r_t_dot=none)
 
 
 def _max_rate(scene, h_c: np.ndarray) -> float:

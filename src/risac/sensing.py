@@ -1,10 +1,10 @@
 """Target illumination, beamforming, detection, and angle-CRB metrics.
 
 Illumination is maximized in closed form. Every scene has one RIS with
-line-of-sight paths, so the RIS map F_t = g r^T is rank one and F_t phi = g s
+line-of-sight paths, so the RIS map F_t = g r^T is rank one and h_t = a + g s
 with s = r^T phi, |s| <= ||r||_1. The best profile puts |s| at ||r||_1 in
 phase with g^H a (``channels.align_profile``, after Wu & Zhang, IEEE TWC
-2019), and the best precoder is the matched filter of h_t = a + F_t phi.
+2019), and the best precoder is the matched filter of h_t.
 
 Detection follows an energy test on the matched filtered echo; the receive
 steering vector is normalized so the noise-only statistic is unit-mean
@@ -125,16 +125,16 @@ def maximize_illumination(scene: Scene) -> IlluminationResult:
 
     The RIS map is rank one, F_t = g r^T, so ||a + F_t phi||^2 = ||a + g s||^2
     with s = r^T phi and |s| <= ||r||_1. The maximum sits at |s| = ||r||_1
-    with s in phase with g^H a, and is P (||a||^2 + 2 ||F_t^H a||_1 +
-    (sum_i ||F_t e_i||)^2). ``channels.align_profile(a, F_t)`` reaches it; a
-    blocked direct path leaves every phase of s optimal, and a zero F_t
-    leaves phi = ones. The precoder is w = sqrt(P) h_t / ||h_t||. The
+    with s in phase with g^H a, and is P (||a||^2 + 2 |g^H a| ||r||_1 +
+    ||g||^2 ||r||_1^2). ``channels.align_profile(a, g, r)`` reaches it; a
+    blocked direct path leaves every phase of s optimal, and g = 0 leaves
+    phi = ones. The precoder is w = sqrt(P) h_t / ||h_t||. The
     scene's channel is built once per call. A channel that is identically
     zero raises ``DegenerateChannelError``.
     """
     channel = RisIsacScenario.from_scene(scene)
     p_t = scene.transmit_power
-    phi = align_profile(channel.a_t_term, channel.f_t)
+    phi = align_profile(channel.a_t_term, channel.g_t, channel.r_t)
     h_t = channel.h_t(phi)
     norm = float(np.linalg.norm(h_t))
     if norm == 0.0:
@@ -477,11 +477,12 @@ def trajectory_sweep(
 ):
     """Illumination power and CRB along a target trajectory for each mode.
 
-    Each waypoint's channel a_t + F_t phi is built once, and each mode is lit
-    as in ``maximize_illumination``, with power P ||h_t||^2: "ris_aided" keeps
-    (a_t, F_t), "ris_only" drops a_t, and "without_ris" drops the columns of
-    F_t. Blocked waypoints zero the direct path. A mode with no path to the
-    target has power 0 and an infinite CRB.
+    Each waypoint's channel a_t + g_t (r_t^T phi) is built once, and each mode
+    is lit as in ``maximize_illumination``, with power P ||h_t||^2:
+    "ris_aided" keeps (a_t, g_t, r_t), "ris_only" drops a_t, and
+    "without_ris" drops the entries of r_t. Blocked waypoints zero the
+    direct path. A mode with no path to the target has power 0 and an
+    infinite CRB.
     """
     if len(waypoints) == 0:
         raise ValueError("need at least one waypoint")
@@ -497,12 +498,12 @@ def trajectory_sweep(
             blocked_direct=bool(blk) or scene_template.blocked_direct,
         )
         channel = RisIsacScenario.from_scene(scene)
-        a_t, f_t = channel.a_t_term, channel.f_t
+        a_t, g, r_t = channel.a_t_term, channel.g_t, channel.r_t
         adot = steering_derivative(scene.rx, angles_from_geometry(scene).theta1)
         adot_sq = float(np.real(np.vdot(adot, adot)))
-        for mode, a, f in (("ris_aided", a_t, f_t), ("ris_only", np.zeros_like(a_t), f_t),
-                           ("without_ris", a_t, f_t[:, :0])):
-            h_t = a + f @ align_profile(a, f)
+        for mode, a, r in (("ris_aided", a_t, r_t), ("ris_only", np.zeros_like(a_t), r_t),
+                           ("without_ris", a_t, r_t[:0])):
+            h_t = a + g * (r @ align_profile(a, g, r))
             power = scene.transmit_power * float(np.linalg.norm(h_t)) ** 2
             snr = matched_filter_snr(power, scene)
             crb = crb_angle(snr, scene.samples, adot_sq, scene.rx.num_elements)

@@ -15,8 +15,11 @@ from risac import (
     InfeasibleRateError,
     IsacScenario,
     RisProfile,
+    angles_from_geometry,
+    steering_derivative,
     steering_vector,
 )
+from risac.channels import path_gains
 
 
 def illumination_power(h_t: np.ndarray, w) -> float:
@@ -47,6 +50,30 @@ def align_ris_phases(b_target: np.ndarray, b_incident: np.ndarray) -> RisProfile
         )
     terms = b_target.conj() * b_incident
     return RisProfile(np.exp(-1j * np.angle(terms)))
+
+
+def ris_maps_reference(scene) -> dict:
+    """The five L x N RIS maps of a scene, each formed as a matrix.
+
+    G = beta a(omega_t) b(omega_t)^H is the BS-RIS leg and F = G diag(b) folds
+    in the RIS response toward the target or the user: F_t, F_r and F_c use
+    b(theta2) and h_RU, and F_t_dot and F_r_dot use bdot(theta2). This is
+    how the scenario built them before it stored the dyads (g, r).
+    """
+    angles, gains = angles_from_geometry(scene), path_gains(scene)
+    b_in = steering_vector(scene.ris, angles.omega_t)
+    g_t = gains.beta_t * np.outer(steering_vector(scene.tx, angles.omega_t), b_in.conj())
+    g_r = gains.beta_r * np.outer(steering_vector(scene.rx, angles.omega_t), b_in.conj())
+    b = steering_vector(scene.ris, angles.theta2)
+    bdot = steering_derivative(scene.ris, angles.theta2)
+    h_ru = gains.gain_ru * steering_vector(scene.ris, angles.theta_user_ris)
+    return {
+        "f_t": g_t * b[np.newaxis, :],
+        "f_r": g_r * b[np.newaxis, :],
+        "f_c": g_t * h_ru[np.newaxis, :],
+        "f_t_dot": g_t * bdot[np.newaxis, :],
+        "f_r_dot": g_r * bdot[np.newaxis, :],
+    }
 
 
 def rank_one_illumination_bound(a_t: np.ndarray, f_t: np.ndarray, power: float) -> float:
@@ -212,26 +239,20 @@ def sinr_given_channel(h_c: np.ndarray, comm: np.ndarray, r_cov: np.ndarray,
     return num / (interference + noise_comms)
 
 
-def rank_one_coupling_grid(a_t, f_t, a_r, f_r, h_bu, f_c, radii=201, angles=720):
-    """Coupling objective on a polar grid of s = r^T phi, for a rank-one [F_t; F_r; F_c].
+def rank_one_coupling_grid(a_t, g_t, a_r, g_r, h_bu, g_c, r, radii=201, angles=720):
+    """Coupling objective on a polar grid of s = r^T phi, for RIS maps g r^T sharing r.
 
-    When the stacked RIS maps are sigma_1 g r^T, each F phi is a multiple of
-    s = r^T phi and the objective -||a_t + g_t s||^2 |(a_r + g_r s)^H (h_bu +
-    g_c s)|^2 is a closed form in s. Unit-modulus phi reach only |s| <=
-    ||r||_1, so the grid covers that disk, rim included. Returns (grid
-    minimum, ||r||_1, sigma_2 / sigma_1 of the stack).
+    When every RIS map is a dyad g r^T with the same r (strong coupling),
+    each F phi is g s with s = r^T phi, and the objective
+    -||a_t + g_t s||^2 |(a_r + g_r s)^H (h_bu + g_c s)|^2 is a closed form in
+    s. Unit-modulus phi reach only |s| <= ||r||_1, so the grid covers that
+    disk, rim included. Returns the grid minimum.
     """
-    stack = np.vstack([f_t, f_r, f_c])
-    u, sig, vh = np.linalg.svd(stack, full_matrices=False)
-    ratio = sig[1] / sig[0] if sig.size > 1 else 0.0
-    g = sig[0] * u[:, 0]
-    l_t, l_s = len(a_t), len(a_r)
-    g_t, g_r, g_c = g[:l_t], g[l_t:l_t + l_s], g[l_t + l_s:]
-    r_norm1 = float(np.sum(np.abs(vh[0])))
+    r_norm1 = float(np.sum(np.abs(r)))
     s = np.outer(np.linspace(0.0, r_norm1, radii),
                  np.exp(1j * np.linspace(0.0, 2.0 * np.pi, angles, endpoint=False)))
     norm_u_sq = (np.vdot(a_t, a_t).real + 2.0 * np.real(np.conj(s) * np.vdot(g_t, a_t))
                  + np.abs(s) ** 2 * np.vdot(g_t, g_t).real)
     inner = (np.vdot(a_r, h_bu) + s * np.vdot(a_r, g_c) + np.conj(s) * np.vdot(g_r, h_bu)
              + np.abs(s) ** 2 * np.vdot(g_r, g_c))
-    return float(np.min(-norm_u_sq * np.abs(inner) ** 2)), r_norm1, float(ratio)
+    return float(np.min(-norm_u_sq * np.abs(inner) ** 2))

@@ -14,8 +14,9 @@ from risac import (
     steering_vector,
 )
 from risac.channels import path_gains
+from risac.config import RunConfig, scene_from_config
 
-from oracles import rank_one_illumination_bound
+from oracles import rank_one_illumination_bound, ris_maps_reference
 
 
 def simple_scene(**overrides):
@@ -107,6 +108,22 @@ def test_dyads_are_rank_one():
     assert np.linalg.matrix_rank(channel.f_r) == 1
 
 
+@pytest.mark.parametrize("seed, scaled", [(seed, False) for seed in range(10)] + [(0, True)])
+def test_dyads_match_the_matrix_reference(seed, scaled):
+    # Each stored dyad (g, r) gives the RIS map the scenario used to build as
+    # a matrix, to rounding, at the config scenes and the scaled one.
+    sizes = {"n_ris": 256, "l_t": 32, "l_s": 32} if scaled else {}
+    scene = scene_from_config(RunConfig(seed=seed, **sizes))
+    channel = RisIsacScenario.from_scene(scene)
+    dyads = {"f_t": (channel.g_t, channel.r_t), "f_r": (channel.g_r, channel.r_t),
+             "f_c": (channel.g_c, channel.r_c), "f_t_dot": (channel.g_t, channel.r_t_dot),
+             "f_r_dot": (channel.g_r, channel.r_t_dot)}
+    for name, reference in ris_maps_reference(scene).items():
+        derived = getattr(channel, name)
+        assert np.array_equal(derived, np.outer(*dyads[name]))
+        np.testing.assert_allclose(derived, reference, rtol=1e-15, atol=0)
+
+
 def test_beta_amplitude_from_table_distances():
     scene = simple_scene()
     gains = path_gains(scene)
@@ -170,14 +187,16 @@ def test_ris_term_linear_in_profile():
 
 
 def test_channel_composition_bit_for_bit():
-    # Every channel is its direct term plus F phi, and the sensing builder
-    # returns exactly the object's h_t and h_r.
+    # Every channel is its direct term plus g (r^T phi), which is F phi to
+    # rounding, and the sensing builder returns exactly the object's h_t and h_r.
     scene = simple_scene()
     phi = RisProfile.from_angles(np.array([0.3, -1.0, 2.2]))
     channel = RisIsacScenario.from_scene(scene)
-    assert np.array_equal(channel.h_t(phi), channel.a_t_term + channel.f_t @ phi.phases)
-    assert np.array_equal(channel.h_r(phi), channel.a_r_term + channel.f_r @ phi.phases)
-    assert np.array_equal(channel.h_c(phi), channel.h_bu + channel.f_c @ phi.phases)
+    for h, a, g, r, f in ((channel.h_t, channel.a_t_term, channel.g_t, channel.r_t, channel.f_t),
+                          (channel.h_r, channel.a_r_term, channel.g_r, channel.r_t, channel.f_r),
+                          (channel.h_c, channel.h_bu, channel.g_c, channel.r_c, channel.f_c)):
+        assert np.array_equal(h(phi), a + g * (r @ phi.phases))
+        np.testing.assert_allclose(h(phi), a + f @ phi.phases, rtol=1e-14, atol=0)
     h_t, h_r = build_sensing_channels(scene, phi)
     assert np.array_equal(h_t, channel.h_t(phi))
     assert np.array_equal(h_r, channel.h_r(phi))
@@ -206,29 +225,33 @@ def test_profile_length_mismatch():
 
 
 @pytest.mark.parametrize(
-    "case", ["direct", "no-direct", "zero-ris", "sparse-r", "no-columns", "cancelling-sum"])
+    "case", ["direct", "no-direct", "zero-ris", "sparse-r", "no-columns", "cancelling-sum",
+             "zero-sum"])
 def test_align_profile_attains_the_rank_one_bound(case):
-    # For f = g r^T no unit-modulus profile beats the closed form, and it
-    # attains ||a||^2 + 2 ||f^H a||_1 + (sum_i ||f e_i||)^2. With a = 0 and
-    # sum_k g_k = 0 up to rounding, the phases of the column sums of f are
-    # noise, so the profile must come from a row of f.
+    # For F = g r^T no unit-modulus profile beats the closed form, and it
+    # attains ||a||^2 + 2 ||F^H a||_1 + (sum_i ||F e_i||)^2. With a = 0 every
+    # global phase is optimal, whether sum_k g_k is rounding noise or exactly
+    # zero, since the profile aligns r itself.
     rng = np.random.default_rng(11)
     l_t, n = 6, 0 if case == "no-columns" else 5
     for _ in range(5):
         a, g, r = (rng.standard_normal(m) + 1j * rng.standard_normal(m) for m in (l_t, l_t, n))
-        if case in ("no-direct", "cancelling-sum"):
+        if case in ("no-direct", "cancelling-sum", "zero-sum"):
             a = np.zeros(l_t, dtype=complex)
         if case == "cancelling-sum":
             g -= g.mean()
+        if case == "zero-sum":
+            g[1::2] = -g[::2]
+            assert np.sum(g) == 0
         if case == "zero-ris":
             g = np.zeros(l_t, dtype=complex)
         if case == "sparse-r":
             r[[1, 3]] = 0.0
-        f = np.outer(g, r)
-        phi = align_profile(a, f)
+        phi = align_profile(a, g, r)
         assert phi.shape == (n,) and np.allclose(np.abs(phi), 1.0, atol=1e-15)
         if case == "zero-ris":
             assert np.array_equal(phi, np.ones(n))
+        f = np.outer(g, r)
         h = a + f @ phi
         value = float(np.vdot(h, h).real)
         assert np.isclose(value, rank_one_illumination_bound(a, f, 1.0), rtol=1e-12, atol=0.0)

@@ -233,16 +233,17 @@ class TestOptimizeProfile:
             assert best["with"] <= best["without"] / 5.0, (seed, best)
 
     def test_strong_coupling_reaches_the_rank_one_optimum(self):
-        # At strong coupling [F_t; F_r; F_c] has rank one, so the objective is
-        # a function of s = r^T phi on the disk |s| <= ||r||_1; the descent
-        # must match or beat its minimum over a fine polar grid of that disk.
+        # At strong coupling every RIS map is g r_t^T with the same r_t, so the
+        # objective is a function of s = r_t^T phi on the disk |s| <= ||r_t||_1;
+        # the descent must match or beat its minimum over a fine polar grid of
+        # that disk.
         for seed in range(10):
             scene = scene_from_config(RunConfig(experiment="ris-isac-tradeoff", seed=seed))
             shaped = _apply_coupling(RisIsacScenario.from_scene(scene), "strong")
-            args = (shaped.a_t_term, shaped.f_t, shaped.a_r_term, shaped.f_r,
-                    shaped.h_bu, shaped.f_c)
-            grid_min, _, ratio = rank_one_coupling_grid(*args)
-            assert ratio <= 1e-12, (seed, ratio)
+            assert np.array_equal(shaped.r_c, shaped.r_t)
+            grid_min = rank_one_coupling_grid(
+                shaped.a_t_term, shaped.g_t, shaped.a_r_term, shaped.g_r, shaped.h_bu,
+                shaped.g_c, shaped.r_t)
             res = optimize_ris_profile(shaped)
             assert res.objective <= grid_min + 1e-12 * abs(grid_min), (seed, res.objective)
 
@@ -257,7 +258,7 @@ class TestOptimizeProfile:
         assert res.converged and res.evaluations <= most
 
     def test_zero_ris_gain_returns_init(self):
-        # F_t^H a_t is exactly zero, so the start is all ones, and the
+        # g_t is exactly zero, so the start is all ones, and the
         # objective does not depend on phi: the solver stops at once.
         scene = desk_scene(ris=UlaGeometry(6), ris_gain_override=0.0,
                            blocked_user_path=False)
