@@ -35,18 +35,22 @@ class UlaGeometry:
         return np.arange(self.num_elements) - (self.num_elements - 1) / 2.0
 
 
-def _check_angle(angle: float) -> float:
-    angle = float(angle)
-    if not math.isfinite(angle):
-        raise ValueError(f"angle must be finite, got {angle!r}")
-    return angle
+def _check_angle(angle) -> np.ndarray:
+    angles = np.asarray(angle, dtype=float)
+    if not all(map(math.isfinite, angles.flat)):
+        raise ValueError(f"angles must be finite, got {angles.tolist()!r}")
+    return angles
 
 
-def steering_vector(geom: UlaGeometry, angle: float) -> np.ndarray:
-    """Steering vector exp(j*2*pi*spacing*m_k*sin(angle)); unit-modulus entries, norm^2 = L."""
-    angle = _check_angle(angle)
-    phase = 2.0 * np.pi * geom.spacing_wavelengths * geom.element_offsets * np.sin(angle)
-    return np.exp(1j * phase)
+def steering_vector(geom: UlaGeometry, angle) -> np.ndarray:
+    """Steering vector exp(j*2*pi*spacing*m_k*sin(angle)); unit-modulus entries, norm^2 = L.
+
+    An array of K angles gives the L x K matrix whose column k is the
+    steering vector at angle k.
+    """
+    angles = _check_angle(angle)
+    offsets = 2.0 * np.pi * geom.spacing_wavelengths * geom.element_offsets
+    return np.exp(1j * np.multiply.outer(offsets, np.sin(angles)))
 
 
 def steering_derivative(geom: UlaGeometry, angle: float) -> np.ndarray:
@@ -55,7 +59,7 @@ def steering_derivative(geom: UlaGeometry, angle: float) -> np.ndarray:
     With centered indices the result is exactly orthogonal (Hermitian sense)
     to the steering vector at the same angle.
     """
-    angle = _check_angle(angle)
+    angle = float(_check_angle(angle))
     offs = geom.element_offsets
     scale = 2.0 * np.pi * geom.spacing_wavelengths
     phase = scale * offs * np.sin(angle)

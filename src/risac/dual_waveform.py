@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .arrays import UlaGeometry
+from .arrays import UlaGeometry, steering_vector
 from .channels import RisIsacScenario, RisProfile, Scene, align_profile
 from .errors import InfeasibleSinrError
 from .optim import SolverConfig, riemannian_descent
@@ -107,15 +107,6 @@ class DualDesign:
     stop: str                   # stop reason of the last precoder solve
 
 
-def _steering_matrix(geom: UlaGeometry, angles: np.ndarray) -> np.ndarray:
-    """Columns steering_vector(geom, angle) for each angle, by the same float operations."""
-    angles = np.asarray(angles, dtype=float).reshape(-1)
-    if not np.all(np.isfinite(angles)):
-        raise ValueError(f"angles must be finite, got {angles.tolist()!r}")
-    phase = (2.0 * np.pi * geom.spacing_wavelengths * geom.element_offsets)[:, None]
-    return np.exp(1j * (phase * np.sin(angles)))
-
-
 @dataclasses.dataclass(frozen=True, eq=False)
 class _Steering:
     """Steering matrices and constants of one (spec, array) pair, built once per design."""
@@ -129,8 +120,8 @@ class _Steering:
 
     @classmethod
     def build(cls, spec: BeampatternSpec, geom: UlaGeometry) -> "_Steering":
-        grid = _steering_matrix(geom, spec.grid)
-        targets = _steering_matrix(geom, spec.target_angles)
+        grid = steering_vector(geom, spec.grid)
+        targets = steering_vector(geom, spec.target_angles)
         return cls(
             grid, grid.conj().T, targets, targets.conj().T,
             np.triu_indices(spec.target_angles.size, 1),
@@ -157,7 +148,7 @@ def _best_tau(pattern: np.ndarray, desired: np.ndarray, denom: float) -> float:
 def autoscale_tau(r_cov: np.ndarray, spec: BeampatternSpec, geom: UlaGeometry) -> float:
     """Least-squares scale between the realized and desired patterns, clamped >= 0."""
     denom = _autoscale_denominator(spec.desired)
-    return _best_tau(_pattern(r_cov, _steering_matrix(geom, spec.grid)), spec.desired, denom)
+    return _best_tau(_pattern(r_cov, steering_vector(geom, spec.grid)), spec.desired, denom)
 
 
 def _received_power(x: np.ndarray, h: np.ndarray) -> float:

@@ -365,7 +365,7 @@ class TestDesign:
     def test_empty_target_set_raises_before_any_steering(self, monkeypatch):
         scene = dual_scene()
         spec = default_spec(scene, targets_deg=())
-        monkeypatch.setattr(dw, "_steering_matrix", None)  # any call would fail
+        monkeypatch.setattr(dw, "steering_vector", None)  # any call would fail
         with pytest.raises(ValueError, match="target_angles"):
             design_dual_waveform(scene, spec, 5.0)
 
@@ -399,31 +399,16 @@ class TestDesign:
         scene = dual_scene(tx=UlaGeometry(6), ris=UlaGeometry(4))
         spec = default_spec(scene, grid_points=21)
         builds = []
-        original = dw._steering_matrix
+        original = dw.steering_vector
 
         def counted(geom, angles):
             builds.append(len(angles))
             return original(geom, angles)
 
-        monkeypatch.setattr(dw, "_steering_matrix", counted)
+        monkeypatch.setattr(dw, "steering_vector", counted)
         design = design_dual_waveform(scene, spec, 5.0, seed=2)
         assert len(design.objective_trace) > 1
         assert builds == [spec.grid.size, spec.target_angles.size]
-
-    @pytest.mark.parametrize("elements, spacing", [(1, 0.5), (6, 0.5), (15, 0.37), (32, 0.5)])
-    def test_steering_matrix_equals_stacked_vectors_bitwise(self, elements, spacing):
-        geom = UlaGeometry(elements, spacing)
-        angles = np.concatenate([np.linspace(-np.pi / 2, np.pi / 2, 181),
-                                 np.random.default_rng(elements).uniform(-4.0, 4.0, 64)])
-        stacked = np.column_stack([steering_vector(geom, a) for a in angles])
-        built = dw._steering_matrix(geom, angles)
-        assert built.shape == stacked.shape
-        assert np.array_equal(built.view(np.int64), stacked.view(np.int64))
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_steering_matrix_rejects_non_finite_angles(self, bad):
-        with pytest.raises(ValueError, match="finite"):
-            dw._steering_matrix(UlaGeometry(4), [0.1, bad])
 
 
 def config_scene_and_spec(**overrides):
