@@ -14,7 +14,7 @@ the BS-RIS gain and steering; the RIS-side vector r = conj(b(omega_t)) * b
 folds the incident steering into the RIS response b toward the target
 (sensing) or the user (comms). The scenario stores the dyads (g, r), not F,
 so each h_t, h_r or h_c costs O(L + N): one dot product r^T phi and one
-scaled vector. The matrices F are derived on first read; only the coupling
+scaled vector. The matrices F are formed on each read; only the coupling
 metric of ``ris_isac`` (``_coupling`` and its public matrix-argument
 wrappers) and the tests read them. Sensing, ISAC and dual-waveform code all
 read their channels from the scenario, and take every RIS profile from
@@ -24,7 +24,6 @@ read their channels from the scenario, and take every RIS profile from
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 from typing import Optional
 
@@ -234,10 +233,6 @@ def _phi_vector(phi) -> np.ndarray:
     return np.asarray(phi, dtype=complex).reshape(-1)
 
 
-def _outer(g: str, r: str) -> functools.cached_property:
-    return functools.cached_property(lambda self: np.outer(getattr(self, g), getattr(self, r)))
-
-
 @dataclasses.dataclass(eq=False)
 class RisIsacScenario:
     """Channel pieces of one scene: every channel is h(phi) = a + g (r^T phi).
@@ -245,8 +240,7 @@ class RisIsacScenario:
     Each RIS map is the rank-one dyad F = g r^T of one reflected path: g is
     array-side, the BS-RIS gain times the array's steering toward the RIS,
     and r is RIS-side, conj(b(omega_t)) times the RIS response toward the
-    target or the user. The F matrices are derived on first read and must
-    not be assigned; replace g or r instead (``dataclasses.replace``).
+    target or the user. The F matrices are derived from (g, r) on each read.
 
     The direct terms carry their complex gains, so the coupling objective of
     ``ris_isac`` is a positive multiple of ||H^H h_c||^2 and minimizing it
@@ -320,12 +314,26 @@ class RisIsacScenario:
     def h_c(self, phi) -> np.ndarray:
         return self.h_bu + self.g_c * (self.r_c @ _phi_vector(phi))
 
-    # The L x N RIS maps g r^T, derived on first read.
-    f_t = _outer("g_t", "r_t")
-    f_r = _outer("g_r", "r_t")
-    f_c = _outer("g_c", "r_c")
-    f_t_dot = _outer("g_t", "r_t_dot")
-    f_r_dot = _outer("g_r", "r_t_dot")
+    # The L x N RIS maps g r^T, formed on each read.
+    @property
+    def f_t(self) -> np.ndarray:
+        return np.outer(self.g_t, self.r_t)
+
+    @property
+    def f_r(self) -> np.ndarray:
+        return np.outer(self.g_r, self.r_t)
+
+    @property
+    def f_c(self) -> np.ndarray:
+        return np.outer(self.g_c, self.r_c)
+
+    @property
+    def f_t_dot(self) -> np.ndarray:
+        return np.outer(self.g_t, self.r_t_dot)
+
+    @property
+    def f_r_dot(self) -> np.ndarray:
+        return np.outer(self.g_r, self.r_t_dot)
 
     def sensing_matrix(self, phi) -> np.ndarray:
         """H = h_r h_t^T / beta evaluated at the scene's true angles."""

@@ -134,9 +134,9 @@ def optimize_ris_profile(scenario: RisIsacScenario) -> RisProfileResult:
     RIS gain the start is all ones and is returned after 0 iterations). The
     trace is non-increasing; ``stop`` says why the solver ended.
     """
-    args = (scenario.a_t_term, scenario.f_t, scenario.a_r_term, scenario.f_r,
-            scenario.h_bu, scenario.f_c)
-    adjoints = (scenario.f_t.conj().T, scenario.f_r.conj().T, scenario.f_c.conj().T)
+    f_t, f_r, f_c = scenario.f_t, scenario.f_r, scenario.f_c
+    args = (scenario.a_t_term, f_t, scenario.a_r_term, f_r, scenario.h_bu, f_c)
+    adjoints = (f_t.conj().T, f_r.conj().T, f_c.conj().T)
 
     def fun(p):
         return _coupling(p, *args, adjoints=adjoints)
