@@ -387,6 +387,35 @@ class TestDesign:
         assert design.stop != "no_descent"
         assert calls[0] == design.evaluations + 1
 
+    def test_failed_line_search_takes_the_end_points_own_loss(self, monkeypatch):
+        # A solve that ends on a failed line search last evaluated a rejected
+        # trial point. Give that trial a loss lower than any real one: the
+        # design must still report the loss of the point it keeps.
+        cfg, scene, spec = config_scene_and_spec()
+        original_loss, original_descent = dw._loss_gradient, dw.riemannian_descent
+        trials, ends = [], []
+
+        def loss_gradient(x_mat, *args):
+            loss, grad = original_loss(x_mat, *args)
+            return (-1.0 if any(x_mat is t for t in trials) else loss), grad
+
+        def descent(fun, manifold, x0, cfg=None):
+            res = original_descent(fun, manifold, x0, cfg)
+            trials.append(0.5 * res.x)
+            fun(trials[-1])
+            ends.append(res.x)
+            res.stop = "no_descent"
+            return res
+
+        monkeypatch.setattr(dw, "_loss_gradient", loss_gradient)
+        monkeypatch.setattr(dw, "riemannian_descent", descent)
+        design = design_dual_waveform(scene, spec, 10.0 ** (cfg.sinr_threshold_db / 10.0),
+                                      seed=cfg.seed)
+        assert design.stop == "no_descent" and ends
+        kept = [x for x in ends if np.array_equal(x @ x.conj().T, design.covariance)]
+        assert kept, "the design keeps a solver end point"
+        assert design.loss == original_loss(kept[-1], None, spec, _Steering.build(spec, scene.tx))[0]
+
     def test_deterministic_given_seed(self):
         scene = dual_scene()
         spec = default_spec(scene)
