@@ -24,8 +24,6 @@ from .errors import (
     InfeasibleSinrError,
 )
 from .isac import (
-    IsacScenario,
-    IsacSolution,
     crb_min_beamformer,
     make_coupled_channel,
     max_illumination_beamformer,

@@ -327,14 +327,6 @@ class RisIsacScenario:
     def f_c(self) -> np.ndarray:
         return np.outer(self.g_c, self.r_c)
 
-    @property
-    def f_t_dot(self) -> np.ndarray:
-        return np.outer(self.g_t, self.r_t_dot)
-
-    @property
-    def f_r_dot(self) -> np.ndarray:
-        return np.outer(self.g_r, self.r_t_dot)
-
     def sensing_matrix(self, phi) -> np.ndarray:
         """H = h_r h_t^T / beta evaluated at the scene's true angles."""
         if self.beta == 0:

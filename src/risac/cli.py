@@ -102,24 +102,18 @@ def _run_detect(cfg: RunConfig):
 def _run_isac_tradeoff(cfg: RunConfig):
     scene = scene_from_config(cfg)
     angles = angles_from_geometry(scene)
-    a_t = steering_vector(scene.tx, angles.theta1)
-    scenario = isac_mod.IsacScenario(
-        a_t=a_t,
-        a_r=steering_vector(scene.rx, angles.theta1),
-        a_r_dot=steering_derivative(scene.rx, angles.theta1),
-        h_c=a_t,  # placeholder; the sweep substitutes coupled channels
-        noise_comms=scene.noise_power_comms,
-        noise_sensing=scene.noise_power_sensing,
-        target_gain_var=scene.target_gain_var,
-        samples=scene.samples,
-        budget=scene.transmit_power,
-    )
+    a_r_dot = steering_derivative(scene.rx, angles.theta1)
+    # CRB = kappa / |a_t^T w|^2 with kappa = sigma_s^2 L_S / (2 T sigma_eta^2 ||adot_r||^2);
+    # a target with no gain variance holds no angle information.
+    den = 2.0 * scene.samples * scene.target_gain_var * float(np.real(np.vdot(a_r_dot, a_r_dot)))
+    kappa = scene.noise_power_sensing * scene.rx.num_elements / den if den > 0.0 else math.inf
     gain = pathloss_amplitude(
         float(np.linalg.norm(np.asarray(cfg.target_position) - np.asarray(cfg.bs_position))),
         cfg.pathloss_exp_direct,
     )
     rows, max_rate = isac_mod.tradeoff_curve(
-        scenario, cfg.rho_list, cfg.r0_points, channel_gain=gain, seed=cfg.seed
+        steering_vector(scene.tx, angles.theta1), kappa, scene.transmit_power,
+        scene.noise_power_comms, cfg.rho_list, cfg.r0_points, channel_gain=gain, seed=cfg.seed
     )
     csv_rows = [(r.rho, r.rate_threshold, r.rate, r.crb) for r in rows]
     return {"": (CSV_HEADERS["isac-tradeoff"], csv_rows)}, {"max_rate_bits": max_rate}
@@ -262,21 +256,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _explicit_experiment(text: str) -> bool:
-    for raw_line in text.splitlines():
-        line = raw_line.split("#", 1)[0].strip()
-        if line.startswith("experiment") and "=" in line:
-            return True
-    return False
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.config is not None:
-            text = Path(args.config).read_text()
-            cfg = parse_config(text)
-            if _explicit_experiment(text) and cfg.experiment != args.experiment:
+            # Validate against the requested experiment; a line in the file wins.
+            cfg = parse_config(f"experiment = {args.experiment}\n" + Path(args.config).read_text())
+            if cfg.experiment != args.experiment:
                 raise ConfigError(
                     f"config file requests {cfg.experiment!r} but the "
                     f"command line asks for {args.experiment!r}"

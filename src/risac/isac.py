@@ -9,12 +9,14 @@ a_t may be any transmit channel vector, not only a unit-modulus steering
 vector: the solution maximizes the illumination |a_t^T w|^2, whatever the
 norm of a_t. Each solve takes a whole curve's rate floors and computes the
 channel terms once per curve; only the two branch coefficients vary.
+Both trade-offs, ``isac-tradeoff`` here and ``ris-isac-tradeoff`` in
+``ris_isac``, sweep their floors with ``crb_min_beamformer``, CRB = kappa /
+|a_t^T w|^2 with kappa independent of w.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 from typing import Sequence
 
@@ -23,66 +25,11 @@ import numpy as np
 from .errors import DegenerateChannelError, InfeasibleRateError
 
 __all__ = [
-    "IsacScenario",
-    "IsacSolution",
     "make_coupled_channel",
     "max_illumination_beamformer",
     "crb_min_beamformer",
     "tradeoff_curve",
 ]
-
-
-@dataclasses.dataclass(eq=False)
-class IsacScenario:
-    """Transmit channel (any vector), receive steering pieces, comms channel,
-    and noise/budget parameters."""
-
-    a_t: np.ndarray
-    a_r: np.ndarray
-    a_r_dot: np.ndarray
-    h_c: np.ndarray
-    noise_comms: float
-    noise_sensing: float
-    target_gain_var: float = 1.0
-    samples: int = 64
-    budget: float = 1.0
-
-    def __post_init__(self):
-        self.a_t = np.asarray(self.a_t, dtype=complex).reshape(-1)
-        self.a_r = np.asarray(self.a_r, dtype=complex).reshape(-1)
-        self.a_r_dot = np.asarray(self.a_r_dot, dtype=complex).reshape(-1)
-        self.h_c = np.asarray(self.h_c, dtype=complex).reshape(-1)
-        if self.h_c.shape != self.a_t.shape:
-            raise ValueError("h_c and a_t must have equal length L_T")
-        if self.a_r.shape != self.a_r_dot.shape:
-            raise ValueError("a_r and a_r_dot must have equal length L_S")
-        for val, name in [
-            (self.noise_comms, "noise_comms"),
-            (self.noise_sensing, "noise_sensing"),
-            (self.budget, "budget"),
-        ]:
-            if not val > 0:
-                raise ValueError(f"{name} must be positive")
-
-    @functools.cached_property
-    def adot_norm_sq(self) -> float:
-        """||adot_r||^2, cached on first read: a_r_dot must not be reassigned after it."""
-        return float(np.real(np.vdot(self.a_r_dot, self.a_r_dot)))
-
-    @property
-    def max_rate(self) -> float:
-        gain = float(np.real(np.vdot(self.h_c, self.h_c)))
-        return math.log2(1.0 + self.budget * gain / self.noise_comms)
-
-
-@dataclasses.dataclass(eq=False)
-class IsacSolution:
-    """One row per rate floor: (R, L_T) weights, boundary-branch mask, rates, CRBs."""
-
-    weights: np.ndarray
-    boundary: np.ndarray
-    rates: np.ndarray
-    crbs: np.ndarray
 
 
 def make_coupled_channel(
@@ -169,21 +116,17 @@ def max_illumination_beamformer(
     return weights, boundary, np.array(rates)
 
 
-def crb_min_beamformer(scenario: IsacScenario, rate_thresholds) -> IsacSolution:
-    """Minimize the angle CRB subject to each rate floor and a power budget.
+def crb_min_beamformer(a_t: np.ndarray, h_c: np.ndarray, kappa: float, p_t: float,
+                       sigma_c: float, rate_thresholds):
+    """Minimize the angle CRB kappa / |a_t^T w|^2 subject to each rate floor and the budget p_t.
 
-    The CRB is inversely proportional to the illumination, so the optimum is
-    ``max_illumination_beamformer`` over the floors; this adds each row's CRB
-    sigma_s^2 L_S / (2 T sigma_eta^2 ||adot_r||^2 |a_t^T w|^2), infinite at
-    zero illumination.
+    kappa does not depend on w, so the optimum is ``max_illumination_beamformer``
+    over the floors. Returns (rates, crbs), one per floor; a row's CRB is
+    infinite at zero illumination.
     """
-    weights, boundary, rates = max_illumination_beamformer(
-        scenario.a_t, scenario.h_c, scenario.budget, scenario.noise_comms, rate_thresholds)
-    num = scenario.noise_sensing * scenario.a_r.shape[0]
-    den = 2.0 * scenario.samples * scenario.target_gain_var * scenario.adot_norm_sq
-    illums = [float(np.abs(scenario.a_t @ w) ** 2) for w in weights]
-    crbs = np.array([num / (den * illum) if illum != 0.0 else math.inf for illum in illums])
-    return IsacSolution(weights, boundary, rates, crbs)
+    weights, _, rates = max_illumination_beamformer(a_t, h_c, p_t, sigma_c, rate_thresholds)
+    illums = [float(np.abs(a_t @ w) ** 2) for w in weights]
+    return rates, np.array([kappa / illum if illum > 0.0 else math.inf for illum in illums])
 
 
 @dataclasses.dataclass(frozen=True)
@@ -195,7 +138,10 @@ class TradeoffRow:
 
 
 def tradeoff_curve(
-    scenario_template: IsacScenario,
+    a_t: np.ndarray,
+    kappa: float,
+    p_t: float,
+    sigma_c: float,
     rho_list: Sequence[float],
     r0_points: int,
     channel_gain: float = 1.0,
@@ -213,14 +159,11 @@ def tradeoff_curve(
     """
     if len(rho_list) == 0 or r0_points < 1:
         raise ValueError("rho_list must be non-empty and r0_points >= 1")
-    max_rate = math.log2(
-        1.0 + scenario_template.budget * (channel_gain**2) * scenario_template.a_t.size
-        / scenario_template.noise_comms
-    )
+    max_rate = math.log2(1.0 + p_t * (channel_gain**2) * a_t.size / sigma_c)
     grid = np.linspace(0.0, 0.98 * max_rate, r0_points)
     rows = []
     for rho in rho_list:
-        h_c = make_coupled_channel(scenario_template.a_t, rho, seed=seed, gain=channel_gain)
-        sol = crb_min_beamformer(dataclasses.replace(scenario_template, h_c=h_c), grid)
-        rows.extend(TradeoffRow(rho, *row) for row in zip(grid, sol.rates, sol.crbs))
+        h_c = make_coupled_channel(a_t, rho, seed=seed, gain=channel_gain)
+        rates, crbs = crb_min_beamformer(a_t, h_c, kappa, p_t, sigma_c, grid)
+        rows.extend(TradeoffRow(rho, *row) for row in zip(grid, rates, crbs))
     return rows, max_rate

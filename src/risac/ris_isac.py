@@ -14,7 +14,8 @@ the CRB maximizes the illumination |h_t^T w|^2. With R = [adot_r-term,
 g_r (rdot_t^T phi)] and R_perp its part orthogonal to h_r, kappa =
 [G^-1]_11 / (2T / sigma_s^2) for G = Re(R_perp^H R_perp).
 ``ris_isac_tradeoff`` runs the whole experiment: one coupling shaping, one
-profile solve, and kappa and one closed-form sweep per channel.
+profile solve, and kappa and one closed-form sweep per channel; the sweep is
+``isac.crb_min_beamformer``, the one ``isac-tradeoff`` runs too.
 ``fim_theta`` builds the full 4 x 4 FIM instead and is the independent
 reference the kappa form is tested against.
 
@@ -37,7 +38,7 @@ import numpy as np
 
 from .channels import RisIsacScenario, RisProfile, _phi_vector, align_profile
 from .errors import DegenerateChannelError
-from .isac import max_illumination_beamformer
+from .isac import crb_min_beamformer
 from .optim import riemannian_descent
 from .sensing import Beamformer
 
@@ -243,11 +244,11 @@ def _crb_beamformer_at(scenario: RisIsacScenario, phi):
     """Minimizer of CRB(theta1) under the power budget, as a sweep over rate floors.
 
     CRB(theta1) = kappa(phi) / |h_t(phi)^T w|^2 with kappa independent of w,
-    so the optimum is ``max_illumination_beamformer`` for a_t = h_t(phi);
-    ``solve(floors)`` returns (rates, crbs), one per floor, and raises
-    ``InfeasibleRateError`` if any floor is above the max rate. kappa and the
-    channels are built once; the CRB is infinite at zero illumination or
-    singular angle information.
+    so ``solve(floors)`` is ``crb_min_beamformer`` for a_t = h_t(phi): it
+    returns (rates, crbs), one per floor, and raises ``InfeasibleRateError``
+    if any floor is above the max rate. kappa and the channels are built
+    once; the CRB is infinite at zero illumination or singular angle
+    information.
     """
     if scenario.beta == 0:
         raise DegenerateChannelError(
@@ -260,10 +261,8 @@ def _crb_beamformer_at(scenario: RisIsacScenario, phi):
     kappa = _kappa(scenario, phi_vec)
 
     def solve(rate_thresholds):
-        weights, _, rates = max_illumination_beamformer(
-            h_t, h_c, scene.transmit_power, scene.noise_power_comms, rate_thresholds)
-        illums = [float(np.abs(h_t @ w) ** 2) for w in weights]
-        return rates, [kappa / illum if illum > 0.0 else math.inf for illum in illums]
+        return crb_min_beamformer(h_t, h_c, kappa, scene.transmit_power,
+                                  scene.noise_power_comms, rate_thresholds)
 
     return solve
 

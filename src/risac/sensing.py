@@ -444,7 +444,11 @@ def glrt_monte_carlo(
 def crb_angle(snr: float, samples: int, adot_norm_sq: float, l_s: int) -> float:
     """Angle-estimation CRB: L_S / (2 T ||adot||^2) * (1/SNR + 1/SNR^2).
 
-    Zero SNR means no sensing is possible and returns infinity.
+    Zero SNR means no sensing is possible and returns infinity. This is not
+    the kappa / |a_t^T w|^2 form of ``isac.crb_min_beamformer``: that model
+    takes the target gain as a fixed unknown and keeps only the 1/SNR term,
+    while here the gain fluctuates (circular Gaussian), which adds the
+    1/SNR^2 term; the two agree only at high SNR.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")

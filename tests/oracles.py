@@ -13,7 +13,6 @@ from risac import (
     Beamformer,
     DegenerateChannelError,
     InfeasibleRateError,
-    IsacScenario,
     RisProfile,
     angles_from_geometry,
     steering_derivative,
@@ -100,11 +99,12 @@ def achievable_rate(h_c: np.ndarray, w, noise_comms: float) -> float:
     return math.log2(1.0 + snr)
 
 
-def isac_crb(w, scenario: IsacScenario) -> float:
+def isac_crb(w, scenario) -> float:
     """Angle CRB sigma_s^2 L_S / (2 T sigma_eta^2 ||adot_r||^2 |a_t^T w|^2) of one beam.
 
-    The per-row form that ``risac.isac.crb_min_beamformer`` inlines, kept as
-    its bit-for-bit reference.
+    ``scenario`` carries a_t, a_r, a_r_dot, noise_sensing, target_gain_var
+    and samples. This is the single-quotient form; ``risac.isac`` computes
+    kappa / |a_t^T w|^2 with kappa once per run, which rounds differently.
     """
     w_vec = w.weights if isinstance(w, Beamformer) else np.asarray(w, dtype=complex).reshape(-1)
     illum = float(np.abs(scenario.a_t @ w_vec) ** 2)
@@ -115,7 +115,7 @@ def isac_crb(w, scenario: IsacScenario) -> float:
         2.0
         * scenario.samples
         * scenario.target_gain_var
-        * scenario.adot_norm_sq
+        * float(np.real(np.vdot(scenario.a_r_dot, scenario.a_r_dot)))
         * illum
     )
 

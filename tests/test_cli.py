@@ -261,6 +261,20 @@ def test_isac_tradeoff_smoke(tmp_path):
         assert float(row["rate_bits"]) >= float(row["R0"]) - 1e-12, row
 
 
+def test_isac_tradeoff_without_target_gain_writes_infinite_crbs(tmp_path):
+    # A target whose gain has zero variance holds no angle information, so
+    # every CRB is inf, as sense-sweep writes at zero target gain; the run
+    # used to exit with an untyped ZeroDivisionError.
+    tiny = TINY + "r0_points = 3\nrho_list = 0.0, 1.0\ntarget_gain_var = 0\n"
+    code, csv_bytes, _ = _run_cli(tmp_path, "isac-tradeoff", tiny, "out")
+    assert code == 0
+    _, rows = _rows(csv_bytes)
+    assert len(rows) == 2 * 3
+    for row in rows:
+        assert row["crb"] == "inf", row
+        assert float(row["rate_bits"]) >= float(row["R0"]) - 1e-12, row
+
+
 def test_help_lists_every_experiment(capsys):
     with pytest.raises(SystemExit) as exit_:
         cli.main(["--help"])

@@ -183,6 +183,19 @@ def test_unequal_arrays_with_a_tuned_ris_is_a_json_config_error(tmp_path, capsys
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("experiment,text", [
+    ("detect", "l_s = 1\ntrials = 1000\n"),
+    ("beampattern", "l_s = 1\nl_t = 4\nn_ris = 4\ngrid_points = 31\nsinr_threshold_db = 3\n"),
+])
+def test_single_element_receive_array_runs_without_an_angle_crb(tmp_path, experiment, text):
+    # A file without an experiment line is validated against the requested
+    # experiment; it used to be checked as sense-sweep and refused.
+    config = tmp_path / "one_element.cfg"
+    config.write_text(text)
+    assert cli.main([experiment, "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / f"{experiment}.csv").exists()
+
+
 def test_single_element_receive_array_is_a_config_error():
     # With centred offsets one receive element has adot = 0: no angle information.
     for experiment in ("sense-sweep", "isac-tradeoff", "ris-isac-tradeoff"):
@@ -212,6 +225,7 @@ def test_single_element_receive_array_is_a_json_config_error(tmp_path, capsys, e
     assert code == 2
     assert set(err) == {"error", "detail"}
     assert err["error"] == "ConfigError" and "l_s" in err["detail"]
+    assert experiment in err["detail"]
     assert not (tmp_path / "out").exists()
 
 

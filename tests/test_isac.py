@@ -1,5 +1,6 @@
-import dataclasses
 import math
+import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ import pytest
 from risac import (
     DegenerateChannelError,
     InfeasibleRateError,
-    IsacScenario,
     UlaGeometry,
     crb_min_beamformer,
     make_coupled_channel,
@@ -17,27 +17,57 @@ from risac import (
 )
 from risac import isac
 from risac.arrays import steering_derivative
+from risac.channels import angles_from_geometry
 from risac.cli import run_experiment
-from risac.config import RunConfig
+from risac.config import RunConfig, scene_from_config
 
 from oracles import achievable_rate, coupling_coefficient, isac_crb, max_illumination_reference
+
+
+TABLE1_NUMBERS = {"noise_comms": 1e-9, "noise_sensing": 1e-9, "target_gain_var": 1.0,
+                  "samples": 64, "budget": 1.0}
+
+
+def isac_scenario(a_t, a_r, a_r_dot, h_c, **numbers):
+    """The vectors and numbers of one single-beam ISAC instance; numbers
+    default to ``TABLE1_NUMBERS``."""
+    vectors = {"a_t": a_t, "a_r": a_r, "a_r_dot": a_r_dot, "h_c": h_c}
+    return SimpleNamespace(
+        **{k: np.asarray(v, dtype=complex).reshape(-1) for k, v in vectors.items()},
+        **{**TABLE1_NUMBERS, **numbers})
 
 
 def table1_scenario(h_c=None, theta=0.0):
     """L_T = L_S = 15, P_T = 1 W, sigma^2 = -60 dBm, target at broadside."""
     geom = UlaGeometry(15)
     a_t = steering_vector(geom, theta)
-    return IsacScenario(
-        a_t=a_t,
-        a_r=steering_vector(geom, theta),
-        a_r_dot=steering_derivative(geom, theta),
-        h_c=a_t if h_c is None else h_c,
-        noise_comms=1e-9,
-        noise_sensing=1e-9,
-        target_gain_var=1.0,
-        samples=64,
-        budget=1.0,
-    )
+    return isac_scenario(a_t, steering_vector(geom, theta), steering_derivative(geom, theta),
+                         a_t if h_c is None else h_c)
+
+
+def adot_norm_sq(sc) -> float:
+    return float(np.real(np.vdot(sc.a_r_dot, sc.a_r_dot)))
+
+
+def kappa(sc) -> float:
+    """kappa of CRB = kappa / |a_t^T w|^2: sigma_s^2 L_S / (2 T sigma_eta^2 ||adot_r||^2)."""
+    return sc.noise_sensing * sc.a_r.size / (2.0 * sc.samples * sc.target_gain_var
+                                             * adot_norm_sq(sc))
+
+
+def max_rate(sc) -> float:
+    gain = float(np.real(np.vdot(sc.h_c, sc.h_c)))
+    return math.log2(1.0 + sc.budget * gain / sc.noise_comms)
+
+
+def beams(sc, floors):
+    """(weights, boundary, rates) of ``max_illumination_beamformer`` for the instance."""
+    return max_illumination_beamformer(sc.a_t, sc.h_c, sc.budget, sc.noise_comms, floors)
+
+
+def sweep(sc, floors):
+    """(rates, crbs) of ``crb_min_beamformer`` for the instance."""
+    return crb_min_beamformer(sc.a_t, sc.h_c, kappa(sc), sc.budget, sc.noise_comms, floors)
 
 
 def span_search_best_illumination(scenario, rate_floor, samples, rng):
@@ -93,20 +123,23 @@ def edge_floor(sc):
     return math.log2(1.0 + sc.budget * gain / sc.noise_comms * (1.0 + 5e-13))
 
 
-def assert_sweep_matches_reference(sc, floors, sol=None):
-    """Every row of ``sol``, by default ``crb_min_beamformer(sc, floors)``, equals
-    the per-floor reference bit for bit."""
-    sol = crb_min_beamformer(sc, floors) if sol is None else sol
-    assert sol.weights.shape == (len(floors), sc.a_t.size)
-    rows = zip(floors, sol.weights, sol.boundary, sol.rates, sol.crbs)
-    for r0, w, boundary, rate, crb in rows:
+def assert_sweep_matches_reference(sc, floors, swept=None):
+    """Every row of ``swept``, by default ``sweep(sc, floors)``, matches the per-floor
+    reference: weights, branch and rate bit for bit, and the CRB to 1e-15
+    relative, since kappa / illumination rounds differently from the
+    reference's single quotient. Returns (boundary mask, CRBs)."""
+    rates, crbs = sweep(sc, floors) if swept is None else swept
+    weights, boundary, beam_rates = beams(sc, floors)
+    assert weights.shape == (len(floors), sc.a_t.size)
+    assert np.array_equal(rates, beam_rates) and len(crbs) == len(floors)
+    for r0, w, on_boundary, rate, crb in zip(floors, weights, boundary, rates, crbs):
         ref_w, branch, ref_rate = max_illumination_reference(
             sc.a_t, sc.h_c, sc.budget, sc.noise_comms, r0)
         assert np.array_equal(w, ref_w.weights)
-        assert boundary == (branch == "boundary")
+        assert on_boundary == (branch == "boundary")
         assert rate == ref_rate
-        assert crb == isac_crb(ref_w, sc)
-    return sol
+        assert crb == pytest.approx(isac_crb(ref_w, sc), rel=1e-15, abs=0)
+    return boundary, crbs
 
 
 class TestRate:
@@ -140,7 +173,7 @@ class TestCrb:
         w = sc.a_t.conj() / np.linalg.norm(sc.a_t)
         expected = (
             sc.noise_sensing * 15
-            / (2.0 * sc.samples * sc.target_gain_var * sc.adot_norm_sq * 15)
+            / (2.0 * sc.samples * sc.target_gain_var * adot_norm_sq(sc) * 15)
         )
         assert np.isclose(isac_crb(w, sc), expected, rtol=1e-12)
 
@@ -196,58 +229,57 @@ class TestClosedForm:
     def test_full_alignment_reproduces_strong_coupling_formulas(self):
         sc = table1_scenario(h_c=make_coupled_channel(
             steering_vector(UlaGeometry(15), 0.0), 1.0, seed=8))
-        for r0 in [0.0, 2.0, 10.0, 0.9 * sc.max_rate]:
-            sol = crb_min_beamformer(sc, [r0])
-            assert not sol.boundary[0]
-            crb_expected = sc.noise_sensing * 15 / (
-                2.0 * sc.target_gain_var * sc.samples * sc.adot_norm_sq * 15
-            )
-            rate_expected = math.log2(1.0 + np.linalg.norm(sc.h_c) ** 2 / sc.noise_comms)
-            assert abs(sol.crbs[0] - crb_expected) < 1e-9 * crb_expected
-            assert abs(sol.rates[0] - rate_expected) < 1e-9
+        floors = [0.0, 2.0, 10.0, 0.9 * max_rate(sc)]
+        assert not beams(sc, floors)[1].any()
+        crb_expected = sc.noise_sensing * 15 / (
+            2.0 * sc.target_gain_var * sc.samples * adot_norm_sq(sc) * 15
+        )
+        rate_expected = math.log2(1.0 + np.linalg.norm(sc.h_c) ** 2 / sc.noise_comms)
+        for rate, crb in zip(*sweep(sc, floors)):
+            assert abs(crb - crb_expected) < 1e-9 * crb_expected
+            assert abs(rate - rate_expected) < 1e-9
 
     def test_zero_coupling_reproduces_formula(self):
         a_t = steering_vector(UlaGeometry(15), 0.0)
         sc = table1_scenario(h_c=make_coupled_channel(a_t, 0.0, seed=8))
         r0 = 10.0
-        sol = crb_min_beamformer(sc, [r0])
+        (rate,), (crb,) = sweep(sc, [r0])
         snr_floor = (2.0**r0 - 1.0) * sc.noise_comms
         crb_expected = sc.noise_sensing * 15 / (
             2.0 * sc.target_gain_var * sc.samples
             * (1.0 - snr_floor / np.linalg.norm(sc.h_c) ** 2)
-            * sc.adot_norm_sq * 15
+            * adot_norm_sq(sc) * 15
         )
-        assert abs(sol.crbs[0] - crb_expected) < 1e-9 * crb_expected
-        assert abs(sol.rates[0] - r0) < 1e-9
+        assert abs(crb - crb_expected) < 1e-9 * crb_expected
+        assert abs(rate - r0) < 1e-9
 
     def test_zero_threshold_is_matched_filter(self):
         sc = table1_scenario(h_c=make_coupled_channel(
             steering_vector(UlaGeometry(15), 0.0), 0.4, seed=2))
-        sol = crb_min_beamformer(sc, [0.0])
-        assert not sol.boundary[0]
+        weights, boundary, _ = beams(sc, [0.0])
+        assert not boundary[0]
         matched = sc.a_t.conj() / np.linalg.norm(sc.a_t)
-        assert np.allclose(sol.weights[0], matched)
+        assert np.allclose(weights[0], matched)
 
     def test_matched_filter_branch_uses_channel_norm(self):
         # A channel vector a_t with ||a_t||^2 != L_T: the matched filter
         # meets half its own SNR, so it is optimal.
         a = steering_vector(UlaGeometry(15), 0.0)
-        sc = dataclasses.replace(
-            table1_scenario(h_c=make_coupled_channel(a, 0.6, seed=4)), a_t=0.1 * a
-        )
+        sc = table1_scenario(h_c=make_coupled_channel(a, 0.6, seed=4))
+        sc.a_t = 0.1 * a
         mf_snr = sc.budget * abs(np.vdot(sc.h_c, sc.a_t)) ** 2 / np.linalg.norm(sc.a_t) ** 2
         r0 = math.log2(1.0 + 0.5 * mf_snr / sc.noise_comms)
-        sol = crb_min_beamformer(sc, [r0])
-        assert not sol.boundary[0]
-        illum = float(np.abs(sc.a_t @ sol.weights[0]) ** 2)
+        weights, boundary, _ = beams(sc, [r0])
+        assert not boundary[0]
+        illum = float(np.abs(sc.a_t @ weights[0]) ** 2)
         expected = sc.budget * np.linalg.norm(sc.a_t) ** 2
         assert abs(illum - expected) <= 1e-12 * expected
 
     def test_infeasible_rate_raises_with_max_rate(self):
         sc = table1_scenario()
         with pytest.raises(InfeasibleRateError) as err:
-            crb_min_beamformer(sc, [sc.max_rate + 1.0])
-        assert np.isclose(err.value.max_rate, sc.max_rate)
+            sweep(sc, [max_rate(sc) + 1.0])
+        assert np.isclose(err.value.max_rate, max_rate(sc))
 
     def test_feasibility_on_random_instances(self):
         a_t = steering_vector(UlaGeometry(15), 0.0)
@@ -256,12 +288,12 @@ class TestClosedForm:
             rho = rng.uniform(0.0, 1.0)
             gain = rng.uniform(0.25, 2.0)
             sc = table1_scenario(h_c=make_coupled_channel(a_t, rho, seed=trial, gain=gain))
-            r0 = rng.uniform(0.0, sc.max_rate)
-            sol = crb_min_beamformer(sc, [r0])
-            assert np.real(np.vdot(sol.weights[0], sol.weights[0])) <= 1.0 + 1e-12
-            assert sol.rates[0] >= r0 - 1e-9
-            if sol.boundary[0]:
-                assert abs(sol.rates[0] - r0) < 1e-9
+            r0 = rng.uniform(0.0, max_rate(sc))
+            (w,), (boundary,), (rate,) = beams(sc, [r0])
+            assert np.real(np.vdot(w, w)) <= 1.0 + 1e-12
+            assert rate >= r0 - 1e-9
+            if boundary:
+                assert abs(rate - r0) < 1e-9
 
     def test_span_search_never_beats_closed_form(self):
         a_t = steering_vector(UlaGeometry(15), 0.0)
@@ -269,9 +301,8 @@ class TestClosedForm:
         for trial in range(100):
             rho = rng.uniform(0.0, 0.999)
             sc = table1_scenario(h_c=make_coupled_channel(a_t, rho, seed=trial))
-            r0 = rng.uniform(0.1, 0.9) * sc.max_rate
-            sol = crb_min_beamformer(sc, [r0])
-            closed_illum = float(np.abs(sc.a_t @ sol.weights[0]) ** 2)
+            r0 = rng.uniform(0.1, 0.9) * max_rate(sc)
+            closed_illum = float(np.abs(sc.a_t @ beams(sc, [r0])[0][0]) ** 2)
             oracle = span_search_best_illumination(sc, r0, 10000, rng)
             assert oracle <= closed_illum * (1.0 + 1e-6)
 
@@ -280,7 +311,7 @@ class TestClosedForm:
         for trial, rho in enumerate((0.0, 0.4, 0.95)):
             sc = table1_scenario(h_c=make_coupled_channel(a_t, rho, seed=trial))
             for frac in (0.2, 0.9, 1.2):  # 1.2: no sample meets the rate
-                r0 = frac * sc.max_rate
+                r0 = frac * max_rate(sc)
                 fast = span_search_best_illumination(sc, r0, 500, np.random.default_rng(trial))
                 slow = span_search_loop_reference(sc, r0, 500, np.random.default_rng(trial))
                 assert abs(fast - slow) <= 1e-12 * abs(slow)
@@ -294,8 +325,7 @@ class TestClosedForm:
         hc_norm_sq = gain**2 * 15.0
         rho_star = math.sqrt(snr_floor / hc_norm_sq)  # P_T = 1
         sc = table1_scenario(h_c=make_coupled_channel(a_t, rho_star, seed=3, gain=gain))
-        below = crb_min_beamformer(sc, [r0 * (1.0 - 1e-9)]).crbs[0]
-        above = crb_min_beamformer(sc, [r0 * (1.0 + 1e-9)]).crbs[0]
+        below, above = sweep(sc, [r0 * (1.0 - 1e-9), r0 * (1.0 + 1e-9)])[1]
         assert abs(below - above) < 1e-8 * below
 
 
@@ -303,9 +333,10 @@ class TestTradeoffCurve:
     def test_monotone_structure(self):
         sc = table1_scenario()
         rhos = [0.0, 0.3, 0.6, 0.9, 1.0]
-        rows, max_rate = tradeoff_curve(sc, rhos, 12, channel_gain=1.0, seed=6)
-        assert math.isclose(max_rate, sc.max_rate, rel_tol=1e-14)  # h_c = a_t, unit gain
-        grid = np.linspace(0.0, 0.98 * max_rate, 12)
+        rows, rate_max = tradeoff_curve(sc.a_t, kappa(sc), sc.budget, sc.noise_comms, rhos, 12,
+                                        channel_gain=1.0, seed=6)
+        assert math.isclose(rate_max, max_rate(sc), rel_tol=1e-14)  # h_c = a_t, unit gain
+        grid = np.linspace(0.0, 0.98 * rate_max, 12)
         assert [row.rate_threshold for row in rows] == list(grid) * len(rhos)
         by_rho = {}
         for row in rows:
@@ -324,18 +355,20 @@ class TestTradeoffCurve:
 
     def test_rejects_empty_grids(self):
         sc = table1_scenario()
+        args = (sc.a_t, kappa(sc), sc.budget, sc.noise_comms)
         with pytest.raises(ValueError):
-            tradeoff_curve(sc, [], 1)
+            tradeoff_curve(*args, [], 1)
         with pytest.raises(ValueError):
-            tradeoff_curve(sc, [0.5], 0)
+            tradeoff_curve(*args, [0.5], 0)
 
 
 class TestSweep:
     def test_both_branches_match_the_reference(self):
         sc = table1_scenario(h_c=make_coupled_channel(
             steering_vector(UlaGeometry(15), 0.0), 0.5, seed=1))
-        sol = assert_sweep_matches_reference(sc, np.linspace(0.0, 0.98 * sc.max_rate, 25))
-        assert sol.boundary.any() and not sol.boundary.all()
+        boundary, _ = assert_sweep_matches_reference(
+            sc, np.linspace(0.0, 0.98 * max_rate(sc), 25))
+        assert boundary.any() and not boundary.all()
 
     def test_aligned_channels_match_the_reference(self):
         # h_c = a_t leaves a residual below 1e-14 ||a_t||, so the boundary
@@ -344,30 +377,30 @@ class TestSweep:
         q_hat = sc.h_c.conj() / np.linalg.norm(sc.h_c)
         p_perp = sc.a_t.conj() - np.vdot(q_hat, sc.a_t.conj()) * q_hat
         assert np.linalg.norm(p_perp) < 1e-14 * np.linalg.norm(sc.a_t)
-        sol = assert_sweep_matches_reference(sc, [0.0, 0.5 * sc.max_rate, edge_floor(sc)])
-        assert sol.boundary.tolist() == [False, False, True]
+        boundary, _ = assert_sweep_matches_reference(
+            sc, [0.0, 0.5 * max_rate(sc), edge_floor(sc)])
+        assert boundary.tolist() == [False, False, True]
 
     def test_unlit_row_has_infinite_crb(self):
         # Exactly orthogonal channels: at the edge floor the whole budget
         # serves the user and a_t^T w is exactly zero.
-        sc = IsacScenario(a_t=[1.0, 0.0], a_r=[1.0, 1.0], a_r_dot=[0.0, 1j], h_c=[0.0, 1.0],
-                          noise_comms=1e-9, noise_sensing=1e-9)
-        sol = assert_sweep_matches_reference(sc, [0.0, edge_floor(sc)])
-        assert sol.boundary.tolist() == [False, True]
-        assert math.isfinite(sol.crbs[0]) and math.isinf(sol.crbs[1])
+        sc = isac_scenario(a_t=[1.0, 0.0], a_r=[1.0, 1.0], a_r_dot=[0.0, 1j], h_c=[0.0, 1.0])
+        boundary, crbs = assert_sweep_matches_reference(sc, [0.0, edge_floor(sc)])
+        assert boundary.tolist() == [False, True]
+        assert math.isfinite(crbs[0]) and math.isinf(crbs[1])
 
     def test_negative_floor_raises(self):
         sc = table1_scenario()
         with pytest.raises(ValueError, match="nonnegative"):
-            crb_min_beamformer(sc, [0.0, 1.0, -1e-12, 2.0])
+            sweep(sc, [0.0, 1.0, -1e-12, 2.0])
 
     def test_floor_above_max_rate_raises_with_max_rate(self):
         sc = table1_scenario(h_c=make_coupled_channel(
             steering_vector(UlaGeometry(15), 0.0), 0.3, seed=2))
-        floors = [0.0, 0.5 * sc.max_rate, sc.max_rate + 0.5, 0.9 * sc.max_rate]
+        floors = [0.0, 0.5 * max_rate(sc), max_rate(sc) + 0.5, 0.9 * max_rate(sc)]
         with pytest.raises(InfeasibleRateError) as err:
-            max_illumination_beamformer(sc.a_t, sc.h_c, sc.budget, sc.noise_comms, floors)
-        assert err.value.max_rate == pytest.approx(sc.max_rate, rel=1e-14)
+            beams(sc, floors)
+        assert err.value.max_rate == pytest.approx(max_rate(sc), rel=1e-14)
         assert err.value.requested == floors[2]
 
     def test_zero_comms_channel_raises(self):
@@ -377,26 +410,55 @@ class TestSweep:
 
     def test_empty_grid_returns_no_rows(self):
         sc = table1_scenario()
-        weights, boundary, rates = max_illumination_beamformer(
-            sc.a_t, sc.h_c, sc.budget, sc.noise_comms, np.array([]))
+        weights, boundary, rates = beams(sc, np.array([]))
         assert weights.shape == (0, 15) and boundary.shape == (0,) and rates.shape == (0,)
-        assert crb_min_beamformer(sc, []).crbs.shape == (0,)
+        assert sweep(sc, [])[1].shape == (0,)
 
     def test_isac_tradeoff_sweeps_once_per_rho_and_matches_the_reference(
             self, tmp_path, monkeypatch):
         # One crb_min_beamformer call per rho (5, not 5 x 25), and every row
-        # of a default run at config seeds 0-9 equals the per-floor solve.
+        # of a default run at config seeds 0-9 matches the per-floor solve;
+        # the oracle's CRB reads the receive side from the scene, so this
+        # also checks the runner's kappa.
         calls = []
-        sweep = isac.crb_min_beamformer
+        shared = isac.crb_min_beamformer
 
-        def recorded(scenario, rate_thresholds):
-            calls.append((scenario, rate_thresholds, sweep(scenario, rate_thresholds)))
-            return calls[-1][2]
+        def recorded(*args):
+            calls.append((args, shared(*args)))
+            return calls[-1][1]
 
         monkeypatch.setattr(isac, "crb_min_beamformer", recorded)
         for seed in range(10):
             calls.clear()
-            run_experiment(RunConfig(experiment="isac-tradeoff", seed=seed), tmp_path / str(seed))
-            assert [len(floors) for _, floors, _ in calls] == [25] * 5
-            for call in calls:
-                assert_sweep_matches_reference(*call)
+            cfg = RunConfig(experiment="isac-tradeoff", seed=seed)
+            run_experiment(cfg, tmp_path / str(seed))
+            scene = scene_from_config(cfg)
+            theta = angles_from_geometry(scene).theta1
+            assert [len(args[5]) for args, _ in calls] == [25] * 5
+            for (a_t, h_c, _, p_t, sigma_c, floors), swept in calls:
+                sc = isac_scenario(
+                    a_t, steering_vector(scene.rx, theta), steering_derivative(scene.rx, theta),
+                    h_c, noise_comms=sigma_c, noise_sensing=scene.noise_power_sensing,
+                    target_gain_var=scene.target_gain_var, samples=scene.samples, budget=p_t)
+                assert_sweep_matches_reference(sc, floors, swept)
+
+    def test_both_tradeoffs_reach_the_shared_sweep(self, tmp_path, monkeypatch):
+        # isac-tradeoff sweeps once per rho and ris-isac-tradeoff once per RIS
+        # mode, both through isac.crb_min_beamformer. Every risac binding of
+        # it is counted, as a tracer that wraps the function would count it.
+        shared, calls = isac.crb_min_beamformer, []
+
+        def counted(*args):
+            calls.append(None)
+            return shared(*args)
+
+        holders = [mod for name, mod in sys.modules.items()
+                   if name.split(".")[0] == "risac"
+                   and getattr(mod, "crb_min_beamformer", None) is shared]
+        assert {"risac.isac", "risac.ris_isac"} <= {mod.__name__ for mod in holders}
+        for mod in holders:
+            monkeypatch.setattr(mod, "crb_min_beamformer", counted)
+        for experiment, expected in (("isac-tradeoff", 5), ("ris-isac-tradeoff", 3)):
+            calls.clear()
+            run_experiment(RunConfig(experiment=experiment), tmp_path / experiment)
+            assert len(calls) == expected

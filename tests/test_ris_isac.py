@@ -30,6 +30,7 @@ from oracles import (
     matched_filter_beamformer,
     max_illumination_reference,
     rank_one_coupling_grid,
+    ris_maps_reference,
 )
 
 
@@ -354,7 +355,7 @@ class TestFim:
         scenario = RisIsacScenario.from_scene(desk_scene(ris=UlaGeometry(4)))
         phi = np.ones(4, dtype=complex)
         h_t = scenario.h_t(phi)
-        dh_t = scenario.a_t_dot_term + scenario.f_t_dot @ phi
+        dh_t = scenario.a_t_dot_term + ris_maps_reference(scenario.scene)["f_t_dot"] @ phi
         # Null both the channel and its theta1-derivative direction.
         basis = np.linalg.qr(np.column_stack([h_t.conj(), dh_t.conj()]))[0]
         rng = np.random.default_rng(0)
@@ -375,6 +376,7 @@ class TestFim:
         if strip_ris:
             scenario = _zero_ris(scenario)
         scale = 2.0 * 64 / 1e-8
+        f_r_dot = ris_maps_reference(scenario.scene)["f_r_dot"]
         rng = np.random.default_rng(21)
         for _ in range(100):
             phi = np.exp(1j * rng.uniform(0, 2 * np.pi, scenario.n_ris))
@@ -388,7 +390,7 @@ class TestFim:
             d1 = perp(scenario.a_r_dot_term)
             info = np.real(np.vdot(d1, d1))
             if scenario.n_ris:  # theta2 is pruned without an RIS
-                d2 = perp(scenario.f_r_dot @ phi)
+                d2 = perp(f_r_dot @ phi)
                 info -= np.real(np.vdot(d1, d2)) ** 2 / np.real(np.vdot(d2, d2))
             kappa = 1.0 / (scale * info)
             expected = kappa / abs(scenario.h_t(phi) @ w) ** 2
@@ -604,11 +606,12 @@ class TestTradeoffStructure:
         # weights and rate equal the per-floor reference and its CRB is
         # kappa / |h_t^T w|^2 at the reference weights, bit for bit.
         beams, solves = [], []
-        sweep, build = ri.max_illumination_beamformer, ri._crb_beamformer_at
+        sweep, build = ri.crb_min_beamformer, ri._crb_beamformer_at
 
         def recorded_sweep(*args):
-            beams.append((args, sweep(*args)))
-            return beams[-1][1]
+            h_t, h_c, _, p_t, sigma_c, floors = args
+            beams.append((args, max_illumination_beamformer(h_t, h_c, p_t, sigma_c, floors)))
+            return sweep(*args)
 
         def recorded_build(scenario, phi):
             solve = build(scenario, phi)
@@ -620,17 +623,17 @@ class TestTradeoffStructure:
 
             return recorded
 
-        monkeypatch.setattr(ri, "max_illumination_beamformer", recorded_sweep)
+        monkeypatch.setattr(ri, "crb_min_beamformer", recorded_sweep)
         monkeypatch.setattr(ri, "_crb_beamformer_at", recorded_build)
         for seed in range(10):
             beams.clear()
             solves.clear()
             cfg = RunConfig(experiment="ris-isac-tradeoff", coupling=coupling, seed=seed)
             run_experiment(cfg, tmp_path / str(seed))
-            assert [len(args[4]) for args, _ in beams] == [25, 25, 25]
-            for ((h_t, h_c, p_t, sigma_c, floors), beam), (kappa, (rates, crbs)) in zip(
-                    beams, solves):
-                assert np.array_equal(beam[2], rates)
+            assert [len(args[5]) for args, _ in beams] == [25, 25, 25]
+            for (args, beam), (kappa, (rates, crbs)) in zip(beams, solves):
+                h_t, h_c, swept_kappa, p_t, sigma_c, floors = args
+                assert swept_kappa == kappa and np.array_equal(beam[2], rates)
                 for r0, w, boundary, rate, crb in zip(floors, *beam, crbs):
                     ref_w, branch, ref_rate = max_illumination_reference(
                         h_t, h_c, p_t, sigma_c, r0)
@@ -674,7 +677,7 @@ class TestTradeoffStructure:
         # closed form runs three times, one sweep per mode, not once per row
         # (77); "reference" calibrates from the R0 = 0 rows of the other two.
         calls = {"_apply_coupling": 0, "optimize_ris_profile": 0, "_kappa": 0,
-                 "max_illumination_beamformer": 0}
+                 "crb_min_beamformer": 0}
         for name in calls:
             original = getattr(ri, name)
 
@@ -685,7 +688,7 @@ class TestTradeoffStructure:
             monkeypatch.setattr(ri, name, counted)
         run_experiment(RunConfig(experiment="ris-isac-tradeoff"), tmp_path)
         assert calls == {"_apply_coupling": 1, "optimize_ris_profile": 1, "_kappa": 3,
-                         "max_illumination_beamformer": 3}
+                         "crb_min_beamformer": 3}
 
     @pytest.mark.parametrize("coupling", ["weak", "strong"])
     def test_reference_without_angle_information_raises(self, coupling):
@@ -719,13 +722,13 @@ class TestTradeoffStructure:
         scenario = RisIsacScenario.from_scene(desk_scene(ris=UlaGeometry(8)))
         full = ris_isac_tradeoff(scenario, coupling, r0_points=4)
         lengths = []
-        sweep = ri.max_illumination_beamformer
+        sweep = ri.crb_min_beamformer
 
         def recorded(*args):
-            lengths.append(len(args[4]))
+            lengths.append(len(args[5]))
             return sweep(*args)
 
-        monkeypatch.setattr(ri, "max_illumination_beamformer", recorded)
+        monkeypatch.setattr(ri, "crb_min_beamformer", recorded)
         alone = ris_isac_tradeoff(scenario, coupling, ["reference"], 4)
         assert lengths == [1, 1, 4]
         assert alone.rows == [row for row in full.rows if row.mode == "reference"]
