@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -225,7 +226,7 @@ def run_experiment(cfg: RunConfig, out_dir: Path, emit_plot_script: bool = False
         written.append(str(path))
     summary = {
         "experiment": cfg.experiment,
-        "config": dataclasses.asdict(cfg),
+        "config": {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)},
         "outputs": written,
         "diagnostics": diagnostics,
         "wall_clock_seconds": elapsed,
@@ -240,6 +241,7 @@ def run_experiment(cfg: RunConfig, out_dir: Path, emit_plot_script: bool = False
     return summary
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="risac",
@@ -261,7 +263,7 @@ def main(argv=None) -> int:
     try:
         if args.config is not None:
             # Validate against the requested experiment; a line in the file wins.
-            cfg = parse_config(f"experiment = {args.experiment}\n" + Path(args.config).read_text())
+            cfg = parse_config(Path(args.config).read_text(), args.experiment)
             if cfg.experiment != args.experiment:
                 raise ConfigError(
                     f"config file requests {cfg.experiment!r} but the "

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Tuple
+from typing import Optional, Tuple
 
 from .arrays import UlaGeometry
 from .channels import Scene
@@ -172,9 +172,14 @@ def _coerce(name: str, raw: str):
     return value
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse a flat key = value document; '#' starts a comment."""
-    values = {}
+def parse_config(text: str, experiment: Optional[str] = None) -> RunConfig:
+    """Parse a flat key = value document; '#' starts a comment.
+
+    ``experiment``, when given, holds unless the document has its own
+    ``experiment`` line, and the document is validated against it. Error
+    messages count the document's own lines.
+    """
+    values = {} if experiment is None else {"experiment": experiment}
     unknown = []
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()

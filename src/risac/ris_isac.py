@@ -19,6 +19,12 @@ profile solve, and kappa and one closed-form sweep per channel; the sweep is
 ``fim_theta`` builds the full 4 x 4 FIM instead and is the independent
 reference the kappa form is tested against.
 
+G is 1 x 1 or 2 x 2 (theta2 is the one nuisance angle), so ``_kappa`` takes
+[G^-1]_11 and its condition test in closed form (``_small_angle_crb``) and
+the experiment calls no LAPACK routine; the first such call in a process
+adds over 1 MB of resident memory. ``_angle_crb``, an SVD condition number
+and an inversion, serves the general-size FIM of ``fim_theta``.
+
 The profile descent runs once, from phi_0 = ``channels.align_profile(a_t,
 g_t, r_t)``, conj(r_t) g_t^H a_t / |conj(r_t) g_t^H a_t| entrywise, which
 puts r_t^T phi at its largest modulus ||r_t||_1, phase-aligned with the
@@ -210,7 +216,9 @@ def _angle_crb(info: np.ndarray):
     The condition number is that of the unit-diagonal (Jacobi-scaled)
     matrix, since parameters in different units (the beta entries carry
     1/|beta|^2) make the raw one meaningless. A nonpositive diagonal or a
-    scaled condition number above 1e14 gives an infinite CRB.
+    scaled condition number above 1e14 gives an infinite CRB. Any size, by
+    LAPACK (an SVD and an inversion): ``fim_theta`` uses it, and it is the
+    reference that ``_small_angle_crb`` is tested against.
     """
     diag = np.diag(info)
     if not np.all(diag > 0.0):
@@ -223,12 +231,38 @@ def _angle_crb(info: np.ndarray):
     return float(np.linalg.inv(unit)[0, 0]) / float(info[0, 0]), cond, False
 
 
+def _small_angle_crb(info: np.ndarray) -> float:
+    """``_angle_crb(info)[0]`` of a 1 x 1 or 2 x 2 info in closed form, without LAPACK.
+
+    Same Jacobi scaling and singular rule: with u_ij = G_ij / (sqrt(G_ii)
+    sqrt(G_jj)) (u_11 and u_22 one up to rounding, c = u_12), [G^-1]_11 is
+    1 / (u_11 G_11) for 1 x 1 and u_22 / ((u_11 u_22 - c^2) G_11), about
+    1 / (G_11 (1 - c^2)), for 2 x 2, whose scaled condition number is
+    (1 + |c|) / (1 - |c|). The 1 x 1 case repeats ``_angle_crb``'s
+    operations, so it is bitwise equal to it.
+    """
+    rows = info.tolist()
+    diag = [row[i] for i, row in enumerate(rows)]
+    if not all(0.0 < d < math.inf for d in diag):
+        return math.inf
+    root = [math.sqrt(d) for d in diag]
+    u_11 = diag[0] / (root[0] * root[0])
+    if len(rows) == 1:
+        return 1.0 / u_11 / diag[0]
+    u_22 = diag[1] / (root[1] * root[1])
+    c = rows[0][1] / (root[0] * root[1])
+    if not 1.0 + abs(c) <= 1e14 * (1.0 - abs(c)):  # also a NaN c
+        return math.inf
+    return u_22 / (u_11 * u_22 - c * c) / diag[0]
+
+
 def _kappa(scenario: RisIsacScenario, phi_vec: np.ndarray) -> float:
     """kappa(phi) of CRB(theta1) = kappa / |h_t^T w|^2 (module docstring); inf if singular.
 
     theta2 enters only when F_rdot phi = g_r (rdot_t^T phi) is not
     identically zero, so a missing or zero-gain RIS leaves the single-angle
-    1 x 1 case.
+    1 x 1 case. G is at most 2 x 2, so ``_small_angle_crb`` inverts it
+    without LAPACK.
     """
     h_r = scenario.h_r(phi_vec)
     dh_r_2 = scenario.g_r * (scenario.r_t_dot @ phi_vec)
@@ -237,7 +271,7 @@ def _kappa(scenario: RisIsacScenario, phi_vec: np.ndarray) -> float:
     r_perp = r - np.outer(h_r, (h_r.conj() @ r) / np.vdot(h_r, h_r))
     info = np.real(r_perp.conj().T @ r_perp)
     scale = 2.0 * scenario.scene.samples / scenario.scene.noise_power_sensing
-    return _angle_crb(0.5 * (info + info.T))[0] / scale
+    return _small_angle_crb(0.5 * (info + info.T)) / scale
 
 
 def _crb_beamformer_at(scenario: RisIsacScenario, phi):

@@ -8,6 +8,7 @@ import sys
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from risac import cli, marcum_q1
@@ -310,6 +311,30 @@ def test_config_naming_another_experiment_is_a_json_error(tmp_path, capsys):
     assert code == 2 and err["error"] == "ConfigError"
     assert "'detect'" in err["detail"] and "'sense-sweep'" in err["detail"]
     assert not (tmp_path / "out").exists()
+
+
+def test_config_parse_error_names_the_file_line(tmp_path, capsys):
+    # The requested experiment reaches the parser as an argument, not as a
+    # prepended line, so line numbers are the file's own.
+    config = tmp_path / "run.cfg"
+    config.write_text("seed = 3\ngarbage\n")
+    code = cli.main(["detect", "--config", str(config), "--out", str(tmp_path / "out")])
+    err = json.loads(capsys.readouterr().err)
+    assert code == 2 and err["error"] == "ConfigError"
+    assert err["detail"].startswith("line 2:")
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_default_experiments_call_no_lapack(tmp_path, monkeypatch, experiment):
+    # The first LAPACK call of a process adds over 1 MB of resident memory,
+    # and no default run needs one: kappa is a closed-form 2 x 2 and the
+    # dual design splits its covariance with a Householder reflection.
+    def no_lapack(*args, **kwargs):
+        raise AssertionError(f"{experiment} called LAPACK")
+
+    for name in ("cond", "inv", "svd", "solve", "eig", "eigh", "qr"):
+        monkeypatch.setattr(np.linalg, name, no_lapack)
+    cli.run_experiment(RunConfig(experiment=experiment), tmp_path)
 
 
 def test_import_and_marcum_q_load_no_scipy():

@@ -207,6 +207,18 @@ def test_single_element_receive_array_is_a_config_error():
     RunConfig(experiment="beampattern", l_s=1).validate()
 
 
+def test_parse_config_validates_against_the_given_experiment():
+    # The given experiment holds unless the document names its own; line
+    # numbers in errors are the document's.
+    assert parse_config("l_s = 1\n", "detect").experiment == "detect"
+    assert parse_config("experiment = beampattern\nl_s = 1\n", "detect").experiment == (
+        "beampattern")
+    with pytest.raises(ConfigError, match="l_s must be >= 2"):
+        parse_config("l_s = 1\n")  # the default experiment, sense-sweep
+    with pytest.raises(ConfigError, match="^line 2:"):
+        parse_config("seed = 3\ngarbage\n", "detect")
+
+
 @pytest.mark.parametrize("experiment,text", [
     ("sense-sweep", "l_s = 1\n"),
     ("isac-tradeoff", "l_s = 1\nl_t = 4\n"),

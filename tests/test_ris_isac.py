@@ -420,6 +420,56 @@ class TestFim:
         assert np.isclose(crb, oracle, rtol=1e-10)
 
 
+class TestSmallAngleCrb:
+    @pytest.mark.parametrize("coupling", ["weak", "strong"])
+    @pytest.mark.parametrize("overrides", [{}, dict(n_ris=256, l_t=32, l_s=32)])
+    def test_kappa_matches_the_lapack_reference(self, monkeypatch, coupling, overrides):
+        # Every kappa of a run (the tuned 2 x 2 one, the 1 x 1 RIS-free and
+        # reference ones) against _angle_crb's SVD and inversion on the same
+        # information matrix, at config seeds 0-9.
+        infos, kappas = [], []
+        small, kappa = ri._small_angle_crb, ri._kappa
+
+        def recorded_small(info):
+            infos.append(info.copy())
+            return small(info)
+
+        def recorded_kappa(scenario, phi_vec):
+            kappas.append((kappa(scenario, phi_vec), scenario.scene))
+            return kappas[-1][0]
+
+        monkeypatch.setattr(ri, "_small_angle_crb", recorded_small)
+        monkeypatch.setattr(ri, "_kappa", recorded_kappa)
+        for seed in range(10):
+            infos.clear()
+            kappas.clear()
+            cfg = RunConfig(experiment="ris-isac-tradeoff", seed=seed, coupling=coupling,
+                            **overrides)
+            ris_isac_tradeoff(RisIsacScenario.from_scene(scene_from_config(cfg)), coupling)
+            assert [info.shape for info in infos] == [(2, 2), (1, 1), (1, 1)]
+            for info, (value, scene) in zip(infos, kappas):
+                expected = ri._angle_crb(info)[0] / (2.0 * scene.samples
+                                                    / scene.noise_power_sensing)
+                if info.shape == (1, 1):
+                    assert value == expected
+                else:
+                    assert abs(value - expected) <= 1e-14 * expected, (seed, value, expected)
+
+    @pytest.mark.parametrize("info", [
+        [[0.0]], [[-1.0]], [[0.0, 0.0], [0.0, 2.0]], [[3.0, 1.0], [1.0, 0.0]],
+        [[1.0, 1.0 - 1e-15], [1.0 - 1e-15, 1.0]],
+        [[1.0, -(1.0 - 1e-15)], [-(1.0 - 1e-15), 1.0]],
+        [[4.0, 6.0 * (1.0 - 1e-15)], [6.0 * (1.0 - 1e-15), 9.0]],
+        [[1.0, 1.0 - 2.0 ** -52], [1.0 - 2.0 ** -52, 1.0]],
+    ])
+    def test_singular_information_gives_an_infinite_crb(self, info):
+        # A nonpositive diagonal, or |c| within 1e-15 of one (scaled
+        # condition number above 1e14), is singular in both routines.
+        info = np.array(info)
+        assert ri._small_angle_crb(info) == math.inf
+        assert ri._angle_crb(info)[0] == math.inf
+
+
 def sweep_weights(scenario, phi, rate_thresholds):
     """The (R, L_T) beamformer rows behind ``_crb_beamformer_at(scenario, phi)``'s sweep."""
     scene = scenario.scene
@@ -647,21 +697,26 @@ class TestTradeoffStructure:
     def test_sweep_builds_no_fim(self, monkeypatch, mode, kappas):
         # kappa is formed once per channel: "with" and "without" share theirs
         # with the calibration of "reference", which adds its own. A row adds
-        # no FIM, no inversion and no condition number, whatever the grid
-        # length.
+        # no FIM, whatever the grid length, and kappa takes no inversion,
+        # condition number or SVD from LAPACK.
         calls = []
-        cond = np.linalg.cond
+        kappa = ri._kappa
 
         def counted(*args, **kwargs):
             calls.append(None)
-            return cond(*args, **kwargs)
+            return kappa(*args, **kwargs)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("the sweep built a 4 x 4 FIM")
 
-        monkeypatch.setattr(np.linalg, "cond", counted)
+        def no_lapack(*args, **kwargs):
+            raise AssertionError("the sweep called LAPACK")
+
+        monkeypatch.setattr(ri, "_kappa", counted)
         monkeypatch.setattr(ri, "_fim_maps", forbidden)
         monkeypatch.setattr(ri, "fim_theta", forbidden)
+        for name in ("cond", "inv", "svd"):
+            monkeypatch.setattr(np.linalg, name, no_lapack)
         scenario = RisIsacScenario.from_scene(desk_scene(ris=UlaGeometry(8)))
         modes = mode.split(",")
         for points in (2, 40):
