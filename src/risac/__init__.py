@@ -3,7 +3,6 @@
 from .arrays import UlaGeometry, steering_derivative, steering_vector
 from .channels import (
     RisIsacScenario,
-    RisProfile,
     Scene,
     align_profile,
     angles_from_geometry,
@@ -39,7 +38,6 @@ from .ris_isac import (
     ris_isac_tradeoff,
 )
 from .sensing import (
-    Beamformer,
     DetectionConfig,
     crb_angle,
     detection_probability,

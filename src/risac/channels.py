@@ -36,7 +36,6 @@ from .optim import _unit_modulus
 __all__ = [
     "Scene",
     "SceneAngles",
-    "RisProfile",
     "RisIsacScenario",
     "angles_from_geometry",
     "pathloss_amplitude",
@@ -117,30 +116,6 @@ class SceneAngles:
     omega_t: float       # RIS bearing at the BS arrays (Tx-RIS path direction)
     theta_user_bs: float
     theta_user_ris: float
-
-
-@dataclasses.dataclass(eq=False)
-class RisProfile:
-    """Unit-modulus phase vector of length N."""
-
-    phases: np.ndarray
-
-    def __post_init__(self):
-        self.phases = np.asarray(self.phases, dtype=complex).reshape(-1)
-        if self.phases.size and np.max(np.abs(np.abs(self.phases) - 1.0)) > 1e-8:
-            raise ValueError("RIS profile entries must be unit modulus")
-
-    @classmethod
-    def from_angles(cls, angles) -> "RisProfile":
-        return cls(np.exp(1j * np.asarray(angles, dtype=float)))
-
-    @classmethod
-    def ones(cls, n: int) -> "RisProfile":
-        return cls(np.ones(n, dtype=complex))
-
-    @property
-    def n(self) -> int:
-        return self.phases.size
 
 
 def _bearing(origin: np.ndarray, point: np.ndarray) -> float:
@@ -227,12 +202,6 @@ def path_gains(scene: Scene) -> PathGains:
     return PathGains(alpha_t, alpha_r, beta_t, beta_r, gain_bu, gain_ru)
 
 
-def _phi_vector(phi) -> np.ndarray:
-    if isinstance(phi, RisProfile):
-        return phi.phases
-    return np.asarray(phi, dtype=complex).reshape(-1)
-
-
 @dataclasses.dataclass(eq=False)
 class RisIsacScenario:
     """Channel pieces of one scene: every channel is h(phi) = a + g (r^T phi).
@@ -306,13 +275,13 @@ class RisIsacScenario:
         return self.r_t.size
 
     def h_t(self, phi) -> np.ndarray:
-        return self.a_t_term + self.g_t * (self.r_t @ _phi_vector(phi))
+        return self.a_t_term + self.g_t * (self.r_t @ phi)
 
     def h_r(self, phi) -> np.ndarray:
-        return self.a_r_term + self.g_r * (self.r_t @ _phi_vector(phi))
+        return self.a_r_term + self.g_r * (self.r_t @ phi)
 
     def h_c(self, phi) -> np.ndarray:
-        return self.h_bu + self.g_c * (self.r_c @ _phi_vector(phi))
+        return self.h_bu + self.g_c * (self.r_c @ phi)
 
     # The L x N RIS maps g r^T, formed on each read.
     @property

@@ -148,7 +148,7 @@ def _run_beampattern(cfg: RunConfig):
         for a, jt, jc, js in zip(spec.grid, design.pattern, design.comm_pattern,
                                  design.sense_pattern)
     ]
-    phase_rows = list(enumerate(np.angle(design.phi.phases)))
+    phase_rows = list(enumerate(np.angle(design.phi)))
     diag = {
         "sinr": design.sinr,
         "sinr_threshold": gamma,

@@ -115,6 +115,8 @@ class RunConfig:
             )
         if self.experiment == "beampattern" and not self.target_angles_deg:
             raise ConfigError("target_angles_deg must hold at least one angle for beampattern")
+        if self.experiment == "isac-tradeoff" and not self.rho_list:
+            raise ConfigError("rho_list must hold at least one value for isac-tradeoff")
         return self
 
 
@@ -180,7 +182,7 @@ def parse_config(text: str, experiment: Optional[str] = None) -> RunConfig:
     messages count the document's own lines.
     """
     values = {} if experiment is None else {"experiment": experiment}
-    unknown = []
+    seen, unknown = {}, []
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -189,6 +191,9 @@ def parse_config(text: str, experiment: Optional[str] = None) -> RunConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw_line!r}")
         key, _, raw = line.partition("=")
         key = key.strip()
+        if key in seen:
+            raise ConfigError(f"line {lineno}: {key!r} repeats line {seen[key]}")
+        seen[key] = lineno
         if key not in _FIELDS:
             unknown.append(key)
             continue

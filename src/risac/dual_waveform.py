@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .arrays import UlaGeometry, steering_vector
-from .channels import RisIsacScenario, RisProfile, Scene, align_profile
+from .channels import RisIsacScenario, Scene, align_profile
 from .errors import InfeasibleSinrError
 from .optim import SolverConfig, riemannian_descent
 
@@ -92,7 +92,7 @@ class DualDesign:
     comm_precoder: np.ndarray   # c, L_T
     sensing_precoder: np.ndarray  # W, L_T x n_targets
     tau: float
-    phi: RisProfile
+    phi: np.ndarray             # unit-modulus RIS profile, N
     covariance: np.ndarray      # R = c c^H + W W^H
     pattern: np.ndarray         # a(theta)^H R a(theta) on spec.grid
     comm_pattern: np.ndarray    # the same for c c^H
@@ -311,7 +311,7 @@ def design_dual_waveform(
         comm_precoder=comm_precoder,
         sensing_precoder=sensing_precoder,
         tau=_best_tau(pattern, spec.desired, st.denom),
-        phi=RisProfile(best["phi"]),
+        phi=best["phi"],
         covariance=r_cov,
         pattern=pattern,
         comm_pattern=_pattern(np.outer(comm_precoder, comm_precoder.conj()), st.grid),

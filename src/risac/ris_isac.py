@@ -42,11 +42,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .channels import RisIsacScenario, RisProfile, _phi_vector, align_profile
+from .channels import RisIsacScenario, align_profile
 from .errors import DegenerateChannelError
 from .isac import crb_min_beamformer
 from .optim import riemannian_descent
-from .sensing import Beamformer
 
 __all__ = [
     "FimResult",
@@ -58,7 +57,7 @@ __all__ = [
 ]
 
 
-def _coupling(phi_vec, a_t, f_t, a_r, f_r, h_bu, f_c, adjoints=None, gradient=True):
+def _coupling(phi, a_t, f_t, a_r, f_r, h_bu, f_c, adjoints=None, gradient=True):
     """Value and conjugate gradient of the coupling metric from one channel evaluation.
 
     ``adjoints`` holds (F_t^H, F_r^H, F_c^H) when the caller evaluates many
@@ -70,9 +69,9 @@ def _coupling(phi_vec, a_t, f_t, a_r, f_r, h_bu, f_c, adjoints=None, gradient=Tr
             "the coupling metric pairs the receive channel with the user "
             f"channel, so L_S must equal L_T (got {len(a_r)} vs {len(h_bu)})"
         )
-    u = a_t + f_t @ phi_vec
-    v = a_r + f_r @ phi_vec
-    c = h_bu + f_c @ phi_vec
+    u = a_t + f_t @ phi
+    v = a_r + f_r @ phi
+    c = h_bu + f_c @ phi
     s = np.vdot(v, c)
     norm_u_sq = float(np.vdot(u, u).real)
     abs_s_sq = float(np.abs(s) ** 2)
@@ -103,7 +102,7 @@ def coupling_objective(
     product between the receive and user channels requires equal transmit and
     receive array sizes, as in the source model.
     """
-    return _coupling(_phi_vector(phi), a_t, f_t, a_r, f_r, h_bu, f_c, gradient=False)[0]
+    return _coupling(phi, a_t, f_t, a_r, f_r, h_bu, f_c, gradient=False)[0]
 
 
 def coupling_gradient(
@@ -120,12 +119,12 @@ def coupling_gradient(
     Product rule over the two factors: d||u||^2/dphi* = F_t^H u and
     d|s|^2/dphi* = conj(s) F_r^H c + s F_c^H v for s = v^H c.
     """
-    return _coupling(_phi_vector(phi), a_t, f_t, a_r, f_r, h_bu, f_c)[1]
+    return _coupling(phi, a_t, f_t, a_r, f_r, h_bu, f_c)[1]
 
 
 @dataclasses.dataclass(eq=False)
 class RisProfileResult:
-    phi: RisProfile
+    phi: np.ndarray  # unit-modulus RIS profile
     objective: float
     objective_trace: np.ndarray
     converged: bool
@@ -151,7 +150,7 @@ def optimize_ris_profile(scenario: RisIsacScenario) -> RisProfileResult:
     start = align_profile(scenario.a_t_term, scenario.g_t, scenario.r_t)
     res = riemannian_descent(fun, "circle", start)
     return RisProfileResult(
-        phi=RisProfile(res.x),
+        phi=res.x,
         objective=res.objective,
         objective_trace=res.trace,
         converged=res.converged,
@@ -175,15 +174,14 @@ def _fim_maps(scenario: RisIsacScenario, phi) -> list:
     Parameters are (theta1, theta2, Re beta, Im beta); the theta columns use
     beta * dH/dtheta, which the direct gains cancel.
     """
-    phi_vec = _phi_vector(phi)
-    h_t = scenario.h_t(phi_vec)
-    h_r = scenario.h_r(phi_vec)
+    h_t = scenario.h_t(phi)
+    h_r = scenario.h_r(phi)
     dh_t_1 = scenario.a_t_dot_term
     dh_r_1 = scenario.a_r_dot_term
-    s_dot = scenario.r_t_dot @ phi_vec
+    s_dot = scenario.r_t_dot @ phi
     dh_t_2 = scenario.g_t * s_dot
     dh_r_2 = scenario.g_r * s_dot
-    h_mat = scenario.sensing_matrix(phi_vec)
+    h_mat = scenario.sensing_matrix(phi)
     c1 = np.outer(dh_r_1, h_t) + np.outer(h_r, dh_t_1)
     c2 = np.outer(dh_r_2, h_t) + np.outer(h_r, dh_t_2)
     return [c1, c2, h_mat, 1j * h_mat]
@@ -199,8 +197,7 @@ def fim_theta(scenario: RisIsacScenario, phi, w) -> FimResult:
     treating it as known would make the CRB optimistic. A genuinely singular
     information matrix yields an infinite CRB (see ``_angle_crb``).
     """
-    w_vec = w.weights if isinstance(w, Beamformer) else np.asarray(w, dtype=complex).reshape(-1)
-    d = np.column_stack([m @ w_vec for m in _fim_maps(scenario, phi)])
+    d = np.column_stack([m @ w for m in _fim_maps(scenario, phi)])
     scale = 2.0 * scenario.scene.samples / scenario.scene.noise_power_sensing
     fim = scale * np.real(d.conj().T @ d)
     fim = 0.5 * (fim + fim.T)
@@ -256,7 +253,7 @@ def _small_angle_crb(info: np.ndarray) -> float:
     return u_22 / (u_11 * u_22 - c * c) / diag[0]
 
 
-def _kappa(scenario: RisIsacScenario, phi_vec: np.ndarray) -> float:
+def _kappa(scenario: RisIsacScenario, phi: np.ndarray) -> float:
     """kappa(phi) of CRB(theta1) = kappa / |h_t^T w|^2 (module docstring); inf if singular.
 
     theta2 enters only when F_rdot phi = g_r (rdot_t^T phi) is not
@@ -264,8 +261,8 @@ def _kappa(scenario: RisIsacScenario, phi_vec: np.ndarray) -> float:
     1 x 1 case. G is at most 2 x 2, so ``_small_angle_crb`` inverts it
     without LAPACK.
     """
-    h_r = scenario.h_r(phi_vec)
-    dh_r_2 = scenario.g_r * (scenario.r_t_dot @ phi_vec)
+    h_r = scenario.h_r(phi)
+    dh_r_2 = scenario.g_r * (scenario.r_t_dot @ phi)
     cols = [scenario.a_r_dot_term, dh_r_2] if np.any(dh_r_2) else [scenario.a_r_dot_term]
     r = np.column_stack(cols)
     r_perp = r - np.outer(h_r, (h_r.conj() @ r) / np.vdot(h_r, h_r))
@@ -274,31 +271,21 @@ def _kappa(scenario: RisIsacScenario, phi_vec: np.ndarray) -> float:
     return _small_angle_crb(0.5 * (info + info.T)) / scale
 
 
-def _crb_beamformer_at(scenario: RisIsacScenario, phi):
-    """Minimizer of CRB(theta1) under the power budget, as a sweep over rate floors.
+def _crb_sweep(scenario: RisIsacScenario, phi, rate_thresholds):
+    """(rates, crbs) of the CRB(theta1)-minimizing beamformer, one per rate floor.
 
     CRB(theta1) = kappa(phi) / |h_t(phi)^T w|^2 with kappa independent of w,
-    so ``solve(floors)`` is ``crb_min_beamformer`` for a_t = h_t(phi): it
-    returns (rates, crbs), one per floor, and raises ``InfeasibleRateError``
-    if any floor is above the max rate. kappa and the channels are built
-    once; the CRB is infinite at zero illumination or singular angle
-    information.
+    so this is ``crb_min_beamformer`` for a_t = h_t(phi). It raises
+    ``InfeasibleRateError`` if any floor is above the max rate. The CRB is
+    infinite at zero illumination or singular angle information.
     """
     if scenario.beta == 0:
         raise DegenerateChannelError(
             "the angle FIM is normalized by the direct gains; beta must be nonzero"
         )
-    phi_vec = _phi_vector(phi)
     scene = scenario.scene
-    h_t = scenario.h_t(phi_vec)
-    h_c = scenario.h_c(phi_vec)
-    kappa = _kappa(scenario, phi_vec)
-
-    def solve(rate_thresholds):
-        return crb_min_beamformer(h_t, h_c, kappa, scene.transmit_power,
-                                  scene.noise_power_comms, rate_thresholds)
-
-    return solve
+    return crb_min_beamformer(scenario.h_t(phi), scenario.h_c(phi), _kappa(scenario, phi),
+                              scene.transmit_power, scene.noise_power_comms, rate_thresholds)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -376,23 +363,23 @@ def ris_isac_tradeoff(
         raise ValueError("r0_points must be >= 1")
     shaped = _apply_coupling(scenario, coupling)
     scene = shaped.scene
-    solves, max_rate, profile = {}, {}, None
+    sweeps, max_rate, profile = [], {}, None  # sweeps: (mode, scenario, phi)
     if {"with", "reference"} & set(ris_modes):
         profile = optimize_ris_profile(shaped)
         h_c_star = shaped.h_c(profile.phi)
-        solves["with"] = _crb_beamformer_at(shaped, profile.phi)
+        sweeps.append(("with", shaped, profile.phi))
         max_rate["with"] = _max_rate(scene, h_c_star)
     if {"without", "reference"} & set(ris_modes):
         bare = _zero_ris(shaped)
-        solves["without"] = _crb_beamformer_at(bare, np.zeros(0))
+        sweeps.append(("without", bare, np.zeros(0)))
         max_rate["without"] = _max_rate(scene, shaped.h_bu)
     curves = {}  # mode -> (floors, rates, crbs)
-    for mode, solve in solves.items():
+    for mode, channel, phi in sweeps:
         # Every grid starts at R0 = 0, where "reference" calibrates; a mode
         # solved only for that calibration sweeps R0 = 0 alone.
         floors = (np.linspace(0.0, 0.97 * max_rate[mode], r0_points) if mode in ris_modes
                   else np.zeros(1))
-        curves[mode] = (floors, *solve(floors))
+        curves[mode] = (floors, *_crb_sweep(channel, phi, floors))
     if "reference" in ris_modes:
         # Scaling both direct gains by amp scales beta * dH/dtheta1 by amp^2,
         # so the angle CRB scales as 1/amp^4.
@@ -418,6 +405,6 @@ def ris_isac_tradeoff(
         ref.h_bu = hc_norm * (resid / np.linalg.norm(resid))
         max_rate["reference"] = max_rate["with"]
         floors = np.linspace(0.0, 0.97 * max_rate["reference"], r0_points)
-        curves["reference"] = (floors, *_crb_beamformer_at(ref, np.zeros(0))(floors))
+        curves["reference"] = (floors, *_crb_sweep(ref, np.zeros(0), floors))
     rows = [RisIsacRow(mode, coupling, *row) for mode in ris_modes for row in zip(*curves[mode])]
     return RisIsacTradeoff(rows, {mode: max_rate[mode] for mode in ris_modes}, profile)

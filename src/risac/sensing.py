@@ -49,7 +49,6 @@ import numpy as np
 from .arrays import steering_derivative, steering_vector
 from .channels import (
     RisIsacScenario,
-    RisProfile,
     Scene,
     align_profile,
     angles_from_geometry,
@@ -58,7 +57,6 @@ from .channels import (
 from .errors import DegenerateChannelError
 
 __all__ = [
-    "Beamformer",
     "DetectionConfig",
     "IlluminationResult",
     "maximize_illumination",
@@ -71,51 +69,25 @@ __all__ = [
 ]
 
 
-@dataclasses.dataclass(eq=False)
-class Beamformer:
-    """Precoder weights under a transmit power budget ||w||^2 <= budget."""
-
-    weights: np.ndarray
-    budget: float = 1.0
-
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=complex).reshape(-1)
-        if not self.budget > 0:
-            raise ValueError("budget must be positive")
-        norm_sq = float(np.real(np.vdot(self.weights, self.weights)))
-        if norm_sq > self.budget + 1e-9 * self.budget:
-            raise ValueError(
-                f"weights exceed the power budget: ||w||^2 = {norm_sq:.6g} > {self.budget:.6g}"
-            )
-
-
 @dataclasses.dataclass(frozen=True)
 class DetectionConfig:
-    """False-alarm rate and the matching energy-test threshold."""
+    """False-alarm rate of the energy test; its threshold is -ln(Pf)."""
 
     false_alarm_rate: float
-    threshold: float = None  # type: ignore[assignment]
 
     def __post_init__(self):
         if not 0.0 < self.false_alarm_rate < 1.0:
             raise ValueError("false_alarm_rate must lie in (0, 1)")
-        gamma = -math.log(self.false_alarm_rate)
-        if self.threshold is None:
-            object.__setattr__(self, "threshold", gamma)
-        elif abs(self.threshold - gamma) > 1e-9 * max(1.0, gamma):
-            raise ValueError("threshold must equal -ln(false_alarm_rate)")
 
-
-def _weights(w) -> np.ndarray:
-    if isinstance(w, Beamformer):
-        return w.weights
-    return np.asarray(w, dtype=complex).reshape(-1)
+    @property
+    def threshold(self) -> float:
+        return -math.log(self.false_alarm_rate)
 
 
 @dataclasses.dataclass(eq=False)
 class IlluminationResult:
-    w: Beamformer
-    phi: RisProfile
+    w: np.ndarray    # precoder, ||w||^2 = P
+    phi: np.ndarray  # unit-modulus RIS profile
     power: float
     iterations: int = 0  # always 0: the closed form runs no iterations
 
@@ -141,9 +113,7 @@ def maximize_illumination(scene: Scene) -> IlluminationResult:
         raise DegenerateChannelError(
             "sensing channel is identically zero; nothing to illuminate"
         )
-    w_vec = math.sqrt(p_t) * h_t / norm
-    return IlluminationResult(w=Beamformer(w_vec, p_t), phi=RisProfile(phi),
-                              power=p_t * norm**2)
+    return IlluminationResult(w=math.sqrt(p_t) * h_t / norm, phi=phi, power=p_t * norm**2)
 
 
 def matched_filter_snr(power: float, scene: Scene) -> float:
@@ -390,7 +360,7 @@ def glrt_monte_carlo(
     rng = np.random.default_rng(seed)
     angles = angles_from_geometry(scene)
     h_t, _ = build_sensing_channels(scene, phi)
-    c = np.vdot(h_t, _weights(w))  # h_t^H w, per-snapshot deterministic part
+    c = np.vdot(h_t, w)  # h_t^H w, per-snapshot deterministic part
     a_r = steering_vector(scene.rx, angles.theta1)
     v = (a_r / np.linalg.norm(a_r)).conj()  # receive matched filter
     echo_amp = abs(c * (a_r @ v))  # |g|: a_r^T v scales the echo at the filter output

@@ -10,10 +10,8 @@ from typing import Callable
 import numpy as np
 
 from risac import (
-    Beamformer,
     DegenerateChannelError,
     InfeasibleRateError,
-    RisProfile,
     angles_from_geometry,
     steering_derivative,
     steering_vector,
@@ -24,22 +22,22 @@ from risac.channels import path_gains
 def illumination_power(h_t: np.ndarray, w) -> float:
     """Power delivered to the target: |h_t^H w|^2."""
     h_t = np.asarray(h_t, dtype=complex).reshape(-1)
-    w_vec = w.weights if isinstance(w, Beamformer) else np.asarray(w, dtype=complex).reshape(-1)
+    w_vec = np.asarray(w, dtype=complex).reshape(-1)
     if h_t.shape != w_vec.shape:
         raise ValueError(f"dimension mismatch: {h_t.shape} vs {w_vec.shape}")
     return float(np.abs(np.vdot(h_t, w_vec)) ** 2)
 
 
-def matched_filter_beamformer(h: np.ndarray, budget: float = 1.0) -> Beamformer:
+def matched_filter_beamformer(h: np.ndarray, budget: float = 1.0) -> np.ndarray:
     """Precoder sqrt(budget) * h / ||h||, the illumination-power maximizer."""
     h = np.asarray(h, dtype=complex).reshape(-1)
     norm = float(np.linalg.norm(h))
     if norm == 0.0:
         raise DegenerateChannelError("cannot match-filter a zero channel")
-    return Beamformer(math.sqrt(budget) * h / norm, budget)
+    return math.sqrt(budget) * h / norm
 
 
-def align_ris_phases(b_target: np.ndarray, b_incident: np.ndarray) -> RisProfile:
+def align_ris_phases(b_target: np.ndarray, b_incident: np.ndarray) -> np.ndarray:
     """Per-element phases that make every term of b_target^H diag(phi) b_incident add in phase."""
     b_target = np.asarray(b_target, dtype=complex).reshape(-1)
     b_incident = np.asarray(b_incident, dtype=complex).reshape(-1)
@@ -48,7 +46,7 @@ def align_ris_phases(b_target: np.ndarray, b_incident: np.ndarray) -> RisProfile
             f"length mismatch: {b_target.shape[0]} vs {b_incident.shape[0]}"
         )
     terms = b_target.conj() * b_incident
-    return RisProfile(np.exp(-1j * np.angle(terms)))
+    return np.exp(-1j * np.angle(terms))
 
 
 def ris_maps_reference(scene) -> dict:
@@ -92,7 +90,7 @@ def rank_one_illumination_bound(a_t: np.ndarray, f_t: np.ndarray, power: float) 
 def achievable_rate(h_c: np.ndarray, w, noise_comms: float) -> float:
     """Downlink rate log2(1 + |h_c^T w|^2 / sigma_c^2) in bits per use."""
     h_c = np.asarray(h_c, dtype=complex).reshape(-1)
-    w_vec = w.weights if isinstance(w, Beamformer) else np.asarray(w, dtype=complex).reshape(-1)
+    w_vec = np.asarray(w, dtype=complex).reshape(-1)
     if h_c.shape != w_vec.shape:
         raise ValueError(f"dimension mismatch: {h_c.shape} vs {w_vec.shape}")
     snr = float(np.abs(h_c @ w_vec) ** 2) / noise_comms
@@ -106,7 +104,7 @@ def isac_crb(w, scenario) -> float:
     and samples. This is the single-quotient form; ``risac.isac`` computes
     kappa / |a_t^T w|^2 with kappa once per run, which rounds differently.
     """
-    w_vec = w.weights if isinstance(w, Beamformer) else np.asarray(w, dtype=complex).reshape(-1)
+    w_vec = np.asarray(w, dtype=complex).reshape(-1)
     illum = float(np.abs(scenario.a_t @ w_vec) ** 2)
     if illum == 0.0:
         return math.inf
@@ -153,8 +151,7 @@ def max_illumination_reference(a_t, h_c, p_t, sigma_c, rate_threshold):
             lam2 = complex(math.sqrt(max(p_t - snr_floor / hc_norm_sq, 0.0)))
             w_vec = lam1 * q_hat + lam2 * (p_perp / perp_norm)
         branch = "boundary"
-    w = Beamformer(w_vec, p_t)
-    return w, branch, achievable_rate(h_c, w, sigma_c)
+    return w_vec, branch, achievable_rate(h_c, w_vec, sigma_c)
 
 
 def coupling_coefficient(h_c: np.ndarray, a_t: np.ndarray) -> float:

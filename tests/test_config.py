@@ -57,6 +57,8 @@ valid_configs = (
     .map(lambda kw: RunConfig(**kw))
     # beampattern designs one sensing column per target, so it needs one.
     .filter(lambda cfg: cfg.experiment != "beampattern" or cfg.target_angles_deg)
+    # isac-tradeoff draws one curve per coupling, so it needs one.
+    .filter(lambda cfg: cfg.experiment != "isac-tradeoff" or cfg.rho_list)
     # The RIS profile solve pairs the receive and transmit arrays.
     .filter(lambda cfg: cfg.experiment != "ris-isac-tradeoff" or cfg.l_s == cfg.l_t
             or not set(cfg.ris_modes) & {"with", "reference"})
@@ -276,6 +278,45 @@ def test_beampattern_without_targets_is_a_json_config_error(tmp_path, capsys):
     assert code == 2
     assert set(err) == {"error", "detail"}
     assert err["error"] == "ConfigError" and "target_angles_deg" in err["detail"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_isac_tradeoff_without_couplings_is_a_config_error():
+    with pytest.raises(ConfigError, match="rho_list"):
+        RunConfig(experiment="isac-tradeoff", rho_list=()).validate()
+    RunConfig(experiment="detect", rho_list=()).validate()
+
+
+def test_isac_tradeoff_without_couplings_is_a_json_config_error(tmp_path, capsys):
+    # It used to exit with an untyped ValueError from the trade-off sweep.
+    config = tmp_path / "no_rho.cfg"
+    config.write_text("l_t = 4\nrho_list =\n")
+    code, err = _error_of(capsys, ["isac-tradeoff", "--config", str(config),
+                                   "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert set(err) == {"error", "detail"}
+    assert err["error"] == "ConfigError" and "rho_list" in err["detail"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_repeated_key_is_a_config_error():
+    # The last value used to win silently.
+    with pytest.raises(ConfigError) as info:
+        parse_config("seed = 1\nseed = 2\n")
+    assert str(info.value) == "line 2: 'seed' repeats line 1"
+    with pytest.raises(ConfigError, match="line 4: 'l_t' repeats line 2"):
+        parse_config("# comment\nl_t = 4\n\nl_t = 4\n")
+    # A document's own experiment line is not a repeat of the requested experiment.
+    assert parse_config("experiment = detect\n", "detect").experiment == "detect"
+
+
+def test_repeated_key_is_a_json_config_error(tmp_path, capsys):
+    config = tmp_path / "repeated.cfg"
+    config.write_text("seed = 1\nseed = 2\n")
+    code, err = _error_of(capsys, ["detect", "--config", str(config),
+                                   "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert err == {"error": "ConfigError", "detail": "line 2: 'seed' repeats line 1"}
     assert not (tmp_path / "out").exists()
 
 

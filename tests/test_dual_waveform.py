@@ -328,7 +328,7 @@ class TestDesign:
 
     def test_unit_modulus_profile(self, designed):
         _, _, design, _ = designed
-        assert np.allclose(np.abs(design.phi.phases), 1.0, atol=1e-12)
+        assert np.allclose(np.abs(design.phi), 1.0, atol=1e-12)
 
     def test_sensing_dip_toward_ris(self, designed):
         scene, spec, design, _ = designed

@@ -135,7 +135,7 @@ def assert_sweep_matches_reference(sc, floors, swept=None):
     for r0, w, on_boundary, rate, crb in zip(floors, weights, boundary, rates, crbs):
         ref_w, branch, ref_rate = max_illumination_reference(
             sc.a_t, sc.h_c, sc.budget, sc.noise_comms, r0)
-        assert np.array_equal(w, ref_w.weights)
+        assert np.array_equal(w, ref_w)
         assert on_boundary == (branch == "boundary")
         assert rate == ref_rate
         assert crb == pytest.approx(isac_crb(ref_w, sc), rel=1e-15, abs=0)

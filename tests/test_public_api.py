@@ -1,8 +1,10 @@
-"""Every public function of ``risac`` has a caller outside the tests.
+"""Every public function and class member of ``risac`` has a caller outside the tests.
 
-A function exported in a module's ``__all__`` must be referenced somewhere in
-``src/risac`` or ``benchmarks/`` other than its own definition and the package
-re-export in ``__init__``. Helpers that only tests use belong in ``tests/``.
+A function exported in a module's ``__all__``, and a public method,
+classmethod, staticmethod or property of a class exported there, must be
+referenced somewhere in ``src/risac`` or ``benchmarks/`` other than its own
+definition and the package re-export in ``__init__``. Helpers that only tests
+use belong in ``tests/``.
 """
 
 import ast
@@ -45,3 +47,34 @@ def test_every_public_function_has_a_caller(module_name):
     referenced = _referenced_names()
     orphans = [n for n in _public_functions(module_name) if n not in referenced]
     assert not orphans, f"risac.{module_name} exports functions only tests call: {orphans}"
+
+
+def _public_members(module_name: str) -> list:
+    """``Class.member`` for each public callable or property defined on an exported class."""
+    mod = importlib.import_module(f"risac.{module_name}")
+    members = []
+    for name in getattr(mod, "__all__", []):
+        cls = getattr(mod, name)
+        if not (inspect.isclass(cls) and cls.__module__ == mod.__name__):
+            continue
+        for attr, value in vars(cls).items():
+            if attr.startswith("_"):
+                continue
+            if inspect.isfunction(value) or isinstance(value, (property, classmethod,
+                                                                staticmethod)):
+                members.append((f"{name}.{attr}", attr))
+    return members
+
+
+def test_member_scan_sees_methods_classmethods_and_properties():
+    channels = [full for full, _ in _public_members("channels")]
+    assert {"RisIsacScenario.from_scene", "RisIsacScenario.h_t", "RisIsacScenario.f_t",
+            "Scene.n_ris", "Scene.replace"} <= set(channels)
+    assert "DetectionConfig.threshold" in [full for full, _ in _public_members("sensing")]
+
+
+@pytest.mark.parametrize("module_name", MODULES)
+def test_every_public_class_member_has_a_caller(module_name):
+    referenced = _referenced_names()
+    orphans = [full for full, attr in _public_members(module_name) if attr not in referenced]
+    assert not orphans, f"risac.{module_name} exports class members only tests call: {orphans}"

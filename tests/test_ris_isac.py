@@ -17,12 +17,11 @@ from risac import (
     ris_isac_tradeoff,
 )
 from risac import ris_isac as ri
-from risac.channels import _phi_vector
 from risac.cli import run_experiment
 from risac.config import RunConfig, scene_from_config
 from risac.isac import max_illumination_beamformer
 from risac.optim import _unit_modulus
-from risac.ris_isac import _apply_coupling, _crb_beamformer_at, _fim_maps, _zero_ris
+from risac.ris_isac import _apply_coupling, _crb_sweep, _fim_maps, _zero_ris
 
 from oracles import (
     coupling_coefficient,
@@ -185,7 +184,7 @@ class TestCouplingGradient:
         args = (scenario.a_t_term, scenario.f_t, scenario.a_r_term,
                 scenario.f_r, scenario.h_bu, scenario.f_c)
         res = optimize_ris_profile(scenario)
-        phi = res.phi.phases
+        phi = res.phi
         g = coupling_gradient(phi, *args)
         tangent = g - np.real(g * np.conj(phi)) * phi
         # Dimensionless stationarity: tangent norm relative to the objective.
@@ -265,14 +264,14 @@ class TestOptimizeProfile:
                            blocked_user_path=False)
         scenario = RisIsacScenario.from_scene(scene)
         res = optimize_ris_profile(scenario)
-        assert np.array_equal(res.phi.phases, np.ones(6, dtype=complex))
+        assert np.array_equal(res.phi, np.ones(6, dtype=complex))
         assert res.iterations == 0 and res.converged and res.stop == "tol"
 
     def test_trace_non_increasing_and_unit_modulus(self):
         scenario = RisIsacScenario.from_scene(desk_scene())
         res = optimize_ris_profile(scenario)
         assert np.all(np.diff(res.objective_trace) <= 0.0)
-        assert np.max(np.abs(np.abs(res.phi.phases) - 1.0)) < 1e-15
+        assert np.max(np.abs(np.abs(res.phi) - 1.0)) < 1e-15
 
     def test_unit_modulus_projection(self):
         # The solver's circle retraction: nonzero entries map to z/|z| exactly;
@@ -471,7 +470,7 @@ class TestSmallAngleCrb:
 
 
 def sweep_weights(scenario, phi, rate_thresholds):
-    """The (R, L_T) beamformer rows behind ``_crb_beamformer_at(scenario, phi)``'s sweep."""
+    """The (R, L_T) beamformer rows behind ``_crb_sweep(scenario, phi, rate_thresholds)``."""
     scene = scenario.scene
     return max_illumination_beamformer(scenario.h_t(phi), scenario.h_c(phi), scene.transmit_power,
                                        scene.noise_power_comms, rate_thresholds)[0]
@@ -481,7 +480,7 @@ class TestRateConstrainedBeamformer:
     def test_unconstrained_no_worse_than_matched_filter(self):
         scenario = RisIsacScenario.from_scene(desk_scene())
         phi = np.exp(1j * np.linspace(0, 2, 16))
-        crb = _crb_beamformer_at(scenario, phi)([0.0])[1][0]
+        crb = _crb_sweep(scenario, phi, [0.0])[1][0]
         w_mf = matched_filter_beamformer(scenario.h_t(phi).conj(), 3.0)
         assert crb <= fim_theta(scenario, phi, w_mf).crb_theta1 * (1.0 + 1e-9)
 
@@ -492,7 +491,7 @@ class TestRateConstrainedBeamformer:
         max_rate = math.log2(1.0 + 3.0 * np.linalg.norm(h_c) ** 2 / 1e-8)
         for frac in [0.2, 0.6, 0.9]:
             r0 = frac * max_rate
-            rate = _crb_beamformer_at(scenario, phi)([r0])[0][0]
+            rate = _crb_sweep(scenario, phi, [r0])[0][0]
             w = sweep_weights(scenario, phi, [r0])[0]
             assert rate >= r0 - 1e-6
             assert np.real(np.vdot(w, w)) <= 3.0 + 1e-9
@@ -501,7 +500,7 @@ class TestRateConstrainedBeamformer:
         scenario = RisIsacScenario.from_scene(desk_scene())
         phi = np.ones(16, dtype=complex)
         with pytest.raises(InfeasibleRateError):
-            _crb_beamformer_at(scenario, phi)([60.0])
+            _crb_sweep(scenario, phi, [60.0])
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("strip_ris", [False, True])
@@ -511,7 +510,7 @@ class TestRateConstrainedBeamformer:
         if strip_ris:
             scenario, phi = _zero_ris(scenario), np.zeros(0)
         with pytest.raises(DegenerateChannelError):
-            _crb_beamformer_at(scenario, phi)([0.0])
+            _crb_sweep(scenario, phi, [0.0])
 
     def test_zero_gain_ris_leaves_theta2_out(self):
         # F_rdot phi is identically zero, so kappa is the single-angle 1 x 1
@@ -520,7 +519,7 @@ class TestRateConstrainedBeamformer:
             desk_scene(ris=UlaGeometry(4), ris_gain_override=0.0)
         )
         phi = np.ones(4, dtype=complex)
-        crb = _crb_beamformer_at(scenario, phi)([0.0])[1][0]
+        crb = _crb_sweep(scenario, phi, [0.0])[1][0]
         oracle = fim_theta(scenario, phi, sweep_weights(scenario, phi, [0.0])[0])
         assert oracle.fim[1, 1] == 0.0 and math.isfinite(crb)
         np.testing.assert_allclose(crb, oracle.crb_theta1, rtol=1e-12, atol=0)
@@ -537,7 +536,7 @@ class TestRateConstrainedBeamformer:
             h_c = scenario.h_c(phi)
             max_rate = math.log2(1.0 + 3.0 * np.linalg.norm(h_c) ** 2 / 1e-8)
             r0 = 0.5 * max_rate
-            crb = _crb_beamformer_at(scenario, phi)([r0])[1][0]
+            crb = _crb_sweep(scenario, phi, [r0])[1][0]
             snr_floor = (2.0**r0 - 1.0) * 1e-8
             samples = rng.standard_normal((20000, 4))
             best = float(np.min(grid_oracle_crbs(scenario, phi, samples, snr_floor)))
@@ -598,13 +597,12 @@ class TestTradeoffStructure:
         # feasible.
         scenario = RisIsacScenario.from_scene(desk_scene(ris=UlaGeometry(8)))
         shaped = _apply_coupling(scenario, coupling)
-        profile = optimize_ris_profile(shaped).phi
-        phi = profile.phases
+        phi = optimize_ris_profile(shaped).phi
         h_t, h_c = shaped.h_t(phi), shaped.h_c(phi)
         max_rate = math.log2(1.0 + 3.0 * float(np.real(np.vdot(h_c, h_c))) / 1e-8)
         result = ris_isac_tradeoff(scenario, coupling, ["with"], 6)
         assert result.max_rate == {"with": max_rate}
-        assert np.array_equal(result.profile.phi.phases, phi)
+        assert np.array_equal(result.profile.phi, phi)
         grid = np.linspace(0.0, 0.97 * max_rate, 6)
         assert [row.rate_threshold for row in result.rows] == list(grid)
         scene = shaped.scene
@@ -615,9 +613,9 @@ class TestTradeoffStructure:
             np.testing.assert_allclose(
                 row.crb, fim_theta(shaped, phi, w).crb_theta1, rtol=1e-12, atol=0
             )
-            assert row.crb == _crb_beamformer_at(shaped, profile)([r0])[1][0]
+            assert row.crb == _crb_sweep(shaped, phi, [r0])[1][0]
         with pytest.raises(InfeasibleRateError):
-            _crb_beamformer_at(shaped, profile)([1.5 * max_rate])
+            _crb_sweep(shaped, phi, [1.5 * max_rate])
 
     @pytest.mark.parametrize("coupling", ["weak", "strong"])
     def test_every_row_matches_the_fim_oracle(self, tmp_path, monkeypatch, coupling):
@@ -626,21 +624,16 @@ class TestTradeoffStructure:
         # of the full 4 x 4 FIM at its beamformer. At strong coupling theta2 carries
         # 1e-22 to 1e-28 of the largest FIM diagonal and must still count.
         checked = []
-        build = ri._crb_beamformer_at
+        build = ri._crb_sweep
 
-        def spy(scenario, phi):
-            solve = build(scenario, phi)
+        def spy(scenario, phi, rate_thresholds):
+            rates, crbs = build(scenario, phi, rate_thresholds)
+            weights = sweep_weights(scenario, phi, rate_thresholds)
+            checked.extend((crb, fim_theta(scenario, phi, w).crb_theta1)
+                           for w, crb in zip(weights, crbs))
+            return rates, crbs
 
-            def recorded(rate_thresholds):
-                rates, crbs = solve(rate_thresholds)
-                weights = sweep_weights(scenario, phi, rate_thresholds)
-                checked.extend((crb, fim_theta(scenario, phi, w).crb_theta1)
-                               for w, crb in zip(weights, crbs))
-                return rates, crbs
-
-            return recorded
-
-        monkeypatch.setattr(ri, "_crb_beamformer_at", spy)
+        monkeypatch.setattr(ri, "_crb_sweep", spy)
         for seed in range(10):
             cfg = RunConfig(experiment="ris-isac-tradeoff", coupling=coupling, seed=seed)
             run_experiment(cfg, tmp_path / str(seed))
@@ -656,25 +649,19 @@ class TestTradeoffStructure:
         # weights and rate equal the per-floor reference and its CRB is
         # kappa / |h_t^T w|^2 at the reference weights, bit for bit.
         beams, solves = [], []
-        sweep, build = ri.crb_min_beamformer, ri._crb_beamformer_at
+        sweep, build = ri.crb_min_beamformer, ri._crb_sweep
 
         def recorded_sweep(*args):
             h_t, h_c, _, p_t, sigma_c, floors = args
             beams.append((args, max_illumination_beamformer(h_t, h_c, p_t, sigma_c, floors)))
             return sweep(*args)
 
-        def recorded_build(scenario, phi):
-            solve = build(scenario, phi)
-            kappa = ri._kappa(scenario, _phi_vector(phi))
-
-            def recorded(rate_thresholds):
-                solves.append((kappa, solve(rate_thresholds)))
-                return solves[-1][1]
-
-            return recorded
+        def recorded_build(scenario, phi, rate_thresholds):
+            solves.append((ri._kappa(scenario, phi), build(scenario, phi, rate_thresholds)))
+            return solves[-1][1]
 
         monkeypatch.setattr(ri, "crb_min_beamformer", recorded_sweep)
-        monkeypatch.setattr(ri, "_crb_beamformer_at", recorded_build)
+        monkeypatch.setattr(ri, "_crb_sweep", recorded_build)
         for seed in range(10):
             beams.clear()
             solves.clear()
@@ -687,8 +674,8 @@ class TestTradeoffStructure:
                 for r0, w, boundary, rate, crb in zip(floors, *beam, crbs):
                     ref_w, branch, ref_rate = max_illumination_reference(
                         h_t, h_c, p_t, sigma_c, r0)
-                    illum = float(np.abs(h_t @ ref_w.weights) ** 2)
-                    assert np.array_equal(w, ref_w.weights)
+                    illum = float(np.abs(h_t @ ref_w) ** 2)
+                    assert np.array_equal(w, ref_w)
                     assert boundary == (branch == "boundary") and rate == ref_rate
                     assert crb == (kappa / illum if illum > 0.0 else math.inf)
 
