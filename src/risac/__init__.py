@@ -34,7 +34,6 @@ from .ris_isac import (
     coupling_gradient,
     coupling_objective,
     fim_theta,
-    optimize_ris_profile,
     ris_isac_tradeoff,
 )
 from .sensing import (

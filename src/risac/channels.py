@@ -17,8 +17,11 @@ so each h_t, h_r or h_c costs O(L + N): one dot product r^T phi and one
 scaled vector. The matrices F are formed on each read; only the coupling
 metric of ``ris_isac`` (``_coupling`` and its public matrix-argument
 wrappers) and the tests read them. Sensing, ISAC and dual-waveform code all
-read their channels from the scenario, and take every RIS profile from
-``align_profile(a, g, r)``, the closed-form maximizer of ||a + g (r^T phi)||.
+read their channels from the scenario. Every experiment takes its RIS
+profile from ``align_profile(a, g, r)``, the closed-form maximizer of
+||a + g (r^T phi)||: ``sense-sweep`` and ``detect`` for the target,
+``ris-isac-tradeoff`` for the target on the coupling-shaped scene, and
+``beampattern`` for the user.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ import numpy as np
 
 from .arrays import UlaGeometry, steering_derivative, steering_vector
 from .errors import DegenerateChannelError, DegenerateGeometryError
-from .optim import _unit_modulus
 
 __all__ = [
     "Scene",
@@ -309,6 +311,16 @@ def build_sensing_channels(scene: Scene, phi):
     """Tx-target and Rx-target channels h_t(phi) and h_r(phi) of a scene."""
     channel = RisIsacScenario.from_scene(scene)
     return channel.h_t(phi), channel.h_r(phi)
+
+
+def _unit_modulus(z: np.ndarray) -> np.ndarray:
+    """z / |z| entrywise; an exact zero has no phase and maps to 1."""
+    z = np.asarray(z, dtype=complex)
+    mags = np.abs(z)
+    zero = mags < 1e-300
+    if zero.any():
+        z, mags = np.where(zero, 1.0, z), np.where(zero, 1.0, mags)
+    return z / mags
 
 
 def align_profile(a: np.ndarray, g: np.ndarray, r: np.ndarray) -> np.ndarray:

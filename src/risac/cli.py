@@ -57,10 +57,15 @@ def _fmt(value) -> str:
     return repr(x)
 
 
-def _write_csv(path: Path, header: str, rows) -> None:
+def _write_csv(path: Path, header: str, rows) -> str:
+    """Write the table with CRLF line ends; returns the SHA-256 of its bytes."""
+    import hashlib  # loads OpenSSL, about 5 ms; importing risac.cli should not pay it
+
     lines = [header]
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    path.write_text("\r\n".join(lines) + "\r\n", encoding="utf-8", newline="")
+    data = ("\r\n".join(lines) + "\r\n").encode("utf-8")
+    path.write_bytes(data)
+    return hashlib.sha256(data).hexdigest()
 
 
 def _run_sense_sweep(cfg: RunConfig):
@@ -123,11 +128,7 @@ def _run_isac_tradeoff(cfg: RunConfig):
 def _run_ris_isac_tradeoff(cfg: RunConfig):
     scenario = RisIsacScenario.from_scene(scene_from_config(cfg))
     result = ri.ris_isac_tradeoff(scenario, cfg.coupling, cfg.ris_modes, cfg.r0_points, cfg.seed)
-    diag = {}
-    if result.profile is not None:
-        for key in ("converged", "stop", "objective", "iterations", "evaluations"):
-            diag[f"profile_{key}"] = getattr(result.profile, key)
-    diag.update((f"max_rate_{mode}", rate) for mode, rate in result.max_rate.items())
+    diag = {f"max_rate_{mode}": rate for mode, rate in result.max_rate.items()}
     csv_rows = [(r.mode, r.coupling, r.rate_threshold, r.rate, r.crb) for r in result.rows]
     return {"": (CSV_HEADERS["ris-isac-tradeoff"], csv_rows)}, diag
 
@@ -211,7 +212,12 @@ print("wrote {experiment}.png")
 
 
 def run_experiment(cfg: RunConfig, out_dir: Path, emit_plot_script: bool = False) -> dict:
-    """Run one experiment; writes CSV file(s) plus a JSON summary."""
+    """Run one experiment; writes CSV file(s) plus a JSON summary.
+
+    The summary's ``outputs`` maps each CSV's name in ``out_dir`` to its
+    SHA-256, so two runs into different directories write the same summary
+    bar ``wall_clock_seconds``.
+    """
     cfg.validate()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -219,11 +225,10 @@ def run_experiment(cfg: RunConfig, out_dir: Path, emit_plot_script: bool = False
     tables, diagnostics = _RUNNERS[cfg.experiment](cfg)
     elapsed = time.perf_counter() - started
 
-    written = []
+    written = {}
     for suffix, (header, rows) in tables.items():
-        path = out_dir / f"{cfg.experiment}{suffix}.csv"
-        _write_csv(path, header, rows)
-        written.append(str(path))
+        name = f"{cfg.experiment}{suffix}.csv"
+        written[name] = _write_csv(out_dir / name, header, rows)
     summary = {
         "experiment": cfg.experiment,
         "config": {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)},

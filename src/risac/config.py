@@ -106,13 +106,6 @@ class RunConfig:
         bad_modes = set(self.ris_modes) - {"with", "without", "reference"}
         if bad_modes:
             raise ConfigError(f"unknown ris_modes: {sorted(bad_modes)}")
-        if (self.experiment == "ris-isac-tradeoff" and self.l_s != self.l_t
-                and set(self.ris_modes) & {"with", "reference"}):
-            # The RIS profile's coupling metric is the inner product of the
-            # receive and user channels, so the arrays must match.
-            raise ConfigError(
-                f"ris_modes with or reference need l_s == l_t (got {self.l_s} vs {self.l_t})"
-            )
         if self.experiment == "beampattern" and not self.target_angles_deg:
             raise ConfigError("target_angles_deg must hold at least one angle for beampattern")
         if self.experiment == "isac-tradeoff" and not self.rho_list:

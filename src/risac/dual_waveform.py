@@ -270,7 +270,7 @@ def design_dual_waveform(
     )])
     trace, iterations, evaluations, converged, prev_viol = [], 0, 0, False, math.inf
     for _ in range(_MAX_OUTER):
-        res = riemannian_descent(lagrangian, "oblique", x, cfg)
+        res = riemannian_descent(lagrangian, x, cfg)
         x = res.x
         iterations += res.iterations
         evaluations += res.evaluations

@@ -1,16 +1,14 @@
-"""One Riemannian descent for the package's unit-modulus problems.
+"""One Riemannian descent, on the oblique manifold.
 
-Both feasible sets are products of unit spheres. The oblique manifold holds
-the complex matrices with unit-norm rows (a transmit covariance R = X X^H
-with unit diagonal); the complex circle manifold holds the vectors with
-unit-modulus entries (an RIS profile), which is the oblique manifold of one
-column. ``riemannian_descent`` projects the gradient onto the tangent space,
-retracts by normalization, and steps along a limited-memory BFGS direction
-with monotone Armijo backtracking, so its trace never increases (Absil,
-Mahony & Sepulchre 2008; Huang, Gallivan & Absil 2015; Boumal 2023). The
-(s, y) pairs are steps and tangent-gradient changes in ambient coordinates,
-with no vector transport; the direction is projected onto the tangent space
-at x.
+The oblique manifold holds the complex matrices with unit-norm rows, a
+product of unit spheres: the transmit factor X of a covariance R = X X^H
+with unit diagonal (``dual_waveform``). ``riemannian_descent`` projects the
+gradient onto the tangent space, retracts by normalization, and steps along
+a limited-memory BFGS direction with monotone Armijo backtracking, so its
+trace never increases (Absil, Mahony & Sepulchre 2008; Huang, Gallivan &
+Absil 2015; Boumal 2023). The (s, y) pairs are steps and tangent-gradient
+changes in ambient coordinates, with no vector transport; the direction is
+projected onto the tangent space at x.
 
 It stops when the tangent-gradient norm falls to ``tol * |f|``. The
 tolerance is relative because the line search cannot resolve a decrease
@@ -37,7 +35,6 @@ __all__ = [
     "riemannian_descent",
 ]
 
-MANIFOLDS = ("oblique", "circle")
 ARMIJO_C = 1e-4   # sufficient-decrease constant of the backtracking line search
 BACKTRACK = 0.5   # step shrink factor per rejected trial
 MEMORY = 96       # (s, y) pairs the quasi-Newton direction keeps
@@ -67,20 +64,8 @@ class SolverResult:
     stop: str           # "tol", "max_iter" or "no_descent"
 
 
-def _unit_modulus(z: np.ndarray) -> np.ndarray:
-    """z / |z| entrywise; an exact zero has no phase and maps to 1."""
-    z = np.asarray(z, dtype=complex)
-    mags = np.abs(z)
-    zero = mags < 1e-300
-    if zero.any():
-        z, mags = np.where(zero, 1.0, z), np.where(zero, 1.0, mags)
-    return z / mags
-
-
 def _normalize(x: np.ndarray) -> np.ndarray:
     """Retraction: rows to unit norm; an all-zero row maps to e_1."""
-    if x.shape[1] == 1:
-        return _unit_modulus(x)
     # numpy's own body of np.linalg.norm(x, axis=1, keepdims=True).
     norms = np.sqrt(np.add.reduce((x.conj() * x).real, axis=1, keepdims=True))
     zero = norms[:, 0] < 1e-300
@@ -166,32 +151,25 @@ class _InverseHessian:
 
 def riemannian_descent(
     fun: Callable[[np.ndarray], Tuple[float, np.ndarray]],
-    manifold: str,
     x0: np.ndarray,
     cfg: SolverConfig = SolverConfig(),
 ) -> SolverResult:
-    """Minimize ``fun`` over the unit-norm rows of a matrix or unit-modulus entries of a vector.
+    """Minimize ``fun`` over the matrices with unit-norm rows, from a 2-D ``x0``.
 
     ``fun(x)`` returns the objective and its conjugate (Wirtinger) gradient
-    d f / d conj(x) in one call. ``manifold`` is "oblique" for a 2-D ``x0``
-    (unit-norm rows) or "circle" for a 1-D ``x0`` (unit-modulus entries);
-    ``x0`` is normalized first. Each trial point costs one call; the unit
-    quasi-Newton step is tried first, so most iterations cost exactly one.
+    d f / d conj(x) in one call; ``x0`` is normalized first. Each trial
+    point costs one call; the unit quasi-Newton step is tried first, so most
+    iterations cost exactly one.
     """
-    if manifold not in MANIFOLDS:
-        raise ValueError(f"manifold must be one of {MANIFOLDS}")
     x0 = np.asarray(x0)
-    ndim = 2 if manifold == "oblique" else 1
-    if x0.ndim != ndim:
-        raise ValueError(f"the {manifold} manifold needs a {ndim}-D start")
-    shape = x0.shape
-    rows = x0 if ndim == 2 else x0.reshape(-1, 1)  # a circle point is a column
+    if x0.ndim != 2:
+        raise ValueError(f"the oblique manifold needs a 2-D start, got {x0.ndim}-D")
 
     def evaluate(x):
-        f, g = fun(x.reshape(shape))
-        return float(f), _tangent(x, np.asarray(g).reshape(x.shape))
+        f, g = fun(x)
+        return float(f), _tangent(x, np.asarray(g))
 
-    x = _normalize(rows.astype(complex, copy=False))
+    x = _normalize(x0.astype(complex, copy=False))
     f, rg = evaluate(x)
     gnorm = math.sqrt(_inner(rg, rg))
     trace = [f]
@@ -230,6 +208,5 @@ def riemannian_descent(
     else:
         stop = "tol"
     return SolverResult(
-        x.reshape(shape), f, np.asarray(trace), stop == "tol", it, evaluations,
-        float(gnorm), stop,
+        x, f, np.asarray(trace), stop == "tol", it, evaluations, float(gnorm), stop,
     )

@@ -1,68 +1,70 @@
-"""RIS-aided ISAC: coupling maximization, angle CRB, beamformer design.
+"""RIS-aided ISAC: angle CRB and the rate/CRB trade-off with and without an RIS.
 
 Every channel comes from ``channels.RisIsacScenario``, h(phi) = a + g (r^T phi)
-for the rank-one RIS map F = g r^T; the coupling metric (``_coupling``) is
-the one reader of the F matrices in ``risac``. The RIS profile is tuned
-first to expand and rotate the sensing/comms subspaces (Riemannian descent
-on the circle manifold |phi_i| = 1), then the transmit beamformer minimizes
-the angle CRB under a rate floor in closed form. The nuisance gain beta
-contributes the FIM columns h_r s and i h_r s (s = h_t^T w), so eliminating
-it projects h_r out of the angle columns; the transmit-derivative terms lie
-along h_r and drop out. What remains is CRB(theta1) = kappa(phi) /
-|h_t(phi)^T w|^2, with kappa set by the receive side alone, so minimizing
-the CRB maximizes the illumination |h_t^T w|^2. With R = [adot_r-term,
-g_r (rdot_t^T phi)] and R_perp its part orthogonal to h_r, kappa =
-[G^-1]_11 / (2T / sigma_s^2) for G = Re(R_perp^H R_perp).
+for the rank-one RIS map F = g r^T. The "with" mode takes the RIS profile
+phi* = ``channels.align_profile(a_t, g_t, r_t)`` of the coupling-shaped
+scenario, conj(r_t) g_t^H a_t / |conj(r_t) g_t^H a_t| entrywise: it puts
+r_t^T phi at its largest modulus ||r_t||_1, phase-aligned with the direct
+path, the profile that maximizes the illumination ||h_t||^2 (Wu & Zhang,
+IEEE TWC 2019). It does not depend on the config seed. The transmit
+beamformer then minimizes the angle CRB under a rate floor in closed form.
+The nuisance gain beta contributes the FIM columns h_r s and i h_r s
+(s = h_t^T w), so eliminating it projects h_r out of the angle columns; the
+transmit-derivative terms lie along h_r and drop out. What remains is
+CRB(theta1) = kappa(phi) / |h_t(phi)^T w|^2, with kappa set by the receive
+side alone, so minimizing the CRB maximizes the illumination |h_t^T w|^2.
+With R = [adot_r-term, g_r (rdot_t^T phi)] and R_perp its part orthogonal
+to h_r, kappa = [G^-1]_11 / (2T / sigma_s^2) for G = Re(R_perp^H R_perp).
 ``ris_isac_tradeoff`` runs the whole experiment: one coupling shaping, one
-profile solve, and kappa and one closed-form sweep per channel; the sweep is
-``isac.crb_min_beamformer``, the one ``isac-tradeoff`` runs too.
+aligned profile, and kappa and one closed-form sweep per channel; the sweep
+is ``isac.crb_min_beamformer``, the one ``isac-tradeoff`` runs too.
 ``fim_theta`` builds the full 4 x 4 FIM instead and is the independent
 reference the kappa form is tested against.
+
+Why phi* and no descent: a Riemannian descent of the coupling proxy
+||h_t||^2 |h_r^H h_c|^2 (``coupling_objective``) started from phi* ends with
+a higher CRB than phi* at every rate floor, at config seeds 0-9. Its CRB
+over phi*'s is 1.0045-1.0098 (weak) and 1.0029-1.0103 (strong) at the
+default scene, and 1.14-1.23 (weak) and 1.0002-1.0008 (strong) at the
+scaled one (n_ris = 256, l_t = l_s = 32): raising |h_r^H h_c| is not what
+the CRB at a floor rewards. A grid over the profiles
+unit_modulus(conj(r_t + mu r_c)) e^{j psi} finds none better than phi* at
+R0 = 0 by more than 6e-6 relative (scaled scene, weak, seed 0). The
+coupling metric stays as a measure of how the RIS turns the sensing and
+comms subspaces; no experiment evaluates it.
 
 G is 1 x 1 or 2 x 2 (theta2 is the one nuisance angle), so ``_kappa`` takes
 [G^-1]_11 and its condition test in closed form (``_small_angle_crb``) and
 the experiment calls no LAPACK routine; the first such call in a process
 adds over 1 MB of resident memory. ``_angle_crb``, an SVD condition number
 and an inversion, serves the general-size FIM of ``fim_theta``.
-
-The profile descent runs once, from phi_0 = ``channels.align_profile(a_t,
-g_t, r_t)``, conj(r_t) g_t^H a_t / |conj(r_t) g_t^H a_t| entrywise, which
-puts r_t^T phi at its largest modulus ||r_t||_1, phase-aligned with the
-direct path: the optimal passive beamformer for one reflected path (Wu &
-Zhang, IEEE TWC 2019). Random starts reach about 1/sqrt(N) of that modulus,
-and at strong coupling they stop in an interior basin. The profile does not
-depend on the config seed.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .channels import RisIsacScenario, align_profile
 from .errors import DegenerateChannelError
 from .isac import crb_min_beamformer
-from .optim import riemannian_descent
 
 __all__ = [
     "FimResult",
     "coupling_objective",
     "coupling_gradient",
-    "optimize_ris_profile",
     "fim_theta",
     "ris_isac_tradeoff",
 ]
 
 
-def _coupling(phi, a_t, f_t, a_r, f_r, h_bu, f_c, adjoints=None, gradient=True):
+def _coupling(phi, a_t, f_t, a_r, f_r, h_bu, f_c, gradient=True):
     """Value and conjugate gradient of the coupling metric from one channel evaluation.
 
-    ``adjoints`` holds (F_t^H, F_r^H, F_c^H) when the caller evaluates many
-    profiles of one scenario; otherwise they are formed here. With
-    ``gradient=False`` the gradient slot is None.
+    With ``gradient=False`` the gradient slot is None.
     """
     if len(a_r) != len(h_bu):
         raise ValueError(
@@ -78,11 +80,8 @@ def _coupling(phi, a_t, f_t, a_r, f_r, h_bu, f_c, adjoints=None, gradient=True):
     value = -norm_u_sq * abs_s_sq
     if not gradient:
         return value, None
-    if adjoints is None:
-        adjoints = (f_t.conj().T, f_r.conj().T, f_c.conj().T)
-    f_t_h, f_r_h, f_c_h = adjoints
-    grad = abs_s_sq * (f_t_h @ u)
-    grad += norm_u_sq * (s.conjugate() * (f_r_h @ c) + s * (f_c_h @ v))
+    grad = abs_s_sq * (f_t.conj().T @ u)
+    grad += norm_u_sq * (s.conjugate() * (f_r.conj().T @ c) + s * (f_c.conj().T @ v))
     return value, -grad
 
 
@@ -120,44 +119,6 @@ def coupling_gradient(
     d|s|^2/dphi* = conj(s) F_r^H c + s F_c^H v for s = v^H c.
     """
     return _coupling(phi, a_t, f_t, a_r, f_r, h_bu, f_c)[1]
-
-
-@dataclasses.dataclass(eq=False)
-class RisProfileResult:
-    phi: np.ndarray  # unit-modulus RIS profile
-    objective: float
-    objective_trace: np.ndarray
-    converged: bool
-    stop: str  # the solver's stop reason: "tol", "max_iter" or "no_descent"
-    iterations: int
-    evaluations: int  # objective/gradient calls
-
-
-def optimize_ris_profile(scenario: RisIsacScenario) -> RisProfileResult:
-    """Riemannian descent of the coupling objective on the circle manifold |phi_i| = 1.
-
-    One run from the phase-aligned start of the module docstring (with zero
-    RIS gain the start is all ones and is returned after 0 iterations). The
-    trace is non-increasing; ``stop`` says why the solver ended.
-    """
-    f_t, f_r, f_c = scenario.f_t, scenario.f_r, scenario.f_c
-    args = (scenario.a_t_term, f_t, scenario.a_r_term, f_r, scenario.h_bu, f_c)
-    adjoints = (f_t.conj().T, f_r.conj().T, f_c.conj().T)
-
-    def fun(p):
-        return _coupling(p, *args, adjoints=adjoints)
-
-    start = align_profile(scenario.a_t_term, scenario.g_t, scenario.r_t)
-    res = riemannian_descent(fun, "circle", start)
-    return RisProfileResult(
-        phi=res.x,
-        objective=res.objective,
-        objective_trace=res.trace,
-        converged=res.converged,
-        stop=res.stop,
-        iterations=res.iterations,
-        evaluations=res.evaluations,
-    )
 
 
 @dataclasses.dataclass(eq=False)
@@ -301,7 +262,6 @@ class RisIsacRow:
 class RisIsacTradeoff:
     rows: list  # RisIsacRow, mode by mode in the requested order
     max_rate: dict  # bits per use, by mode
-    profile: Optional[RisProfileResult]  # None when no mode needs the tuned RIS
 
 
 def _apply_coupling(scenario: RisIsacScenario, coupling: str) -> RisIsacScenario:
@@ -344,17 +304,17 @@ def ris_isac_tradeoff(
 ) -> RisIsacTradeoff:
     """Rate/CRB trade-off rows of each RIS mode under a coupling regime.
 
-    Modes: "with" sweeps the beamformer at the RIS profile that
-    ``optimize_ris_profile`` tunes on the coupling-shaped scenario (solved
-    only when a mode needs it); "without" zeroes the RIS paths; "reference"
-    is the gain-matched zero-coupling baseline whose max rate and min CRB
-    (at R0 = 0) equal the with-RIS run's, isolating the subspace-rotation
-    part of the gain; an infinite CRB to match (one receive element has no
-    angle information) raises ``DegenerateChannelError``. Each mode's rate
-    floors run from 0 to 97% of its max rate in ``r0_points >= 1`` steps,
-    so every floor is feasible, and "reference" calibrates from the R0 = 0
-    rows of the other two. ``seed`` draws the reference comms direction
-    when the sensing channel leaves no orthogonal residual.
+    Modes: "with" sweeps the beamformer at the aligned RIS profile phi* of
+    the coupling-shaped scenario (module docstring); "without" zeroes the
+    RIS paths; "reference" is the gain-matched zero-coupling baseline whose
+    max rate and min CRB (at R0 = 0) equal the with-RIS run's, isolating the
+    subspace-rotation part of the gain; an infinite CRB to match (one
+    receive element has no angle information) raises
+    ``DegenerateChannelError``. Each mode's rate floors run from 0 to 97% of
+    its max rate in ``r0_points >= 1`` steps, so every floor is feasible,
+    and "reference" calibrates from the R0 = 0 rows of the other two.
+    ``seed`` draws the reference comms direction when the sensing channel
+    leaves no orthogonal residual.
     """
     unknown = set(ris_modes) - {"with", "without", "reference"}
     if unknown:
@@ -363,11 +323,11 @@ def ris_isac_tradeoff(
         raise ValueError("r0_points must be >= 1")
     shaped = _apply_coupling(scenario, coupling)
     scene = shaped.scene
-    sweeps, max_rate, profile = [], {}, None  # sweeps: (mode, scenario, phi)
+    sweeps, max_rate = [], {}  # sweeps: (mode, scenario, phi)
     if {"with", "reference"} & set(ris_modes):
-        profile = optimize_ris_profile(shaped)
-        h_c_star = shaped.h_c(profile.phi)
-        sweeps.append(("with", shaped, profile.phi))
+        phi = align_profile(shaped.a_t_term, shaped.g_t, shaped.r_t)
+        h_c_star = shaped.h_c(phi)
+        sweeps.append(("with", shaped, phi))
         max_rate["with"] = _max_rate(scene, h_c_star)
     if {"without", "reference"} & set(ris_modes):
         bare = _zero_ris(shaped)
@@ -400,11 +360,9 @@ def ris_isac_tradeoff(
             rng = np.random.default_rng(seed)
             z = rng.standard_normal(h_t_ref.size) + 1j * rng.standard_normal(h_t_ref.size)
             resid = z - np.vdot(h_t_hat, z) * h_t_hat
-        hc_norm = math.sqrt((2.0 ** max_rate["with"] - 1.0) * scene.noise_power_comms
-                            / scene.transmit_power)
-        ref.h_bu = hc_norm * (resid / np.linalg.norm(resid))
+        ref.h_bu = np.linalg.norm(h_c_star) * (resid / np.linalg.norm(resid))
         max_rate["reference"] = max_rate["with"]
         floors = np.linspace(0.0, 0.97 * max_rate["reference"], r0_points)
         curves["reference"] = (floors, *_crb_sweep(ref, np.zeros(0), floors))
     rows = [RisIsacRow(mode, coupling, *row) for mode in ris_modes for row in zip(*curves[mode])]
-    return RisIsacTradeoff(rows, {mode: max_rate[mode] for mode in ris_modes}, profile)
+    return RisIsacTradeoff(rows, {mode: max_rate[mode] for mode in ris_modes})

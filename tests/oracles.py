@@ -235,21 +235,3 @@ def sinr_given_channel(h_c: np.ndarray, comm: np.ndarray, r_cov: np.ndarray,
     interference = max(total - num, 0.0)
     return num / (interference + noise_comms)
 
-
-def rank_one_coupling_grid(a_t, g_t, a_r, g_r, h_bu, g_c, r, radii=201, angles=720):
-    """Coupling objective on a polar grid of s = r^T phi, for RIS maps g r^T sharing r.
-
-    When every RIS map is a dyad g r^T with the same r (strong coupling),
-    each F phi is g s with s = r^T phi, and the objective
-    -||a_t + g_t s||^2 |(a_r + g_r s)^H (h_bu + g_c s)|^2 is a closed form in
-    s. Unit-modulus phi reach only |s| <= ||r||_1, so the grid covers that
-    disk, rim included. Returns the grid minimum.
-    """
-    r_norm1 = float(np.sum(np.abs(r)))
-    s = np.outer(np.linspace(0.0, r_norm1, radii),
-                 np.exp(1j * np.linspace(0.0, 2.0 * np.pi, angles, endpoint=False)))
-    norm_u_sq = (np.vdot(a_t, a_t).real + 2.0 * np.real(np.conj(s) * np.vdot(g_t, a_t))
-                 + np.abs(s) ** 2 * np.vdot(g_t, g_t).real)
-    inner = (np.vdot(a_r, h_bu) + s * np.vdot(a_r, g_c) + np.conj(s) * np.vdot(g_r, h_bu)
-             + np.abs(s) ** 2 * np.vdot(g_r, g_c))
-    return float(np.min(-norm_u_sq * np.abs(inner) ** 2))

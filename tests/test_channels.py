@@ -12,7 +12,7 @@ from risac import (
     pathloss_amplitude,
     steering_vector,
 )
-from risac.channels import path_gains
+from risac.channels import _unit_modulus, path_gains
 from risac.config import RunConfig, scene_from_config
 
 from oracles import rank_one_illumination_bound, ris_maps_reference
@@ -252,3 +252,29 @@ def test_align_profile_attains_the_rank_one_bound(case):
         phis = np.exp(2j * np.pi * rng.uniform(size=(n, 1000)))
         values = np.sum(np.abs(a[:, None] + f @ phis) ** 2, axis=0)
         assert np.max(values) <= value * (1.0 + 1e-12)
+
+
+def unit_modulus_reference(z):
+    """The plain numpy form ``_unit_modulus`` was trimmed from."""
+    out = np.asarray(z, dtype=complex).copy()
+    mags = np.abs(out)
+    zero = mags < 1e-300
+    out[zero] = 1.0
+    mags[zero] = 1.0
+    return out / mags
+
+
+def test_unit_modulus_projection():
+    # Nonzero entries map to z/|z| exactly; an exact zero has no phase and
+    # maps to 1. It equals its reference bit for bit, a real input is
+    # promoted to complex, and the input is not written to.
+    rng = np.random.default_rng(4)
+    z = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    assert np.array_equal(_unit_modulus(z), z / np.abs(z))
+    assert np.array_equal(_unit_modulus(np.array([0.0, -2.0, 3j, 0j])), [1.0, -1.0, 1j, 1.0])
+    for x in (z * 10.0 ** rng.uniform(-3.0, 3.0, 6), np.array([0.0, -2.0, 3.0]),
+              np.array([2.0 - 1j, 0j])):
+        before = x.copy()
+        ours, ref = _unit_modulus(x), unit_modulus_reference(x)
+        assert ours.dtype == ref.dtype and ours.tobytes() == ref.tobytes()
+        assert np.array_equal(x, before)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -59,9 +60,6 @@ valid_configs = (
     .filter(lambda cfg: cfg.experiment != "beampattern" or cfg.target_angles_deg)
     # isac-tradeoff draws one curve per coupling, so it needs one.
     .filter(lambda cfg: cfg.experiment != "isac-tradeoff" or cfg.rho_list)
-    # The RIS profile solve pairs the receive and transmit arrays.
-    .filter(lambda cfg: cfg.experiment != "ris-isac-tradeoff" or cfg.l_s == cfg.l_t
-            or not set(cfg.ris_modes) & {"with", "reference"})
     # An angle CRB needs a receive array of two or more elements.
     .filter(lambda cfg: cfg.l_s >= 2 or cfg.experiment not in
             ("sense-sweep", "isac-tradeoff", "ris-isac-tradeoff"))
@@ -165,24 +163,17 @@ def test_repeated_grid_entry_is_a_config_error():
               ris_modes=("reference", "with"), target_angles_deg=(20.0, 20.5)).validate()
 
 
-def test_unequal_arrays_with_a_tuned_ris_is_a_config_error():
-    for modes in (("with",), ("without", "reference")):
-        with pytest.raises(ConfigError, match="l_s == l_t"):
-            RunConfig(experiment="ris-isac-tradeoff", l_s=8, ris_modes=modes).validate()
-    # The RIS-free sweep solves no profile, and the other experiments pair no arrays.
-    RunConfig(experiment="ris-isac-tradeoff", l_s=8, ris_modes=("without",)).validate()
-    RunConfig(experiment="sense-sweep", l_s=8).validate()
-
-
-def test_unequal_arrays_with_a_tuned_ris_is_a_json_config_error(tmp_path, capsys):
+@pytest.mark.parametrize("coupling", ["weak", "strong"])
+def test_unequal_arrays_run_every_ris_mode(tmp_path, coupling):
+    # No run path pairs the receive array with the user channel, so a receive
+    # array smaller than the transmit one runs "with" and "reference" too.
     config = tmp_path / "unequal.cfg"
-    config.write_text("l_s = 8\n")
-    code, err = _error_of(capsys, ["ris-isac-tradeoff", "--config", str(config),
-                                   "--out", str(tmp_path / "out")])
-    assert code == 2
-    assert set(err) == {"error", "detail"}
-    assert err["error"] == "ConfigError" and "l_s" in err["detail"]
-    assert not (tmp_path / "out").exists()
+    config.write_text(f"l_s = 8\ncoupling = {coupling}\n")
+    out = tmp_path / "out"
+    assert cli.main(["ris-isac-tradeoff", "--config", str(config), "--out", str(out)]) == 0
+    rows = (out / "ris-isac-tradeoff.csv").read_text().splitlines()[1:]
+    assert {row.split(",")[0] for row in rows} == {"with", "without", "reference"}
+    assert all(math.isfinite(float(row.split(",")[-1])) for row in rows)
 
 
 @pytest.mark.parametrize("experiment,text", [

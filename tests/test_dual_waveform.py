@@ -399,8 +399,8 @@ class TestDesign:
             loss, grad = original_loss(x_mat, *args)
             return (-1.0 if any(x_mat is t for t in trials) else loss), grad
 
-        def descent(fun, manifold, x0, cfg=None):
-            res = original_descent(fun, manifold, x0, cfg)
+        def descent(fun, x0, cfg=None):
+            res = original_descent(fun, x0, cfg)
             trials.append(0.5 * res.x)
             fun(trials[-1])
             ends.append(res.x)
@@ -482,7 +482,7 @@ def certified_lower_bound(spec, geom, x):
 def reference_factor(spec, geom, x0):
     """The floor-free optimum from ``x0``, by the solver at a tight tolerance."""
     st = _Steering.build(spec, geom)
-    res = riemannian_descent(lambda x: _loss_gradient(x, None, spec, st), "oblique", x0,
+    res = riemannian_descent(lambda x: _loss_gradient(x, None, spec, st), x0,
                              SolverConfig(tol=1e-6, max_iter=20000))
     return res.x
 

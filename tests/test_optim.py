@@ -8,7 +8,6 @@ from risac.optim import (
     _inner,
     _normalize,
     _tangent,
-    _unit_modulus,
     riemannian_descent,
 )
 
@@ -24,7 +23,7 @@ def test_quadratic_bowl():
     # On the oblique manifold the minimizer of ||X - T||^2 is T with its rows
     # normalized.
     target = np.array([[1.0, -2.0j], [3.0, 0.5 + 1j], [-0.2j, 0.1]])
-    res = riemannian_descent(bowl(target), "oblique", np.ones((3, 2), dtype=complex),
+    res = riemannian_descent(bowl(target), np.ones((3, 2), dtype=complex),
                              SolverConfig(tol=1e-8, max_iter=5000))
     nearest = target / np.linalg.norm(target, axis=1, keepdims=True)
     assert np.linalg.norm(res.x - nearest) < 1e-6
@@ -33,45 +32,44 @@ def test_quadratic_bowl():
 
 
 def test_circle_projection_moves_to_nearest_point():
-    # minimize |x - 2|^2 over the unit circle -> x = 1
+    # minimize |x - 2|^2 over the unit circle, the oblique manifold of one
+    # 1 x 1 matrix -> x = 1
     res = riemannian_descent(
-        lambda x: (float(np.abs(x[0] - 2.0) ** 2), x - 2.0),
-        "circle",
-        np.array([np.exp(1j * 2.0)]),
+        lambda x: (float(np.abs(x[0, 0] - 2.0) ** 2), x - 2.0),
+        np.array([[np.exp(1j * 2.0)]]),
         SolverConfig(tol=1e-12, max_iter=5000),
     )
-    assert abs(res.x[0] - 1.0) < 1e-6
+    assert abs(res.x[0, 0] - 1.0) < 1e-6
     assert res.converged
 
 
 def test_constant_objective_returns_init():
-    init = np.exp(1j * np.array([4.0, 5.0]))
-    res = riemannian_descent(lambda x: (1.0, np.zeros_like(x)), "circle", init)
+    init = np.exp(1j * np.array([[4.0], [5.0]]))
+    res = riemannian_descent(lambda x: (1.0, np.zeros_like(x)), init)
     assert res.iterations == 0
     assert np.allclose(res.x, init)
     assert res.converged and res.stop == "tol"
 
 
 def test_empty_circle_start_returns_at_once():
-    # An RIS of no elements: the empty profile is its only point.
-    res = riemannian_descent(lambda x: (-3.0, np.zeros_like(x)), "circle", np.zeros(0))
-    assert res.x.shape == (0,) and res.objective == -3.0
+    # A start with no rows (one column: a point on a product of no circles)
+    # is the empty manifold's only point.
+    res = riemannian_descent(lambda x: (-3.0, np.zeros_like(x)), np.zeros((0, 1)))
+    assert res.x.shape == (0, 1) and res.objective == -3.0
     assert res.iterations == 0 and res.evaluations == 1 and res.stop == "tol"
 
 
 def test_radial_gradient_is_stationary():
     # 2.5 ||x||^2 is constant on the manifold: its gradient 2.5 x is radial,
     # with no tangent part, so the start is already optimal.
-    init = np.exp(1j * np.array([0.3, -1.2, 2.0]))
-    res = riemannian_descent(
-        lambda x: (2.5 * float(np.sum(np.abs(x) ** 2)), 2.5 * x), "circle", init
-    )
+    init = np.exp(1j * np.array([[0.3], [-1.2], [2.0]]))
+    res = riemannian_descent(lambda x: (2.5 * float(np.sum(np.abs(x) ** 2)), 2.5 * x), init)
     assert res.iterations == 0 and res.stop == "tol"
 
 
 def test_max_iter_stop_is_reported():
     target = np.array([[1.0, 2.0], [0.5j, -1.0]])
-    res = riemannian_descent(bowl(target), "oblique", np.ones((2, 2), dtype=complex),
+    res = riemannian_descent(bowl(target), np.ones((2, 2), dtype=complex),
                              SolverConfig(tol=0.0, max_iter=3))
     assert res.iterations == 3 and len(res.trace) == 4
     assert not res.converged and res.stop == "max_iter"
@@ -81,28 +79,25 @@ def test_max_iter_stop_is_reported():
 def test_no_descent_stop_is_reported():
     # A gradient that points uphill: no step decreases the objective.
     def uphill(x):
-        return float(np.real(x[0])), -0.5 * np.ones_like(x)
+        return float(np.real(x[0, 0])), -0.5 * np.ones_like(x)
 
-    res = riemannian_descent(uphill, "circle", np.array([1j]))
+    res = riemannian_descent(uphill, np.array([[1j]]))
     assert not res.converged and res.stop == "no_descent"
-    assert res.iterations == 0 and np.allclose(res.x, [1j])
+    assert res.iterations == 0 and np.allclose(res.x, [[1j]])
 
 
 def test_iterates_stay_on_the_manifold():
     rng = np.random.default_rng(2)
     target = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
-    res = riemannian_descent(bowl(target), "oblique",
-                             rng.standard_normal((4, 3)) + 0j, SolverConfig(max_iter=7))
+    res = riemannian_descent(bowl(target), rng.standard_normal((4, 3)) + 0j,
+                             SolverConfig(max_iter=7))
     assert np.allclose(np.linalg.norm(res.x, axis=1), 1.0, atol=1e-15)
 
 
-def test_rejects_unknown_manifold_and_wrong_rank():
-    with pytest.raises(ValueError, match="manifold"):
-        riemannian_descent(bowl(np.ones(2)), "sphere", np.ones(2))
-    with pytest.raises(ValueError, match="circle"):
-        riemannian_descent(bowl(np.ones((2, 2))), "circle", np.ones((2, 2)))
-    with pytest.raises(ValueError, match="oblique"):
-        riemannian_descent(bowl(np.ones(2)), "oblique", np.ones(2))
+def test_rejects_a_start_that_is_not_2d():
+    for start in (np.ones(2), np.ones((2, 2, 2)), np.array(1.0)):
+        with pytest.raises(ValueError, match="2-D start"):
+            riemannian_descent(bowl(start), start)
 
 
 def test_fd_gradient_linear_exact():
@@ -127,9 +122,7 @@ def test_fd_gradient_complex_convention():
 
 def test_riemannian_descent_deterministic():
     def run():
-        return riemannian_descent(
-            bowl(np.full((4, 2), 1.5 - 0.5j)), "oblique", np.eye(4, 2, dtype=complex)
-        )
+        return riemannian_descent(bowl(np.full((4, 2), 1.5 - 0.5j)), np.eye(4, 2, dtype=complex))
 
     r1, r2 = run(), run()
     assert np.array_equal(r1.trace, r2.trace)
@@ -141,18 +134,7 @@ def test_riemannian_descent_deterministic():
 # changed rounding keeps the default design's solver path but moves its
 # pattern cells by up to 6.9e-7 relative, past the goldens' 1e-9 (see
 # tests/test_golden_outputs.py).
-def unit_modulus_reference(z):
-    out = np.asarray(z, dtype=complex).copy()
-    mags = np.abs(out)
-    zero = mags < 1e-300
-    out[zero] = 1.0
-    mags[zero] = 1.0
-    return out / mags
-
-
 def normalize_reference(x):
-    if x.shape[1] == 1:
-        return unit_modulus_reference(x)
     norms = np.linalg.norm(x, axis=1, keepdims=True)
     zero = norms[:, 0] < 1e-300
     x = np.where(zero[:, None], np.eye(1, x.shape[1]), x)
@@ -188,8 +170,6 @@ def test_helpers_bitwise_equal_their_reference_forms(seed, shape):
     rng = np.random.default_rng(seed)
     x, g = random_rows(rng, shape), random_rows(rng, shape)
     assert_same_bits(_normalize(x), normalize_reference(x))
-    assert_same_bits(_unit_modulus(x), unit_modulus_reference(x))
-    assert_same_bits(_unit_modulus(x[:, 0]), unit_modulus_reference(x[:, 0]))
     u = normalize_reference(x)
     assert_same_bits(_tangent(u, g), tangent_reference(u, g))
     assert_same_bits(_inner(x, g), inner_reference(x, g))
@@ -197,8 +177,8 @@ def test_helpers_bitwise_equal_their_reference_forms(seed, shape):
 
 
 def test_zero_row_and_zero_entry_match_reference():
-    # An all-zero row retracts to e_1, an exact zero entry to 1, and every
-    # other row or entry is untouched by the fix-up.
+    # An all-zero row retracts to e_1 (an exact zero entry of one column to
+    # 1), and every other row is untouched by the fix-up.
     rng = np.random.default_rng(9)
     x = random_rows(rng, (5, 3))
     x[2] = 0.0
@@ -212,17 +192,12 @@ def test_zero_row_and_zero_entry_match_reference():
     out = _normalize(z)
     assert_same_bits(out, normalize_reference(z))
     assert np.array_equal(out[[1, 4], 0], [1.0, 1.0])
-    assert_same_bits(_unit_modulus(z[:, 0]), unit_modulus_reference(z[:, 0]))
-    # A real input is promoted to complex in both forms.
-    real = np.array([0.0, -2.0, 3.0])
-    assert_same_bits(_unit_modulus(real), unit_modulus_reference(real))
 
 
 def test_retraction_does_not_write_to_its_input():
     z = np.array([[0.0 + 0j], [2.0 - 1j]])
     before = z.copy()
     _normalize(z)
-    _unit_modulus(z)
     assert_same_bits(z, before)
 
 
@@ -236,19 +211,21 @@ def counted(fun):
     return wrapped, calls
 
 
-@pytest.mark.parametrize("manifold, start, fun, cfg", [
+# "circle" labels the one-column starts: the oblique manifold of one column is
+# the product of unit circles.
+@pytest.mark.parametrize("label, start, fun, cfg", [
     ("oblique", np.ones((3, 2), dtype=complex),
      bowl(np.array([[1.0, -2.0j], [3.0, 0.5 + 1j], [-0.2j, 0.1]])), SolverConfig(tol=1e-8)),
     ("oblique", np.ones((2, 2), dtype=complex),
      bowl(np.array([[1.0, 2.0], [0.5j, -1.0]])), SolverConfig(tol=0.0, max_iter=3)),
-    ("circle", np.array([1j]),
-     lambda x: (float(np.real(x[0])), -0.5 * np.ones_like(x)), SolverConfig()),
-    ("circle", np.exp(1j * np.array([4.0, 5.0])),
+    ("circle", np.array([[1j]]),
+     lambda x: (float(np.real(x[0, 0])), -0.5 * np.ones_like(x)), SolverConfig()),
+    ("circle", np.exp(1j * np.array([[4.0], [5.0]])),
      lambda x: (1.0, np.zeros_like(x)), SolverConfig()),
 ])
-def test_evaluations_count_every_call(manifold, start, fun, cfg):
+def test_evaluations_count_every_call(label, start, fun, cfg):
     wrapped, calls = counted(fun)
-    res = riemannian_descent(wrapped, manifold, start, cfg)
+    res = riemannian_descent(wrapped, start, cfg)
     assert res.evaluations == len(calls)
     # One call at the start, at least one per accepted step; the uphill case
     # backtracks until the move is below rounding.
@@ -282,7 +259,7 @@ def test_negative_curvature_pairs_are_not_stored(monkeypatch):
         qx = q @ x
         return -float(np.vdot(x, qx).real), -qx
 
-    res = riemannian_descent(concave, "circle", np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 8)),
+    res = riemannian_descent(concave, np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (8, 1))),
                              SolverConfig(tol=1e-10))
     assert any(sy <= 0.0 for sy, _, _ in log)
     assert all(after == before + 1 for sy, before, after in log if sy > 0.0)
@@ -307,7 +284,7 @@ def test_ill_conditioned_quadratic_runs_past_the_memory(monkeypatch):
         return float(np.sum(w * np.abs(x - target) ** 2)), w * (x - target)
 
     cfg = SolverConfig(tol=1e-7)
-    res = riemannian_descent(weighted_bowl, "oblique", np.ones(shape, dtype=complex), cfg)
+    res = riemannian_descent(weighted_bowl, np.ones(shape, dtype=complex), cfg)
     assert res.iterations > 3 * MEMORY
     assert res.converged and res.grad_norm <= cfg.tol * res.objective
     assert max(after for _, _, after in log) == MEMORY
@@ -337,7 +314,7 @@ def test_an_uphill_direction_clears_the_memory(monkeypatch):
     monkeypatch.setattr(optim._InverseHessian, "apply", flip_once)
     monkeypatch.setattr(optim._InverseHessian, "clear", recorded_clear)
     target = np.array([[1.0, -2.0j], [3.0, 0.5 + 1j], [-0.2j, 0.1]])
-    res = riemannian_descent(bowl(target), "oblique", np.ones((3, 2), dtype=complex),
+    res = riemannian_descent(bowl(target), np.ones((3, 2), dtype=complex),
                              SolverConfig(tol=1e-8))
     assert flipped == [3] and cleared == [3]
     assert np.all(np.diff(res.trace) <= 0.0)

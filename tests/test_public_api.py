@@ -1,10 +1,14 @@
-"""Every public function and class member of ``risac`` has a caller outside the tests.
+"""Every public function and class member of ``risac`` has a caller in ``src``.
 
 A function exported in a module's ``__all__``, and a public method,
 classmethod, staticmethod or property of a class exported there, must be
-referenced somewhere in ``src/risac`` or ``benchmarks/`` other than its own
-definition and the package re-export in ``__init__``. Helpers that only tests
-use belong in ``tests/``.
+referenced somewhere in ``src/risac`` other than its own definition and the
+package re-export in ``__init__``: a function by name or attribute, a class
+member by attribute. Helpers that only tests use belong in ``tests/``.
+
+``BENCHMARK_ONLY`` names the exports that only ``benchmarks/`` keeps alive.
+Each must stay exported, be read by the benchmark and have no ``src``
+caller; a member that gains one leaves the set.
 """
 
 import ast
@@ -19,18 +23,32 @@ SRC = ROOT / "src" / "risac"
 MODULES = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
 
 
-def _referenced_names() -> set:
-    """Every name read as a bare name or an attribute in src (bar __init__) and benchmarks."""
-    files = [p for p in SRC.glob("*.py") if p.name != "__init__.py"]
-    files += sorted((ROOT / "benchmarks").rglob("*.py"))
-    names = set()
+BENCHMARK_ONLY = {
+    "config.render_config",
+    "dual_waveform.autoscale_tau",
+    "ris_isac.coupling_objective",
+    "ris_isac.coupling_gradient",
+    "ris_isac.fim_theta",
+    "channels.RisIsacScenario.f_t",
+    "channels.RisIsacScenario.f_r",
+    "channels.RisIsacScenario.f_c",
+}
+
+
+def _referenced_names(files) -> tuple:
+    """(bare names, attribute names) read in ``files``."""
+    names, attrs = set(), set()
     for path in files:
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Name):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-    return names
+                attrs.add(node.attr)
+    return names, attrs
+
+
+def _src_names() -> tuple:
+    return _referenced_names(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
 def _public_functions(module_name: str) -> list:
@@ -44,9 +62,10 @@ def _public_functions(module_name: str) -> list:
 
 @pytest.mark.parametrize("module_name", MODULES)
 def test_every_public_function_has_a_caller(module_name):
-    referenced = _referenced_names()
-    orphans = [n for n in _public_functions(module_name) if n not in referenced]
-    assert not orphans, f"risac.{module_name} exports functions only tests call: {orphans}"
+    names, attrs = _src_names()
+    orphans = [n for n in _public_functions(module_name) if n not in names | attrs
+               and f"{module_name}.{n}" not in BENCHMARK_ONLY]
+    assert not orphans, f"risac.{module_name} exports functions with no src caller: {orphans}"
 
 
 def _public_members(module_name: str) -> list:
@@ -75,6 +94,22 @@ def test_member_scan_sees_methods_classmethods_and_properties():
 
 @pytest.mark.parametrize("module_name", MODULES)
 def test_every_public_class_member_has_a_caller(module_name):
-    referenced = _referenced_names()
-    orphans = [full for full, attr in _public_members(module_name) if attr not in referenced]
-    assert not orphans, f"risac.{module_name} exports class members only tests call: {orphans}"
+    attrs = _src_names()[1]
+    orphans = [full for full, attr in _public_members(module_name) if attr not in attrs
+               and f"{module_name}.{full}" not in BENCHMARK_ONLY]
+    assert not orphans, f"risac.{module_name} exports class members with no src caller: {orphans}"
+
+
+def test_benchmark_only_names_are_exported_unused_in_src_and_read_by_the_benchmark():
+    names, attrs = _src_names()
+    bench_names, bench_attrs = _referenced_names(sorted((ROOT / "benchmarks").rglob("*.py")))
+    exported = {f"{m}.{n}" for m in MODULES for n in _public_functions(m)}
+    members = {f"{m}.{full}" for m in MODULES for full, _ in _public_members(m)}
+    for qualified in sorted(BENCHMARK_ONLY):
+        attr = qualified.rpartition(".")[2]
+        if qualified in exported:
+            assert attr not in names | attrs, f"{qualified} has a src caller; drop it from the set"
+        else:
+            assert qualified in members, f"{qualified} is no longer exported"
+            assert attr not in attrs, f"{qualified} has a src caller; drop it from the set"
+        assert attr in bench_names | bench_attrs, f"{qualified} is not read by the benchmark"

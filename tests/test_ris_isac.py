@@ -12,15 +12,14 @@ from risac import (
     UlaGeometry,
     coupling_gradient,
     coupling_objective,
+    align_profile,
     fim_theta,
-    optimize_ris_profile,
     ris_isac_tradeoff,
 )
 from risac import ris_isac as ri
 from risac.cli import run_experiment
 from risac.config import RunConfig, scene_from_config
 from risac.isac import max_illumination_beamformer
-from risac.optim import _unit_modulus
 from risac.ris_isac import _apply_coupling, _crb_sweep, _fim_maps, _zero_ris
 
 from oracles import (
@@ -28,7 +27,6 @@ from oracles import (
     finite_difference_gradient,
     matched_filter_beamformer,
     max_illumination_reference,
-    rank_one_coupling_grid,
     ris_maps_reference,
 )
 
@@ -176,51 +174,13 @@ class TestCouplingGradient:
             rel = np.linalg.norm(analytic - fd) / max(np.linalg.norm(fd), 1e-30)
             assert rel < 1e-5
 
-    def test_stationary_tangent_component_after_convergence(self):
-        scene = desk_scene(
-            ris=UlaGeometry(4), direct_gain_override=1.0, ris_gain_override=0.5,
-        )
-        scenario = RisIsacScenario.from_scene(scene)
-        args = (scenario.a_t_term, scenario.f_t, scenario.a_r_term,
-                scenario.f_r, scenario.h_bu, scenario.f_c)
-        res = optimize_ris_profile(scenario)
-        phi = res.phi
-        g = coupling_gradient(phi, *args)
-        tangent = g - np.real(g * np.conj(phi)) * phi
-        # Dimensionless stationarity: tangent norm relative to the objective.
-        assert np.linalg.norm(tangent) / abs(res.objective) < 1e-6
-
 
 class TestOptimizeProfile:
-    def test_single_element_matches_circle_sweep(self):
-        scene = desk_scene(ris=UlaGeometry(1))
-        scenario = RisIsacScenario.from_scene(scene)
-        res = optimize_ris_profile(scenario)
-        grid = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False))
-        vals = [
-            coupling_objective(
-                np.array([g]), scenario.a_t_term, scenario.f_t,
-                scenario.a_r_term, scenario.f_r, scenario.h_bu, scenario.f_c,
-            )
-            for g in grid
-        ]
-        resolution = np.max(np.abs(np.diff(vals)))
-        assert res.objective <= np.min(vals) + resolution
-
-    def test_beats_random_profiles(self):
-        rng = np.random.default_rng(55)
-        for seed in range(20):
-            scenario = RisIsacScenario.from_scene(desk_scene(seed=seed, ris=UlaGeometry(8)))
-            res = optimize_ris_profile(scenario)
-            args = (scenario.a_t_term, scenario.f_t, scenario.a_r_term,
-                    scenario.f_r, scenario.h_bu, scenario.f_c)
-            for _ in range(100):
-                phi = np.exp(1j * rng.uniform(0, 2 * np.pi, 8))
-                assert res.objective <= coupling_objective(phi, *args) + 1e-12
+    """The payoff of the "with" RIS profile, and the coupling metric's fused evaluation."""
 
     @pytest.mark.parametrize("coupling", ["weak", "strong"])
     def test_tuned_ris_pays_off(self, tmp_path, coupling):
-        # The tuned RIS must cut the best CRB at least fivefold against the
+        # The aligned RIS must cut the best CRB at least fivefold against the
         # RIS-free channel at every config seed, strong coupling included.
         for seed in range(10):
             cfg = RunConfig(experiment="ris-isac-tradeoff", coupling=coupling, seed=seed,
@@ -231,57 +191,6 @@ class TestOptimizeProfile:
             for row in csv.DictReader(text.splitlines()):
                 best[row["mode"]] = min(best.get(row["mode"], math.inf), float(row["crb"]))
             assert best["with"] <= best["without"] / 5.0, (seed, best)
-
-    def test_strong_coupling_reaches_the_rank_one_optimum(self):
-        # At strong coupling every RIS map is g r_t^T with the same r_t, so the
-        # objective is a function of s = r_t^T phi on the disk |s| <= ||r_t||_1;
-        # the descent must match or beat its minimum over a fine polar grid of
-        # that disk.
-        for seed in range(10):
-            scene = scene_from_config(RunConfig(experiment="ris-isac-tradeoff", seed=seed))
-            shaped = _apply_coupling(RisIsacScenario.from_scene(scene), "strong")
-            assert np.array_equal(shaped.r_c, shaped.r_t)
-            grid_min = rank_one_coupling_grid(
-                shaped.a_t_term, shaped.g_t, shaped.a_r_term, shaped.g_r, shaped.h_bu,
-                shaped.g_c, shaped.r_t)
-            res = optimize_ris_profile(shaped)
-            assert res.objective <= grid_min + 1e-12 * abs(grid_min), (seed, res.objective)
-
-    @pytest.mark.parametrize("overrides, most", [
-        ({}, 25),                                  # measured: 13
-        (dict(n_ris=256, l_t=32, l_s=32), 60),     # measured: 34
-    ])
-    def test_weak_coupling_profile_work(self, overrides, most):
-        cfg = RunConfig(experiment="ris-isac-tradeoff", **overrides)
-        scenario = RisIsacScenario.from_scene(scene_from_config(cfg))
-        res = optimize_ris_profile(_apply_coupling(scenario, cfg.coupling))
-        assert res.converged and res.evaluations <= most
-
-    def test_zero_ris_gain_returns_init(self):
-        # g_t is exactly zero, so the start is all ones, and the
-        # objective does not depend on phi: the solver stops at once.
-        scene = desk_scene(ris=UlaGeometry(6), ris_gain_override=0.0,
-                           blocked_user_path=False)
-        scenario = RisIsacScenario.from_scene(scene)
-        res = optimize_ris_profile(scenario)
-        assert np.array_equal(res.phi, np.ones(6, dtype=complex))
-        assert res.iterations == 0 and res.converged and res.stop == "tol"
-
-    def test_trace_non_increasing_and_unit_modulus(self):
-        scenario = RisIsacScenario.from_scene(desk_scene())
-        res = optimize_ris_profile(scenario)
-        assert np.all(np.diff(res.objective_trace) <= 0.0)
-        assert np.max(np.abs(np.abs(res.phi) - 1.0)) < 1e-15
-
-    def test_unit_modulus_projection(self):
-        # The solver's circle retraction: nonzero entries map to z/|z| exactly;
-        # an exact zero has no phase and maps to 1.
-        rng = np.random.default_rng(4)
-        z = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        assert np.array_equal(_unit_modulus(z), z / np.abs(z))
-        out = _unit_modulus(np.array([0.0, -2.0, 3j, 0j]))
-        assert np.array_equal(out, np.array([1.0, -1.0, 1j, 1.0]))
-
 
     def test_fused_evaluation_is_bitwise_equal_to_reference(self):
         # The plain numpy expressions the fused evaluation was trimmed from.
@@ -301,18 +210,6 @@ class TestOptimizeProfile:
             value, ours = ri._coupling(phi, *args)
             assert value == -norm_u_sq * abs_s_sq
             assert ours.tobytes() == (-grad).tobytes()
-
-    def test_profile_evaluations_count_the_objective_calls(self, monkeypatch):
-        calls = []
-        coupling = ri._coupling
-
-        def counted(*args, **kwargs):
-            calls.append(None)
-            return coupling(*args, **kwargs)
-
-        monkeypatch.setattr(ri, "_coupling", counted)
-        res = optimize_ris_profile(RisIsacScenario.from_scene(desk_scene()))
-        assert res.evaluations == len(calls) > res.iterations
 
 
 class TestFim:
@@ -423,7 +320,7 @@ class TestSmallAngleCrb:
     @pytest.mark.parametrize("coupling", ["weak", "strong"])
     @pytest.mark.parametrize("overrides", [{}, dict(n_ris=256, l_t=32, l_s=32)])
     def test_kappa_matches_the_lapack_reference(self, monkeypatch, coupling, overrides):
-        # Every kappa of a run (the tuned 2 x 2 one, the 1 x 1 RIS-free and
+        # Every kappa of a run (the aligned profile's 2 x 2 one, the 1 x 1 RIS-free and
         # reference ones) against _angle_crb's SVD and inversion on the same
         # information matrix, at config seeds 0-9.
         infos, kappas = [], []
@@ -597,12 +494,11 @@ class TestTradeoffStructure:
         # feasible.
         scenario = RisIsacScenario.from_scene(desk_scene(ris=UlaGeometry(8)))
         shaped = _apply_coupling(scenario, coupling)
-        phi = optimize_ris_profile(shaped).phi
+        phi = align_profile(shaped.a_t_term, shaped.g_t, shaped.r_t)
         h_t, h_c = shaped.h_t(phi), shaped.h_c(phi)
         max_rate = math.log2(1.0 + 3.0 * float(np.real(np.vdot(h_c, h_c))) / 1e-8)
         result = ris_isac_tradeoff(scenario, coupling, ["with"], 6)
         assert result.max_rate == {"with": max_rate}
-        assert np.array_equal(result.profile.phi, phi)
         grid = np.linspace(0.0, 0.97 * max_rate, 6)
         assert [row.rate_threshold for row in result.rows] == list(grid)
         scene = shaped.scene
@@ -621,8 +517,9 @@ class TestTradeoffStructure:
     def test_every_row_matches_the_fim_oracle(self, tmp_path, monkeypatch, coupling):
         # Every row of a default run (the three modes' sweeps; "reference"
         # calibrates from the first rows of the other two) must give the CRB
-        # of the full 4 x 4 FIM at its beamformer. At strong coupling theta2 carries
-        # 1e-22 to 1e-28 of the largest FIM diagonal and must still count.
+        # of the full 4 x 4 FIM at its beamformer. At the aligned profile theta2
+        # carries 4e-40 to 3e-38 of the largest FIM diagonal (rdot_t^T phi is
+        # zero in exact arithmetic there) and must still count.
         checked = []
         build = ri._crb_sweep
 
@@ -714,11 +611,11 @@ class TestTradeoffStructure:
 
     def test_default_run_shapes_once_and_builds_one_kappa_per_channel(
             self, tmp_path, monkeypatch):
-        # One coupling shaping and one profile solve serve every mode; kappa
-        # is built for the tuned, the RIS-free and the reference channel. The
+        # One coupling shaping and one aligned profile serve every mode; kappa
+        # is built for the aligned, the RIS-free and the reference channel. The
         # closed form runs three times, one sweep per mode, not once per row
         # (77); "reference" calibrates from the R0 = 0 rows of the other two.
-        calls = {"_apply_coupling": 0, "optimize_ris_profile": 0, "_kappa": 0,
+        calls = {"_apply_coupling": 0, "align_profile": 0, "_kappa": 0,
                  "crb_min_beamformer": 0}
         for name in calls:
             original = getattr(ri, name)
@@ -729,7 +626,7 @@ class TestTradeoffStructure:
 
             monkeypatch.setattr(ri, name, counted)
         run_experiment(RunConfig(experiment="ris-isac-tradeoff"), tmp_path)
-        assert calls == {"_apply_coupling": 1, "optimize_ris_profile": 1, "_kappa": 3,
+        assert calls == {"_apply_coupling": 1, "align_profile": 1, "_kappa": 3,
                          "crb_min_beamformer": 3}
 
     @pytest.mark.parametrize("coupling", ["weak", "strong"])
@@ -755,7 +652,6 @@ class TestTradeoffStructure:
             for row in rows:
                 assert row.rate >= row.rate_threshold - 1e-12 and math.isfinite(row.crb)
             assert rows[0].crb <= rows[1].crb * (1.0 + 1e-9)
-        assert ris_isac_tradeoff(scenario, "weak", ["without"], 3).profile is None
 
     @pytest.mark.parametrize("coupling", ["weak", "strong"])
     def test_reference_alone_calibrates_from_one_floor_solves(self, monkeypatch, coupling):
