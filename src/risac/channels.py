@@ -142,9 +142,17 @@ def angles_from_geometry(scene: Scene) -> SceneAngles:
 
 
 def pathloss_amplitude(distance: float, exponent: float) -> float:
-    """Amplitude gain d^(-exponent/2): power decays as d^(-exponent)."""
+    """Amplitude gain d^(-exponent/2): power decays as d^(-exponent).
+
+    Above 1e64 it raises ``DegenerateGeometryError``: its products with the
+    array gains and powers would leave the float range.
+    """
     if not distance > 0:
         raise ValueError(f"distance must be positive, got {distance!r}")
+    if -0.5 * exponent * math.log10(distance) > 64.0:
+        raise DegenerateGeometryError(
+            f"a {distance!r} m path with exponent {exponent!r} has a path-loss amplitude "
+            "above 1e64")
     return float(distance) ** (-exponent / 2.0)
 
 

@@ -141,6 +141,9 @@ def _run_beampattern(cfg: RunConfig):
     beams = [(a, width, 1.0) for a in target_angles]
     beams.append((angles.omega_t, width, 1.0))  # serve the user through the RIS
     spec = dw.make_beampattern_spec(beams, target_angles, grid_points=cfg.grid_points)
+    if not spec.desired.any():
+        raise ConfigError(f"no beam of beam_width_deg = {cfg.beam_width_deg!r} covers a point "
+                          f"of the grid_points = {cfg.grid_points} grid")
     gamma = 10.0 ** (cfg.sinr_threshold_db / 10.0)
     design = dw.design_dual_waveform(scene, spec, gamma, seed=cfg.seed)
 

@@ -92,6 +92,8 @@ class RunConfig:
             raise ConfigError("target_gain_var must be >= 0")
         if not self.spacing_wavelengths > 0:
             raise ConfigError("spacing_wavelengths must be positive")
+        if not self.beam_width_deg > 0:
+            raise ConfigError("beam_width_deg must be positive")
         for pf in self.pf_list:
             if not 0.0 < pf < 1.0:
                 raise ConfigError("pf_list entries must lie in (0, 1)")

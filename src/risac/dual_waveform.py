@@ -214,7 +214,8 @@ def design_dual_waveform(
     largest SINR and is the first feasible iterate, so a design exists
     whenever the threshold check passes. ``converged`` means the last
     precoder solve reached its tolerance with the floor met and, if the
-    multiplier is positive, active.
+    multiplier is positive, active. A matched start with zero loss is
+    returned as the design, converged after no solve.
     """
     if not sinr_threshold > 0:
         raise ValueError("sinr_threshold must be positive")
@@ -268,13 +269,17 @@ def design_dual_waveform(
     x = np.column_stack([comm, 0.05 * (
         rng.standard_normal((l_t, k_targets)) + 1j * rng.standard_normal((l_t, k_targets))
     )])
-    trace, iterations, evaluations, converged, prev_viol = [], 0, 0, False, math.inf
-    for _ in range(_MAX_OUTER):
+    trace, iterations, evaluations, prev_viol = [], 0, 0, math.inf
+    # A start with zero loss is optimal (its gradient is zero too), and the
+    # Lagrangian is in units of its loss: it is the design, with no solve.
+    converged, grad_norm, stop = scale == 0.0, 0.0, "tol"
+    for _ in range(0 if converged else _MAX_OUTER):
         res = riemannian_descent(lagrangian, x, cfg)
         x = res.x
         iterations += res.iterations
         evaluations += res.evaluations
         trace.extend(scale * res.trace)
+        grad_norm, stop = scale * res.grad_norm, res.stop
         viol = 1.0 - _received_power(x, h_c) / floor
         if lam + rho * viol > 0:
             # The floor is active: maximize h^H R h over the RIS phases.
@@ -322,6 +327,6 @@ def design_dual_waveform(
         converged=converged,
         iterations=iterations,
         evaluations=evaluations,
-        grad_norm=scale * res.grad_norm,
-        stop=res.stop,
+        grad_norm=grad_norm,
+        stop=stop,
     )

@@ -2,7 +2,7 @@
 
 
 class DegenerateGeometryError(ValueError):
-    """Scene positions coincide, so a bearing or distance is undefined."""
+    """Scene positions coincide (no bearing or distance) or give a path loss above 1e64."""
 
 
 class DegenerateChannelError(ValueError):

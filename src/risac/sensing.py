@@ -428,7 +428,8 @@ def crb_angle(snr: float, samples: int, adot_norm_sq: float, l_s: int) -> float:
         raise ValueError("snr must be nonnegative")
     if snr == 0.0:
         return math.inf
-    return l_s / (2.0 * samples * adot_norm_sq) * (1.0 / snr + 1.0 / snr**2)
+    inv = 1.0 / snr  # snr**2 would overflow or underflow at extreme SNRs
+    return l_s / (2.0 * samples * adot_norm_sq) * (inv * (1.0 + inv))
 
 
 @dataclasses.dataclass(frozen=True)

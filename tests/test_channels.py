@@ -88,6 +88,17 @@ def test_pathloss_rejects_nonpositive_distance():
         pathloss_amplitude(-1.0, 2.5)
 
 
+def test_pathloss_amplitude_beyond_1e64_is_degenerate_geometry():
+    # An RIS 1e-12 m from the target with exponent 20 (amplitude 1e120)
+    # used to overflow in the ris-isac-tradeoff beamformer, and exponent
+    # -300 at 1e6 m overflowed the power itself.
+    assert pathloss_amplitude(1e-6, 20.0) == pytest.approx(1e60)
+    for distance, exponent in ((1e-12, 20.0), (1e6, -30.0), (1e6, -300.0)):
+        with pytest.raises(DegenerateGeometryError, match="1e64"):
+            pathloss_amplitude(distance, exponent)
+    assert pathloss_amplitude(1e6, 300.0) == 0.0
+
+
 def test_dyad_scalar_case_unit_gain():
     scene = simple_scene(
         tx=UlaGeometry(1), rx=UlaGeometry(1), ris=UlaGeometry(1),

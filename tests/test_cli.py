@@ -140,6 +140,34 @@ def test_beampattern_csv_splits_the_pattern_and_is_deterministic(tmp_path):
     assert diag["iterations"] > 0 and math.isfinite(diag["grad_norm"])
 
 
+def test_beampattern_with_a_zero_loss_start_returns_it(tmp_path):
+    # One grid point inside one wide beam: the matched start fits the
+    # desired pattern exactly. Its loss scales the Lagrangian, and the run
+    # used to exit with a ZeroDivisionError.
+    text = "target_angles_deg = 0\nbeam_width_deg = 1000\ngrid_points = 1\n"
+    code, csv_bytes, summary = _run_cli(tmp_path, "beampattern", text, "out")
+    assert code == 0
+    _, rows = _rows(csv_bytes)
+    assert len(rows) == 1 and all(math.isfinite(float(v)) for v in rows[0].values())
+    diag = summary["diagnostics"]
+    assert diag["loss"] == 0.0 and diag["converged"] and diag["stop"] == "tol"
+    assert diag["iterations"] == diag["evaluations"] == 0 and diag["grad_norm"] == 0.0
+    assert diag["sinr"] >= diag["sinr_threshold"]
+
+
+@pytest.mark.parametrize("line", ["grid_points = 2", "beam_width_deg = -5", "beam_width_deg = 0"])
+def test_beams_that_cover_no_grid_point_are_a_json_config_error(tmp_path, capsys, line):
+    # Each used to exit with a plain ValueError from the loss scale.
+    config = tmp_path / "beams.cfg"
+    config.write_text(line + "\n")
+    code = cli.main(["beampattern", "--config", str(config), "--out", str(tmp_path / "out")])
+    err = json.loads(capsys.readouterr().err)
+    assert code == 2
+    assert err["error"] == "ConfigError" and line.split(" = ")[0] in err["detail"]
+    assert "beam_width_deg" in err["detail"]
+    assert not list((tmp_path / "out").glob("*.csv"))
+
+
 def test_detect_is_deterministic_across_runs_and_threads(tmp_path):
     tiny = TINY + "trials = 2000\n"
     first = _run_cli(tmp_path, "detect", tiny, "a")

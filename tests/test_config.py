@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from risac import cli
 from risac.config import EXPERIMENTS, RunConfig, parse_config, render_config
+from risac import errors
 from risac.errors import ConfigError
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -48,6 +49,7 @@ FIELD_STRATEGIES = {
     "blocked_user_path": st.booleans(),
     "target_gain_var": st.floats(min_value=0.0, allow_infinity=False),
     "spacing_wavelengths": positive,
+    "beam_width_deg": positive,
 }
 for _field in dataclasses.fields(RunConfig):
     if _field.type == "float":
@@ -68,6 +70,61 @@ valid_configs = (
 
 def test_every_field_has_a_strategy():
     assert set(FIELD_STRATEGIES) == {f.name for f in dataclasses.fields(RunConfig)}
+
+
+# Edge values drawn over the defaults: coincident, nearly coincident and far
+# positions, one- and two-element arrays, RIS-free scenes, extreme powers,
+# noise and path-loss exponents, one- and two-point grids, narrow and
+# all-covering beams, angles at and past endfire. detect runs at most 500
+# trials, so an example takes milliseconds.
+edge_position = st.sampled_from([(0.0, 0.0), (40.0, 0.0), (30.0, 30.0), (20.0, -20.0),
+                                 (1e-6, 0.0), (40.0, 1e-12), (0.0, 1e6), (-40.0, 0.0)])
+EDGE_STRATEGIES = {
+    **{name: edge_position for name in ("bs_position", "target_position", "ris_position",
+                                        "user_position", "road_start", "road_end")},
+    "l_t": st.sampled_from([1, 2, 3]),
+    "l_s": st.sampled_from([1, 2, 3]),
+    "n_ris": st.sampled_from([0, 1, 2]),
+    "transmit_power": st.sampled_from([1e-30, 1.0, 1e30]),
+    "target_gain_var": st.sampled_from([0.0, 1e-300, 1e300]),
+    "noise_sensing_dbm": st.sampled_from([-300.0, 0.0, 300.0]),
+    "noise_comms_dbm": st.sampled_from([-300.0, 0.0, 300.0]),
+    "pathloss_exp_direct": st.sampled_from([-2.0, 0.0, 20.0]),
+    "pathloss_exp_ris": st.sampled_from([-2.0, 0.0, 20.0]),
+    "spacing_wavelengths": st.sampled_from([1e-3, 10.0]),
+    "samples_t": st.just(1),
+    "num_waypoints": st.sampled_from([1, 2]),
+    "blocked_from_index": st.sampled_from([-1, 0, 100]),
+    "snr_db_list": st.sampled_from([(), (-300.0,), (300.0,)]),
+    "trials": st.sampled_from([1, 500]),
+    "rho_list": st.sampled_from([(0.0,), (1.0,)]),
+    "r0_points": st.sampled_from([1, 2]),
+    "coupling": st.sampled_from(["weak", "strong"]),
+    "sinr_threshold_db": st.sampled_from([-300.0, 40.0]),
+    "target_angles_deg": st.sampled_from([(0.0,), (-90.0, 90.0), (180.0,), (1000.0, -1000.0)]),
+    "beam_width_deg": st.sampled_from([1e-3, 180.0, 1000.0]),
+    "grid_points": st.sampled_from([1, 2, 3]),
+}
+edge_configs = st.builds(lambda experiment, kw: RunConfig(experiment=experiment, **kw),
+                         st.sampled_from(EXPERIMENTS),
+                         st.fixed_dictionaries({}, optional=EDGE_STRATEGIES))
+TYPED_ERRORS = tuple(v for v in vars(errors).values()
+                     if isinstance(v, type) and issubclass(v, Exception))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(edge_configs)
+def test_edge_configs_write_full_csvs_or_raise_typed_errors(tmp_path_factory, cfg):
+    # A warning fails the run (warnings are errors in this suite), so a
+    # NaN from an invalid operation cannot slip into a cell either.
+    out = tmp_path_factory.mktemp("edge")
+    try:
+        cli.run_experiment(cfg, out)
+    except TYPED_ERRORS:
+        return
+    for path in out.glob("*.csv"):
+        for line in path.read_text().splitlines()[1:]:
+            assert "" not in line.split(","), (path.name, line)
 
 
 @settings(max_examples=300, deadline=None)
@@ -270,6 +327,13 @@ def test_beampattern_without_targets_is_a_json_config_error(tmp_path, capsys):
     assert set(err) == {"error", "detail"}
     assert err["error"] == "ConfigError" and "target_angles_deg" in err["detail"]
     assert not (tmp_path / "out").exists()
+
+
+def test_nonpositive_beam_width_is_a_config_error():
+    for width in (0.0, -5.0):
+        with pytest.raises(ConfigError, match="beam_width_deg"):
+            RunConfig(beam_width_deg=width).validate()
+    RunConfig(beam_width_deg=1e-9).validate()
 
 
 def test_isac_tradeoff_without_couplings_is_a_config_error():

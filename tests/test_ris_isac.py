@@ -316,40 +316,53 @@ class TestFim:
         assert np.isclose(crb, oracle, rtol=1e-10)
 
 
+def theta1_beta_crb(scenario, phi, w):
+    """CRB(theta1) of the (theta1, Re beta, Im beta) block of ``fim_theta(...).fim``.
+
+    At an aligned profile the theta2 entries are rounding noise, so the
+    block, inverted here, is the reference there.
+    """
+    block = fim_theta(scenario, phi, w).fim[np.ix_([0, 2, 3], [0, 2, 3])]
+    return float(np.linalg.inv(block)[0, 0])
+
+
 class TestSmallAngleCrb:
     @pytest.mark.parametrize("coupling", ["weak", "strong"])
     @pytest.mark.parametrize("overrides", [{}, dict(n_ris=256, l_t=32, l_s=32)])
     def test_kappa_matches_the_lapack_reference(self, monkeypatch, coupling, overrides):
-        # Every kappa of a run (the aligned profile's 2 x 2 one, the 1 x 1 RIS-free and
-        # reference ones) against _angle_crb's SVD and inversion on the same
-        # information matrix, at config seeds 0-9.
-        infos, kappas = [], []
-        small, kappa = ri._small_angle_crb, ri._kappa
-
-        def recorded_small(info):
-            infos.append(info.copy())
-            return small(info)
+        # Every kappa of a run (the aligned profile's, the RIS-free and the
+        # reference one) against _angle_crb's SVD and inversion on the 1 x 1
+        # information of theta1's projected column, at config seeds 0-9.
+        kappas = []
+        kappa = ri._kappa
 
         def recorded_kappa(scenario, phi_vec):
-            kappas.append((kappa(scenario, phi_vec), scenario.scene))
+            kappas.append((kappa(scenario, phi_vec), scenario, phi_vec))
             return kappas[-1][0]
 
-        monkeypatch.setattr(ri, "_small_angle_crb", recorded_small)
         monkeypatch.setattr(ri, "_kappa", recorded_kappa)
         for seed in range(10):
-            infos.clear()
             kappas.clear()
             cfg = RunConfig(experiment="ris-isac-tradeoff", seed=seed, coupling=coupling,
                             **overrides)
             ris_isac_tradeoff(RisIsacScenario.from_scene(scene_from_config(cfg)), coupling)
-            assert [info.shape for info in infos] == [(2, 2), (1, 1), (1, 1)]
-            for info, (value, scene) in zip(infos, kappas):
-                expected = ri._angle_crb(info)[0] / (2.0 * scene.samples
-                                                    / scene.noise_power_sensing)
-                if info.shape == (1, 1):
-                    assert value == expected
-                else:
-                    assert abs(value - expected) <= 1e-14 * expected, (seed, value, expected)
+            assert len(kappas) == 3
+            for value, scenario, phi in kappas:
+                h_r = scenario.h_r(phi)[:, None]
+                col = scenario.a_r_dot_term[:, None]
+                col = col - h_r @ (h_r.conj().T @ col) / np.vdot(h_r, h_r)
+                scene = scenario.scene
+                info = (2.0 * scene.samples / scene.noise_power_sensing) * np.real(
+                    col.conj().T @ col)
+                expected = ri._angle_crb(info)[0]
+                assert abs(value - expected) <= 1e-15 * expected, (seed, value, expected)
+
+    def test_kappa_without_angle_information_is_infinite(self):
+        # One receive element has adot = 0: no information, no division by zero.
+        scenario = RisIsacScenario.from_scene(desk_scene(rx=UlaGeometry(1)))
+        phi = align_profile(scenario.a_t_term, scenario.g_t, scenario.r_t)
+        assert ri._kappa(scenario, phi) == math.inf
+        assert ri._kappa(_zero_ris(scenario), np.zeros(0)) == math.inf
 
     @pytest.mark.parametrize("info", [
         [[0.0]], [[-1.0]], [[0.0, 0.0], [0.0, 2.0]], [[3.0, 1.0], [1.0, 0.0]],
@@ -360,10 +373,30 @@ class TestSmallAngleCrb:
     ])
     def test_singular_information_gives_an_infinite_crb(self, info):
         # A nonpositive diagonal, or |c| within 1e-15 of one (scaled
-        # condition number above 1e14), is singular in both routines.
-        info = np.array(info)
-        assert ri._small_angle_crb(info) == math.inf
-        assert ri._angle_crb(info)[0] == math.inf
+        # condition number above 1e14), is singular for fim_theta.
+        assert ri._angle_crb(np.array(info))[0] == math.inf
+
+    @pytest.mark.parametrize("coupling", ["weak", "strong"])
+    @pytest.mark.parametrize("overrides", [{}, dict(n_ris=256, l_t=32, l_s=32)])
+    def test_rounding_level_phase_moves_no_crb(self, coupling, overrides):
+        # A global phase of 1e-13 rad on the aligned profile changes
+        # rdot_t^T phi only by rounding; no CRB may follow it beyond 1e-12.
+        for seed in range(10):
+            cfg = RunConfig(experiment="ris-isac-tradeoff", seed=seed, coupling=coupling,
+                            **overrides)
+            shaped = _apply_coupling(RisIsacScenario.from_scene(scene_from_config(cfg)),
+                                     coupling)
+            phi = align_profile(shaped.a_t_term, shaped.g_t, shaped.r_t)
+            h_c = shaped.h_c(phi)
+            max_rate = math.log2(1.0 + shaped.scene.transmit_power
+                                 * float(np.real(np.vdot(h_c, h_c)))
+                                 / shaped.scene.noise_power_comms)
+            floors = np.linspace(0.0, 0.97 * max_rate, 25)
+            base = _crb_sweep(shaped, phi, floors)[1]
+            for psi in (1e-13, -1e-13, 3e-13):
+                crbs = _crb_sweep(shaped, phi * np.exp(1j * psi), floors)[1]
+                np.testing.assert_allclose(crbs, base, rtol=1e-12, atol=0,
+                                           err_msg=f"seed {seed}, phase {psi}")
 
 
 def sweep_weights(scenario, phi, rate_thresholds):
@@ -375,15 +408,17 @@ def sweep_weights(scenario, phi, rate_thresholds):
 
 class TestRateConstrainedBeamformer:
     def test_unconstrained_no_worse_than_matched_filter(self):
+        # At a profile that is not aligned theta2 carries information, so the
+        # sweep's beamformer is compared through the 4 x 4 FIM.
         scenario = RisIsacScenario.from_scene(desk_scene())
         phi = np.exp(1j * np.linspace(0, 2, 16))
-        crb = _crb_sweep(scenario, phi, [0.0])[1][0]
+        crb = fim_theta(scenario, phi, sweep_weights(scenario, phi, [0.0])[0]).crb_theta1
         w_mf = matched_filter_beamformer(scenario.h_t(phi).conj(), 3.0)
         assert crb <= fim_theta(scenario, phi, w_mf).crb_theta1 * (1.0 + 1e-9)
 
     def test_feasibility_and_budget(self):
         scenario = RisIsacScenario.from_scene(desk_scene())
-        phi = np.exp(1j * np.linspace(0, 2, 16))
+        phi = align_profile(scenario.a_t_term, scenario.g_t, scenario.r_t)
         h_c = scenario.h_c(phi)
         max_rate = math.log2(1.0 + 3.0 * np.linalg.norm(h_c) ** 2 / 1e-8)
         for frac in [0.2, 0.6, 0.9]:
@@ -395,7 +430,7 @@ class TestRateConstrainedBeamformer:
 
     def test_infeasible_rate_raises(self):
         scenario = RisIsacScenario.from_scene(desk_scene())
-        phi = np.ones(16, dtype=complex)
+        phi = align_profile(scenario.a_t_term, scenario.g_t, scenario.r_t)
         with pytest.raises(InfeasibleRateError):
             _crb_sweep(scenario, phi, [60.0])
 
@@ -403,19 +438,19 @@ class TestRateConstrainedBeamformer:
     @pytest.mark.parametrize("strip_ris", [False, True])
     def test_zero_direct_gain_raises_degenerate(self, strip_ris):
         scenario = RisIsacScenario.from_scene(desk_scene(direct_gain_override=0.0))
-        phi = np.ones(16, dtype=complex)
+        phi = align_profile(scenario.a_t_term, scenario.g_t, scenario.r_t)
         if strip_ris:
             scenario, phi = _zero_ris(scenario), np.zeros(0)
         with pytest.raises(DegenerateChannelError):
             _crb_sweep(scenario, phi, [0.0])
 
     def test_zero_gain_ris_leaves_theta2_out(self):
-        # F_rdot phi is identically zero, so kappa is the single-angle 1 x 1
-        # case; a 2 x 2 with theta2 would divide by its zero information.
+        # g_r = 0, so theta2's FIM column is identically zero at every
+        # profile and fim_theta prunes it: kappa is exact here too.
         scenario = RisIsacScenario.from_scene(
             desk_scene(ris=UlaGeometry(4), ris_gain_override=0.0)
         )
-        phi = np.ones(4, dtype=complex)
+        phi = align_profile(scenario.a_t_term, scenario.g_t, scenario.r_t)
         crb = _crb_sweep(scenario, phi, [0.0])[1][0]
         oracle = fim_theta(scenario, phi, sweep_weights(scenario, phi, [0.0])[0])
         assert oracle.fim[1, 1] == 0.0 and math.isfinite(crb)
@@ -423,7 +458,9 @@ class TestRateConstrainedBeamformer:
 
     def test_small_array_grid_oracle(self):
         # L_T = 2: random search over the feasible ball must not beat the
-        # solver by more than 1e-4 relative.
+        # solver by more than 1e-4 relative. The profiles are not aligned, so
+        # theta2 carries information and the solver's beamformer is scored by
+        # the 4 x 4 FIM, like the samples.
         rng = np.random.default_rng(10)
         for seed in range(10):
             scene = desk_scene(tx=UlaGeometry(2), rx=UlaGeometry(4),
@@ -433,7 +470,7 @@ class TestRateConstrainedBeamformer:
             h_c = scenario.h_c(phi)
             max_rate = math.log2(1.0 + 3.0 * np.linalg.norm(h_c) ** 2 / 1e-8)
             r0 = 0.5 * max_rate
-            crb = _crb_sweep(scenario, phi, [r0])[1][0]
+            crb = fim_theta(scenario, phi, sweep_weights(scenario, phi, [r0])[0]).crb_theta1
             snr_floor = (2.0**r0 - 1.0) * 1e-8
             samples = rng.standard_normal((20000, 4))
             best = float(np.min(grid_oracle_crbs(scenario, phi, samples, snr_floor)))
@@ -489,7 +526,8 @@ class TestTradeoffStructure:
     def test_sweep_equals_per_row_solves(self, coupling):
         # Each sweep computes h_t(phi), h_c(phi) and kappa(phi) once; every
         # row must equal a one-floor solve and the per-floor reference, bit
-        # for bit, and the 4 x 4 FIM at the row's beamformer to rounding.
+        # for bit, and the (theta1, beta) block of the 4 x 4 FIM at the row's
+        # beamformer to rounding.
         # The rate floors run from 0 to 97% of the max rate, so every one is
         # feasible.
         scenario = RisIsacScenario.from_scene(desk_scene(ris=UlaGeometry(8)))
@@ -507,7 +545,7 @@ class TestTradeoffStructure:
                 h_t, h_c, scene.transmit_power, scene.noise_power_comms, r0)
             assert row.rate == rate
             np.testing.assert_allclose(
-                row.crb, fim_theta(shaped, phi, w).crb_theta1, rtol=1e-12, atol=0
+                row.crb, theta1_beta_crb(shaped, phi, w), rtol=1e-12, atol=0
             )
             assert row.crb == _crb_sweep(shaped, phi, [r0])[1][0]
         with pytest.raises(InfeasibleRateError):
@@ -517,16 +555,14 @@ class TestTradeoffStructure:
     def test_every_row_matches_the_fim_oracle(self, tmp_path, monkeypatch, coupling):
         # Every row of a default run (the three modes' sweeps; "reference"
         # calibrates from the first rows of the other two) must give the CRB
-        # of the full 4 x 4 FIM at its beamformer. At the aligned profile theta2
-        # carries 4e-40 to 3e-38 of the largest FIM diagonal (rdot_t^T phi is
-        # zero in exact arithmetic there) and must still count.
+        # of the (theta1, beta) block of the 4 x 4 FIM at its beamformer.
         checked = []
         build = ri._crb_sweep
 
         def spy(scenario, phi, rate_thresholds):
             rates, crbs = build(scenario, phi, rate_thresholds)
             weights = sweep_weights(scenario, phi, rate_thresholds)
-            checked.extend((crb, fim_theta(scenario, phi, w).crb_theta1)
+            checked.extend((crb, theta1_beta_crb(scenario, phi, w))
                            for w, crb in zip(weights, crbs))
             return rates, crbs
 
@@ -640,6 +676,17 @@ class TestTradeoffStructure:
         # The modes that need no calibration report the infinite CRB.
         result = ris_isac_tradeoff(scenario, coupling, ["with", "without"], 3)
         assert all(math.isinf(row.crb) for row in result.rows)
+
+    @pytest.mark.parametrize("coupling", ["weak", "strong"])
+    def test_reference_with_one_transmit_element_raises(self, coupling):
+        # One transmit element leaves no comms direction orthogonal to the
+        # sensing channel; the residual used to be normalized by a zero norm
+        # (NaN rates) or to be rounding noise, depending on the seed.
+        scenario = RisIsacScenario.from_scene(desk_scene(tx=UlaGeometry(1)))
+        with pytest.raises(DegenerateChannelError, match="one transmit element"):
+            ris_isac_tradeoff(scenario, coupling)
+        result = ris_isac_tradeoff(scenario, coupling, ["with", "without"], 3)
+        assert all(math.isfinite(row.crb) and math.isfinite(row.rate) for row in result.rows)
 
     def test_rows_shape_and_feasibility(self):
         scenario = RisIsacScenario.from_scene(desk_scene(ris=UlaGeometry(8)))

@@ -708,6 +708,12 @@ class TestCrbAngle:
     def test_zero_snr_infinite(self):
         assert math.isinf(crb_angle(0.0, 10, 1.0, 4))
 
+    def test_extreme_snr_neither_overflows_nor_divides_by_zero(self):
+        # snr**2 overflows at 1e200 and underflows to zero at 1e-200.
+        assert crb_angle(1e200, 2, 1.0, 4) == pytest.approx(1e-200)
+        assert crb_angle(1e-200, 2, 1.0, 4) == math.inf
+        assert crb_angle(1e-100, 2, 1.0, 4) == pytest.approx(1e200)
+
     def test_strictly_decreasing_in_snr(self):
         values = [crb_angle(s, 16, 5.0, 8) for s in [0.5, 1.0, 2.0, 4.0, 8.0]]
         assert np.all(np.diff(values) < 0.0)
