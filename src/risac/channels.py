@@ -82,7 +82,6 @@ class Scene:
     seed: int = 0
     blocked_direct: bool = False
     blocked_user_path: bool = False
-    fluctuating_target: bool = True
     direct_gain_override: Optional[complex] = None
     ris_gain_override: Optional[complex] = None
 

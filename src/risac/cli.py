@@ -82,7 +82,7 @@ def _run_sense_sweep(cfg: RunConfig):
 
 
 def _run_detect(cfg: RunConfig):
-    scene = scene_from_config(cfg).replace(fluctuating_target=False)
+    scene = scene_from_config(cfg)
     design = maximize_illumination(scene)
     dets = [DetectionConfig(false_alarm_rate=pf) for pf in cfg.pf_list]
     snrs = [10.0 ** (snr_db / 10.0) for snr_db in cfg.snr_db_list]

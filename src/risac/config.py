@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from typing import Optional, Tuple
 
 from .arrays import UlaGeometry
@@ -86,8 +87,16 @@ class RunConfig:
             raise ConfigError("seed must be >= 0")
         if self.n_ris < 0:
             raise ConfigError("n_ris must be >= 0")
-        if not self.transmit_power > 0:
-            raise ConfigError("transmit_power must be positive watts")
+        if not sys.float_info.min <= self.transmit_power < math.inf:
+            # A denormal budget: ||w||^2 rounds past the beamformer's own budget check.
+            raise ConfigError(f"transmit_power must be finite and >= {sys.float_info.min!r} W")
+        for name in ("noise_sensing_dbm", "noise_comms_dbm"):
+            try:
+                watts = dbm_to_watts(getattr(self, name))
+            except OverflowError:
+                watts = math.inf
+            if not 0.0 < watts < math.inf:  # also a NaN
+                raise ConfigError(f"{name} must give a finite positive power in watts")
         if not self.target_gain_var >= 0:
             raise ConfigError("target_gain_var must be >= 0")
         if not self.spacing_wavelengths > 0:

@@ -220,7 +220,7 @@ def _crb_sweep(scenario: RisIsacScenario, phi, rate_thresholds):
     """
     if scenario.beta == 0:
         raise DegenerateChannelError(
-            "the angle FIM is normalized by the direct gains; beta must be nonzero"
+            "beta = 0: no direct path, so the echo holds no theta1 information"
         )
     scene = scenario.scene
     return crb_min_beamformer(scenario.h_t(phi), scenario.h_c(phi), _kappa(scenario, phi),

@@ -11,7 +11,8 @@ steering vector is normalized so the noise-only statistic is unit-mean
 exponential and the false-alarm rate exp(-gamma) is exact.
 
 The GLRT Monte Carlo simulates the matched-filter output, not the L_S-antenna
-snapshot. With filter v = conj(a_r_hat), echo y = eta c a_r + n and white
+snapshot, of a target with fixed amplitude |eta| = sigma_eta, as in the
+Marcum-Q law. With filter v = conj(a_r_hat), echo y = eta c a_r + n and white
 noise n ~ CN(0, sigma_s^2 I), the output is v^T y = eta g + v^T n with echo
 gain g = c (a_r^T v), and v^T n ~ CN(0, sigma_out^2), sigma_out^2 =
 sigma_s^2 ||v||^2, exactly. The output is a sufficient statistic for the
@@ -21,18 +22,13 @@ statistic depends on:
 - H0: |v^T n|^2 / sigma_s^2 = (sigma_out^2 / sigma_s^2) E with E ~ Exp(1),
   one exponential draw per trial.
 - H1: the noise is circular, so the phase of eta g does not change the law of
-  |eta g + v^T n|^2. A fixed-amplitude target gives ((A + s x)^2 + (s y)^2)
-  / sigma_s^2 with A = sigma_eta |g|, s = sigma_out / sqrt(2) and x, y
-  standard normal: no echo-phase draw. A fluctuating (circular Gaussian) eta
-  is still drawn, and eta g has the law of eta |g|, so the statistic stays
-  in real arithmetic.
+  |eta g + v^T n|^2, which is that of ((A + s x)^2 + (s y)^2) / sigma_s^2
+  with A = sigma_eta |g|, s = sigma_out / sqrt(2) and x, y standard normal:
+  no echo-phase draw, and real arithmetic only.
 
-One call builds the channel once, draws each statistic once and thresholds
-it at every requested false-alarm rate and every target gain variance, in
-the draw order E, (eta,) x, y: common random numbers. So its Pf and Pd
-estimates are monotone in the threshold, and each row is exact in law, but
-the rows of different gains are correlated, and for a given draw Pd is not
-guaranteed monotone in SNR.
+One call draws E, x, y once, in that order, and thresholds the statistics
+at every requested false-alarm rate and target gain variance: common random
+numbers, whose consequences ``glrt_monte_carlo`` states.
 
 The analytic detection probability Q1(sqrt(2 SNR), sqrt(2 gamma)) is a
 Poisson mixture evaluated with numpy and ``math`` only (``marcum_q1``).
@@ -137,22 +133,15 @@ _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188)
 _MARCUM_MAX_TERMS = 1_000_000
 
 
-def _bd0_near(k, d, v):
-    """d v + 2k (atanh(v) - v), Loader's bd0 for |v| < 0.1; d is overwritten."""
+def _bd0_near(k, d, v, near):
+    """d v + 2k (atanh(v) - v), Loader's bd0 for |v| < 0.1 (the ``near`` entries)."""
     v2 = v * v
     # The atanh series sum_j v^(2j+1) / (2j+1), to the term below 1e-16 of the first.
-    terms = max(1, math.ceil(-37.0 / math.log(max(float(v2.max()), 1e-300))))
-    acc = np.full_like(v, 1.0 / (2 * terms + 1))
+    terms = max(1, math.ceil(-37.0 / math.log(max(np.max(v2, where=near, initial=0.0), 1e-300))))
+    acc = 1.0 / (2 * terms + 1)
     for j in range(terms - 1, 0, -1):
-        acc *= v2
-        acc += 1.0 / (2 * j + 1)
-    acc *= v2
-    acc *= v
-    acc *= k
-    acc *= 2.0
-    d *= v
-    acc += d
-    return acc
+        acc = acc * v2 + 1.0 / (2 * j + 1)
+    return acc * v2 * v * k * 2.0 + d * v
 
 
 def _poisson_pmf(k, lam):
@@ -165,38 +154,18 @@ def _poisson_pmf(k, lam):
     zero = k == 0.0
     k = np.where(zero, 1.0, k)  # the k = 0 entries are e^-lam, set at the end
     d = k - lam
-    v = k + lam
-    np.divide(d, v, out=v)  # v = (k - lam) / (k + lam)
-    if max(float(v.max()), -float(v.min())) < 0.1:
-        expo = _bd0_near(k, d, v)
-    else:
-        expo = k / lam
-        np.log(expo, out=expo)
-        expo *= k
-        expo -= d
-        near = np.abs(v) < 0.1
-        if near.any():
-            expo[near] = _bd0_near(k[near], d[near], v[near])
+    v = d / (k + lam)
+    near = np.abs(v) < 0.1
+    bd0 = np.where(near, _bd0_near(k, d, v, near), k * np.log(k / lam) - d)
     kmin = float(k.min())
     terms = 2 if kmin > 500 else 3 if kmin > 80 else 4 if kmin > 35 else 5  # Loader's cut-offs
-    inv_sq = np.square(k, out=d)
-    np.reciprocal(inv_sq, out=inv_sq)
-    stirlerr = np.full_like(k, _STIRLING[terms - 1])
+    inv_sq = 1.0 / np.square(k)
+    stirlerr = _STIRLING[terms - 1]
     for c in _STIRLING[terms - 2::-1]:
-        stirlerr *= inv_sq
-        stirlerr += c
-    stirlerr /= k
-    if kmin < 16.0:
-        small = k < 16.0
-        stirlerr[small] = _STIRLERR[k[small].astype(np.intp)]
-    expo += stirlerr
-    np.negative(expo, out=expo)
-    np.exp(expo, out=expo)
-    np.multiply(k, 2.0 * math.pi, out=stirlerr)
-    expo /= np.sqrt(stirlerr, out=stirlerr)
-    if zero.any():
-        expo[zero] = np.exp(-lam[zero])
-    return expo
+        stirlerr = stirlerr * inv_sq + c
+    stirlerr = np.where(k < 16.0, _STIRLERR[np.minimum(k, 15.0).astype(np.intp)], stirlerr / k)
+    pmf = np.exp(-(bd0 + stirlerr)) / np.sqrt(k * (2.0 * math.pi))
+    return np.where(zero, np.exp(-lam), pmf)
 
 
 def _poisson_window(lam: float, log_eps: float):
@@ -328,23 +297,20 @@ def glrt_monte_carlo(
     module docstring:
 
     - H0: (sigma_out^2 / sigma_s^2) E with E ~ Exp(1).
-    - H1: ((m_x + s x)^2 + (m_y + s y)^2) / sigma_s^2, s = sigma_out /
-      sqrt(2), x and y standard normal. A fixed-amplitude target has
-      (m_x, m_y) = (sigma_eta |g|, 0); a fluctuating one has m_x, m_y =
-      sigma_eta |g| / sqrt(2) times two standard normals.
+    - H1: ((A + s x)^2 + (s y)^2) / sigma_s^2 with A = sigma_eta |g|,
+      s = sigma_out / sqrt(2), x and y standard normal.
 
-    Draw order: E; then, for a fluctuating target, the in-phase and the
-    quadrature part of eta; then x, y. The channel is built once, and these
-    same draws serve every target gain variance sigma_eta^2 of
-    ``target_gain_vars`` (None reads as ``(scene.target_gain_var,)``) and
-    every ``cfg.threshold`` of ``cfgs`` (a lone config reads as ``[cfg]``).
+    Draw order: E, x, y. The channel is built once, and these same draws
+    serve every target gain variance sigma_eta^2 of ``target_gain_vars``
+    (None reads as ``(scene.target_gain_var,)``) and every
+    ``cfg.threshold`` of ``cfgs`` (a lone config reads as ``[cfg]``).
     The result is gain-major, ``len(target_gain_vars) * len(cfgs)`` rows.
 
     Common random numbers: each row is exact in law, and equals the call
     with that gain alone and the same seed, but rows are correlated across
     gains. Pd is monotone in the threshold for one draw. It is not
-    guaranteed monotone in sigma_eta^2: (m_x + s x)^2 falls as m_x grows
-    wherever s x < -m_x.
+    guaranteed monotone in sigma_eta^2: (A + s x)^2 falls as A grows
+    wherever s x < -A.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -373,37 +339,23 @@ def glrt_monte_carlo(
     rng.standard_exponential(out=buf)
     buf *= out_var / noise_var
     pfs = [np.count_nonzero(buf > gamma) / trials for gamma in gammas]
-    # H1: one draw of the target and the noise serves every gain.
-    fluctuating = scene.fluctuating_target
-    if fluctuating:
-        eta_x = rng.standard_normal(trials)
-        eta_y = rng.standard_normal(trials)
+    # H1: one draw of the noise serves every gain.
     sx = rng.standard_normal(trials)
     sx *= s
     rng.standard_normal(out=buf)
-    buf *= s  # s y; for a fixed target only (s y)^2 is read
-    if not fluctuating:
-        np.square(buf, out=buf)
-    work = np.empty((2, min(trials, _GLRT_SLICE)))
+    buf *= s
+    np.square(buf, out=buf)  # (s y)^2
+    work = np.empty(min(trials, _GLRT_SLICE))
     rows = []
     for gain in gains:
-        sigma_eta = math.sqrt(gain)
-        amp = sigma_eta * echo_amp / math.sqrt(2.0) if fluctuating else sigma_eta * echo_amp
+        amp = math.sqrt(gain) * echo_amp
         hits = [0] * len(gammas)
         for lo in range(0, trials, _GLRT_SLICE):
             hi = min(lo + _GLRT_SLICE, trials)
-            stat, tmp = work[:, :hi - lo]
-            if fluctuating:  # (amp eta_x + s x)^2 + (amp eta_y + s y)^2
-                np.multiply(eta_x[lo:hi], amp, out=stat)
-                stat += sx[lo:hi]
-                np.square(stat, out=stat)
-                np.multiply(eta_y[lo:hi], amp, out=tmp)
-                tmp += buf[lo:hi]
-                stat += np.square(tmp, out=tmp)
-            else:  # (amp + s x)^2 + (s y)^2
-                np.add(sx[lo:hi], amp, out=stat)
-                np.square(stat, out=stat)
-                stat += buf[lo:hi]
+            stat = work[:hi - lo]  # (amp + s x)^2 + (s y)^2
+            np.add(sx[lo:hi], amp, out=stat)
+            np.square(stat, out=stat)
+            stat += buf[lo:hi]
             stat /= noise_var
             for j, gamma in enumerate(gammas):
                 hits[j] += np.count_nonzero(stat > gamma)
@@ -414,11 +366,11 @@ def glrt_monte_carlo(
 def crb_angle(snr: float, samples: int, adot_norm_sq: float, l_s: int) -> float:
     """Angle-estimation CRB: L_S / (2 T ||adot||^2) * (1/SNR + 1/SNR^2).
 
-    Zero SNR means no sensing is possible and returns infinity. This is not
-    the kappa / |a_t^T w|^2 form of ``isac.crb_min_beamformer``: that model
-    takes the target gain as a fixed unknown and keeps only the 1/SNR term,
-    while here the gain fluctuates (circular Gaussian), which adds the
-    1/SNR^2 term; the two agree only at high SNR.
+    Zero SNR means no sensing is possible and returns infinity. Here the
+    target gain fluctuates (circular Gaussian), which adds the 1/SNR^2 term.
+    The detector of ``glrt_monte_carlo`` and the kappa / |a_t^T w|^2 CRB of
+    ``isac.crb_min_beamformer`` take it as fixed; the latter keeps only the
+    1/SNR term, so the two CRBs agree only at high SNR.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")

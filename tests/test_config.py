@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,10 @@ position = st.tuples(finite, finite)
 FIELD_STRATEGIES = {
     "experiment": st.sampled_from(EXPERIMENTS),
     "seed": st.integers(min_value=0, max_value=2**63),
-    "transmit_power": positive,
+    "transmit_power": st.floats(min_value=sys.float_info.min, allow_infinity=False),
+    # dBm whose power in watts is a finite positive float.
+    "noise_sensing_dbm": st.floats(-3000.0, 3000.0),
+    "noise_comms_dbm": st.floats(-3000.0, 3000.0),
     "l_t": count,
     "l_s": count,
     "n_ris": st.integers(min_value=0, max_value=10**6),
@@ -85,10 +89,10 @@ EDGE_STRATEGIES = {
     "l_t": st.sampled_from([1, 2, 3]),
     "l_s": st.sampled_from([1, 2, 3]),
     "n_ris": st.sampled_from([0, 1, 2]),
-    "transmit_power": st.sampled_from([1e-30, 1.0, 1e30]),
+    "transmit_power": st.sampled_from([1e-320, 1e-30, 1.0, 1e30]),
     "target_gain_var": st.sampled_from([0.0, 1e-300, 1e300]),
-    "noise_sensing_dbm": st.sampled_from([-300.0, 0.0, 300.0]),
-    "noise_comms_dbm": st.sampled_from([-300.0, 0.0, 300.0]),
+    "noise_sensing_dbm": st.sampled_from([-4000.0, -300.0, 0.0, 300.0, 4000.0]),
+    "noise_comms_dbm": st.sampled_from([-4000.0, -300.0, 0.0, 300.0, 4000.0]),
     "pathloss_exp_direct": st.sampled_from([-2.0, 0.0, 20.0]),
     "pathloss_exp_ris": st.sampled_from([-2.0, 0.0, 20.0]),
     "spacing_wavelengths": st.sampled_from([1e-3, 10.0]),
@@ -169,13 +173,18 @@ def test_removed_key_is_a_json_config_error(tmp_path, capsys, key):
     "line",
     ["snr_db_list = nan", "snr_db_list = 0.0, inf", "pf_list = 0.1, nan",
      "target_angles_deg = -inf", "bs_position = nan, 0", "road_end = 1.0, inf",
-     "target_gain_var = -1.0", "spacing_wavelengths = 0.0"],
+     "target_gain_var = -1.0", "spacing_wavelengths = 0.0", "noise_comms_dbm = -4000",
+     "noise_sensing_dbm = 4000", "transmit_power = 1e-320"],
 )
 def test_nonfinite_tuple_entry_is_a_json_config_error(tmp_path, capsys, line):
     # Every float of a tuple or position is checked, not only scalar floats.
     # A scalar outside its range fails the same way, before the output
-    # directory is made: a negative target gain variance or a nonpositive
-    # element spacing used to exit with a bare ValueError from the scene.
+    # directory is made: a negative target gain variance, a nonpositive
+    # element spacing or a noise power that underflows to 0 W used to exit
+    # with a bare ValueError from the scene, a noise power past the float
+    # range with an OverflowError, and a denormal power budget with a
+    # ValueError from the detector here (from the beamformer's own budget
+    # check in isac-tradeoff).
     config = tmp_path / "nonfinite.cfg"
     config.write_text(f"l_t = 4\n{line}\n")
     code, err = _error_of(capsys, ["detect", "--config", str(config),
@@ -373,6 +382,19 @@ def test_repeated_key_is_a_json_config_error(tmp_path, capsys):
     assert code == 2
     assert err == {"error": "ConfigError", "detail": "line 2: 'seed' repeats line 1"}
     assert not (tmp_path / "out").exists()
+
+
+def test_powers_validate_down_to_the_smallest_normal_double():
+    for name in ("noise_sensing_dbm", "noise_comms_dbm"):
+        for dbm in (-4000.0, 4000.0, math.nan):
+            with pytest.raises(ConfigError, match=name):
+                RunConfig(**{name: dbm}).validate()
+        RunConfig(**{name: -3000.0}).validate()
+        RunConfig(**{name: 3000.0}).validate()
+    for watts in (sys.float_info.min / 2, 0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ConfigError, match="transmit_power"):
+            RunConfig(transmit_power=watts).validate()
+    RunConfig(transmit_power=sys.float_info.min).validate()
 
 
 def test_negative_seed_is_a_config_error():
