@@ -28,7 +28,7 @@ from .isac import (
     max_illumination_beamformer,
     tradeoff_curve,
 )
-from .optim import SolverConfig, riemannian_descent
+from .optim import riemannian_descent
 from .ris_isac import (
     FimResult,
     coupling_gradient,

@@ -62,7 +62,8 @@ class Scene:
 
     ``direct_gain_override`` / ``ris_gain_override`` replace the pathloss-and-
     random-phase gains with exact complex values (both legs get the same
-    value); they exist so tests and calibration sweeps can pin gains.
+    value). No experiment sets them: they are seams through which tests pin
+    gains, such as a blocked direct path (``direct_gain_override=0.0``).
     """
 
     bs_position: np.ndarray
@@ -80,7 +81,6 @@ class Scene:
     samples: int = 64
     transmit_power: float = 1.0
     seed: int = 0
-    blocked_direct: bool = False
     blocked_user_path: bool = False
     direct_gain_override: Optional[complex] = None
     ris_gain_override: Optional[complex] = None
@@ -201,8 +201,6 @@ def path_gains(scene: Scene) -> PathGains:
         )
         beta_t = amp_r * np.exp(1j * psi[2])
         beta_r = amp_r * np.exp(1j * psi[3])
-    if scene.blocked_direct:
-        alpha_t = alpha_r = 0.0 + 0.0j
 
     gain_bu = pathloss_amplitude(d_bu, scene.pathloss_exp_direct) * np.exp(1j * psi[4])
     if scene.blocked_user_path:

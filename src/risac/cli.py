@@ -89,6 +89,10 @@ def _run_detect(cfg: RunConfig):
     # Calibrate the target gain so the matched-filter SNR hits each grid value.
     gain_vars = [snr * scene.noise_power_sensing / (scene.rx.num_elements * design.power)
                  for snr in snrs]
+    for snr_db, gain_var in zip(cfg.snr_db_list, gain_vars):
+        if not math.isfinite(gain_var):
+            raise ConfigError(f"snr_db = {snr_db!r} needs a target gain variance past the "
+                              "float range at this noise_sensing_dbm and illumination power")
     # One draw serves every SNR point; its seed is the first child of the config seed.
     seed = int(np.random.SeedSequence(cfg.seed).spawn(1)[0].generate_state(1)[0])
     points = [(snr_db, snr, det) for snr_db, snr in zip(cfg.snr_db_list, snrs) for det in dets]
@@ -227,6 +231,11 @@ def run_experiment(cfg: RunConfig, out_dir: Path, emit_plot_script: bool = False
     started = time.perf_counter()
     tables, diagnostics = _RUNNERS[cfg.experiment](cfg)
     elapsed = time.perf_counter() - started
+    for header, rows in tables.values():
+        cols = header.split(",")
+        if "crb" in cols and any(row[cols.index("crb")] == 0.0 for row in rows):
+            raise ConfigError("a CRB rounds to 0.0: this config puts the sensing SNR past "
+                              "the float range")
 
     written = {}
     for suffix, (header, rows) in tables.items():

@@ -95,8 +95,10 @@ class RunConfig:
                 watts = dbm_to_watts(getattr(self, name))
             except OverflowError:
                 watts = math.inf
-            if not 0.0 < watts < math.inf:  # also a NaN
-                raise ConfigError(f"{name} must give a finite positive power in watts")
+            # A denormal noise power rounds the CRBs to 0 and the rates to inf.
+            if not sys.float_info.min <= watts < math.inf:  # also a NaN
+                raise ConfigError(
+                    f"{name} must give a finite power of at least {sys.float_info.min!r} W")
         if not self.target_gain_var >= 0:
             raise ConfigError("target_gain_var must be >= 0")
         if not self.spacing_wavelengths > 0:

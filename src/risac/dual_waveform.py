@@ -1,7 +1,7 @@
 """Joint communication precoder, sensing covariance, and RIS phase design.
 
 The transmit covariance R = X X^H, X = [c | W], has unit diagonal, so X lies
-on the oblique manifold (unit-norm rows). The loss is a weighted beampattern
+on the oblique manifold (unit-norm rows). The loss is the beampattern
 mismatch plus the average squared cross-correlation between target returns;
 the pattern scale tau is minimized out in closed form inside each fused loss
 and gradient evaluation.
@@ -31,7 +31,7 @@ import numpy as np
 from .arrays import UlaGeometry, steering_vector
 from .channels import RisIsacScenario, Scene, align_profile
 from .errors import InfeasibleSinrError
-from .optim import SolverConfig, riemannian_descent
+from .optim import riemannian_descent
 
 __all__ = [
     "BeampatternSpec",
@@ -44,13 +44,11 @@ __all__ = [
 
 @dataclasses.dataclass(eq=False)
 class BeampatternSpec:
-    """Desired beampattern on a sorted angle grid, plus loss weights."""
+    """Desired beampattern on a sorted angle grid, and the cross-correlation targets."""
 
     grid: np.ndarray           # D angles, radians, sorted
     desired: np.ndarray        # D nonnegative levels
     target_angles: np.ndarray  # radians, cross-correlation set
-    alpha_mismatch: float = 1.0
-    alpha_crosscorr: float = 1.0
 
     def __post_init__(self):
         self.grid = np.asarray(self.grid, dtype=float).reshape(-1)
@@ -64,16 +62,12 @@ class BeampatternSpec:
             raise ValueError("grid must be sorted")
         if np.any(self.desired < 0):
             raise ValueError("desired levels must be nonnegative")
-        if self.alpha_mismatch < 0 or self.alpha_crosscorr < 0:
-            raise ValueError("loss weights must be nonnegative")
 
 
 def make_beampattern_spec(
     beams: Sequence,
     target_angles: Sequence[float],
     grid_points: int = 181,
-    alpha_mismatch: float = 1.0,
-    alpha_crosscorr: float = 1.0,
 ) -> BeampatternSpec:
     """Superpose rectangular beams (center, width, level in radians) on a grid."""
     grid = np.linspace(-np.pi / 2, np.pi / 2, grid_points)
@@ -81,10 +75,7 @@ def make_beampattern_spec(
     for center, width, level in beams:
         mask = np.abs(grid - center) <= width / 2.0
         desired[mask] = np.maximum(desired[mask], level)
-    return BeampatternSpec(
-        grid, desired, np.asarray(target_angles, dtype=float),
-        alpha_mismatch, alpha_crosscorr,
-    )
+    return BeampatternSpec(grid, desired, np.asarray(target_angles, dtype=float))
 
 
 @dataclasses.dataclass(eq=False)
@@ -172,13 +163,13 @@ def _loss_gradient(x: np.ndarray, tau, spec, st: _Steering):
         tau = _best_tau(pattern, spec.desired, st.denom)
     err = pattern - tau * spec.desired
     d = spec.grid.size
-    loss = spec.alpha_mismatch * float(np.add.reduce(err * err) / d)
-    grad = (2.0 * spec.alpha_mismatch / d) * (st.grid @ (err[:, None] * proj))
+    loss = float(np.add.reduce(err * err) / d)
+    grad = (2.0 / d) * (st.grid @ (err[:, None] * proj))
     k = spec.target_angles.size
-    if k >= 2 and spec.alpha_crosscorr > 0:
+    if k >= 2:
         proj_t = st.targets_h @ x  # K x (1+K)
         cross = proj_t @ proj_t.conj().T     # K x K, equals A^H R A
-        weight = spec.alpha_crosscorr * 2.0 / (k * k - k)
+        weight = 2.0 / (k * k - k)
         idx_i, idx_j = st.triu
         vals = cross[idx_i, idx_j]
         mag = np.abs(vals)
@@ -264,7 +255,6 @@ def design_dual_waveform(
         return value, grad / scale - (mult / floor) * np.outer(h_c, v.conj())
 
     consider(matched, phi, h_c, scale)
-    cfg = SolverConfig(tol=_TOL)
     # Start: the matched comm column plus a small seeded sensing part.
     x = np.column_stack([comm, 0.05 * (
         rng.standard_normal((l_t, k_targets)) + 1j * rng.standard_normal((l_t, k_targets))
@@ -274,7 +264,7 @@ def design_dual_waveform(
     # Lagrangian is in units of its loss: it is the design, with no solve.
     converged, grad_norm, stop = scale == 0.0, 0.0, "tol"
     for _ in range(0 if converged else _MAX_OUTER):
-        res = riemannian_descent(lagrangian, x, cfg)
+        res = riemannian_descent(lagrangian, x, _TOL)
         x = res.x
         iterations += res.iterations
         evaluations += res.evaluations
@@ -292,7 +282,7 @@ def design_dual_waveform(
                 else _loss_gradient(x, None, spec, st)[0])
         consider(x, phi, h_c, loss)
         lam_next = max(0.0, lam + rho * viol)
-        if res.converged and viol <= _FEAS_TOL and (lam_next == 0.0 or viol >= -_FEAS_TOL):
+        if res.stop == "tol" and viol <= _FEAS_TOL and (lam_next == 0.0 or viol >= -_FEAS_TOL):
             converged = True
             break
         if viol > max(_FEAS_TOL, 0.25 * prev_viol):

@@ -38,4 +38,4 @@ class InfeasibleSinrError(ValueError):
 
 
 class ConfigError(ValueError):
-    """Malformed, missing, or unknown configuration keys."""
+    """Malformed, missing, or unknown configuration keys, or values that leave the float range."""

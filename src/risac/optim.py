@@ -14,11 +14,12 @@ It stops when the tangent-gradient norm falls to ``tol * |f|``. The
 tolerance is relative because the line search cannot resolve a decrease
 below the rounding of f, about 1e-16 |f|; every step rule is invariant to
 the scale of f too. An objective whose minimum is 0 therefore ends on
-``no_descent`` or ``max_iter``, and the result says so. The helpers are
-written for per-call overhead. The path is stable at rounding level: at the
-default ``beampattern`` design, forming |proj|^2 as re^2 + im^2 in the loss
-keeps the iteration and evaluation counts and moves the loss by 1.2e-13
-relative (``tests/test_dual_waveform.py`` checks it).
+``no_descent`` or, after ``MAX_ITER`` accepted steps, on ``max_iter``, and
+the result says so. The helpers are written for per-call overhead. The path
+is stable at rounding level: at the default ``beampattern`` design, forming
+|proj|^2 as re^2 + im^2 in the loss keeps the iteration and evaluation
+counts and moves the loss by 1.2e-13 relative
+(``tests/test_dual_waveform.py`` checks it).
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from typing import Callable, Tuple
 import numpy as np
 
 __all__ = [
-    "SolverConfig",
     "SolverResult",
     "riemannian_descent",
 ]
@@ -38,26 +38,13 @@ __all__ = [
 ARMIJO_C = 1e-4   # sufficient-decrease constant of the backtracking line search
 BACKTRACK = 0.5   # step shrink factor per rejected trial
 MEMORY = 96       # (s, y) pairs the quasi-Newton direction keeps
-
-
-@dataclasses.dataclass(frozen=True)
-class SolverConfig:
-    tol: float = 1e-7        # stop once the tangent-gradient norm is <= tol * |f|
-    max_iter: int = 2000
-
-    def __post_init__(self):
-        if not self.tol >= 0:
-            raise ValueError("tol must be nonnegative")
-        if self.max_iter < 0:
-            raise ValueError("max_iter must be nonnegative")
+MAX_ITER = 2000   # accepted steps before a solve stops on "max_iter"
 
 
 @dataclasses.dataclass(eq=False)
 class SolverResult:
     x: np.ndarray
-    objective: float
     trace: np.ndarray   # objective at the accepted iterates, non-increasing
-    converged: bool     # stopped on the tolerance
     iterations: int
     evaluations: int    # calls of ``fun``
     grad_norm: float    # tangent-gradient norm at x
@@ -152,7 +139,7 @@ class _InverseHessian:
 def riemannian_descent(
     fun: Callable[[np.ndarray], Tuple[float, np.ndarray]],
     x0: np.ndarray,
-    cfg: SolverConfig = SolverConfig(),
+    tol: float,
 ) -> SolverResult:
     """Minimize ``fun`` over the matrices with unit-norm rows, from a 2-D ``x0``.
 
@@ -161,6 +148,8 @@ def riemannian_descent(
     point costs one call; the unit quasi-Newton step is tried first, so most
     iterations cost exactly one.
     """
+    if not tol >= 0:
+        raise ValueError("tol must be nonnegative")
     x0 = np.asarray(x0)
     if x0.ndim != 2:
         raise ValueError(f"the oblique manifold needs a 2-D start, got {x0.ndim}-D")
@@ -176,8 +165,8 @@ def riemannian_descent(
     # With no pairs yet, the first trial moves x by unit length.
     memory = _InverseHessian(2 * x.size, 1.0 / max(gnorm, 1e-300))
     stop, it, evaluations = "max_iter", 0, 1
-    while gnorm > cfg.tol * abs(f):
-        if it == cfg.max_iter:
+    while gnorm > tol * abs(f):
+        if it == MAX_ITER:
             break
         d = -_tangent(x, memory.apply(_flat(rg)).view(complex).reshape(x.shape))
         slope = _inner(rg, d)
@@ -207,6 +196,4 @@ def riemannian_descent(
         trace.append(f)
     else:
         stop = "tol"
-    return SolverResult(
-        x, f, np.asarray(trace), stop == "tol", it, evaluations, float(gnorm), stop,
-    )
+    return SolverResult(x, np.asarray(trace), it, evaluations, float(gnorm), stop)

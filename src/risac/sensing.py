@@ -400,32 +400,29 @@ def _power_db(power: float) -> float:
 def trajectory_sweep(
     scene_template: Scene,
     waypoints: Sequence,
-    blocked: Optional[Sequence[bool]] = None,
+    blocked: Sequence[bool],
 ):
     """Illumination power and CRB along a target trajectory for each mode.
 
     Each waypoint's channel a_t + g_t (r_t^T phi) is built once, and each mode
     is lit as in ``maximize_illumination``, with power P ||h_t||^2:
     "ris_aided" keeps (a_t, g_t, r_t), "ris_only" drops a_t, and
-    "without_ris" drops the entries of r_t. Blocked waypoints zero the
+    "without_ris" drops the entries of r_t. Blocked waypoints zero a_t, the
     direct path. A mode with no path to the target has power 0 and an
     infinite CRB.
     """
     if len(waypoints) == 0:
         raise ValueError("need at least one waypoint")
-    if blocked is None:
-        blocked = [False] * len(waypoints)
     if len(blocked) != len(waypoints):
         raise ValueError("blocked mask length must match waypoints")
 
     rows = []
     for idx, (pos, blk) in enumerate(zip(waypoints, blocked)):
-        scene = scene_template.replace(
-            target_position=np.asarray(pos, dtype=float),
-            blocked_direct=bool(blk) or scene_template.blocked_direct,
-        )
+        scene = scene_template.replace(target_position=np.asarray(pos, dtype=float))
         channel = RisIsacScenario.from_scene(scene)
         a_t, g, r_t = channel.a_t_term, channel.g_t, channel.r_t
+        if blk:
+            a_t = np.zeros_like(a_t)
         adot = steering_derivative(scene.rx, angles_from_geometry(scene).theta1)
         adot_sq = float(np.real(np.vdot(adot, adot)))
         for mode, a, r in (("ris_aided", a_t, r_t), ("ris_only", np.zeros_like(a_t), r_t),

@@ -211,16 +211,16 @@ def radiated_power(r_cov: np.ndarray, geom, angle: float) -> float:
 
 
 def beampattern_loss(r_cov: np.ndarray, tau: float, spec, geom) -> float:
-    """Weighted mismatch plus average squared cross-correlation loss of a covariance."""
+    """Mismatch plus average squared cross-correlation loss of a covariance."""
     steer = _steering_matrix(geom, spec.grid)
     pattern = np.real(np.einsum("id,ij,jd->d", steer.conj(), r_cov, steer))
-    loss = spec.alpha_mismatch * float(np.mean((pattern - tau * spec.desired) ** 2))
+    loss = float(np.mean((pattern - tau * spec.desired) ** 2))
     k = spec.target_angles.size
-    if k >= 2 and spec.alpha_crosscorr > 0:
+    if k >= 2:
         steer_t = _steering_matrix(geom, spec.target_angles)
         cross = steer_t.conj().T @ r_cov @ steer_t
         idx = np.triu_indices(k, 1)
-        loss += spec.alpha_crosscorr * 2.0 / (k * k - k) * float(
+        loss += 2.0 / (k * k - k) * float(
             np.sum(np.abs(cross[idx]) ** 2)
         )
     return loss

@@ -148,7 +148,7 @@ def test_beta_amplitude_from_table_distances():
 def test_blocked_direct_removes_only_alpha_terms():
     phi = np.ones(3, dtype=complex)
     open_path = RisIsacScenario.from_scene(simple_scene())
-    blocked = RisIsacScenario.from_scene(simple_scene(blocked_direct=True))
+    blocked = RisIsacScenario.from_scene(simple_scene(direct_gain_override=0.0))
     assert np.all(blocked.a_t_term == 0) and np.all(blocked.a_r_term == 0)
     assert np.array_equal(blocked.f_t, open_path.f_t)
     assert np.array_equal(blocked.f_r, open_path.f_r)
@@ -190,7 +190,7 @@ def test_scalar_case_hand_expansion():
 
 
 def test_ris_term_linear_in_profile():
-    channel = RisIsacScenario.from_scene(simple_scene(blocked_direct=True))
+    channel = RisIsacScenario.from_scene(simple_scene(direct_gain_override=0.0))
     rng = np.random.default_rng(0)
     phi1 = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     phi2 = rng.standard_normal(3) + 1j * rng.standard_normal(3)

@@ -91,8 +91,12 @@ EDGE_STRATEGIES = {
     "n_ris": st.sampled_from([0, 1, 2]),
     "transmit_power": st.sampled_from([1e-320, 1e-30, 1.0, 1e30]),
     "target_gain_var": st.sampled_from([0.0, 1e-300, 1e300]),
-    "noise_sensing_dbm": st.sampled_from([-4000.0, -300.0, 0.0, 300.0, 4000.0]),
-    "noise_comms_dbm": st.sampled_from([-4000.0, -300.0, 0.0, 300.0, 4000.0]),
+    # -3200 and -3070 dBm are subnormal in watts; 3100 dBm overflows detect's
+    # gain calibration.
+    "noise_sensing_dbm": st.sampled_from([-4000.0, -3200.0, -3070.0, -300.0, 0.0, 300.0,
+                                          3100.0, 4000.0]),
+    "noise_comms_dbm": st.sampled_from([-4000.0, -3200.0, -3070.0, -300.0, 0.0, 300.0,
+                                        3100.0, 4000.0]),
     "pathloss_exp_direct": st.sampled_from([-2.0, 0.0, 20.0]),
     "pathloss_exp_ris": st.sampled_from([-2.0, 0.0, 20.0]),
     "spacing_wavelengths": st.sampled_from([1e-3, 10.0]),
@@ -127,8 +131,12 @@ def test_edge_configs_write_full_csvs_or_raise_typed_errors(tmp_path_factory, cf
     except TYPED_ERRORS:
         return
     for path in out.glob("*.csv"):
-        for line in path.read_text().splitlines()[1:]:
-            assert "" not in line.split(","), (path.name, line)
+        header, *lines = path.read_text().splitlines()
+        for line in lines:
+            cells = dict(zip(header.split(","), line.split(",")))
+            assert "" not in cells.values(), (path.name, line)
+            # A CRB of 0 claims an exact estimate; an unlit target reads inf.
+            assert float(cells.get("crb", "inf")) > 0.0, (path.name, line)
 
 
 @settings(max_examples=300, deadline=None)
@@ -384,9 +392,36 @@ def test_repeated_key_is_a_json_config_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+# Each run used to end with a bare error or with CSVs of 0.0 CRBs:
+# - noise powers that are finite and positive but below the smallest normal
+#   double: ris-isac-tradeoff and sense-sweep exited 0 with every CRB 0.0 (the
+#   former with empty reference rates too), isac-tradeoff with an
+#   InfeasibleRateError quoting an infinite max rate;
+# - at 1e307 W of noise, the target gain variance that puts detect's matched
+#   filter at 5 dB overflowed into a ValueError from the GLRT;
+# - a target gain variance of 1e300 puts the SNR past the float range, and 20
+#   of the 30 sense-sweep CRBs were written as 0.0.
+@pytest.mark.parametrize("experiment, line, detail", [
+    ("ris-isac-tradeoff", "noise_sensing_dbm = -3200", "noise_sensing_dbm"),
+    ("isac-tradeoff", "noise_comms_dbm = -3200", "noise_comms_dbm"),
+    ("sense-sweep", "noise_sensing_dbm = -3070", "noise_sensing_dbm"),
+    ("detect", "noise_sensing_dbm = 3100", "snr_db = 5.0"),
+    ("sense-sweep", "target_gain_var = 1e300", "CRB rounds to 0.0"),
+])
+def test_values_past_the_float_range_are_json_config_errors(tmp_path, capsys, experiment,
+                                                            line, detail):
+    config = tmp_path / "edge.cfg"
+    config.write_text(f"{line}\n")
+    code, err = _error_of(capsys, [experiment, "--config", str(config),
+                                   "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert err["error"] == "ConfigError" and detail in err["detail"]
+    assert not list((tmp_path / "out").glob("*.csv"))
+
+
 def test_powers_validate_down_to_the_smallest_normal_double():
     for name in ("noise_sensing_dbm", "noise_comms_dbm"):
-        for dbm in (-4000.0, 4000.0, math.nan):
+        for dbm in (-4000.0, -3200.0, -3070.0, 4000.0, math.nan):
             with pytest.raises(ConfigError, match=name):
                 RunConfig(**{name: dbm}).validate()
         RunConfig(**{name: -3000.0}).validate()

@@ -15,7 +15,7 @@ from risac import (
 from risac import dual_waveform as dw
 from risac.channels import angles_from_geometry
 from risac.config import RunConfig, scene_from_config
-from risac.optim import SolverConfig, riemannian_descent
+from risac.optim import riemannian_descent
 from risac.dual_waveform import _loss_gradient, _Steering, autoscale_tau
 
 from oracles import beampattern_loss, radiated_power, sinr_given_channel
@@ -58,7 +58,7 @@ def naive_loss(r_cov, tau, spec, geom):
             for i in range(len(a)) for j in range(len(a))
         )
         total += abs(j_val - tau * level) ** 2
-    loss = spec.alpha_mismatch * total / spec.grid.size
+    loss = total / spec.grid.size
     k = spec.target_angles.size
     if k >= 2:
         cross_total = 0.0
@@ -71,7 +71,7 @@ def naive_loss(r_cov, tau, spec, geom):
                     for q in range(len(aj)):
                         val += ai[p].conjugate() * r_cov[p, q] * aj[q]
                 cross_total += abs(val) ** 2
-        loss += spec.alpha_crosscorr * 2.0 / (k * k - k) * cross_total
+        loss += 2.0 / (k * k - k) * cross_total
     return loss
 
 
@@ -102,32 +102,22 @@ class TestRadiatedPower:
 
 
 class TestBeampatternLoss:
-    def test_zero_weights_zero_loss(self):
-        scene = dual_scene()
-        spec = default_spec(scene, alpha_mismatch=0.0, alpha_crosscorr=0.0)
-        rng = np.random.default_rng(1)
-        x = rng.standard_normal((10, 3)) + 1j * rng.standard_normal((10, 3))
-        assert beampattern_loss(x @ x.conj().T, 1.0, spec, scene.tx) == 0.0
-
     def test_perfect_match_no_crossterm(self):
         geom = UlaGeometry(4)
-        spec = make_beampattern_spec(
-            [(0.0, math.pi, 4.0)], [], grid_points=61, alpha_crosscorr=0.0
-        )
+        spec = make_beampattern_spec([(0.0, math.pi, 4.0)], [], grid_points=61)
         # R = I radiates exactly L = 4 everywhere, matching the flat desired level.
         assert beampattern_loss(np.eye(4, dtype=complex), 1.0, spec, geom) < 1e-24
 
     def test_cross_term_hand_value(self):
         geom = UlaGeometry(6)
         t1, t2 = -0.5, 0.8
-        spec = make_beampattern_spec(
-            [(t1, 0.1, 1.0)], [t1, t2], grid_points=11,
-            alpha_mismatch=0.0, alpha_crosscorr=1.0,
-        )
+        spec = make_beampattern_spec([(t1, 0.1, 1.0)], [t1, t2], grid_points=11)
         r_cov = np.eye(6, dtype=complex)
         a1 = steering_vector(geom, t1)
         a2 = steering_vector(geom, t2)
-        expected = abs(np.vdot(a1, a2)) ** 2  # 2/(T^2-T) = 1 for T = 2
+        # R = I radiates L = 6 everywhere, so at tau = 0 the mismatch is 6^2;
+        # the cross term's weight 2/(T^2-T) is 1 for T = 2.
+        expected = 36.0 + abs(np.vdot(a1, a2)) ** 2
         assert np.isclose(beampattern_loss(r_cov, 0.0, spec, geom), expected)
 
     def test_matches_naive_loop(self):
@@ -146,12 +136,12 @@ def _loss_only(x, tau, spec, st):
     proj = st.grid_h @ x
     pattern = np.real(np.sum(np.abs(proj) ** 2, axis=1))
     err = pattern - tau * spec.desired
-    loss = spec.alpha_mismatch * float(np.mean(err**2))
+    loss = float(np.mean(err**2))
     k = spec.target_angles.size
-    if k >= 2 and spec.alpha_crosscorr > 0:
+    if k >= 2:
         proj_t = st.targets_h @ x
         cross = proj_t @ proj_t.conj().T
-        weight = spec.alpha_crosscorr * 2.0 / (k * k - k)
+        weight = 2.0 / (k * k - k)
         loss += weight * float(np.sum(np.abs(cross[st.triu]) ** 2))
     return loss
 
@@ -168,13 +158,13 @@ def _loss_gradient_reference(x, tau, spec, st, abs_sq=lambda z: np.abs(z) ** 2):
         tau = dw._best_tau(pattern, spec.desired, st.denom)
     err = pattern - tau * spec.desired
     d = spec.grid.size
-    loss = spec.alpha_mismatch * float(np.mean(err**2))
-    grad = (2.0 * spec.alpha_mismatch / d) * (st.grid @ (err[:, None] * proj))
+    loss = float(np.mean(err**2))
+    grad = (2.0 / d) * (st.grid @ (err[:, None] * proj))
     k = spec.target_angles.size
-    if k >= 2 and spec.alpha_crosscorr > 0:
+    if k >= 2:
         proj_t = st.targets_h @ x
         cross = proj_t @ proj_t.conj().T
-        weight = spec.alpha_crosscorr * 2.0 / (k * k - k)
+        weight = 2.0 / (k * k - k)
         idx_i, idx_j = st.triu
         vals = cross[idx_i, idx_j]
         loss += weight * float(np.sum(np.abs(vals) ** 2))
@@ -186,13 +176,10 @@ def _loss_gradient_reference(x, tau, spec, st, abs_sq=lambda z: np.abs(z) ** 2):
 
 
 def loss_case(k_targets, seed):
-    """Random X = [c | W] on 5 elements with k targets and both weights nonzero."""
+    """Random X = [c | W] on 5 elements with k targets."""
     geom = UlaGeometry(5)
     targets = [-0.9, 0.2, 0.7][:k_targets]
-    spec = make_beampattern_spec(
-        [(t, 0.3, 1.0) for t in targets], targets, grid_points=31,
-        alpha_mismatch=0.8, alpha_crosscorr=1.7,
-    )
+    spec = make_beampattern_spec([(t, 0.3, 1.0) for t in targets], targets, grid_points=31)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((5, 1 + k_targets)) + 1j * rng.standard_normal((5, 1 + k_targets))
     return geom, spec, _Steering.build(spec, geom), x
@@ -266,7 +253,7 @@ class TestAutoscale:
 
     def test_local_optimality(self):
         scene = dual_scene(tx=UlaGeometry(6))
-        spec = default_spec(scene, grid_points=31, alpha_crosscorr=0.0)
+        spec = default_spec(scene, grid_points=31)
         rng = np.random.default_rng(3)
         x = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
         r_cov = x @ x.conj().T
@@ -399,8 +386,8 @@ class TestDesign:
             loss, grad = original_loss(x_mat, *args)
             return (-1.0 if any(x_mat is t for t in trials) else loss), grad
 
-        def descent(fun, x0, cfg=None):
-            res = original_descent(fun, x0, cfg)
+        def descent(fun, x0, tol):
+            res = original_descent(fun, x0, tol)
             trials.append(0.5 * res.x)
             fun(trials[-1])
             ends.append(res.x)
@@ -466,12 +453,12 @@ def certified_lower_bound(spec, geom, x):
     tau = max(0.0, float(spec.desired @ pattern) / st.denom)
     f_val, grad_x = _loss_gradient(x, tau, spec, st)
     err = pattern - tau * spec.desired
-    grad = (2.0 * spec.alpha_mismatch / spec.grid.size) * (st.grid * err) @ st.grid_h
+    grad = (2.0 / spec.grid.size) * (st.grid * err) @ st.grid_h
     k = spec.target_angles.size
-    if k >= 2 and spec.alpha_crosscorr > 0:
+    if k >= 2:
         cross = st.targets_h @ r_cov @ st.targets
         np.fill_diagonal(cross, 0.0)
-        grad = grad + spec.alpha_crosscorr * 2.0 / (k * k - k) * (st.targets @ cross @ st.targets_h)
+        grad = grad + 2.0 / (k * k - k) * (st.targets @ cross @ st.targets_h)
     # d(loss)/dX* = G X ties this G to the solver's gradient.
     assert np.allclose(grad @ x, grad_x, rtol=1e-10, atol=1e-10 * np.abs(grad_x).max())
     slack = grad - np.diag(np.real(np.diag(grad @ r_cov)))
@@ -482,8 +469,7 @@ def certified_lower_bound(spec, geom, x):
 def reference_factor(spec, geom, x0):
     """The floor-free optimum from ``x0``, by the solver at a tight tolerance."""
     st = _Steering.build(spec, geom)
-    res = riemannian_descent(lambda x: _loss_gradient(x, None, spec, st), x0,
-                             SolverConfig(tol=1e-6, max_iter=20000))
+    res = riemannian_descent(lambda x: _loss_gradient(x, None, spec, st), x0, 1e-6)
     return res.x
 
 

@@ -4,7 +4,6 @@ import pytest
 from risac import optim
 from risac.optim import (
     MEMORY,
-    SolverConfig,
     _inner,
     _normalize,
     _tangent,
@@ -23,12 +22,11 @@ def test_quadratic_bowl():
     # On the oblique manifold the minimizer of ||X - T||^2 is T with its rows
     # normalized.
     target = np.array([[1.0, -2.0j], [3.0, 0.5 + 1j], [-0.2j, 0.1]])
-    res = riemannian_descent(bowl(target), np.ones((3, 2), dtype=complex),
-                             SolverConfig(tol=1e-8, max_iter=5000))
+    res = riemannian_descent(bowl(target), np.ones((3, 2), dtype=complex), 1e-8)
     nearest = target / np.linalg.norm(target, axis=1, keepdims=True)
     assert np.linalg.norm(res.x - nearest) < 1e-6
     assert np.all(np.diff(res.trace) <= 0.0)
-    assert res.converged and res.stop == "tol" and res.grad_norm <= 1e-8 * res.objective
+    assert res.stop == "tol" and res.grad_norm <= 1e-8 * res.trace[-1]
 
 
 def test_circle_projection_moves_to_nearest_point():
@@ -37,25 +35,25 @@ def test_circle_projection_moves_to_nearest_point():
     res = riemannian_descent(
         lambda x: (float(np.abs(x[0, 0] - 2.0) ** 2), x - 2.0),
         np.array([[np.exp(1j * 2.0)]]),
-        SolverConfig(tol=1e-12, max_iter=5000),
+        1e-12,
     )
     assert abs(res.x[0, 0] - 1.0) < 1e-6
-    assert res.converged
+    assert res.stop == "tol"
 
 
 def test_constant_objective_returns_init():
     init = np.exp(1j * np.array([[4.0], [5.0]]))
-    res = riemannian_descent(lambda x: (1.0, np.zeros_like(x)), init)
+    res = riemannian_descent(lambda x: (1.0, np.zeros_like(x)), init, 1e-7)
     assert res.iterations == 0
     assert np.allclose(res.x, init)
-    assert res.converged and res.stop == "tol"
+    assert res.stop == "tol"
 
 
 def test_empty_circle_start_returns_at_once():
     # A start with no rows (one column: a point on a product of no circles)
     # is the empty manifold's only point.
-    res = riemannian_descent(lambda x: (-3.0, np.zeros_like(x)), np.zeros((0, 1)))
-    assert res.x.shape == (0, 1) and res.objective == -3.0
+    res = riemannian_descent(lambda x: (-3.0, np.zeros_like(x)), np.zeros((0, 1)), 1e-7)
+    assert res.x.shape == (0, 1) and list(res.trace) == [-3.0]
     assert res.iterations == 0 and res.evaluations == 1 and res.stop == "tol"
 
 
@@ -63,16 +61,17 @@ def test_radial_gradient_is_stationary():
     # 2.5 ||x||^2 is constant on the manifold: its gradient 2.5 x is radial,
     # with no tangent part, so the start is already optimal.
     init = np.exp(1j * np.array([[0.3], [-1.2], [2.0]]))
-    res = riemannian_descent(lambda x: (2.5 * float(np.sum(np.abs(x) ** 2)), 2.5 * x), init)
+    res = riemannian_descent(lambda x: (2.5 * float(np.sum(np.abs(x) ** 2)), 2.5 * x), init,
+                             1e-7)
     assert res.iterations == 0 and res.stop == "tol"
 
 
-def test_max_iter_stop_is_reported():
+def test_max_iter_stop_is_reported(monkeypatch):
+    monkeypatch.setattr(optim, "MAX_ITER", 3)
     target = np.array([[1.0, 2.0], [0.5j, -1.0]])
-    res = riemannian_descent(bowl(target), np.ones((2, 2), dtype=complex),
-                             SolverConfig(tol=0.0, max_iter=3))
+    res = riemannian_descent(bowl(target), np.ones((2, 2), dtype=complex), 0.0)
     assert res.iterations == 3 and len(res.trace) == 4
-    assert not res.converged and res.stop == "max_iter"
+    assert res.stop == "max_iter"
     assert res.grad_norm > 0.0
 
 
@@ -81,23 +80,29 @@ def test_no_descent_stop_is_reported():
     def uphill(x):
         return float(np.real(x[0, 0])), -0.5 * np.ones_like(x)
 
-    res = riemannian_descent(uphill, np.array([[1j]]))
-    assert not res.converged and res.stop == "no_descent"
+    res = riemannian_descent(uphill, np.array([[1j]]), 1e-7)
+    assert res.stop == "no_descent"
     assert res.iterations == 0 and np.allclose(res.x, [[1j]])
 
 
-def test_iterates_stay_on_the_manifold():
+def test_iterates_stay_on_the_manifold(monkeypatch):
+    monkeypatch.setattr(optim, "MAX_ITER", 7)
     rng = np.random.default_rng(2)
     target = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
-    res = riemannian_descent(bowl(target), rng.standard_normal((4, 3)) + 0j,
-                             SolverConfig(max_iter=7))
+    res = riemannian_descent(bowl(target), rng.standard_normal((4, 3)) + 0j, 1e-7)
     assert np.allclose(np.linalg.norm(res.x, axis=1), 1.0, atol=1e-15)
 
 
 def test_rejects_a_start_that_is_not_2d():
     for start in (np.ones(2), np.ones((2, 2, 2)), np.array(1.0)):
         with pytest.raises(ValueError, match="2-D start"):
-            riemannian_descent(bowl(start), start)
+            riemannian_descent(bowl(start), start, 1e-7)
+
+
+def test_rejects_a_negative_or_nan_tolerance():
+    for tol in (-1e-7, np.nan):
+        with pytest.raises(ValueError, match="tol must be nonnegative"):
+            riemannian_descent(bowl(np.ones((2, 2))), np.ones((2, 2)), tol)
 
 
 def test_fd_gradient_linear_exact():
@@ -122,7 +127,8 @@ def test_fd_gradient_complex_convention():
 
 def test_riemannian_descent_deterministic():
     def run():
-        return riemannian_descent(bowl(np.full((4, 2), 1.5 - 0.5j)), np.eye(4, 2, dtype=complex))
+        return riemannian_descent(bowl(np.full((4, 2), 1.5 - 0.5j)),
+                                  np.eye(4, 2, dtype=complex), 1e-7)
 
     r1, r2 = run(), run()
     assert np.array_equal(r1.trace, r2.trace)
@@ -212,20 +218,22 @@ def counted(fun):
 
 
 # "circle" labels the one-column starts: the oblique manifold of one column is
-# the product of unit circles.
+# the product of unit circles. ``cfg`` is (tol, MAX_ITER).
 @pytest.mark.parametrize("label, start, fun, cfg", [
     ("oblique", np.ones((3, 2), dtype=complex),
-     bowl(np.array([[1.0, -2.0j], [3.0, 0.5 + 1j], [-0.2j, 0.1]])), SolverConfig(tol=1e-8)),
+     bowl(np.array([[1.0, -2.0j], [3.0, 0.5 + 1j], [-0.2j, 0.1]])), (1e-8, optim.MAX_ITER)),
     ("oblique", np.ones((2, 2), dtype=complex),
-     bowl(np.array([[1.0, 2.0], [0.5j, -1.0]])), SolverConfig(tol=0.0, max_iter=3)),
+     bowl(np.array([[1.0, 2.0], [0.5j, -1.0]])), (0.0, 3)),
     ("circle", np.array([[1j]]),
-     lambda x: (float(np.real(x[0, 0])), -0.5 * np.ones_like(x)), SolverConfig()),
+     lambda x: (float(np.real(x[0, 0])), -0.5 * np.ones_like(x)), (1e-7, optim.MAX_ITER)),
     ("circle", np.exp(1j * np.array([[4.0], [5.0]])),
-     lambda x: (1.0, np.zeros_like(x)), SolverConfig()),
+     lambda x: (1.0, np.zeros_like(x)), (1e-7, optim.MAX_ITER)),
 ])
-def test_evaluations_count_every_call(label, start, fun, cfg):
+def test_evaluations_count_every_call(monkeypatch, label, start, fun, cfg):
+    tol, max_iter = cfg
+    monkeypatch.setattr(optim, "MAX_ITER", max_iter)
     wrapped, calls = counted(fun)
-    res = riemannian_descent(wrapped, start, cfg)
+    res = riemannian_descent(wrapped, start, tol)
     assert res.evaluations == len(calls)
     # One call at the start, at least one per accepted step; the uphill case
     # backtracks until the move is below rounding.
@@ -260,13 +268,12 @@ def test_negative_curvature_pairs_are_not_stored(monkeypatch):
         return -float(np.vdot(x, qx).real), -qx
 
     res = riemannian_descent(concave, np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (8, 1))),
-                             SolverConfig(tol=1e-10))
+                             1e-10)
     assert any(sy <= 0.0 for sy, _, _ in log)
     assert all(after == before + 1 for sy, before, after in log if sy > 0.0)
     assert all(after == before for sy, before, after in log if sy <= 0.0)
     assert np.all(np.diff(res.trace) <= 0.0)
     assert res.stop in ("tol", "max_iter", "no_descent")
-    assert res.converged == (res.stop == "tol")
 
 
 def test_ill_conditioned_quadratic_runs_past_the_memory(monkeypatch):
@@ -283,10 +290,9 @@ def test_ill_conditioned_quadratic_runs_past_the_memory(monkeypatch):
     def weighted_bowl(x):
         return float(np.sum(w * np.abs(x - target) ** 2)), w * (x - target)
 
-    cfg = SolverConfig(tol=1e-7)
-    res = riemannian_descent(weighted_bowl, np.ones(shape, dtype=complex), cfg)
+    res = riemannian_descent(weighted_bowl, np.ones(shape, dtype=complex), 1e-7)
     assert res.iterations > 3 * MEMORY
-    assert res.converged and res.grad_norm <= cfg.tol * res.objective
+    assert res.stop == "tol" and res.grad_norm <= 1e-7 * res.trace[-1]
     assert max(after for _, _, after in log) == MEMORY
     assert np.all(np.diff(res.trace) <= 0.0)
 
@@ -314,8 +320,7 @@ def test_an_uphill_direction_clears_the_memory(monkeypatch):
     monkeypatch.setattr(optim._InverseHessian, "apply", flip_once)
     monkeypatch.setattr(optim._InverseHessian, "clear", recorded_clear)
     target = np.array([[1.0, -2.0j], [3.0, 0.5 + 1j], [-0.2j, 0.1]])
-    res = riemannian_descent(bowl(target), np.ones((3, 2), dtype=complex),
-                             SolverConfig(tol=1e-8))
+    res = riemannian_descent(bowl(target), np.ones((3, 2), dtype=complex), 1e-8)
     assert flipped == [3] and cleared == [3]
     assert np.all(np.diff(res.trace) <= 0.0)
-    assert res.converged and res.stop == "tol"
+    assert res.stop == "tol"

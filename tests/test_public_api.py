@@ -60,6 +60,47 @@ def _public_functions(module_name: str) -> list:
     ]
 
 
+def _passed_parameters(files) -> dict:
+    """Function name -> (largest positional count, keyword names) over the calls in ``files``.
+
+    A call with ``*args`` counts as passing every positional parameter, and
+    one with ``**kwargs`` every keyword.
+    """
+    passed = {}
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            count, keywords = passed.get(name, (0, set()))
+            if any(isinstance(a, ast.Starred) for a in node.args):
+                count = float("inf")
+            keywords |= {k.arg for k in node.keywords}
+            passed[name] = (max(count, len(node.args)), keywords)
+    return passed
+
+
+@pytest.mark.parametrize("module_name", MODULES)
+def test_every_parameter_of_a_public_function_is_passed_in_src(module_name):
+    # A parameter that no src call sets is a knob with one value in use: it
+    # belongs in the body as a constant.
+    passed = _passed_parameters(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+    mod = importlib.import_module(f"risac.{module_name}")
+    unset = []
+    for name in _public_functions(module_name):
+        if f"{module_name}.{name}" in BENCHMARK_ONLY:
+            continue
+        count, keywords = passed.get(name, (0, set()))
+        params = inspect.signature(getattr(mod, name)).parameters.values()
+        unset += [f"{name}({p.name})" for i, p in enumerate(params)
+                  if p.kind not in (p.VAR_POSITIONAL, p.VAR_KEYWORD)
+                  and not (p.kind != p.KEYWORD_ONLY and i < count)
+                  and not (p.kind != p.POSITIONAL_ONLY and (p.name in keywords
+                                                           or None in keywords))]
+    assert not unset, f"risac.{module_name} has parameters no src call passes: {unset}"
+
+
 @pytest.mark.parametrize("module_name", MODULES)
 def test_every_public_function_has_a_caller(module_name):
     names, attrs = _src_names()

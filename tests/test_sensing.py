@@ -20,7 +20,7 @@ from risac import (
     steering_vector,
     trajectory_sweep,
 )
-from risac import channels, sensing
+from risac import channels, cli, sensing
 from risac.channels import (
     RisIsacScenario,
     angles_from_geometry,
@@ -126,13 +126,13 @@ class TestIlluminationPower:
         assert np.isclose(illumination_power(h, w), np.linalg.norm(h) ** 2)
 
     def test_aligned_ris_reaches_n_squared(self):
-        scene = ris_scene(blocked_direct=True, ris_gain_override=1.0)
+        scene = ris_scene(direct_gain_override=0.0, ris_gain_override=1.0)
         res = maximize_illumination(scene)
         assert np.isclose(res.power, 4 * 8**2, rtol=1e-9)
         # With the direct path blocked the result is the RIS-only closed
         # form P |beta_t|^2 L_T N^2, whatever the gain phases.
         for seed in range(5):
-            scene = ris_scene(seed=seed, blocked_direct=True, transmit_power=2.0)
+            scene = ris_scene(seed=seed, direct_gain_override=0.0, transmit_power=2.0)
             gains = path_gains(scene)
             expected = 2.0 * abs(gains.beta_t) ** 2 * 4 * 8**2
             assert np.isclose(maximize_illumination(scene).power, expected,
@@ -285,13 +285,13 @@ class TestMaximizeIllumination:
 
     @pytest.mark.parametrize(
         "overrides",
-        [dict(seed=12), dict(seed=1, blocked_direct=True),
+        [dict(seed=12), dict(seed=1, direct_gain_override=0.0),
          dict(tx=UlaGeometry(8), rx=UlaGeometry(8), ris=UlaGeometry(16), seed=2),
          dict(ris=UlaGeometry(5), direct_gain_override=0.01, ris_gain_override=0.002j,
               transmit_power=3.0),
          dict(target_position=(10.0, 25.0), seed=7),
          # The RIS at 30 deg: the four-element a_t(omega_t) sums to zero.
-         dict(ris_position=(30.0 * math.cos(math.pi / 6), 15.0), blocked_direct=True)],
+         dict(ris_position=(30.0 * math.cos(math.pi / 6), 15.0), direct_gain_override=0.0)],
         ids=["seed-12", "blocked", "8x16", "pinned-gains", "near-ris", "blocked-cancelling"],
     )
     def test_attains_the_rank_one_bound_and_beats_random_profiles(self, overrides):
@@ -313,7 +313,7 @@ class TestMaximizeIllumination:
         assert np.max(powers) <= bound * (1.0 + 1e-12)
 
     def test_no_path_raises(self):
-        scene = ris_scene(blocked_direct=True, ris_gain_override=0.0)
+        scene = ris_scene(direct_gain_override=0.0, ris_gain_override=0.0)
         with pytest.raises(DegenerateChannelError):
             maximize_illumination(scene)
 
@@ -749,6 +749,22 @@ class TestTrajectorySweep:
         rows, blocked = sweep
         for idx in range(len(blocked)):
             assert rows[(idx, "ris_aided")].power >= rows[(idx, "without_ris")].power - 1e-15
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_blocked_rows_equal_a_zero_direct_gain(self, seed):
+        # A blocked waypoint of the sense-sweep CSV reads as the same waypoint,
+        # unblocked, on a scene whose direct gains are pinned to 0.
+        cfg = RunConfig(experiment="sense-sweep", seed=seed)
+        tables, diag = cli._run_sense_sweep(cfg)
+        rows = tables[""][1]
+        zero = scene_from_config(cfg).replace(direct_gain_override=0.0)
+        blocked = [i for i, blk in enumerate(diag["blocked"]) if blk]
+        assert blocked
+        for idx in blocked:
+            ours = [row[1:] for row in rows if row[0] == idx]
+            theirs = [(r.mode, r.power_db, r.crb)
+                      for r in trajectory_sweep(zero, [diag["waypoints"][idx]], [False])]
+            assert ours == theirs
 
     def test_no_ris_blocked_waypoints_are_dark(self):
         # Without an RIS a blocked waypoint has no path to the target: every
