@@ -22,12 +22,7 @@ from .errors import (
     InfeasibleRateError,
     InfeasibleSinrError,
 )
-from .isac import (
-    crb_min_beamformer,
-    make_coupled_channel,
-    max_illumination_beamformer,
-    tradeoff_curve,
-)
+from .isac import crb_min_beamformer, tradeoff_curve
 from .optim import riemannian_descent
 from .ris_isac import (
     FimResult,

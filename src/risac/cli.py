@@ -85,12 +85,17 @@ def _run_detect(cfg: RunConfig):
     scene = scene_from_config(cfg)
     design = maximize_illumination(scene)
     dets = [DetectionConfig(false_alarm_rate=pf) for pf in cfg.pf_list]
-    snrs = [10.0 ** (snr_db / 10.0) for snr_db in cfg.snr_db_list]
     # Calibrate the target gain so the matched-filter SNR hits each grid value.
-    gain_vars = [snr * scene.noise_power_sensing / (scene.rx.num_elements * design.power)
-                 for snr in snrs]
-    for snr_db, gain_var in zip(cfg.snr_db_list, gain_vars):
-        if not math.isfinite(gain_var):
+    snrs, gain_vars = [], []
+    for snr_db in cfg.snr_db_list:
+        try:
+            snrs.append(10.0 ** (snr_db / 10.0))
+        except OverflowError:
+            raise ConfigError(f"snr_db_list entry {snr_db!r} is past the float range "
+                              "in linear units") from None
+        gain_vars.append(snrs[-1] * scene.noise_power_sensing
+                         / (scene.rx.num_elements * design.power))
+        if not math.isfinite(gain_vars[-1]):
             raise ConfigError(f"snr_db = {snr_db!r} needs a target gain variance past the "
                               "float range at this noise_sensing_dbm and illumination power")
     # One draw serves every SNR point; its seed is the first child of the config seed.
@@ -123,7 +128,7 @@ def _run_isac_tradeoff(cfg: RunConfig):
     )
     rows, max_rate = isac_mod.tradeoff_curve(
         steering_vector(scene.tx, angles.theta1), kappa, scene.transmit_power,
-        scene.noise_power_comms, cfg.rho_list, cfg.r0_points, channel_gain=gain, seed=cfg.seed
+        scene.noise_power_comms, cfg.rho_list, cfg.r0_points, channel_gain=gain
     )
     csv_rows = [(r.rho, r.rate_threshold, r.rate, r.crb) for r in rows]
     return {"": (CSV_HEADERS["isac-tradeoff"], csv_rows)}, {"max_rate_bits": max_rate}
@@ -131,7 +136,7 @@ def _run_isac_tradeoff(cfg: RunConfig):
 
 def _run_ris_isac_tradeoff(cfg: RunConfig):
     scenario = RisIsacScenario.from_scene(scene_from_config(cfg))
-    result = ri.ris_isac_tradeoff(scenario, cfg.coupling, cfg.ris_modes, cfg.r0_points, cfg.seed)
+    result = ri.ris_isac_tradeoff(scenario, cfg.coupling, cfg.ris_modes, cfg.r0_points)
     diag = {f"max_rate_{mode}": rate for mode, rate in result.max_rate.items()}
     csv_rows = [(r.mode, r.coupling, r.rate_threshold, r.rate, r.crb) for r in result.rows]
     return {"": (CSV_HEADERS["ris-isac-tradeoff"], csv_rows)}, diag
@@ -233,9 +238,10 @@ def run_experiment(cfg: RunConfig, out_dir: Path, emit_plot_script: bool = False
     elapsed = time.perf_counter() - started
     for header, rows in tables.values():
         cols = header.split(",")
-        if "crb" in cols and any(row[cols.index("crb")] == 0.0 for row in rows):
-            raise ConfigError("a CRB rounds to 0.0: this config puts the sensing SNR past "
-                              "the float range")
+        # 0.0 would claim an exact estimate, and a subnormal CRB has lost its precision.
+        if "crb" in cols and any(row[cols.index("crb")] < sys.float_info.min for row in rows):
+            raise ConfigError("a CRB rounds to 0.0 or to a subnormal float: this config puts "
+                              "the sensing SNR past the float range")
 
     written = {}
     for suffix, (header, rows) in tables.items():

@@ -19,7 +19,10 @@ zero at every profile a run sweeps (``_kappa``). No LAPACK routine runs;
 the first such call in a process adds over 1 MB of resident memory.
 ``ris_isac_tradeoff`` runs the whole experiment: one coupling shaping, one
 aligned profile, and kappa and one closed-form sweep per channel; the sweep
-is ``isac.crb_min_beamformer``, the one ``isac-tradeoff`` runs too.
+is ``isac.crb_min_beamformer``, the one ``isac-tradeoff`` runs too, fed the
+scalars ||h_t||^2, ||h_c||^2 and |h_c^H h_t|^2. The "reference" mode builds
+no channel: it is that sweep at zero coupling, scaled to the with-RIS
+max rate and R0 = 0 CRB (``ris_isac_tradeoff``).
 ``fim_theta`` builds the full 4 x 4 FIM instead and is the independent
 reference the kappa form is tested against.
 
@@ -210,21 +213,27 @@ def _kappa(scenario: RisIsacScenario, phi: np.ndarray) -> float:
     return scenario.scene.noise_power_sensing / info
 
 
+def _norm_sq(v: np.ndarray) -> float:
+    return float(np.real(np.vdot(v, v)))
+
+
 def _crb_sweep(scenario: RisIsacScenario, phi, rate_thresholds):
     """(rates, crbs) of the CRB(theta1)-minimizing beamformer, one per rate floor.
 
     CRB(theta1) = kappa(phi) / |h_t(phi)^T w|^2 with kappa independent of w,
-    so this is ``crb_min_beamformer`` for a_t = h_t(phi). It raises
-    ``InfeasibleRateError`` if any floor is above the max rate. The CRB is
-    infinite at zero illumination or singular angle information.
+    so this is ``crb_min_beamformer`` for a_t = h_t(phi) and h_c = h_c(phi).
+    It raises ``InfeasibleRateError`` if any floor is above the max rate.
+    The CRB is infinite at zero illumination or singular angle information.
     """
     if scenario.beta == 0:
         raise DegenerateChannelError(
             "beta = 0: no direct path, so the echo holds no theta1 information"
         )
     scene = scenario.scene
-    return crb_min_beamformer(scenario.h_t(phi), scenario.h_c(phi), _kappa(scenario, phi),
-                              scene.transmit_power, scene.noise_power_comms, rate_thresholds)
+    h_t, h_c = scenario.h_t(phi), scenario.h_c(phi)
+    return crb_min_beamformer(_norm_sq(h_t), _norm_sq(h_c), abs(complex(np.vdot(h_c, h_t))) ** 2,
+                              _kappa(scenario, phi), scene.transmit_power,
+                              scene.noise_power_comms, rate_thresholds)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -268,9 +277,8 @@ def _zero_ris(scenario: RisIsacScenario) -> RisIsacScenario:
     return dataclasses.replace(scenario, r_t=none, r_c=none, r_t_dot=none)
 
 
-def _max_rate(scene, h_c: np.ndarray) -> float:
-    gain = float(np.real(np.vdot(h_c, h_c)))
-    return math.log2(1.0 + scene.transmit_power * gain / scene.noise_power_comms)
+def _max_rate(scene, h_sq: float) -> float:
+    return math.log2(1.0 + scene.transmit_power * h_sq / scene.noise_power_comms)
 
 
 def ris_isac_tradeoff(
@@ -278,7 +286,6 @@ def ris_isac_tradeoff(
     coupling: str,
     ris_modes: Sequence[str] = ("with", "without", "reference"),
     r0_points: int = 25,
-    seed: int = 0,
 ) -> RisIsacTradeoff:
     """Rate/CRB trade-off rows of each RIS mode under a coupling regime.
 
@@ -286,14 +293,17 @@ def ris_isac_tradeoff(
     the coupling-shaped scenario (module docstring); "without" zeroes the
     RIS paths; "reference" is the gain-matched zero-coupling baseline whose
     max rate and min CRB (at R0 = 0) equal the with-RIS run's, isolating the
-    subspace-rotation part of the gain; an infinite CRB to match (one
+    subspace-rotation part of the gain. Its comms channel h_c* = h_c(phi*) is
+    moved orthogonal to a sensing channel whose R0 = 0 CRB is the with-RIS
+    one, crb_with(0), so its rows are ``crb_min_beamformer`` at a_sq = 1,
+    h_sq = ||h_c*||^2, corr_sq = 0 and kappa = crb_with(0) P: at each floor
+    CRB = crb_with(0) P / (P - snr / h_sq). An infinite CRB to match (one
     receive element has no angle information) raises
     ``DegenerateChannelError``, and so does one transmit element, which
-    leaves no comms direction orthogonal to the sensing channel. Each mode's rate floors run from 0 to 97% of
-    its max rate in ``r0_points >= 1`` steps, so every floor is feasible,
-    and "reference" calibrates from the R0 = 0 rows of the other two.
-    ``seed`` draws the reference comms direction when the sensing channel
-    leaves no orthogonal residual.
+    leaves no comms direction orthogonal to the sensing channel. Each mode's
+    rate floors run from 0 to 97% of its max rate in ``r0_points >= 1``
+    steps, so every floor is feasible; without "with" rows, "reference"
+    solves the with-RIS R0 = 0 floor alone.
     """
     unknown = set(ris_modes) - {"with", "without", "reference"}
     if unknown:
@@ -302,49 +312,27 @@ def ris_isac_tradeoff(
         raise ValueError("r0_points must be >= 1")
     shaped = _apply_coupling(scenario, coupling)
     scene = shaped.scene
-    sweeps, max_rate = [], {}  # sweeps: (mode, scenario, phi)
+    curves, max_rate = {}, {}  # curves: mode -> (floors, rates, crbs)
     if {"with", "reference"} & set(ris_modes):
         phi = align_profile(shaped.a_t_term, shaped.g_t, shaped.r_t)
-        h_c_star = shaped.h_c(phi)
-        sweeps.append(("with", shaped, phi))
-        max_rate["with"] = _max_rate(scene, h_c_star)
-    if {"without", "reference"} & set(ris_modes):
-        bare = _zero_ris(shaped)
-        sweeps.append(("without", bare, np.zeros(0)))
-        max_rate["without"] = _max_rate(scene, shaped.h_bu)
-    curves = {}  # mode -> (floors, rates, crbs)
-    for mode, channel, phi in sweeps:
-        # Every grid starts at R0 = 0, where "reference" calibrates; a mode
-        # solved only for that calibration sweeps R0 = 0 alone.
-        floors = (np.linspace(0.0, 0.97 * max_rate[mode], r0_points) if mode in ris_modes
-                  else np.zeros(1))
-        curves[mode] = (floors, *_crb_sweep(channel, phi, floors))
+        h_sq = _norm_sq(shaped.h_c(phi))
+        max_rate["with"] = max_rate["reference"] = _max_rate(scene, h_sq)
+        grid = np.linspace(0.0, 0.97 * max_rate["with"], r0_points)
+        floors = grid if "with" in ris_modes else grid[:1]
+        curves["with"] = (floors, *_crb_sweep(shaped, phi, floors))
     if "reference" in ris_modes:
-        # Scaling both direct gains by amp scales beta * dH/dtheta1 by amp^2,
-        # so the angle CRB scales as 1/amp^4.
-        crbs = curves["without"][2][0], curves["with"][2][0]
-        if not all(map(math.isfinite, crbs)):
-            raise DegenerateChannelError(f"the reference mode needs finite CRBs, got {crbs}")
-        amp = (crbs[0] / crbs[1]) ** 0.25
-        ref = dataclasses.replace(
-            bare, a_t_term=amp * bare.a_t_term, a_r_term=amp * bare.a_r_term,
-            a_t_dot_term=amp * bare.a_t_dot_term, a_r_dot_term=amp * bare.a_r_dot_term,
-            beta=amp * amp * bare.beta)
-        # Comms direction orthogonal to the sensing channel, norm matched to
-        # the with-RIS maximum rate.
-        h_t_ref = ref.h_t(np.zeros(0))
-        if h_t_ref.size < 2:
+        crb0 = curves["with"][2][0]
+        if not math.isfinite(crb0):
+            raise DegenerateChannelError(f"the reference mode needs a finite CRB, got {crb0}")
+        if shaped.a_t_term.size < 2:
             raise DegenerateChannelError("the reference mode needs a comms direction orthogonal "
                                          "to the sensing channel; one transmit element has none")
-        h_t_hat = h_t_ref / np.linalg.norm(h_t_ref)
-        resid = h_c_star - np.vdot(h_t_hat, h_c_star) * h_t_hat
-        if np.linalg.norm(resid) < 1e-12 * np.linalg.norm(h_c_star):
-            rng = np.random.default_rng(seed)
-            z = rng.standard_normal(h_t_ref.size) + 1j * rng.standard_normal(h_t_ref.size)
-            resid = z - np.vdot(h_t_hat, z) * h_t_hat
-        ref.h_bu = np.linalg.norm(h_c_star) * (resid / np.linalg.norm(resid))
-        max_rate["reference"] = max_rate["with"]
-        floors = np.linspace(0.0, 0.97 * max_rate["reference"], r0_points)
-        curves["reference"] = (floors, *_crb_sweep(ref, np.zeros(0), floors))
+        p_t = scene.transmit_power
+        curves["reference"] = (grid, *crb_min_beamformer(
+            1.0, h_sq, 0.0, crb0 * p_t, p_t, scene.noise_power_comms, grid))
+    if "without" in ris_modes:
+        max_rate["without"] = _max_rate(scene, _norm_sq(shaped.h_bu))
+        floors = np.linspace(0.0, 0.97 * max_rate["without"], r0_points)
+        curves["without"] = (floors, *_crb_sweep(_zero_ris(shaped), np.zeros(0), floors))
     rows = [RisIsacRow(mode, coupling, *row) for mode in ris_modes for row in zip(*curves[mode])]
     return RisIsacTradeoff(rows, {mode: max_rate[mode] for mode in ris_modes})

@@ -4,6 +4,7 @@ Each is a direct transcription of its formula, independent of the fused
 kernels in ``risac`` that the tests check against it.
 """
 
+import dataclasses
 import math
 from typing import Callable
 
@@ -12,11 +13,13 @@ import numpy as np
 from risac import (
     DegenerateChannelError,
     InfeasibleRateError,
+    align_profile,
     angles_from_geometry,
     steering_derivative,
     steering_vector,
 )
 from risac.channels import path_gains
+from risac.ris_isac import _apply_coupling, _kappa, _zero_ris
 
 
 def illumination_power(h_t: np.ndarray, w) -> float:
@@ -118,12 +121,47 @@ def isac_crb(w, scenario) -> float:
     )
 
 
-def max_illumination_reference(a_t, h_c, p_t, sigma_c, rate_threshold):
-    """One rate floor of ``risac.isac.max_illumination_beamformer``, solved on its own.
+def make_coupled_channel(
+    a_t: np.ndarray,
+    rho_target: float,
+    seed: int = 0,
+    gain: float = 1.0,
+) -> np.ndarray:
+    """A comms channel with exact coupling rho to a_t, for the vector references.
 
-    The per-floor form the sweep replaced, kept as its bit-for-bit reference:
-    every channel term is rebuilt for the floor. Returns (w, branch, rate)
-    with branch "unconstrained" or "boundary".
+    Mixes the normalized steering direction with a seeded random direction
+    orthogonal to it; the norm is gain * ||a_t|| so sweeps over rho keep the
+    channel strength fixed. This is the channel ``isac-tradeoff`` once drew
+    for each rho; its rows now depend on the channel only through
+    ||h_c||^2 = gain^2 ||a_t||^2 and |h_c^H a_t|^2 = rho^2 ||a_t||^2 ||h_c||^2.
+    """
+    if not 0.0 <= rho_target <= 1.0:
+        raise ValueError("rho_target must lie in [0, 1]")
+    a_t = np.asarray(a_t, dtype=complex).reshape(-1)
+    a_hat = a_t / np.linalg.norm(a_t)
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal(a_t.size) + 1j * rng.standard_normal(a_t.size)
+    z -= np.vdot(a_hat, z) * a_hat
+    norm = np.linalg.norm(z)
+    if norm < 1e-12:  # astronomically unlikely; L_T = 1 has no orthogonal part
+        if rho_target < 1.0:
+            raise DegenerateChannelError("no orthogonal direction available")
+        u_hat = np.zeros_like(a_hat)
+    else:
+        u_hat = z / norm
+    direction = rho_target * a_hat + math.sqrt(1.0 - rho_target**2) * u_hat
+    return gain * np.linalg.norm(a_t) * direction
+
+
+def max_illumination_reference(a_t, h_c, p_t, sigma_c, rate_threshold):
+    """The beam that maximizes |a_t^T w|^2 under the budget p_t and one rate floor.
+
+    The vector form of ``risac.isac.crb_min_beamformer``'s scalar rule,
+    solved on its own for each floor. If the matched filter (toward
+    conj(a_t)) meets the floor, it is optimal; otherwise the optimum splits
+    between the conjugated comms direction and the conjugated residual of
+    a_t, with the rate constraint tight. Returns (w, branch, rate) with
+    branch "unconstrained" or "boundary".
     """
     if rate_threshold < 0:
         raise ValueError("rate_threshold must be nonnegative")
@@ -152,6 +190,46 @@ def max_illumination_reference(a_t, h_c, p_t, sigma_c, rate_threshold):
             w_vec = lam1 * q_hat + lam2 * (p_perp / perp_norm)
         branch = "boundary"
     return w_vec, branch, achievable_rate(h_c, w_vec, sigma_c)
+
+
+def reference_mode_reference(scenario, coupling, r0_points, seed=0):
+    """(R0, rate, crb) rows of the "reference" mode, built as a scaled scenario.
+
+    This is how ``ris_isac_tradeoff`` once built the mode: scale the RIS-free
+    scenario's direct gains by amp, so that its R0 = 0 CRB (which scales as
+    1 / amp^4) equals the with-RIS one, and give it a comms channel of norm
+    ||h_c(phi*)|| along the part of h_c(phi*) orthogonal to the sensing
+    channel, or along a ``seed``-drawn orthogonal direction if that part
+    vanishes. Every beam is ``max_illumination_reference``.
+    """
+    shaped = _apply_coupling(scenario, coupling)
+    scene = shaped.scene
+    p_t, sigma_c = scene.transmit_power, scene.noise_power_comms
+
+    def crb(sc, phi, r0):
+        h_t = sc.h_t(phi)
+        w, _, rate = max_illumination_reference(h_t, sc.h_c(phi), p_t, sigma_c, r0)
+        illum = float(np.abs(h_t @ w) ** 2)
+        return rate, (_kappa(sc, phi) / illum if illum > 0.0 else math.inf)
+
+    phi = align_profile(shaped.a_t_term, shaped.g_t, shaped.r_t)
+    h_c_star = shaped.h_c(phi)
+    bare, none = _zero_ris(shaped), np.zeros(0)
+    amp = (crb(bare, none, 0.0)[1] / crb(shaped, phi, 0.0)[1]) ** 0.25
+    ref = dataclasses.replace(
+        bare, a_t_term=amp * bare.a_t_term, a_r_term=amp * bare.a_r_term,
+        a_t_dot_term=amp * bare.a_t_dot_term, a_r_dot_term=amp * bare.a_r_dot_term,
+        beta=amp * amp * bare.beta)
+    h_t_ref = ref.h_t(none)
+    h_t_hat = h_t_ref / np.linalg.norm(h_t_ref)
+    resid = h_c_star - np.vdot(h_t_hat, h_c_star) * h_t_hat
+    if np.linalg.norm(resid) < 1e-12 * np.linalg.norm(h_c_star):
+        rng = np.random.default_rng(seed)
+        z = rng.standard_normal(h_t_ref.size) + 1j * rng.standard_normal(h_t_ref.size)
+        resid = z - np.vdot(h_t_hat, z) * h_t_hat
+    ref = dataclasses.replace(ref, h_bu=np.linalg.norm(h_c_star) * resid / np.linalg.norm(resid))
+    max_rate = math.log2(1.0 + p_t * float(np.real(np.vdot(h_c_star, h_c_star))) / sigma_c)
+    return [(r0, *crb(ref, none, r0)) for r0 in np.linspace(0.0, 0.97 * max_rate, r0_points)]
 
 
 def coupling_coefficient(h_c: np.ndarray, a_t: np.ndarray) -> float:

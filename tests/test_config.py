@@ -92,9 +92,10 @@ EDGE_STRATEGIES = {
     "transmit_power": st.sampled_from([1e-320, 1e-30, 1.0, 1e30]),
     "target_gain_var": st.sampled_from([0.0, 1e-300, 1e300]),
     # -3200 and -3070 dBm are subnormal in watts; 3100 dBm overflows detect's
-    # gain calibration.
-    "noise_sensing_dbm": st.sampled_from([-4000.0, -3200.0, -3070.0, -300.0, 0.0, 300.0,
-                                          3100.0, 4000.0]),
+    # gain calibration; -3000 dBm puts the isac-tradeoff CRBs below the
+    # smallest normal double.
+    "noise_sensing_dbm": st.sampled_from([-4000.0, -3200.0, -3070.0, -3000.0, -300.0, 0.0,
+                                          300.0, 3100.0, 4000.0]),
     "noise_comms_dbm": st.sampled_from([-4000.0, -3200.0, -3070.0, -300.0, 0.0, 300.0,
                                         3100.0, 4000.0]),
     "pathloss_exp_direct": st.sampled_from([-2.0, 0.0, 20.0]),
@@ -103,7 +104,7 @@ EDGE_STRATEGIES = {
     "samples_t": st.just(1),
     "num_waypoints": st.sampled_from([1, 2]),
     "blocked_from_index": st.sampled_from([-1, 0, 100]),
-    "snr_db_list": st.sampled_from([(), (-300.0,), (300.0,)]),
+    "snr_db_list": st.sampled_from([(), (-300.0,), (300.0,), (4000.0,)]),
     "trials": st.sampled_from([1, 500]),
     "rho_list": st.sampled_from([(0.0,), (1.0,)]),
     "r0_points": st.sampled_from([1, 2]),
@@ -135,8 +136,9 @@ def test_edge_configs_write_full_csvs_or_raise_typed_errors(tmp_path_factory, cf
         for line in lines:
             cells = dict(zip(header.split(","), line.split(",")))
             assert "" not in cells.values(), (path.name, line)
-            # A CRB of 0 claims an exact estimate; an unlit target reads inf.
-            assert float(cells.get("crb", "inf")) > 0.0, (path.name, line)
+            # A CRB of 0 claims an exact estimate and a subnormal one has lost
+            # its precision; an unlit target reads inf.
+            assert float(cells.get("crb", "inf")) >= sys.float_info.min, (path.name, line)
 
 
 @settings(max_examples=300, deadline=None)
@@ -400,13 +402,18 @@ def test_repeated_key_is_a_json_config_error(tmp_path, capsys):
 # - at 1e307 W of noise, the target gain variance that puts detect's matched
 #   filter at 5 dB overflowed into a ValueError from the GLRT;
 # - a target gain variance of 1e300 puts the SNR past the float range, and 20
-#   of the 30 sense-sweep CRBs were written as 0.0.
+#   of the 30 sense-sweep CRBs were written as 0.0;
+# - at -3000 dBm of sensing noise isac-tradeoff exited 0 with every CRB a
+#   subnormal 2.827e-309;
+# - a 4000 dB detect SNR exited with a bare OverflowError.
 @pytest.mark.parametrize("experiment, line, detail", [
     ("ris-isac-tradeoff", "noise_sensing_dbm = -3200", "noise_sensing_dbm"),
     ("isac-tradeoff", "noise_comms_dbm = -3200", "noise_comms_dbm"),
     ("sense-sweep", "noise_sensing_dbm = -3070", "noise_sensing_dbm"),
     ("detect", "noise_sensing_dbm = 3100", "snr_db = 5.0"),
     ("sense-sweep", "target_gain_var = 1e300", "CRB rounds to 0.0"),
+    ("isac-tradeoff", "noise_sensing_dbm = -3000", "subnormal"),
+    ("detect", "snr_db_list = 4000", "snr_db_list entry 4000.0"),
 ])
 def test_values_past_the_float_range_are_json_config_errors(tmp_path, capsys, experiment,
                                                             line, detail):

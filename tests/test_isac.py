@@ -10,18 +10,22 @@ from risac import (
     InfeasibleRateError,
     UlaGeometry,
     crb_min_beamformer,
-    make_coupled_channel,
-    max_illumination_beamformer,
     steering_vector,
     tradeoff_curve,
 )
 from risac import isac
 from risac.arrays import steering_derivative
-from risac.channels import angles_from_geometry
+from risac.channels import angles_from_geometry, pathloss_amplitude
 from risac.cli import run_experiment
 from risac.config import RunConfig, scene_from_config
 
-from oracles import achievable_rate, coupling_coefficient, isac_crb, max_illumination_reference
+from oracles import (
+    achievable_rate,
+    coupling_coefficient,
+    isac_crb,
+    make_coupled_channel,
+    max_illumination_reference,
+)
 
 
 TABLE1_NUMBERS = {"noise_comms": 1e-9, "noise_sensing": 1e-9, "target_gain_var": 1.0,
@@ -60,14 +64,21 @@ def max_rate(sc) -> float:
     return math.log2(1.0 + sc.budget * gain / sc.noise_comms)
 
 
+def channel_terms(sc):
+    """(a_sq, h_sq, corr_sq) of the instance: the three numbers the closed form reads."""
+    return (float(np.real(np.vdot(sc.a_t, sc.a_t))), float(np.real(np.vdot(sc.h_c, sc.h_c))),
+            abs(complex(np.vdot(sc.h_c, sc.a_t))) ** 2)
+
+
 def beams(sc, floors):
-    """(weights, boundary, rates) of ``max_illumination_beamformer`` for the instance."""
-    return max_illumination_beamformer(sc.a_t, sc.h_c, sc.budget, sc.noise_comms, floors)
+    """(w, branch, rate) of ``max_illumination_reference`` for each floor of the instance."""
+    return [max_illumination_reference(sc.a_t, sc.h_c, sc.budget, sc.noise_comms, r0)
+            for r0 in floors]
 
 
 def sweep(sc, floors):
     """(rates, crbs) of ``crb_min_beamformer`` for the instance."""
-    return crb_min_beamformer(sc.a_t, sc.h_c, kappa(sc), sc.budget, sc.noise_comms, floors)
+    return crb_min_beamformer(*channel_terms(sc), kappa(sc), sc.budget, sc.noise_comms, floors)
 
 
 def span_search_best_illumination(scenario, rate_floor, samples, rng):
@@ -124,22 +135,19 @@ def edge_floor(sc):
 
 
 def assert_sweep_matches_reference(sc, floors, swept=None):
-    """Every row of ``swept``, by default ``sweep(sc, floors)``, matches the per-floor
-    reference: weights, branch and rate bit for bit, and the CRB to 1e-15
-    relative, since kappa / illumination rounds differently from the
-    reference's single quotient. Returns (boundary mask, CRBs)."""
+    """Every row of ``swept``, by default ``sweep(sc, floors)``, matches the
+    vector reference: the rate of its beam to 1e-11 relative (1e-15 absolute
+    near 0 bits) and the CRB of its beam, through |a_t^T w|^2, to 1e-14
+    relative. The scalar rule and the beam round differently. Returns
+    (boundary mask, CRBs)."""
     rates, crbs = sweep(sc, floors) if swept is None else swept
-    weights, boundary, beam_rates = beams(sc, floors)
-    assert weights.shape == (len(floors), sc.a_t.size)
-    assert np.array_equal(rates, beam_rates) and len(crbs) == len(floors)
-    for r0, w, on_boundary, rate, crb in zip(floors, weights, boundary, rates, crbs):
-        ref_w, branch, ref_rate = max_illumination_reference(
-            sc.a_t, sc.h_c, sc.budget, sc.noise_comms, r0)
-        assert np.array_equal(w, ref_w)
-        assert on_boundary == (branch == "boundary")
-        assert rate == ref_rate
-        assert crb == pytest.approx(isac_crb(ref_w, sc), rel=1e-15, abs=0)
-    return boundary, crbs
+    assert len(rates) == len(crbs) == len(floors)
+    boundary = []
+    for (ref_w, branch, ref_rate), rate, crb in zip(beams(sc, floors), rates, crbs):
+        boundary.append(branch == "boundary")
+        assert rate == pytest.approx(ref_rate, rel=1e-11, abs=1e-15)
+        assert crb == pytest.approx(isac_crb(ref_w, sc), rel=1e-14, abs=0)
+    return np.array(boundary, dtype=bool), crbs
 
 
 class TestRate:
@@ -230,7 +238,7 @@ class TestClosedForm:
         sc = table1_scenario(h_c=make_coupled_channel(
             steering_vector(UlaGeometry(15), 0.0), 1.0, seed=8))
         floors = [0.0, 2.0, 10.0, 0.9 * max_rate(sc)]
-        assert not beams(sc, floors)[1].any()
+        assert not assert_sweep_matches_reference(sc, floors)[0].any()
         crb_expected = sc.noise_sensing * 15 / (
             2.0 * sc.target_gain_var * sc.samples * adot_norm_sq(sc) * 15
         )
@@ -256,10 +264,10 @@ class TestClosedForm:
     def test_zero_threshold_is_matched_filter(self):
         sc = table1_scenario(h_c=make_coupled_channel(
             steering_vector(UlaGeometry(15), 0.0), 0.4, seed=2))
-        weights, boundary, _ = beams(sc, [0.0])
-        assert not boundary[0]
+        (rate,), (crb,) = sweep(sc, [0.0])
         matched = sc.a_t.conj() / np.linalg.norm(sc.a_t)
-        assert np.allclose(weights[0], matched)
+        assert rate == pytest.approx(achievable_rate(sc.h_c, matched, sc.noise_comms), rel=1e-14)
+        assert crb == pytest.approx(isac_crb(matched, sc), rel=1e-14)
 
     def test_matched_filter_branch_uses_channel_norm(self):
         # A channel vector a_t with ||a_t||^2 != L_T: the matched filter
@@ -269,11 +277,10 @@ class TestClosedForm:
         sc.a_t = 0.1 * a
         mf_snr = sc.budget * abs(np.vdot(sc.h_c, sc.a_t)) ** 2 / np.linalg.norm(sc.a_t) ** 2
         r0 = math.log2(1.0 + 0.5 * mf_snr / sc.noise_comms)
-        weights, boundary, _ = beams(sc, [r0])
-        assert not boundary[0]
-        illum = float(np.abs(sc.a_t @ weights[0]) ** 2)
-        expected = sc.budget * np.linalg.norm(sc.a_t) ** 2
-        assert abs(illum - expected) <= 1e-12 * expected
+        (crb,) = sweep(sc, [r0])[1]
+        assert not assert_sweep_matches_reference(sc, [r0])[0][0]
+        expected = kappa(sc) / (sc.budget * np.linalg.norm(sc.a_t) ** 2)
+        assert abs(crb - expected) <= 1e-12 * expected
 
     def test_infeasible_rate_raises_with_max_rate(self):
         sc = table1_scenario()
@@ -289,10 +296,11 @@ class TestClosedForm:
             gain = rng.uniform(0.25, 2.0)
             sc = table1_scenario(h_c=make_coupled_channel(a_t, rho, seed=trial, gain=gain))
             r0 = rng.uniform(0.0, max_rate(sc))
-            (w,), (boundary,), (rate,) = beams(sc, [r0])
+            (w, branch, _), = beams(sc, [r0])
+            (rate,), _ = sweep(sc, [r0])
             assert np.real(np.vdot(w, w)) <= 1.0 + 1e-12
             assert rate >= r0 - 1e-9
-            if boundary:
+            if branch == "boundary":
                 assert abs(rate - r0) < 1e-9
 
     def test_span_search_never_beats_closed_form(self):
@@ -302,7 +310,7 @@ class TestClosedForm:
             rho = rng.uniform(0.0, 0.999)
             sc = table1_scenario(h_c=make_coupled_channel(a_t, rho, seed=trial))
             r0 = rng.uniform(0.1, 0.9) * max_rate(sc)
-            closed_illum = float(np.abs(sc.a_t @ beams(sc, [r0])[0][0]) ** 2)
+            closed_illum = kappa(sc) / sweep(sc, [r0])[1][0]
             oracle = span_search_best_illumination(sc, r0, 10000, rng)
             assert oracle <= closed_illum * (1.0 + 1e-6)
 
@@ -334,7 +342,7 @@ class TestTradeoffCurve:
         sc = table1_scenario()
         rhos = [0.0, 0.3, 0.6, 0.9, 1.0]
         rows, rate_max = tradeoff_curve(sc.a_t, kappa(sc), sc.budget, sc.noise_comms, rhos, 12,
-                                        channel_gain=1.0, seed=6)
+                                        channel_gain=1.0)
         assert math.isclose(rate_max, max_rate(sc), rel_tol=1e-14)  # h_c = a_t, unit gain
         grid = np.linspace(0.0, 0.98 * rate_max, 12)
         assert [row.rate_threshold for row in rows] == list(grid) * len(rhos)
@@ -360,6 +368,18 @@ class TestTradeoffCurve:
             tradeoff_curve(*args, [], 1)
         with pytest.raises(ValueError):
             tradeoff_curve(*args, [0.5], 0)
+        with pytest.raises(ValueError, match="rho"):
+            tradeoff_curve(*args, [0.5, 1.5], 3)
+
+    def test_one_transmit_element_needs_full_coupling(self):
+        # One element leaves no comms direction orthogonal to a_t, so only
+        # rho = 1 has a channel.
+        sc = isac_scenario([1.0], [1.0, 1.0], [0.0, 1j], [1.0])
+        args = (sc.a_t, kappa(sc), sc.budget, sc.noise_comms)
+        with pytest.raises(DegenerateChannelError, match="one transmit element"):
+            tradeoff_curve(*args, [1.0, 0.999], 3)
+        rows, _ = tradeoff_curve(*args, [1.0], 3)
+        assert all(math.isfinite(row.crb) for row in rows)
 
 
 class TestSweep:
@@ -381,6 +401,20 @@ class TestSweep:
             sc, [0.0, 0.5 * max_rate(sc), edge_floor(sc)])
         assert boundary.tolist() == [False, False, True]
 
+    @pytest.mark.parametrize("l_t, rho", [(1, 1.0)] + [(l_t, rho) for l_t in (2, 15)
+                                                       for rho in (0.0, 0.3, 1.0 - 1e-9, 1.0)])
+    def test_scalar_rule_matches_the_beam(self, l_t, rho):
+        # Floors at 0, at the branch switch P corr_sq = a_sq snr and at 98%
+        # of the max rate. One element has no channel with rho < 1
+        # (test_one_transmit_element_needs_full_coupling).
+        rx = UlaGeometry(15)
+        a_t = steering_vector(UlaGeometry(l_t), 0.3)
+        sc = isac_scenario(a_t, steering_vector(rx, 0.3), steering_derivative(rx, 0.3),
+                           make_coupled_channel(a_t, rho, seed=l_t, gain=0.5))
+        a_sq, _, corr_sq = channel_terms(sc)
+        switch = math.log2(1.0 + sc.budget * corr_sq / (a_sq * sc.noise_comms))
+        assert_sweep_matches_reference(sc, [0.0, switch, 0.98 * max_rate(sc)])
+
     def test_unlit_row_has_infinite_crb(self):
         # Exactly orthogonal channels: at the edge floor the whole budget
         # serves the user and a_t^T w is exactly zero.
@@ -399,27 +433,26 @@ class TestSweep:
             steering_vector(UlaGeometry(15), 0.0), 0.3, seed=2))
         floors = [0.0, 0.5 * max_rate(sc), max_rate(sc) + 0.5, 0.9 * max_rate(sc)]
         with pytest.raises(InfeasibleRateError) as err:
-            beams(sc, floors)
+            sweep(sc, floors)
         assert err.value.max_rate == pytest.approx(max_rate(sc), rel=1e-14)
         assert err.value.requested == floors[2]
 
     def test_zero_comms_channel_raises(self):
-        a_t = steering_vector(UlaGeometry(4), 0.2)
         with pytest.raises(DegenerateChannelError):
-            max_illumination_beamformer(a_t, np.zeros(4, dtype=complex), 1.0, 1e-9, [0.0, 1.0])
+            crb_min_beamformer(4.0, 0.0, 0.0, 1.0, 1.0, 1e-9, [0.0, 1.0])
 
     def test_empty_grid_returns_no_rows(self):
         sc = table1_scenario()
-        weights, boundary, rates = beams(sc, np.array([]))
-        assert weights.shape == (0, 15) and boundary.shape == (0,) and rates.shape == (0,)
-        assert sweep(sc, [])[1].shape == (0,)
+        rates, crbs = sweep(sc, np.array([]))
+        assert rates.shape == (0,) and crbs.shape == (0,)
 
     def test_isac_tradeoff_sweeps_once_per_rho_and_matches_the_reference(
             self, tmp_path, monkeypatch):
         # One crb_min_beamformer call per rho (5, not 5 x 25), and every row
-        # of a default run at config seeds 0-9 matches the per-floor solve;
-        # the oracle's CRB reads the receive side from the scene, so this
-        # also checks the runner's kappa.
+        # of a default run at config seeds 0-9 matches the vector reference
+        # on the seeded channel the run once drew for its rho; the oracle's
+        # CRB reads the receive side from the scene, so this also checks the
+        # runner's kappa.
         calls = []
         shared = isac.crb_min_beamformer
 
@@ -434,13 +467,29 @@ class TestSweep:
             run_experiment(cfg, tmp_path / str(seed))
             scene = scene_from_config(cfg)
             theta = angles_from_geometry(scene).theta1
-            assert [len(args[5]) for args, _ in calls] == [25] * 5
-            for (a_t, h_c, _, p_t, sigma_c, floors), swept in calls:
+            a_t = steering_vector(scene.tx, theta)
+            gain = pathloss_amplitude(math.dist(cfg.target_position, cfg.bs_position),
+                                      cfg.pathloss_exp_direct)
+            assert [len(args[6]) for args, _ in calls] == [25] * 5
+            for rho, (args, swept) in zip(cfg.rho_list, calls):
+                *terms, _, p_t, sigma_c, floors = args
                 sc = isac_scenario(
                     a_t, steering_vector(scene.rx, theta), steering_derivative(scene.rx, theta),
-                    h_c, noise_comms=sigma_c, noise_sensing=scene.noise_power_sensing,
+                    make_coupled_channel(a_t, rho, seed=seed, gain=gain), noise_comms=sigma_c,
+                    noise_sensing=scene.noise_power_sensing,
                     target_gain_var=scene.target_gain_var, samples=scene.samples, budget=p_t)
+                np.testing.assert_allclose(terms, channel_terms(sc), rtol=1e-14, atol=1e-20)
                 assert_sweep_matches_reference(sc, floors, swept)
+
+    def test_isac_tradeoff_csv_does_not_depend_on_the_seed(self, tmp_path):
+        # The rows read the channels through a_sq, h_sq and corr_sq alone, so
+        # no seeded comms channel moves a cell: the run once drew one per rho.
+        first = None
+        for seed in range(10):
+            run_experiment(RunConfig(experiment="isac-tradeoff", seed=seed), tmp_path / str(seed))
+            data = (tmp_path / str(seed) / "isac-tradeoff.csv").read_bytes()
+            first = data if first is None else first
+            assert data == first, seed
 
     def test_both_tradeoffs_reach_the_shared_sweep(self, tmp_path, monkeypatch):
         # isac-tradeoff sweeps once per rho and ris-isac-tradeoff once per RIS

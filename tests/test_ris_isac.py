@@ -19,7 +19,6 @@ from risac import (
 from risac import ris_isac as ri
 from risac.cli import run_experiment
 from risac.config import RunConfig, scene_from_config
-from risac.isac import max_illumination_beamformer
 from risac.ris_isac import _apply_coupling, _crb_sweep, _fim_maps, _zero_ris
 
 from oracles import (
@@ -27,6 +26,7 @@ from oracles import (
     finite_difference_gradient,
     matched_filter_beamformer,
     max_illumination_reference,
+    reference_mode_reference,
     ris_maps_reference,
 )
 
@@ -330,9 +330,9 @@ class TestSmallAngleCrb:
     @pytest.mark.parametrize("coupling", ["weak", "strong"])
     @pytest.mark.parametrize("overrides", [{}, dict(n_ris=256, l_t=32, l_s=32)])
     def test_kappa_matches_the_lapack_reference(self, monkeypatch, coupling, overrides):
-        # Every kappa of a run (the aligned profile's, the RIS-free and the
-        # reference one) against _angle_crb's SVD and inversion on the 1 x 1
-        # information of theta1's projected column, at config seeds 0-9.
+        # Every kappa of a run (the aligned profile's and the RIS-free one)
+        # against _angle_crb's SVD and inversion on the 1 x 1 information of
+        # theta1's projected column, at config seeds 0-9.
         kappas = []
         kappa = ri._kappa
 
@@ -346,7 +346,7 @@ class TestSmallAngleCrb:
             cfg = RunConfig(experiment="ris-isac-tradeoff", seed=seed, coupling=coupling,
                             **overrides)
             ris_isac_tradeoff(RisIsacScenario.from_scene(scene_from_config(cfg)), coupling)
-            assert len(kappas) == 3
+            assert len(kappas) == 2
             for value, scenario, phi in kappas:
                 h_r = scenario.h_r(phi)[:, None]
                 col = scenario.a_r_dot_term[:, None]
@@ -400,10 +400,11 @@ class TestSmallAngleCrb:
 
 
 def sweep_weights(scenario, phi, rate_thresholds):
-    """The (R, L_T) beamformer rows behind ``_crb_sweep(scenario, phi, rate_thresholds)``."""
+    """The beams of the rows of ``_crb_sweep(scenario, phi, rate_thresholds)``, one per floor."""
     scene = scenario.scene
-    return max_illumination_beamformer(scenario.h_t(phi), scenario.h_c(phi), scene.transmit_power,
-                                       scene.noise_power_comms, rate_thresholds)[0]
+    return [max_illumination_reference(scenario.h_t(phi), scenario.h_c(phi),
+                                       scene.transmit_power, scene.noise_power_comms, r0)[0]
+            for r0 in rate_thresholds]
 
 
 class TestRateConstrainedBeamformer:
@@ -543,7 +544,7 @@ class TestTradeoffStructure:
         for row, r0 in zip(result.rows, grid):
             w, _, rate = max_illumination_reference(
                 h_t, h_c, scene.transmit_power, scene.noise_power_comms, r0)
-            assert row.rate == rate
+            assert row.rate == pytest.approx(rate, rel=1e-11, abs=1e-15)
             np.testing.assert_allclose(
                 row.crb, theta1_beta_crb(shaped, phi, w), rtol=1e-12, atol=0
             )
@@ -553,9 +554,9 @@ class TestTradeoffStructure:
 
     @pytest.mark.parametrize("coupling", ["weak", "strong"])
     def test_every_row_matches_the_fim_oracle(self, tmp_path, monkeypatch, coupling):
-        # Every row of a default run (the three modes' sweeps; "reference"
-        # calibrates from the first rows of the other two) must give the CRB
-        # of the (theta1, beta) block of the 4 x 4 FIM at its beamformer.
+        # Every "with" and "without" row of a default run must give the CRB
+        # of the (theta1, beta) block of the 4 x 4 FIM at its beamformer;
+        # test_reference_rows_match_the_scaled_scenario checks "reference".
         checked = []
         build = ri._crb_sweep
 
@@ -571,54 +572,64 @@ class TestTradeoffStructure:
             cfg = RunConfig(experiment="ris-isac-tradeoff", coupling=coupling, seed=seed)
             run_experiment(cfg, tmp_path / str(seed))
         crb, oracle = np.array(checked).T
-        assert len(checked) == 10 * 3 * 25
+        assert len(checked) == 10 * 2 * 25
         assert np.all(np.isfinite(oracle))
         np.testing.assert_allclose(crb, oracle, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("coupling", ["weak", "strong"])
     def test_sweeps_equal_the_per_floor_reference(self, tmp_path, monkeypatch, coupling):
-        # A default run makes three sweeps, one per mode: "reference"
-        # calibrates from the R0 = 0 rows of the other two. At config seeds 0-9 every row's
-        # weights and rate equal the per-floor reference and its CRB is
-        # kappa / |h_t^T w|^2 at the reference weights, bit for bit.
-        beams, solves = [], []
-        sweep, build = ri.crb_min_beamformer, ri._crb_sweep
-
-        def recorded_sweep(*args):
-            h_t, h_c, _, p_t, sigma_c, floors = args
-            beams.append((args, max_illumination_beamformer(h_t, h_c, p_t, sigma_c, floors)))
-            return sweep(*args)
+        # A default run makes two channel sweeps, "with" and "without". At
+        # config seeds 0-9 every row's rate equals the rate of the per-floor
+        # reference beam to 1e-11 relative, and its CRB is kappa / |h_t^T w|^2
+        # at that beam to 1e-14 relative.
+        solves = []
+        build = ri._crb_sweep
 
         def recorded_build(scenario, phi, rate_thresholds):
-            solves.append((ri._kappa(scenario, phi), build(scenario, phi, rate_thresholds)))
-            return solves[-1][1]
+            solves.append((scenario, phi, rate_thresholds, build(scenario, phi, rate_thresholds)))
+            return solves[-1][3]
 
-        monkeypatch.setattr(ri, "crb_min_beamformer", recorded_sweep)
         monkeypatch.setattr(ri, "_crb_sweep", recorded_build)
         for seed in range(10):
-            beams.clear()
             solves.clear()
             cfg = RunConfig(experiment="ris-isac-tradeoff", coupling=coupling, seed=seed)
             run_experiment(cfg, tmp_path / str(seed))
-            assert [len(args[5]) for args, _ in beams] == [25, 25, 25]
-            for (args, beam), (kappa, (rates, crbs)) in zip(beams, solves):
-                h_t, h_c, swept_kappa, p_t, sigma_c, floors = args
-                assert swept_kappa == kappa and np.array_equal(beam[2], rates)
-                for r0, w, boundary, rate, crb in zip(floors, *beam, crbs):
-                    ref_w, branch, ref_rate = max_illumination_reference(
-                        h_t, h_c, p_t, sigma_c, r0)
-                    illum = float(np.abs(h_t @ ref_w) ** 2)
-                    assert np.array_equal(w, ref_w)
-                    assert boundary == (branch == "boundary") and rate == ref_rate
-                    assert crb == (kappa / illum if illum > 0.0 else math.inf)
+            assert [len(floors) for _, _, floors, _ in solves] == [25, 25]
+            for scenario, phi, floors, (rates, crbs) in solves:
+                h_t, h_c, kappa = scenario.h_t(phi), scenario.h_c(phi), ri._kappa(scenario, phi)
+                scene = scenario.scene
+                for r0, rate, crb in zip(floors, rates, crbs):
+                    ref_w, _, ref_rate = max_illumination_reference(
+                        h_t, h_c, scene.transmit_power, scene.noise_power_comms, r0)
+                    assert rate == pytest.approx(ref_rate, rel=1e-11, abs=1e-15)
+                    assert crb == pytest.approx(kappa / float(np.abs(h_t @ ref_w) ** 2),
+                                                rel=1e-14, abs=0)
 
-    @pytest.mark.parametrize("mode, kappas", [("with", 1), ("without", 1), ("reference", 3),
-                                              ("with,without,reference", 3)])
+    @pytest.mark.parametrize("coupling", ["weak", "strong"])
+    @pytest.mark.parametrize("scene", [{}, {"n_ris": 0}])
+    def test_reference_rows_match_the_scaled_scenario(self, coupling, scene):
+        # The scalar "reference" rows equal those of the scaled RIS-free
+        # scenario with an orthogonal comms channel that the mode once built,
+        # at config seeds 0-9: R0 exactly, rates to 1e-11 and CRBs to 1e-14
+        # relative. Without an RIS, strong coupling leaves no orthogonal
+        # residual and the old construction drew a seeded direction.
+        for seed in range(10):
+            cfg = RunConfig(experiment="ris-isac-tradeoff", coupling=coupling, seed=seed, **scene)
+            scenario = RisIsacScenario.from_scene(scene_from_config(cfg))
+            rows = ris_isac_tradeoff(scenario, coupling, ["reference"], cfg.r0_points).rows
+            expected = reference_mode_reference(scenario, coupling, cfg.r0_points, seed)
+            assert [row.rate_threshold for row in rows] == [r0 for r0, _, _ in expected]
+            for row, (_, rate, crb) in zip(rows, expected):
+                assert row.rate == pytest.approx(rate, rel=1e-11, abs=1e-15), seed
+                assert row.crb == pytest.approx(crb, rel=1e-14, abs=0), seed
+
+    @pytest.mark.parametrize("mode, kappas", [("with", 1), ("without", 1), ("reference", 1),
+                                              ("with,without,reference", 2)])
     def test_sweep_builds_no_fim(self, monkeypatch, mode, kappas):
-        # kappa is formed once per channel: "with" and "without" share theirs
-        # with the calibration of "reference", which adds its own. A row adds
-        # no FIM, whatever the grid length, and kappa takes no inversion,
-        # condition number or SVD from LAPACK.
+        # kappa is formed once per channel: "reference" reads the with-RIS
+        # R0 = 0 CRB and builds no channel of its own. A row adds no FIM,
+        # whatever the grid length, and kappa takes no inversion, condition
+        # number or SVD from LAPACK.
         calls = []
         kappa = ri._kappa
 
@@ -648,9 +659,9 @@ class TestTradeoffStructure:
     def test_default_run_shapes_once_and_builds_one_kappa_per_channel(
             self, tmp_path, monkeypatch):
         # One coupling shaping and one aligned profile serve every mode; kappa
-        # is built for the aligned, the RIS-free and the reference channel. The
-        # closed form runs three times, one sweep per mode, not once per row
-        # (77); "reference" calibrates from the R0 = 0 rows of the other two.
+        # is built for the aligned and the RIS-free channel. The closed form
+        # runs three times, one sweep per mode, not once per row (77);
+        # "reference" scales from the with-RIS R0 = 0 row.
         calls = {"_apply_coupling": 0, "align_profile": 0, "_kappa": 0,
                  "crb_min_beamformer": 0}
         for name in calls:
@@ -662,14 +673,14 @@ class TestTradeoffStructure:
 
             monkeypatch.setattr(ri, name, counted)
         run_experiment(RunConfig(experiment="ris-isac-tradeoff"), tmp_path)
-        assert calls == {"_apply_coupling": 1, "align_profile": 1, "_kappa": 3,
+        assert calls == {"_apply_coupling": 1, "align_profile": 1, "_kappa": 2,
                          "crb_min_beamformer": 3}
 
     @pytest.mark.parametrize("coupling", ["weak", "strong"])
     def test_reference_without_angle_information_raises(self, coupling):
-        # A one-element receive array has adot = 0, so both calibration CRBs
-        # are infinite and the reference gain (inf / inf)^(1/4) is undefined;
-        # it used to fill every reference row's rate with NaN.
+        # A one-element receive array has adot = 0, so the with-RIS CRB that
+        # "reference" matches is infinite; it once filled every reference
+        # row's rate with NaN.
         scenario = RisIsacScenario.from_scene(desk_scene(tx=UlaGeometry(1), rx=UlaGeometry(1)))
         with pytest.raises(DegenerateChannelError, match="reference"):
             ris_isac_tradeoff(scenario, coupling)
@@ -680,8 +691,7 @@ class TestTradeoffStructure:
     @pytest.mark.parametrize("coupling", ["weak", "strong"])
     def test_reference_with_one_transmit_element_raises(self, coupling):
         # One transmit element leaves no comms direction orthogonal to the
-        # sensing channel; the residual used to be normalized by a zero norm
-        # (NaN rates) or to be rounding noise, depending on the seed.
+        # sensing channel; a residual of zero norm once gave NaN rates.
         scenario = RisIsacScenario.from_scene(desk_scene(tx=UlaGeometry(1)))
         with pytest.raises(DegenerateChannelError, match="one transmit element"):
             ris_isac_tradeoff(scenario, coupling)
@@ -702,20 +712,20 @@ class TestTradeoffStructure:
 
     @pytest.mark.parametrize("coupling", ["weak", "strong"])
     def test_reference_alone_calibrates_from_one_floor_solves(self, monkeypatch, coupling):
-        # Without "with" and "without" rows to read R0 = 0 from, "reference"
-        # solves that floor alone for each, and its rows equal the full run's.
+        # Without "with" rows to read R0 = 0 from, "reference" solves that
+        # with-RIS floor alone, and its rows equal the full run's.
         scenario = RisIsacScenario.from_scene(desk_scene(ris=UlaGeometry(8)))
         full = ris_isac_tradeoff(scenario, coupling, r0_points=4)
         lengths = []
         sweep = ri.crb_min_beamformer
 
         def recorded(*args):
-            lengths.append(len(args[5]))
+            lengths.append(len(args[6]))
             return sweep(*args)
 
         monkeypatch.setattr(ri, "crb_min_beamformer", recorded)
         alone = ris_isac_tradeoff(scenario, coupling, ["reference"], 4)
-        assert lengths == [1, 1, 4]
+        assert lengths == [1, 4]
         assert alone.rows == [row for row in full.rows if row.mode == "reference"]
 
     def test_rejects_an_empty_floor_grid(self):
