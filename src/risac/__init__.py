@@ -22,7 +22,7 @@ from .errors import (
     InfeasibleRateError,
     InfeasibleSinrError,
 )
-from .isac import crb_min_beamformer, tradeoff_curve
+from .isac import crb_min_beamformer, kappa, tradeoff_curve
 from .optim import riemannian_descent
 from .ris_isac import (
     FimResult,
@@ -33,11 +33,9 @@ from .ris_isac import (
 )
 from .sensing import (
     DetectionConfig,
-    crb_angle,
     detection_probability,
     glrt_monte_carlo,
     marcum_q1,
-    matched_filter_snr,
     maximize_illumination,
     trajectory_sweep,
 )

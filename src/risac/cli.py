@@ -22,7 +22,7 @@ import numpy as np
 from . import dual_waveform as dw
 from . import isac as isac_mod
 from . import ris_isac as ri
-from .arrays import steering_derivative, steering_vector
+from .arrays import steering_derivative
 from .channels import RisIsacScenario, angles_from_geometry, pathloss_amplitude
 from .config import EXPERIMENTS, RunConfig, parse_config, scene_from_config
 from .errors import ConfigError
@@ -116,19 +116,18 @@ def _run_detect(cfg: RunConfig):
 
 def _run_isac_tradeoff(cfg: RunConfig):
     scene = scene_from_config(cfg)
-    angles = angles_from_geometry(scene)
-    a_r_dot = steering_derivative(scene.rx, angles.theta1)
-    # CRB = kappa / |a_t^T w|^2 with kappa = sigma_s^2 L_S / (2 T sigma_eta^2 ||adot_r||^2);
-    # a target with no gain variance holds no angle information.
-    den = 2.0 * scene.samples * scene.target_gain_var * float(np.real(np.vdot(a_r_dot, a_r_dot)))
-    kappa = scene.noise_power_sensing * scene.rx.num_elements / den if den > 0.0 else math.inf
+    a_r_dot = steering_derivative(scene.rx, angles_from_geometry(scene).theta1)
+    # CRB = kappa / |a_t^T w|^2, the one-target model of isac.kappa; the
+    # centred receive array keeps adot_r orthogonal to a_r, so no projection.
+    kappa = isac_mod.kappa(scene.noise_power_sensing, scene.samples, scene.target_gain_var,
+                           float(np.real(np.vdot(a_r_dot, a_r_dot))))
     gain = pathloss_amplitude(
         float(np.linalg.norm(np.asarray(cfg.target_position) - np.asarray(cfg.bs_position))),
         cfg.pathloss_exp_direct,
     )
     rows, max_rate = isac_mod.tradeoff_curve(
-        steering_vector(scene.tx, angles.theta1), kappa, scene.transmit_power,
-        scene.noise_power_comms, cfg.rho_list, cfg.r0_points, channel_gain=gain
+        scene.tx.num_elements, kappa, scene.transmit_power, scene.noise_power_comms,
+        cfg.rho_list, cfg.r0_points, channel_gain=gain
     )
     csv_rows = [(r.rho, r.rate_threshold, r.rate, r.crb) for r in rows]
     return {"": (CSV_HEADERS["isac-tradeoff"], csv_rows)}, {"max_rate_bits": max_rate}

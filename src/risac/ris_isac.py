@@ -8,15 +8,16 @@ r_t^T phi at its largest modulus ||r_t||_1, phase-aligned with the direct
 path, the profile that maximizes the illumination ||h_t||^2 (Wu & Zhang,
 IEEE TWC 2019). It does not depend on the config seed. The transmit
 beamformer then minimizes the angle CRB under a rate floor in closed form.
-The nuisance gain beta contributes the FIM columns h_r s and i h_r s
-(s = h_t^T w), so eliminating it projects h_r out of the angle columns; the
+The nuisance gain beta contributes the FIM columns h_r s and i h_r s (s =
+h_t^T w), so eliminating it projects h_r out of the angle columns; the
 transmit-derivative terms lie along h_r and drop out. What remains is
 CRB(theta1) = kappa(phi) / |h_t(phi)^T w|^2, with kappa set by the receive
 side alone, so minimizing the CRB maximizes the illumination |h_t^T w|^2.
-kappa = sigma_s^2 / (2T ||P_perp adot_r-term||^2), with P_perp orthogonal
-to h_r, from theta1's column alone: the nuisance angle theta2's column is
-zero at every profile a run sweeps (``_kappa``). No LAPACK routine runs;
-the first such call in a process adds over 1 MB of resident memory.
+kappa is ``isac.kappa`` of sigma_eta^2 and ||P_perp adot_r-term||^2 (the
+path gains sit in h_r and adot_r-term), with P_perp orthogonal to h_r, from
+theta1's column alone: the nuisance angle theta2's column is zero at every
+profile a run sweeps (``_kappa``). No LAPACK routine runs; the first such
+call in a process adds over 1 MB of resident memory.
 ``ris_isac_tradeoff`` runs the whole experiment: one coupling shaping, one
 aligned profile, and kappa and one closed-form sweep per channel; the sweep
 is ``isac.crb_min_beamformer``, the one ``isac-tradeoff`` runs too, fed the
@@ -49,7 +50,7 @@ import numpy as np
 
 from .channels import RisIsacScenario, align_profile
 from .errors import DegenerateChannelError
-from .isac import crb_min_beamformer
+from .isac import _max_rate, crb_min_beamformer, kappa
 
 __all__ = [
     "FimResult",
@@ -151,9 +152,9 @@ def fim_theta(scenario: RisIsacScenario, phi, w) -> FimResult:
     """Fisher information over (theta1, theta2, Re beta, Im beta) and CRB(theta1).
 
     Deterministic-signal Gaussian model with T unit-power samples:
-    FIM = (2T / sigma_s^2) Re(D^H D). A parameter whose FIM diagonal is
-    exactly zero (for example theta2 without an RIS) is dropped before
-    inversion; any other parameter is kept however weak it is, since
+    FIM = (2T sigma_eta^2 / sigma_s^2) Re(D^H D). A parameter whose FIM
+    diagonal is exactly zero (for example theta2 without an RIS) is dropped
+    before inversion; any other parameter is kept however weak it is, since
     treating it as known would make the CRB optimistic. A genuinely singular
     information matrix yields an infinite CRB (see ``_angle_crb``). This is
     the reference for a general profile. At the aligned profile of a run the
@@ -162,7 +163,8 @@ def fim_theta(scenario: RisIsacScenario, phi, w) -> FimResult:
     (theta1, Re beta, Im beta) block of ``fim`` instead.
     """
     d = np.column_stack([m @ w for m in _fim_maps(scenario, phi)])
-    scale = 2.0 * scenario.scene.samples / scenario.scene.noise_power_sensing
+    scene = scenario.scene
+    scale = 2.0 * scene.samples * scene.target_gain_var / scene.noise_power_sensing
     fim = scale * np.real(d.conj().T @ d)
     fim = 0.5 * (fim + fim.T)
     keep = np.diag(fim) > 0.0
@@ -207,10 +209,9 @@ def _kappa(scenario: RisIsacScenario, phi: np.ndarray) -> float:
     h_r = scenario.h_r(phi)
     adot = scenario.a_r_dot_term
     adot_perp = adot - h_r * (np.vdot(h_r, adot) / np.vdot(h_r, h_r))
-    info = 2.0 * scenario.scene.samples * float(np.vdot(adot_perp, adot_perp).real)
-    if not 0.0 < info < math.inf:  # also a NaN
-        return math.inf
-    return scenario.scene.noise_power_sensing / info
+    scene = scenario.scene
+    return kappa(scene.noise_power_sensing, scene.samples, scene.target_gain_var,
+                 float(np.vdot(adot_perp, adot_perp).real))
 
 
 def _norm_sq(v: np.ndarray) -> float:
@@ -277,10 +278,6 @@ def _zero_ris(scenario: RisIsacScenario) -> RisIsacScenario:
     return dataclasses.replace(scenario, r_t=none, r_c=none, r_t_dot=none)
 
 
-def _max_rate(scene, h_sq: float) -> float:
-    return math.log2(1.0 + scene.transmit_power * h_sq / scene.noise_power_comms)
-
-
 def ris_isac_tradeoff(
     scenario: RisIsacScenario,
     coupling: str,
@@ -311,12 +308,12 @@ def ris_isac_tradeoff(
     if r0_points < 1:
         raise ValueError("r0_points must be >= 1")
     shaped = _apply_coupling(scenario, coupling)
-    scene = shaped.scene
+    p_t, sigma_c = shaped.scene.transmit_power, shaped.scene.noise_power_comms
     curves, max_rate = {}, {}  # curves: mode -> (floors, rates, crbs)
     if {"with", "reference"} & set(ris_modes):
         phi = align_profile(shaped.a_t_term, shaped.g_t, shaped.r_t)
         h_sq = _norm_sq(shaped.h_c(phi))
-        max_rate["with"] = max_rate["reference"] = _max_rate(scene, h_sq)
+        max_rate["with"] = max_rate["reference"] = _max_rate(p_t, h_sq, sigma_c)
         grid = np.linspace(0.0, 0.97 * max_rate["with"], r0_points)
         floors = grid if "with" in ris_modes else grid[:1]
         curves["with"] = (floors, *_crb_sweep(shaped, phi, floors))
@@ -327,11 +324,10 @@ def ris_isac_tradeoff(
         if shaped.a_t_term.size < 2:
             raise DegenerateChannelError("the reference mode needs a comms direction orthogonal "
                                          "to the sensing channel; one transmit element has none")
-        p_t = scene.transmit_power
         curves["reference"] = (grid, *crb_min_beamformer(
-            1.0, h_sq, 0.0, crb0 * p_t, p_t, scene.noise_power_comms, grid))
+            1.0, h_sq, 0.0, crb0 * p_t, p_t, sigma_c, grid))
     if "without" in ris_modes:
-        max_rate["without"] = _max_rate(scene, _norm_sq(shaped.h_bu))
+        max_rate["without"] = _max_rate(p_t, _norm_sq(shaped.h_bu), sigma_c)
         floors = np.linspace(0.0, 0.97 * max_rate["without"], r0_points)
         curves["without"] = (floors, *_crb_sweep(_zero_ris(shaped), np.zeros(0), floors))
     rows = [RisIsacRow(mode, coupling, *row) for mode in ris_modes for row in zip(*curves[mode])]

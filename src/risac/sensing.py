@@ -1,4 +1,4 @@
-"""Target illumination, beamforming, detection, and angle-CRB metrics.
+"""Target illumination, beamforming, detection, and the angle CRB along a trajectory.
 
 Illumination is maximized in closed form. Every scene has one RIS with
 line-of-sight paths, so the RIS map F_t = g r^T is rank one and h_t = a + g s
@@ -32,6 +32,9 @@ numbers, whose consequences ``glrt_monte_carlo`` states.
 
 The analytic detection probability Q1(sqrt(2 SNR), sqrt(2 gamma)) is a
 Poisson mixture evaluated with numpy and ``math`` only (``marcum_q1``).
+
+The angle CRB of ``trajectory_sweep`` is the one-target model of
+``isac.kappa``: kappa / illumination power, the gain sigma_eta^2 fixed.
 """
 
 from __future__ import annotations
@@ -51,16 +54,15 @@ from .channels import (
     build_sensing_channels,
 )
 from .errors import DegenerateChannelError
+from .isac import kappa
 
 __all__ = [
     "DetectionConfig",
     "IlluminationResult",
     "maximize_illumination",
-    "matched_filter_snr",
     "marcum_q1",
     "detection_probability",
     "glrt_monte_carlo",
-    "crb_angle",
     "trajectory_sweep",
 ]
 
@@ -110,13 +112,6 @@ def maximize_illumination(scene: Scene) -> IlluminationResult:
             "sensing channel is identically zero; nothing to illuminate"
         )
     return IlluminationResult(w=math.sqrt(p_t) * h_t / norm, phi=phi, power=p_t * norm**2)
-
-
-def matched_filter_snr(power: float, scene: Scene) -> float:
-    """Output SNR of the receive matched filter: L_S * sigma_eta^2 * power / sigma_s^2."""
-    if power < 0:
-        raise ValueError("power must be nonnegative")
-    return scene.rx.num_elements * scene.target_gain_var * power / scene.noise_power_sensing
 
 
 # Loader's stirlerr(k) = log(k!) - log(sqrt(2 pi k) (k/e)^k) at k = 0..15 (the
@@ -330,14 +325,14 @@ def glrt_monte_carlo(
     a_r = steering_vector(scene.rx, angles.theta1)
     v = (a_r / np.linalg.norm(a_r)).conj()  # receive matched filter
     echo_amp = abs(c * (a_r @ v))  # |g|: a_r^T v scales the echo at the filter output
-    noise_var = scene.noise_power_sensing
-    out_var = noise_var * float(np.real(np.vdot(v, v)))  # sigma_out^2
+    # In units of sigma_s, so no square of a large noise or echo overflows.
+    out_var = float(np.real(np.vdot(v, v)))  # sigma_out^2 / sigma_s^2
     s = math.sqrt(0.5 * out_var)
     buf = np.empty(trials)
 
     # H0: noise only.
     rng.standard_exponential(out=buf)
-    buf *= out_var / noise_var
+    buf *= out_var
     pfs = [np.count_nonzero(buf > gamma) / trials for gamma in gammas]
     # H1: one draw of the noise serves every gain.
     sx = rng.standard_normal(trials)
@@ -348,7 +343,7 @@ def glrt_monte_carlo(
     work = np.empty(min(trials, _GLRT_SLICE))
     rows = []
     for gain in gains:
-        amp = math.sqrt(gain) * echo_amp
+        amp = math.sqrt(gain) * echo_amp / math.sqrt(scene.noise_power_sensing)
         hits = [0] * len(gammas)
         for lo in range(0, trials, _GLRT_SLICE):
             hi = min(lo + _GLRT_SLICE, trials)
@@ -356,32 +351,10 @@ def glrt_monte_carlo(
             np.add(sx[lo:hi], amp, out=stat)
             np.square(stat, out=stat)
             stat += buf[lo:hi]
-            stat /= noise_var
             for j, gamma in enumerate(gammas):
                 hits[j] += np.count_nonzero(stat > gamma)
         rows.extend(GlrtResult(pf, n / trials, trials) for pf, n in zip(pfs, hits))
     return GlrtResults(rows, trials)
-
-
-def crb_angle(snr: float, samples: int, adot_norm_sq: float, l_s: int) -> float:
-    """Angle-estimation CRB: L_S / (2 T ||adot||^2) * (1/SNR + 1/SNR^2).
-
-    Zero SNR means no sensing is possible and returns infinity. Here the
-    target gain fluctuates (circular Gaussian), which adds the 1/SNR^2 term.
-    The detector of ``glrt_monte_carlo`` and the kappa / |a_t^T w|^2 CRB of
-    ``isac.crb_min_beamformer`` take it as fixed; the latter keeps only the
-    1/SNR term, so the two CRBs agree only at high SNR.
-    """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    if not adot_norm_sq > 0:
-        raise ValueError("adot_norm_sq must be positive")
-    if snr < 0:
-        raise ValueError("snr must be nonnegative")
-    if snr == 0.0:
-        return math.inf
-    inv = 1.0 / snr  # snr**2 would overflow or underflow at extreme SNRs
-    return l_s / (2.0 * samples * adot_norm_sq) * (inv * (1.0 + inv))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -408,8 +381,9 @@ def trajectory_sweep(
     is lit as in ``maximize_illumination``, with power P ||h_t||^2:
     "ris_aided" keeps (a_t, g_t, r_t), "ris_only" drops a_t, and
     "without_ris" drops the entries of r_t. Blocked waypoints zero a_t, the
-    direct path. A mode with no path to the target has power 0 and an
-    infinite CRB.
+    direct path. The CRB is ``isac.kappa`` of the receive steering
+    derivative over the power; a mode with no path to the target has power
+    0 and an infinite CRB.
     """
     if len(waypoints) == 0:
         raise ValueError("need at least one waypoint")
@@ -424,12 +398,12 @@ def trajectory_sweep(
         if blk:
             a_t = np.zeros_like(a_t)
         adot = steering_derivative(scene.rx, angles_from_geometry(scene).theta1)
-        adot_sq = float(np.real(np.vdot(adot, adot)))
+        k = kappa(scene.noise_power_sensing, scene.samples, scene.target_gain_var,
+                  float(np.real(np.vdot(adot, adot))))
         for mode, a, r in (("ris_aided", a_t, r_t), ("ris_only", np.zeros_like(a_t), r_t),
                            ("without_ris", a_t, r_t[:0])):
             h_t = a + g * (r @ align_profile(a, g, r))
             power = scene.transmit_power * float(np.linalg.norm(h_t)) ** 2
-            snr = matched_filter_snr(power, scene)
-            crb = crb_angle(snr, scene.samples, adot_sq, scene.rx.num_elements)
+            crb = k / power if power > 0.0 else math.inf
             rows.append(SweepRow(idx, mode, power, _power_db(power), crb))
     return rows

@@ -101,24 +101,56 @@ def achievable_rate(h_c: np.ndarray, w, noise_comms: float) -> float:
 
 
 def isac_crb(w, scenario) -> float:
-    """Angle CRB sigma_s^2 L_S / (2 T sigma_eta^2 ||adot_r||^2 |a_t^T w|^2) of one beam.
+    """Angle CRB sigma_s^2 / (2 T sigma_eta^2 ||adot_r||^2 |a_t^T w|^2) of one beam.
 
-    ``scenario`` carries a_t, a_r, a_r_dot, noise_sensing, target_gain_var
-    and samples. This is the single-quotient form; ``risac.isac`` computes
+    ``scenario`` carries a_t, a_r_dot, noise_sensing, target_gain_var and
+    samples. This is the single-quotient form; ``risac.isac`` computes
     kappa / |a_t^T w|^2 with kappa once per run, which rounds differently.
     """
     w_vec = np.asarray(w, dtype=complex).reshape(-1)
     illum = float(np.abs(scenario.a_t @ w_vec) ** 2)
     if illum == 0.0:
         return math.inf
-    l_s = scenario.a_r.shape[0]
-    return scenario.noise_sensing * l_s / (
+    return scenario.noise_sensing / (
         2.0
         * scenario.samples
         * scenario.target_gain_var
         * float(np.real(np.vdot(scenario.a_r_dot, scenario.a_r_dot)))
         * illum
     )
+
+
+def trace_form_crb(b, b_dot, a, a_dot, w, noise, samples, gain_sq) -> float:
+    """Single-target angle CRB in the trace form of Liu et al. (IEEE TSP 2022).
+
+    sigma^2 tr(A^H A R) / (2T |alpha|^2 (tr(Adot^H Adot R) tr(A^H A R)
+    - |tr(Adot^H A R)|^2)) for the echo alpha A(theta) x of T snapshots
+    with sample covariance R, here A = b a^H, Adot = bdot a^H + b adot^H and
+    R = w w^H, every matrix formed. Infinite where the bracket is not
+    positive: the beam puts no power on the target.
+    """
+    b, b_dot, a, a_dot, w = (np.asarray(v, dtype=complex).reshape(-1, 1)
+                             for v in (b, b_dot, a, a_dot, w))
+    big_a = b @ a.conj().T
+    big_a_dot = b_dot @ a.conj().T + b @ a_dot.conj().T
+    r = w @ w.conj().T
+    t_aa = np.trace(big_a.conj().T @ big_a @ r).real
+    t_dd = np.trace(big_a_dot.conj().T @ big_a_dot @ r).real
+    t_da = np.trace(big_a_dot.conj().T @ big_a @ r)
+    bracket = t_dd * t_aa - abs(t_da) ** 2
+    if not bracket > 0.0:
+        return math.inf
+    return noise * t_aa / (2.0 * samples * gain_sq * bracket)
+
+
+def matched_filter_snr(power: float, scene) -> float:
+    """Output SNR of the receive matched filter: L_S * sigma_eta^2 * power / sigma_s^2.
+
+    The inverse of the gain calibration of ``risac.cli``'s ``detect`` runner.
+    """
+    if power < 0:
+        raise ValueError("power must be nonnegative")
+    return scene.rx.num_elements * scene.target_gain_var * power / scene.noise_power_sensing
 
 
 def make_coupled_channel(

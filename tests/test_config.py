@@ -93,11 +93,11 @@ EDGE_STRATEGIES = {
     "target_gain_var": st.sampled_from([0.0, 1e-300, 1e300]),
     # -3200 and -3070 dBm are subnormal in watts; 3100 dBm overflows detect's
     # gain calibration; -3000 dBm puts the isac-tradeoff CRBs below the
-    # smallest normal double.
+    # smallest normal double and, at 1e30 W, the comms SNR past the float range.
     "noise_sensing_dbm": st.sampled_from([-4000.0, -3200.0, -3070.0, -3000.0, -300.0, 0.0,
                                           300.0, 3100.0, 4000.0]),
-    "noise_comms_dbm": st.sampled_from([-4000.0, -3200.0, -3070.0, -300.0, 0.0, 300.0,
-                                        3100.0, 4000.0]),
+    "noise_comms_dbm": st.sampled_from([-4000.0, -3200.0, -3070.0, -3000.0, -300.0, 0.0,
+                                        300.0, 3100.0, 4000.0]),
     "pathloss_exp_direct": st.sampled_from([-2.0, 0.0, 20.0]),
     "pathloss_exp_ris": st.sampled_from([-2.0, 0.0, 20.0]),
     "spacing_wavelengths": st.sampled_from([1e-3, 10.0]),
@@ -405,7 +405,10 @@ def test_repeated_key_is_a_json_config_error(tmp_path, capsys):
 #   of the 30 sense-sweep CRBs were written as 0.0;
 # - at -3000 dBm of sensing noise isac-tradeoff exited 0 with every CRB a
 #   subnormal 2.827e-309;
-# - a 4000 dB detect SNR exited with a bare OverflowError.
+# - a 4000 dB detect SNR exited with a bare OverflowError;
+# - at -3000 dBm of comms noise and 1e30 W both trade-offs warned from
+#   np.linspace(0, 0.98 * inf) and exited with an InfeasibleRateError quoting
+#   an infinite max rate.
 @pytest.mark.parametrize("experiment, line, detail", [
     ("ris-isac-tradeoff", "noise_sensing_dbm = -3200", "noise_sensing_dbm"),
     ("isac-tradeoff", "noise_comms_dbm = -3200", "noise_comms_dbm"),
@@ -414,6 +417,8 @@ def test_repeated_key_is_a_json_config_error(tmp_path, capsys):
     ("sense-sweep", "target_gain_var = 1e300", "CRB rounds to 0.0"),
     ("isac-tradeoff", "noise_sensing_dbm = -3000", "subnormal"),
     ("detect", "snr_db_list = 4000", "snr_db_list entry 4000.0"),
+    ("isac-tradeoff", "noise_comms_dbm = -3000\ntransmit_power = 1e30", "comms SNR"),
+    ("ris-isac-tradeoff", "noise_comms_dbm = -3000\ntransmit_power = 1e30", "comms SNR"),
 ])
 def test_values_past_the_float_range_are_json_config_errors(tmp_path, capsys, experiment,
                                                             line, detail):
@@ -424,6 +429,17 @@ def test_values_past_the_float_range_are_json_config_errors(tmp_path, capsys, ex
     assert code == 2
     assert err["error"] == "ConfigError" and detail in err["detail"]
     assert not list((tmp_path / "out").glob("*.csv"))
+
+
+def test_detect_at_huge_sensing_noise_writes_the_default_noise_csv(tmp_path):
+    # Each gain is calibrated to the SNR grid, so the noise power cancels and
+    # the GLRT draws in units of sigma_s. At 1e307 W the calibrated gains
+    # reach 1e275 and the square of the echo amplitude overflowed, a warning.
+    for dbm in (-60.0, 3100.0):
+        cli.run_experiment(RunConfig(experiment="detect", bs_position=(40.0, 1e-12),
+                                     noise_sensing_dbm=dbm), tmp_path / str(dbm))
+    assert ((tmp_path / "3100.0" / "detect.csv").read_bytes()
+            == (tmp_path / "-60.0" / "detect.csv").read_bytes())
 
 
 def test_powers_validate_down_to_the_smallest_normal_double():

@@ -352,8 +352,8 @@ class TestSmallAngleCrb:
                 col = scenario.a_r_dot_term[:, None]
                 col = col - h_r @ (h_r.conj().T @ col) / np.vdot(h_r, h_r)
                 scene = scenario.scene
-                info = (2.0 * scene.samples / scene.noise_power_sensing) * np.real(
-                    col.conj().T @ col)
+                info = (2.0 * scene.samples * scene.target_gain_var
+                        / scene.noise_power_sensing) * np.real(col.conj().T @ col)
                 expected = ri._angle_crb(info)[0]
                 assert abs(value - expected) <= 1e-15 * expected, (seed, value, expected)
 
@@ -363,6 +363,20 @@ class TestSmallAngleCrb:
         phi = align_profile(scenario.a_t_term, scenario.g_t, scenario.r_t)
         assert ri._kappa(scenario, phi) == math.inf
         assert ri._kappa(_zero_ris(scenario), np.zeros(0)) == math.inf
+
+    @pytest.mark.parametrize("coupling", ["weak", "strong"])
+    def test_zero_target_gain_variance_holds_no_angle_information(self, tmp_path, coupling):
+        # kappa reads sigma_eta^2: at zero every "with" and "without" CRB is
+        # infinite, and the reference mode, which needs a finite CRB to match,
+        # raises DegenerateChannelError.
+        run_experiment(RunConfig(experiment="ris-isac-tradeoff", coupling=coupling,
+                                 target_gain_var=0.0, ris_modes=("with", "without")), tmp_path)
+        with open(tmp_path / "ris-isac-tradeoff.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert len(rows) == 50 and all(row["crb"] == "inf" for row in rows)
+        with pytest.raises(DegenerateChannelError, match="finite CRB, got inf"):
+            run_experiment(RunConfig(experiment="ris-isac-tradeoff", coupling=coupling,
+                                     target_gain_var=0.0), tmp_path / "reference")
 
     @pytest.mark.parametrize("info", [
         [[0.0]], [[-1.0]], [[0.0, 0.0], [0.0, 2.0]], [[3.0, 1.0], [1.0, 0.0]],

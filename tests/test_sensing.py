@@ -11,11 +11,9 @@ from risac import (
     DetectionConfig,
     Scene,
     UlaGeometry,
-    crb_angle,
     detection_probability,
     glrt_monte_carlo,
     marcum_q1,
-    matched_filter_snr,
     maximize_illumination,
     steering_vector,
     trajectory_sweep,
@@ -28,11 +26,13 @@ from risac.channels import (
     path_gains,
 )
 from risac.config import RunConfig, scene_from_config
+from risac.isac import kappa
 
 from oracles import (
     align_ris_phases,
     illumination_power,
     matched_filter_beamformer,
+    matched_filter_snr,
     rank_one_illumination_bound,
 )
 
@@ -333,6 +333,13 @@ class TestSnr:
         assert np.isclose(
             matched_filter_snr(2.0, scene), 2.0 * matched_filter_snr(1.0, scene)
         )
+
+    def test_inverts_the_detect_gain_calibration(self):
+        scene = ris_scene()
+        design = maximize_illumination(scene)
+        for snr in (1e-3, 1.0, 1e4):
+            tuned = at_snr(scene, design, snr)
+            assert matched_filter_snr(design.power, tuned) == pytest.approx(snr, rel=1e-14)
 
 
 class TestMarcum:
@@ -691,29 +698,42 @@ class TestGlrtSnapshotReference:
 
 
 class TestCrbAngle:
+    """The angle CRB kappa / power of ``trajectory_sweep``, kappa from ``isac.kappa``."""
+
     def test_high_snr_limit(self):
-        l_s, samples, adot_sq = 15, 64, 2.0 * math.pi**2
+        # The fixed-gain bound has no 1/SNR^2 term: times the matched-filter
+        # SNR it is L_S / (2T ||adot||^2) at every SNR, not only at high SNR.
+        l_s, samples, adot_sq, noise = 15, 64, 2.0 * math.pi**2, 1e-9
         lead = l_s / (2.0 * samples * adot_sq)
-        snr = 1e9
-        assert np.isclose(crb_angle(snr, samples, adot_sq, l_s) * snr, lead, rtol=1e-8)
+        for power in (1e-13, 1e-10, 1e-3):
+            snr = l_s * power / noise
+            crb = kappa(noise, samples, 1.0, adot_sq) / power
+            assert crb * snr == pytest.approx(lead, rel=1e-14)
 
     def test_zero_snr_infinite(self):
-        assert math.isinf(crb_angle(0.0, 10, 1.0, 4))
+        # No gain, no derivative or a NaN: the echo holds no angle information.
+        for args in ((0.0, 1.0), (1.0, 0.0), (math.nan, 1.0), (1.0, math.nan)):
+            assert kappa(1e-9, 10, *args) == math.inf
+        rows = trajectory_sweep(ris_scene(target_gain_var=0.0), [(40.0, 0.0)], [False])
+        assert rows[0].power > 0.0 and all(r.crb == math.inf for r in rows)
 
     def test_extreme_snr_neither_overflows_nor_divides_by_zero(self):
-        # snr**2 overflows at 1e200 and underflows to zero at 1e-200.
-        assert crb_angle(1e200, 2, 1.0, 4) == pytest.approx(1e-200)
-        assert crb_angle(1e-200, 2, 1.0, 4) == math.inf
-        assert crb_angle(1e-100, 2, 1.0, 4) == pytest.approx(1e200)
+        # Information that overflows is a CRB of 0.0, which run_experiment
+        # rejects; one that underflows is no information.
+        assert kappa(1.0, 2, 1e300, 1e10) == 0.0
+        assert kappa(1.0, 2, 1e-200, 1e-200) == math.inf
+        assert kappa(1.0, 2, 1e-100, 1.0) == pytest.approx(2.5e99)
+        assert kappa(1.0, 2, 1e-160, 1e-160) == math.inf  # 1 / 4e-320 overflows
 
     def test_strictly_decreasing_in_snr(self):
-        values = [crb_angle(s, 16, 5.0, 8) for s in [0.5, 1.0, 2.0, 4.0, 8.0]]
+        k = kappa(1e-9, 16, 1.0, 5.0)
+        values = [k / p for p in [0.5, 1.0, 2.0, 4.0, 8.0]]
         assert np.all(np.diff(values) < 0.0)
+        gains = [kappa(1e-9, 16, g, 5.0) for g in [0.5, 1.0, 2.0, 4.0, 8.0]]
+        assert np.all(np.diff(gains) < 0.0)
 
     def test_scales_inverse_with_samples(self):
-        assert np.isclose(
-            crb_angle(3.0, 32, 5.0, 8), 0.5 * crb_angle(3.0, 16, 5.0, 8)
-        )
+        assert kappa(1.0, 32, 1.0, 5.0) == 0.5 * kappa(1.0, 16, 1.0, 5.0)
 
 
 class TestTrajectorySweep:
