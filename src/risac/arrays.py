@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-__all__ = ["UlaGeometry", "steering_vector", "steering_derivative"]
+__all__ = ["UlaGeometry", "steering_vector", "steering_log_derivative", "steering_derivative"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -53,14 +53,20 @@ def steering_vector(geom: UlaGeometry, angle) -> np.ndarray:
     return np.exp(1j * np.multiply.outer(offsets, np.sin(angles)))
 
 
+def steering_log_derivative(geom: UlaGeometry, angle: float) -> np.ndarray:
+    """Entrywise d/d(angle) of log a(angle): j*2*pi*spacing*cos(angle)*m_k.
+
+    So adot = this * a, and a vector v * a(angle) for any v (a path gain, or
+    the conjugated incident steering of an RIS) has derivative this * (v * a).
+    """
+    angle = float(_check_angle(angle))
+    return 1j * (2.0 * np.pi * geom.spacing_wavelengths) * geom.element_offsets * np.cos(angle)
+
+
 def steering_derivative(geom: UlaGeometry, angle: float) -> np.ndarray:
     """Elementwise derivative of the steering vector with respect to angle.
 
     With centered indices the result is exactly orthogonal (Hermitian sense)
     to the steering vector at the same angle.
     """
-    angle = float(_check_angle(angle))
-    offs = geom.element_offsets
-    scale = 2.0 * np.pi * geom.spacing_wavelengths
-    phase = scale * offs * np.sin(angle)
-    return 1j * scale * offs * np.cos(angle) * np.exp(1j * phase)
+    return steering_log_derivative(geom, angle) * steering_vector(geom, angle)

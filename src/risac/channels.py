@@ -14,9 +14,9 @@ the BS-RIS gain and steering; the RIS-side vector r = conj(b(omega_t)) * b
 folds the incident steering into the RIS response b toward the target
 (sensing) or the user (comms). The scenario stores the dyads (g, r), not F,
 so each h_t, h_r or h_c costs O(L + N): one dot product r^T phi and one
-scaled vector. The matrices F are formed on each read; only the coupling
-metric of ``ris_isac`` (``_coupling`` and its public matrix-argument
-wrappers) and the tests read them. Sensing, ISAC and dual-waveform code all
+scaled vector. The matrices F are formed on each read, and no ``src`` code
+reads them: the benchmark's micro timings (through the coupling metric of
+``ris_isac``) and the tests do. Sensing, ISAC and dual-waveform code all
 read their channels from the scenario. Every experiment takes its RIS
 profile from ``align_profile(a, g, r)``, the closed-form maximizer of
 ||a + g (r^T phi)||: ``sense-sweep`` and ``detect`` for the target,
@@ -33,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from .arrays import UlaGeometry, steering_derivative, steering_vector
-from .errors import DegenerateChannelError, DegenerateGeometryError
+from .errors import DegenerateGeometryError
 
 __all__ = [
     "Scene",
@@ -119,11 +119,18 @@ class SceneAngles:
     theta_user_ris: float
 
 
-def _bearing(origin: np.ndarray, point: np.ndarray) -> float:
-    delta = point - origin
+def _displacement(scene: Scene, origin: str, point: str) -> tuple:
+    """(point - origin, its length) of two named positions; coincident ones raise, naming both."""
+    delta = getattr(scene, point) - getattr(scene, origin)
     dist = float(np.hypot(*delta))
     if dist == 0.0:
-        raise DegenerateGeometryError("coincident positions have no bearing")
+        raise DegenerateGeometryError(
+            f"{origin} and {point} coincide at {getattr(scene, point).tolist()}")
+    return delta, dist
+
+
+def _bearing(scene: Scene, origin: str, point: str) -> float:
+    delta = _displacement(scene, origin, point)[0]
     # Broadside of every array points along +x, so the bearing is the angle
     # of the displacement measured from the x axis.
     return math.atan2(delta[1], delta[0])
@@ -132,11 +139,11 @@ def _bearing(origin: np.ndarray, point: np.ndarray) -> float:
 def angles_from_geometry(scene: Scene) -> SceneAngles:
     """Bearings of target/RIS/user as seen from the BS and RIS broadsides."""
     return SceneAngles(
-        theta1=_bearing(scene.bs_position, scene.target_position),
-        theta2=_bearing(scene.ris_position, scene.target_position),
-        omega_t=_bearing(scene.bs_position, scene.ris_position),
-        theta_user_bs=_bearing(scene.bs_position, scene.user_position),
-        theta_user_ris=_bearing(scene.ris_position, scene.user_position),
+        theta1=_bearing(scene, "bs_position", "target_position"),
+        theta2=_bearing(scene, "ris_position", "target_position"),
+        omega_t=_bearing(scene, "bs_position", "ris_position"),
+        theta_user_bs=_bearing(scene, "bs_position", "user_position"),
+        theta_user_ris=_bearing(scene, "ris_position", "user_position"),
     )
 
 
@@ -153,13 +160,6 @@ def pathloss_amplitude(distance: float, exponent: float) -> float:
             f"a {distance!r} m path with exponent {exponent!r} has a path-loss amplitude "
             "above 1e64")
     return float(distance) ** (-exponent / 2.0)
-
-
-def _distance(a: np.ndarray, b: np.ndarray) -> float:
-    d = float(np.hypot(*(a - b)))
-    if d == 0.0:
-        raise DegenerateGeometryError("coincident positions have zero distance")
-    return d
 
 
 @dataclasses.dataclass(frozen=True)
@@ -181,11 +181,11 @@ def path_gains(scene: Scene) -> PathGains:
     rng = np.random.default_rng(scene.seed)
     psi = rng.uniform(0.0, 2.0 * np.pi, size=6)
 
-    d_bt = _distance(scene.bs_position, scene.target_position)
-    d_br = _distance(scene.bs_position, scene.ris_position)
-    d_rt = _distance(scene.ris_position, scene.target_position)
-    d_bu = _distance(scene.bs_position, scene.user_position)
-    d_ru = _distance(scene.ris_position, scene.user_position)
+    d_bt = _displacement(scene, "bs_position", "target_position")[1]
+    d_br = _displacement(scene, "bs_position", "ris_position")[1]
+    d_rt = _displacement(scene, "ris_position", "target_position")[1]
+    d_bu = _displacement(scene, "bs_position", "user_position")[1]
+    d_ru = _displacement(scene, "ris_position", "user_position")[1]
 
     if scene.direct_gain_override is not None:
         alpha_t = alpha_r = complex(scene.direct_gain_override)
@@ -218,9 +218,10 @@ class RisIsacScenario:
     and r is RIS-side, conj(b(omega_t)) times the RIS response toward the
     target or the user. The F matrices are derived from (g, r) on each read.
 
-    The direct terms carry their complex gains, so the coupling objective of
-    ``ris_isac`` is a positive multiple of ||H^H h_c||^2 and minimizing it
-    maximizes the gain-weighted channel correlation.
+    The direct terms carry their complex path gains. Of the angle
+    derivatives only the receive one, a_r_dot_term, is stored: it is the
+    column the angle CRB of ``ris_isac`` projects; the FIM reference forms
+    the others from a_t_term and r_t (``arrays.steering_log_derivative``).
     """
 
     scene: Scene
@@ -232,8 +233,6 @@ class RisIsacScenario:
     g_c: np.ndarray           # g_t, until strong coupling rescales it
     r_t: np.ndarray           # conj(b(omega_t)) * b(theta2)
     r_c: np.ndarray           # conj(b(omega_t)) * h_RU
-    r_t_dot: np.ndarray       # conj(b(omega_t)) * bdot(theta2)
-    a_t_dot_term: np.ndarray  # alpha_t * adot_t(theta1)
     a_r_dot_term: np.ndarray  # alpha_r * adot_r(theta1)
     beta: complex             # alpha_r * alpha_t
 
@@ -243,7 +242,6 @@ class RisIsacScenario:
         gains = path_gains(scene)
         a_t = steering_vector(scene.tx, angles.theta1)
         a_r = steering_vector(scene.rx, angles.theta1)
-        adot_t = steering_derivative(scene.tx, angles.theta1)
         adot_r = steering_derivative(scene.rx, angles.theta1)
         h_bu = gains.gain_bu * steering_vector(scene.tx, angles.theta_user_bs)
         if scene.n_ris:
@@ -256,11 +254,10 @@ class RisIsacScenario:
             h_ru = gains.gain_ru * steering_vector(scene.ris, angles.theta_user_ris)
             r_t = b_in_conj * steering_vector(scene.ris, angles.theta2)
             r_c = b_in_conj * h_ru
-            r_t_dot = b_in_conj * steering_derivative(scene.ris, angles.theta2)
         else:
             g_t = np.zeros(scene.tx.num_elements, dtype=complex)
             g_r = np.zeros(scene.rx.num_elements, dtype=complex)
-            r_t = r_c = r_t_dot = np.zeros(0, dtype=complex)
+            r_t = r_c = np.zeros(0, dtype=complex)
         return cls(
             scene=scene,
             a_t_term=gains.alpha_t * a_t,
@@ -271,8 +268,6 @@ class RisIsacScenario:
             g_c=g_t,
             r_t=r_t,
             r_c=r_c,
-            r_t_dot=r_t_dot,
-            a_t_dot_term=gains.alpha_t * adot_t,
             a_r_dot_term=gains.alpha_r * adot_r,
             beta=gains.alpha_r * gains.alpha_t,
         )
@@ -302,14 +297,6 @@ class RisIsacScenario:
     @property
     def f_c(self) -> np.ndarray:
         return np.outer(self.g_c, self.r_c)
-
-    def sensing_matrix(self, phi) -> np.ndarray:
-        """H = h_r h_t^T / beta evaluated at the scene's true angles."""
-        if self.beta == 0:
-            raise DegenerateChannelError(
-                "H(theta) is normalized by the direct gains; beta must be nonzero"
-            )
-        return np.outer(self.h_r(phi), self.h_t(phi)) / self.beta
 
 
 def build_sensing_channels(scene: Scene, phi):

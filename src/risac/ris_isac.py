@@ -27,17 +27,13 @@ max rate and R0 = 0 CRB (``ris_isac_tradeoff``).
 ``fim_theta`` builds the full 4 x 4 FIM instead and is the independent
 reference the kappa form is tested against.
 
-Why phi* and no descent: a Riemannian descent of the coupling proxy
-||h_t||^2 |h_r^H h_c|^2 (``coupling_objective``) started from phi* ends with
-a higher CRB than phi* at every rate floor, at config seeds 0-9. Its CRB
-over phi*'s is 1.0045-1.0098 (weak) and 1.0029-1.0103 (strong) at the
-default scene, and 1.14-1.23 (weak) and 1.0002-1.0008 (strong) at the
-scaled one (n_ris = 256, l_t = l_s = 32): raising |h_r^H h_c| is not what
-the CRB at a floor rewards. A grid over the profiles
-unit_modulus(conj(r_t + mu r_c)) e^{j psi} finds none better than phi* at
-R0 = 0 by more than 6e-6 relative (scaled scene, weak, seed 0). The
-coupling metric stays as a measure of how the RIS turns the sensing and
-comms subspaces; no experiment evaluates it.
+Why phi* and no descent: ``tests/test_paper_claims.py`` checks at config
+seeds 0-9, on the default and a scaled scene, that no all-ones or random
+unit-modulus profile beats phi*'s CRB at R0 = 0, and states the measured
+costs of a rate floor; CHANGES.md has the numbers of the coupling-proxy
+descent that phi* replaced. The coupling metric (``coupling_objective``)
+stays as a measure of how the RIS turns the sensing and comms subspaces; no
+experiment evaluates it.
 """
 
 from __future__ import annotations
@@ -48,7 +44,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import RisIsacScenario, align_profile
+from .arrays import steering_log_derivative
+from .channels import RisIsacScenario, align_profile, angles_from_geometry
 from .errors import DegenerateChannelError
 from .isac import _max_rate, crb_min_beamformer, kappa
 
@@ -125,7 +122,6 @@ def coupling_gradient(
 class FimResult:
     fim: np.ndarray
     crb_theta1: float
-    condition_number: float
     singular: bool
 
 
@@ -133,16 +129,24 @@ def _fim_maps(scenario: RisIsacScenario, phi) -> list:
     """Per-parameter linear maps C_i with D columns C_i @ w.
 
     Parameters are (theta1, theta2, Re beta, Im beta); the theta columns use
-    beta * dH/dtheta, which the direct gains cancel.
+    beta * dH/dtheta, which the direct gains cancel, and the beta ones
+    H = h_r h_t^T / beta. The derivatives the scenario does not store are
+    ``steering_log_derivative`` times a_t_term (theta1) or r_t (theta2);
+    without RIS entries theta2's column is zero.
     """
-    h_t = scenario.h_t(phi)
-    h_r = scenario.h_r(phi)
-    dh_t_1 = scenario.a_t_dot_term
+    if scenario.beta == 0:
+        raise DegenerateChannelError(
+            "H(theta) is normalized by the direct gains; beta must be nonzero"
+        )
+    scene = scenario.scene
+    angles = angles_from_geometry(scene)
+    h_t, h_r = scenario.h_t(phi), scenario.h_r(phi)
+    dh_t_1 = steering_log_derivative(scene.tx, angles.theta1) * scenario.a_t_term
     dh_r_1 = scenario.a_r_dot_term
-    s_dot = scenario.r_t_dot @ phi
-    dh_t_2 = scenario.g_t * s_dot
-    dh_r_2 = scenario.g_r * s_dot
-    h_mat = scenario.sensing_matrix(phi)
+    s_dot = ((steering_log_derivative(scene.ris, angles.theta2) * scenario.r_t) @ phi
+             if scenario.n_ris else 0.0)
+    dh_t_2, dh_r_2 = scenario.g_t * s_dot, scenario.g_r * s_dot
+    h_mat = np.outer(h_r, h_t) / scenario.beta
     c1 = np.outer(dh_r_1, h_t) + np.outer(h_r, dh_t_1)
     c2 = np.outer(dh_r_2, h_t) + np.outer(h_r, dh_t_2)
     return [c1, c2, h_mat, 1j * h_mat]
@@ -169,28 +173,28 @@ def fim_theta(scenario: RisIsacScenario, phi, w) -> FimResult:
     fim = 0.5 * (fim + fim.T)
     keep = np.diag(fim) > 0.0
     keep[0] = True
-    crb, cond, singular = _angle_crb(fim[np.ix_(keep, keep)])
-    return FimResult(fim, crb, cond, singular)
+    crb, singular = _angle_crb(fim[np.ix_(keep, keep)])
+    return FimResult(fim, crb, singular)
 
 
 def _angle_crb(info: np.ndarray):
-    """[info^-1]_11 of a symmetric information matrix: (crb, condition number, singular).
+    """[info^-1]_11 of a symmetric information matrix: (crb, singular).
 
-    The condition number is that of the unit-diagonal (Jacobi-scaled)
-    matrix, since parameters in different units (the beta entries carry
-    1/|beta|^2) make the raw one meaningless. A nonpositive diagonal or a
-    scaled condition number above 1e14 gives an infinite CRB. Any size, by
-    LAPACK (an SVD and an inversion); ``fim_theta`` uses it.
+    A nonpositive diagonal, or a condition number above 1e14 of the
+    unit-diagonal (Jacobi-scaled) matrix, gives an infinite CRB: parameters
+    in different units (the beta entries carry 1/|beta|^2) make the raw
+    condition number meaningless. Any size, by LAPACK (an SVD and an
+    inversion); ``fim_theta`` uses it.
     """
     diag = np.diag(info)
     if not np.all(diag > 0.0):
-        return math.inf, math.inf, True
+        return math.inf, True
     root = np.sqrt(diag)
     unit = info / np.outer(root, root)
     cond = float(np.linalg.cond(unit))
     if not np.isfinite(cond) or cond > 1e14:
-        return math.inf, cond, True
-    return float(np.linalg.inv(unit)[0, 0]) / float(info[0, 0]), cond, False
+        return math.inf, True
+    return float(np.linalg.inv(unit)[0, 0]) / float(info[0, 0]), False
 
 
 def _kappa(scenario: RisIsacScenario, phi: np.ndarray) -> float:
@@ -275,7 +279,7 @@ def _apply_coupling(scenario: RisIsacScenario, coupling: str) -> RisIsacScenario
 
 def _zero_ris(scenario: RisIsacScenario) -> RisIsacScenario:
     none = np.zeros(0, dtype=complex)
-    return dataclasses.replace(scenario, r_t=none, r_c=none, r_t_dot=none)
+    return dataclasses.replace(scenario, r_t=none, r_c=none)
 
 
 def ris_isac_tradeoff(

@@ -268,11 +268,6 @@ class GlrtResults(list):
         self.trials = trials
 
 
-# Trials per slice of the per-gain H1 work: its scratch stays in cache and
-# peak memory does not grow with the number of gains.
-_GLRT_SLICE = 1 << 14
-
-
 def glrt_monte_carlo(
     scene: Scene,
     w,
@@ -340,20 +335,15 @@ def glrt_monte_carlo(
     rng.standard_normal(out=buf)
     buf *= s
     np.square(buf, out=buf)  # (s y)^2
-    work = np.empty(min(trials, _GLRT_SLICE))
+    stat = np.empty(trials)  # one buffer for every gain, so memory does not grow with them
     rows = []
     for gain in gains:
         amp = math.sqrt(gain) * echo_amp / math.sqrt(scene.noise_power_sensing)
-        hits = [0] * len(gammas)
-        for lo in range(0, trials, _GLRT_SLICE):
-            hi = min(lo + _GLRT_SLICE, trials)
-            stat = work[:hi - lo]  # (amp + s x)^2 + (s y)^2
-            np.add(sx[lo:hi], amp, out=stat)
-            np.square(stat, out=stat)
-            stat += buf[lo:hi]
-            for j, gamma in enumerate(gammas):
-                hits[j] += np.count_nonzero(stat > gamma)
-        rows.extend(GlrtResult(pf, n / trials, trials) for pf, n in zip(pfs, hits))
+        np.add(sx, amp, out=stat)  # (amp + s x)^2 + (s y)^2
+        np.square(stat, out=stat)
+        stat += buf
+        rows.extend(GlrtResult(pf, np.count_nonzero(stat > gamma) / trials, trials)
+                    for pf, gamma in zip(pfs, gammas))
     return GlrtResults(rows, trials)
 
 

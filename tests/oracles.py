@@ -76,6 +76,12 @@ def ris_maps_reference(scene) -> dict:
     }
 
 
+def a_t_dot_term_reference(scene) -> np.ndarray:
+    """alpha_t adot_t(theta1): the transmit angle derivative of the direct term."""
+    theta1 = angles_from_geometry(scene).theta1
+    return path_gains(scene).alpha_t * steering_derivative(scene.tx, theta1)
+
+
 def rank_one_illumination_bound(a_t: np.ndarray, f_t: np.ndarray, power: float) -> float:
     """P (||a||^2 + 2 ||F^H a||_1 + (sum_i ||F e_i||)^2) over unit-modulus phi.
 
@@ -250,8 +256,7 @@ def reference_mode_reference(scenario, coupling, r0_points, seed=0):
     amp = (crb(bare, none, 0.0)[1] / crb(shaped, phi, 0.0)[1]) ** 0.25
     ref = dataclasses.replace(
         bare, a_t_term=amp * bare.a_t_term, a_r_term=amp * bare.a_r_term,
-        a_t_dot_term=amp * bare.a_t_dot_term, a_r_dot_term=amp * bare.a_r_dot_term,
-        beta=amp * amp * bare.beta)
+        a_r_dot_term=amp * bare.a_r_dot_term, beta=amp * amp * bare.beta)
     h_t_ref = ref.h_t(none)
     h_t_hat = h_t_ref / np.linalg.norm(h_t_ref)
     resid = h_c_star - np.vdot(h_t_hat, h_c_star) * h_t_hat

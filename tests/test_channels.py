@@ -10,8 +10,11 @@ from risac import (
     angles_from_geometry,
     build_sensing_channels,
     pathloss_amplitude,
+    steering_derivative,
     steering_vector,
 )
+from risac import channels
+from risac.arrays import steering_log_derivative
 from risac.channels import _unit_modulus, path_gains
 from risac.config import RunConfig, scene_from_config
 
@@ -70,9 +73,14 @@ def test_non_finite_positions_rejected(field, bad, axis):
 
 
 def test_coincident_positions_rejected():
-    scene = simple_scene(target_position=(0.0, 0.0))
-    with pytest.raises(DegenerateGeometryError):
-        angles_from_geometry(scene)
+    # Both the bearing and the path loss of a coincident pair name the pair.
+    for moved, pair in ((dict(target_position=(0.0, 0.0)), "bs_position and target_position"),
+                        (dict(user_position=(30.0, 30.0)), "ris_position and user_position"),
+                        (dict(user_position=(0.0, 0.0)), "bs_position and user_position")):
+        scene = simple_scene(**moved)
+        for build in (angles_from_geometry, path_gains):
+            with pytest.raises(DegenerateGeometryError, match=f"{pair} coincide"):
+                build(scene)
 
 
 def test_pathloss_reference_and_known_values():
@@ -122,18 +130,32 @@ def test_dyads_are_rank_one():
 def test_dyads_match_the_matrix_reference(seed, scaled):
     # Each stored dyad (g, r) gives the RIS map the scenario used to build as
     # a matrix, to rounding, at the config scenes and the scaled one; the
-    # scenario derives F_t, F_r and F_c from theirs.
+    # scenario derives F_t, F_r and F_c from theirs. The theta2 derivative
+    # maps use rdot_t = steering_log_derivative(theta2) * r_t, as the FIM
+    # reference of ris_isac forms it.
     sizes = {"n_ris": 256, "l_t": 32, "l_s": 32} if scaled else {}
     scene = scene_from_config(RunConfig(seed=seed, **sizes))
     channel = RisIsacScenario.from_scene(scene)
+    r_t_dot = (steering_log_derivative(scene.ris, angles_from_geometry(scene).theta2)
+               * channel.r_t)
     dyads = {"f_t": (channel.g_t, channel.r_t), "f_r": (channel.g_r, channel.r_t),
-             "f_c": (channel.g_c, channel.r_c), "f_t_dot": (channel.g_t, channel.r_t_dot),
-             "f_r_dot": (channel.g_r, channel.r_t_dot)}
+             "f_c": (channel.g_c, channel.r_c), "f_t_dot": (channel.g_t, r_t_dot),
+             "f_r_dot": (channel.g_r, r_t_dot)}
     for name, reference in ris_maps_reference(scene).items():
         derived = np.outer(*dyads[name])
         if name in ("f_t", "f_r", "f_c"):
             assert np.array_equal(getattr(channel, name), derived)
         np.testing.assert_allclose(derived, reference, rtol=1e-15, atol=0)
+
+
+def test_from_scene_builds_one_angle_derivative(monkeypatch):
+    # Only the receive derivative is stored; the FIM reference forms the rest.
+    calls = []
+    monkeypatch.setattr(channels, "steering_derivative",
+                        lambda *args: calls.append(args) or steering_derivative(*args))
+    scene = simple_scene()
+    RisIsacScenario.from_scene(scene)
+    assert calls == [(scene.rx, angles_from_geometry(scene).theta1)]
 
 
 def test_beta_amplitude_from_table_distances():

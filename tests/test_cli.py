@@ -168,6 +168,19 @@ def test_beams_that_cover_no_grid_point_are_a_json_config_error(tmp_path, capsys
     assert not list((tmp_path / "out").glob("*.csv"))
 
 
+@pytest.mark.parametrize("experiment", ["isac-tradeoff", "detect", "sense-sweep"])
+def test_a_user_at_the_ris_is_a_json_error_naming_the_pair(tmp_path, capsys, experiment):
+    # None of these reads the user's bearing from the RIS, yet each builds
+    # it, so each exits 2 with a detail that names the pair.
+    config = tmp_path / "user.cfg"
+    config.write_text("user_position = 30, 30\ntrials = 500\n")
+    code = cli.main([experiment, "--config", str(config), "--out", str(tmp_path / "out")])
+    err = json.loads(capsys.readouterr().err)
+    assert code == 2
+    assert err == {"error": "DegenerateGeometryError",
+                   "detail": "ris_position and user_position coincide at [30.0, 30.0]"}
+
+
 def test_detect_is_deterministic_across_runs_and_threads(tmp_path):
     tiny = TINY + "trials = 2000\n"
     first = _run_cli(tmp_path, "detect", tiny, "a")

@@ -4,7 +4,7 @@ import math
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from risac import cli
@@ -119,9 +119,50 @@ edge_configs = st.builds(lambda experiment, kw: RunConfig(experiment=experiment,
                          st.fixed_dictionaries({}, optional=EDGE_STRATEGIES))
 TYPED_ERRORS = tuple(v for v in vars(errors).values()
                      if isinstance(v, type) and issubclass(v, Exception))
+# The known edge reproducers that EDGE_STRATEGIES can express, each run every
+# time whatever the draw picks. Each once ended in an untyped error, a
+# warning, a subnormal CRB or an unnamed pair.
+EDGE_REPRODUCERS = [
+    # detect: the GLRT overflowed at calibrated gains near 1e275, and the
+    # gain calibration itself at 3100 dBm.
+    dict(experiment="detect", noise_sensing_dbm=3100.0, bs_position=(40.0, 1e-12), trials=500),
+    dict(experiment="detect", noise_sensing_dbm=3100.0, trials=500),
+    dict(experiment="detect", snr_db_list=(4000.0,), trials=500),
+    dict(experiment="detect", transmit_power=1e-320, trials=500),
+    # The comms SNR past the float range; its rounding-noise rate.
+    dict(experiment="isac-tradeoff", noise_comms_dbm=-3000.0, transmit_power=1e30),
+    dict(experiment="ris-isac-tradeoff", noise_comms_dbm=-3000.0, transmit_power=1e30),
+    dict(experiment="ris-isac-tradeoff", noise_comms_dbm=-3000.0, pathloss_exp_direct=-2.0),
+    # Noise powers that are subnormal or past the float range in watts.
+    dict(experiment="isac-tradeoff", noise_sensing_dbm=-3000.0),
+    dict(experiment="ris-isac-tradeoff", noise_sensing_dbm=-3200.0),
+    dict(experiment="isac-tradeoff", noise_comms_dbm=-3200.0),
+    dict(experiment="sense-sweep", noise_comms_dbm=-4000.0),
+    dict(experiment="sense-sweep", noise_sensing_dbm=4000.0),
+    dict(experiment="isac-tradeoff", transmit_power=1e-320, l_s=3),
+    # Degenerate geometry, arrays and beams.
+    dict(experiment="ris-isac-tradeoff", ris_position=(40.0, 1e-12), pathloss_exp_ris=20.0),
+    dict(experiment="ris-isac-tradeoff", l_t=1),
+    dict(experiment="ris-isac-tradeoff", target_gain_var=0.0),
+    dict(experiment="beampattern", target_angles_deg=(0.0,), beam_width_deg=1000.0,
+         grid_points=1),
+    dict(experiment="beampattern", grid_points=2),
+    # Coincident positions, including ones the run does not read.
+    dict(experiment="isac-tradeoff", user_position=(30.0, 30.0)),
+    dict(experiment="detect", user_position=(30.0, 30.0), trials=500),
+    dict(experiment="sense-sweep", user_position=(30.0, 30.0)),
+    dict(experiment="isac-tradeoff", n_ris=0, user_position=(0.0, 0.0)),
+]
+
+
+def _with_reproducers(test):
+    for kw in reversed(EDGE_REPRODUCERS):
+        test = example(cfg=RunConfig(**kw))(test)
+    return test
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@_with_reproducers
 @given(edge_configs)
 def test_edge_configs_write_full_csvs_or_raise_typed_errors(tmp_path_factory, cfg):
     # A warning fails the run (warnings are errors in this suite), so a

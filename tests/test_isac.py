@@ -20,6 +20,7 @@ from risac.cli import run_experiment
 from risac.config import RunConfig, scene_from_config
 
 from oracles import (
+    a_t_dot_term_reference,
     achievable_rate,
     coupling_coefficient,
     isac_crb,
@@ -552,7 +553,7 @@ class TestOneCrbModel:
             theta = angles_from_geometry(scene).theta1
             expected = self._oracle(scene, steering_vector(scene.rx, theta),
                                     steering_derivative(scene.rx, theta), h_t,
-                                    on * channel.a_t_dot_term, w)
+                                    on * a_t_dot_term_reference(scene), w)
             assert crb == pytest.approx(expected, rel=1e-13), (idx, mode)
             checked += 1
         assert checked >= len(tables[""][1]) // 2
@@ -585,5 +586,5 @@ class TestOneCrbModel:
         a_t = channel.a_t_term
         w = math.sqrt(scene.transmit_power) * a_t.conj() / np.linalg.norm(a_t)
         expected = self._oracle(scene, channel.a_r_term, channel.a_r_dot_term, a_t.conj(),
-                                channel.a_t_dot_term.conj(), w)
+                                a_t_dot_term_reference(scene).conj(), w)
         assert crb == pytest.approx(expected, rel=1e-13)

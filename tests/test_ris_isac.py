@@ -22,6 +22,7 @@ from risac.config import RunConfig, scene_from_config
 from risac.ris_isac import _apply_coupling, _crb_sweep, _fim_maps, _zero_ris
 
 from oracles import (
+    a_t_dot_term_reference,
     coupling_coefficient,
     finite_difference_gradient,
     matched_filter_beamformer,
@@ -251,7 +252,8 @@ class TestFim:
         scenario = RisIsacScenario.from_scene(desk_scene(ris=UlaGeometry(4)))
         phi = np.ones(4, dtype=complex)
         h_t = scenario.h_t(phi)
-        dh_t = scenario.a_t_dot_term + ris_maps_reference(scenario.scene)["f_t_dot"] @ phi
+        dh_t = (a_t_dot_term_reference(scenario.scene)
+                + ris_maps_reference(scenario.scene)["f_t_dot"] @ phi)
         # Null both the channel and its theta1-derivative direction.
         basis = np.linalg.qr(np.column_stack([h_t.conj(), dh_t.conj()]))[0]
         rng = np.random.default_rng(0)
@@ -293,6 +295,11 @@ class TestFim:
             crb = fim_theta(scenario, phi, w).crb_theta1
             assert abs(crb - expected) <= 1e-10 * expected
 
+    def test_zero_direct_gain_has_no_normalized_sensing_matrix(self):
+        scenario = RisIsacScenario.from_scene(desk_scene(direct_gain_override=0.0))
+        with pytest.raises(DegenerateChannelError, match="beta must be nonzero"):
+            fim_theta(scenario, np.ones(16, dtype=complex), np.ones(15, dtype=complex))
+
     def test_no_ris_reduces_to_single_angle_oracle(self):
         scene = desk_scene(ris=UlaGeometry(4), ris_gain_override=0.0)
         scenario = RisIsacScenario.from_scene(scene)
@@ -305,7 +312,7 @@ class TestFim:
         # Reduced oracle: parameters (theta1, Re beta, Im beta) only, built
         # directly from the no-RIS model h_r h_t^T = beta a_r a_t^T.
         h_t, h_r = scenario.h_t(phi), scenario.h_r(phi)
-        dh_t, dh_r = scenario.a_t_dot_term, scenario.a_r_dot_term
+        dh_t, dh_r = a_t_dot_term_reference(scene), scenario.a_r_dot_term
         h_mat = np.outer(h_r, h_t) / scenario.beta
         d1 = (np.outer(dh_r, h_t) + np.outer(h_r, dh_t)) @ w
         d3 = h_mat @ w
