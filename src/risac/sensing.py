@@ -268,6 +268,11 @@ class GlrtResults(list):
         self.trials = trials
 
 
+# Trials per block of the GLRT's draw and threshold passes: the block scratch
+# stays in cache, and memory does not grow with the number of gains.
+_GLRT_BLOCK = 1 << 14
+
+
 def glrt_monte_carlo(
     scene: Scene,
     w,
@@ -290,11 +295,17 @@ def glrt_monte_carlo(
     - H1: ((A + s x)^2 + (s y)^2) / sigma_s^2 with A = sigma_eta |g|,
       s = sigma_out / sqrt(2), x and y standard normal.
 
-    Draw order: E, x, y. The channel is built once, and these same draws
-    serve every target gain variance sigma_eta^2 of ``target_gain_vars``
-    (None reads as ``(scene.target_gain_var,)``) and every
-    ``cfg.threshold`` of ``cfgs`` (a lone config reads as ``[cfg]``).
-    The result is gain-major, ``len(target_gain_vars) * len(cfgs)`` rows.
+    Draw order: E for every trial, then x, then y. The channel is built
+    once, and these same draws serve every target gain variance
+    sigma_eta^2 of ``target_gain_vars`` (None reads as
+    ``(scene.target_gain_var,)``) and every ``cfg.threshold`` of ``cfgs``
+    (a lone config reads as ``[cfg]``). The result is gain-major,
+    ``len(target_gain_vars) * len(cfgs)`` rows.
+
+    E and y are streamed through blocks of ``_GLRT_BLOCK`` trials, each
+    block thresholded as it is drawn. Every x precedes every y in the
+    stream, so s x is drawn whole: it is the one array that spans every
+    trial. Blocking changes no draw and no count.
 
     Common random numbers: each row is exact in law, and equals the call
     with that gain alone and the same seed, but rows are correlated across
@@ -323,27 +334,37 @@ def glrt_monte_carlo(
     # In units of sigma_s, so no square of a large noise or echo overflows.
     out_var = float(np.real(np.vdot(v, v)))  # sigma_out^2 / sigma_s^2
     s = math.sqrt(0.5 * out_var)
-    buf = np.empty(trials)
+    amps = [math.sqrt(gain) * echo_amp / math.sqrt(scene.noise_power_sensing) for gain in gains]
+    blocks = [slice(lo, min(lo + _GLRT_BLOCK, trials)) for lo in range(0, trials, _GLRT_BLOCK)]
+    buf = np.empty(min(trials, _GLRT_BLOCK))
+    stat = np.empty_like(buf)
 
     # H0: noise only.
-    rng.standard_exponential(out=buf)
-    buf *= out_var
-    pfs = [np.count_nonzero(buf > gamma) / trials for gamma in gammas]
+    false_alarms = [0] * len(gammas)
+    for blk in blocks:
+        e = buf[:blk.stop - blk.start]
+        rng.standard_exponential(out=e)
+        e *= out_var
+        for j, gamma in enumerate(gammas):
+            false_alarms[j] += np.count_nonzero(e > gamma)
     # H1: one draw of the noise serves every gain.
     sx = rng.standard_normal(trials)
     sx *= s
-    rng.standard_normal(out=buf)
-    buf *= s
-    np.square(buf, out=buf)  # (s y)^2
-    stat = np.empty(trials)  # one buffer for every gain, so memory does not grow with them
-    rows = []
-    for gain in gains:
-        amp = math.sqrt(gain) * echo_amp / math.sqrt(scene.noise_power_sensing)
-        np.add(sx, amp, out=stat)  # (amp + s x)^2 + (s y)^2
-        np.square(stat, out=stat)
-        stat += buf
-        rows.extend(GlrtResult(pf, np.count_nonzero(stat > gamma) / trials, trials)
-                    for pf, gamma in zip(pfs, gammas))
+    detections = [[0] * len(gammas) for _ in gains]
+    for blk in blocks:
+        sy_sq = buf[:blk.stop - blk.start]
+        rng.standard_normal(out=sy_sq)
+        sy_sq *= s
+        np.square(sy_sq, out=sy_sq)  # (s y)^2
+        st = stat[:len(sy_sq)]
+        for amp, hits in zip(amps, detections):
+            np.add(sx[blk], amp, out=st)  # (amp + s x)^2 + (s y)^2
+            np.square(st, out=st)
+            st += sy_sq
+            for j, gamma in enumerate(gammas):
+                hits[j] += np.count_nonzero(st > gamma)
+    rows = [GlrtResult(n_fa / trials, n_d / trials, trials)
+            for hits in detections for n_fa, n_d in zip(false_alarms, hits)]
     return GlrtResults(rows, trials)
 
 

@@ -15,11 +15,13 @@ from risac import (
     InfeasibleRateError,
     align_profile,
     angles_from_geometry,
+    build_sensing_channels,
     steering_derivative,
     steering_vector,
 )
 from risac.channels import path_gains
 from risac.ris_isac import _apply_coupling, _kappa, _zero_ris
+from risac.sensing import GlrtResult
 
 
 def illumination_power(h_t: np.ndarray, w) -> float:
@@ -157,6 +159,43 @@ def matched_filter_snr(power: float, scene) -> float:
     if power < 0:
         raise ValueError("power must be nonnegative")
     return scene.rx.num_elements * scene.target_gain_var * power / scene.noise_power_sensing
+
+
+def glrt_full_length_reference(scene, w, phi, trials, cfgs, seed, target_gain_vars):
+    """``GlrtResult`` rows of ``risac.glrt_monte_carlo``, each draw and pass over every trial.
+
+    The same statistic and draw order (E, then x, then y, all from one
+    generator at ``seed``), with no blocking: full-length buffers, one pass
+    per gain over all of them. Gain-major rows, as the kernel returns.
+    """
+    gammas = [cfg.threshold for cfg in cfgs]
+    rng = np.random.default_rng(seed)
+    h_t, _ = build_sensing_channels(scene, phi)
+    c = np.vdot(h_t, w)
+    a_r = steering_vector(scene.rx, angles_from_geometry(scene).theta1)
+    v = (a_r / np.linalg.norm(a_r)).conj()
+    echo_amp = abs(c * (a_r @ v))
+    out_var = float(np.real(np.vdot(v, v)))
+    s = math.sqrt(0.5 * out_var)
+    buf = np.empty(trials)
+    rng.standard_exponential(out=buf)
+    buf *= out_var
+    pfs = [np.count_nonzero(buf > gamma) / trials for gamma in gammas]
+    sx = rng.standard_normal(trials)
+    sx *= s
+    rng.standard_normal(out=buf)
+    buf *= s
+    np.square(buf, out=buf)  # (s y)^2
+    stat = np.empty(trials)
+    rows = []
+    for gain in target_gain_vars:
+        amp = math.sqrt(gain) * echo_amp / math.sqrt(scene.noise_power_sensing)
+        np.add(sx, amp, out=stat)  # (amp + s x)^2 + (s y)^2
+        np.square(stat, out=stat)
+        stat += buf
+        rows.extend(GlrtResult(pf, np.count_nonzero(stat > gamma) / trials, trials)
+                    for pf, gamma in zip(pfs, gammas))
+    return rows
 
 
 def make_coupled_channel(

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from risac.isac import kappa
 
 from oracles import (
     align_ris_phases,
+    glrt_full_length_reference,
     illumination_power,
     matched_filter_beamformer,
     matched_filter_snr,
@@ -617,7 +619,7 @@ class TestGlrt:
     def test_several_gains_read_one_draw(self, calibrated, seed):
         # Common random numbers: the rows of each gain equal the call with
         # that gain alone and the same seed, exactly. 40000 trials span two
-        # full slices of the per-gain work and a partial one.
+        # full blocks of the draw and threshold passes and a partial one.
         scene, design = calibrated
         gains = [0.0] + [at_snr(scene, design, 10.0 ** (db / 10.0)).target_gain_var
                          for db in (0.0, 5.0, 10.0)]
@@ -631,6 +633,46 @@ class TestGlrt:
             assert rows[k * len(cfgs):(k + 1) * len(cfgs)] == alone, gain
         # The H0 draw is shared too: Pf repeats across gains.
         assert [r.empirical_pf for r in rows] == [r.empirical_pf for r in rows[:2]] * len(gains)
+
+    @pytest.mark.parametrize("seed", [3, 8])
+    @pytest.mark.parametrize("trials", [1, 1000, 16384, 16385, 40000, 100000])
+    def test_blocked_draws_equal_the_full_length_reference(self, calibrated, trials, seed):
+        # One block is 16384 trials: a lone trial, part of a block, one full
+        # block, one trial past it, and several blocks with a partial one.
+        scene, design = calibrated
+        gains = [0.0] + [at_snr(scene, design, 10.0 ** (db / 10.0)).target_gain_var
+                         for db in (0.0, 10.0)]
+        cfgs = [DetectionConfig(0.1), DetectionConfig(0.01)]
+        rows = glrt_monte_carlo(scene, design.w, design.phi, trials, cfgs, seed=seed,
+                                target_gain_vars=gains)
+        assert rows == glrt_full_length_reference(scene, design.w, design.phi, trials, cfgs,
+                                                   seed, gains)
+        assert rows.trials == trials
+
+    def test_default_detect_call_stays_under_its_memory_bound(self):
+        # tracemalloc peak of one call at the default detect scene, after a
+        # warm-up: about 1.03 MiB with blocked draws (s x, 800 kB, plus two
+        # blocks), 2.39 MiB if E, y and the statistic each span every trial.
+        cfg = RunConfig(experiment="detect")
+        scene = scene_from_config(cfg)
+        design = maximize_illumination(scene)
+        cfgs = [DetectionConfig(pf) for pf in cfg.pf_list]
+        gains = [at_snr(scene, design, 10.0 ** (db / 10.0)).target_gain_var
+                 for db in cfg.snr_db_list]
+        assert (cfg.trials, len(gains), len(cfgs)) == (100000, 3, 2)
+
+        def call():
+            return glrt_monte_carlo(scene, design.w, design.phi, cfg.trials, cfgs, seed=0,
+                                    target_gain_vars=gains)
+
+        call()
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * 2**20
 
     @pytest.mark.parametrize("gains", [[], [1.0, -1e-3], [math.nan], [math.inf]])
     def test_bad_gain_variances_rejected(self, calibrated, gains):
