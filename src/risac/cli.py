@@ -283,17 +283,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.config is not None:
-            # Validate against the requested experiment; a line in the file wins.
-            cfg = parse_config(Path(args.config).read_text(), args.experiment)
-            if cfg.experiment != args.experiment:
-                raise ConfigError(
-                    f"config file requests {cfg.experiment!r} but the "
-                    f"command line asks for {args.experiment!r}"
-                )
-        else:
-            cfg = RunConfig()
-        cfg.experiment = args.experiment
+        # Validate against the requested experiment; a line in the file wins.
+        text = "" if args.config is None else Path(args.config).read_text()
+        cfg = parse_config(text, args.experiment)
+        if cfg.experiment != args.experiment:
+            raise ConfigError(
+                f"config file requests {cfg.experiment!r} but the "
+                f"command line asks for {args.experiment!r}"
+            )
         if args.seed is not None:
             cfg.seed = args.seed
         if args.threads < 1:

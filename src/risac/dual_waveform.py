@@ -17,7 +17,8 @@ precoder solves. The RIS phases maximize h(phi)^H R h(phi) = ||X^H h_bu +
 (X^H g_c)(r_c^T phi)||^2 exactly by ``channels.align_profile``, since the
 RIS map F_c = g_c r_c^T is rank one. The steering matrices are built once
 per design, and the design carries its total, comm and sensing patterns on
-the spec's grid.
+the spec's grid. Every reported pattern is formed from X as the loss forms
+it, row sums of |A^H X|^2 (of X u and X Q for the parts): none is negative.
 """
 
 from __future__ import annotations
@@ -85,9 +86,9 @@ class DualDesign:
     tau: float
     phi: np.ndarray             # unit-modulus RIS profile, N
     covariance: np.ndarray      # R = c c^H + W W^H
-    pattern: np.ndarray         # a(theta)^H R a(theta) on spec.grid
-    comm_pattern: np.ndarray    # the same for c c^H
-    sense_pattern: np.ndarray   # the same for W W^H
+    pattern: np.ndarray         # ||X^H a(theta)||^2 = a(theta)^H R a(theta) on spec.grid
+    comm_pattern: np.ndarray    # the same for c
+    sense_pattern: np.ndarray   # the same for W
     sinr: float
     loss: float
     objective_trace: np.ndarray  # solver objective at accepted iterates, solve after solve
@@ -120,9 +121,10 @@ class _Steering:
         )
 
 
-def _pattern(r_cov: np.ndarray, steer: np.ndarray) -> np.ndarray:
-    # Real diagonal of A^H R A without forming the off-diagonal part.
-    return np.real(np.einsum("id,ij,jd->d", steer.conj(), r_cov, steer))
+def _pattern(proj: np.ndarray) -> np.ndarray:
+    """Row sums of |proj|^2: the pattern diag(A^H X X^H A) for proj = A^H X."""
+    mag = np.abs(proj)
+    return np.add.reduce(mag * mag, axis=1)
 
 
 def _autoscale_denominator(desired: np.ndarray) -> float:
@@ -138,8 +140,10 @@ def _best_tau(pattern: np.ndarray, desired: np.ndarray, denom: float) -> float:
 
 def autoscale_tau(r_cov: np.ndarray, spec: BeampatternSpec, geom: UlaGeometry) -> float:
     """Least-squares scale between the realized and desired patterns, clamped >= 0."""
-    denom = _autoscale_denominator(spec.desired)
-    return _best_tau(_pattern(r_cov, steering_vector(geom, spec.grid)), spec.desired, denom)
+    steer = steering_vector(geom, spec.grid)
+    # Real diagonal of A^H R A without forming the off-diagonal part.
+    pattern = np.real(np.einsum("id,ij,jd->d", steer.conj(), r_cov, steer))
+    return _best_tau(pattern, spec.desired, _autoscale_denominator(spec.desired))
 
 
 def _received_power(x: np.ndarray, h: np.ndarray) -> float:
@@ -156,13 +160,12 @@ def _loss_gradient(x: np.ndarray, tau, spec, st: _Steering):
     reduced loss min_tau loss(X, tau).
     """
     proj = st.grid_h @ x  # D x (1+K)
-    # sum(|proj|^2, axis=1) and mean(err^2) below, op for op, minus call overhead.
-    mag = np.abs(proj)
-    pattern = np.add.reduce(mag * mag, axis=1)
+    pattern = _pattern(proj)
     if tau is None:
         tau = _best_tau(pattern, spec.desired, st.denom)
     err = pattern - tau * spec.desired
     d = spec.grid.size
+    # mean(err^2), op for op, minus call overhead.
     loss = float(np.add.reduce(err * err) / d)
     grad = (2.0 / d) * (st.grid @ (err[:, None] * proj))
     k = spec.target_angles.size
@@ -232,13 +235,8 @@ def design_dual_waveform(
     comm = np.exp(1j * np.angle(np.where(np.abs(h_c) > 0, h_c, 1.0)))
     matched = np.column_stack([comm, np.zeros((l_t, k_targets))])
     scale = _loss_gradient(matched, None, spec, st)[0]
-    best = {}
-
-    def consider(x_mat, phi_vec, h_vec, loss):
-        if _received_power(x_mat, h_vec) >= floor * (1.0 - _FEAS_TOL):
-            if not best or loss < best["loss"]:
-                best.update(x=x_mat, phi=phi_vec, h=h_vec, loss=loss)
-
+    # The best feasible iterate (loss, X, phi, h_c), from the matched start on.
+    best = (scale, matched, phi, h_c)
     # Multiplier and penalty weight of the floor constraint 1 - h^H R h / floor <= 0.
     lam, rho = 0.0, 1.0
     last = {}  # the latest Lagrangian point and its loss
@@ -254,7 +252,6 @@ def design_dual_waveform(
             return value, grad / scale
         return value, grad / scale - (mult / floor) * np.outer(h_c, v.conj())
 
-    consider(matched, phi, h_c, scale)
     # Start: the matched comm column plus a small seeded sensing part.
     x = np.column_stack([comm, 0.05 * (
         rng.standard_normal((l_t, k_targets)) + 1j * rng.standard_normal((l_t, k_targets))
@@ -280,7 +277,8 @@ def design_dual_waveform(
         # The solver's last evaluation is at its end point unless a line search failed.
         loss = (last["loss"] if np.array_equal(last["x"], x)
                 else _loss_gradient(x, None, spec, st)[0])
-        consider(x, phi, h_c, loss)
+        if loss < best[0] and _received_power(x, h_c) >= floor * (1.0 - _FEAS_TOL):
+            best = (loss, x, phi, h_c)
         lam_next = max(0.0, lam + rho * viol)
         if res.stop == "tol" and viol <= _FEAS_TOL and (lam_next == 0.0 or viol >= -_FEAS_TOL):
             converged = True
@@ -293,26 +291,25 @@ def design_dual_waveform(
     # u. The Householder reflection that maps e_1 onto the line of u has Q as
     # its last K columns (numpy's QR would do too, at a first-call cost of
     # about 1 MB of resident memory).
-    x, h_c = best["x"], best["h"]
+    loss, x, phi, h_c = best
     v = x.conj().T @ h_c
     u = v / np.linalg.norm(v)
     w = u.copy()
     w[0] += np.exp(1j * np.angle(u[0]))
     q = np.eye(k_targets + 1, k_targets, -1) - np.outer(w, w[1:].conj()) / (1.0 + abs(u[0]))
-    r_cov = x @ x.conj().T
-    comm_precoder, sensing_precoder = x @ u, x @ q
-    pattern = _pattern(r_cov, st.grid)
+    proj = st.grid_h @ x
+    pattern = _pattern(proj)
     return DualDesign(
-        comm_precoder=comm_precoder,
-        sensing_precoder=sensing_precoder,
+        comm_precoder=x @ u,
+        sensing_precoder=x @ q,
         tau=_best_tau(pattern, spec.desired, st.denom),
-        phi=best["phi"],
-        covariance=r_cov,
+        phi=phi,
+        covariance=x @ x.conj().T,
         pattern=pattern,
-        comm_pattern=_pattern(np.outer(comm_precoder, comm_precoder.conj()), st.grid),
-        sense_pattern=_pattern(sensing_precoder @ sensing_precoder.conj().T, st.grid),
+        comm_pattern=_pattern(proj @ u[:, None]),
+        sense_pattern=_pattern(proj @ q),
         sinr=float(np.real(np.vdot(v, v))) / sigma_c,
-        loss=best["loss"],
+        loss=loss,
         objective_trace=np.asarray(trace),
         converged=converged,
         iterations=iterations,

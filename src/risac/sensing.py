@@ -251,7 +251,6 @@ def detection_probability(snr: float, cfg: DetectionConfig) -> float:
 class GlrtResult:
     empirical_pf: float
     empirical_pd: float
-    trials: int
 
 
 class GlrtResults(list):
@@ -363,7 +362,7 @@ def glrt_monte_carlo(
             st += sy_sq
             for j, gamma in enumerate(gammas):
                 hits[j] += np.count_nonzero(st > gamma)
-    rows = [GlrtResult(n_fa / trials, n_d / trials, trials)
+    rows = [GlrtResult(n_fa / trials, n_d / trials)
             for hits in detections for n_fa, n_d in zip(false_alarms, hits)]
     return GlrtResults(rows, trials)
 

@@ -193,7 +193,7 @@ def glrt_full_length_reference(scene, w, phi, trials, cfgs, seed, target_gain_va
         np.add(sx, amp, out=stat)  # (amp + s x)^2 + (s y)^2
         np.square(stat, out=stat)
         stat += buf
-        rows.extend(GlrtResult(pf, np.count_nonzero(stat > gamma) / trials, trials)
+        rows.extend(GlrtResult(pf, np.count_nonzero(stat > gamma) / trials)
                     for pf, gamma in zip(pfs, gammas))
     return rows
 

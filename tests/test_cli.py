@@ -131,7 +131,7 @@ def test_beampattern_csv_splits_the_pattern_and_is_deterministic(tmp_path):
     assert len(rows) == 31
     for row in rows:
         total, comm, sense = (float(row[k]) for k in ("j_total", "j_comm", "j_sense"))
-        assert min(comm, sense) >= -1e-12
+        assert min(comm, sense) >= 0.0
         assert abs(total - (comm + sense)) <= 1e-12 * max(1.0, total)
     diag = first["diagnostics"]
     assert diag["sinr"] >= diag["sinr_threshold"] * (1 - 1e-6)

@@ -6,6 +6,7 @@ at both couplings: 120 runs, about 1.2 s in all. It is the grid a refactor
 compares against its parent, CSV by CSV, through the summaries' SHA-256s.
 """
 
+import csv
 import hashlib
 import json
 
@@ -36,3 +37,8 @@ def test_each_run_writes_the_csvs_its_summary_hashes(tmp_path, scene, experiment
                    for path in out.glob("*.csv")}
         summary = json.loads((out / f"{experiment}_summary.json").read_text())
         assert digests and summary["outputs"] == digests, seed
+        if experiment == "beampattern":
+            # Each pattern cell is a sum of squared magnitudes formed from X.
+            rows = csv.DictReader((out / "beampattern.csv").read_text().splitlines())
+            cells = [float(row[k]) for row in rows for k in ("j_total", "j_comm", "j_sense")]
+            assert min(cells) >= 0.0, seed

@@ -23,6 +23,7 @@ from risac.ris_isac import _apply_coupling, _crb_sweep, _fim_maps, _zero_ris
 
 from oracles import (
     a_t_dot_term_reference,
+    achievable_rate,
     coupling_coefficient,
     finite_difference_gradient,
     matched_filter_beamformer,
@@ -753,3 +754,22 @@ class TestTradeoffStructure:
         scenario = RisIsacScenario.from_scene(desk_scene(ris=UlaGeometry(8)))
         with pytest.raises(ValueError, match="r0_points"):
             ris_isac_tradeoff(scenario, "weak", ["with"], 0)
+
+    def test_weak_coupling_rate_at_extreme_comms_snr_is_the_matched_beam_rate(self, tmp_path):
+        # At -3000 dBm of comms noise, the weak-coupling "with" rate at R0 = 0
+        # reads |h_c^T w|^2 of a nearly orthogonal pair (rho^2 about 2e-9),
+        # about 991 bits against a max of 1020. It is the matched beam's rate,
+        # not rounding noise: the CRB's transpose form a_t^T w puts the beam
+        # on conj(h_t), and the plain h_t beam gives 998.6 bits instead.
+        cfg = RunConfig(experiment="ris-isac-tradeoff", coupling="weak",
+                        pathloss_exp_direct=-2.0, noise_comms_dbm=-3000.0)
+        run_experiment(cfg, tmp_path)
+        with open(tmp_path / "ris-isac-tradeoff.csv", newline="") as f:
+            row = next(row for row in csv.DictReader(f) if row["mode"] == "with")
+        assert float(row["R0"]) == 0.0
+        shaped = _apply_coupling(RisIsacScenario.from_scene(scene_from_config(cfg)), "weak")
+        phi = align_profile(shaped.a_t_term, shaped.g_t, shaped.r_t)
+        scene = shaped.scene
+        w = matched_filter_beamformer(np.conj(shaped.h_t(phi)), scene.transmit_power)
+        expected = achievable_rate(shaped.h_c(phi), w, scene.noise_power_comms)
+        assert abs(float(row["rate_bits"]) - expected) <= 1e-9
