@@ -76,9 +76,8 @@ def _run_sense_sweep(cfg: RunConfig):
     waypoints = [tuple(start + f * (end - start)) for f in fractions]
     blocked = [i >= cfg.blocked_from_index for i in range(cfg.num_waypoints)]
     rows = trajectory_sweep(scene, waypoints, blocked=blocked)
-    csv_rows = [(r.waypoint, r.mode, r.power_db, r.crb) for r in rows]
     diag = {"waypoints": [list(map(float, w)) for w in waypoints], "blocked": blocked}
-    return {"": (CSV_HEADERS["sense-sweep"], csv_rows)}, diag
+    return {"": (CSV_HEADERS["sense-sweep"], rows)}, diag
 
 
 def _run_detect(cfg: RunConfig):
@@ -121,24 +120,20 @@ def _run_isac_tradeoff(cfg: RunConfig):
     # centred receive array keeps adot_r orthogonal to a_r, so no projection.
     kappa = isac_mod.kappa(scene.noise_power_sensing, scene.samples, scene.target_gain_var,
                            float(np.real(np.vdot(a_r_dot, a_r_dot))))
-    gain = pathloss_amplitude(
-        float(np.linalg.norm(np.asarray(cfg.target_position) - np.asarray(cfg.bs_position))),
-        cfg.pathloss_exp_direct,
-    )
+    gain = pathloss_amplitude(float(np.linalg.norm(scene.target_position - scene.bs_position)),
+                              scene.pathloss_exp_direct)
     rows, max_rate = isac_mod.tradeoff_curve(
         scene.tx.num_elements, kappa, scene.transmit_power, scene.noise_power_comms,
         cfg.rho_list, cfg.r0_points, channel_gain=gain
     )
-    csv_rows = [(r.rho, r.rate_threshold, r.rate, r.crb) for r in rows]
-    return {"": (CSV_HEADERS["isac-tradeoff"], csv_rows)}, {"max_rate_bits": max_rate}
+    return {"": (CSV_HEADERS["isac-tradeoff"], rows)}, {"max_rate_bits": max_rate}
 
 
 def _run_ris_isac_tradeoff(cfg: RunConfig):
     scenario = RisIsacScenario.from_scene(scene_from_config(cfg))
-    result = ri.ris_isac_tradeoff(scenario, cfg.coupling, cfg.ris_modes, cfg.r0_points)
-    diag = {f"max_rate_{mode}": rate for mode, rate in result.max_rate.items()}
-    csv_rows = [(r.mode, r.coupling, r.rate_threshold, r.rate, r.crb) for r in result.rows]
-    return {"": (CSV_HEADERS["ris-isac-tradeoff"], csv_rows)}, diag
+    rows, max_rate = ri.ris_isac_tradeoff(scenario, cfg.coupling, cfg.ris_modes, cfg.r0_points)
+    diag = {f"max_rate_{mode}": rate for mode, rate in max_rate.items()}
+    return {"": (CSV_HEADERS["ris-isac-tradeoff"], rows)}, diag
 
 
 def _run_beampattern(cfg: RunConfig):

@@ -1,8 +1,11 @@
 """Flat key=value experiment configuration with engineering units.
 
 Noise powers arrive in dBm and the transmit power in watts, positions in
-meters, and angles in degrees; everything is converted at this boundary and
-nowhere else. A key that names no field is a ``ConfigError``.
+meters, SNRs and SINRs in dB, and angles in degrees. ``RunConfig`` keeps
+these units: ``scene_from_config`` converts the scene fields, and each
+experiment's runner in ``cli`` converts the dB and degree fields it reads
+and writes its angles back in degrees. A key that names no field is a
+``ConfigError``.
 ``parse_config(render_config(cfg))`` round-trips exactly.
 """
 

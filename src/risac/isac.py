@@ -20,7 +20,6 @@ Both trade-offs, ``isac-tradeoff`` here and ``ris-isac-tradeoff`` in
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from typing import Sequence
 
@@ -92,14 +91,6 @@ def crb_min_beamformer(a_sq: float, h_sq: float, corr_sq: float, kappa: float, p
     return rates, crbs
 
 
-@dataclasses.dataclass(frozen=True)
-class TradeoffRow:
-    rho: float
-    rate_threshold: float
-    rate: float
-    crb: float
-
-
 def tradeoff_curve(
     l_t: int,
     kappa: float,
@@ -120,7 +111,8 @@ def tradeoff_curve(
     rate, so every floor is feasible; each rho solves them in one
     ``crb_min_beamformer`` call. A rho below 1 with one transmit element
     raises ``DegenerateChannelError``: no comms direction is orthogonal to
-    a_t. Returns (rows, max rate in bits).
+    a_t. Returns (rows, max rate in bits); the rows are the
+    ``isac-tradeoff`` CSV rows, (rho, R0, rate, crb), rho by rho.
     """
     if len(rho_list) == 0 or r0_points < 1:
         raise ValueError("rho_list must be non-empty and r0_points >= 1")
@@ -137,5 +129,5 @@ def tradeoff_curve(
                                          "orthogonal to a_t")
         rates, crbs = crb_min_beamformer(a_sq, h_sq, rho**2 * a_sq * h_sq, kappa, p_t, sigma_c,
                                          grid)
-        rows.extend(TradeoffRow(rho, *row) for row in zip(grid, rates, crbs))
+        rows.extend((rho, *row) for row in zip(grid, rates, crbs))
     return rows, max_rate

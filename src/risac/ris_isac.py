@@ -241,21 +241,6 @@ def _crb_sweep(scenario: RisIsacScenario, phi, rate_thresholds):
                               scene.noise_power_comms, rate_thresholds)
 
 
-@dataclasses.dataclass(frozen=True)
-class RisIsacRow:
-    mode: str
-    coupling: str
-    rate_threshold: float
-    rate: float
-    crb: float
-
-
-@dataclasses.dataclass(eq=False)
-class RisIsacTradeoff:
-    rows: list  # RisIsacRow, mode by mode in the requested order
-    max_rate: dict  # bits per use, by mode
-
-
 def _apply_coupling(scenario: RisIsacScenario, coupling: str) -> RisIsacScenario:
     """Shape the user channel: exact alignment for 'strong', orthogonal for 'weak'.
 
@@ -287,8 +272,8 @@ def ris_isac_tradeoff(
     coupling: str,
     ris_modes: Sequence[str] = ("with", "without", "reference"),
     r0_points: int = 25,
-) -> RisIsacTradeoff:
-    """Rate/CRB trade-off rows of each RIS mode under a coupling regime.
+):
+    """Rate/CRB trade-off rows of each RIS mode under a coupling regime, and the max rates.
 
     Modes: "with" sweeps the beamformer at the aligned RIS profile phi* of
     the coupling-shaped scenario (module docstring); "without" zeroes the
@@ -304,7 +289,9 @@ def ris_isac_tradeoff(
     leaves no comms direction orthogonal to the sensing channel. Each mode's
     rate floors run from 0 to 97% of its max rate in ``r0_points >= 1``
     steps, so every floor is feasible; without "with" rows, "reference"
-    solves the with-RIS R0 = 0 floor alone.
+    solves the with-RIS R0 = 0 floor alone. Returns (rows, max rate in bits
+    by mode); the rows are the ``ris-isac-tradeoff`` CSV rows, (mode,
+    coupling, R0, rate, crb), mode by mode in the order of ``ris_modes``.
     """
     unknown = set(ris_modes) - {"with", "without", "reference"}
     if unknown:
@@ -334,5 +321,5 @@ def ris_isac_tradeoff(
         max_rate["without"] = _max_rate(p_t, _norm_sq(shaped.h_bu), sigma_c)
         floors = np.linspace(0.0, 0.97 * max_rate["without"], r0_points)
         curves["without"] = (floors, *_crb_sweep(_zero_ris(shaped), np.zeros(0), floors))
-    rows = [RisIsacRow(mode, coupling, *row) for mode in ris_modes for row in zip(*curves[mode])]
-    return RisIsacTradeoff(rows, {mode: max_rate[mode] for mode in ris_modes})
+    rows = [(mode, coupling, *row) for mode in ris_modes for row in zip(*curves[mode])]
+    return rows, {mode: max_rate[mode] for mode in ris_modes}

@@ -367,19 +367,6 @@ def glrt_monte_carlo(
     return GlrtResults(rows, trials)
 
 
-@dataclasses.dataclass(frozen=True)
-class SweepRow:
-    waypoint: int
-    mode: str
-    power: float
-    power_db: float
-    crb: float
-
-
-def _power_db(power: float) -> float:
-    return 10.0 * math.log10(power) if power > 0 else -math.inf
-
-
 def trajectory_sweep(
     scene_template: Scene,
     waypoints: Sequence,
@@ -393,7 +380,8 @@ def trajectory_sweep(
     "without_ris" drops the entries of r_t. Blocked waypoints zero a_t, the
     direct path. The CRB is ``isac.kappa`` of the receive steering
     derivative over the power; a mode with no path to the target has power
-    0 and an infinite CRB.
+    0 (-inf dB) and an infinite CRB. Returns the ``sense-sweep`` CSV rows,
+    (waypoint index, mode, power_db, crb), mode by mode at each waypoint.
     """
     if len(waypoints) == 0:
         raise ValueError("need at least one waypoint")
@@ -415,5 +403,5 @@ def trajectory_sweep(
             h_t = a + g * (r @ align_profile(a, g, r))
             power = scene.transmit_power * float(np.linalg.norm(h_t)) ** 2
             crb = k / power if power > 0.0 else math.inf
-            rows.append(SweepRow(idx, mode, power, _power_db(power), crb))
+            rows.append((idx, mode, 10.0 * math.log10(power) if power > 0.0 else -math.inf, crb))
     return rows

@@ -14,6 +14,7 @@ import pytest
 
 from risac import cli, marcum_q1
 from risac import dual_waveform as dw
+from risac import isac
 from risac import ris_isac as ri
 from risac import sensing
 from risac.config import EXPERIMENTS, RunConfig, scene_from_config
@@ -63,6 +64,30 @@ def test_ris_isac_tradeoff_is_deterministic_and_feasible(tmp_path):
                                             "max_rate_reference"}
     for row in rows:
         assert float(row["rate_bits"]) >= float(row["R0"]) - 1e-12, row
+
+
+@pytest.mark.parametrize("experiment", ["sense-sweep", "isac-tradeoff", "ris-isac-tradeoff"])
+def test_each_sweep_returns_the_rows_its_csv_writes(tmp_path, monkeypatch, experiment):
+    # The rows the library returns, in the header's column order, are the
+    # CSV's rows once formatted; the runner maps no field.
+    module, name = {"sense-sweep": (cli, "trajectory_sweep"),
+                    "isac-tradeoff": (isac, "tradeoff_curve"),
+                    "ris-isac-tradeoff": (ri, "ris_isac_tradeoff")}[experiment]
+    sweep, returned = getattr(module, name), []
+
+    def recorded(*args, **kwargs):
+        returned.append(sweep(*args, **kwargs))
+        return returned[-1]
+
+    monkeypatch.setattr(module, name, recorded)
+    cli.run_experiment(RunConfig(experiment=experiment), tmp_path)
+    (result,) = returned
+    rows = result if experiment == "sense-sweep" else result[0]
+    header, *lines = (tmp_path / f"{experiment}.csv").read_text().splitlines()
+    assert header == cli.CSV_HEADERS[experiment]
+    assert {len(row) for row in rows} == {len(header.split(","))}
+    assert [[cli._fmt(value) for value in row] for row in rows] == [
+        line.split(",") for line in lines]
 
 
 def test_ris_isac_tradeoff_solves_the_profile_once(tmp_path, monkeypatch):

@@ -344,20 +344,19 @@ class TestTradeoffCurve:
                                         12, channel_gain=1.0)
         assert math.isclose(rate_max, max_rate(sc), rel_tol=1e-14)  # h_c = a_t, unit gain
         grid = np.linspace(0.0, 0.98 * rate_max, 12)
-        assert [row.rate_threshold for row in rows] == list(grid) * len(rhos)
-        by_rho = {}
-        for row in rows:
-            by_rho.setdefault(row.rho, []).append(row)
+        assert [r0 for _, r0, _, _ in rows] == list(grid) * len(rhos)
+        by_rho = {}  # rho -> its CRBs, floor by floor
+        for rho, _, _, crb in rows:
+            by_rho.setdefault(rho, []).append(crb)
         # CRB non-decreasing in the rate threshold at fixed coupling.
-        for rho, entries in by_rho.items():
-            crbs = [e.crb for e in entries]
+        for rho, crbs in by_rho.items():
             assert all(b >= a - 1e-15 for a, b in zip(crbs, crbs[1:]))
         # CRB non-increasing in coupling at a fixed feasible threshold.
         for idx in range(len(grid)):
-            crbs = [by_rho[rho][idx].crb for rho in rhos]
+            crbs = [by_rho[rho][idx] for rho in rhos]
             assert all(b <= a * (1.0 + 1e-9) for a, b in zip(crbs, crbs[1:]))
         # Fully-aligned channels show no trade-off at all.
-        flat = [e.crb for e in by_rho[1.0]]
+        flat = by_rho[1.0]
         assert np.ptp(flat) < 1e-12 * flat[0]
 
     def test_rejects_empty_grids(self):
@@ -378,7 +377,7 @@ class TestTradeoffCurve:
         with pytest.raises(DegenerateChannelError, match="one transmit element"):
             tradeoff_curve(*args, [1.0, 0.999], 3)
         rows, _ = tradeoff_curve(*args, [1.0], 3)
-        assert all(math.isfinite(row.crb) for row in rows)
+        assert all(math.isfinite(crb) for _, _, _, crb in rows)
 
 
 class TestSweep:

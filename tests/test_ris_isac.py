@@ -558,19 +558,19 @@ class TestTradeoffStructure:
         phi = align_profile(shaped.a_t_term, shaped.g_t, shaped.r_t)
         h_t, h_c = shaped.h_t(phi), shaped.h_c(phi)
         max_rate = math.log2(1.0 + 3.0 * float(np.real(np.vdot(h_c, h_c))) / 1e-8)
-        result = ris_isac_tradeoff(scenario, coupling, ["with"], 6)
-        assert result.max_rate == {"with": max_rate}
+        rows, max_rates = ris_isac_tradeoff(scenario, coupling, ["with"], 6)
+        assert max_rates == {"with": max_rate}
         grid = np.linspace(0.0, 0.97 * max_rate, 6)
-        assert [row.rate_threshold for row in result.rows] == list(grid)
+        assert [row[2] for row in rows] == list(grid)
         scene = shaped.scene
-        for row, r0 in zip(result.rows, grid):
+        for (_, _, r0, row_rate, row_crb), expected_r0 in zip(rows, grid):
             w, _, rate = max_illumination_reference(
-                h_t, h_c, scene.transmit_power, scene.noise_power_comms, r0)
-            assert row.rate == pytest.approx(rate, rel=1e-11, abs=1e-15)
+                h_t, h_c, scene.transmit_power, scene.noise_power_comms, expected_r0)
+            assert row_rate == pytest.approx(rate, rel=1e-11, abs=1e-15)
             np.testing.assert_allclose(
-                row.crb, theta1_beta_crb(shaped, phi, w), rtol=1e-12, atol=0
+                row_crb, theta1_beta_crb(shaped, phi, w), rtol=1e-12, atol=0
             )
-            assert row.crb == _crb_sweep(shaped, phi, [r0])[1][0]
+            assert row_crb == _crb_sweep(shaped, phi, [r0])[1][0]
         with pytest.raises(InfeasibleRateError):
             _crb_sweep(shaped, phi, [1.5 * max_rate])
 
@@ -638,12 +638,12 @@ class TestTradeoffStructure:
         for seed in range(10):
             cfg = RunConfig(experiment="ris-isac-tradeoff", coupling=coupling, seed=seed, **scene)
             scenario = RisIsacScenario.from_scene(scene_from_config(cfg))
-            rows = ris_isac_tradeoff(scenario, coupling, ["reference"], cfg.r0_points).rows
+            rows, _ = ris_isac_tradeoff(scenario, coupling, ["reference"], cfg.r0_points)
             expected = reference_mode_reference(scenario, coupling, cfg.r0_points, seed)
-            assert [row.rate_threshold for row in rows] == [r0 for r0, _, _ in expected]
-            for row, (_, rate, crb) in zip(rows, expected):
-                assert row.rate == pytest.approx(rate, rel=1e-11, abs=1e-15), seed
-                assert row.crb == pytest.approx(crb, rel=1e-14, abs=0), seed
+            assert [row[2] for row in rows] == [r0 for r0, _, _ in expected]
+            for (_, _, _, row_rate, row_crb), (_, rate, crb) in zip(rows, expected):
+                assert row_rate == pytest.approx(rate, rel=1e-11, abs=1e-15), seed
+                assert row_crb == pytest.approx(crb, rel=1e-14, abs=0), seed
 
     @pytest.mark.parametrize("mode, kappas", [("with", 1), ("without", 1), ("reference", 1),
                                               ("with,without,reference", 2)])
@@ -674,8 +674,8 @@ class TestTradeoffStructure:
         modes = mode.split(",")
         for points in (2, 40):
             calls.clear()
-            rows = ris_isac_tradeoff(scenario, "weak", modes, points).rows
-            assert len(rows) == len(modes) * points and math.isfinite(rows[0].crb)
+            rows, _ = ris_isac_tradeoff(scenario, "weak", modes, points)
+            assert len(rows) == len(modes) * points and math.isfinite(rows[0][4])
             assert len(calls) == kappas
 
     def test_default_run_shapes_once_and_builds_one_kappa_per_channel(
@@ -707,8 +707,8 @@ class TestTradeoffStructure:
         with pytest.raises(DegenerateChannelError, match="reference"):
             ris_isac_tradeoff(scenario, coupling)
         # The modes that need no calibration report the infinite CRB.
-        result = ris_isac_tradeoff(scenario, coupling, ["with", "without"], 3)
-        assert all(math.isinf(row.crb) for row in result.rows)
+        rows, _ = ris_isac_tradeoff(scenario, coupling, ["with", "without"], 3)
+        assert all(math.isinf(crb) for *_, crb in rows)
 
     @pytest.mark.parametrize("coupling", ["weak", "strong"])
     def test_reference_with_one_transmit_element_raises(self, coupling):
@@ -717,20 +717,20 @@ class TestTradeoffStructure:
         scenario = RisIsacScenario.from_scene(desk_scene(tx=UlaGeometry(1)))
         with pytest.raises(DegenerateChannelError, match="one transmit element"):
             ris_isac_tradeoff(scenario, coupling)
-        result = ris_isac_tradeoff(scenario, coupling, ["with", "without"], 3)
-        assert all(math.isfinite(row.crb) and math.isfinite(row.rate) for row in result.rows)
+        rows, _ = ris_isac_tradeoff(scenario, coupling, ["with", "without"], 3)
+        assert all(math.isfinite(crb) and math.isfinite(rate) for *_, rate, crb in rows)
 
     def test_rows_shape_and_feasibility(self):
         scenario = RisIsacScenario.from_scene(desk_scene(ris=UlaGeometry(8)))
-        result = ris_isac_tradeoff(scenario, "weak", ["without", "with"], 3)
-        assert [row.mode for row in result.rows] == ["without"] * 3 + ["with"] * 3
-        assert list(result.max_rate) == ["without", "with"]
-        for mode, rows in (("without", result.rows[:3]), ("with", result.rows[3:])):
-            assert rows[0].rate_threshold == 0.0
-            assert rows[-1].rate_threshold == 0.97 * result.max_rate[mode]
-            for row in rows:
-                assert row.rate >= row.rate_threshold - 1e-12 and math.isfinite(row.crb)
-            assert rows[0].crb <= rows[1].crb * (1.0 + 1e-9)
+        rows, max_rate = ris_isac_tradeoff(scenario, "weak", ["without", "with"], 3)
+        assert [row[:2] for row in rows] == [("without", "weak")] * 3 + [("with", "weak")] * 3
+        assert list(max_rate) == ["without", "with"]
+        for mode, mode_rows in (("without", rows[:3]), ("with", rows[3:])):
+            r0s, rates, crbs = zip(*(row[2:] for row in mode_rows))
+            assert r0s[0] == 0.0 and r0s[-1] == 0.97 * max_rate[mode]
+            for r0, rate, crb in zip(r0s, rates, crbs):
+                assert rate >= r0 - 1e-12 and math.isfinite(crb)
+            assert crbs[0] <= crbs[1] * (1.0 + 1e-9)
 
     @pytest.mark.parametrize("coupling", ["weak", "strong"])
     def test_reference_alone_calibrates_from_one_floor_solves(self, monkeypatch, coupling):
@@ -748,7 +748,7 @@ class TestTradeoffStructure:
         monkeypatch.setattr(ri, "crb_min_beamformer", recorded)
         alone = ris_isac_tradeoff(scenario, coupling, ["reference"], 4)
         assert lengths == [1, 4]
-        assert alone.rows == [row for row in full.rows if row.mode == "reference"]
+        assert alone[0] == [row for row in full[0] if row[0] == "reference"]
 
     def test_rejects_an_empty_floor_grid(self):
         scenario = RisIsacScenario.from_scene(desk_scene(ris=UlaGeometry(8)))
