@@ -34,6 +34,7 @@ from .ris_isac import (
 from .sensing import (
     DetectionConfig,
     detection_probability,
+    glrt_at_snrs,
     glrt_monte_carlo,
     marcum_q1,
     maximize_illumination,

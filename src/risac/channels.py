@@ -17,9 +17,9 @@ so each h_t, h_r or h_c costs O(L + N): one dot product r^T phi and one
 scaled vector. The matrices F are formed on each read, and no ``src`` code
 reads them: the benchmark's micro timings (through the coupling metric of
 ``ris_isac``) and the tests do. Sensing, ISAC and dual-waveform code all
-read their channels from the scenario. Every experiment takes its RIS
-profile from ``align_profile(a, g, r)``, the closed-form maximizer of
-||a + g (r^T phi)||: ``sense-sweep`` and ``detect`` for the target,
+read their channels from the scenario. Every experiment that lights an RIS
+takes its profile from ``align_profile(a, g, r)``, the closed-form
+maximizer of ||a + g (r^T phi)||: ``sense-sweep`` for the target,
 ``ris-isac-tradeoff`` for the target on the coupling-shaped scene, and
 ``beampattern`` for the user.
 """

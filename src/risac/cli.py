@@ -25,14 +25,8 @@ from . import ris_isac as ri
 from .arrays import steering_derivative
 from .channels import RisIsacScenario, angles_from_geometry, pathloss_amplitude
 from .config import EXPERIMENTS, RunConfig, parse_config, scene_from_config
-from .errors import ConfigError
-from .sensing import (
-    DetectionConfig,
-    detection_probability,
-    glrt_monte_carlo,
-    maximize_illumination,
-    trajectory_sweep,
-)
+from .errors import ConfigError, DegenerateGeometryError
+from .sensing import DetectionConfig, detection_probability, glrt_at_snrs, trajectory_sweep
 
 CSV_HEADERS = {
     "sense-sweep": "waypoint,mode,power_db,crb",
@@ -81,47 +75,40 @@ def _run_sense_sweep(cfg: RunConfig):
 
 
 def _run_detect(cfg: RunConfig):
-    scene = scene_from_config(cfg)
-    design = maximize_illumination(scene)
+    # The Marcum-Q law and the GLRT read only the matched-filter SNR, so no
+    # scene is built.
     dets = [DetectionConfig(false_alarm_rate=pf) for pf in cfg.pf_list]
-    # Calibrate the target gain so the matched-filter SNR hits each grid value.
-    snrs, gain_vars = [], []
+    snrs = []
     for snr_db in cfg.snr_db_list:
         try:
             snrs.append(10.0 ** (snr_db / 10.0))
         except OverflowError:
             raise ConfigError(f"snr_db_list entry {snr_db!r} is past the float range "
                               "in linear units") from None
-        gain_vars.append(snrs[-1] * scene.noise_power_sensing
-                         / (scene.rx.num_elements * design.power))
-        if not math.isfinite(gain_vars[-1]):
-            raise ConfigError(f"snr_db = {snr_db!r} needs a target gain variance past the "
-                              "float range at this noise_sensing_dbm and illumination power")
     # One draw serves every SNR point; its seed is the first child of the config seed.
     seed = int(np.random.SeedSequence(cfg.seed).spawn(1)[0].generate_state(1)[0])
     points = [(snr_db, snr, det) for snr_db, snr in zip(cfg.snr_db_list, snrs) for det in dets]
-    mcs = (glrt_monte_carlo(scene, design.w, design.phi, cfg.trials, dets, seed, gain_vars)
-           if points else [])  # an empty grid has no rows
-    results = [(snr_db, det.false_alarm_rate, detection_probability(snr, det),
-                mc.empirical_pd, mc.empirical_pf)
-               for (snr_db, snr, det), mc in zip(points, mcs)]
-    csv_rows = [r[:4] for r in results]
-    diag = {
-        "illumination_power": design.power,
-        "empirical_pf": {f"{r[0]}dB/pf={r[1]}": r[4] for r in results},
-    }
-    return {"": (CSV_HEADERS["detect"], csv_rows)}, diag
+    mcs = glrt_at_snrs(snrs, dets, cfg.trials, seed) if points else []  # an empty grid has no rows
+    rows = [(snr_db, det.false_alarm_rate, detection_probability(snr, det), mc.empirical_pd)
+            for (snr_db, snr, det), mc in zip(points, mcs)]
+    diag = {"empirical_pf": {f"{r[0]}dB/pf={r[1]}": mc.empirical_pf for r, mc in zip(rows, mcs)}}
+    return {"": (CSV_HEADERS["detect"], rows)}, diag
 
 
 def _run_isac_tradeoff(cfg: RunConfig):
     scene = scene_from_config(cfg)
-    a_r_dot = steering_derivative(scene.rx, angles_from_geometry(scene).theta1)
+    # Only the BS-target pair is read: the target's bearing and distance.
+    delta = scene.target_position - scene.bs_position
+    distance = float(np.linalg.norm(delta))
+    if distance == 0.0:
+        raise DegenerateGeometryError(
+            f"bs_position and target_position coincide at {scene.target_position.tolist()}")
+    a_r_dot = steering_derivative(scene.rx, math.atan2(delta[1], delta[0]))
     # CRB = kappa / |a_t^T w|^2, the one-target model of isac.kappa; the
     # centred receive array keeps adot_r orthogonal to a_r, so no projection.
     kappa = isac_mod.kappa(scene.noise_power_sensing, scene.samples, scene.target_gain_var,
                            float(np.real(np.vdot(a_r_dot, a_r_dot))))
-    gain = pathloss_amplitude(float(np.linalg.norm(scene.target_position - scene.bs_position)),
-                              scene.pathloss_exp_direct)
+    gain = pathloss_amplitude(distance, scene.pathloss_exp_direct)
     rows, max_rate = isac_mod.tradeoff_curve(
         scene.tx.num_elements, kappa, scene.transmit_power, scene.noise_power_comms,
         cfg.rho_list, cfg.r0_points, channel_gain=gain

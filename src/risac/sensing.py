@@ -10,25 +10,22 @@ Detection follows an energy test on the matched filtered echo; the receive
 steering vector is normalized so the noise-only statistic is unit-mean
 exponential and the false-alarm rate exp(-gamma) is exact.
 
-The GLRT Monte Carlo simulates the matched-filter output, not the L_S-antenna
-snapshot, of a target with fixed amplitude |eta| = sigma_eta, as in the
-Marcum-Q law. With filter v = conj(a_r_hat), echo y = eta c a_r + n and white
-noise n ~ CN(0, sigma_s^2 I), the output is v^T y = eta g + v^T n with echo
-gain g = c (a_r^T v), and v^T n ~ CN(0, sigma_out^2), sigma_out^2 =
-sigma_s^2 ||v||^2, exactly. The output is a sufficient statistic for the
-energy test, and two identities in law reduce each trial to the draws the
-statistic depends on:
+The GLRT Monte Carlo (``glrt_at_snrs``) draws that statistic at a
+matched-filter SNR, for a target with fixed amplitude, as in the Marcum-Q
+law. In units of the output noise power the echo amplitude is sqrt(SNR) and
+the noise is CN(0, 1), and two identities in law reduce each trial to the
+draws the statistic depends on:
 
-- H0: |v^T n|^2 / sigma_s^2 = (sigma_out^2 / sigma_s^2) E with E ~ Exp(1),
-  one exponential draw per trial.
-- H1: the noise is circular, so the phase of eta g does not change the law of
-  |eta g + v^T n|^2, which is that of ((A + s x)^2 + (s y)^2) / sigma_s^2
-  with A = sigma_eta |g|, s = sigma_out / sqrt(2) and x, y standard normal:
-  no echo-phase draw, and real arithmetic only.
+- H0: E with E ~ Exp(1), one exponential draw per trial.
+- H1: the noise is circular, so the echo phase does not change the law of
+  the statistic, which is that of (sqrt(SNR) + s x)^2 + (s y)^2 with
+  s = sqrt(1/2) and x, y standard normal: no echo-phase draw, and real
+  arithmetic only.
 
 One call draws E, x, y once, in that order, and thresholds the statistics
-at every requested false-alarm rate and target gain variance: common random
-numbers, whose consequences ``glrt_monte_carlo`` states.
+at every requested false-alarm rate and SNR: common random numbers, whose
+consequences ``glrt_at_snrs`` states. ``detect`` runs it at its SNR grid;
+``glrt_monte_carlo`` maps a lit scene's target gains to the SNRs it reads.
 
 The analytic detection probability Q1(sqrt(2 SNR), sqrt(2 gamma)) is a
 Poisson mixture evaluated with numpy and ``math`` only (``marcum_q1``).
@@ -45,7 +42,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .arrays import steering_derivative, steering_vector
+from .arrays import steering_derivative
 from .channels import (
     RisIsacScenario,
     Scene,
@@ -62,6 +59,7 @@ __all__ = [
     "maximize_illumination",
     "marcum_q1",
     "detection_probability",
+    "glrt_at_snrs",
     "glrt_monte_carlo",
     "trajectory_sweep",
 ]
@@ -254,11 +252,11 @@ class GlrtResult:
 
 
 class GlrtResults(list):
-    """``GlrtResult`` rows of one ``glrt_monte_carlo`` call, from one set of ``trials`` draws.
+    """``GlrtResult`` rows of one ``glrt_at_snrs`` call, from one set of ``trials`` draws.
 
-    Gain-major: the rows of the first target gain variance, one per detection
-    config in order, then those of the next. Every row shares the H0 draw, so
-    ``empirical_pf`` repeats across gains, and rows of different gains share
+    SNR-major: the rows of the first SNR, one per detection config in
+    order, then those of the next. Every row shares the H0 draw, so
+    ``empirical_pf`` repeats across SNRs, and rows of different SNRs share
     the H1 draw, so they are correlated.
     """
 
@@ -268,72 +266,51 @@ class GlrtResults(list):
 
 
 # Trials per block of the GLRT's draw and threshold passes: the block scratch
-# stays in cache, and memory does not grow with the number of gains.
+# stays in cache, and memory does not grow with the number of SNRs.
 _GLRT_BLOCK = 1 << 14
 
 
-def glrt_monte_carlo(
-    scene: Scene,
-    w,
-    phi,
-    trials: int,
+def glrt_at_snrs(
+    snrs: Sequence[float],
     cfgs: Sequence[DetectionConfig],
-    seed: int = 0,
-    target_gain_vars: Optional[Sequence[float]] = None,
+    trials: int,
+    seed: int,
 ) -> GlrtResults:
-    """Monte Carlo energy test on the matched-filter output under H0 and H1.
+    """Monte Carlo energy test under H0 and H1 at each matched-filter SNR.
 
-    The filter is v = conj(a_r_hat), the normalized receive steering vector;
-    the echo gain at its output is g = c (a_r^T v) with c = h_t^H w, and the
-    output noise variance is sigma_out^2 = sigma_s^2 ||v||^2. Both are
-    computed from v, so a misnormalized filter shows up in Pf. The energy
-    |v^T y|^2 / sigma_s^2 is drawn through the identities in law of the
-    module docstring:
+    The statistic, in units of the output noise power, is drawn through the
+    identities in law of the module docstring:
 
-    - H0: (sigma_out^2 / sigma_s^2) E with E ~ Exp(1).
-    - H1: ((A + s x)^2 + (s y)^2) / sigma_s^2 with A = sigma_eta |g|,
-      s = sigma_out / sqrt(2), x and y standard normal.
+    - H0: E with E ~ Exp(1).
+    - H1: (sqrt(SNR) + s x)^2 + (s y)^2 with s = sqrt(1/2), x and y
+      standard normal.
 
-    Draw order: E for every trial, then x, then y. The channel is built
-    once, and these same draws serve every target gain variance
-    sigma_eta^2 of ``target_gain_vars`` (None reads as
-    ``(scene.target_gain_var,)``) and every ``cfg.threshold`` of ``cfgs``
-    (a lone config reads as ``[cfg]``). The result is gain-major,
-    ``len(target_gain_vars) * len(cfgs)`` rows.
+    Draw order: E for every trial, then x, then y, from one generator at
+    ``seed``. These same draws serve every SNR of ``snrs`` and every
+    ``cfg.threshold`` of ``cfgs``. The result is SNR-major,
+    ``len(snrs) * len(cfgs)`` rows.
 
     E and y are streamed through blocks of ``_GLRT_BLOCK`` trials, each
-    block thresholded as it is drawn. Every x precedes every y in the
-    stream, so s x is drawn whole: it is the one array that spans every
-    trial. Blocking changes no draw and no count.
+    thresholded as it is drawn; s x, which every y follows in the stream,
+    is drawn whole. Blocking changes no draw and no count.
 
     Common random numbers: each row is exact in law, and equals the call
-    with that gain alone and the same seed, but rows are correlated across
-    gains. Pd is monotone in the threshold for one draw. It is not
-    guaranteed monotone in sigma_eta^2: (A + s x)^2 falls as A grows
-    wherever s x < -A.
+    with that SNR alone and the same seed, but rows are correlated across
+    SNRs. Pd is monotone in the threshold for one draw, not in the SNR:
+    (sqrt(SNR) + s x)^2 falls as the SNR grows wherever s x < -sqrt(SNR).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    cfgs = [cfgs] if isinstance(cfgs, DetectionConfig) else cfgs
     gammas = [cfg.threshold for cfg in cfgs]
     if not gammas:
         raise ValueError("cfgs must hold at least one DetectionConfig")
-    gains = (scene.target_gain_var,) if target_gain_vars is None else tuple(target_gain_vars)
-    if not gains:
-        raise ValueError("target_gain_vars must hold at least one variance")
-    if not all(math.isfinite(g) and g >= 0.0 for g in gains):
-        raise ValueError("target gain variances must be finite and nonnegative")
+    if not snrs:
+        raise ValueError("need at least one target SNR")
+    if not all(math.isfinite(snr) and snr >= 0.0 for snr in snrs):
+        raise ValueError("target SNRs must be finite and nonnegative")
     rng = np.random.default_rng(seed)
-    angles = angles_from_geometry(scene)
-    h_t, _ = build_sensing_channels(scene, phi)
-    c = np.vdot(h_t, w)  # h_t^H w, per-snapshot deterministic part
-    a_r = steering_vector(scene.rx, angles.theta1)
-    v = (a_r / np.linalg.norm(a_r)).conj()  # receive matched filter
-    echo_amp = abs(c * (a_r @ v))  # |g|: a_r^T v scales the echo at the filter output
-    # In units of sigma_s, so no square of a large noise or echo overflows.
-    out_var = float(np.real(np.vdot(v, v)))  # sigma_out^2 / sigma_s^2
-    s = math.sqrt(0.5 * out_var)
-    amps = [math.sqrt(gain) * echo_amp / math.sqrt(scene.noise_power_sensing) for gain in gains]
+    s = math.sqrt(0.5)
+    amps = [math.sqrt(snr) for snr in snrs]
     blocks = [slice(lo, min(lo + _GLRT_BLOCK, trials)) for lo in range(0, trials, _GLRT_BLOCK)]
     buf = np.empty(min(trials, _GLRT_BLOCK))
     stat = np.empty_like(buf)
@@ -343,13 +320,12 @@ def glrt_monte_carlo(
     for blk in blocks:
         e = buf[:blk.stop - blk.start]
         rng.standard_exponential(out=e)
-        e *= out_var
         for j, gamma in enumerate(gammas):
             false_alarms[j] += np.count_nonzero(e > gamma)
-    # H1: one draw of the noise serves every gain.
+    # H1: one draw of the noise serves every SNR.
     sx = rng.standard_normal(trials)
     sx *= s
-    detections = [[0] * len(gammas) for _ in gains]
+    detections = [[0] * len(gammas) for _ in amps]
     for blk in blocks:
         sy_sq = buf[:blk.stop - blk.start]
         rng.standard_normal(out=sy_sq)
@@ -365,6 +341,33 @@ def glrt_monte_carlo(
     rows = [GlrtResult(n_fa / trials, n_d / trials)
             for hits in detections for n_fa, n_d in zip(false_alarms, hits)]
     return GlrtResults(rows, trials)
+
+
+def glrt_monte_carlo(
+    scene: Scene,
+    w,
+    phi,
+    trials: int,
+    cfgs: Sequence[DetectionConfig],
+    seed: int = 0,
+    target_gain_vars: Optional[Sequence[float]] = None,
+) -> GlrtResults:
+    """``glrt_at_snrs`` at the matched-filter SNR of each target gain variance of a lit scene.
+
+    With filter v = conj(a_r) / ||a_r||, echo y = eta c a_r + n, c = h_t^H w
+    and n ~ CN(0, sigma_s^2 I), the output v^T y = eta c ||a_r|| + v^T n
+    has noise variance sigma_s^2 and SNR sigma_eta^2 |c|^2 L_S / sigma_s^2,
+    as ||a_r||^2 = L_S. The filter and the bearing cancel from the statistic
+    |v^T y|^2 / sigma_s^2, so only h_t is built; the test oracle keeps the
+    filter form. ``target_gain_vars`` None reads as
+    ``(scene.target_gain_var,)`` and a lone config as ``[cfg]``; the rows
+    are gain-major.
+    """
+    cfgs = [cfgs] if isinstance(cfgs, DetectionConfig) else cfgs
+    gains = (scene.target_gain_var,) if target_gain_vars is None else target_gain_vars
+    h_t, _ = build_sensing_channels(scene, phi)
+    snr_per_gain = abs(np.vdot(h_t, w)) ** 2 * scene.rx.num_elements / scene.noise_power_sensing
+    return glrt_at_snrs([gain * snr_per_gain for gain in gains], cfgs, trials, seed)
 
 
 def trajectory_sweep(

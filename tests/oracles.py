@@ -154,7 +154,7 @@ def trace_form_crb(b, b_dot, a, a_dot, w, noise, samples, gain_sq) -> float:
 def matched_filter_snr(power: float, scene) -> float:
     """Output SNR of the receive matched filter: L_S * sigma_eta^2 * power / sigma_s^2.
 
-    The inverse of the gain calibration of ``risac.cli``'s ``detect`` runner.
+    The inverse of the target gain calibration that puts a lit scene at a given SNR.
     """
     if power < 0:
         raise ValueError("power must be nonnegative")

@@ -16,8 +16,7 @@ from risac import cli, marcum_q1
 from risac import dual_waveform as dw
 from risac import isac
 from risac import ris_isac as ri
-from risac import sensing
-from risac.config import EXPERIMENTS, RunConfig, scene_from_config
+from risac.config import EXPERIMENTS, RunConfig
 
 TINY = "n_ris = 4\nl_t = 4\nl_s = 4\n"
 TINY_RIS_ISAC = TINY + "r0_points = 5\n"
@@ -193,10 +192,10 @@ def test_beams_that_cover_no_grid_point_are_a_json_config_error(tmp_path, capsys
     assert not list((tmp_path / "out").glob("*.csv"))
 
 
-@pytest.mark.parametrize("experiment", ["isac-tradeoff", "detect", "sense-sweep"])
+@pytest.mark.parametrize("experiment", ["sense-sweep"])
 def test_a_user_at_the_ris_is_a_json_error_naming_the_pair(tmp_path, capsys, experiment):
-    # None of these reads the user's bearing from the RIS, yet each builds
-    # it, so each exits 2 with a detail that names the pair.
+    # sense-sweep does not read the user's bearing from the RIS, yet it
+    # builds it, so it exits 2 with a detail that names the pair.
     config = tmp_path / "user.cfg"
     config.write_text("user_position = 30, 30\ntrials = 500\n")
     code = cli.main([experiment, "--config", str(config), "--out", str(tmp_path / "out")])
@@ -204,6 +203,29 @@ def test_a_user_at_the_ris_is_a_json_error_naming_the_pair(tmp_path, capsys, exp
     assert code == 2
     assert err == {"error": "DegenerateGeometryError",
                    "detail": "ris_position and user_position coincide at [30.0, 30.0]"}
+
+
+@pytest.mark.parametrize("user", ["30, 30", "0, 0"], ids=["at-ris", "at-bs"])
+@pytest.mark.parametrize("experiment", ["detect", "isac-tradeoff"])
+def test_a_user_position_the_run_does_not_read_leaves_its_csv_unchanged(tmp_path, experiment,
+                                                                         user):
+    # detect reads no position and isac-tradeoff only the BS-target pair, so
+    # a user at the RIS or at the BS is no error and moves no byte.
+    default = _run_cli(tmp_path, experiment, "", "default")
+    moved = _run_cli(tmp_path, experiment, f"user_position = {user}\n", "moved")
+    assert default[0] == moved[0] == 0
+    assert moved[1] == default[1]
+
+
+def test_isac_tradeoff_with_the_target_at_the_bs_is_a_json_error_naming_the_pair(tmp_path,
+                                                                                 capsys):
+    config = tmp_path / "target.cfg"
+    config.write_text("target_position = 0, 0\n")
+    code = cli.main(["isac-tradeoff", "--config", str(config), "--out", str(tmp_path / "out")])
+    err = json.loads(capsys.readouterr().err)
+    assert code == 2
+    assert err == {"error": "DegenerateGeometryError",
+                   "detail": "bs_position and target_position coincide at [0.0, 0.0]"}
 
 
 def test_detect_is_deterministic_across_runs_and_threads(tmp_path):
@@ -277,14 +299,12 @@ def test_detect_with_an_empty_grid_writes_only_the_header(tmp_path):
         assert summary["diagnostics"]["empirical_pf"] == {}
 
 
-def test_detect_summary_reports_the_illumination_solve(tmp_path):
+def test_detect_summary_reports_only_the_empirical_pf(tmp_path):
+    # detect runs at its SNR grid and lights no scene, so there is no
+    # illumination power to report.
     code, _, summary = _run_cli(tmp_path, "detect", TINY + "trials = 2000\n", "out")
     assert code == 0
-    diag = summary["diagnostics"]
-    design = sensing.maximize_illumination(scene_from_config(RunConfig(n_ris=4, l_t=4, l_s=4)))
-    assert diag["illumination_power"] == design.power
-    # The closed form runs no solver, so there is no convergence to report.
-    assert set(diag) == {"illumination_power", "empirical_pf"}
+    assert set(summary["diagnostics"]) == {"empirical_pf"}
 
 
 def test_summaries_report_solver_evaluations(tmp_path, monkeypatch):

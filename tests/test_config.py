@@ -91,9 +91,9 @@ EDGE_STRATEGIES = {
     "n_ris": st.sampled_from([0, 1, 2]),
     "transmit_power": st.sampled_from([1e-320, 1e-30, 1.0, 1e30]),
     "target_gain_var": st.sampled_from([0.0, 1e-300, 1e300]),
-    # -3200 and -3070 dBm are subnormal in watts; 3100 dBm overflows detect's
-    # gain calibration; -3000 dBm puts the isac-tradeoff CRBs below the
-    # smallest normal double and, at 1e30 W, the comms SNR past the float range.
+    # -3200 and -3070 dBm are subnormal in watts; 3100 dBm is about 1e307 W;
+    # -3000 dBm puts the isac-tradeoff CRBs below the smallest normal double
+    # and, at 1e30 W, the comms SNR past the float range.
     "noise_sensing_dbm": st.sampled_from([-4000.0, -3200.0, -3070.0, -3000.0, -300.0, 0.0,
                                           300.0, 3100.0, 4000.0]),
     "noise_comms_dbm": st.sampled_from([-4000.0, -3200.0, -3070.0, -3000.0, -300.0, 0.0,
@@ -124,7 +124,8 @@ TYPED_ERRORS = tuple(v for v in vars(errors).values()
 # warning, a subnormal CRB or an unnamed pair.
 EDGE_REPRODUCERS = [
     # detect: the GLRT overflowed at calibrated gains near 1e275, and the
-    # gain calibration itself at 3100 dBm.
+    # gain calibration itself at 3100 dBm. detect now runs at its SNR grid
+    # and reads no noise power, so these write the default-noise CSV.
     dict(experiment="detect", noise_sensing_dbm=3100.0, bs_position=(40.0, 1e-12), trials=500),
     dict(experiment="detect", noise_sensing_dbm=3100.0, trials=500),
     dict(experiment="detect", snr_db_list=(4000.0,), trials=500),
@@ -440,8 +441,6 @@ def test_repeated_key_is_a_json_config_error(tmp_path, capsys):
 #   double: ris-isac-tradeoff and sense-sweep exited 0 with every CRB 0.0 (the
 #   former with empty reference rates too), isac-tradeoff with an
 #   InfeasibleRateError quoting an infinite max rate;
-# - at 1e307 W of noise, the target gain variance that puts detect's matched
-#   filter at 5 dB overflowed into a ValueError from the GLRT;
 # - a target gain variance of 1e300 puts the SNR past the float range, and 20
 #   of the 30 sense-sweep CRBs were written as 0.0;
 # - at -3000 dBm of sensing noise isac-tradeoff exited 0 with every CRB a
@@ -454,7 +453,6 @@ def test_repeated_key_is_a_json_config_error(tmp_path, capsys):
     ("ris-isac-tradeoff", "noise_sensing_dbm = -3200", "noise_sensing_dbm"),
     ("isac-tradeoff", "noise_comms_dbm = -3200", "noise_comms_dbm"),
     ("sense-sweep", "noise_sensing_dbm = -3070", "noise_sensing_dbm"),
-    ("detect", "noise_sensing_dbm = 3100", "snr_db = 5.0"),
     ("sense-sweep", "target_gain_var = 1e300", "CRB rounds to 0.0"),
     ("isac-tradeoff", "noise_sensing_dbm = -3000", "subnormal"),
     ("detect", "snr_db_list = 4000", "snr_db_list entry 4000.0"),
@@ -473,9 +471,8 @@ def test_values_past_the_float_range_are_json_config_errors(tmp_path, capsys, ex
 
 
 def test_detect_at_huge_sensing_noise_writes_the_default_noise_csv(tmp_path):
-    # Each gain is calibrated to the SNR grid, so the noise power cancels and
-    # the GLRT draws in units of sigma_s. At 1e307 W the calibrated gains
-    # reach 1e275 and the square of the echo amplitude overflowed, a warning.
+    # detect draws at its SNR grid and reads no noise power. 1e307 W once
+    # overflowed the target gains it calibrated to that grid.
     for dbm in (-60.0, 3100.0):
         cli.run_experiment(RunConfig(experiment="detect", bs_position=(40.0, 1e-12),
                                      noise_sensing_dbm=dbm), tmp_path / str(dbm))

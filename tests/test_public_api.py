@@ -29,6 +29,8 @@ BENCHMARK_ONLY = {
     "ris_isac.coupling_objective",
     "ris_isac.coupling_gradient",
     "ris_isac.fim_theta",
+    "sensing.maximize_illumination",
+    "sensing.glrt_monte_carlo",
     "channels.RisIsacScenario.f_t",
     "channels.RisIsacScenario.f_r",
     "channels.RisIsacScenario.f_c",

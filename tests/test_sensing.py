@@ -13,6 +13,7 @@ from risac import (
     Scene,
     UlaGeometry,
     detection_probability,
+    glrt_at_snrs,
     glrt_monte_carlo,
     marcum_q1,
     maximize_illumination,
@@ -229,7 +230,6 @@ class TestMaximizeIllumination:
         def forbidden(*args, **kwargs):
             raise AssertionError("maximize_illumination rebuilt the sensing channel")
 
-        monkeypatch.setattr(sensing, "steering_vector", counted)
         monkeypatch.setattr(channels, "steering_vector", counted)
         monkeypatch.setattr(sensing, "build_sensing_channels", forbidden)
         for scene in (
@@ -698,6 +698,32 @@ class TestGlrt:
         scene, design = calibrated
         with pytest.raises(ValueError, match="at least one"):
             glrt_monte_carlo(scene, design.w, design.phi, 1000, [], seed=0)
+
+    @pytest.mark.parametrize("snrs", [[], [1.0, -1e-3], [math.nan], [math.inf]])
+    def test_bad_snrs_rejected(self, snrs):
+        with pytest.raises(ValueError, match="SNR"):
+            glrt_at_snrs(snrs, [DetectionConfig(0.1)], 1000, 0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("scene_kw", [{}, dict(n_ris=256, l_t=32, l_s=32)],
+                             ids=["default", "scaled"])
+    def test_snr_grid_rows_equal_the_matched_filter_at_calibrated_gains(self, scene_kw, seed):
+        # detect draws at its SNR grid, with echo amplitude sqrt(SNR) and unit
+        # output noise. The matched-filter model, lit by the closed-form
+        # design and at the target gains that put its output SNR on that
+        # grid, cancels to the same statistic: the same rows, exactly.
+        cfg = RunConfig(experiment="detect", seed=seed, **scene_kw)
+        scene = scene_from_config(cfg)
+        design = maximize_illumination(scene)
+        snrs = [10.0 ** (db / 10.0) for db in cfg.snr_db_list]
+        gains = [at_snr(scene, design, snr).target_gain_var for snr in snrs]
+        cfgs = [DetectionConfig(pf) for pf in cfg.pf_list]
+        # The draw seed detect derives from the config seed.
+        draw_seed = int(np.random.SeedSequence(seed).spawn(1)[0].generate_state(1)[0])
+        rows = glrt_at_snrs(snrs, cfgs, cfg.trials, draw_seed)
+        assert rows == glrt_full_length_reference(scene, design.w, design.phi, cfg.trials,
+                                                   cfgs, draw_seed, gains)
+        assert rows.trials == cfg.trials
 
 
 class TestGlrtSnapshotReference:
