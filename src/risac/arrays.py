@@ -53,20 +53,24 @@ def steering_vector(geom: UlaGeometry, angle) -> np.ndarray:
     return np.exp(1j * np.multiply.outer(offsets, np.sin(angles)))
 
 
-def steering_log_derivative(geom: UlaGeometry, angle: float) -> np.ndarray:
+def steering_log_derivative(geom: UlaGeometry, angle) -> np.ndarray:
     """Entrywise d/d(angle) of log a(angle): j*2*pi*spacing*cos(angle)*m_k.
 
     So adot = this * a, and a vector v * a(angle) for any v (a path gain, or
     the conjugated incident steering of an RIS) has derivative this * (v * a).
+    An array of K angles gives the L x K matrix whose column k is the
+    log-derivative at angle k.
     """
-    angle = float(_check_angle(angle))
-    return 1j * (2.0 * np.pi * geom.spacing_wavelengths) * geom.element_offsets * np.cos(angle)
+    angles = _check_angle(angle)
+    return np.multiply.outer(
+        1j * (2.0 * np.pi * geom.spacing_wavelengths) * geom.element_offsets, np.cos(angles))
 
 
-def steering_derivative(geom: UlaGeometry, angle: float) -> np.ndarray:
+def steering_derivative(geom: UlaGeometry, angle) -> np.ndarray:
     """Elementwise derivative of the steering vector with respect to angle.
 
     With centered indices the result is exactly orthogonal (Hermitian sense)
-    to the steering vector at the same angle.
+    to the steering vector at the same angle. An array of K angles gives the
+    L x K matrix whose column k is the derivative at angle k.
     """
     return steering_log_derivative(geom, angle) * steering_vector(geom, angle)

@@ -3,25 +3,27 @@
 Every channel is line of sight. Path-gain magnitudes follow a power-law
 amplitude d^(-exponent/2) with unit gain at 1 m (the reference constant is a
 declared convention, so absolute dB levels are qualitative). Gain phases are
-drawn once per scene from a seeded generator, so rebuilding channels for the
-same scene is bit-for-bit reproducible.
+drawn once per build from a generator at the scene seed, so rebuilding
+channels for the same scene is bit-for-bit reproducible.
 
-``RisIsacScenario.from_scene`` is the one place a channel is composed. Each
-channel is affine in the RIS profile phi: a direct term a (path gain times a
-steering vector) plus F phi, where the RIS map F = g r^T is the rank-one dyad
-of the one reflected path. The array-side vector g = beta a(omega_t) carries
-the BS-RIS gain and steering; the RIS-side vector r = conj(b(omega_t)) * b
-folds the incident steering into the RIS response b toward the target
-(sensing) or the user (comms). The scenario stores the dyads (g, r), not F,
-so each h_t, h_r or h_c costs O(L + N): one dot product r^T phi and one
-scaled vector. The matrices F are formed on each read, and no ``src`` code
-reads them: the benchmark's micro timings (through the coupling metric of
-``ris_isac``) and the tests do. Sensing, ISAC and dual-waveform code all
-read their channels from the scenario. Every experiment that lights an RIS
-takes its profile from ``align_profile(a, g, r)``, the closed-form
-maximizer of ||a + g (r^T phi)||: ``sense-sweep`` for the target,
-``ris-isac-tradeoff`` for the target on the coupling-shaped scene, and
-``beampattern`` for the user.
+``target_channels`` is the one place a channel is composed: one batched
+build of the target-dependent terms for K target positions of one scene,
+with ``RisIsacScenario.from_scene`` as its one-target case. Each channel is
+affine in the RIS profile phi: a direct term a (path gain times a steering
+vector) plus F phi, where the RIS map F = g r^T is the rank-one dyad of the
+one reflected path. The array-side vector g = beta a(omega_t) carries the
+BS-RIS gain and steering; the RIS-side vector r = conj(b(omega_t)) * b folds
+the incident steering into the RIS response b toward the target (sensing) or
+the user (comms). The scenario stores the dyads (g, r), not F, so each h_t,
+h_r or h_c costs O(L + N): one dot product r^T phi and one scaled vector.
+The matrices F are formed on each read, and no ``src`` code reads them: the
+benchmark's micro timings (through the coupling metric of ``ris_isac``) and
+the tests do. Sensing, ISAC and dual-waveform code all read their channels
+from the scenario, and ``sense-sweep`` reads its whole trajectory from one
+batch. Every experiment that lights an RIS takes its profile from
+``align_profile(a, g, r)``, the closed-form maximizer of ||a + g (r^T phi)||:
+``sense-sweep`` for the target, ``ris-isac-tradeoff`` for the target on the
+coupling-shaped scene, and ``beampattern`` for the user.
 """
 
 from __future__ import annotations
@@ -41,7 +43,8 @@ __all__ = [
     "RisIsacScenario",
     "angles_from_geometry",
     "pathloss_amplitude",
-    "path_gains",
+    "TargetChannels",
+    "target_channels",
     "build_sensing_channels",
     "align_profile",
 ]
@@ -119,32 +122,35 @@ class SceneAngles:
     theta_user_ris: float
 
 
-def _displacement(scene: Scene, origin: str, point: str) -> tuple:
-    """(point - origin, its length) of two named positions; coincident ones raise, naming both."""
-    delta = getattr(scene, point) - getattr(scene, origin)
-    dist = float(np.hypot(*delta))
-    if dist == 0.0:
+def _sight(scene: Scene, origin: str, point: str, points=None) -> tuple:
+    """Bearings and distances, two lists, from the ``origin`` position to each row of ``points``.
+
+    ``points`` are positions of ``point`` (by default the one the scene
+    holds). The first row that coincides with the origin raises
+    ``DegenerateGeometryError``, naming both. Broadside of every array points
+    along +x, so a bearing is the angle of the displacement measured from the
+    x axis. It is ``math.atan2`` per row: numpy's vectorized arctan2 rounds
+    differently on some CPUs.
+    """
+    if points is None:
+        points = getattr(scene, point)[np.newaxis]
+    delta = points - getattr(scene, origin)
+    dist = np.hypot(delta[:, 0], delta[:, 1])
+    if not dist.all():
         raise DegenerateGeometryError(
-            f"{origin} and {point} coincide at {getattr(scene, point).tolist()}")
-    return delta, dist
+            f"{origin} and {point} coincide at {points[np.argmin(dist)].tolist()}")
+    return [math.atan2(y, x) for x, y in delta.tolist()], dist.tolist()
 
 
-def _bearing(scene: Scene, origin: str, point: str) -> float:
-    delta = _displacement(scene, origin, point)[0]
-    # Broadside of every array points along +x, so the bearing is the angle
-    # of the displacement measured from the x axis.
-    return math.atan2(delta[1], delta[0])
+# The pairs of SceneAngles, in field order: the target's two, then the fixed three.
+_PAIRS = (("bs_position", "target_position"), ("ris_position", "target_position"),
+          ("bs_position", "ris_position"), ("bs_position", "user_position"),
+          ("ris_position", "user_position"))
 
 
 def angles_from_geometry(scene: Scene) -> SceneAngles:
     """Bearings of target/RIS/user as seen from the BS and RIS broadsides."""
-    return SceneAngles(
-        theta1=_bearing(scene, "bs_position", "target_position"),
-        theta2=_bearing(scene, "ris_position", "target_position"),
-        omega_t=_bearing(scene, "bs_position", "ris_position"),
-        theta_user_bs=_bearing(scene, "bs_position", "user_position"),
-        theta_user_ris=_bearing(scene, "ris_position", "user_position"),
-    )
+    return SceneAngles(*(_sight(scene, origin, point)[0][0] for origin, point in _PAIRS))
 
 
 def pathloss_amplitude(distance: float, exponent: float) -> float:
@@ -162,51 +168,131 @@ def pathloss_amplitude(distance: float, exponent: float) -> float:
     return float(distance) ** (-exponent / 2.0)
 
 
-@dataclasses.dataclass(frozen=True)
-class PathGains:
-    alpha_t: complex
-    alpha_r: complex
-    beta_t: complex
-    beta_r: complex
-    gain_bu: complex
-    gain_ru: complex
+def _path_gains(scene: Scene, d_bt, d_rt, d_br: float, d_bu: float, d_ru: float) -> tuple:
+    """Complex path gains, with the target at distances d_bt from the BS and d_rt from the RIS.
 
-
-def path_gains(scene: Scene) -> PathGains:
-    """Complex path gains for the scene; phases are seeded per scene.
-
-    The phase draw order is fixed, so any subset of gains is reproducible no
-    matter which builder asks for them.
+    Returns (alpha_t, alpha_r, beta_t, beta_r, gain_bu, gain_ru). The four
+    target-leg gains are lists with one entry per target; the two user-leg
+    gains are scalars. Six phases are drawn from one generator at the scene
+    seed, one per gain in that order, so every target and every build gets
+    the same phases. Each amplitude is its own ``pathloss_amplitude`` call:
+    numpy's vectorized power rounds differently on some CPUs. With one
+    target the amplitudes are checked in the order d_bt, d_br, d_rt, d_bu,
+    d_ru.
     """
-    rng = np.random.default_rng(scene.seed)
-    psi = rng.uniform(0.0, 2.0 * np.pi, size=6)
-
-    d_bt = _displacement(scene, "bs_position", "target_position")[1]
-    d_br = _displacement(scene, "bs_position", "ris_position")[1]
-    d_rt = _displacement(scene, "ris_position", "target_position")[1]
-    d_bu = _displacement(scene, "bs_position", "user_position")[1]
-    d_ru = _displacement(scene, "ris_position", "user_position")[1]
-
+    psi = np.exp(1j * np.random.default_rng(scene.seed).uniform(0.0, 2.0 * np.pi, size=6))
     if scene.direct_gain_override is not None:
-        alpha_t = alpha_r = complex(scene.direct_gain_override)
+        alpha_t = alpha_r = [complex(scene.direct_gain_override)] * len(d_bt)
     else:
-        amp = pathloss_amplitude(d_bt, scene.pathloss_exp_direct)
-        alpha_t = amp * np.exp(1j * psi[0])
-        alpha_r = amp * np.exp(1j * psi[1])
+        amps = [pathloss_amplitude(d, scene.pathloss_exp_direct) for d in d_bt]
+        alpha_t = [amp * psi[0] for amp in amps]
+        alpha_r = [amp * psi[1] for amp in amps]
     if scene.ris_gain_override is not None:
-        beta_t = beta_r = complex(scene.ris_gain_override)
+        beta_t = beta_r = [complex(scene.ris_gain_override)] * len(d_rt)
     else:
-        amp_r = pathloss_amplitude(d_br, scene.pathloss_exp_ris) * pathloss_amplitude(
-            d_rt, scene.pathloss_exp_ris
-        )
-        beta_t = amp_r * np.exp(1j * psi[2])
-        beta_r = amp_r * np.exp(1j * psi[3])
-
-    gain_bu = pathloss_amplitude(d_bu, scene.pathloss_exp_direct) * np.exp(1j * psi[4])
+        amp_br = pathloss_amplitude(d_br, scene.pathloss_exp_ris)
+        amps = [amp_br * pathloss_amplitude(d, scene.pathloss_exp_ris) for d in d_rt]
+        beta_t = [amp * psi[2] for amp in amps]
+        beta_r = [amp * psi[3] for amp in amps]
+    gain_bu = pathloss_amplitude(d_bu, scene.pathloss_exp_direct) * psi[4]
     if scene.blocked_user_path:
         gain_bu = 0.0 + 0.0j
-    gain_ru = pathloss_amplitude(d_ru, scene.pathloss_exp_ris) * np.exp(1j * psi[5])
-    return PathGains(alpha_t, alpha_r, beta_t, beta_r, gain_bu, gain_ru)
+    gain_ru = pathloss_amplitude(d_ru, scene.pathloss_exp_ris) * psi[5]
+    return alpha_t, alpha_r, beta_t, beta_r, gain_bu, gain_ru
+
+
+@dataclasses.dataclass(eq=False)
+class TargetChannels:
+    """The terms of ``RisIsacScenario`` for one scene with its target at K positions.
+
+    Row k of each (K, .) array belongs to target k and is contiguous: BLAS
+    rounds a strided vector differently from a contiguous one, so a row
+    read here carries the bits of a one-target build. ``a_r_dot`` is the
+    unit-gain receive derivative; the user leg is the same for every target.
+    """
+
+    a_t_term: np.ndarray      # (K, L_T) alpha_t * a_t(theta1)
+    a_r_term: np.ndarray      # (K, L_R) alpha_r * a_r(theta1)
+    a_r_dot: np.ndarray       # (K, L_R) adot_r(theta1)
+    a_r_dot_term: np.ndarray  # (K, L_R) alpha_r * adot_r(theta1)
+    g_t: np.ndarray           # (K, L_T) beta_t * a_t(omega_t)
+    g_r: np.ndarray           # (K, L_R) beta_r * a_r(omega_t)
+    r_t: np.ndarray           # (K, N) conj(b(omega_t)) * b(theta2)
+    beta: list                # alpha_r * alpha_t, one per target
+    h_bu: np.ndarray          # (L_T,) gain_bu * a_t(theta_user_bs)
+    r_c: np.ndarray           # (N,) conj(b(omega_t)) * h_RU
+
+
+def _rows(columns: np.ndarray) -> np.ndarray:
+    """The (K, L) copy, row k contiguous, of an L x K matrix of steering columns."""
+    return np.ascontiguousarray(columns.T)
+
+
+def _target_channels(scene: Scene, targets) -> TargetChannels:
+    targets = np.asarray(targets, dtype=float)
+    if targets.ndim != 2 or targets.shape[1] != 2 or not np.isfinite(targets).all():
+        raise ValueError("target positions must be finite 2-D points")
+    # In the order of angles_from_geometry: the target's pairs, then the fixed three.
+    theta1, d_bt = _sight(scene, "bs_position", "target_position", targets)
+    theta2, d_rt = _sight(scene, "ris_position", "target_position", targets)
+    (omega_t,), (d_br,) = _sight(scene, "bs_position", "ris_position")
+    (theta_user_bs,), (d_bu,) = _sight(scene, "bs_position", "user_position")
+    (theta_user_ris,), (d_ru,) = _sight(scene, "ris_position", "user_position")
+    alpha_t, alpha_r, beta_t, beta_r, gain_bu, gain_ru = _path_gains(
+        scene, d_bt, d_rt, d_br, d_bu, d_ru)
+
+    alpha_r_col = np.array(alpha_r, dtype=complex)[:, np.newaxis]
+    a_r_dot = _rows(steering_derivative(scene.rx, theta1))
+    k = len(targets)
+    if scene.n_ris:
+        # The BS-RIS leg is beta a(omega_t) b(omega_t)^H. The RIS side
+        # reuses omega_t, the bearing of the RIS at the BS, as the source
+        # model prints it.
+        g_t = np.multiply.outer(beta_t, steering_vector(scene.tx, omega_t))
+        g_r = np.multiply.outer(beta_r, steering_vector(scene.rx, omega_t))
+        b_in_conj = steering_vector(scene.ris, omega_t).conj()
+        r_c = b_in_conj * (gain_ru * steering_vector(scene.ris, theta_user_ris))
+        r_t = b_in_conj * _rows(steering_vector(scene.ris, theta2))
+    else:
+        g_t = np.zeros((k, scene.tx.num_elements), dtype=complex)
+        g_r = np.zeros((k, scene.rx.num_elements), dtype=complex)
+        r_t, r_c = np.zeros((k, 0), dtype=complex), np.zeros(0, dtype=complex)
+    return TargetChannels(
+        a_t_term=np.array(alpha_t, dtype=complex)[:, np.newaxis]
+        * _rows(steering_vector(scene.tx, theta1)),
+        a_r_term=alpha_r_col * _rows(steering_vector(scene.rx, theta1)),
+        a_r_dot=a_r_dot,
+        a_r_dot_term=alpha_r_col * a_r_dot,
+        g_t=g_t,
+        g_r=g_r,
+        r_t=r_t,
+        beta=[a_r * a_t for a_r, a_t in zip(alpha_r, alpha_t)],
+        h_bu=gain_bu * steering_vector(scene.tx, theta_user_bs),
+        r_c=r_c,
+    )
+
+
+def target_channels(scene: Scene, targets) -> TargetChannels:
+    """The channel terms of ``scene`` with its target at each of the K ``targets``, in one build.
+
+    The six gain phases are drawn once. Per target only the BS-target and
+    RIS-target bearings, distances and gains are formed; the BS-RIS and user
+    pairs are formed once. Each steering matrix is one ``steering_vector``
+    call over the K bearings. ``RisIsacScenario.from_scene`` is the
+    one-target case.
+
+    Every pair is checked, with the typed errors of a one-target build. This
+    build meets faults check by check over all targets at once; a fault makes
+    it rebuild the targets one at a time, so the error raised is the first
+    one that building each target in turn would meet.
+    """
+    try:
+        return _target_channels(scene, targets)
+    except ValueError:  # DegenerateGeometryError is one
+        for position in targets:
+            one = scene.replace(target_position=position)
+            _target_channels(one, one.target_position[np.newaxis])
+        raise
 
 
 @dataclasses.dataclass(eq=False)
@@ -238,38 +324,20 @@ class RisIsacScenario:
 
     @classmethod
     def from_scene(cls, scene: Scene) -> "RisIsacScenario":
-        angles = angles_from_geometry(scene)
-        gains = path_gains(scene)
-        a_t = steering_vector(scene.tx, angles.theta1)
-        a_r = steering_vector(scene.rx, angles.theta1)
-        adot_r = steering_derivative(scene.rx, angles.theta1)
-        h_bu = gains.gain_bu * steering_vector(scene.tx, angles.theta_user_bs)
-        if scene.n_ris:
-            # The BS-RIS leg is beta a(omega_t) b(omega_t)^H. The RIS side
-            # reuses omega_t, the bearing of the RIS at the BS, as the source
-            # model prints it.
-            g_t = gains.beta_t * steering_vector(scene.tx, angles.omega_t)
-            g_r = gains.beta_r * steering_vector(scene.rx, angles.omega_t)
-            b_in_conj = steering_vector(scene.ris, angles.omega_t).conj()
-            h_ru = gains.gain_ru * steering_vector(scene.ris, angles.theta_user_ris)
-            r_t = b_in_conj * steering_vector(scene.ris, angles.theta2)
-            r_c = b_in_conj * h_ru
-        else:
-            g_t = np.zeros(scene.tx.num_elements, dtype=complex)
-            g_r = np.zeros(scene.rx.num_elements, dtype=complex)
-            r_t = r_c = np.zeros(0, dtype=complex)
+        """The scene's channels: the one-target case of ``target_channels``."""
+        batch = target_channels(scene, scene.target_position[np.newaxis])
         return cls(
             scene=scene,
-            a_t_term=gains.alpha_t * a_t,
-            a_r_term=gains.alpha_r * a_r,
-            h_bu=h_bu,
-            g_t=g_t,
-            g_r=g_r,
-            g_c=g_t,
-            r_t=r_t,
-            r_c=r_c,
-            a_r_dot_term=gains.alpha_r * adot_r,
-            beta=gains.alpha_r * gains.alpha_t,
+            a_t_term=batch.a_t_term[0],
+            a_r_term=batch.a_r_term[0],
+            h_bu=batch.h_bu,
+            g_t=batch.g_t[0],
+            g_r=batch.g_r[0],
+            g_c=batch.g_t[0],
+            r_t=batch.r_t[0],
+            r_c=batch.r_c,
+            a_r_dot_term=batch.a_r_dot_term[0],
+            beta=batch.beta[0],
         )
 
     @property

@@ -31,7 +31,12 @@ The analytic detection probability Q1(sqrt(2 SNR), sqrt(2 gamma)) is a
 Poisson mixture evaluated with numpy and ``math`` only (``marcum_q1``).
 
 The angle CRB of ``trajectory_sweep`` is the one-target model of
-``isac.kappa``: kappa / illumination power, the gain sigma_eta^2 fixed.
+``isac.kappa``: kappa / illumination power, the gain sigma_eta^2 fixed. The
+sweep builds its whole trajectory as one ``channels.target_channels`` batch,
+with one steering call per matrix whatever the number of waypoints, and
+keeps the per-mode arithmetic of a per-waypoint build. The batch rows are
+contiguous because BLAS rounds strided vectors differently, so every CSV
+cell keeps its bits.
 """
 
 from __future__ import annotations
@@ -42,13 +47,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .arrays import steering_derivative
 from .channels import (
     RisIsacScenario,
     Scene,
     align_profile,
-    angles_from_geometry,
     build_sensing_channels,
+    target_channels,
 )
 from .errors import DegenerateChannelError
 from .isac import kappa
@@ -377,28 +381,31 @@ def trajectory_sweep(
 ):
     """Illumination power and CRB along a target trajectory for each mode.
 
-    Each waypoint's channel a_t + g_t (r_t^T phi) is built once, and each mode
-    is lit as in ``maximize_illumination``, with power P ||h_t||^2:
-    "ris_aided" keeps (a_t, g_t, r_t), "ris_only" drops a_t, and
-    "without_ris" drops the entries of r_t. Blocked waypoints zero a_t, the
-    direct path. The CRB is ``isac.kappa`` of the receive steering
-    derivative over the power; a mode with no path to the target has power
-    0 (-inf dB) and an infinite CRB. Returns the ``sense-sweep`` CSV rows,
-    (waypoint index, mode, power_db, crb), mode by mode at each waypoint.
+    The whole trajectory is one ``channels.target_channels`` batch, whose
+    row k holds waypoint k's channel a_t + g_t (r_t^T phi) and receive
+    derivative. The rows are contiguous, so they carry the bits of a
+    per-waypoint ``from_scene``, and the per-mode arithmetic is that of a
+    per-waypoint build: every CSV row is unchanged. Each mode is lit as in
+    ``maximize_illumination``, with power P ||h_t||^2: "ris_aided" keeps
+    (a_t, g_t, r_t), "ris_only" drops a_t, and "without_ris" drops the
+    entries of r_t. Blocked waypoints zero a_t, the direct path. The CRB is
+    ``isac.kappa`` of the receive steering derivative over the power; a
+    mode with no path to the target has power 0 (-inf dB) and an infinite
+    CRB. Returns the ``sense-sweep`` CSV rows, (waypoint index, mode,
+    power_db, crb), mode by mode at each waypoint.
     """
     if len(waypoints) == 0:
         raise ValueError("need at least one waypoint")
     if len(blocked) != len(waypoints):
         raise ValueError("blocked mask length must match waypoints")
 
+    scene = scene_template
+    batch = target_channels(scene, waypoints)
     rows = []
-    for idx, (pos, blk) in enumerate(zip(waypoints, blocked)):
-        scene = scene_template.replace(target_position=np.asarray(pos, dtype=float))
-        channel = RisIsacScenario.from_scene(scene)
-        a_t, g, r_t = channel.a_t_term, channel.g_t, channel.r_t
+    for idx, blk in enumerate(blocked):
+        a_t, g, r_t, adot = batch.a_t_term[idx], batch.g_t[idx], batch.r_t[idx], batch.a_r_dot[idx]
         if blk:
             a_t = np.zeros_like(a_t)
-        adot = steering_derivative(scene.rx, angles_from_geometry(scene).theta1)
         k = kappa(scene.noise_power_sensing, scene.samples, scene.target_gain_var,
                   float(np.real(np.vdot(adot, adot))))
         for mode, a, r in (("ris_aided", a_t, r_t), ("ris_only", np.zeros_like(a_t), r_t),

@@ -13,13 +13,15 @@ import numpy as np
 from risac import (
     DegenerateChannelError,
     InfeasibleRateError,
+    RisIsacScenario,
     align_profile,
     angles_from_geometry,
     build_sensing_channels,
+    pathloss_amplitude,
     steering_derivative,
     steering_vector,
 )
-from risac.channels import path_gains
+from risac.isac import kappa
 from risac.ris_isac import _apply_coupling, _kappa, _zero_ris
 from risac.sensing import GlrtResult
 
@@ -52,6 +54,76 @@ def align_ris_phases(b_target: np.ndarray, b_incident: np.ndarray) -> np.ndarray
         )
     terms = b_target.conj() * b_incident
     return np.exp(-1j * np.angle(terms))
+
+
+@dataclasses.dataclass(frozen=True)
+class PathGains:
+    alpha_t: complex
+    alpha_r: complex
+    beta_t: complex
+    beta_r: complex
+    gain_bu: complex
+    gain_ru: complex
+
+
+def path_gains(scene) -> PathGains:
+    """The six complex path gains of one scene, the formula ``risac.channels`` batches over targets.
+
+    Each amplitude is ``pathloss_amplitude`` of its distance; the RIS legs
+    multiply the BS-RIS and RIS-target amplitudes. Six phases, uniform on
+    [0, 2 pi), come from one generator at the scene seed in field order. An
+    override pins both legs of its path, and a blocked user path zeroes
+    gain_bu.
+    """
+    psi = np.random.default_rng(scene.seed).uniform(0.0, 2.0 * np.pi, size=6)
+
+    def amp(origin, point, exponent):
+        return pathloss_amplitude(float(np.hypot(*(point - origin))), exponent)
+
+    if scene.direct_gain_override is not None:
+        alpha_t = alpha_r = complex(scene.direct_gain_override)
+    else:
+        a = amp(scene.bs_position, scene.target_position, scene.pathloss_exp_direct)
+        alpha_t, alpha_r = a * np.exp(1j * psi[0]), a * np.exp(1j * psi[1])
+    if scene.ris_gain_override is not None:
+        beta_t = beta_r = complex(scene.ris_gain_override)
+    else:
+        a = (amp(scene.bs_position, scene.ris_position, scene.pathloss_exp_ris)
+             * amp(scene.ris_position, scene.target_position, scene.pathloss_exp_ris))
+        beta_t, beta_r = a * np.exp(1j * psi[2]), a * np.exp(1j * psi[3])
+    gain_bu = amp(scene.bs_position, scene.user_position, scene.pathloss_exp_direct) * np.exp(
+        1j * psi[4])
+    if scene.blocked_user_path:
+        gain_bu = 0.0 + 0.0j
+    gain_ru = amp(scene.ris_position, scene.user_position, scene.pathloss_exp_ris) * np.exp(
+        1j * psi[5])
+    return PathGains(alpha_t, alpha_r, beta_t, beta_r, gain_bu, gain_ru)
+
+
+def trajectory_sweep_reference(scene_template, waypoints, blocked) -> list:
+    """``risac.trajectory_sweep`` rows from one ``RisIsacScenario.from_scene`` per waypoint.
+
+    The loop the batched sweep replaced: each waypoint is a scene of its own
+    and its receive derivative a scalar ``steering_derivative`` call; the
+    per-mode arithmetic is the same.
+    """
+    rows = []
+    for idx, (pos, blk) in enumerate(zip(waypoints, blocked)):
+        scene = scene_template.replace(target_position=np.asarray(pos, dtype=float))
+        channel = RisIsacScenario.from_scene(scene)
+        a_t, g, r_t = channel.a_t_term, channel.g_t, channel.r_t
+        if blk:
+            a_t = np.zeros_like(a_t)
+        adot = steering_derivative(scene.rx, angles_from_geometry(scene).theta1)
+        k = kappa(scene.noise_power_sensing, scene.samples, scene.target_gain_var,
+                  float(np.real(np.vdot(adot, adot))))
+        for mode, a, r in (("ris_aided", a_t, r_t), ("ris_only", np.zeros_like(a_t), r_t),
+                           ("without_ris", a_t, r_t[:0])):
+            h_t = a + g * (r @ align_profile(a, g, r))
+            power = scene.transmit_power * float(np.linalg.norm(h_t)) ** 2
+            crb = k / power if power > 0.0 else math.inf
+            rows.append((idx, mode, 10.0 * math.log10(power) if power > 0.0 else -math.inf, crb))
+    return rows
 
 
 def ris_maps_reference(scene) -> dict:

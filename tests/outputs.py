@@ -6,8 +6,9 @@ extracts the revision's ``src`` with ``git archive`` into a temporary
 directory and runs the output grid on it and on this checkout, each in its
 own interpreter with ``PYTHONPATH`` at that tree's ``src``. The grid is every
 experiment at config seeds 0-9, on the default scene and on a scaled one
-(n_ris = 256, l_t = l_s = 32), with ``ris-isac-tradeoff`` at both couplings:
-120 runs, about 1.2 s per tree. For each CSV it prints how many runs wrote
+(n_ris = 256, l_t = l_s = 32), with ``ris-isac-tradeoff`` at both couplings,
+plus the ``sense-sweep`` edge cases of ``EDGES`` at seeds 0-2: 135 runs,
+about 1.3 s per tree. For each CSV it prints how many runs wrote
 identical bytes and, per column that moved, the largest absolute and
 relative move of a cell. It names every run whose error outcome or summary
 ``diagnostics`` changed, and exits 1 if anything differs.
@@ -31,24 +32,34 @@ EXPERIMENTS = ("sense-sweep", "detect", "isac-tradeoff", "ris-isac-tradeoff", "b
 CASES = [(scene, experiment, coupling) for scene in SCENES for experiment in EXPERIMENTS
          for coupling in (("weak", "strong") if experiment == "ris-isac-tradeoff" else ("weak",))]
 SEEDS = range(10)
+# sense-sweep on the default scene with no RIS, a one- and a fifty-waypoint
+# road, every waypoint blocked, and the RIS on waypoint 4 (an error outcome).
+EDGES = {"n_ris=0": dict(n_ris=0), "num_waypoints=1": dict(num_waypoints=1),
+         "num_waypoints=50": dict(num_waypoints=50),
+         "blocked_from_index=0": dict(blocked_from_index=0),
+         "ris_position=30,25": dict(ris_position=(30.0, 25.0))}
+EDGE_SEEDS = range(3)
+# Run name -> RunConfig keywords; the name's second field is the experiment.
+RUNS = {**{f"{scene}/{experiment}/{coupling}/{seed}":
+           dict(experiment=experiment, seed=seed, coupling=coupling, **SCENES[scene])
+           for scene, experiment, coupling in CASES for seed in SEEDS},
+        **{f"{edge}/sense-sweep/weak/{seed}": dict(experiment="sense-sweep", seed=seed, **keys)
+           for edge, keys in EDGES.items() for seed in EDGE_SEEDS}}
 
 
 def run_grid(out: Path) -> None:
-    """Run each case at each seed into ``out``; outcomes.json maps a run to "ok" or its error."""
+    """Run each of ``RUNS`` into ``out``; outcomes.json maps a run to "ok" or its error."""
     from risac import cli  # from the tree that PYTHONPATH names
     from risac.config import RunConfig
 
     out.mkdir(parents=True, exist_ok=True)
     outcomes = {}
-    for scene, experiment, coupling in CASES:
-        for seed in SEEDS:
-            run = f"{scene}/{experiment}/{coupling}/{seed}"
-            cfg = RunConfig(experiment=experiment, seed=seed, coupling=coupling, **SCENES[scene])
-            try:
-                cli.run_experiment(cfg, out / run)
-                outcomes[run] = "ok"
-            except Exception as exc:  # the outcome is compared, not raised
-                outcomes[run] = f"{type(exc).__name__}: {exc}"
+    for run, keys in RUNS.items():
+        try:
+            cli.run_experiment(RunConfig(**keys), out / run)
+            outcomes[run] = "ok"
+        except Exception as exc:  # the outcome is compared, not raised
+            outcomes[run] = f"{type(exc).__name__}: {exc}"
     (out / "outcomes.json").write_text(json.dumps(outcomes, indent=1) + "\n")
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from risac import UlaGeometry, steering_derivative, steering_vector
+from risac.arrays import steering_log_derivative
 
 
 def scalar_loop_steering(length, angle, spacing=0.5):
@@ -49,6 +50,26 @@ def test_angle_array_gives_one_column_per_angle(elements, spacing):
     for k, angle in enumerate(angles):
         assert np.array_equal(matrix[:, k], steering_vector(geom, angle))
     assert steering_vector(geom, angles[:0]).shape == (elements, 0)
+
+
+@pytest.mark.parametrize("elements, spacing", [(1, 0.5), (6, 0.5), (15, 0.37), (32, 0.5)])
+def test_derivatives_of_an_angle_array_give_one_column_per_angle(elements, spacing):
+    # Column k is the scalar call at angle k, bit for bit, and the derivative
+    # column is orthogonal to the steering column.
+    geom = UlaGeometry(elements, spacing)
+    angles = np.random.default_rng(elements).uniform(-1.5, 1.5, 11)
+    steering = steering_vector(geom, angles)
+    for derivative in (steering_log_derivative, steering_derivative):
+        matrix = derivative(geom, angles)
+        assert matrix.shape == (elements, angles.size)
+        for k, angle in enumerate(angles):
+            assert np.array_equal(matrix[:, k], derivative(geom, angle))
+        assert derivative(geom, angles[:0]).shape == (elements, 0)
+    d = steering_derivative(geom, angles)
+    for k in range(angles.size):
+        assert abs(np.vdot(d[:, k], steering[:, k])) < 1e-12 * elements**2
+    with pytest.raises(ValueError):
+        steering_log_derivative(geom, [0.1, np.nan])
 
 
 def test_invalid_geometry_rejected():

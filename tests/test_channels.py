@@ -15,10 +15,10 @@ from risac import (
 )
 from risac import channels
 from risac.arrays import steering_log_derivative
-from risac.channels import _unit_modulus, path_gains
+from risac.channels import _unit_modulus
 from risac.config import RunConfig, scene_from_config
 
-from oracles import rank_one_illumination_bound, ris_maps_reference
+from oracles import path_gains, rank_one_illumination_bound, ris_maps_reference
 
 
 def simple_scene(**overrides):
@@ -78,7 +78,7 @@ def test_coincident_positions_rejected():
                         (dict(user_position=(30.0, 30.0)), "ris_position and user_position"),
                         (dict(user_position=(0.0, 0.0)), "bs_position and user_position")):
         scene = simple_scene(**moved)
-        for build in (angles_from_geometry, path_gains):
+        for build in (angles_from_geometry, RisIsacScenario.from_scene):
             with pytest.raises(DegenerateGeometryError, match=f"{pair} coincide"):
                 build(scene)
 
@@ -155,16 +155,18 @@ def test_from_scene_builds_one_angle_derivative(monkeypatch):
                         lambda *args: calls.append(args) or steering_derivative(*args))
     scene = simple_scene()
     RisIsacScenario.from_scene(scene)
-    assert calls == [(scene.rx, angles_from_geometry(scene).theta1)]
+    assert len(calls) == 1 and calls[0][0] is scene.rx
+    assert list(calls[0][1]) == [angles_from_geometry(scene).theta1]
 
 
 def test_beta_amplitude_from_table_distances():
-    scene = simple_scene()
-    gains = path_gains(scene)
+    # Steering entries have unit modulus, so each entry of g_t has modulus
+    # |beta_t| and each of a_t_term |alpha_t|.
+    channel = RisIsacScenario.from_scene(simple_scene())
     d_br = np.hypot(30.0, 30.0)
     d_rt = np.hypot(10.0, 30.0)
-    assert np.isclose(abs(gains.beta_t), d_br ** (-1.1) * d_rt ** (-1.1))
-    assert np.isclose(abs(gains.alpha_t), 40.0 ** (-1.25))
+    assert np.allclose(abs(channel.g_t), d_br ** (-1.1) * d_rt ** (-1.1))
+    assert np.allclose(abs(channel.a_t_term), 40.0 ** (-1.25))
 
 
 def test_blocked_direct_removes_only_alpha_terms():
@@ -238,10 +240,11 @@ def test_channel_composition_bit_for_bit():
 
 def test_gains_deterministic_per_seed():
     scene = simple_scene(seed=42)
-    g1, g2 = path_gains(scene), path_gains(scene)
-    assert g1 == g2
-    g3 = path_gains(simple_scene(seed=43))
-    assert g1.alpha_t != g3.alpha_t
+    c1, c2 = RisIsacScenario.from_scene(scene), RisIsacScenario.from_scene(scene)
+    for name in ("a_t_term", "a_r_term", "g_t", "g_r", "h_bu", "r_c"):
+        assert np.array_equal(getattr(c1, name), getattr(c2, name))
+    c3 = RisIsacScenario.from_scene(simple_scene(seed=43))
+    assert not np.array_equal(c1.a_t_term, c3.a_t_term)
 
 
 def test_profile_length_mismatch():
@@ -311,3 +314,36 @@ def test_unit_modulus_projection():
         ours, ref = _unit_modulus(x), unit_modulus_reference(x)
         assert ours.dtype == ref.dtype and ours.tobytes() == ref.tobytes()
         assert np.array_equal(x, before)
+
+
+@pytest.mark.parametrize("overrides", [{}, dict(ris=None), dict(direct_gain_override=0.0),
+                                       dict(ris_gain_override=0.002j),
+                                       dict(tx=UlaGeometry(32), rx=UlaGeometry(32),
+                                            ris=UlaGeometry(256))],
+                         ids=["default", "no-ris", "direct-0", "ris-pinned", "scaled"])
+def test_target_batch_rows_equal_one_target_builds(overrides):
+    # Row k of a batch carries the bits of from_scene with the target at k.
+    scene = simple_scene(**overrides)
+    targets = [(40.0, 0.0), (12.5, 25.0), (55.0, 25.0), (-3.0, 7.0), (30.0, 31.0)]
+    batch = channels.target_channels(scene, targets)
+    for k, target in enumerate(targets):
+        one = RisIsacScenario.from_scene(scene.replace(target_position=target))
+        for name in ("a_t_term", "a_r_term", "a_r_dot_term", "g_t", "g_r", "r_t"):
+            assert np.array_equal(getattr(batch, name)[k], getattr(one, name)), name
+            assert getattr(batch, name)[k].flags.c_contiguous
+        assert batch.beta[k] == one.beta
+        assert np.array_equal(batch.h_bu, one.h_bu) and np.array_equal(batch.r_c, one.r_c)
+        theta1 = angles_from_geometry(one.scene).theta1
+        assert np.array_equal(batch.a_r_dot[k], steering_derivative(scene.rx, theta1))
+
+
+@pytest.mark.xfail(strict=True, reason="g_c = g_t carries the RIS-target path loss")
+def test_moving_only_the_target_leaves_the_comms_channel_unchanged():
+    # The comms RIS leg is g_c = g_t = beta_t a(omega_t), and beta_t carries
+    # the RIS-target amplitude: with the user's direct path blocked,
+    # ||h_c(1)|| is 7.44e-7 with the target at (40, 0) and 3.79e-7 at (80, 0).
+    near, far = (RisIsacScenario.from_scene(scene_from_config(
+        RunConfig(experiment="beampattern", target_position=target)))
+        for target in ((40.0, 0.0), (80.0, 0.0)))
+    phi = np.ones(near.n_ris)
+    np.testing.assert_allclose(far.h_c(phi), near.h_c(phi), rtol=1e-12, atol=0.0)

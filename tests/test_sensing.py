@@ -20,12 +20,11 @@ from risac import (
     steering_vector,
     trajectory_sweep,
 )
-from risac import channels, cli, sensing
+from risac import arrays, channels, cli, sensing
 from risac.channels import (
     RisIsacScenario,
     angles_from_geometry,
     build_sensing_channels,
-    path_gains,
 )
 from risac.config import RunConfig, scene_from_config
 from risac.isac import kappa
@@ -36,7 +35,9 @@ from oracles import (
     illumination_power,
     matched_filter_beamformer,
     matched_filter_snr,
+    path_gains,
     rank_one_illumination_bound,
+    trajectory_sweep_reference,
 )
 
 
@@ -255,9 +256,13 @@ class TestMaximizeIllumination:
         res = maximize_illumination(scene)
         assert calls == [scene] and res.iterations == 0
         calls.clear()
+        # The sweep builds every waypoint in one batch and calls no from_scene.
+        batches = []
+        monkeypatch.setattr(sensing, "target_channels",
+                            lambda *args: batches.append(args) or channels.target_channels(*args))
         waypoints = [(40.0, 0.0), (45.0, 5.0)]
         trajectory_sweep(scene, waypoints, blocked=[False, True])
-        assert len(calls) == len(waypoints)  # one per waypoint, shared by its modes
+        assert calls == [] and batches == [(scene, waypoints)]
 
     def test_brute_force_discrete_grid(self):
         # An exhaustive 16-level phase grid on N = 3, with the direct path on,
@@ -862,3 +867,82 @@ class TestTrajectorySweep:
         assert lit[0][2] == lit[2][2] > -math.inf and lit[1][2] == -math.inf
         for row in dark:
             assert row[2] == -math.inf and math.isinf(row[3])
+
+
+def _road(cfg):
+    """(scene, waypoints, blocked) of the sense-sweep run of ``cfg``, read back from its summary."""
+    diag = cli._run_sense_sweep(cfg)[1]
+    return scene_from_config(cfg), diag["waypoints"], diag["blocked"]
+
+
+class TestTrajectorySweepOracle:
+    """One batched build per sweep writes the rows of one ``from_scene`` per waypoint, exactly."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("sizes", [{}, dict(n_ris=256, l_t=32, l_s=32)],
+                             ids=["default", "scaled"])
+    def test_config_scenes(self, seed, sizes):
+        scene, waypoints, blocked = _road(RunConfig(experiment="sense-sweep", seed=seed, **sizes))
+        assert trajectory_sweep(scene, waypoints, blocked) == trajectory_sweep_reference(
+            scene, waypoints, blocked)
+
+    @pytest.mark.parametrize("changes", [
+        dict(num_waypoints=1), dict(num_waypoints=10), dict(num_waypoints=50),
+        dict(blocked_from_index=0), dict(n_ris=0)],
+        ids=["1-waypoint", "10-waypoints", "50-waypoints", "all-blocked", "no-ris"])
+    def test_edge_configs(self, changes):
+        scene, waypoints, blocked = _road(RunConfig(experiment="sense-sweep", seed=4, **changes))
+        assert trajectory_sweep(scene, waypoints, blocked) == trajectory_sweep_reference(
+            scene, waypoints, blocked)
+
+    @pytest.mark.parametrize("gains", [dict(direct_gain_override=0.0),
+                                       dict(ris_gain_override=3e-4 * np.exp(0.7j))],
+                             ids=["direct-0", "ris-pinned"])
+    def test_gain_overrides(self, gains):
+        scene, waypoints, blocked = _road(RunConfig(experiment="sense-sweep", seed=6))
+        scene = scene.replace(**gains)
+        assert trajectory_sweep(scene, waypoints, blocked) == trajectory_sweep_reference(
+            scene, waypoints, blocked)
+
+    @pytest.mark.parametrize("scene_changes, waypoints", [
+        ({}, [(10.0, 25.0), (20.0, 25.0), (30.0, 30.0), (40.0, 25.0)]),  # waypoint 2 on the RIS
+        (dict(user_position=(30.0, 30.0)), [(0.0, 0.0), (10.0, 25.0)]),  # BS first, then the pair
+        (dict(user_position=(30.0, 30.0)), [(10.0, 25.0), (0.0, 0.0)]),  # the fixed pair first
+        ({}, [(10.0, 25.0), (20.0, 25.0), (math.nan, 25.0)]),
+        ({}, [(10.0, 25.0), (20.0, 25.0, 1.0)]),
+        # The path-loss amplitude of waypoint 1 passes 1e64 before waypoint 2 meets the BS.
+        (dict(pathloss_exp_direct=-30.0), [(10.0, 25.0), (1e6, 0.0), (0.0, 0.0)]),
+    ], ids=["on-ris", "at-bs-and-user-at-ris", "user-at-ris", "nan", "three-coordinates",
+            "amplitude-before-coincidence"])
+    def test_faults_raise_the_first_error_of_a_per_waypoint_build(self, scene_changes,
+                                                                  waypoints):
+        scene = ris_scene(**scene_changes)
+        blocked = [False] * len(waypoints)
+        with pytest.raises(ValueError) as expected:
+            trajectory_sweep_reference(scene, waypoints, blocked)
+        with pytest.raises(ValueError) as raised:
+            trajectory_sweep(scene, waypoints, blocked)
+        assert (type(raised.value), str(raised.value)) == (type(expected.value),
+                                                           str(expected.value))
+
+    def test_steering_calls_do_not_grow_with_waypoints(self, monkeypatch):
+        # A structural guard on the batch, with no timing: the steering
+        # matrices of the target's bearings are one call each, so the count
+        # is that of one waypoint (a_t, a_r and adot_r at theta1, b at theta2,
+        # a_t, a_r and b at omega_t, and the user's a_t and b).
+        calls = []
+
+        def counted(geom, angle):
+            calls.append(geom)
+            return steering_vector(geom, angle)
+
+        monkeypatch.setattr(arrays, "steering_vector", counted)
+        monkeypatch.setattr(channels, "steering_vector", counted)
+        scene = scene_from_config(RunConfig(experiment="sense-sweep"))
+        counts = []
+        for count in (1, 10, 100):
+            waypoints = [(10.0 + 45.0 * f, 25.0) for f in np.linspace(0.0, 1.0, count)]
+            calls.clear()
+            trajectory_sweep(scene, waypoints, [False] * count)
+            counts.append(len(calls))
+        assert counts == [9, 9, 9]
