@@ -7,23 +7,24 @@ drawn once per build from a generator at the scene seed, so rebuilding
 channels for the same scene is bit-for-bit reproducible.
 
 ``target_channels`` is the one place a channel is composed: one batched
-build of the target-dependent terms for K target positions of one scene,
-with ``RisIsacScenario.from_scene`` as its one-target case. Each channel is
-affine in the RIS profile phi: a direct term a (path gain times a steering
-vector) plus F phi, where the RIS map F = g r^T is the rank-one dyad of the
-one reflected path. The array-side vector g = beta a(omega_t) carries the
-BS-RIS gain and steering; the RIS-side vector r = conj(b(omega_t)) * b folds
-the incident steering into the RIS response b toward the target (sensing) or
-the user (comms). The scenario stores the dyads (g, r), not F, so each h_t,
-h_r or h_c costs O(L + N): one dot product r^T phi and one scaled vector.
-The matrices F are formed on each read, and no ``src`` code reads them: the
-benchmark's micro timings (through the coupling metric of ``ris_isac``) and
-the tests do. Sensing, ISAC and dual-waveform code all read their channels
-from the scenario, and ``sense-sweep`` reads its whole trajectory from one
-batch. Every experiment that lights an RIS takes its profile from
-``align_profile(a, g, r)``, the closed-form maximizer of ||a + g (r^T phi)||:
-``sense-sweep`` for the target, ``ris-isac-tradeoff`` for the target on the
-coupling-shaped scene, and ``beampattern`` for the user.
+build of the ``RisIsacScenario`` of each of K target positions of one
+scene, with ``RisIsacScenario.from_scene`` as its one-target case. Each
+channel is affine in the RIS profile phi: a direct term a (path gain times a
+steering vector) plus F phi, where the RIS map F = g r^T is the rank-one dyad
+of the one reflected path. The array-side vector g = beta a(omega_t) carries
+the BS-RIS gain and steering; the RIS-side vector r = conj(b(omega_t)) * b
+folds the incident steering into the RIS response b toward the target
+(sensing) or the user (comms). The scenario stores the dyads (g, r), not F,
+so each h_t, h_r or h_c costs O(L + N): one dot product r^T phi and one
+scaled vector. The matrices F are formed on each read, and no ``src`` code
+reads them: the benchmark's micro timings (through the coupling metric of
+``ris_isac``) and the tests do. Sensing, ISAC and dual-waveform code all read
+their channels from the scenario, and ``sense-sweep`` reads the scenarios of
+its whole trajectory from one build. Every experiment that lights an RIS
+takes its profile from ``align_profile(a, g, r)``, the closed-form maximizer
+of ||a + g (r^T phi)||: ``sense-sweep`` for the target, ``ris-isac-tradeoff``
+for the target on the coupling-shaped scene, and ``beampattern`` for the
+user.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ __all__ = [
     "RisIsacScenario",
     "angles_from_geometry",
     "pathloss_amplitude",
-    "TargetChannels",
     "target_channels",
     "build_sensing_channels",
     "align_profile",
@@ -54,7 +54,7 @@ def _position(p, name: str) -> np.ndarray:
     arr = np.asarray(p, dtype=float)
     if arr.shape != (2,):
         raise ValueError(f"positions are 2-D, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not all(map(math.isfinite, arr.tolist())):
         raise ValueError(f"{name} coordinates must be finite, got {arr.tolist()}")
     return arr
 
@@ -201,35 +201,13 @@ def _path_gains(scene: Scene, d_bt, d_rt, d_br: float, d_bu: float, d_ru: float)
     return alpha_t, alpha_r, beta_t, beta_r, gain_bu, gain_ru
 
 
-@dataclasses.dataclass(eq=False)
-class TargetChannels:
-    """The terms of ``RisIsacScenario`` for one scene with its target at K positions.
-
-    Row k of each (K, .) array belongs to target k and is contiguous: BLAS
-    rounds a strided vector differently from a contiguous one, so a row
-    read here carries the bits of a one-target build. ``a_r_dot`` is the
-    unit-gain receive derivative; the user leg is the same for every target.
-    """
-
-    a_t_term: np.ndarray      # (K, L_T) alpha_t * a_t(theta1)
-    a_r_term: np.ndarray      # (K, L_R) alpha_r * a_r(theta1)
-    a_r_dot: np.ndarray       # (K, L_R) adot_r(theta1)
-    a_r_dot_term: np.ndarray  # (K, L_R) alpha_r * adot_r(theta1)
-    g_t: np.ndarray           # (K, L_T) beta_t * a_t(omega_t)
-    g_r: np.ndarray           # (K, L_R) beta_r * a_r(omega_t)
-    r_t: np.ndarray           # (K, N) conj(b(omega_t)) * b(theta2)
-    beta: list                # alpha_r * alpha_t, one per target
-    h_bu: np.ndarray          # (L_T,) gain_bu * a_t(theta_user_bs)
-    r_c: np.ndarray           # (N,) conj(b(omega_t)) * h_RU
-
-
 def _rows(columns: np.ndarray) -> np.ndarray:
     """The (K, L) copy, row k contiguous, of an L x K matrix of steering columns."""
     return np.ascontiguousarray(columns.T)
 
 
-def _target_channels(scene: Scene, targets) -> TargetChannels:
-    targets = np.asarray(targets, dtype=float)
+def _target_channels(scene: Scene, targets) -> list:
+    targets = np.array(targets, dtype=float)  # a copy: each moved scene holds one of its rows
     if targets.ndim != 2 or targets.shape[1] != 2 or not np.isfinite(targets).all():
         raise ValueError("target positions must be finite 2-D points")
     # In the order of angles_from_geometry: the target's pairs, then the fixed three.
@@ -257,29 +235,32 @@ def _target_channels(scene: Scene, targets) -> TargetChannels:
         g_t = np.zeros((k, scene.tx.num_elements), dtype=complex)
         g_r = np.zeros((k, scene.rx.num_elements), dtype=complex)
         r_t, r_c = np.zeros((k, 0), dtype=complex), np.zeros(0, dtype=complex)
-    return TargetChannels(
-        a_t_term=np.array(alpha_t, dtype=complex)[:, np.newaxis]
-        * _rows(steering_vector(scene.tx, theta1)),
-        a_r_term=alpha_r_col * _rows(steering_vector(scene.rx, theta1)),
-        a_r_dot=a_r_dot,
-        a_r_dot_term=alpha_r_col * a_r_dot,
-        g_t=g_t,
-        g_r=g_r,
-        r_t=r_t,
-        beta=[a_r * a_t for a_r, a_t in zip(alpha_r, alpha_t)],
-        h_bu=gain_bu * steering_vector(scene.tx, theta_user_bs),
-        r_c=r_c,
-    )
+    a_t_term = np.array(alpha_t, dtype=complex)[:, np.newaxis] * _rows(
+        steering_vector(scene.tx, theta1))
+    a_r_term = alpha_r_col * _rows(steering_vector(scene.rx, theta1))
+    a_r_dot_term = alpha_r_col * a_r_dot
+    h_bu = gain_bu * steering_vector(scene.tx, theta_user_bs)
+    own = scene.target_position.tobytes()
+    return [RisIsacScenario(
+        scene=scene if target.tobytes() == own else scene.replace(target_position=target),
+        a_t_term=a_t_term[i], a_r_term=a_r_term[i], h_bu=h_bu, g_t=g_t[i], g_r=g_r[i],
+        g_c=g_t[i], r_t=r_t[i], r_c=r_c, a_r_dot=a_r_dot[i], a_r_dot_term=a_r_dot_term[i],
+        beta=alpha_r[i] * alpha_t[i]) for i, target in enumerate(targets)]
 
 
-def target_channels(scene: Scene, targets) -> TargetChannels:
-    """The channel terms of ``scene`` with its target at each of the K ``targets``, in one build.
+def target_channels(scene: Scene, targets) -> list:
+    """The ``RisIsacScenario`` of ``scene`` with its target at each of the K ``targets``.
 
-    The six gain phases are drawn once. Per target only the BS-target and
-    RIS-target bearings, distances and gains are formed; the BS-RIS and user
-    pairs are formed once. Each steering matrix is one ``steering_vector``
-    call over the K bearings. ``RisIsacScenario.from_scene`` is the
-    one-target case.
+    Scenario k holds its own scene, ``scene`` with the target at target k
+    (``ris_isac`` reads the target through it); a target at the scene's own
+    position, bit for bit, keeps ``scene`` itself, so
+    ``RisIsacScenario.from_scene``, the one-target case, keeps the caller's
+    scene. The six gain phases are drawn once. Per target only the
+    BS-target and RIS-target bearings, distances and gains are formed; the
+    BS-RIS and user pairs are formed once. Each steering matrix is one
+    ``steering_vector`` call over the K bearings, and each scenario's
+    vectors are contiguous rows of it: BLAS rounds a strided vector
+    differently, so a row carries the bits of a one-target build.
 
     Every pair is checked, with the typed errors of a one-target build. This
     build meets faults check by check over all targets at once; a fault makes
@@ -305,9 +286,12 @@ class RisIsacScenario:
     target or the user. The F matrices are derived from (g, r) on each read.
 
     The direct terms carry their complex path gains. Of the angle
-    derivatives only the receive one, a_r_dot_term, is stored: it is the
-    column the angle CRB of ``ris_isac`` projects; the FIM reference forms
-    the others from a_t_term and r_t (``arrays.steering_log_derivative``).
+    derivatives only the receive one is stored, twice: a_r_dot_term, with
+    its path gain, is the column the angle CRB of ``ris_isac`` projects (the
+    FIM reference forms the others from a_t_term and r_t,
+    ``arrays.steering_log_derivative``); a_r_dot, with unit gain, is what
+    ``sensing.trajectory_sweep`` reads for its kappa, until that sweep takes
+    the path-gain form of ``ris_isac``.
     """
 
     scene: Scene
@@ -319,26 +303,14 @@ class RisIsacScenario:
     g_c: np.ndarray           # g_t, until strong coupling rescales it
     r_t: np.ndarray           # conj(b(omega_t)) * b(theta2)
     r_c: np.ndarray           # conj(b(omega_t)) * h_RU
+    a_r_dot: np.ndarray       # adot_r(theta1)
     a_r_dot_term: np.ndarray  # alpha_r * adot_r(theta1)
     beta: complex             # alpha_r * alpha_t
 
     @classmethod
     def from_scene(cls, scene: Scene) -> "RisIsacScenario":
         """The scene's channels: the one-target case of ``target_channels``."""
-        batch = target_channels(scene, scene.target_position[np.newaxis])
-        return cls(
-            scene=scene,
-            a_t_term=batch.a_t_term[0],
-            a_r_term=batch.a_r_term[0],
-            h_bu=batch.h_bu,
-            g_t=batch.g_t[0],
-            g_r=batch.g_r[0],
-            g_c=batch.g_t[0],
-            r_t=batch.r_t[0],
-            r_c=batch.r_c,
-            a_r_dot_term=batch.a_r_dot_term[0],
-            beta=batch.beta[0],
-        )
+        return target_channels(scene, scene.target_position[np.newaxis])[0]
 
     @property
     def n_ris(self) -> int:

@@ -23,9 +23,9 @@ from . import dual_waveform as dw
 from . import isac as isac_mod
 from . import ris_isac as ri
 from .arrays import steering_derivative
-from .channels import RisIsacScenario, angles_from_geometry, pathloss_amplitude
+from .channels import RisIsacScenario, _sight, angles_from_geometry, pathloss_amplitude
 from .config import EXPERIMENTS, RunConfig, parse_config, scene_from_config
-from .errors import ConfigError, DegenerateGeometryError
+from .errors import ConfigError
 from .sensing import DetectionConfig, detection_probability, glrt_at_snrs, trajectory_sweep
 
 CSV_HEADERS = {
@@ -98,12 +98,8 @@ def _run_detect(cfg: RunConfig):
 def _run_isac_tradeoff(cfg: RunConfig):
     scene = scene_from_config(cfg)
     # Only the BS-target pair is read: the target's bearing and distance.
-    delta = scene.target_position - scene.bs_position
-    distance = float(np.linalg.norm(delta))
-    if distance == 0.0:
-        raise DegenerateGeometryError(
-            f"bs_position and target_position coincide at {scene.target_position.tolist()}")
-    a_r_dot = steering_derivative(scene.rx, math.atan2(delta[1], delta[0]))
+    (theta1,), (distance,) = _sight(scene, "bs_position", "target_position")
+    a_r_dot = steering_derivative(scene.rx, theta1)
     # CRB = kappa / |a_t^T w|^2, the one-target model of isac.kappa; the
     # centred receive array keeps adot_r orthogonal to a_r, so no projection.
     kappa = isac_mod.kappa(scene.noise_power_sensing, scene.samples, scene.target_gain_var,

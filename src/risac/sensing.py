@@ -32,11 +32,10 @@ Poisson mixture evaluated with numpy and ``math`` only (``marcum_q1``).
 
 The angle CRB of ``trajectory_sweep`` is the one-target model of
 ``isac.kappa``: kappa / illumination power, the gain sigma_eta^2 fixed. The
-sweep builds its whole trajectory as one ``channels.target_channels`` batch,
-with one steering call per matrix whatever the number of waypoints, and
-keeps the per-mode arithmetic of a per-waypoint build. The batch rows are
-contiguous because BLAS rounds strided vectors differently, so every CSV
-cell keeps its bits.
+sweep reads one ``RisIsacScenario`` per waypoint, all from one
+``channels.target_channels`` build with one steering call per matrix
+whatever the number of waypoints, and keeps the per-mode arithmetic of a
+per-waypoint build, so every CSV cell keeps its bits.
 """
 
 from __future__ import annotations
@@ -381,11 +380,11 @@ def trajectory_sweep(
 ):
     """Illumination power and CRB along a target trajectory for each mode.
 
-    The whole trajectory is one ``channels.target_channels`` batch, whose
-    row k holds waypoint k's channel a_t + g_t (r_t^T phi) and receive
-    derivative. The rows are contiguous, so they carry the bits of a
-    per-waypoint ``from_scene``, and the per-mode arithmetic is that of a
-    per-waypoint build: every CSV row is unchanged. Each mode is lit as in
+    Waypoint k's channel a_t + g_t (r_t^T phi) and unit-gain receive
+    derivative a_r_dot are those of scenario k of one
+    ``channels.target_channels`` build, which carry the bits of a
+    per-waypoint ``from_scene``; the per-mode arithmetic is that of a
+    per-waypoint build, so every CSV row is unchanged. Each mode is lit as in
     ``maximize_illumination``, with power P ||h_t||^2: "ris_aided" keeps
     (a_t, g_t, r_t), "ris_only" drops a_t, and "without_ris" drops the
     entries of r_t. Blocked waypoints zero a_t, the direct path. The CRB is
@@ -400,10 +399,9 @@ def trajectory_sweep(
         raise ValueError("blocked mask length must match waypoints")
 
     scene = scene_template
-    batch = target_channels(scene, waypoints)
     rows = []
-    for idx, blk in enumerate(blocked):
-        a_t, g, r_t, adot = batch.a_t_term[idx], batch.g_t[idx], batch.r_t[idx], batch.a_r_dot[idx]
+    for idx, (channel, blk) in enumerate(zip(target_channels(scene, waypoints), blocked)):
+        a_t, g, r_t, adot = channel.a_t_term, channel.g_t, channel.r_t, channel.a_r_dot
         if blk:
             a_t = np.zeros_like(a_t)
         k = kappa(scene.noise_power_sensing, scene.samples, scene.target_gain_var,

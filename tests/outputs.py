@@ -7,8 +7,8 @@ directory and runs the output grid on it and on this checkout, each in its
 own interpreter with ``PYTHONPATH`` at that tree's ``src``. The grid is every
 experiment at config seeds 0-9, on the default scene and on a scaled one
 (n_ris = 256, l_t = l_s = 32), with ``ris-isac-tradeoff`` at both couplings,
-plus the ``sense-sweep`` edge cases of ``EDGES`` at seeds 0-2: 135 runs,
-about 1.3 s per tree. For each CSV it prints how many runs wrote
+plus the ``sense-sweep`` and ``isac-tradeoff`` edge cases of ``EDGES`` at
+seeds 0-2: 150 runs, about 1.3 s per tree. For each CSV it prints how many runs wrote
 identical bytes and, per column that moved, the largest absolute and
 relative move of a cell. It names every run whose error outcome or summary
 ``diagnostics`` changed, and exits 1 if anything differs.
@@ -32,19 +32,29 @@ EXPERIMENTS = ("sense-sweep", "detect", "isac-tradeoff", "ris-isac-tradeoff", "b
 CASES = [(scene, experiment, coupling) for scene in SCENES for experiment in EXPERIMENTS
          for coupling in (("weak", "strong") if experiment == "ris-isac-tradeoff" else ("weak",))]
 SEEDS = range(10)
-# sense-sweep on the default scene with no RIS, a one- and a fifty-waypoint
-# road, every waypoint blocked, and the RIS on waypoint 4 (an error outcome).
-EDGES = {"n_ris=0": dict(n_ris=0), "num_waypoints=1": dict(num_waypoints=1),
-         "num_waypoints=50": dict(num_waypoints=50),
-         "blocked_from_index=0": dict(blocked_from_index=0),
-         "ris_position=30,25": dict(ris_position=(30.0, 25.0))}
+# Edge cases on the default scene. sense-sweep: no RIS, a one- and a
+# fifty-waypoint road, every waypoint blocked, and the RIS on waypoint 4 (an
+# error outcome). isac-tradeoff: targets off the x axis, and a user at the
+# RIS, a pair the run does not read. At (13.2, 20) np.hypot and
+# np.linalg.norm round the BS-target distance apart in the last bit; at the
+# default target (40, 0) and the other three they agree.
+EDGES = {"sense-sweep": {"n_ris=0": dict(n_ris=0), "num_waypoints=1": dict(num_waypoints=1),
+                         "num_waypoints=50": dict(num_waypoints=50),
+                         "blocked_from_index=0": dict(blocked_from_index=0),
+                         "ris_position=30,25": dict(ris_position=(30.0, 25.0))},
+         "isac-tradeoff": {"target_position=-17.3,31.9": dict(target_position=(-17.3, 31.9)),
+                           "target_position=63.1,-8.7": dict(target_position=(63.1, -8.7)),
+                           "target_position=25,10": dict(target_position=(25.0, 10.0)),
+                           "target_position=13.2,20": dict(target_position=(13.2, 20.0)),
+                           "user_position=30,30": dict(user_position=(30.0, 30.0))}}
 EDGE_SEEDS = range(3)
 # Run name -> RunConfig keywords; the name's second field is the experiment.
 RUNS = {**{f"{scene}/{experiment}/{coupling}/{seed}":
            dict(experiment=experiment, seed=seed, coupling=coupling, **SCENES[scene])
            for scene, experiment, coupling in CASES for seed in SEEDS},
-        **{f"{edge}/sense-sweep/weak/{seed}": dict(experiment="sense-sweep", seed=seed, **keys)
-           for edge, keys in EDGES.items() for seed in EDGE_SEEDS}}
+        **{f"{edge}/{experiment}/weak/{seed}": dict(experiment=experiment, seed=seed, **keys)
+           for experiment, edges in EDGES.items() for edge, keys in edges.items()
+           for seed in EDGE_SEEDS}}
 
 
 def run_grid(out: Path) -> None:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from risac import channels
 from risac.arrays import steering_log_derivative
 from risac.channels import _unit_modulus
 from risac.config import RunConfig, scene_from_config
+from risac.ris_isac import fim_theta
 
 from oracles import path_gains, rank_one_illumination_bound, ris_maps_reference
 
@@ -70,6 +73,17 @@ def test_non_finite_positions_rejected(field, bad, axis):
     point[axis] = bad
     with pytest.raises(ValueError, match=field):
         simple_scene(**{field: tuple(point)})
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize(
+    "field", ["bs_position", "ris_position", "target_position", "user_position"]
+)
+def test_replace_rejects_a_non_finite_position_by_name(field, bad):
+    # Scene.replace moves a sweep's target; it re-checks every position.
+    with pytest.raises(ValueError, match=rf"^{field} coordinates must be finite, got \[5.0, "):
+        simple_scene().replace(**{field: (5.0, bad)})
 
 
 def test_coincident_positions_rejected():
@@ -321,20 +335,32 @@ def test_unit_modulus_projection():
                                        dict(tx=UlaGeometry(32), rx=UlaGeometry(32),
                                             ris=UlaGeometry(256))],
                          ids=["default", "no-ris", "direct-0", "ris-pinned", "scaled"])
-def test_target_batch_rows_equal_one_target_builds(overrides):
-    # Row k of a batch carries the bits of from_scene with the target at k.
+def test_each_target_scenario_equals_its_one_target_build(overrides):
+    # Scenario k of one build carries the bits of from_scene with the target
+    # at k, in contiguous arrays, and so does the CRB read through its scene.
     scene = simple_scene(**overrides)
     targets = [(40.0, 0.0), (12.5, 25.0), (55.0, 25.0), (-3.0, 7.0), (30.0, 31.0)]
-    batch = channels.target_channels(scene, targets)
-    for k, target in enumerate(targets):
+    scenarios = channels.target_channels(scene, targets)
+    assert len(scenarios) == len(targets)
+    for target, scenario in zip(targets, scenarios):
         one = RisIsacScenario.from_scene(scene.replace(target_position=target))
-        for name in ("a_t_term", "a_r_term", "a_r_dot_term", "g_t", "g_r", "r_t"):
-            assert np.array_equal(getattr(batch, name)[k], getattr(one, name)), name
-            assert getattr(batch, name)[k].flags.c_contiguous
-        assert batch.beta[k] == one.beta
-        assert np.array_equal(batch.h_bu, one.h_bu) and np.array_equal(batch.r_c, one.r_c)
+        for field in dataclasses.fields(RisIsacScenario):
+            ours, theirs = getattr(scenario, field.name), getattr(one, field.name)
+            if isinstance(ours, np.ndarray):
+                assert np.array_equal(ours, theirs) and ours.flags.c_contiguous, field.name
+        assert scenario.beta == one.beta
+        assert np.array_equal(scenario.scene.target_position, target)
         theta1 = angles_from_geometry(one.scene).theta1
-        assert np.array_equal(batch.a_r_dot[k], steering_derivative(scene.rx, theta1))
+        assert np.array_equal(scenario.a_r_dot, steering_derivative(scene.rx, theta1))
+        if one.beta != 0:  # fim_theta normalizes by the direct gains
+            ours, theirs = (fim_theta(sc, np.exp(0.3j * np.arange(scene.n_ris)),
+                                      np.full(scene.tx.num_elements, 0.5)) for sc in (scenario, one))
+            assert np.array_equal(ours.fim, theirs.fim) and ours.crb_theta1 == theirs.crb_theta1
+    # One target at a position other than the scene's own moves the scene.
+    (moved,) = channels.target_channels(scene, targets[1:2])
+    assert moved.scene is not scene
+    assert np.array_equal(moved.scene.target_position, targets[1])
+    assert RisIsacScenario.from_scene(scene).scene is scene
 
 
 @pytest.mark.xfail(strict=True, reason="g_c = g_t carries the RIS-target path loss")
